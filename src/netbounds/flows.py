@@ -3,19 +3,26 @@
 Outer bounds on point-to-point networks come from max-flow/min-cut (per
 demand, min over sinks for multicast). Inner bounds on networks with
 hyper-arcs come from a fractional-routing linear program in which one
-capacity draw on a hyper-arc serves all of its heads for a given session,
-and from a time-sharing LP that mixes several candidate lower networks.
+capacity draw on a hyper-arc serves all of its heads for a given session;
+blend_inner solves the same program over run-weighted average arc rates of
+several candidate lower networks with one arc structure.
 Every reported flow is re-validated against conservation and capacity
 constraints; bounds are certifiable, not solver folklore.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import coo_array, csc_array
+
+# perfbench/layertrace.py wraps ``flows.linprog`` by name, so the name stays
+# bound here; the routing LPs go through ``milp``, which runs the same HiGHS.
+from scipy.optimize import linprog  # noqa: F401
 
 from .netmodel import AUXILIARY, BitPipe, Demand, NoiselessNetwork, Node
 
@@ -26,7 +33,6 @@ __all__ = [
     "multicast_outer",
     "unicast_inner",
     "hyper_inner",
-    "timeshare_inner",
     "blend_inner",
     "validate_hyper_result",
     "combine_bounds",
@@ -271,162 +277,167 @@ def unicast_inner(net: NoiselessNetwork, demand: Demand) -> FlowResult:
     return FlowResult(demand=demand, rate=result.rate, witness=witness)
 
 
-def _expand_heads(pipe: BitPipe) -> list[str]:
-    return list(pipe.heads)
+_LP_CACHE_SIZE = 16  # compiled routing LPs kept, one per arc structure
+_NONNEGATIVE = Bounds(0, np.inf)
+_WITNESS_FLOOR = 1e-12  # solution entries at or below this stay out of witnesses
 
 
-def _build_session_lp(
-    nets: list[NoiselessNetwork],
-    demands: tuple[Demand, ...],
-    objective: str,
-    timeshare: bool,
-):
-    """Shared LP builder for hyper_inner (one net) and timeshare_inner.
+@dataclass(frozen=True, eq=False)
+class _RoutingLP:
+    """One routing LP as the arrays HiGHS takes.
 
-    Variable layout: [t] [R_{r,s} ...] [x_{r,s,a} ...] [f_{r,s,sink,a,h} ...]
-    [lambda_r ...], with r indexing runs (a single run when timeshare is
-    False). Returns the linprog pieces plus index maps.
+    Columns are [t] [R_s] [x_{s,a}] [f_{s,sink,a,h}] [lambda_r], rows the
+    inequalities (per-session draws, arc capacities, common rate) over the
+    equalities (flow conservation, then sum_r lambda_r = 1 when blending).
+    Without lambda columns the arc rates enter only ``upper`` at
+    ``capacity_rows``, so one compiled LP serves every rate assignment.
     """
-    n_runs = len(nets)
+
+    matrix: csc_array
+    cost: np.ndarray
+    lower: np.ndarray  # row bounds; inequality rows have -inf below
+    upper: np.ndarray
+    capacity_rows: np.ndarray
+    finite_arcs: np.ndarray  # arc of each capacity row
+    pair_arcs: tuple[int, ...]  # arc of each (arc, head) pair, in column order
+    pair_heads: tuple[str, ...]  # head of each (arc, head) pair
+    n_arcs: int
+    f_cols: tuple[int, ...]  # first f column of each session
+    lam_col: int
+
+
+def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
+    """Routing LP of one arc structure, emitted from its incidence lists.
+
+    ``arcs`` holds ``(tail, heads, rate is finite)`` per pipe. Without
+    ``blend_rates`` each finite arc's capacity row bounds the sessions' draws
+    by the arc rate, filled in per solve. With ``blend_rates`` (one row of arc
+    rates per run) it bounds them by sum_r lambda_r * rate_r, and the weights
+    lambda_r sum to 1.
+    """
+    if objective not in ("maxmin", "sum"):
+        raise ValueError(f"objective must be 'maxmin' or 'sum', got {objective!r}")
     n_sessions = len(demands)
-    index = 0
-    t_index = index
-    index += 1
-    r_index = {}
-    for r in range(n_runs):
-        for s in range(n_sessions):
-            r_index[(r, s)] = index
-            index += 1
-    x_index = {}
-    for r, net in enumerate(nets):
-        for s in range(n_sessions):
-            for a, _pipe in enumerate(net.pipes):
-                x_index[(r, s, a)] = index
-                index += 1
-    f_index = {}
-    for r, net in enumerate(nets):
-        for s, demand in enumerate(demands):
-            for sink in demand.sink_list:
-                for a, pipe in enumerate(net.pipes):
-                    for h in _expand_heads(pipe):
-                        f_index[(r, s, sink, a, h)] = index
-                        index += 1
-    lam_index = {}
-    if timeshare:
+    n_arcs = len(arcs)
+    pair_arcs = tuple(a for a, (_, heads, _) in enumerate(arcs) for _ in heads)
+    pair_heads = tuple(head for _, heads, _ in arcs for head in heads)
+    n_pairs = len(pair_heads)
+    arc_start = np.cumsum([0] + [len(heads) for _, heads, _ in arcs]).tolist()
+    out_pairs: dict[str, list[int]] = {node: [] for node in node_ids}
+    in_pairs: dict[str, list[int]] = {node: [] for node in node_ids}
+    for p, (a, head) in enumerate(zip(pair_arcs, pair_heads)):
+        if arcs[a][0] in out_pairs:
+            out_pairs[arcs[a][0]].append(p)
+        if head in in_pairs:
+            in_pairs[head].append(p)
+
+    x_col = 1 + n_sessions  # x_{s,a} sits at x_col + s * n_arcs + a
+    f_cols = []
+    col = x_col + n_sessions * n_arcs
+    for demand in demands:
+        f_cols.append(col)
+        col += len(demand.sinks) * n_pairs
+    lam_col = col
+    n_runs = 0 if blend_rates is None else len(blend_rates)
+    n_vars = lam_col + n_runs
+
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+
+    def put(row, columns, value):
+        columns = list(columns)
+        rows.extend([row] * len(columns))
+        cols.extend(columns)
+        vals.extend([value] * len(columns))
+
+    # Per-session draw on an arc: total over its heads bounded by the usage var.
+    row = 0
+    for s, demand in enumerate(demands):
+        for j in range(len(demand.sinks)):
+            base = f_cols[s] + j * n_pairs
+            for a in range(n_arcs):
+                put(row, range(base + arc_start[a], base + arc_start[a + 1]), 1.0)
+                put(row, (x_col + s * n_arcs + a,), -1.0)
+                row += 1
+    # Arc capacity shared across sessions.
+    finite_arcs = [a for a, (_, _, finite) in enumerate(arcs) if finite]
+    capacity_rows = np.arange(row, row + len(finite_arcs))
+    for a in finite_arcs:
+        put(row, range(x_col + a, x_col + n_sessions * n_arcs, n_arcs), 1.0)
         for r in range(n_runs):
-            lam_index[r] = index
-            index += 1
-    n_vars = index
-
-    a_eq_rows, b_eq = [], []
-    a_ub_rows, b_ub = [], []
-
-    def new_row():
-        return np.zeros(n_vars)
-
-    # Flow conservation per run, session, sink, node (sink node skipped).
-    for r, net in enumerate(nets):
-        for s, demand in enumerate(demands):
-            for sink in demand.sink_list:
-                for node in net.node_ids:
-                    if node == sink:
-                        continue
-                    row = new_row()
-                    nonzero = False
-                    for a, pipe in enumerate(net.pipes):
-                        if pipe.tail == node:
-                            for h in _expand_heads(pipe):
-                                row[f_index[(r, s, sink, a, h)]] += 1.0
-                                nonzero = True
-                        for h in _expand_heads(pipe):
-                            if h == node:
-                                row[f_index[(r, s, sink, a, h)]] -= 1.0
-                                nonzero = True
-                    if node == demand.source:
-                        row[r_index[(r, s)]] -= 1.0
-                        nonzero = True
-                    if nonzero:
-                        a_eq_rows.append(row)
-                        b_eq.append(0.0)
-
-    # Per-session draw on an arc: total over heads bounded by the usage var.
-    for r, net in enumerate(nets):
-        for s, demand in enumerate(demands):
-            for sink in demand.sink_list:
-                for a, pipe in enumerate(net.pipes):
-                    row = new_row()
-                    for h in _expand_heads(pipe):
-                        row[f_index[(r, s, sink, a, h)]] += 1.0
-                    row[x_index[(r, s, a)]] -= 1.0
-                    a_ub_rows.append(row)
-                    b_ub.append(0.0)
-
-    # Arc capacity shared across sessions (scaled by lambda when mixing).
-    for r, net in enumerate(nets):
-        for a, pipe in enumerate(net.pipes):
-            if pipe.rate == float("inf"):
-                continue
-            row = new_row()
-            for s in range(n_sessions):
-                row[x_index[(r, s, a)]] += 1.0
-            if timeshare:
-                row[lam_index[r]] -= pipe.rate
-                a_ub_rows.append(row)
-                b_ub.append(0.0)
-            else:
-                a_ub_rows.append(row)
-                b_ub.append(pipe.rate)
-
-    # Common rate t below every session's total rate.
+            put(row, (lam_col + r,), -blend_rates[r][a])
+        row += 1
+    # Common rate t below every session's rate.
     for s in range(n_sessions):
-        row = new_row()
-        row[t_index] = 1.0
-        for r in range(n_runs):
-            row[r_index[(r, s)]] -= 1.0
-        a_ub_rows.append(row)
-        b_ub.append(0.0)
+        put(row, (0,), 1.0)
+        put(row, (1 + s,), -1.0)
+        row += 1
+    n_ub = row
+    # Flow conservation per session, sink and node (the sink node skipped).
+    for s, demand in enumerate(demands):
+        for j, sink in enumerate(demand.sink_list):
+            base = f_cols[s] + j * n_pairs
+            for node in node_ids:
+                if node == sink:
+                    continue
+                outs, ins = out_pairs[node], in_pairs[node]
+                if not (outs or ins or node == demand.source):
+                    continue
+                put(row, (base + p for p in outs), 1.0)
+                put(row, (base + p for p in ins), -1.0)
+                if node == demand.source:
+                    put(row, (1 + s,), -1.0)
+                row += 1
+    if n_runs:
+        put(row, range(lam_col, n_vars), 1.0)
+        row += 1
 
-    if timeshare:
-        row = new_row()
-        for r in range(n_runs):
-            row[lam_index[r]] = 1.0
-        a_eq_rows.append(row)
-        b_eq.append(1.0)
-
+    matrix = coo_array((vals, (rows, cols)), shape=(row, n_vars)).tocsc()
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    lower = np.zeros(row)
+    lower[:n_ub] = -np.inf
+    upper = np.zeros(row)
+    if n_runs:
+        lower[-1] = upper[-1] = 1.0
     cost = np.zeros(n_vars)
     if objective == "maxmin":
-        cost[t_index] = -1.0
-    elif objective == "sum":
-        for r in range(n_runs):
-            for s in range(n_sessions):
-                cost[r_index[(r, s)]] = -1.0
+        cost[0] = -1.0
     else:
-        raise ValueError(f"objective must be 'maxmin' or 'sum', got {objective!r}")
+        cost[1 : 1 + n_sessions] = -1.0
+    return _RoutingLP(
+        matrix=matrix,
+        cost=cost,
+        lower=lower,
+        upper=upper,
+        capacity_rows=capacity_rows,
+        finite_arcs=np.array(finite_arcs, dtype=np.intp),
+        pair_arcs=pair_arcs,
+        pair_heads=pair_heads,
+        n_arcs=n_arcs,
+        f_cols=tuple(f_cols),
+        lam_col=lam_col,
+    )
 
-    return {
-        "cost": cost,
-        "a_eq": np.array(a_eq_rows) if a_eq_rows else None,
-        "b_eq": np.array(b_eq) if b_eq else None,
-        "a_ub": np.array(a_ub_rows) if a_ub_rows else None,
-        "b_ub": np.array(b_ub) if b_ub else None,
-        "n_vars": n_vars,
-        "t_index": t_index,
-        "r_index": r_index,
-        "x_index": x_index,
-        "f_index": f_index,
-        "lam_index": lam_index,
-    }
+
+@functools.lru_cache(maxsize=_LP_CACHE_SIZE)
+def _compiled_routing_lp(node_ids, arcs, demands, objective) -> _RoutingLP:
+    """The routing LP of one arc structure, compiled once and reused."""
+    return _build_routing_lp(node_ids, arcs, demands, objective)
 
 
-def _solve_lp(pieces):
-    result = linprog(
-        pieces["cost"],
-        A_ub=pieces["a_ub"],
-        b_ub=pieces["b_ub"],
-        A_eq=pieces["a_eq"],
-        b_eq=pieces["b_eq"],
-        bounds=[(0, None)] * pieces["n_vars"],
-        method="highs",
+def _arc_structure(net: NoiselessNetwork) -> tuple:
+    return tuple(
+        (pipe.tail, pipe.heads, pipe.rate != float("inf")) for pipe in net.pipes
+    )
+
+
+def _solve_lp(lp: _RoutingLP, upper: np.ndarray) -> np.ndarray:
+    result = milp(
+        lp.cost,
+        constraints=LinearConstraint(lp.matrix, lp.lower, upper),
+        bounds=_NONNEGATIVE,
     )
     if not result.success:
         raise RuntimeError(f"routing LP failed: {result.message}")
@@ -434,28 +445,27 @@ def _solve_lp(pieces):
 
 
 def _results_from_solution(
-    nets, demands, pieces, solution, extra_witness=None
+    lp: _RoutingLP, demands, solution, extra_witness=None
 ) -> list[FlowResult]:
+    n_pairs = len(lp.pair_heads)
     results = []
     for s, demand in enumerate(demands):
-        rate = sum(solution[pieces["r_index"][(r, s)]] for r in range(len(nets)))
-        usage = {}
+        first_x = 1 + len(demands) + s * lp.n_arcs
+        drawn = solution[first_x : first_x + lp.n_arcs]
+        usage = {
+            (0, a): drawn[a] for a in np.flatnonzero(drawn > _WITNESS_FLOOR).tolist()
+        }
+        sinks = demand.sink_list
+        routed = solution[lp.f_cols[s] : lp.f_cols[s] + len(sinks) * n_pairs]
+        routed = routed.reshape(len(sinks), n_pairs)
         flows = {}
-        for r, net in enumerate(nets):
-            for a, pipe in enumerate(net.pipes):
-                value = solution[pieces["x_index"][(r, s, a)]]
-                if value > 1e-12:
-                    usage[(r, a)] = value
-            for sink in demand.sink_list:
-                for a, pipe in enumerate(net.pipes):
-                    for h in _expand_heads(pipe):
-                        value = solution[pieces["f_index"][(r, s, sink, a, h)]]
-                        if value > 1e-12:
-                            flows[(r, sink, a, h)] = value
+        for j, p in np.argwhere(routed > _WITNESS_FLOOR).tolist():
+            flows[(0, sinks[j], lp.pair_arcs[p], lp.pair_heads[p])] = routed[j, p]
         witness = {"usage": usage, "flows": flows}
         if extra_witness:
             witness.update(extra_witness)
-        results.append(FlowResult(demand=demand, rate=float(rate), witness=witness))
+        rate = float(solution[1 + s]) + 0.0  # HiGHS may return -0.0
+        results.append(FlowResult(demand=demand, rate=rate, witness=witness))
     return results
 
 
@@ -528,169 +538,17 @@ def hyper_inner(
     Returns one FlowResult per demand; witnesses are re-validated before
     returning.
     """
+    demands = tuple(demands)
     if not demands:
         raise ValueError("demands must be nonempty")
-    pieces = _build_session_lp([net], tuple(demands), objective, timeshare=False)
-    solution = _solve_lp(pieces)
-    results = _results_from_solution([net], tuple(demands), pieces, solution)
-    validate_hyper_result(net, tuple(demands), results)
+    lp = _compiled_routing_lp(net.node_ids, _arc_structure(net), demands, objective)
+    upper = lp.upper.copy()
+    rates = np.array([pipe.rate for pipe in net.pipes])
+    upper[lp.capacity_rows] = rates[lp.finite_arcs]
+    solution = _solve_lp(lp, upper)
+    results = _results_from_solution(lp, demands, solution)
+    validate_hyper_result(net, demands, results)
     return results
-
-
-def timeshare_inner(
-    nets: list[NoiselessNetwork],
-    demands: tuple[Demand, ...],
-    objective: str = "maxmin",
-) -> tuple[list[FlowResult], tuple[float, ...]]:
-    """Best convex combination of several candidate lower networks.
-
-    Operating network r for a fraction lambda_r of the time scales its
-    achievable flow polytope by lambda_r; the LP jointly picks the fractions
-    and per-run flows. Anything feasible here is achievable by time sharing
-    the runs, so the result is a valid inner bound whenever each input network
-    is.
-
-    Returns the per-demand results (rates summed across runs) and the mixing
-    weights.
-    """
-    if not demands:
-        raise ValueError("demands must be nonempty")
-    if not nets:
-        raise ValueError("nets must be nonempty")
-    pieces = _build_session_lp(list(nets), tuple(demands), objective, timeshare=True)
-    solution = _solve_lp(pieces)
-    weights = tuple(
-        float(solution[pieces["lam_index"][r]]) for r in range(len(nets))
-    )
-    results = _results_from_solution(
-        list(nets), tuple(demands), pieces, solution, extra_witness={"weights": weights}
-    )
-    return results, weights
-
-
-def _build_blend_lp(nets, demands, objective):
-    """LP for one shared routing over run-weighted average arc rates.
-
-    Variable layout: [t] [R_s ...] [x_{s,a} ...] [f_{s,sink,a,h} ...]
-    [lambda_r ...]. Flow structure lives on the first network; each capacity
-    row couples the shared draws to the weighted arc rates, so the solver
-    picks the physical time-share and the routing together.
-    """
-    base = nets[0]
-    n_sessions = len(demands)
-    index = 0
-    t_index = index
-    index += 1
-    r_index = {}
-    for s in range(n_sessions):
-        r_index[s] = index
-        index += 1
-    x_index = {}
-    for s in range(n_sessions):
-        for a in range(len(base.pipes)):
-            x_index[(s, a)] = index
-            index += 1
-    f_index = {}
-    for s, demand in enumerate(demands):
-        for sink in demand.sink_list:
-            for a, pipe in enumerate(base.pipes):
-                for h in _expand_heads(pipe):
-                    f_index[(s, sink, a, h)] = index
-                    index += 1
-    lam_index = {}
-    for r in range(len(nets)):
-        lam_index[r] = index
-        index += 1
-    n_vars = index
-
-    a_eq_rows, b_eq = [], []
-    a_ub_rows, b_ub = [], []
-
-    def new_row():
-        return np.zeros(n_vars)
-
-    # Flow conservation per session and sink (sink node skipped).
-    for s, demand in enumerate(demands):
-        for sink in demand.sink_list:
-            for node in base.node_ids:
-                if node == sink:
-                    continue
-                row = new_row()
-                nonzero = False
-                for a, pipe in enumerate(base.pipes):
-                    if pipe.tail == node:
-                        for h in _expand_heads(pipe):
-                            row[f_index[(s, sink, a, h)]] += 1.0
-                            nonzero = True
-                    for h in _expand_heads(pipe):
-                        if h == node:
-                            row[f_index[(s, sink, a, h)]] -= 1.0
-                            nonzero = True
-                if node == demand.source:
-                    row[r_index[s]] -= 1.0
-                    nonzero = True
-                if nonzero:
-                    a_eq_rows.append(row)
-                    b_eq.append(0.0)
-
-    # Per-session draw on an arc bounded by the usage variable.
-    for s, demand in enumerate(demands):
-        for sink in demand.sink_list:
-            for a, pipe in enumerate(base.pipes):
-                row = new_row()
-                for h in _expand_heads(pipe):
-                    row[f_index[(s, sink, a, h)]] += 1.0
-                row[x_index[(s, a)]] -= 1.0
-                a_ub_rows.append(row)
-                b_ub.append(0.0)
-
-    # Shared arc capacity equals the weighted average of the run rates.
-    for a in range(len(base.pipes)):
-        if base.pipes[a].rate == float("inf"):
-            continue
-        row = new_row()
-        for s in range(n_sessions):
-            row[x_index[(s, a)]] += 1.0
-        for r, net in enumerate(nets):
-            row[lam_index[r]] -= net.pipes[a].rate
-        a_ub_rows.append(row)
-        b_ub.append(0.0)
-
-    for s in range(n_sessions):
-        row = new_row()
-        row[t_index] = 1.0
-        row[r_index[s]] -= 1.0
-        a_ub_rows.append(row)
-        b_ub.append(0.0)
-
-    row = new_row()
-    for r in range(len(nets)):
-        row[lam_index[r]] = 1.0
-    a_eq_rows.append(row)
-    b_eq.append(1.0)
-
-    cost = np.zeros(n_vars)
-    if objective == "maxmin":
-        cost[t_index] = -1.0
-    elif objective == "sum":
-        for s in range(n_sessions):
-            cost[r_index[s]] = -1.0
-    else:
-        raise ValueError(f"objective must be 'maxmin' or 'sum', got {objective!r}")
-
-    return {
-        "cost": cost,
-        "a_eq": np.array(a_eq_rows) if a_eq_rows else None,
-        "b_eq": np.array(b_eq) if b_eq else None,
-        "a_ub": np.array(a_ub_rows) if a_ub_rows else None,
-        "b_ub": np.array(b_ub) if b_ub else None,
-        "n_vars": n_vars,
-        "t_index": t_index,
-        "r_index": r_index,
-        "x_index": x_index,
-        "f_index": f_index,
-        "lam_index": lam_index,
-    }
 
 
 def _average_networks(nets, weights) -> NoiselessNetwork:
@@ -720,9 +578,10 @@ def blend_inner(
     weighted-average rate over the whole block, with relays buffering across
     the block, so one routing problem is solved on the averaged network with
     the weights free. This reaches interior operating points of multi-access
-    regions that no single decode order offers. Flow-level time sharing
-    (timeshare_inner) cannot: a session crossing two arcs that are never
-    simultaneously fast is stuck below the slow rate in every run there.
+    regions that no single decode order offers. Time sharing at the flow
+    level, where each run routes its own flows, cannot: a session crossing
+    two arcs that are never simultaneously fast is stuck below the slow rate
+    in every run there.
 
     Returns:
         (results, weights): per-demand FlowResult, validated against the
@@ -755,31 +614,13 @@ def blend_inner(
                     f"arc {ours.tail}->{list(ours.heads)} must be finite in "
                     "every run or in none"
                 )
-    pieces = _build_blend_lp(nets, demands, objective)
-    solution = _solve_lp(pieces)
-    weights = tuple(float(solution[pieces["lam_index"][r]]) for r in range(len(nets)))
+    rates = [[pipe.rate for pipe in net.pipes] for net in nets]
+    structure = _arc_structure(base)
+    lp = _build_routing_lp(base.node_ids, structure, demands, objective, rates)
+    solution = _solve_lp(lp, lp.upper)
+    weights = tuple(float(w) for w in solution[lp.lam_col :])
     averaged = _average_networks(nets, weights)
-    results = []
-    for s, demand in enumerate(demands):
-        usage = {}
-        flows = {}
-        for a in range(len(base.pipes)):
-            value = solution[pieces["x_index"][(s, a)]]
-            if value > 1e-12:
-                usage[(0, a)] = value
-        for sink in demand.sink_list:
-            for a, pipe in enumerate(base.pipes):
-                for h in _expand_heads(pipe):
-                    value = solution[pieces["f_index"][(s, sink, a, h)]]
-                    if value > 1e-12:
-                        flows[(0, sink, a, h)] = value
-        results.append(
-            FlowResult(
-                demand=demand,
-                rate=float(solution[pieces["r_index"][s]]),
-                witness={"usage": usage, "flows": flows, "weights": weights},
-            )
-        )
+    results = _results_from_solution(lp, demands, solution, {"weights": weights})
     validate_hyper_result(averaged, demands, results, tol=1e-8)
     return results, weights
 

@@ -56,7 +56,8 @@ class NoisyLink:
     """A directed noisy link.
 
     Exactly the parameters of the link's kind must be set: `snr` for awgn
-    (linear scale, nonnegative), `q` and `xi` for qsc, `eps` for bsc.
+    (linear scale, nonnegative), `q` and `xi` for qsc (xi in [0, (q-1)/q]),
+    `eps` for bsc.
     """
 
     src: str
@@ -88,9 +89,11 @@ class NoisyLink:
                 raise NetworkFormatError(
                     f"{where}: q must be an integer >= 2, got {self.q}"
                 )
-            if not 0.0 <= self.xi < 1.0:
+            boundary = (self.q - 1) / self.q
+            if not 0.0 <= self.xi <= boundary:
                 raise NetworkFormatError(
-                    f"{where}: xi must lie in [0, 1), got {self.xi}"
+                    f"{where}: xi must lie in [0, {boundary:g}] for q={self.q}, "
+                    f"got {self.xi}"
                 )
         elif self.kind == "bsc":
             if not 0.0 <= self.eps <= 0.5:

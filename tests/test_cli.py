@@ -150,6 +150,14 @@ class TestDecoupleAndValidate:
         assert "ok" in out
         assert "links: 3 (awgn 3, qsc 0, bsc 0)" in out
 
+    def test_validate_rejects_qsc_crossover_naming_the_link(self, tmp_path, capsys):
+        doc = single_link_doc()
+        doc["links"] = [{"from": "a", "to": "b", "kind": "qsc", "q": 2, "xi": 0.9}]
+        path = write_network(tmp_path / "net.json", doc)
+        assert main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: links[0]: link 'a'->'b': xi must lie in [0, 0.5]")
+
 
 class TestReproRelay:
     def test_weak_relay_rows_pin_direct_link_capacity(self, tmp_path, capsys):

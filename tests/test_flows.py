@@ -5,6 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from netbounds import flows
+from netbounds.assemble import LowerParams, build_lower
+from netbounds.decouple import decompose
 from netbounds.flows import (
     FlowResult,
     blend_inner,
@@ -12,11 +15,19 @@ from netbounds.flows import (
     hyper_inner,
     max_flow,
     multicast_outer,
-    timeshare_inner,
     unicast_inner,
     validate_hyper_result,
 )
-from netbounds.netmodel import BitPipe, Demand, NoiselessNetwork, Node
+from netbounds.netmodel import (
+    BitPipe,
+    Demand,
+    NoiselessNetwork,
+    NoisyLink,
+    NoisyNetwork,
+    Node,
+)
+
+INF = float("inf")
 
 
 def pipes_network(edges, extra_nodes=()):
@@ -309,47 +320,18 @@ class TestUnicastInner:
             unicast_inner(net, multicast("s", ("a", "b")))
 
 
-class TestTimeshareInner:
-    def test_mixing_beats_single_runs(self):
-        # Each run serves one session only; a half/half mix serves both.
-        run_a = pipes_network([("s1", "t1", 2.0), ("s2", "t2", 0.0)])
-        run_b = pipes_network([("s1", "t1", 0.0), ("s2", "t2", 2.0)])
-        demands = (unicast("s1", "t1"), unicast("s2", "t2"))
-        results, weights = timeshare_inner([run_a, run_b], demands)
-        for result in results:
-            assert abs(result.rate - 1.0) < 1e-8
-        assert abs(sum(weights) - 1.0) < 1e-9
-        assert all(w >= -1e-12 for w in weights)
-
-    def test_single_run_reduces_to_hyper_inner(self):
-        net = pipes_network([("s", "a", 1.0), ("a", "t", 0.7)])
-        demands = (unicast("s", "t"),)
-        direct = hyper_inner(net, demands)[0].rate
-        mixed, weights = timeshare_inner([net], demands)
-        assert abs(mixed[0].rate - direct) < 1e-8
-        assert abs(weights[0] - 1.0) < 1e-9
-
-    def test_dominant_run_takes_all_weight(self):
-        weak = pipes_network([("s", "t", 1.0)])
-        strong = pipes_network([("s", "t", 3.0)])
-        demands = (unicast("s", "t"),)
-        results, weights = timeshare_inner([weak, strong], demands)
-        assert abs(results[0].rate - 3.0) < 1e-8
-
-    def test_rejects_empty_nets(self):
-        with pytest.raises(ValueError):
-            timeshare_inner([], (unicast("s", "t"),))
-
-
 class TestBlendInner:
     def test_averaged_rates_beat_flow_level_mixing(self):
-        # The two runs never have both arcs fast at once, so per-run flows
-        # cap the session at 1.0; averaging the arc rates reaches 1.5.
+        # The two runs never have both arcs fast at once, so routing in either
+        # run, or time-sharing the two routings, caps the session at 1.0;
+        # averaging the arc rates reaches 1.5.
         run_a = pipes_network([("s", "m", 2.0), ("m", "t", 1.0)])
         run_b = pipes_network([("s", "m", 1.0), ("m", "t", 2.0)])
         demands = (unicast("s", "t"),)
-        shared, _ = timeshare_inner([run_a, run_b], demands)
-        assert abs(shared[0].rate - 1.0) < 1e-8
+        per_run = max(
+            hyper_inner(run_a, demands)[0].rate, hyper_inner(run_b, demands)[0].rate
+        )
+        assert abs(per_run - 1.0) < 1e-8
         blended, weights = blend_inner([run_a, run_b], demands)
         assert abs(blended[0].rate - 1.5) < 1e-8
         assert abs(weights[0] - 0.5) < 1e-6
@@ -401,10 +383,102 @@ class TestBlendInner:
         with pytest.raises(ValueError, match="finite"):
             blend_inner([run_a, run_b], (unicast("s", "t"),))
 
+    def test_rejects_empty_inputs(self):
+        net = pipes_network([("s", "t", 1.0)])
+        with pytest.raises(ValueError, match="nets"):
+            blend_inner([], (unicast("s", "t"),))
+        with pytest.raises(ValueError, match="demands"):
+            blend_inner([net], ())
+
     def test_witness_reports_weights(self):
         net = pipes_network([("s", "t", 0.8)])
         blended, weights = blend_inner([net], (unicast("s", "t"),))
         assert blended[0].witness["weights"] == weights
+
+
+def relay_lower(beta2):
+    """Lower network of the S-R-D relay with power share beta2 on the relay layer."""
+    noisy = NoisyNetwork(
+        nodes=(Node("S"), Node("R"), Node("D")),
+        links=(
+            NoisyLink("S", "D", "awgn", snr=1.0),
+            NoisyLink("S", "R", "awgn", snr=10.0),
+            NoisyLink("R", "D", "awgn", snr=10.0),
+        ),
+    )
+    params = LowerParams(bc_betas={("bc", "S"): (1.0 - beta2, beta2)})
+    return build_lower(decompose(noisy), params)
+
+
+def fresh_solve(net, demands, objective="maxmin"):
+    """hyper_inner on a routing LP compiled from scratch."""
+    flows._compiled_routing_lp.cache_clear()
+    return hyper_inner(net, demands, objective)
+
+
+def assert_same_results(got, want):
+    assert [r.demand for r in got] == [r.demand for r in want]
+    assert [r.rate for r in got] == [r.rate for r in want]
+    assert [r.witness for r in got] == [r.witness for r in want]
+
+
+class TestRoutingLpCache:
+    def test_candidates_with_one_arc_structure_share_a_compiled_lp(self):
+        first, second = relay_lower(0.5), relay_lower(0.3)
+        assert [(p.tail, p.heads) for p in first.pipes] == [
+            (p.tail, p.heads) for p in second.pipes
+        ]
+        assert [p.rate for p in first.pipes] != [p.rate for p in second.pipes]
+        demands = (unicast("S", "D"),)
+        flows._compiled_routing_lp.cache_clear()
+        got_first = hyper_inner(first, demands)
+        got_second = hyper_inner(second, demands)
+        info = flows._compiled_routing_lp.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert got_first[0].rate != got_second[0].rate
+        assert_same_results(got_first, fresh_solve(first, demands))
+        assert_same_results(got_second, fresh_solve(second, demands))
+
+    @pytest.mark.parametrize("change", ["finiteness", "demand order", "objective"])
+    def test_structure_change_misses_the_cache(self, change):
+        edges = [
+            ("s1", "m", 1.0),
+            ("s2", "m", 2.0),
+            ("m", ("t1", "t2"), 1.5),
+            ("s1", "t1", 0.25),
+        ]
+        net = pipes_network(edges)
+        demands = (unicast("s1", "t1"), unicast("s2", "t2"))
+        objective = "maxmin"
+        flows._compiled_routing_lp.cache_clear()
+        hyper_inner(net, demands, objective)
+        if change == "finiteness":
+            net = pipes_network([("s1", "m", INF), *edges[1:]])
+        elif change == "demand order":
+            demands = demands[::-1]
+        else:
+            objective = "sum"
+        got = hyper_inner(net, demands, objective)
+        info = flows._compiled_routing_lp.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+        assert_same_results(got, fresh_solve(net, demands, objective))
+
+    def test_cache_holds_at_most_its_fixed_size(self):
+        flows._compiled_routing_lp.cache_clear()
+        maxsize = flows._compiled_routing_lp.cache_info().maxsize
+        assert maxsize is not None
+        for k in range(maxsize + 4):
+            chain = pipes_network([(f"n{i}", f"n{i + 1}", 1.0) for i in range(k + 1)])
+            hyper_inner(chain, (unicast("n0", f"n{k + 1}"),))
+            assert flows._compiled_routing_lp.cache_info().currsize <= maxsize
+        info = flows._compiled_routing_lp.cache_info()
+        assert (info.misses, info.currsize) == (maxsize + 4, maxsize)
+
+    @pytest.mark.parametrize("objective", ["sum", "maxmin"])
+    def test_unbounded_lp_raises(self, objective):
+        net = pipes_network([("s", "m", INF), ("m", "t", INF)])
+        with pytest.raises(RuntimeError, match="routing LP failed"):
+            hyper_inner(net, (unicast("s", "t"),), objective=objective)
 
 
 class TestCombineBounds:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netbounds.info import (
@@ -119,6 +119,7 @@ def test_dmc_capacity_matches_qsc_randomized(q, frac):
 
 
 @given(st.integers(min_value=0, max_value=10**6))
+@example(seed=285)  # two rows 3e-5 apart: plain Blahut-Arimoto needs >1e5 steps
 @settings(max_examples=30, deadline=None)
 def test_dmc_capacity_within_alphabet_bound(seed):
     rng = np.random.default_rng(seed)
@@ -128,3 +129,19 @@ def test_dmc_capacity_within_alphabet_bound(seed):
     cap = dmc_capacity(transition, tol=1e-7)
     assert cap >= -1e-9
     assert cap <= np.log2(min(n_in, n_out)) + 1e-7
+
+
+def test_dmc_capacity_ignores_inputs_between_extreme_rows():
+    # With two outputs every row is a mix of the two extreme rows, so the
+    # middle inputs leave the capacity unchanged; rows 0 and 1 differ by 3e-5.
+    transition = np.array(
+        [
+            [0.12776522, 0.87223478],
+            [0.12773963, 0.87226037],
+            [0.61208232, 0.38791768],
+            [0.65441071, 0.34558929],
+        ]
+    )
+    full = dmc_capacity(transition, tol=1e-10)
+    extremes = dmc_capacity(transition[[1, 3]], tol=1e-10)
+    assert abs(full - extremes) < 1e-10

@@ -93,6 +93,18 @@ def test_parse_rejects_wrong_kind_fields():
         parse_network(json.dumps(doc))
 
 
+def test_parse_rejects_qsc_crossover_beyond_uniform():
+    def qsc_doc(q, xi):
+        link = {"from": "A", "to": "B", "kind": "qsc", "q": q, "xi": xi}
+        return json.dumps({"nodes": ["A", "B"], "links": [link]})
+
+    with pytest.raises(NetworkFormatError, match=r"link 'A'->'B': xi .*q=2, got 0\.9"):
+        parse_network(qsc_doc(2, 0.9))
+    with pytest.raises(NetworkFormatError, match="link 'A'->'B': xi"):
+        parse_network(qsc_doc(4, 0.76))
+    assert parse_network(qsc_doc(4, 0.75)).links[0].xi == 0.75
+
+
 def test_parse_reports_json_position():
     with pytest.raises(NetworkFormatError, match="line"):
         parse_network('{"nodes": [,]}')
@@ -215,7 +227,7 @@ def _networks(draw):
             links.append(NoisyLink(src, dst, "awgn", snr=snr))
         elif kind == "qsc":
             q = draw(st.integers(min_value=2, max_value=16))
-            xi = draw(st.floats(min_value=0.0, max_value=0.99))
+            xi = draw(st.floats(min_value=0.0, max_value=(q - 1) / q))
             links.append(NoisyLink(src, dst, "qsc", q=q, xi=xi))
         else:
             eps = draw(st.floats(min_value=0.0, max_value=0.5))
