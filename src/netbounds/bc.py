@@ -13,6 +13,7 @@ receiver i+1 (1-based, in ascending-SNR order) belongs to the subset.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
@@ -30,6 +31,7 @@ __all__ = [
     "bc_upper_cumulative",
     "cumulative_receiver_rates",
     "bc_lower_superposition",
+    "simplex_grid",
     "search_betas",
     "bc_sum_gap",
 ]
@@ -243,6 +245,17 @@ def bc_lower_superposition(spec: BcSpec, betas: tuple[float, ...]) -> BcLowerMod
     )
 
 
+def simplex_grid(parts: int, steps: int) -> Iterator[tuple[float, ...]]:
+    """Every ``parts``-way split of 1 into multiples of 1/``steps``.
+
+    Splits come in the order of their cut points, which run through
+    ``combinations_with_replacement(range(steps + 1), parts - 1)``.
+    """
+    for cuts in combinations_with_replacement(range(steps + 1), parts - 1):
+        edges = (0, *cuts, steps)
+        yield tuple((high - low) / steps for low, high in zip(edges, edges[1:]))
+
+
 def search_betas(
     spec: BcSpec,
     min_rates: dict[int, float] | None = None,
@@ -266,15 +279,7 @@ def search_betas(
     if spec.m > 4:
         raise ValueError("grid search supports at most 4 receivers")
     best: tuple[tuple[float, ...], BcLowerModel] | None = None
-    m = spec.m
-    for cuts in combinations_with_replacement(range(resolution + 1), m - 1):
-        counts = []
-        previous = 0
-        for cut in cuts:
-            counts.append(cut - previous)
-            previous = cut
-        counts.append(resolution - previous)
-        betas = tuple(c / resolution for c in counts)
+    for betas in simplex_grid(spec.m, resolution):
         model = bc_lower_superposition(spec, betas)
         if min_rates is not None:
             ok = all(

@@ -33,6 +33,7 @@ from pathlib import Path
 
 from . import __version__
 from .assemble import LowerParams, UpperParams, build_lower, build_upper, link_capacity
+from .bc import simplex_grid
 from .benchmarks import RelaySpec, cf_bound, cutset_bound, df_bound
 from .decouple import decompose
 from .flows import (
@@ -155,20 +156,6 @@ def _beta_steps(step: float) -> int:
     return count
 
 
-def _simplex_grid(parts: int, steps: int) -> list[tuple[float, ...]]:
-    """All `parts`-way splits of 1.0 in increments of 1/steps."""
-    grid = []
-    for cuts in itertools.combinations_with_replacement(range(steps + 1), parts - 1):
-        counts = []
-        previous = 0
-        for cut in cuts:
-            counts.append(cut - previous)
-            previous = cut
-        counts.append(steps - previous)
-        grid.append(tuple(count / steps for count in counts))
-    return grid
-
-
 def _inner_rates(lower: NoiselessNetwork, demands) -> dict[Demand, float]:
     demands = tuple(demands)
     if len(demands) == 1 and demands[0].kind == "unicast":
@@ -206,7 +193,7 @@ def cmd_bounds(args) -> int:
                 rates[demand] = multicast_outer(upper, demand).rate
         outer_runs.append((f"upper alpha={alpha:g}", rates))
 
-    grids = [_simplex_grid(len(comp.links), steps) for comp in bc_comps]
+    grids = [list(simplex_grid(len(comp.links), steps)) for comp in bc_comps]
     total = math.prod(len(grid) for grid in grids)
     if total > _MAX_BETA_COMBOS:
         raise ValueError(

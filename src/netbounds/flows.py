@@ -5,7 +5,9 @@ demand, min over sinks for multicast). Inner bounds on networks with
 hyper-arcs come from a fractional-routing linear program in which one
 capacity draw on a hyper-arc serves all of its heads for a given session;
 blend_inner solves the same program over run-weighted average arc rates of
-several candidate lower networks with one arc structure.
+several candidate lower networks with one arc structure. hyper_inner compiles
+the routing LP of each arc structure once, as HiGHS's own model; every solve
+hands its LP to a fresh HiGHS instance through SciPy's bundled bindings.
 Every reported flow is re-validated against conservation and capacity
 constraints; bounds are certifiable, not solver folklore.
 """
@@ -17,11 +19,11 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core as highs
 from scipy.sparse import coo_array, csc_array
 
 # perfbench/layertrace.py wraps ``flows.linprog`` by name, so the name stays
-# bound here; the routing LPs go through ``milp``, which runs the same HiGHS.
+# bound here; the routing LPs go to HiGHS directly through SciPy's bindings.
 from scipy.optimize import linprog  # noqa: F401
 
 from .netmodel import AUXILIARY, BitPipe, Demand, NoiselessNetwork, Node
@@ -277,22 +279,23 @@ def unicast_inner(net: NoiselessNetwork, demand: Demand) -> FlowResult:
     return FlowResult(demand=demand, rate=result.rate, witness=witness)
 
 
-_LP_CACHE_SIZE = 16  # compiled routing LPs kept, one per arc structure
-_NONNEGATIVE = Bounds(0, np.inf)
+_LP_CACHE_SIZE = 64  # compiled routing LPs kept, one per arc structure
 _WITNESS_FLOOR = 1e-12  # solution entries at or below this stay out of witnesses
 
 
 @dataclass(frozen=True, eq=False)
 class _RoutingLP:
-    """One routing LP as the arrays HiGHS takes.
+    """One routing LP as the arrays HiGHS takes, and as HiGHS's own model.
 
     Columns are [t] [R_s] [x_{s,a}] [f_{s,sink,a,h}] [lambda_r], rows the
     inequalities (per-session draws, arc capacities, common rate) over the
     equalities (flow conservation, then sum_r lambda_r = 1 when blending).
     Without lambda columns the arc rates enter only ``upper`` at
     ``capacity_rows``, so one compiled LP serves every rate assignment.
+    ``model`` holds the same arrays; each solve overwrites its row uppers.
     """
 
+    model: highs.HighsLp
     matrix: csc_array
     cost: np.ndarray
     lower: np.ndarray  # row bounds; inequality rows have -inf below
@@ -406,7 +409,19 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
         cost[0] = -1.0
     else:
         cost[1 : 1 + n_sessions] = -1.0
+    model = highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n_vars
+    model.num_row_ = model.a_matrix_.num_row_ = row
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = matrix.indptr
+    model.a_matrix_.index_ = matrix.indices
+    model.a_matrix_.value_ = matrix.data
+    model.col_cost_ = cost
+    model.col_lower_ = np.zeros(n_vars)
+    model.col_upper_ = np.full(n_vars, np.inf)
+    model.row_lower_ = lower
     return _RoutingLP(
+        model=model,
         matrix=matrix,
         cost=cost,
         lower=lower,
@@ -434,14 +449,22 @@ def _arc_structure(net: NoiselessNetwork) -> tuple:
 
 
 def _solve_lp(lp: _RoutingLP, upper: np.ndarray) -> np.ndarray:
-    result = milp(
-        lp.cost,
-        constraints=LinearConstraint(lp.matrix, lp.lower, upper),
-        bounds=_NONNEGATIVE,
-    )
-    if not result.success:
-        raise RuntimeError(f"routing LP failed: {result.message}")
-    return result.x
+    """Optimal columns of ``lp`` with row upper bounds ``upper``.
+
+    Every call starts a fresh HiGHS instance, so each solve is a cold start
+    and its result does not depend on the solves before it.
+    """
+    lp.model.row_upper_ = upper
+    solver = highs._Highs()
+    solver.setOptionValue("log_to_console", False)
+    if solver.passModel(lp.model) == highs.HighsStatus.kError:
+        status = highs.HighsModelStatus.kModelError
+    else:
+        solver.run()
+        status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"routing LP failed: {solver.modelStatusToString(status)}")
+    return np.array(solver.getSolution().col_value)
 
 
 def _results_from_solution(

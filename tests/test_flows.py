@@ -1,11 +1,13 @@
 """Tests for flow computations, checked against brute-force cut enumeration."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from netbounds import flows
+from netbounds import cli, flows
 from netbounds.assemble import LowerParams, build_lower
 from netbounds.decouple import decompose
 from netbounds.flows import (
@@ -25,6 +27,7 @@ from netbounds.netmodel import (
     NoisyLink,
     NoisyNetwork,
     Node,
+    parse_network,
 )
 
 INF = float("inf")
@@ -422,6 +425,75 @@ def assert_same_results(got, want):
     assert [r.witness for r in got] == [r.witness for r in want]
 
 
+# Two transmitters, each a three-receiver broadcast side, as in `bounds` files.
+TWO_BY_THREE_DOC = {
+    "nodes": ["S1", "S2", "D1", "D2", "D3"],
+    "links": [
+        {"from": src, "to": dst, "kind": "awgn", "snr_db": snr_db}
+        for (src, dst), snr_db in zip(
+            [(s, d) for s in ("S1", "S2") for d in ("D1", "D2", "D3")],
+            [3.0, 11.0, 17.0, 14.0, 6.0, 0.5],
+        )
+    ],
+    "demands": [
+        {"kind": "unicast", "source": "S1", "sinks": ["D1"]},
+        {"kind": "unicast", "source": "S2", "sinks": ["D3"]},
+    ],
+}
+
+
+def solved_lps(monkeypatch, run):
+    """(compiled LP, row uppers) of every routing LP that ``run()`` solves."""
+    solves = []
+    solve = flows._solve_lp
+
+    def capture(lp, upper):
+        solves.append((lp, upper.copy()))
+        return solve(lp, upper)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flows, "_solve_lp", capture)
+        run()
+    return solves
+
+
+def run_multicast_lower():
+    net = cli.multicast_network(4, power=10.0, delta_power=5.0, q=8, xi=0.1)
+    hyper_inner(build_lower(decompose(net), LowerParams()), net.demands, "sum")
+
+
+def run_bounds_lower():
+    net = parse_network(json.dumps(TWO_BY_THREE_DOC))
+    betas = {("bc", "S1"): (0.5, 0.25, 0.25), ("bc", "S2"): (0.25, 0.0, 0.75)}
+    lower = build_lower(decompose(net), LowerParams(bc_betas=betas))
+    hyper_inner(lower, net.demands, "maxmin")
+
+
+def run_layered_blend():
+    cli.layered_experiment(4, 1.0)
+
+
+class TestDirectSolveMatchesMilp:
+    """The direct HiGHS solve returns milp's solution bit for bit."""
+
+    @pytest.mark.parametrize(
+        "run", [run_multicast_lower, run_bounds_lower, run_layered_blend]
+    )
+    def test_same_solution_as_milp(self, monkeypatch, run):
+        solves = solved_lps(monkeypatch, run)
+        assert solves
+        if run is run_layered_blend:
+            assert any(lp.lam_col < lp.cost.size for lp, _ in solves)
+        for lp, upper in solves:
+            reference = milp(
+                lp.cost,
+                constraints=LinearConstraint(lp.matrix, lp.lower, upper),
+                bounds=Bounds(0, np.inf),
+            )
+            assert reference.success, reference.message
+            assert np.array_equal(flows._solve_lp(lp, upper), reference.x)
+
+
 class TestRoutingLpCache:
     def test_candidates_with_one_arc_structure_share_a_compiled_lp(self):
         first, second = relay_lower(0.5), relay_lower(0.3)
@@ -474,10 +546,29 @@ class TestRoutingLpCache:
         info = flows._compiled_routing_lp.cache_info()
         assert (info.misses, info.currsize) == (maxsize + 4, maxsize)
 
+    def test_one_bounds_run_compiles_each_arc_structure_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(TWO_BY_THREE_DOC), encoding="utf-8")
+        compiled = flows._compiled_routing_lp
+        keys = []
+
+        def record(*key):
+            keys.append(key)
+            return compiled(*key)
+
+        monkeypatch.setattr(flows, "_compiled_routing_lp", record)
+        compiled.cache_clear()
+        assert cli.main(["bounds", str(path), "--beta-step", "0.25"]) == 0
+        # Each side's three shares have 7 support patterns: 7 * 7 structures.
+        assert len(set(keys)) == 49
+        assert compiled.cache_info().misses == len(set(keys))
+
     @pytest.mark.parametrize("objective", ["sum", "maxmin"])
     def test_unbounded_lp_raises(self, objective):
         net = pipes_network([("s", "m", INF), ("m", "t", INF)])
-        with pytest.raises(RuntimeError, match="routing LP failed"):
+        with pytest.raises(RuntimeError, match="routing LP failed: .*Unbounded"):
             hyper_inner(net, (unicast("s", "t"),), objective=objective)
 
 

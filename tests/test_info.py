@@ -112,7 +112,7 @@ def test_dmc_capacity_rejects_bad_matrix():
     q=st.integers(min_value=2, max_value=9),
     frac=st.floats(min_value=0.0, max_value=0.95),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_dmc_capacity_matches_qsc_randomized(q, frac):
     xi = frac * (q - 1) / q
     assert abs(dmc_capacity(qsc_matrix(q, xi)) - qsc_capacity(q, xi)) < 1e-8
@@ -120,7 +120,7 @@ def test_dmc_capacity_matches_qsc_randomized(q, frac):
 
 @given(st.integers(min_value=0, max_value=10**6))
 @example(seed=285)  # two rows 3e-5 apart: plain Blahut-Arimoto needs >1e5 steps
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 def test_dmc_capacity_within_alphabet_bound(seed):
     rng = np.random.default_rng(seed)
     n_in = int(rng.integers(2, 6))
