@@ -3,15 +3,19 @@
 The upper network replaces every component by its upper model: point-to-point
 pipes routed through one auxiliary node per multi-terminal component, with a
 link shared by a broadcast side and a multi-access side carried by a single
-pipe at the larger of the two required rates.
+pipe at the larger of the two required rates. The rates come from
+`bc.bc_upper_cumulative` and `mac.mac_upper`; point-to-point links get their
+capacity from `link_capacity`.
 
 The lower network replaces every component by an achievable coding scheme:
 superposition layers on broadcast sides (hyper-arcs to the receivers that
 decode each layer) and successive interference cancellation at multi-access
-receivers. Couplings are handled in two steps: first an interference ledger
-charges every receiver with the power it will never decode, then all rates
-are recomputed against that ledger, so each rate in the lower network is
-achievable with every cross-component interference accounted for.
+receivers. Both rate formulas live here, in `build_lower`, and nowhere else.
+Couplings are handled in two steps: first `interference_ledger` fixes every
+broadcast side's layers and every receiver's decode order and charges every
+receiver with the power it will never decode, then `build_lower` computes all
+rates against that ledger, so each rate in the lower network is achievable
+with every cross-component interference accounted for.
 """
 
 from __future__ import annotations
@@ -79,11 +83,15 @@ class InterferenceLedger:
     at j after all cancellation. `extrinsic[(i, j)]` is the interference from
     other inputs seen at j while decoding input i: residual power of inputs
     decoded earlier plus full power of inputs decoded later.
+    `bc_layers[key]` holds a broadcast component's validated (betas, targets)
+    per layer and `mac_order[key]` a multi-access component's decode order.
     """
 
     gamma_residual: dict[tuple[str, str], float]
     receiver_floor: dict[str, float]
     extrinsic: dict[tuple[str, str], float]
+    bc_layers: dict[tuple, tuple[tuple[float, ...], tuple[tuple[str, ...], ...]]]
+    mac_order: dict[tuple, tuple[str, ...]]
 
     def __post_init__(self):
         for (i, j), value in self.gamma_residual.items():
@@ -140,6 +148,15 @@ def _default_perm(comp: DecoupledComponent) -> tuple[str, ...]:
     snrs = comp.gamma_list()
     return tuple(
         r for _, r in sorted(zip(snrs, receivers), key=lambda t: (-t[0], t[1]))
+    )
+
+
+def _p2p_pipe(link: NoisyLink) -> BitPipe:
+    return BitPipe(
+        tail=link.src,
+        heads=(link.dst,),
+        rate=link_capacity(link),
+        provenance=f"p2p {link.kind} {link.src}->{link.dst}",
     )
 
 
@@ -272,39 +289,30 @@ def build_upper(components, params: UpperParams | None = None) -> NoiselessNetwo
             )
         )
 
-    for comp in components:
-        if comp.kind != "p2p":
-            continue
-        link = comp.links[0]
-        pipes.append(
-            BitPipe(
-                tail=link.src,
-                heads=(link.dst,),
-                rate=link_capacity(link),
-                provenance=f"p2p {link.kind} {link.src}->{link.dst}",
-            )
-        )
+    pipes.extend(_p2p_pipe(comp.links[0]) for comp in components if comp.kind == "p2p")
 
     return NoiselessNetwork(nodes=tuple(nodes), pipes=tuple(pipes))
 
 
-def _sorted_bc_view(comp: DecoupledComponent):
-    """Receivers of a BC sorted by original SNR ascending, with their gammas.
+def _bc_setup(
+    comp: DecoupledComponent, params: LowerParams
+) -> tuple[tuple[float, ...], tuple[tuple[str, ...], ...]]:
+    """Per-layer power shares and intended receiver sets, validated.
 
-    Lower-model layer structure is defined on the original marginal SNRs, not
-    the inflated decoupled values.
+    Default targets follow the receivers' original marginal SNRs, not the
+    inflated decoupled values.
     """
-    receivers = _bc_receivers(comp)
-    original = tuple(link.snr for link in comp.links)
-    order = sorted(range(len(receivers)), key=lambda k: (original[k], receivers[k]))
-    return tuple(receivers[k] for k in order), tuple(original[k] for k in order)
-
-
-def _bc_layer_targets(
-    comp: DecoupledComponent, params: LowerParams, betas: tuple[float, ...]
-) -> list[tuple[str, ...]]:
-    """Per-layer intended receiver sets, validated to be nested."""
-    sorted_receivers, _ = _sorted_bc_view(comp)
+    betas = params.bc_betas.get(comp.key)
+    if betas is None:
+        betas = (1.0,) + (0.0,) * (len(comp.links) - 1)
+    betas = tuple(float(b) for b in betas)
+    if any(b < 0 for b in betas):
+        raise ValueError(f"bc_betas for {comp.key} must be nonnegative, got {betas}")
+    if abs(sum(betas) - 1.0) > 1e-9:
+        raise ValueError(f"bc_betas for {comp.key} must sum to 1, got {betas}")
+    sorted_receivers = tuple(
+        link.dst for link in sorted(comp.links, key=lambda link: (link.snr, link.dst))
+    )
     m = len(sorted_receivers)
     targets: list[tuple[str, ...]] = []
     for layer in range(len(betas)):
@@ -335,21 +343,30 @@ def _bc_layer_targets(
                 f"bc_decode_targets for {comp.key} must be nested: layer set "
                 f"{sorted(later)} is not contained in {sorted(earlier)}"
             )
-    return targets
+    return betas, tuple(targets)
 
 
-def _bc_setup(comp: DecoupledComponent, params: LowerParams):
-    betas = params.bc_betas.get(comp.key)
-    if betas is None:
-        m = len(comp.links)
-        betas = (1.0,) + (0.0,) * (m - 1)
-    betas = tuple(float(b) for b in betas)
-    if any(b < 0 for b in betas):
-        raise ValueError(f"bc_betas for {comp.key} must be nonnegative, got {betas}")
-    if abs(sum(betas) - 1.0) > 1e-9:
-        raise ValueError(f"bc_betas for {comp.key} must sum to 1, got {betas}")
-    targets = _bc_layer_targets(comp, params, betas)
-    return betas, targets
+def _mac_order(
+    comp: DecoupledComponent,
+    params: LowerParams,
+    residual: dict[tuple[str, str], float],
+) -> tuple[str, ...]:
+    """The decode order of a MAC, validated; by default stronger decodable
+    powers first, ties by node id."""
+    order = params.mac_order.get(comp.key)
+    if order is None:
+        rx = comp.outputs[0]
+        decodable = {
+            link.src: link.snr - residual.get((link.src, rx), 0.0) for link in comp.links
+        }
+        return tuple(sorted(decodable, key=lambda tx: (-decodable[tx], tx)))
+    inputs = _mac_inputs(comp)
+    if sorted(order) != sorted(inputs):
+        raise ValueError(
+            f"mac_order for {comp.key} must order inputs {sorted(inputs)}, "
+            f"got {order}"
+        )
+    return tuple(order)
 
 
 def interference_ledger(components, params: LowerParams | None = None) -> InterferenceLedger:
@@ -362,7 +379,8 @@ def interference_ledger(components, params: LowerParams | None = None) -> Interf
     receiver floor adds residuals over all inputs; the extrinsic term for
     decoding input i at receiver j follows j's decode order: inputs decoded
     before i contribute their residual, inputs decoded after i their full
-    power.
+    power. The ledger also keeps each broadcast side's validated layers and
+    each multi-access receiver's decode order, which `build_lower` rates.
 
     Raises:
         ValueError: on parameter entries naming unknown components, invalid
@@ -378,10 +396,11 @@ def interference_ledger(components, params: LowerParams | None = None) -> Interf
             raise ValueError(f"bc_decode_targets entry {key} matches no component")
 
     residual: dict[tuple[str, str], float] = {}
+    bc_layers = {}
     for comp in components:
         if comp.kind == "bc":
             tx = comp.inputs[0]
-            betas, targets = _bc_setup(comp, params)
+            betas, targets = bc_layers[comp.key] = _bc_setup(comp, params)
             for link in comp.links:
                 undecoded = sum(
                     beta
@@ -403,17 +422,13 @@ def interference_ledger(components, params: LowerParams | None = None) -> Interf
         if comp.kind == "bc":
             for link in comp.links:
                 extrinsic.setdefault((link.src, link.dst), 0.0)
+    mac_order = {}
     for comp in components:
         if comp.kind != "mac":
             continue
         rx = comp.outputs[0]
         inputs = _mac_inputs(comp)
-        order = params.mac_order.get(comp.key, _default_mac_order(comp, residual))
-        if sorted(order) != sorted(inputs):
-            raise ValueError(
-                f"mac_order for {comp.key} must order inputs {sorted(inputs)}, "
-                f"got {order}"
-            )
+        order = mac_order[comp.key] = _mac_order(comp, params, residual)
         gamma = {link.src: link.snr for link in comp.links}
         position = {tx: k for k, tx in enumerate(order)}
         for i in inputs:
@@ -423,20 +438,11 @@ def interference_ledger(components, params: LowerParams | None = None) -> Interf
             after = sum(gamma[k] for k in inputs if position[k] > position[i])
             extrinsic[(i, rx)] = before + after
     return InterferenceLedger(
-        gamma_residual=residual, receiver_floor=floors, extrinsic=extrinsic
-    )
-
-
-def _default_mac_order(
-    comp: DecoupledComponent, residual: dict[tuple[str, str], float]
-) -> tuple[str, ...]:
-    """Decode stronger decodable powers first; ties by node id."""
-    rx = comp.outputs[0]
-    decodable = {
-        link.src: link.snr - residual.get((link.src, rx), 0.0) for link in comp.links
-    }
-    return tuple(
-        sorted(decodable, key=lambda tx: (-decodable[tx], tx))
+        gamma_residual=residual,
+        receiver_floor=floors,
+        extrinsic=extrinsic,
+        bc_layers=bc_layers,
+        mac_order=mac_order,
     )
 
 
@@ -458,7 +464,6 @@ def build_lower(components, params: LowerParams | None = None) -> NoiselessNetwo
     j's multi-access rate for input i, so every shared link respects both
     sides; the per-layer arc keeps the smaller (broadcast-side) requirement.
     """
-    params = params or LowerParams()
     ledger = interference_ledger(components, params)
     nodes = [Node(id=name) for name in _all_nodes(components)]
     pipes: list[BitPipe] = []
@@ -467,18 +472,10 @@ def build_lower(components, params: LowerParams | None = None) -> NoiselessNetwo
 
     for comp in components:
         if comp.kind == "p2p":
-            link = comp.links[0]
-            pipes.append(
-                BitPipe(
-                    tail=link.src,
-                    heads=(link.dst,),
-                    rate=link_capacity(link),
-                    provenance=f"p2p {link.kind} {link.src}->{link.dst}",
-                )
-            )
+            pipes.append(_p2p_pipe(comp.links[0]))
         elif comp.kind == "bc":
             tx = comp.inputs[0]
-            betas, targets = _bc_setup(comp, params)
+            betas, targets = ledger.bc_layers[comp.key]
             gamma = {link.dst: link.snr for link in comp.links}
             for layer, (beta, chosen) in enumerate(zip(betas, targets)):
                 if beta == 0.0:
@@ -509,15 +506,7 @@ def build_lower(components, params: LowerParams | None = None) -> NoiselessNetwo
                 )
         elif comp.kind == "mac":
             rx = comp.outputs[0]
-            inputs = _mac_inputs(comp)
-            order = params.mac_order.get(
-                comp.key, _default_mac_order(comp, ledger.gamma_residual)
-            )
-            if sorted(order) != sorted(inputs):
-                raise ValueError(
-                    f"mac_order for {comp.key} must order inputs {sorted(inputs)}, "
-                    f"got {order}"
-                )
+            order = ledger.mac_order[comp.key]
             floor = ledger.receiver_floor.get(rx, 0.0)
             effective = {
                 link.src: max(0.0, link.snr - ledger.gamma_residual[(link.src, rx)])

@@ -45,6 +45,7 @@ from .flows import (
     unicast_inner,
 )
 from .info import awgn_capacity, db_to_linear, qsc_capacity
+from .mac import MacSpec, mac_upper
 from .netmodel import (
     BitPipe,
     Demand,
@@ -164,6 +165,13 @@ def _inner_rates(lower: NoiselessNetwork, demands) -> dict[Demand, float]:
     return {result.demand: result.rate for result in results}
 
 
+def _component_counts(components) -> dict[str, int]:
+    counts = {"bc": 0, "mac": 0, "p2p": 0}
+    for comp in components:
+        counts[comp.kind] += 1
+    return counts
+
+
 def cmd_bounds(args) -> int:
     net = _load_network(args.file)
     if not net.demands:
@@ -220,9 +228,7 @@ def cmd_bounds(args) -> int:
 
     report = combine_bounds(outer_runs, inner_runs)
 
-    counts = {"bc": 0, "mac": 0, "p2p": 0}
-    for comp in components:
-        counts[comp.kind] += 1
+    counts = _component_counts(components)
     lines = [
         f"netbounds {__version__}",
         f"file: {args.file}",
@@ -332,9 +338,7 @@ def cmd_validate(args) -> int:
     links = {"awgn": 0, "qsc": 0, "bsc": 0}
     for link in net.links:
         links[link.kind] += 1
-    counts = {"bc": 0, "mac": 0, "p2p": 0}
-    for comp in components:
-        counts[comp.kind] += 1
+    counts = _component_counts(components)
     print(f"nodes: {len(net.nodes)}")
     print(
         f"links: {len(net.links)} "
@@ -367,7 +371,7 @@ def relay_network(gamma_sd: float, gamma_sr: float, gamma_rd: float) -> NoisyNet
             NoisyLink(src="S", dst="R", kind="awgn", snr=gamma_sr),
             NoisyLink(src="R", dst="D", kind="awgn", snr=gamma_rd),
         ),
-        demands=(Demand(kind="unicast", source="S", sinks=frozenset({"D"})),),
+        demands=(_relay_demand(),),
     )
 
 
@@ -595,21 +599,14 @@ def layered_experiment(num_pairs: int, gamma: float, alphas=ALPHA_GRID) -> dict:
                 f"outer symmetric rate {outer_sym:.9f} at alpha={alpha:g} deviates "
                 f"from the closed form {capacity_sym:.9f}"
             )
-        mac_input_rate = (
-            awgn_capacity(2.0 * gamma / (1.0 - alpha)) if alpha < 1.0 else float("inf")
-        )
-        mac_sum_rate = (
-            awgn_capacity((4.0 * gamma + 1.0 - alpha) / alpha)
-            if alpha > 0.0
-            else float("inf")
-        )
+        mac_rates, _partition = mac_upper(MacSpec(gammas=(gamma, gamma)), alpha)
         rows.append(
             {
                 "alpha": alpha,
                 "link_rate": link_rate,
                 "bc_sum_rate": bc_sum_rate,
-                "mac_input_rate": mac_input_rate,
-                "mac_sum_rate": mac_sum_rate,
+                "mac_input_rate": mac_rates.individual[0],
+                "mac_sum_rate": mac_rates.sum_rate,
                 "sic_sum_rate": sic_sum_rate,
                 "outer_sym_flow": outer_sym,
                 "capacity_sym": capacity_sym,

@@ -1,18 +1,22 @@
 """Bounding models for an m-transmitter Gaussian multiple-access channel.
 
-Upper models replace the MAC by point-to-point pipes: a basic model with the
-cooperative sum rate and unconstrained per-input rates, and a parameterized
-family that splits the unit receiver noise into a share alpha on the sum
-constraint and shares alpha_i on the per-input constraints. The lower model is
-the successive-interference-cancellation corner point, which attains the
-non-cooperative sum rate.
+This module holds the multi-access upper model: a family of point-to-point
+pipes that splits the unit receiver noise into a share alpha on the sum
+constraint and shares alpha_i on the per-input constraints (`mac_upper`, with
+its multiplier `solve_mu` and bracket `mu_bracket`). alpha = 1 is the basic
+model with the cooperative sum rate and unconstrained per-input rates.
+`assemble.build_upper` turns it into pipes; `mac_sum_gap` is the closed-form
+sum-rate gap between the basic upper model and the lower model.
+
+The lower model, successive interference cancellation in a chosen decode
+order, lives in `assemble.build_lower` alone, where it runs on effective SNRs
+from the interference ledger of the whole network.
 
 SNRs are linear and all rates are bits per channel use.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,16 +27,10 @@ __all__ = [
     "MacSpec",
     "RateVector",
     "NoisePartition",
-    "mac_upper_sum_model",
-    "mac_upper_two_user_split",
-    "binary_noise_split",
-    "binary_noise_split_symmetric",
-    "binary_noise_recombine",
     "solve_mu",
     "mu_bracket",
     "optimal_noise_shares",
     "mac_upper",
-    "mac_lower_sic",
     "mac_sum_gap",
 ]
 
@@ -43,15 +41,9 @@ class MacSpec:
 
     Args:
         gammas: received linear SNR of each input, all positive.
-        alphabet_bits: optional per-input log2 alphabet sizes for discrete
-            inputs; None means Gaussian inputs.
-        output_bits: optional log2 of the output alphabet size; None means a
-            continuous output.
     """
 
     gammas: tuple[float, ...]
-    alphabet_bits: tuple[float, ...] | None = None
-    output_bits: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
@@ -59,12 +51,6 @@ class MacSpec:
             raise ValueError("a MAC needs at least one input")
         if any(g <= 0 for g in self.gammas):
             raise ValueError(f"SNRs must be positive, got {self.gammas}")
-        if self.alphabet_bits is not None:
-            object.__setattr__(
-                self, "alphabet_bits", tuple(float(b) for b in self.alphabet_bits)
-            )
-            if len(self.alphabet_bits) != len(self.gammas):
-                raise ValueError("alphabet_bits must match the number of inputs")
 
     @property
     def m(self) -> int:
@@ -82,26 +68,13 @@ class RateVector:
 
     sum_rate: float
     individual: tuple[float, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(
             self, "individual", tuple(float(r) for r in self.individual)
         )
-        if not self.labels:
-            object.__setattr__(
-                self,
-                "labels",
-                tuple(f"entry {i}" for i in range(len(self.individual))),
-            )
-        if len(self.labels) != len(self.individual):
-            raise ValueError("labels must match the number of individual rates")
         if self.sum_rate < 0 or any(r < 0 for r in self.individual):
             raise ValueError("rates must be nonnegative")
-
-    @property
-    def m(self) -> int:
-        return len(self.individual)
 
 
 @dataclass(frozen=True)
@@ -132,82 +105,6 @@ class NoisePartition:
             )
         if self.mu < 0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
-
-
-def mac_upper_sum_model(spec: MacSpec) -> RateVector:
-    """Basic MAC upper model: cooperative sum rate, unconstrained inputs.
-
-    The sum rate is 0.5*log2(1 + (sum_i sqrt(gamma_i))^2), the rate achieved
-    when all transmitters cooperate coherently. Per-input rates are the log
-    alphabet sizes for discrete inputs and +inf for Gaussian inputs.
-    """
-    sum_rate = awgn_capacity(spec.coherent_sum_snr)
-    if spec.alphabet_bits is not None:
-        individual = spec.alphabet_bits
-    else:
-        individual = (float("inf"),) * spec.m
-    labels = tuple(f"input {i}" for i in range(spec.m))
-    return RateVector(sum_rate=sum_rate, individual=individual, labels=labels)
-
-
-def mac_upper_two_user_split(gamma1: float, gamma2: float) -> tuple[RateVector, float]:
-    """Two-user MAC upper model with an optimized noise split.
-
-    The unit receiver noise is divided between the two per-input constraints,
-    a share alpha for input 1 and 1 - alpha for input 2, and alpha is chosen
-    to minimize 0.5*log2(1 + gamma1/alpha) + 0.5*log2(1 + gamma2/(1-alpha)).
-    The stationarity condition of that convex problem reduces to
-
-        alpha* = a / (a + b),  a = sqrt(gamma1*(1+gamma2)),
-                               b = sqrt(gamma2*(1+gamma1)).
-
-    Returns:
-        The rate vector (sum unconstrained for continuous outputs, per-input
-        rates at the minimizer) and alpha*.
-    """
-    if gamma1 <= 0 or gamma2 <= 0:
-        raise ValueError(f"SNRs must be positive, got {gamma1}, {gamma2}")
-    a = math.sqrt(gamma1 * (1.0 + gamma2))
-    b = math.sqrt(gamma2 * (1.0 + gamma1))
-    alpha_star = a / (a + b)
-    individual = (
-        awgn_capacity(gamma1 / alpha_star),
-        awgn_capacity(gamma2 / (1.0 - alpha_star)),
-    )
-    rv = RateVector(
-        sum_rate=float("inf"),
-        individual=individual,
-        labels=("input 0", "input 1"),
-    )
-    return rv, alpha_star
-
-
-def binary_noise_split(eps: float, eps1: float) -> float:
-    """Split a binary symmetric distortion eps into two cascaded stages.
-
-    Returns the second-stage crossover eps2 such that cascading independent
-    flips with probabilities eps1 and eps2 reproduces eps:
-    eps = eps1*(1-eps2) + eps2*(1-eps1).
-    """
-    if not 0.0 <= eps < 0.5:
-        raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
-    if eps1 < 0.0 or eps1 > eps:
-        raise ValueError(f"eps1 must lie in [0, eps], got {eps1}")
-    if eps1 == 0.5:
-        raise ValueError("eps1 = 1/2 erases the input; the split is singular")
-    return (eps - eps1) / (1.0 - 2.0 * eps1)
-
-
-def binary_noise_split_symmetric(eps: float) -> float:
-    """The equal two-stage split of a binary distortion: eps1 = eps2."""
-    if not 0.0 <= eps < 0.5:
-        raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
-    return 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * eps))
-
-
-def binary_noise_recombine(eps1: float, eps2: float) -> float:
-    """Crossover probability of two cascaded independent binary flips."""
-    return eps1 * (1.0 - eps2) + eps2 * (1.0 - eps1)
 
 
 def mu_bracket(gammas: tuple[float, ...], alpha: float) -> tuple[float, float]:
@@ -314,16 +211,12 @@ def mac_upper(spec: MacSpec, alpha: float) -> tuple[RateVector, NoisePartition]:
     with unconstrained inputs, and alpha = 0 leaves the sum unconstrained
     while tightening the per-input rates the most.
     """
-    if spec.alphabet_bits is not None:
-        raise ValueError("the noise-partition upper model applies to Gaussian inputs")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    labels = tuple(f"input {i}" for i in range(spec.m))
     if alpha == 1.0:
         rv = RateVector(
             sum_rate=awgn_capacity(spec.coherent_sum_snr),
             individual=(float("inf"),) * spec.m,
-            labels=labels,
         )
         return rv, NoisePartition(alpha=1.0, alphas=(0.0,) * spec.m, mu=0.0)
     partition = optimal_noise_shares(spec.gammas, alpha)
@@ -334,47 +227,7 @@ def mac_upper(spec: MacSpec, alpha: float) -> tuple[RateVector, NoisePartition]:
         sum_rate = float("inf")
     else:
         sum_rate = awgn_capacity((spec.coherent_sum_snr + 1.0 - alpha) / alpha)
-    return RateVector(sum_rate=sum_rate, individual=individual, labels=labels), partition
-
-
-def mac_lower_sic(
-    spec: MacSpec, decode_order: tuple[int, ...] | None = None
-) -> RateVector:
-    """MAC lower model: the SIC corner point for a given decode order.
-
-    The receiver decodes inputs in `decode_order` (0-based indices into
-    spec.gammas), cancelling each decoded input before moving on. Input i
-    decoded with the inputs in A still undecoded gets
-
-        R_i = 0.5*log2(1 + gamma_i / (1 + sum_{j in A} gamma_j)),
-
-    and the per-input rates add to the non-cooperative sum capacity
-    0.5*log2(1 + sum gamma_i) for every decode order.
-
-    Args:
-        spec: Gaussian MAC spec.
-        decode_order: permutation of range(m); None means strongest first.
-    """
-    if spec.alphabet_bits is not None:
-        raise ValueError("the SIC lower model applies to Gaussian inputs")
-    m = spec.m
-    if decode_order is None:
-        decode_order = tuple(
-            sorted(range(m), key=lambda i: spec.gammas[i], reverse=True)
-        )
-    if sorted(decode_order) != list(range(m)):
-        raise ValueError(f"decode_order must be a permutation of 0..{m - 1}")
-    gam = np.asarray(spec.gammas, dtype=float)
-    rates = np.zeros(m)
-    remaining = float(gam.sum())
-    for index in decode_order:
-        remaining -= gam[index]
-        rates[index] = awgn_capacity(gam[index] / (1.0 + remaining))
-    return RateVector(
-        sum_rate=awgn_capacity(float(gam.sum())),
-        individual=tuple(rates),
-        labels=tuple(f"input {i}" for i in range(m)),
-    )
+    return RateVector(sum_rate=sum_rate, individual=individual), partition
 
 
 def mac_sum_gap(spec: MacSpec) -> float:

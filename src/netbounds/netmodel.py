@@ -56,7 +56,7 @@ class NoisyLink:
     """A directed noisy link.
 
     Exactly the parameters of the link's kind must be set: `snr` for awgn
-    (linear scale, nonnegative), `q` and `xi` for qsc (xi in [0, (q-1)/q]),
+    (linear scale, positive and finite), `q` and `xi` for qsc (xi in [0, (q-1)/q]),
     `eps` for bsc.
     """
 
@@ -82,8 +82,10 @@ class NoisyLink:
                     f"{where}: field {name!r} not allowed for kind {self.kind!r}"
                 )
         if self.kind == "awgn":
-            if not self.snr >= 0:
-                raise NetworkFormatError(f"{where}: snr must be >= 0, got {self.snr}")
+            if not 0.0 < self.snr < math.inf:
+                raise NetworkFormatError(
+                    f"{where}: snr must be positive and finite, got {self.snr}"
+                )
         elif self.kind == "qsc":
             if int(self.q) != self.q or self.q < 2:
                 raise NetworkFormatError(

@@ -1,47 +1,66 @@
-"""Tests for the broadcast bounding models."""
+"""Tests for the broadcast bounding models.
+
+The upper model is checked through `bc_upper_cumulative` and the upper
+network of `build_upper`; the superposition lower model exists only inside
+`build_lower`, so its identities are checked on the lower network of an
+independent broadcast channel.
+"""
+
+from math import comb
 
 import numpy as np
 import pytest
 
-from netbounds.bc import (
-    BcSpec,
-    bc_lower_superposition,
-    bc_sum_gap,
-    bc_upper_basic,
-    bc_upper_cumulative,
-    cumulative_receiver_rates,
-    search_betas,
-    subset_index,
-    subset_members,
-)
+from netbounds.assemble import LowerParams, UpperParams, build_lower, build_upper
+from netbounds.bc import BcSpec, bc_sum_gap, bc_upper_cumulative, simplex_grid
+from netbounds.decouple import decompose
+from netbounds.info import awgn_capacity
+from netbounds.netmodel import NoisyLink, NoisyNetwork, Node
 
 
-def test_subset_index_round_trip():
-    assert subset_index((1, 2)) == 3
-    assert subset_members(3) == (1, 2)
-    assert subset_index((2,)) == 2
-    for index in range(1, 32):
-        assert subset_index(subset_members(index)) == index
+def broadcast(gammas, receivers=None):
+    """Components of one transmitter S heard by each receiver at its SNR."""
+    receivers = receivers or tuple(f"R{k + 1}" for k in range(len(gammas)))
+    net = NoisyNetwork(
+        nodes=tuple(Node(id=n) for n in ("S", *receivers)),
+        links=tuple(
+            NoisyLink(src="S", dst=r, kind="awgn", snr=g)
+            for r, g in zip(receivers, gammas)
+        ),
+    )
+    return decompose(net)
+
+
+def upper_rates(components, perm=None):
+    params = UpperParams(bc_perm={("bc", "S"): perm}) if perm else None
+    return {(p.tail, p.heads): p.rate for p in build_upper(components, params).pipes}
+
+
+def layer_rates(components, betas=None):
+    """Lower-network rate per receiver set of the layers that carry power."""
+    params = LowerParams(bc_betas={("bc", "S"): betas}) if betas else None
+    return {p.heads: p.rate for p in build_lower(components, params).pipes}
 
 
 def test_upper_basic_variant1():
-    rv = bc_upper_basic(BcSpec(gammas=(1.0, 4.0)), 1)
-    assert abs(rv.sum_rate - 0.5 * np.log2(6.0)) < 1e-12
-    assert rv.individual == (float("inf"), float("inf"))
+    # All receivers cooperating: the transmitter's sum pipe.
+    rates = upper_rates(broadcast((1.0, 4.0)))
+    assert abs(rates[("S", ("S_out",))] - 0.5 * np.log2(6.0)) < 1e-12
 
 
 def test_upper_basic_variant2():
-    rv = bc_upper_basic(BcSpec(gammas=(1.0, 4.0)), 2)
-    assert rv.sum_rate == float("inf")
-    assert abs(rv.individual[0] - 0.5) < 1e-12
-    assert abs(rv.individual[1] - 0.5 * np.log2(5.0)) < 1e-12
+    # Each receiver alone: the first receiver of a permutation gets its own
+    # capacity.
+    comps = broadcast((1.0, 4.0))
+    for perm, rate in ((("R1", "R2"), 0.5), (("R2", "R1"), 0.5 * np.log2(5.0))):
+        rates = upper_rates(comps, perm)
+        assert abs(rates[("S_out", (perm[0],))] - rate) < 1e-12
 
 
 def test_upper_basic_single_receiver():
-    for variant in (1, 2):
-        rv = bc_upper_basic(BcSpec(gammas=(3.0,)), variant)
-        effective = min(rv.sum_rate, rv.individual[0])
-        assert abs(effective - 1.0) < 1e-12
+    # A broadcast side with one receiver is that link's capacity pipe.
+    rates = upper_rates(broadcast((3.0,)))
+    assert rates == {("S", ("R1",)): pytest.approx(1.0, abs=1e-12)}
 
 
 def test_upper_cumulative_identity_perm():
@@ -59,14 +78,16 @@ def test_upper_cumulative_swapped_perm():
 
 def test_upper_cumulative_two_layouts():
     # The two m=2 permutations give (sum, weak-receiver capacity, sum) and
-    # (sum, sum, strong-receiver capacity) in per-receiver order.
-    spec = BcSpec(gammas=(1.0, 4.0))
-    layout_a = cumulative_receiver_rates(spec, (0, 1))
-    assert abs(layout_a[0] - 0.5 * np.log2(2.0)) < 1e-12
-    assert abs(layout_a[1] - 0.5 * np.log2(6.0)) < 1e-12
-    layout_b = cumulative_receiver_rates(spec, (1, 0))
-    assert abs(layout_b[0] - 0.5 * np.log2(6.0)) < 1e-12
-    assert abs(layout_b[1] - 0.5 * np.log2(5.0)) < 1e-12
+    # (sum, sum, strong-receiver capacity) as per-receiver pipes.
+    comps = broadcast((1.0, 4.0))
+    layout_a = upper_rates(comps, ("R1", "R2"))
+    assert abs(layout_a[("S_out", ("R1",))] - 0.5 * np.log2(2.0)) < 1e-12
+    assert abs(layout_a[("S_out", ("R2",))] - 0.5 * np.log2(6.0)) < 1e-12
+    layout_b = upper_rates(comps, ("R2", "R1"))
+    assert abs(layout_b[("S_out", ("R1",))] - 0.5 * np.log2(6.0)) < 1e-12
+    assert abs(layout_b[("S_out", ("R2",))] - 0.5 * np.log2(5.0)) < 1e-12
+    for layout in (layout_a, layout_b):
+        assert abs(layout[("S", ("S_out",))] - 0.5 * np.log2(6.0)) < 1e-12
 
 
 def test_upper_cumulative_monotone_and_matches_basic_sum():
@@ -79,7 +100,7 @@ def test_upper_cumulative_monotone_and_matches_basic_sum():
         assert all(
             rv.individual[k] <= rv.individual[k + 1] + 1e-12 for k in range(m - 1)
         )
-        assert abs(rv.sum_rate - bc_upper_basic(spec, 1).sum_rate) < 1e-12
+        assert abs(rv.sum_rate - awgn_capacity(sum(spec.gammas))) < 1e-12
         assert abs(rv.individual[-1] - rv.sum_rate) < 1e-12
 
 
@@ -89,84 +110,71 @@ def test_upper_cumulative_single_receiver():
 
 
 def test_lower_superposition_even_split():
-    model = bc_lower_superposition(BcSpec(gammas=(1.0, 4.0)), (0.5, 0.5))
-    # Layer for both receivers (index 3) and layer for the strong one (2).
-    assert abs(model.rates[3] - 0.5 * np.log2(4.0 / 3.0)) < 1e-12
-    assert abs(model.rates[2] - 0.5 * np.log2(3.0)) < 1e-12
-    assert abs(model.sum_rate - 1.0) < 1e-12
-    assert abs(model.rates[3] - 0.2075) < 1e-4
-    assert abs(model.rates[2] - 0.7925) < 1e-4
+    rates = layer_rates(broadcast((1.0, 4.0)), (0.5, 0.5))
+    # Layer for both receivers and layer for the strong one.
+    assert abs(rates[("R1", "R2")] - 0.5 * np.log2(4.0 / 3.0)) < 1e-12
+    assert abs(rates[("R2",)] - 0.5 * np.log2(3.0)) < 1e-12
+    assert abs(sum(rates.values()) - 1.0) < 1e-12
+    assert abs(rates[("R1", "R2")] - 0.2075) < 1e-4
+    assert abs(rates[("R2",)] - 0.7925) < 1e-4
 
 
 def test_lower_superposition_all_power_strongest():
-    model = bc_lower_superposition(BcSpec(gammas=(1.0, 2.0, 8.0)), (0.0, 0.0, 1.0))
-    assert list(model.rates) == [4]
-    assert abs(model.sum_rate - 0.5 * np.log2(9.0)) < 1e-12
+    rates = layer_rates(broadcast((1.0, 2.0, 8.0)), (0.0, 0.0, 1.0))
+    assert list(rates) == [("R3",)]
+    assert abs(rates[("R3",)] - 0.5 * np.log2(9.0)) < 1e-12
 
 
 def test_lower_superposition_single_receiver():
-    model = bc_lower_superposition(BcSpec(gammas=(3.0,)), (1.0,))
-    assert abs(model.sum_rate - 1.0) < 1e-12
-    assert list(model.rates) == [1]
+    # A broadcast side with one receiver is that link's capacity pipe.
+    rates = layer_rates(broadcast((3.0,)))
+    assert list(rates) == [("R1",)]
+    assert abs(rates[("R1",)] - 1.0) < 1e-12
 
 
 def test_lower_superposition_unsorted_input():
-    # Caller order (strong, weak): sorting maps sorted receiver 1 to caller
-    # position 1 and the subsets still nest on sorted numbering.
-    model = bc_lower_superposition(BcSpec(gammas=(4.0, 1.0)), (0.5, 0.5))
-    assert model.order == (1, 0)
-    assert abs(model.rates[3] - 0.5 * np.log2(4.0 / 3.0)) < 1e-12
-    assert abs(model.rates[2] - 0.5 * np.log2(3.0)) < 1e-12
-    assert model.caller_members(3) == (1, 0)
-    assert model.caller_members(2) == (0,)
+    # Receivers listed strong first: layers still follow ascending SNR, so
+    # the common layer goes to both and the private layer to the strong one.
+    rates = layer_rates(broadcast((4.0, 1.0), ("A", "B")), (0.5, 0.5))
+    assert set(rates) == {("B", "A"), ("A",)}
+    assert abs(rates[("B", "A")] - 0.5 * np.log2(4.0 / 3.0)) < 1e-12
+    assert abs(rates[("A",)] - 0.5 * np.log2(3.0)) < 1e-12
 
 
 def test_lower_superposition_sum_bound_on_grid():
-    spec = BcSpec(gammas=(0.8, 3.0, 11.0))
+    comps = broadcast((0.8, 3.0, 11.0))
     cap = 0.5 * np.log2(12.0)
-    steps = 8
-    for a in range(steps + 1):
-        for b in range(steps + 1 - a):
-            betas = (a / steps, b / steps, (steps - a - b) / steps)
-            model = bc_lower_superposition(spec, betas)
-            assert abs(sum(model.rates.values()) - model.sum_rate) < 1e-12
-            assert model.sum_rate <= cap + 1e-9
-    full = bc_lower_superposition(spec, (0.0, 0.0, 1.0))
-    assert abs(full.sum_rate - cap) < 1e-12
+    for betas in simplex_grid(3, 8):
+        assert sum(layer_rates(comps, betas).values()) <= cap + 1e-9
+    full = layer_rates(comps, (0.0, 0.0, 1.0))
+    assert abs(sum(full.values()) - cap) < 1e-12
 
 
 def test_lower_superposition_rejects_bad_betas():
-    spec = BcSpec(gammas=(1.0, 4.0))
+    comps = broadcast((1.0, 4.0))
     with pytest.raises(ValueError):
-        bc_lower_superposition(spec, (0.4, 0.4))
+        layer_rates(comps, (0.4, 0.4))
     with pytest.raises(ValueError):
-        bc_lower_superposition(spec, (-0.1, 1.1))
+        layer_rates(comps, (-0.1, 1.1))
 
 
 def test_search_betas_unconstrained_puts_power_on_strongest():
-    spec = BcSpec(gammas=(1.0, 4.0))
-    betas, model = search_betas(spec)
-    assert betas == (0.0, 1.0)
-    assert abs(model.sum_rate - 0.5 * np.log2(5.0)) < 1e-12
+    # The beta sweep of `netbounds bounds`: the best sum of layer rates over
+    # the grid puts all power on the strongest receiver's layer.
+    comps = broadcast((1.0, 4.0))
+    best = max(simplex_grid(2, 32), key=lambda b: sum(layer_rates(comps, b).values()))
+    assert best == (0.0, 1.0)
+    assert abs(sum(layer_rates(comps, best).values()) - 0.5 * np.log2(5.0)) < 1e-12
 
 
-def test_search_betas_with_minimum_common_layer():
-    spec = BcSpec(gammas=(1.0, 4.0))
-    minimum = 0.2
-    betas, model = search_betas(spec, min_rates={3: minimum})
-    assert model.rates[3] >= minimum - 1e-12
-    # Exhaustive check against the same grid.
-    best = 0.0
-    for k in range(33):
-        candidate = bc_lower_superposition(spec, (k / 32, 1.0 - k / 32))
-        if candidate.rates.get(3, 0.0) >= minimum - 1e-12:
-            best = max(best, candidate.sum_rate)
-    assert abs(model.sum_rate - best) < 1e-12
-
-
-def test_search_betas_infeasible():
-    with pytest.raises(ValueError):
-        search_betas(BcSpec(gammas=(1.0, 4.0)), min_rates={3: 10.0})
+def test_simplex_grid_order_and_values():
+    assert list(simplex_grid(2, 2)) == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
+    assert list(simplex_grid(1, 4)) == [(1.0,)]
+    for parts in range(1, 5):
+        grid = list(simplex_grid(parts, 8))
+        assert len(grid) == comb(8 + parts - 1, parts - 1)
+        assert len(set(grid)) == len(grid)
+        assert all(abs(sum(split) - 1.0) < 1e-12 for split in grid)
 
 
 def test_bc_sum_gap_values():

@@ -159,6 +159,20 @@ class TestDecoupleAndValidate:
         assert err.startswith("error: links[0]: link 'a'->'b': xi must lie in [0, 0.5]")
 
 
+    @pytest.mark.parametrize("command", ["validate", "bounds"])
+    def test_rejects_zero_snr_in_multi_access_naming_the_link(
+        self, tmp_path, capsys, command
+    ):
+        doc = relay_doc()
+        doc["links"][0] = {"from": "S", "to": "D", "kind": "awgn", "snr": 0}
+        path = write_network(tmp_path / "relay.json", doc)
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: links[0]: link 'S'->'D': snr must be positive and finite, got 0.0"
+        )
+
+
 class TestReproRelay:
     def test_weak_relay_rows_pin_direct_link_capacity(self, tmp_path, capsys):
         out = tmp_path / "relay.csv"

@@ -1,45 +1,69 @@
-"""Tests for the multiple-access bounding models."""
+"""Tests for the multiple-access bounding models.
+
+The upper model is checked through `mac_upper`; the successive-cancellation
+lower model exists only inside `build_lower`, so its identities are checked on
+the lower network of an independent multiple-access channel.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netbounds.assemble import LowerParams, build_lower
+from netbounds.decouple import decompose
 from netbounds.info import awgn_capacity
 from netbounds.mac import (
     MacSpec,
-    binary_noise_recombine,
-    binary_noise_split,
-    binary_noise_split_symmetric,
-    mac_lower_sic,
     mac_sum_gap,
     mac_upper,
-    mac_upper_sum_model,
-    mac_upper_two_user_split,
     mu_bracket,
     optimal_noise_shares,
     solve_mu,
 )
+from netbounds.netmodel import NoisyLink, NoisyNetwork, Node
 
 from util_mi import sample_system, system_quantities
 
 
+def multiple_access(gammas):
+    """Components of inputs T1..Tm heard by one receiver X at their SNRs."""
+    inputs = tuple(f"T{k + 1}" for k in range(len(gammas)))
+    net = NoisyNetwork(
+        nodes=tuple(Node(id=n) for n in (*inputs, "X")),
+        links=tuple(
+            NoisyLink(src=t, dst="X", kind="awgn", snr=g) for t, g in zip(inputs, gammas)
+        ),
+    )
+    return decompose(net)
+
+
+def sic_rates(components, order=None):
+    """Lower-network rate per input of the successive-cancellation receiver."""
+    params = LowerParams(mac_order={("mac", "X"): order}) if order else None
+    return {p.tail: p.rate for p in build_lower(components, params).pipes}
+
+
+def two_user_split(gamma1, gamma2):
+    """The noise share of input 1 when the sum constraint gets none."""
+    rv, partition = mac_upper(MacSpec(gammas=(gamma1, gamma2)), 0.0)
+    return rv, partition.alphas[0]
+
+
 def test_sum_model_values():
-    rv = mac_upper_sum_model(MacSpec(gammas=(1.0, 2.0, 100.0)))
+    # alpha = 1 is the basic model: cooperative sum rate, free inputs.
+    rv, _ = mac_upper(MacSpec(gammas=(1.0, 2.0, 100.0)), 1.0)
     expected = 0.5 * np.log2(1.0 + (1.0 + np.sqrt(2.0) + 10.0) ** 2)
     assert abs(rv.sum_rate - expected) < 1e-12
     assert abs(rv.sum_rate - 3.638) < 1e-3
     assert rv.individual == (float("inf"),) * 3
 
-    rv = mac_upper_sum_model(MacSpec(gammas=(3.0,)))
+    rv, _ = mac_upper(MacSpec(gammas=(3.0,)), 1.0)
     assert abs(rv.sum_rate - 1.0) < 1e-12
-
-    rv = mac_upper_sum_model(MacSpec(gammas=(1.0, 1.0), alphabet_bits=(1.0, 1.0)))
-    assert rv.individual == (1.0, 1.0)
 
 
 def test_two_user_split_symmetric():
-    rv, alpha = mac_upper_two_user_split(1.0, 1.0)
+    rv, alpha = two_user_split(1.0, 1.0)
     assert abs(alpha - 0.5) < 1e-12
     assert abs(rv.individual[0] - 0.5 * np.log2(3.0)) < 1e-12
     assert abs(rv.individual[1] - 0.5 * np.log2(3.0)) < 1e-12
@@ -47,8 +71,15 @@ def test_two_user_split_symmetric():
 
 
 def test_two_user_split_matches_grid_minimizer():
+    # Stationarity of 0.5*log2(1 + g1/a) + 0.5*log2(1 + g2/(1 - a)) gives
+    # a* = p / (p + q) with p = sqrt(g1*(1 + g2)), q = sqrt(g2*(1 + g1)).
+    for gamma1, gamma2 in ((1.0, 1.0), (1.0, 10.0), (0.01, 100.0), (3.0, 7.0)):
+        _, alpha = two_user_split(gamma1, gamma2)
+        p = np.sqrt(gamma1 * (1.0 + gamma2))
+        q = np.sqrt(gamma2 * (1.0 + gamma1))
+        assert abs(alpha - p / (p + q)) < 5e-12
     gamma1, gamma2 = 1.0, 10.0
-    _, alpha = mac_upper_two_user_split(gamma1, gamma2)
+    _, alpha = two_user_split(gamma1, gamma2)
     grid = np.arange(1e-6, 1.0, 1e-6)
     values = 0.5 * np.log2(1.0 + gamma1 / grid) + 0.5 * np.log2(
         1.0 + gamma2 / (1.0 - grid)
@@ -57,33 +88,9 @@ def test_two_user_split_matches_grid_minimizer():
 
 
 def test_two_user_split_weak_user_limit():
-    rv, alpha = mac_upper_two_user_split(1e-12, 10.0)
+    rv, alpha = two_user_split(1e-12, 10.0)
     assert alpha < 1e-5
     assert abs(rv.individual[1] - 0.5 * np.log2(11.0)) < 1e-5
-
-
-def test_binary_noise_split_values():
-    assert abs(binary_noise_split(0.2, 0.0) - 0.2) < 1e-15
-    assert abs(binary_noise_split(0.2, 0.1) - 0.125) < 1e-15
-    sym = binary_noise_split_symmetric(0.2)
-    assert abs(sym - 0.5 * (1.0 - np.sqrt(0.6))) < 1e-15
-    assert abs(sym - 0.1127) < 1e-4
-    assert abs(binary_noise_recombine(sym, sym) - 0.2) < 1e-12
-
-
-def test_binary_noise_split_round_trip():
-    for eps in [0.05, 0.2, 0.45]:
-        for frac in [0.0, 0.3, 0.9]:
-            eps1 = frac * eps
-            eps2 = binary_noise_split(eps, eps1)
-            assert abs(binary_noise_recombine(eps1, eps2) - eps) < 1e-12
-
-
-def test_binary_noise_split_errors():
-    with pytest.raises(ValueError):
-        binary_noise_split(0.5, 0.1)
-    with pytest.raises(ValueError):
-        binary_noise_split(0.2, 0.3)
 
 
 def test_solve_mu_equal_snrs():
@@ -130,7 +137,7 @@ def test_optimal_shares_sum_to_budget():
 def test_mac_upper_endpoint_alpha_one():
     spec = MacSpec(gammas=(1.0, 2.0, 100.0))
     rv, partition = mac_upper(spec, 1.0)
-    assert abs(rv.sum_rate - mac_upper_sum_model(spec).sum_rate) < 1e-12
+    assert abs(rv.sum_rate - awgn_capacity(spec.coherent_sum_snr)) < 1e-12
     assert rv.individual == (float("inf"),) * 3
     assert partition.alpha == 1.0
 
@@ -153,7 +160,7 @@ def test_mac_upper_never_below_basic_sum():
         spec = MacSpec(
             gammas=tuple(np.exp(rng.uniform(np.log(0.01), np.log(100.0), size=m)))
         )
-        r_mac = mac_upper_sum_model(spec).sum_rate
+        r_mac = awgn_capacity(spec.coherent_sum_snr)
         for alpha in np.linspace(0.0, 1.0, 11):
             rv, _ = mac_upper(spec, float(alpha))
             effective = min(rv.sum_rate, sum(rv.individual))
@@ -176,28 +183,29 @@ def test_mac_upper_monotone_in_alpha():
 
 
 def test_mac_lower_sic_values():
-    rv = mac_lower_sic(MacSpec(gammas=(1.0, 2.0, 100.0)))
-    assert abs(rv.sum_rate - 0.5 * np.log2(104.0)) < 1e-12
-    assert abs(sum(rv.individual) - rv.sum_rate) < 1e-12
+    rates = sic_rates(multiple_access((1.0, 2.0, 100.0)))
+    assert len(rates) == 3
+    assert abs(sum(rates.values()) - 0.5 * np.log2(104.0)) < 1e-12
 
-    rv = mac_lower_sic(MacSpec(gammas=(3.0,)))
-    assert abs(rv.sum_rate - 1.0) < 1e-12
-    assert abs(rv.individual[0] - 1.0) < 1e-12
+    # A multiple-access side with one input is that link's capacity pipe.
+    rates = sic_rates(multiple_access((3.0,)))
+    assert rates == {"T1": pytest.approx(1.0, abs=1e-12)}
 
 
 def test_mac_lower_sic_orders_share_sum():
-    spec = MacSpec(gammas=(1.0, 4.0))
-    forward = mac_lower_sic(spec, (0, 1))
-    backward = mac_lower_sic(spec, (1, 0))
-    assert abs(sum(forward.individual) - sum(backward.individual)) < 1e-12
+    comps = multiple_access((1.0, 4.0))
+    forward = sic_rates(comps, ("T1", "T2"))
+    backward = sic_rates(comps, ("T2", "T1"))
+    for rates in (forward, backward):
+        assert abs(sum(rates.values()) - awgn_capacity(5.0)) < 1e-12
     # The first decoded input sees the other as interference.
-    assert abs(forward.individual[0] - awgn_capacity(1.0 / 5.0)) < 1e-12
-    assert abs(forward.individual[1] - awgn_capacity(4.0)) < 1e-12
+    assert abs(forward["T1"] - awgn_capacity(1.0 / 5.0)) < 1e-12
+    assert abs(forward["T2"] - awgn_capacity(4.0)) < 1e-12
 
 
 def test_mac_lower_rejects_bad_order():
     with pytest.raises(ValueError):
-        mac_lower_sic(MacSpec(gammas=(1.0, 2.0)), (0, 0))
+        sic_rates(multiple_access((1.0, 2.0)), ("T1", "T1"))
 
 
 def test_mac_sum_gap_values():

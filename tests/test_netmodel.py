@@ -105,6 +105,22 @@ def test_parse_rejects_qsc_crossover_beyond_uniform():
     assert parse_network(qsc_doc(4, 0.75)).links[0].xi == 0.75
 
 
+def test_parse_rejects_awgn_snr_not_positive_and_finite():
+    def awgn_doc(field, value):
+        link = {"from": "A", "to": "B", "kind": "awgn", field: value}
+        return json.dumps({"nodes": ["A", "B"], "links": [link]})
+
+    for field, value in (("snr", 0), ("snr", -1.5), ("snr", float("inf")), ("snr_db", 1e6)):
+        with pytest.raises(
+            NetworkFormatError,
+            match=r"links\[0\]: link 'A'->'B': snr must be positive and finite",
+        ):
+            parse_network(awgn_doc(field, value))
+    with pytest.raises(NetworkFormatError, match="link 'A'->'B': snr"):
+        NoisyLink("A", "B", "awgn", snr=float("nan"))
+    assert parse_network(awgn_doc("snr", 1e-300)).links[0].snr == 1e-300
+
+
 def test_parse_reports_json_position():
     with pytest.raises(NetworkFormatError, match="line"):
         parse_network('{"nodes": [,]}')
@@ -223,7 +239,7 @@ def _networks(draw):
         key = (src, dst, kind, len(seen))
         seen.add(key)
         if kind == "awgn":
-            snr = draw(st.floats(min_value=0.0, max_value=1e3))
+            snr = draw(st.floats(min_value=0.0, max_value=1e3, exclude_min=True))
             links.append(NoisyLink(src, dst, "awgn", snr=snr))
         elif kind == "qsc":
             q = draw(st.integers(min_value=2, max_value=16))
