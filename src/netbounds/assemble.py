@@ -94,17 +94,24 @@ class InterferenceLedger:
     mac_order: dict[tuple, tuple[str, ...]]
 
     def __post_init__(self):
+        totals = _residual_totals(self.gamma_residual)
         for (i, j), value in self.gamma_residual.items():
             if value < -1e-12:
                 raise AssertionError(f"negative residual at ({i}, {j}): {value}")
         for j, floor in self.receiver_floor.items():
-            total = sum(
-                v for (i, jj), v in self.gamma_residual.items() if jj == j
-            )
+            total = totals.get(j, 0)
             if abs(total - floor) > 1e-9:
                 raise AssertionError(
                     f"receiver {j} floor {floor} != residual total {total}"
                 )
+
+
+def _residual_totals(residual: dict[tuple[str, str], float]) -> dict[str, float]:
+    """Residual power per receiver, summed in one pass in the ledger's order."""
+    totals: dict[str, float] = {}
+    for (_i, j), value in residual.items():
+        totals[j] = totals.get(j, 0) + value
+    return totals
 
 
 def link_capacity(link: NoisyLink) -> float:
@@ -412,10 +419,7 @@ def interference_ledger(components, params: LowerParams | None = None) -> Interf
             for link in comp.links:
                 residual.setdefault((link.src, link.dst), 0.0)
 
-    floors: dict[str, float] = {}
-    receivers = {j for (_i, j) in residual}
-    for j in receivers:
-        floors[j] = sum(v for (_i, jj), v in residual.items() if jj == j)
+    floors = _residual_totals(residual)
 
     extrinsic: dict[tuple[str, str], float] = {}
     for comp in components:

@@ -6,10 +6,12 @@ hyper-arcs come from a fractional-routing linear program in which one
 capacity draw on a hyper-arc serves all of its heads for a given session;
 blend_inner solves the same program over run-weighted average arc rates of
 several candidate lower networks with one arc structure. hyper_inner compiles
-the routing LP of each arc structure once, as HiGHS's own model; every solve
-hands its LP to a fresh HiGHS instance through SciPy's bundled bindings.
-Every reported flow is re-validated against conservation and capacity
-constraints; bounds are certifiable, not solver folklore.
+the routing LP of each arc structure once, from index arrays, as HiGHS's own
+model; every solve hands its LP to one long-lived HiGHS instance through
+SciPy's bundled bindings, which discards the previous model and basis, so
+each solve is still a cold start. Every reported flow is re-validated against
+conservation and capacity constraints; bounds are certifiable, not solver
+folklore.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs
-from scipy.sparse import coo_array, csc_array
+from scipy.sparse import csc_array
 
 # perfbench/layertrace.py wraps ``flows.linprog`` by name, so the name stays
 # bound here; the routing LPs go to HiGHS directly through SciPy's bindings.
@@ -310,13 +312,18 @@ class _RoutingLP:
 
 
 def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
-    """Routing LP of one arc structure, emitted from its incidence lists.
+    """Routing LP of one arc structure, emitted from its incidence arrays.
 
     ``arcs`` holds ``(tail, heads, rate is finite)`` per pipe. Without
     ``blend_rates`` each finite arc's capacity row bounds the sessions' draws
     by the arc rate, filled in per solve. With ``blend_rates`` (one row of arc
     rates per run) it bounds them by sum_r lambda_r * rate_r, and the weights
     lambda_r sum to 1.
+
+    Each (session, sink) pair is one commodity c with its own block of f
+    columns; every constraint family is emitted as whole (row, column, value)
+    arrays by index arithmetic over the commodities, the (arc, head) pairs and
+    the node-pair incidence.
     """
     if objective not in ("maxmin", "sum"):
         raise ValueError(f"objective must be 'maxmin' or 'sum', got {objective!r}")
@@ -325,83 +332,99 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
     pair_arcs = tuple(a for a, (_, heads, _) in enumerate(arcs) for _ in heads)
     pair_heads = tuple(head for _, heads, _ in arcs for head in heads)
     n_pairs = len(pair_heads)
-    arc_start = np.cumsum([0] + [len(heads) for _, heads, _ in arcs]).tolist()
-    out_pairs: dict[str, list[int]] = {node: [] for node in node_ids}
-    in_pairs: dict[str, list[int]] = {node: [] for node in node_ids}
-    for p, (a, head) in enumerate(zip(pair_arcs, pair_heads)):
-        if arcs[a][0] in out_pairs:
-            out_pairs[arcs[a][0]].append(p)
-        if head in in_pairs:
-            in_pairs[head].append(p)
+    finite_arcs = np.array(
+        [a for a, (_, _, finite) in enumerate(arcs) if finite], dtype=np.intp
+    )
+    # Incidence of node k (by position, as conservation rows go) and pair p:
+    # +1 at the pair's tail, -1 at its head, 0 on a self-loop.
+    nodes = np.array(node_ids, dtype=object)[:, None]
+    at_tail = nodes == np.array([arcs[a][0] for a in pair_arcs], dtype=object)
+    at_head = nodes == np.array(pair_heads, dtype=object)
+    incidence = at_tail.astype(float) - at_head
+
+    # Commodity c is one (session, sink); each has its own block of f columns.
+    sink_lists = [demand.sink_list for demand in demands]
+    session_of = np.repeat(
+        np.arange(n_sessions), [len(sinks) for sinks in sink_lists]
+    )
+    n_comm = session_of.size
+    sink_of = np.array([sink for sinks in sink_lists for sink in sinks], dtype=object)
+    sources = np.array([demand.source for demand in demands], dtype=object)
+    source_of = sources[session_of]
+    is_source = nodes.T == source_of[:, None]
+    # A conservation row per commodity and node, except at the sink and at
+    # nodes that touch no pair and are not the source.
+    keep = ((at_tail | at_head).any(1) | is_source) & (nodes.T != sink_of[:, None])
 
     x_col = 1 + n_sessions  # x_{s,a} sits at x_col + s * n_arcs + a
-    f_cols = []
-    col = x_col + n_sessions * n_arcs
-    for demand in demands:
-        f_cols.append(col)
-        col += len(demand.sinks) * n_pairs
-    lam_col = col
+    f_col = x_col + n_sessions * n_arcs  # f_{c,p} sits at f_col + c * n_pairs + p
+    f_cols = f_col + n_pairs * np.searchsorted(session_of, np.arange(n_sessions))
+    lam_col = f_col + n_comm * n_pairs
     n_runs = 0 if blend_rates is None else len(blend_rates)
     n_vars = lam_col + n_runs
+    n_finite = finite_arcs.size
+    cap_row = n_comm * n_arcs
+    rate_row = cap_row + n_finite
+    n_ub = rate_row + n_sessions
+    row_of = np.cumsum(keep).reshape(keep.shape) + (n_ub - 1)  # valid where kept
+    n_rows = n_ub + int(np.count_nonzero(keep)) + (1 if n_runs else 0)
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    def put(row, columns, value):
-        columns = list(columns)
-        rows.extend([row] * len(columns))
-        cols.extend(columns)
-        vals.extend([value] * len(columns))
-
-    # Per-session draw on an arc: total over its heads bounded by the usage var.
-    row = 0
-    for s, demand in enumerate(demands):
-        for j in range(len(demand.sinks)):
-            base = f_cols[s] + j * n_pairs
-            for a in range(n_arcs):
-                put(row, range(base + arc_start[a], base + arc_start[a + 1]), 1.0)
-                put(row, (x_col + s * n_arcs + a,), -1.0)
-                row += 1
-    # Arc capacity shared across sessions.
-    finite_arcs = [a for a, (_, _, finite) in enumerate(arcs) if finite]
-    capacity_rows = np.arange(row, row + len(finite_arcs))
-    for a in finite_arcs:
-        put(row, range(x_col + a, x_col + n_sessions * n_arcs, n_arcs), 1.0)
-        for r in range(n_runs):
-            put(row, (lam_col + r,), -blend_rates[r][a])
-        row += 1
-    # Common rate t below every session's rate.
-    for s in range(n_sessions):
-        put(row, (0,), 1.0)
-        put(row, (1 + s,), -1.0)
-        row += 1
-    n_ub = row
-    # Flow conservation per session, sink and node (the sink node skipped).
-    for s, demand in enumerate(demands):
-        for j, sink in enumerate(demand.sink_list):
-            base = f_cols[s] + j * n_pairs
-            for node in node_ids:
-                if node == sink:
-                    continue
-                outs, ins = out_pairs[node], in_pairs[node]
-                if not (outs or ins or node == demand.source):
-                    continue
-                put(row, (base + p for p in outs), 1.0)
-                put(row, (base + p for p in ins), -1.0)
-                if node == demand.source:
-                    put(row, (1 + s,), -1.0)
-                row += 1
+    sessions = np.arange(n_sessions)
+    cap_rows = cap_row + np.arange(n_finite)
+    con_c, con_k, con_p = np.nonzero(keep[:, :, None] & (incidence != 0.0))
+    src_c, src_k = np.nonzero(keep & is_source)
+    pair_arc = np.array(pair_arcs, dtype=np.intp)
+    triplets = [
+        # Per-session draw on an arc: total over its heads bounded by the usage var.
+        (
+            (np.arange(n_comm)[:, None] * n_arcs + pair_arc).ravel(),
+            f_col + np.arange(n_comm * n_pairs),
+            1.0,
+        ),
+        (
+            np.arange(n_comm * n_arcs),
+            (x_col + session_of[:, None] * n_arcs + np.arange(n_arcs)).ravel(),
+            -1.0,
+        ),
+        # Arc capacity shared across sessions.
+        (
+            np.repeat(cap_rows[None, :], n_sessions, axis=0).ravel(),
+            (x_col + sessions[:, None] * n_arcs + finite_arcs).ravel(),
+            1.0,
+        ),
+        # Common rate t below every session's rate.
+        (rate_row + sessions, np.zeros(n_sessions, dtype=np.intp), 1.0),
+        (rate_row + sessions, 1 + sessions, -1.0),
+        # Flow conservation per commodity and node; the source emits R_s.
+        (row_of[con_c, con_k], f_col + con_c * n_pairs + con_p, incidence[con_k, con_p]),
+        (row_of[src_c, src_k], 1 + session_of[src_c], -1.0),
+    ]
     if n_runs:
-        put(row, range(lam_col, n_vars), 1.0)
-        row += 1
-
-    matrix = coo_array((vals, (rows, cols)), shape=(row, n_vars)).tocsc()
-    matrix.sum_duplicates()
-    matrix.eliminate_zeros()
-    lower = np.zeros(row)
+        runs = np.arange(n_runs)
+        blend = np.asarray(blend_rates, dtype=float)[:, finite_arcs]
+        triplets += [
+            # Capacity rows draw on the blended rate ...
+            (
+                np.repeat(cap_rows, n_runs),
+                np.tile(lam_col + runs, n_finite),
+                -blend.T.ravel(),
+            ),
+            # ... and the run weights sum to 1.
+            (np.full(n_runs, n_rows - 1), lam_col + runs, 1.0),
+        ]
+    rows = np.concatenate([r for r, _, _ in triplets])
+    cols = np.concatenate([c for _, c, _ in triplets])
+    vals = np.concatenate([np.full(len(r), v) for r, _, v in triplets])
+    # No cell is emitted twice, so sorting by column, then row, gives the CSC.
+    order = np.lexsort((rows, cols))
+    indptr = np.zeros(n_vars + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=n_vars), out=indptr[1:])
+    matrix = csc_array((vals[order], rows[order], indptr), shape=(n_rows, n_vars))
+    if n_runs:
+        matrix.eliminate_zeros()  # blended rates of 0
+    lower = np.zeros(n_rows)
     lower[:n_ub] = -np.inf
-    upper = np.zeros(row)
+    upper = np.zeros(n_rows)
     if n_runs:
         lower[-1] = upper[-1] = 1.0
     cost = np.zeros(n_vars)
@@ -409,29 +432,30 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
         cost[0] = -1.0
     else:
         cost[1 : 1 + n_sessions] = -1.0
+    # HiGHS's model takes lists far faster than arrays.
     model = highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = n_vars
-    model.num_row_ = model.a_matrix_.num_row_ = row
+    model.num_row_ = model.a_matrix_.num_row_ = n_rows
     model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = matrix.indptr
-    model.a_matrix_.index_ = matrix.indices
-    model.a_matrix_.value_ = matrix.data
-    model.col_cost_ = cost
-    model.col_lower_ = np.zeros(n_vars)
-    model.col_upper_ = np.full(n_vars, np.inf)
-    model.row_lower_ = lower
+    model.a_matrix_.start_ = matrix.indptr.tolist()
+    model.a_matrix_.index_ = matrix.indices.tolist()
+    model.a_matrix_.value_ = matrix.data.tolist()
+    model.col_cost_ = cost.tolist()
+    model.col_lower_ = [0.0] * n_vars
+    model.col_upper_ = [np.inf] * n_vars
+    model.row_lower_ = lower.tolist()
     return _RoutingLP(
         model=model,
         matrix=matrix,
         cost=cost,
         lower=lower,
         upper=upper,
-        capacity_rows=capacity_rows,
-        finite_arcs=np.array(finite_arcs, dtype=np.intp),
+        capacity_rows=cap_rows,
+        finite_arcs=finite_arcs,
         pair_arcs=pair_arcs,
         pair_heads=pair_heads,
         n_arcs=n_arcs,
-        f_cols=tuple(f_cols),
+        f_cols=tuple(f_cols.tolist()),
         lam_col=lam_col,
     )
 
@@ -448,15 +472,28 @@ def _arc_structure(net: NoiselessNetwork) -> tuple:
     )
 
 
+@functools.cache
+def _solver() -> highs._Highs:
+    """The one HiGHS instance every routing LP is solved on.
+
+    Sharing it (and each compiled LP's model) makes routing solves unsafe to
+    run from several threads at once.
+    """
+    solver = highs._Highs()
+    solver.setOptionValue("log_to_console", False)
+    return solver
+
+
 def _solve_lp(lp: _RoutingLP, upper: np.ndarray) -> np.ndarray:
     """Optimal columns of ``lp`` with row upper bounds ``upper``.
 
-    Every call starts a fresh HiGHS instance, so each solve is a cold start
-    and its result does not depend on the solves before it.
+    Every call passes its model to the one long-lived HiGHS instance.
+    ``passModel`` replaces the previous model and discards its basis and
+    solution, so each solve is a cold start and its result does not depend
+    on the solves before it.
     """
-    lp.model.row_upper_ = upper
-    solver = highs._Highs()
-    solver.setOptionValue("log_to_console", False)
+    lp.model.row_upper_ = upper.tolist()
+    solver = _solver()
     if solver.passModel(lp.model) == highs.HighsStatus.kError:
         status = highs.HighsModelStatus.kModelError
     else:
@@ -470,24 +507,33 @@ def _solve_lp(lp: _RoutingLP, upper: np.ndarray) -> np.ndarray:
 def _results_from_solution(
     lp: _RoutingLP, demands, solution, extra_witness=None
 ) -> list[FlowResult]:
-    n_pairs = len(lp.pair_heads)
+    """One FlowResult per session, the witnesses read in one pass.
+
+    The x block holds each session's draw per arc and the f block after it
+    each (session, sink) commodity's flow per (arc, head) pair; entries at or
+    below ``_WITNESS_FLOOR`` stay out of the witnesses.
+    """
+    commodities = [(s, sink) for s, d in enumerate(demands) for sink in d.sink_list]
+    usage = [{} for _ in demands]
+    flows = [{} for _ in demands]
+    x_col = 1 + len(demands)
+    n_drawn = lp.f_cols[0] - x_col
+    block = solution[x_col : lp.lam_col]
+    hot = np.flatnonzero(block > _WITNESS_FLOOR)
+    for i, value in zip(hot.tolist(), block[hot].tolist()):
+        if i < n_drawn:
+            s, a = divmod(i, lp.n_arcs)
+            usage[s][(0, a)] = value
+        else:
+            c, p = divmod(i - n_drawn, len(lp.pair_heads))
+            s, sink = commodities[c]
+            flows[s][(0, sink, lp.pair_arcs[p], lp.pair_heads[p])] = value
+    rates = (solution[1:x_col] + 0.0).tolist()  # HiGHS may return -0.0
     results = []
-    for s, demand in enumerate(demands):
-        first_x = 1 + len(demands) + s * lp.n_arcs
-        drawn = solution[first_x : first_x + lp.n_arcs]
-        usage = {
-            (0, a): drawn[a] for a in np.flatnonzero(drawn > _WITNESS_FLOOR).tolist()
-        }
-        sinks = demand.sink_list
-        routed = solution[lp.f_cols[s] : lp.f_cols[s] + len(sinks) * n_pairs]
-        routed = routed.reshape(len(sinks), n_pairs)
-        flows = {}
-        for j, p in np.argwhere(routed > _WITNESS_FLOOR).tolist():
-            flows[(0, sinks[j], lp.pair_arcs[p], lp.pair_heads[p])] = routed[j, p]
-        witness = {"usage": usage, "flows": flows}
+    for demand, rate, used, routes in zip(demands, rates, usage, flows):
+        witness = {"usage": used, "flows": routes}
         if extra_witness:
             witness.update(extra_witness)
-        rate = float(solution[1 + s]) + 0.0  # HiGHS may return -0.0
         results.append(FlowResult(demand=demand, rate=rate, witness=witness))
     return results
 
@@ -500,35 +546,50 @@ def validate_hyper_result(
 ):
     """Re-check a routing witness against the LP's physical constraints.
 
-    Verifies per-pipe capacity sharing, per-session single-counting of
-    hyper-arc draws, and per-sink flow conservation delivering each session's
-    rate. Raises AssertionError on any violation beyond tol.
+    Verifies that usage and flows are nonnegative and every flow enters one
+    of its pipe's heads, per-pipe capacity sharing, per-session
+    single-counting of hyper-arc draws, and per-sink flow conservation
+    delivering each session's rate. Each session's witness is read in one
+    pass. Raises AssertionError on any violation beyond tol.
     """
-    total_usage = {a: 0.0 for a in range(len(net.pipes))}
+    pipes = net.pipes
+    node_ids = net.node_ids
+    total_usage = {a: 0.0 for a in range(len(pipes))}
     for s, (demand, result) in enumerate(zip(demands, results)):
-        usage = {
-            a: value for (r, a), value in result.witness["usage"].items() if r == 0
-        }
-        for a, value in usage.items():
+        usage: dict[int, float] = {}
+        for (r, a), value in result.witness["usage"].items():
+            if r != 0:
+                continue
+            assert value >= -tol, f"session {s}: usage {value} on pipe {a} is negative"
+            usage[a] = value
             total_usage[a] += value
-        for sink in demand.sink_list:
-            incoming: dict[str, float] = {}
-            outgoing: dict[str, float] = {}
-            draw = {a: 0.0 for a in range(len(net.pipes))}
-            for (r, sink_key, a, h), value in result.witness["flows"].items():
-                if r != 0 or sink_key != sink:
-                    continue
-                pipe = net.pipes[a]
-                outgoing[pipe.tail] = outgoing.get(pipe.tail, 0.0) + value
-                incoming[h] = incoming.get(h, 0.0) + value
-                draw[a] += value
-            for a, value in draw.items():
+        # Per sink: draw per pipe, and flow out of and into each node.
+        tallies = {sink: ({}, {}, {}) for sink in demand.sink_list}
+        for (r, sink, a, h), value in result.witness["flows"].items():
+            tally = tallies.get(sink) if r == 0 else None
+            if tally is None:
+                continue
+            pipe = pipes[a]
+            assert h in pipe.heads, (
+                f"session {s} sink {sink}: flow on pipe {a} enters {h}, "
+                f"not one of its heads {list(pipe.heads)}"
+            )
+            assert value >= -tol, (
+                f"session {s} sink {sink}: flow {value} on pipe {a} is negative"
+            )
+            drawn, out, into = tally
+            drawn[a] = drawn.get(a, 0.0) + value
+            out[pipe.tail] = out.get(pipe.tail, 0.0) + value
+            into[h] = into.get(h, 0.0) + value
+        for sink, (drawn, out, into) in tallies.items():
+            # Pipes without flow draw 0, within their nonnegative usage.
+            for a, value in sorted(drawn.items()):
                 assert value <= usage.get(a, 0.0) + tol, (
                     f"session {s} sink {sink}: draw {value} on pipe {a} exceeds "
                     f"usage {usage.get(a, 0.0)}"
                 )
-            for node in net.node_ids:
-                balance = outgoing.get(node, 0.0) - incoming.get(node, 0.0)
+            for node in node_ids:
+                balance = out.get(node, 0.0) - into.get(node, 0.0)
                 if node == demand.source:
                     expected = result.rate
                 elif node == sink:
@@ -540,8 +601,8 @@ def validate_hyper_result(
                     f"expected {expected}"
                 )
     for a, value in total_usage.items():
-        assert value <= net.pipes[a].rate + tol, (
-            f"pipe {a} usage {value} exceeds rate {net.pipes[a].rate}"
+        assert value <= pipes[a].rate + tol, (
+            f"pipe {a} usage {value} exceeds rate {pipes[a].rate}"
         )
 
 

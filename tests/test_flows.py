@@ -255,6 +255,29 @@ class TestHyperInner:
         with pytest.raises(AssertionError):
             validate_hyper_result(net, demands, [bad])
 
+    def test_flow_must_enter_a_head_of_its_pipe(self):
+        # The only pipe is s->a, yet the witness delivers its flow straight to t.
+        net = pipes_network([("s", "a", 1.0)], extra_nodes=("t",))
+        demand = unicast("s", "t")
+        witness = {"usage": {(0, 0): 1.0}, "flows": {(0, "t", 0, "t"): 1.0}}
+        result = FlowResult(demand=demand, rate=1.0, witness=witness)
+        with pytest.raises(AssertionError, match="not one of its heads"):
+            validate_hyper_result(net, (demand,), [result])
+
+    @pytest.mark.parametrize("negative_usage", [False, True])
+    def test_negative_flow_is_rejected(self, negative_usage):
+        # A flow of -1 on t->s lifts the balance to rate 2 on s->a->t (max flow 1).
+        net = pipes_network([("s", "a", 1.0), ("a", "t", 1.0), ("t", "s", 1.0)])
+        demand = unicast("s", "t")
+        usage = {(0, 0): 1.0, (0, 1): 1.0}
+        if negative_usage:
+            usage[(0, 2)] = -1.0
+        flows = {(0, "t", 0, "a"): 1.0, (0, "t", 1, "t"): 1.0, (0, "t", 2, "s"): -1.0}
+        witness = {"usage": usage, "flows": flows}
+        result = FlowResult(demand=demand, rate=2.0, witness=witness)
+        with pytest.raises(AssertionError, match="is negative"):
+            validate_hyper_result(net, (demand,), [result])
+
     def test_multicast_session_needs_rate_at_every_sink(self):
         net = pipes_network([("s", "a", 2.0), ("s", "b", 0.5)])
         results = hyper_inner(net, (multicast("s", {"a", "b"}),))
@@ -570,6 +593,167 @@ class TestRoutingLpCache:
         net = pipes_network([("s", "m", INF), ("m", "t", INF)])
         with pytest.raises(RuntimeError, match="routing LP failed: .*Unbounded"):
             hyper_inner(net, (unicast("s", "t"),), objective=objective)
+
+
+def dense_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
+    """(matrix, cost, lower, upper, capacity rows) written from the LP's definition."""
+    pairs = [(a, head) for a, (_, heads, _) in enumerate(arcs) for head in heads]
+    commodities = [(s, sink) for s, d in enumerate(demands) for sink in d.sink_list]
+    runs = blend_rates or []
+    n_s, n_a, n_p = len(demands), len(arcs), len(pairs)
+
+    def x(s, a):
+        return 1 + n_s + s * n_a + a
+
+    def f(c, p):
+        return x(n_s, 0) + c * n_p + p
+
+    def lam(r):
+        return f(len(commodities), 0) + r
+
+    rows = []  # (coefficients, lower, upper)
+    for c, (s, _) in enumerate(commodities):
+        for a in range(n_a):
+            coeffs = {f(c, p): 1.0 for p, (b, _) in enumerate(pairs) if b == a}
+            rows.append(({**coeffs, x(s, a): -1.0}, -INF, 0.0))
+    capacity_rows = []
+    for a, (_, _, finite) in enumerate(arcs):
+        if finite:
+            capacity_rows.append(len(rows))
+            coeffs = {x(s, a): 1.0 for s in range(n_s)}
+            coeffs.update({lam(r): -rates[a] for r, rates in enumerate(runs)})
+            rows.append((coeffs, -INF, 0.0))
+    for s in range(n_s):
+        rows.append(({0: 1.0, 1 + s: -1.0}, -INF, 0.0))
+    for c, (s, sink) in enumerate(commodities):
+        source = demands[s].source
+        for node in node_ids:
+            outs = [p for p, (a, _) in enumerate(pairs) if arcs[a][0] == node]
+            ins = [p for p, (_, head) in enumerate(pairs) if head == node]
+            if node == sink or not (outs or ins or node == source):
+                continue
+            coeffs = {}
+            for p in outs:
+                coeffs[f(c, p)] = coeffs.get(f(c, p), 0.0) + 1.0
+            for p in ins:
+                coeffs[f(c, p)] = coeffs.get(f(c, p), 0.0) - 1.0
+            if node == source:
+                coeffs[1 + s] = -1.0
+            rows.append((coeffs, 0.0, 0.0))
+    if runs:
+        rows.append(({lam(r): 1.0 for r in range(len(runs))}, 1.0, 1.0))
+
+    matrix = np.zeros((len(rows), lam(len(runs))))
+    for i, (coeffs, _, _) in enumerate(rows):
+        for col, value in coeffs.items():
+            matrix[i, col] = value
+    cost = np.zeros(matrix.shape[1])
+    if objective == "maxmin":
+        cost[0] = -1.0
+    else:
+        cost[1 : 1 + n_s] = -1.0
+    lower = np.array([low for _, low, _ in rows])
+    upper = np.array([high for _, _, high in rows])
+    return matrix, cost, lower, upper, capacity_rows
+
+
+def run_two_session_multisink():
+    net = pipes_network(
+        [
+            ("s1", "m", 2.0),
+            ("s2", "m", INF),
+            ("m", ("t1", "t2", "m"), 1.5),
+            ("m", "t3", 1.0),
+            ("s2", "t3", 0.5),
+            ("t1", "t2", 0.25),
+        ],
+        extra_nodes=("idle",),
+    )
+    demands = (multicast("s1", {"t1", "t2"}), unicast("s2", "t3"))
+    for objective in ("maxmin", "sum"):
+        hyper_inner(net, demands, objective)
+    blend_inner([net, net], demands)
+
+
+class TestCompiledLpMatchesDefinition:
+    """The compiled LP equals a dense matrix written from its definition."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            run_multicast_lower,
+            run_bounds_lower,
+            run_layered_blend,
+            run_two_session_multisink,
+        ],
+    )
+    def test_matrix_cost_and_bounds(self, monkeypatch, run):
+        built = []
+        build = flows._build_routing_lp
+
+        def capture(*args):
+            lp = build(*args)
+            built.append((args, lp))
+            return lp
+
+        flows._compiled_routing_lp.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(flows, "_build_routing_lp", capture)
+            run()
+        flows._compiled_routing_lp.cache_clear()
+        assert built
+        if run in (run_layered_blend, run_two_session_multisink):
+            assert any(len(args) == 5 for args, _ in built)
+        for args, lp in built:
+            matrix, cost, lower, upper, capacity_rows = dense_routing_lp(*args)
+            assert np.array_equal(lp.matrix.toarray(), matrix)
+            assert np.array_equal(lp.cost, cost)
+            assert np.array_equal(lp.lower, lower)
+            assert np.array_equal(lp.upper, upper)
+            assert lp.capacity_rows.tolist() == capacity_rows
+
+
+class TestSharedSolver:
+    def test_solves_do_not_depend_on_earlier_solves(self, monkeypatch):
+        [(lp_a, upper_a)] = solved_lps(monkeypatch, run_bounds_lower)
+        [(lp_b, upper_b)] = solved_lps(monkeypatch, run_multicast_lower)
+        net = pipes_network([("s", "m", INF), ("m", "t", INF)])
+        unbounded = flows._compiled_routing_lp(
+            net.node_ids, flows._arc_structure(net), (unicast("s", "t"),), "sum"
+        )
+
+        def on_fresh_solver(lp, upper):
+            flows._solver.cache_clear()
+            return flows._solve_lp(lp, upper)
+
+        want_a = on_fresh_solver(lp_a, upper_a)
+        want_b = on_fresh_solver(lp_b, upper_b)
+        shared = flows._solver()
+        got_a = flows._solve_lp(lp_a, upper_a)
+        with pytest.raises(RuntimeError, match="routing LP failed"):
+            flows._solve_lp(unbounded, unbounded.upper)
+        got_b = flows._solve_lp(lp_b, upper_b)
+        again_a = flows._solve_lp(lp_a, upper_a)
+        assert flows._solver() is shared
+        assert np.array_equal(got_a, want_a)
+        assert np.array_equal(got_b, want_b)
+        assert np.array_equal(again_a, want_a)
+
+    def test_one_bounds_run_constructs_one_solver(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(TWO_BY_THREE_DOC), encoding="utf-8")
+        made = []
+        construct = flows.highs._Highs
+
+        def counting():
+            made.append(1)
+            return construct()
+
+        monkeypatch.setattr(flows.highs, "_Highs", counting)
+        flows._solver.cache_clear()
+        assert cli.main(["bounds", str(path), "--beta-step", "0.25"]) == 0
+        # The cleared cache makes the run build its solver: exactly once.
+        assert len(made) == 1
 
 
 class TestCombineBounds:
