@@ -10,12 +10,21 @@ capacity from `link_capacity`.
 The lower network replaces every component by an achievable coding scheme:
 superposition layers on broadcast sides (hyper-arcs to the receivers that
 decode each layer) and successive interference cancellation at multi-access
-receivers. Both rate formulas live here, in `build_lower`, and nowhere else.
-Couplings are handled in two steps: first `interference_ledger` fixes every
-broadcast side's layers and every receiver's decode order and charges every
-receiver with the power it will never decode, then `build_lower` computes all
-rates against that ledger, so each rate in the lower network is achievable
-with every cross-component interference accounted for.
+receivers. It is built in two steps, and both rate formulas live in the
+second, nowhere else:
+
+- `LowerStructure` fixes and validates what does not depend on the power
+  split beta: each broadcast side's layer count and decode targets, explicit
+  decode orders, the node list and the point-to-point pipes.
+- `LowerStructure.ledger(betas)` charges every receiver with the power it
+  will never decode and resolves default decode orders, which depend on those
+  residuals; `LowerStructure.network(betas)` rates every layer arc and SIC
+  pipe against that ledger, so each rate is achievable with every
+  cross-component interference accounted for.
+
+`build_lower` and `interference_ledger` are these two steps for one
+`LowerParams`; a search over betas builds each structure once and evaluates
+it per candidate.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ __all__ = [
     "UpperParams",
     "LowerParams",
     "InterferenceLedger",
+    "LowerStructure",
     "link_capacity",
     "build_upper",
     "interference_ledger",
@@ -301,33 +311,26 @@ def build_upper(components, params: UpperParams | None = None) -> NoiselessNetwo
     return NoiselessNetwork(nodes=tuple(nodes), pipes=tuple(pipes))
 
 
-def _bc_setup(
-    comp: DecoupledComponent, params: LowerParams
-) -> tuple[tuple[float, ...], tuple[tuple[str, ...], ...]]:
-    """Per-layer power shares and intended receiver sets, validated.
+def _bc_targets(
+    comp: DecoupledComponent, layers: int, params: LowerParams
+) -> tuple[tuple[str, ...], ...]:
+    """Intended receiver sets of a broadcast side's layers, validated.
 
     Default targets follow the receivers' original marginal SNRs, not the
     inflated decoupled values.
     """
-    betas = params.bc_betas.get(comp.key)
-    if betas is None:
-        betas = (1.0,) + (0.0,) * (len(comp.links) - 1)
-    betas = tuple(float(b) for b in betas)
-    if any(b < 0 for b in betas):
-        raise ValueError(f"bc_betas for {comp.key} must be nonnegative, got {betas}")
-    if abs(sum(betas) - 1.0) > 1e-9:
-        raise ValueError(f"bc_betas for {comp.key} must sum to 1, got {betas}")
+    key = comp.key
     sorted_receivers = tuple(
         link.dst for link in sorted(comp.links, key=lambda link: (link.snr, link.dst))
     )
     m = len(sorted_receivers)
     targets: list[tuple[str, ...]] = []
-    for layer in range(len(betas)):
-        explicit = params.bc_decode_targets.get((comp.key, layer))
+    for layer in range(layers):
+        explicit = params.bc_decode_targets.get((key, layer))
         if explicit is None:
-            if len(betas) != m:
+            if layers != m:
                 raise ValueError(
-                    f"bc_betas for {comp.key} has {len(betas)} layers; default "
+                    f"bc_betas for {key} has {layers} layers; default "
                     f"targets need one per receiver ({m}); set bc_decode_targets"
                 )
             chosen = sorted_receivers[layer:]
@@ -336,204 +339,300 @@ def _bc_setup(
             unknown = set(chosen) - set(sorted_receivers)
             if unknown:
                 raise ValueError(
-                    f"bc_decode_targets for {comp.key} layer {layer} references "
+                    f"bc_decode_targets for {key} layer {layer} references "
                     f"non-receivers {sorted(unknown)}"
                 )
             if not chosen:
                 raise ValueError(
-                    f"bc_decode_targets for {comp.key} layer {layer} is empty"
+                    f"bc_decode_targets for {key} layer {layer} is empty"
                 )
         targets.append(chosen)
     for earlier, later in zip(targets, targets[1:]):
         if not set(later) <= set(earlier):
             raise ValueError(
-                f"bc_decode_targets for {comp.key} must be nested: layer set "
+                f"bc_decode_targets for {key} must be nested: layer set "
                 f"{sorted(later)} is not contained in {sorted(earlier)}"
             )
-    return betas, tuple(targets)
+    return tuple(targets)
 
 
-def _mac_order(
-    comp: DecoupledComponent,
-    params: LowerParams,
-    residual: dict[tuple[str, str], float],
-) -> tuple[str, ...]:
-    """The decode order of a MAC, validated; by default stronger decodable
-    powers first, ties by node id."""
-    order = params.mac_order.get(comp.key)
-    if order is None:
-        rx = comp.outputs[0]
-        decodable = {
-            link.src: link.snr - residual.get((link.src, rx), 0.0) for link in comp.links
-        }
+class _BcSide:
+    """A broadcast side's layers and who decodes each."""
+
+    def __init__(self, comp: DecoupledComponent, params: LowerParams):
+        self.key = comp.key
+        self.tx = comp.inputs[0]
+        given = params.bc_betas.get(self.key)
+        self.layers = len(comp.links) if given is None else len(given)
+        self.targets = _bc_targets(comp, self.layers, params)
+        self.gamma = {link.dst: link.snr for link in comp.links}
+        # Targets are nested, so each receiver decodes the first k layers and
+        # none after: (receiver, its SNR, k) per link.
+        decoded = dict.fromkeys(self.gamma, 0)
+        for chosen in self.targets:
+            for j in chosen:
+                decoded[j] += 1
+        self.decoded = tuple((j, snr, decoded[j]) for j, snr in self.gamma.items())
+
+    def betas(self, given) -> tuple[float, ...]:
+        """The power shares of one evaluation, validated."""
+        if given is None:
+            return (1.0,) + (0.0,) * (self.layers - 1)
+        betas = tuple(float(b) for b in given)
+        if any(b < 0 for b in betas):
+            raise ValueError(f"bc_betas for {self.key} must be nonnegative, got {betas}")
+        if abs(sum(betas) - 1.0) > 1e-9:
+            raise ValueError(f"bc_betas for {self.key} must sum to 1, got {betas}")
+        if len(betas) != self.layers:
+            raise ValueError(
+                f"bc_betas for {self.key} has {len(betas)} layers; the lower "
+                f"structure was built with {self.layers}"
+            )
+        return betas
+
+
+class _MacSide:
+    """A multi-access receiver: its inputs and, per decode order, which
+    inputs it has decoded (residual power) or not yet (full power) while
+    decoding each one."""
+
+    def __init__(self, comp: DecoupledComponent, params: LowerParams, bc_inputs):
+        self.key = comp.key
+        self.rx = comp.outputs[0]
+        self.links = tuple((link.src, link.snr) for link in comp.links)
+        # Inputs that are broadcast transmitters get no SIC pipe: their
+        # traffic rides on the broadcast side's layer arcs.
+        self.piped = any(src not in bc_inputs for src, _ in self.links)
+        self.order = params.mac_order.get(self.key)
+        self._sic: dict[tuple[str, ...], tuple] = {}
+        if self.order is not None:
+            inputs = _mac_inputs(comp)
+            if sorted(self.order) != sorted(inputs):
+                raise ValueError(
+                    f"mac_order for {self.key} must order inputs {sorted(inputs)}, "
+                    f"got {self.order}"
+                )
+            self.order = tuple(self.order)
+
+    def default_order(self, residual) -> tuple[str, ...]:
+        """Stronger decodable powers first, ties by node id."""
+        rx = self.rx
+        decodable = {src: snr - residual.get((src, rx), 0.0) for src, snr in self.links}
         return tuple(sorted(decodable, key=lambda tx: (-decodable[tx], tx)))
-    inputs = _mac_inputs(comp)
-    if sorted(order) != sorted(inputs):
-        raise ValueError(
-            f"mac_order for {comp.key} must order inputs {sorted(inputs)}, "
-            f"got {order}"
+
+    def sic(self, order) -> tuple:
+        """(input, residual keys of inputs decoded before it, full power of
+        inputs decoded after it) per input, in link order."""
+        terms = self._sic.get(order)
+        if terms is None:
+            rx = self.rx
+            position = {tx: k for k, tx in enumerate(order)}
+            terms = self._sic[order] = tuple(
+                (
+                    i,
+                    tuple((k, rx) for k, _ in self.links if position[k] < position[i]),
+                    sum(snr for k, snr in self.links if position[k] > position[i]),
+                )
+                for i, _ in self.links
+            )
+        return terms
+
+
+class LowerStructure:
+    """The part of a lower network that does not depend on the power split.
+
+    Built once from the components and the structural choices of `params`:
+    each broadcast side's layer count (the length of its `bc_betas` entry,
+    by default one layer per receiver; the values are not read), its layers'
+    decode targets and any explicit multi-access decode orders, all
+    validated here. `ledger(bc_betas)` and `network(bc_betas)` then charge
+    and rate it for one power split; default decode orders depend on the
+    residuals and are resolved there. A search that sweeps betas over one
+    structure builds it once and keeps it for that search only.
+
+    Raises:
+        ValueError: on parameter entries naming unknown components,
+            non-nested or empty targets, or decode orders that do not match
+            a component's inputs.
+    """
+
+    def __init__(self, components, params: LowerParams | None = None):
+        params = params or LowerParams()
+        self.components = tuple(components)
+        self.params = params
+        bc_by_key, mac_by_key = _component_maps(self.components)
+        _check_param_keys(params.bc_betas, bc_by_key, "bc_betas")
+        _check_param_keys(params.mac_order, mac_by_key, "mac_order")
+        for key, _layer in params.bc_decode_targets:
+            if key not in bc_by_key:
+                raise ValueError(f"bc_decode_targets entry {key} matches no component")
+        self._bc_keys = bc_by_key
+        self._nodes = tuple(Node(id=name) for name in _all_nodes(self.components))
+        self._bc_inputs = {comp.inputs[0] for comp in self.components if comp.kind == "bc"}
+        # Components in order: a prebuilt p2p pipe, a _BcSide or a _MacSide.
+        self._steps: list = []
+        self._bcs: list[_BcSide] = []
+        self._macs: list[_MacSide] = []
+        residual_keys: dict[tuple[str, str], None] = {}
+        for comp in self.components:
+            if comp.kind == "p2p":
+                self._steps.append(_p2p_pipe(comp.links[0]))
+                continue
+            if comp.kind == "bc":
+                side = _BcSide(comp, params)
+            else:
+                side = _MacSide(comp, params, self._bc_inputs)
+            (self._bcs if comp.kind == "bc" else self._macs).append(side)
+            self._steps.append(side)
+            for link in comp.links:
+                residual_keys.setdefault((link.src, link.dst))
+        self._residual_keys = tuple(residual_keys)
+
+    def ledger(self, bc_betas: dict) -> InterferenceLedger:
+        """The interference ledger of this structure at one power split.
+
+        For each broadcast component the power share of every layer a
+        receiver is not intended to decode stays as interference:
+        residual(i, j) = gamma_ij * sum of betas over layers whose target set
+        excludes j. Inputs without a broadcast side leave no residual at
+        their own receiver. The receiver floor adds residuals over all
+        inputs; the extrinsic term for decoding input i at receiver j follows
+        j's decode order: inputs decoded before i contribute their residual,
+        inputs decoded after i their full power.
+
+        Args:
+            bc_betas: per-layer power shares by BC key (nonnegative, summing
+                to 1, one per layer of the structure); a missing entry puts
+                all power in the first layer.
+
+        Raises:
+            ValueError: on entries naming unknown components or invalid betas.
+        """
+        _check_param_keys(bc_betas, self._bc_keys, "bc_betas")
+        bc_layers = {}
+        bc_residual = {}
+        for bc in self._bcs:
+            betas = bc.betas(bc_betas.get(bc.key))
+            bc_layers[bc.key] = (betas, bc.targets)
+            for j, snr, k in bc.decoded:
+                bc_residual[(bc.tx, j)] = snr * sum(betas[k:])
+        residual = {key: bc_residual.get(key, 0.0) for key in self._residual_keys}
+        extrinsic = {(bc.tx, j): 0.0 for bc in self._bcs for j in bc.gamma}
+        mac_order = {}
+        for mac in self._macs:
+            order = mac.order or mac.default_order(residual)
+            mac_order[mac.key] = order
+            for i, before, after in mac.sic(order):
+                extrinsic[(i, mac.rx)] = sum(residual[key] for key in before) + after
+        return InterferenceLedger(
+            gamma_residual=residual,
+            receiver_floor=_residual_totals(residual),
+            extrinsic=extrinsic,
+            bc_layers=bc_layers,
+            mac_order=mac_order,
         )
-    return tuple(order)
+
+    def network(self, bc_betas: dict) -> NoiselessNetwork:
+        """The lower network of this structure at one power split.
+
+        Point-to-point links become capacity pipes. Each multi-access
+        receiver runs successive cancellation on effective SNRs
+        (gamma - residual) / (1 + receiver floor), which equals the physical
+        per-position rate with earlier inputs cancelled down to their
+        residual and later inputs at full power. Each broadcast side emits
+        one arc per positive-power layer to the receivers intended to decode
+        it, re-rated against extrinsic interference:
+
+            rate(layer l) = min over intended j of
+                0.5*log2(1 + g_j*beta_l / (1 + extrinsic(i, j) + g_j*later)),
+
+        with g_j the original SNR at j and `later` the power of higher
+        layers. Summed over the layers receiver j decodes, these layer rates
+        never exceed j's multi-access rate for input i, so every shared link
+        respects both sides; the per-layer arc keeps the smaller
+        (broadcast-side) requirement, and the multi-access side emits no
+        pipe for an input that is a broadcast transmitter.
+
+        Args and Raises: as `ledger`.
+        """
+        ledger = self.ledger(bc_betas)
+        residual = ledger.gamma_residual
+        extrinsic = ledger.extrinsic
+        pipes: list[BitPipe] = []
+        for step in self._steps:
+            if isinstance(step, BitPipe):
+                pipes.append(step)
+            elif isinstance(step, _BcSide):
+                tx, gamma = step.tx, step.gamma
+                betas, targets = ledger.bc_layers[step.key]
+                for layer, (beta, chosen) in enumerate(zip(betas, targets)):
+                    if beta == 0.0:
+                        continue
+                    later = sum(betas[layer + 1 :])
+                    rate = min(
+                        awgn_capacity(
+                            gamma[j] * beta / (1.0 + extrinsic[(tx, j)] + gamma[j] * later)
+                        )
+                        for j in chosen
+                    )
+                    if rate == 0.0:
+                        continue
+                    shared = [j for j in chosen if extrinsic[(tx, j)] > 0]
+                    note = f" (interference-adjusted at {shared})" if shared else ""
+                    pipes.append(
+                        BitPipe(
+                            tail=tx,
+                            heads=chosen,
+                            rate=rate,
+                            provenance=(
+                                f"bc {tx}: layer {layer + 1} beta={beta:g} -> "
+                                f"{list(chosen)}{note}"
+                            ),
+                        )
+                    )
+            elif step.piped:
+                rx = step.rx
+                order = ledger.mac_order[step.key]
+                floor = ledger.receiver_floor.get(rx, 0.0)
+                effective = {
+                    src: max(0.0, snr - residual[(src, rx)]) / (1.0 + floor)
+                    for src, snr in step.links
+                }
+                undecoded = sum(effective.values())
+                for tx in order:
+                    undecoded -= effective[tx]
+                    if tx in self._bc_inputs:
+                        continue
+                    rate = awgn_capacity(effective[tx] / (1.0 + undecoded))
+                    if rate == 0.0:
+                        continue
+                    pipes.append(
+                        BitPipe(
+                            tail=tx,
+                            heads=(rx,),
+                            rate=rate,
+                            provenance=f"mac {rx}: input {tx} sic (order {list(order)})",
+                        )
+                    )
+        return NoiselessNetwork(nodes=self._nodes, pipes=tuple(pipes))
 
 
 def interference_ledger(components, params: LowerParams | None = None) -> InterferenceLedger:
     """Charge every receiver with the power it will never decode.
 
-    For each broadcast component the power share of every layer a receiver is
-    not intended to decode stays as interference: residual(i, j) =
-    gamma_ij * sum of betas over layers whose target set excludes j. Inputs
-    without a broadcast side leave no residual at their own receiver. The
-    receiver floor adds residuals over all inputs; the extrinsic term for
-    decoding input i at receiver j follows j's decode order: inputs decoded
-    before i contribute their residual, inputs decoded after i their full
-    power. The ledger also keeps each broadcast side's validated layers and
-    each multi-access receiver's decode order, which `build_lower` rates.
-
-    Raises:
-        ValueError: on parameter entries naming unknown components, invalid
-            betas, non-nested targets, or decode orders that do not match a
-            component's inputs.
+    The ledger of `LowerStructure(components, params)` at `params.bc_betas`;
+    see `LowerStructure.ledger`. It also keeps each broadcast side's
+    validated layers and each multi-access receiver's decode order.
     """
     params = params or LowerParams()
-    bc_by_key, mac_by_key = _component_maps(components)
-    _check_param_keys(params.bc_betas, bc_by_key, "bc_betas")
-    _check_param_keys(params.mac_order, mac_by_key, "mac_order")
-    for key, _layer in params.bc_decode_targets:
-        if key not in bc_by_key:
-            raise ValueError(f"bc_decode_targets entry {key} matches no component")
-
-    residual: dict[tuple[str, str], float] = {}
-    bc_layers = {}
-    for comp in components:
-        if comp.kind == "bc":
-            tx = comp.inputs[0]
-            betas, targets = bc_layers[comp.key] = _bc_setup(comp, params)
-            for link in comp.links:
-                undecoded = sum(
-                    beta
-                    for beta, chosen in zip(betas, targets)
-                    if link.dst not in chosen
-                )
-                residual[(tx, link.dst)] = link.snr * undecoded
-        elif comp.kind == "mac":
-            for link in comp.links:
-                residual.setdefault((link.src, link.dst), 0.0)
-
-    floors = _residual_totals(residual)
-
-    extrinsic: dict[tuple[str, str], float] = {}
-    for comp in components:
-        if comp.kind == "bc":
-            for link in comp.links:
-                extrinsic.setdefault((link.src, link.dst), 0.0)
-    mac_order = {}
-    for comp in components:
-        if comp.kind != "mac":
-            continue
-        rx = comp.outputs[0]
-        inputs = _mac_inputs(comp)
-        order = mac_order[comp.key] = _mac_order(comp, params, residual)
-        gamma = {link.src: link.snr for link in comp.links}
-        position = {tx: k for k, tx in enumerate(order)}
-        for i in inputs:
-            before = sum(
-                residual[(k, rx)] for k in inputs if position[k] < position[i]
-            )
-            after = sum(gamma[k] for k in inputs if position[k] > position[i])
-            extrinsic[(i, rx)] = before + after
-    return InterferenceLedger(
-        gamma_residual=residual,
-        receiver_floor=floors,
-        extrinsic=extrinsic,
-        bc_layers=bc_layers,
-        mac_order=mac_order,
-    )
+    return LowerStructure(components, params).ledger(params.bc_betas)
 
 
 def build_lower(components, params: LowerParams | None = None) -> NoiselessNetwork:
     """Build the achievable lower bounding network (may contain hyper-arcs).
 
-    Point-to-point links become capacity pipes. Each multi-access receiver
-    runs successive cancellation on effective SNRs (gamma - residual) /
-    (1 + receiver floor), which equals the physical per-position rate with
-    earlier inputs cancelled down to their residual and later inputs at full
-    power. Each broadcast side emits one arc per positive-power layer to the
-    receivers intended to decode it, re-rated against extrinsic interference:
-
-        rate(layer l) = min over intended j of
-            0.5*log2(1 + g_j*beta_l / (1 + extrinsic(i, j) + g_j*later)),
-
-    with g_j the original SNR at j and `later` the power of higher layers.
-    Summed over the layers receiver j decodes, these layer rates never exceed
-    j's multi-access rate for input i, so every shared link respects both
-    sides; the per-layer arc keeps the smaller (broadcast-side) requirement.
+    The network of `LowerStructure(components, params)` at `params.bc_betas`;
+    see `LowerStructure.network` for the rates.
     """
-    ledger = interference_ledger(components, params)
-    nodes = [Node(id=name) for name in _all_nodes(components)]
-    pipes: list[BitPipe] = []
-
-    bc_inputs = {comp.inputs[0] for comp in components if comp.kind == "bc"}
-
-    for comp in components:
-        if comp.kind == "p2p":
-            pipes.append(_p2p_pipe(comp.links[0]))
-        elif comp.kind == "bc":
-            tx = comp.inputs[0]
-            betas, targets = ledger.bc_layers[comp.key]
-            gamma = {link.dst: link.snr for link in comp.links}
-            for layer, (beta, chosen) in enumerate(zip(betas, targets)):
-                if beta == 0.0:
-                    continue
-                later = sum(betas[layer + 1 :])
-                rate = min(
-                    awgn_capacity(
-                        gamma[j] * beta
-                        / (1.0 + ledger.extrinsic[(tx, j)] + gamma[j] * later)
-                    )
-                    for j in chosen
-                )
-                if rate == 0.0:
-                    continue
-                shared = [j for j in chosen if (tx, j) in ledger.extrinsic
-                          and ledger.extrinsic[(tx, j)] > 0]
-                note = f" (interference-adjusted at {shared})" if shared else ""
-                pipes.append(
-                    BitPipe(
-                        tail=tx,
-                        heads=tuple(chosen),
-                        rate=rate,
-                        provenance=(
-                            f"bc {tx}: layer {layer + 1} beta={beta:g} -> "
-                            f"{list(chosen)}{note}"
-                        ),
-                    )
-                )
-        elif comp.kind == "mac":
-            rx = comp.outputs[0]
-            order = ledger.mac_order[comp.key]
-            floor = ledger.receiver_floor.get(rx, 0.0)
-            effective = {
-                link.src: max(0.0, link.snr - ledger.gamma_residual[(link.src, rx)])
-                / (1.0 + floor)
-                for link in comp.links
-            }
-            undecoded = sum(effective.values())
-            for tx in order:
-                undecoded -= effective[tx]
-                rate = awgn_capacity(effective[tx] / (1.0 + undecoded))
-                if tx in bc_inputs:
-                    # This link's traffic rides on the broadcast side's layer
-                    # arcs, which already respect this rate; no separate pipe.
-                    continue
-                if rate == 0.0:
-                    continue
-                pipes.append(
-                    BitPipe(
-                        tail=tx,
-                        heads=(rx,),
-                        rate=rate,
-                        provenance=f"mac {rx}: input {tx} sic (order {list(order)})",
-                    )
-                )
-
-    return NoiselessNetwork(nodes=tuple(nodes), pipes=tuple(pipes))
+    params = params or LowerParams()
+    return LowerStructure(components, params).network(params.bc_betas)

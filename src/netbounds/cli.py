@@ -32,7 +32,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .assemble import LowerParams, UpperParams, build_lower, build_upper, link_capacity
+from .assemble import (
+    LowerParams,
+    LowerStructure,
+    UpperParams,
+    build_lower,
+    build_upper,
+    link_capacity,
+)
 from .bc import simplex_grid
 from .benchmarks import RelaySpec, cf_bound, cutset_bound, df_bound
 from .decouple import decompose
@@ -209,11 +216,11 @@ def cmd_bounds(args) -> int:
             f"(cap {_MAX_BETA_COMBOS}); coarsen --beta-step"
         )
     inner_runs = []
+    structure = LowerStructure(components)
     for combo in itertools.product(*grids):
-        params = LowerParams(
-            bc_betas={comp.key: betas for comp, betas in zip(bc_comps, combo)}
+        lower = structure.network(
+            {comp.key: betas for comp, betas in zip(bc_comps, combo)}
         )
-        lower = build_lower(components, params)
         problems = validate_bounding_network(lower, "lower")
         if problems:
             raise RuntimeError("lower network failed validation: " + "; ".join(problems))
@@ -381,6 +388,7 @@ def _relay_demand() -> Demand:
 
 def relay_eq_upper(components, alphas=ALPHA_GRID) -> float:
     """Tightest flow bound over the noise-split sweep and both decode orders."""
+    demand = _relay_demand()
     best = float("inf")
     for alpha in alphas:
         for perm in (("D", "R"), ("R", "D")):
@@ -388,17 +396,17 @@ def relay_eq_upper(components, alphas=ALPHA_GRID) -> float:
                 components,
                 UpperParams(mac_alpha={("mac", "D"): alpha}, bc_perm={("bc", "S"): perm}),
             )
-            best = min(best, max_flow(upper, _relay_demand()).rate)
+            best = min(best, max_flow(upper, demand).rate)
     return best
 
 
-def _relay_lower_rate(components, betas, targets, order) -> float:
+def _relay_structure(components, layers, targets, order) -> LowerStructure:
     params = LowerParams(
-        bc_betas={("bc", "S"): betas},
+        bc_betas={("bc", "S"): (1.0,) + (0.0,) * (layers - 1)},
         mac_order={("mac", "D"): order},
         bc_decode_targets=targets,
     )
-    return unicast_inner(build_lower(components, params), _relay_demand()).rate
+    return LowerStructure(components, params)
 
 
 def _relay_targets(family: str):
@@ -417,9 +425,11 @@ def relay_eq_lower(components) -> float:
     relay-off construction is reported and the direct-link capacity is hit
     exactly. The per-family share search starts on a coarse 1/8 grid and
     zooms three times around the best point; each evaluation is an exact
-    max-flow, so the zoom stays cheap.
+    max-flow, so the zoom stays cheap. Each (targets, decode order) structure
+    is built once and rated for every share.
     """
     orders = (("R", "S"), ("S", "R"))
+    demand = _relay_demand()
     best = 0.0
 
     def consider(rate: float) -> None:
@@ -427,40 +437,39 @@ def relay_eq_lower(components) -> float:
         if rate > best + _IMPROVE_TOL:
             best = rate
 
-    for order in orders:
-        consider(
-            _relay_lower_rate(
-                components, (1.0,), {(("bc", "S"), 0): ("D",)}, order
-            )
-        )
+    def rate_at(structure: LowerStructure, betas) -> float:
+        return unicast_inner(structure.network({("bc", "S"): betas}), demand).rate
 
+    for order in orders:
+        single = _relay_structure(components, 1, {(("bc", "S"), 0): ("D",)}, order)
+        consider(rate_at(single, (1.0,)))
+
+    structures: dict[tuple[str, tuple], LowerStructure] = {}
     threads: dict[tuple[str, tuple], tuple[float, float]] = {}
     coarse = tuple(k / 8 for k in range(9))
     for family in ("strong", "direct"):
-        targets = _relay_targets(family)
         for order in orders:
+            structure = structures[(family, order)] = _relay_structure(
+                components, 2, _relay_targets(family), order
+            )
             for share in coarse:
                 if family == "direct" and share == 0.0:
                     continue
-                rate = _relay_lower_rate(
-                    components, (1.0 - share, share), targets, order
-                )
+                rate = rate_at(structure, (1.0 - share, share))
                 consider(rate)
                 incumbent = threads.get((family, order))
                 if incumbent is None or rate > incumbent[0] + _IMPROVE_TOL:
                     threads[(family, order)] = (rate, share)
 
     for (family, order), (_rate, center) in sorted(threads.items()):
-        targets = _relay_targets(family)
+        structure = structures[(family, order)]
         for step in (1 / 64, 1 / 512, 1 / 4096):
             candidates = sorted(
                 {min(1.0, max(0.0, center + j * step)) for j in range(-8, 9)}
             )
             local_best = None
             for share in candidates:
-                rate = _relay_lower_rate(
-                    components, (1.0 - share, share), targets, order
-                )
+                rate = rate_at(structure, (1.0 - share, share))
                 consider(rate)
                 if local_best is None or rate > local_best[0] + _IMPROVE_TOL:
                     local_best = (rate, share)

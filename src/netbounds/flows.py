@@ -17,6 +17,7 @@ folklore.
 from __future__ import annotations
 
 import functools
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ from scipy.sparse import csc_array
 # bound here; the routing LPs go to HiGHS directly through SciPy's bindings.
 from scipy.optimize import linprog  # noqa: F401
 
-from .netmodel import AUXILIARY, BitPipe, Demand, NoiselessNetwork, Node
+from .netmodel import BitPipe, Demand, NoiselessNetwork
 
 __all__ = [
     "FlowResult",
@@ -169,13 +170,24 @@ def max_flow(net: NoiselessNetwork, demand: Demand) -> FlowResult:
     _require_p2p(net)
     if demand.kind != "unicast":
         raise ValueError("max_flow takes a unicast demand; see multicast_outer")
-    sink = demand.sink_list[0]
-    for endpoint in (demand.source, sink):
-        if endpoint not in net.node_ids:
+    node_ids = net.node_ids
+    _check_endpoints(node_ids, demand)
+    return _certified_flow(node_ids, _edge_capacities(net), demand)
+
+
+def _check_endpoints(node_ids: tuple[str, ...], demand: Demand) -> None:
+    for endpoint in (demand.source, *demand.sinks):
+        if endpoint not in node_ids:
             raise ValueError(f"demand endpoint {endpoint!r} is not a network node")
-    capacity = _edge_capacities(net)
+
+
+def _certified_flow(
+    node_ids: tuple[str, ...], capacity: dict[tuple[str, str], float], demand: Demand
+) -> FlowResult:
+    """Max flow of a unicast demand over a capacity map, certified by its
+    min cut."""
     value, flow, reachable = _edmonds_karp(
-        net.node_ids, capacity, demand.source, sink
+        node_ids, capacity, demand.source, demand.sink_list[0]
     )
     witness: dict = {"flows": dict(flow)}
     if value != float("inf"):
@@ -227,6 +239,14 @@ def unicast_inner(net: NoiselessNetwork, demand: Demand) -> FlowResult:
     with a min-cut certificate instead of a routing LP.  Matches
     ``hyper_inner`` on single-demand inputs, up to solver tolerance.
 
+    The rewrite goes straight into the capacity map and node list that the
+    max-flow takes; no pipes are built.  The nodes are the network's, then
+    one split node per hyper-arc in pipe order, named ``hyperarc_<index>``
+    (with ``_`` appended until the name is free).  Capacities sum per
+    ``(tail, head)`` key in pipe order: a point-to-point pipe adds its rate,
+    a hyper-arc adds its rate to ``(tail, split)`` and an infinite rate to
+    ``(split, head)`` for each head.
+
     Args:
         net: Bounding network, possibly containing hyper-arcs.
         demand: A unicast demand with endpoints in ``net``.
@@ -237,48 +257,37 @@ def unicast_inner(net: NoiselessNetwork, demand: Demand) -> FlowResult:
         index of the hyper-arc it replaced.
 
     Raises:
-        ValueError: If the demand is not unicast.
+        ValueError: If the demand is not unicast or an endpoint is not a
+            node of ``net``.
     """
     if demand.kind != "unicast":
         raise ValueError("unicast_inner handles unicast demands only")
     if not any(pipe.is_hyper for pipe in net.pipes):
         return max_flow(net, demand)
-    nodes = list(net.nodes)
-    taken = set(net.node_ids)
-    pipes: list[BitPipe] = []
+    node_ids = list(net.node_ids)
+    _check_endpoints(node_ids, demand)
+    taken = set(node_ids)
+    capacity: dict[tuple[str, str], float] = {}
     split_nodes: dict[str, int] = {}
     for index, pipe in enumerate(net.pipes):
         if not pipe.is_hyper:
-            pipes.append(pipe)
+            key = (pipe.tail, pipe.head)
+            capacity[key] = capacity.get(key, 0.0) + pipe.rate
             continue
         split = f"hyperarc_{index}"
         while split in taken:
             split = split + "_"
         taken.add(split)
-        nodes.append(Node(id=split, kind=AUXILIARY))
+        node_ids.append(split)
         split_nodes[split] = index
-        pipes.append(
-            BitPipe(
-                tail=pipe.tail,
-                heads=(split,),
-                rate=pipe.rate,
-                provenance=f"hyper-arc draw: {pipe.provenance}",
-            )
-        )
+        key = (pipe.tail, split)
+        capacity[key] = capacity.get(key, 0.0) + pipe.rate
         for head in pipe.heads:
-            pipes.append(
-                BitPipe(
-                    tail=split,
-                    heads=(head,),
-                    rate=float("inf"),
-                    provenance=f"hyper-arc share to {head}: {pipe.provenance}",
-                )
-            )
-    rewritten = NoiselessNetwork(nodes=tuple(nodes), pipes=tuple(pipes))
-    result = max_flow(rewritten, demand)
-    witness = dict(result.witness)
-    witness["split_nodes"] = split_nodes
-    return FlowResult(demand=demand, rate=result.rate, witness=witness)
+            key = (split, head)
+            capacity[key] = capacity.get(key, 0.0) + math.inf
+    result = _certified_flow(tuple(node_ids), capacity, demand)
+    result.witness["split_nodes"] = split_nodes
+    return result
 
 
 _LP_CACHE_SIZE = 64  # compiled routing LPs kept, one per arc structure

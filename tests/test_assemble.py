@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+from netbounds import assemble
 from netbounds.assemble import (
     LowerParams,
+    LowerStructure,
     UpperParams,
     build_lower,
     build_upper,
@@ -384,3 +386,67 @@ class TestBuildLower:
         first = build_lower(relay_components(), params)
         second = build_lower(relay_components(), params)
         assert first == second
+
+    def test_sic_rate_skipped_for_broadcast_transmitters(self, monkeypatch):
+        # The source is both a broadcast transmitter and an input of the
+        # destination's multi-access side; its traffic rides on the layer
+        # arcs, so only the relay's SIC rate is computed.
+        comps = relay_components()
+        params = LowerParams(bc_betas={("bc", "S"): (0.5, 0.5)})
+        calls = []
+
+        def counting(gamma):
+            calls.append(gamma)
+            return awgn_capacity(gamma)
+
+        monkeypatch.setattr(assemble, "awgn_capacity", counting)
+        net = build_lower(comps, params)
+        layer_rates = 2 + 1  # layer 1 to {D, R}, layer 2 to {R}
+        sic_rates = 1  # R at D; S at D is skipped
+        assert len(calls) == layer_rates + sic_rates
+        assert len(net.pipes) == 3
+
+
+class TestLowerStructure:
+    def test_evaluations_match_build_lower(self):
+        comps = relay_components(gamma_sd=2.0, gamma_sr=5.0, gamma_rd=8.0)
+        targets = {(("bc", "S"), 0): ("D", "R"), (("bc", "S"), 1): ("D",)}
+        for order in (None, ("S", "R"), ("R", "S")):
+            mac_order = {} if order is None else {("mac", "D"): order}
+            structure = LowerStructure(
+                comps,
+                LowerParams(
+                    bc_betas={("bc", "S"): (1.0, 0.0)},
+                    mac_order=mac_order,
+                    bc_decode_targets=targets,
+                ),
+            )
+            for k in range(9):
+                betas = {("bc", "S"): (1.0 - k / 8, k / 8)}
+                params = LowerParams(
+                    bc_betas=betas, mac_order=mac_order, bc_decode_targets=targets
+                )
+                assert structure.network(betas) == build_lower(comps, params)
+                assert structure.ledger(betas) == interference_ledger(comps, params)
+
+    def test_default_decode_order_follows_each_split(self):
+        # With all power on the private layer the destination cannot decode
+        # the source, so the default order moves the relay first.
+        structure = LowerStructure(relay_components(gamma_sd=4.0, gamma_rd=2.0))
+        even = structure.ledger({("bc", "S"): (1.0, 0.0)})
+        private = structure.ledger({("bc", "S"): (0.0, 1.0)})
+        assert even.mac_order[("mac", "D")] == ("S", "R")
+        assert private.mac_order[("mac", "D")] == ("R", "S")
+
+    def test_layer_count_is_fixed_by_the_structure(self):
+        structure = LowerStructure(relay_components())
+        with pytest.raises(ValueError, match="built with 2"):
+            structure.network({("bc", "S"): (1.0,)})
+
+    def test_evaluation_validates_betas(self):
+        structure = LowerStructure(relay_components())
+        for bad in ((0.5, 0.4), (1.5, -0.5)):
+            with pytest.raises(ValueError):
+                structure.network({("bc", "S"): bad})
+        with pytest.raises(ValueError, match="matches no component"):
+            structure.network({("bc", "Q"): (1.0,)})

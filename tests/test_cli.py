@@ -2,10 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from netbounds import cli
+from netbounds.assemble import LowerStructure
 from netbounds.cli import main, parse_grid
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def write_network(path, doc):
@@ -276,3 +281,32 @@ class TestEntryPoint:
         monkeypatch.setattr(cli, "relay_experiment", boom)
         assert main(["repro", "relay", "--gamma-sr-db", "0:0:1"]) == 3
         assert "internal error: solver went sideways" in capsys.readouterr().err
+
+
+class TestLowerStructuresPerSearch:
+    # Construction counts do not depend on machine speed, so they guard the
+    # searches' reuse of one lower structure per (targets, decode orders,
+    # layer counts) where a timer cannot.
+    @staticmethod
+    def count_constructions(monkeypatch):
+        built = []
+        init = LowerStructure.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LowerStructure, "__init__", counting)
+        return built
+
+    def test_relay_point_builds_at_most_six(self, monkeypatch):
+        built = self.count_constructions(monkeypatch)
+        cli.relay_experiment(0.0, 10.0, (5.0,))
+        assert 0 < len(built) <= 6
+
+    def test_bounds_builds_one_per_file(self, monkeypatch, capsys):
+        built = self.count_constructions(monkeypatch)
+        path = DATA / "lower_bounds_2x3xunicast-0.json"
+        assert main(["bounds", str(path), "--beta-step", "0.25"]) == 0
+        assert "225 inner" in capsys.readouterr().out
+        assert len(built) == 1

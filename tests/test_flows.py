@@ -21,6 +21,7 @@ from netbounds.flows import (
     validate_hyper_result,
 )
 from netbounds.netmodel import (
+    AUXILIARY,
     BitPipe,
     Demand,
     NoiselessNetwork,
@@ -344,6 +345,90 @@ class TestUnicastInner:
         net = pipes_network([("s", ("a", "b"), 1.0)])
         with pytest.raises(ValueError):
             unicast_inner(net, multicast("s", ("a", "b")))
+
+    def test_rejects_endpoint_outside_the_network(self):
+        # The split node's name is free in the network, so it is no endpoint.
+        net = pipes_network([("s", ("a", "b"), 1.0), ("a", "t", 1.0)])
+        with pytest.raises(ValueError, match="not a network node"):
+            unicast_inner(net, unicast("s", "hyperarc_0"))
+
+
+def _split_node_reference(net, demand):
+    """unicast_inner written as a Node/BitPipe rewrite followed by max_flow."""
+    if not any(pipe.is_hyper for pipe in net.pipes):
+        result = max_flow(net, demand)
+        return result.rate, result.witness
+    nodes = list(net.nodes)
+    taken = set(net.node_ids)
+    pipes = []
+    split_nodes = {}
+    for index, pipe in enumerate(net.pipes):
+        if not pipe.is_hyper:
+            pipes.append(pipe)
+            continue
+        split = f"hyperarc_{index}"
+        while split in taken:
+            split = split + "_"
+        taken.add(split)
+        nodes.append(Node(id=split, kind=AUXILIARY))
+        split_nodes[split] = index
+        pipes.append(BitPipe(tail=pipe.tail, heads=(split,), rate=pipe.rate))
+        for head in pipe.heads:
+            pipes.append(BitPipe(tail=split, heads=(head,), rate=INF))
+    result = max_flow(NoiselessNetwork(nodes=tuple(nodes), pipes=tuple(pipes)), demand)
+    return result.rate, {**result.witness, "split_nodes": split_nodes}
+
+
+class TestUnicastInnerMatchesSplitNodeRewrite:
+    def assert_same(self, net, demand):
+        rate, witness = _split_node_reference(net, demand)
+        result = unicast_inner(net, demand)
+        assert result.rate == rate
+        assert list(result.witness) == list(witness)
+        for key, value in witness.items():
+            got = result.witness[key]
+            assert got == value
+            if isinstance(value, dict):
+                assert list(got.items()) == list(value.items())
+
+    def test_every_relay_candidate_of_one_point(self, monkeypatch):
+        seen = []
+
+        def recording(net, demand):
+            seen.append((net, demand))
+            return unicast_inner(net, demand)
+
+        monkeypatch.setattr(cli, "unicast_inner", recording)
+        components = decompose(cli.relay_network(1.0, 10.0 ** 0.5, 10.0))
+        cli.relay_eq_lower(components)
+        assert len(seen) > 100
+        assert any(len(net.pipes) > 2 for net, _ in seen)
+        for net, demand in seen:
+            self.assert_same(net, demand)
+
+    def test_hyper_arcs_sharing_a_head(self):
+        net = pipes_network(
+            [
+                ("s", ("a", "b"), 0.7),
+                ("s", "a", 0.2),
+                ("a", ("b", "t"), 0.5),
+                ("s", "a", 0.1),
+                ("b", "t", 0.6),
+            ]
+        )
+        self.assert_same(net, unicast("s", "t"))
+
+    def test_names_already_taken(self):
+        net = pipes_network(
+            [
+                ("s", ("hyperarc_0", "hyperarc_0_"), 1.0),
+                ("hyperarc_0", "t", 0.4),
+                ("hyperarc_0_", ("t", "hyperarc_0"), 0.3),
+            ]
+        )
+        self.assert_same(net, unicast("s", "t"))
+        result = unicast_inner(net, unicast("s", "t"))
+        assert result.witness["split_nodes"] == {"hyperarc_0__": 0, "hyperarc_2": 2}
 
 
 class TestBlendInner:
