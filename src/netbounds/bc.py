@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .info import awgn_capacity
-from .mac import RateVector
+from .mac import RateVector, check_snrs
 
 __all__ = [
     "BcSpec",
@@ -36,8 +36,8 @@ class BcSpec:
     """A one-to-many channel: one input heard by m receivers.
 
     Args:
-        gammas: received linear SNR at each receiver, all positive. Receiver
-            noises are independent.
+        gammas: received linear SNR at each receiver, all positive and
+            finite. Receiver noises are independent.
     """
 
     gammas: tuple[float, ...]
@@ -46,8 +46,7 @@ class BcSpec:
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         if len(self.gammas) < 1:
             raise ValueError("a BC needs at least one receiver")
-        if any(g <= 0 for g in self.gammas):
-            raise ValueError(f"SNRs must be positive, got {self.gammas}")
+        check_snrs(self.gammas)
 
     @property
     def m(self) -> int:

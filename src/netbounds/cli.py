@@ -756,7 +756,8 @@ def multicast_eq_upper(components, sinks, alphas=ALPHA_GRID) -> float:
 
     Any pair of achievable session rates is also achievable when both sources
     share one encoder, so the min-cut from a merged source to each sink caps
-    the session sum. Minimized over the noise-split sweep.
+    the session sum: the multicast outer bound from the merged source.
+    Minimized over the noise-split sweep.
     """
     mac_keys = [comp.key for comp in components if comp.kind == "mac"]
     best = float("inf")
@@ -765,13 +766,8 @@ def multicast_eq_upper(components, sinks, alphas=ALPHA_GRID) -> float:
             components, UpperParams(mac_alpha={key: alpha for key in mac_keys})
         )
         joint, name = _with_joint_source(upper, ("S1", "S2"))
-        worst = min(
-            max_flow(
-                joint, Demand(kind="unicast", source=name, sinks=frozenset({sink}))
-            ).rate
-            for sink in sinks
-        )
-        best = min(best, worst)
+        demand = Demand(kind="multicast", source=name, sinks=frozenset(sinks))
+        best = min(best, multicast_outer(joint, demand).rate)
     return best
 
 
@@ -782,7 +778,9 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
     constructions where S1 sends a private layer to the receivers that hear
     it strongest (the low end of the fan) while S2 covers the high end, over
     two private-share values and three decode-order policies. Each candidate
-    is scored by the sum-objective routing LP on the lower network.
+    is scored by the sum-objective routing LP on the lower network. Each
+    (split, decode order) structure is built once and rated at both shares;
+    candidates are scored share by share, so ties resolve as listed.
     """
     demands = net.demands
     sinks = sorted(demands[0].sinks)
@@ -793,18 +791,18 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
 
     best = 0.0
 
-    def consider(params: LowerParams) -> None:
+    def consider(lower: NoiselessNetwork) -> None:
         nonlocal best
-        lower = build_lower(components, params)
         results = hyper_inner(lower, demands, objective="sum")
         total = sum(result.rate for result in results)
         if total > best + _IMPROVE_TOL:
             best = total
 
     for order in (s2_first, s1_first):
-        consider(LowerParams(mac_order=order))
+        consider(build_lower(components, LowerParams(mac_order=order)))
 
     all_targets = tuple(sinks)
+    two_layers = {key1: (1.0, 0.0), key2: (1.0, 0.0)}
     for split in range(1, n):
         targets = {
             (key1, 0): all_targets,
@@ -816,14 +814,19 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
             ("mac", sink): (("S2", "S1") if index < split else ("S1", "S2"))
             for index, sink in enumerate(sinks)
         }
+        structures = [
+            LowerStructure(
+                components,
+                LowerParams(
+                    bc_betas=two_layers, mac_order=order, bc_decode_targets=targets
+                ),
+            )
+            for order in (s2_first, s1_first, aligned)
+        ]
         for share in (0.125, 0.25):
             betas = {key1: (1.0 - share, share), key2: (1.0 - share, share)}
-            for order in (s2_first, s1_first, aligned):
-                consider(
-                    LowerParams(
-                        bc_betas=betas, mac_order=order, bc_decode_targets=targets
-                    )
-                )
+            for structure in structures:
+                consider(structure.network(betas))
     return best
 
 

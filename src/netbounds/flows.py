@@ -209,14 +209,27 @@ def multicast_outer(net: NoiselessNetwork, demand: Demand) -> FlowResult:
     """Outer bound for one demand: min over sinks of the max flow.
 
     For a single-source multicast on a point-to-point network the min over
-    per-sink max flows is the natural cut outer bound.
+    per-sink max flows is the natural cut outer bound. The network is checked
+    and its capacity map built once; each sink then gets the certified
+    max flow that `max_flow` would return for it. The result carries the
+    first sink's witness among those of least rate, plus `per_sink`, the rate
+    of every sink in `demand.sink_list` order.
+
+    Raises:
+        ValueError: when the network has hyper-arcs or an endpoint of the
+            demand is not a network node.
     """
     _require_p2p(net)
+    node_ids = net.node_ids
+    _check_endpoints(node_ids, demand)
+    capacity = _edge_capacities(net)
     best: FlowResult | None = None
     per_sink: dict[str, float] = {}
     for sink in demand.sink_list:
-        result = max_flow(
-            net, Demand(kind="unicast", source=demand.source, sinks=frozenset({sink}))
+        result = _certified_flow(
+            node_ids,
+            capacity,
+            Demand(kind="unicast", source=demand.source, sinks=frozenset({sink})),
         )
         per_sink[sink] = result.rate
         if best is None or result.rate < best.rate:

@@ -13,13 +13,22 @@ order, lives in `assemble.build_lower` alone, where it runs on effective SNRs
 from the interference ledger of the whole network.
 
 SNRs are linear and all rates are bits per channel use.
+
+The sweeps call `mac_upper` once per (alpha, candidate) on MACs of a few
+inputs, so the module works in plain Python floats and `math`, not NumPy.
+Sums run left to right in an explicit loop (`_sum`), which is what `np.sum`
+does below 8 terms, and the coherent sum is squared as `s ** 2`, which rounds
+as NumPy's scalar square does (`s * s` does not always). So for up to 7
+inputs `mac_upper` and its helpers give bit for bit what the same formulas
+give in NumPy; from 8 terms `np.sum` adds pairwise, and the last bits may
+differ. `mac_sum_gap` takes `math.log2`, which may round the last bit unlike
+`np.log2`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .info import awgn_capacity
 
@@ -40,7 +49,7 @@ class MacSpec:
     """A many-to-one channel: m inputs received at one output.
 
     Args:
-        gammas: received linear SNR of each input, all positive.
+        gammas: received linear SNR of each input, all positive and finite.
     """
 
     gammas: tuple[float, ...]
@@ -49,8 +58,7 @@ class MacSpec:
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         if len(self.gammas) < 1:
             raise ValueError("a MAC needs at least one input")
-        if any(g <= 0 for g in self.gammas):
-            raise ValueError(f"SNRs must be positive, got {self.gammas}")
+        check_snrs(self.gammas)
 
     @property
     def m(self) -> int:
@@ -59,7 +67,27 @@ class MacSpec:
     @property
     def coherent_sum_snr(self) -> float:
         """Effective SNR when all inputs cooperate coherently."""
-        return float(np.sum(np.sqrt(self.gammas)) ** 2)
+        return _sum(math.sqrt(g) for g in self.gammas) ** 2
+
+
+def check_snrs(gammas) -> None:
+    """Raise ValueError naming the first SNR that is not positive and finite.
+
+    The rule of `MacSpec` and `bc.BcSpec`; NaN and infinite SNRs would
+    otherwise run the bisection to its cap or give NaN rates.
+    """
+    for g in gammas:
+        if not 0.0 < g < math.inf:
+            raise ValueError(f"SNRs must be positive and finite, got {g} in {gammas}")
+
+
+def _sum(values) -> float:
+    """Left-to-right float sum: `np.sum`'s order below 8 terms. The builtin
+    `sum` is compensated from Python 3.12 on, so it is not used here."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -118,16 +146,15 @@ def mu_bracket(gammas: tuple[float, ...], alpha: float) -> tuple[float, float]:
 
     with both endpoints equal exactly when all SNRs coincide.
     """
-    gam = np.asarray(gammas, dtype=float)
-    m = gam.size
+    m = len(gammas)
     budget = 1.0 - alpha
-    lo = budget / m + budget**2 / (m * float(gam.sum()))
-    hi = budget / m + budget**2 / (m * m * float(gam.min()))
+    lo = budget / m + budget**2 / (m * _sum(gammas))
+    hi = budget / m + budget**2 / (m * m * min(gammas))
     return lo, hi
 
 
-def _share_sum(gam: np.ndarray, mu: float) -> float:
-    return float(0.5 * np.sum(np.sqrt(gam * (gam + 4.0 * mu)) - gam))
+def _share_sum(gammas: tuple[float, ...], mu: float) -> float:
+    return 0.5 * _sum(math.sqrt(g * (g + 4.0 * mu)) - g for g in gammas)
 
 
 def solve_mu(
@@ -153,11 +180,12 @@ def solve_mu(
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    gam = np.asarray(gammas, dtype=float)
-    if gam.size < 1 or np.any(gam <= 0):
-        raise ValueError(f"SNRs must be positive, got {gammas}")
+    gam = tuple(float(g) for g in gammas)
+    if len(gam) < 1:
+        raise ValueError("a MAC needs at least one input")
+    check_snrs(gam)
     budget = 1.0 - alpha
-    lo, hi = mu_bracket(tuple(gam), alpha)
+    lo, hi = mu_bracket(gam, alpha)
     if hi - lo <= 1e-15 * max(1.0, hi):
         mu = 0.5 * (lo + hi)
         assert abs(_share_sum(gam, mu) - budget) < 1e-8, "bracket degenerated badly"
@@ -189,13 +217,14 @@ def optimal_noise_shares(gammas: tuple[float, ...], alpha: float) -> NoisePartit
     and the shares add to 1 - alpha. Smaller shares mean looser per-input
     rates, so stronger inputs receive larger shares.
     """
-    gam = np.asarray(gammas, dtype=float)
-    mu = solve_mu(tuple(gam), alpha)
-    shares = 0.5 * (np.sqrt(gam * (gam + 4.0 * mu)) - gam)
+    mu = solve_mu(gammas, alpha)
+    shares = [0.5 * (math.sqrt(g * (g + 4.0 * mu)) - g) for g in gammas]
     # The bisection residual can leave the total a hair off 1 - alpha; scale
     # it out so downstream consumers see an exact partition.
-    shares *= (1.0 - alpha) / float(shares.sum())
-    return NoisePartition(alpha=float(alpha), alphas=tuple(shares), mu=float(mu))
+    scale = (1.0 - alpha) / _sum(shares)
+    return NoisePartition(
+        alpha=float(alpha), alphas=tuple(a * scale for a in shares), mu=float(mu)
+    )
 
 
 def mac_upper(spec: MacSpec, alpha: float) -> tuple[RateVector, NoisePartition]:
@@ -236,7 +265,4 @@ def mac_sum_gap(spec: MacSpec) -> float:
     Equals 0.5*log2((1 + (sum sqrt(gamma_i))^2) / (1 + sum gamma_i)) and is
     always below 0.5*log2(m).
     """
-    gam = np.asarray(spec.gammas, dtype=float)
-    return float(
-        0.5 * np.log2((1.0 + spec.coherent_sum_snr) / (1.0 + float(gam.sum())))
-    )
+    return 0.5 * math.log2((1.0 + spec.coherent_sum_snr) / (1.0 + _sum(spec.gammas)))

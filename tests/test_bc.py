@@ -192,3 +192,9 @@ def test_bc_sum_gap_below_half_log_m():
         m = int(rng.integers(2, 9))
         spec = BcSpec(gammas=tuple(np.exp(rng.uniform(np.log(0.01), np.log(100), m))))
         assert bc_sum_gap(spec) < 0.5 * np.log2(m)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_spec_rejects_snrs_not_positive_and_finite(bad):
+    with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
+        BcSpec(gammas=(bad, 2.0))

@@ -9,6 +9,8 @@ import pytest
 from netbounds import cli
 from netbounds.assemble import LowerStructure
 from netbounds.cli import main, parse_grid
+from netbounds.decouple import decompose
+from netbounds.info import db_to_linear
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -310,3 +312,12 @@ class TestLowerStructuresPerSearch:
         assert main(["bounds", str(path), "--beta-step", "0.25"]) == 0
         assert "225 inner" in capsys.readouterr().out
         assert len(built) == 1
+
+    def test_multicast_point_builds_one_per_split_and_order(self, monkeypatch):
+        # 2 common-layer orders, then 9 splits x 3 decode orders, each rated
+        # at both private shares.
+        built = self.count_constructions(monkeypatch)
+        power = db_to_linear(13.0)
+        net = cli.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
+        cli.multicast_eq_lower(net, decompose(net))
+        assert len(built) == 29

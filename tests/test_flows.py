@@ -186,6 +186,48 @@ class TestMulticastOuter:
         result = multicast_outer(net, multicast("s", {"t"}))
         assert abs(result.rate - direct) < 1e-12
 
+    def test_ten_sinks_build_one_capacity_map(self, monkeypatch):
+        sinks = [f"d{k}" for k in range(10)]
+        net = pipes_network(
+            [("s", "a", 3.0)] + [("a", sink, 0.5 + k) for k, sink in enumerate(sinks)]
+        )
+        builds = []
+        edge_capacities = flows._edge_capacities
+
+        def counting(net):
+            builds.append(net)
+            return edge_capacities(net)
+
+        monkeypatch.setattr(flows, "_edge_capacities", counting)
+        result = multicast_outer(net, multicast("s", sinks))
+        assert len(builds) == 1
+        assert result.rate == 0.5
+        assert list(result.witness["per_sink"]) == sorted(sinks)
+
+    def test_matches_max_flow_per_sink(self):
+        # Ties go to the first sink in sink_list order, whose witness is kept.
+        net = pipes_network(
+            [("s", "a", 1.0), ("s", "b", 1.0), ("a", "c", 0.7), ("b", "c", 0.4)]
+        )
+        result = multicast_outer(net, multicast("s", {"c", "b", "a"}))
+        per_sink = {
+            sink: max_flow(net, unicast("s", sink)) for sink in ("a", "b", "c")
+        }
+        assert result.witness["per_sink"] == {
+            sink: flow.rate for sink, flow in per_sink.items()
+        }
+        assert result.rate == 1.0
+        assert result.witness["flows"] == per_sink["a"].witness["flows"]
+        assert result.witness["cut"] == per_sink["a"].witness["cut"]
+
+    def test_rejects_missing_endpoint_and_hyper_arcs(self):
+        net = pipes_network([("s", "a", 1.0)])
+        with pytest.raises(ValueError, match="'z' is not a network node"):
+            multicast_outer(net, multicast("s", {"a", "z"}))
+        hyper = pipes_network([("s", ("a", "b"), 1.0)])
+        with pytest.raises(ValueError, match="hyper-arc"):
+            multicast_outer(hyper, multicast("s", {"a", "b"}))
+
 
 class TestHyperInner:
     def test_single_session_p2p_matches_max_flow(self):

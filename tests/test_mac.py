@@ -5,9 +5,11 @@ lower model exists only inside `build_lower`, so its identities are checked on
 the lower network of an independent multiple-access channel.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netbounds.assemble import LowerParams, build_lower
@@ -248,3 +250,127 @@ def test_sum_rate_not_improvable_on_samples():
     for _ in range(500):
         q = system_quantities(sample_system(rng))
         assert q["mi_x1_u"] + q["conditional_mi"] >= q["mi_y"] - 1e-9
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_spec_rejects_snrs_not_positive_and_finite(bad):
+    # A NaN SNR used to run the bisection to its cap; at alpha = 1 it gave a
+    # NaN sum rate.
+    with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
+        MacSpec(gammas=(1.0, bad))
+
+
+# The NumPy formulas that mac.py computed with before it moved to plain
+# floats, kept as the reference of the float code.
+
+
+def np_share_sum(gam, mu):
+    return float(0.5 * np.sum(np.sqrt(gam * (gam + 4.0 * mu)) - gam))
+
+
+def np_mu_bracket(gammas, alpha):
+    gam = np.asarray(gammas, dtype=float)
+    m = gam.size
+    budget = 1.0 - alpha
+    lo = budget / m + budget**2 / (m * float(gam.sum()))
+    hi = budget / m + budget**2 / (m * m * float(gam.min()))
+    return lo, hi
+
+
+def np_solve_mu(gammas, alpha, tol=1e-10, max_iter=200):
+    gam = np.asarray(gammas, dtype=float)
+    budget = 1.0 - alpha
+    lo, hi = np_mu_bracket(tuple(gam), alpha)
+    if hi - lo <= 1e-15 * max(1.0, hi):
+        mu = 0.5 * (lo + hi)
+        assert abs(np_share_sum(gam, mu) - budget) < 1e-8, "bracket degenerated badly"
+        return mu
+    lo *= 1.0 - 1e-12
+    hi *= 1.0 + 1e-12
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        residual = np_share_sum(gam, mid) - budget
+        if abs(residual) < tol:
+            return mid
+        if residual < 0:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("bisection failed")
+
+
+def np_optimal_noise_shares(gammas, alpha):
+    gam = np.asarray(gammas, dtype=float)
+    mu = np_solve_mu(tuple(gam), alpha)
+    shares = 0.5 * (np.sqrt(gam * (gam + 4.0 * mu)) - gam)
+    shares *= (1.0 - alpha) / float(shares.sum())
+    return tuple(float(a) for a in shares), float(mu)
+
+
+def np_coherent_sum_snr(gammas):
+    return float(np.sum(np.sqrt(gammas)) ** 2)
+
+
+def np_mac_upper(gammas, alpha):
+    """(sum rate, per-input rates, alpha, noise shares, mu) as mac_upper gives."""
+    m = len(gammas)
+    if alpha == 1.0:
+        sum_rate = awgn_capacity(np_coherent_sum_snr(gammas))
+        return sum_rate, (math.inf,) * m, 1.0, (0.0,) * m, 0.0
+    shares, mu = np_optimal_noise_shares(gammas, alpha)
+    individual = tuple(awgn_capacity(g / a) for g, a in zip(gammas, shares))
+    if alpha == 0.0:
+        sum_rate = math.inf
+    else:
+        sum_rate = awgn_capacity((np_coherent_sum_snr(gammas) + 1.0 - alpha) / alpha)
+    return sum_rate, individual, float(alpha), shares, mu
+
+
+def float_mac_upper(gammas, alpha):
+    rv, partition = mac_upper(MacSpec(gammas=gammas), alpha)
+    return rv.sum_rate, rv.individual, partition.alpha, partition.alphas, partition.mu
+
+
+def outcome(model, gammas, alpha):
+    """The model's fields, or the type of the exception it raised."""
+    try:
+        return model(gammas, alpha)
+    except (ArithmeticError, AssertionError, ValueError) as exc:
+        return type(exc)
+
+
+def flat(fields):
+    return [x for field in fields for x in (field if isinstance(field, tuple) else (field,))]
+
+
+@given(
+    gammas=st.lists(
+        st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+        min_size=1,
+        max_size=12,
+    ),
+    alpha=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0)),
+)
+@example(gammas=[0.248, 4.495], alpha=1.0)  # where s * s != np.float64(s) ** 2
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_float_model_matches_numpy_formulas(gammas, alpha):
+    # np.sum adds left to right below 8 terms, as mac.py does, so up to 7
+    # inputs every bit agrees; from 8 terms np.sum adds pairwise.
+    gammas = tuple(gammas)
+    want = outcome(np_mac_upper, gammas, alpha)
+    got = outcome(float_mac_upper, gammas, alpha)
+    spec = MacSpec(gammas=gammas)
+    coherent = spec.coherent_sum_snr
+    # math.log2 and np.log2 may round the closed-form gap differently.
+    np_gap = 0.5 * np.log2((1.0 + np_coherent_sum_snr(gammas)) / (1.0 + np.sum(gammas)))
+    assert mac_sum_gap(spec) == pytest.approx(float(np_gap), rel=1e-14, abs=1e-15)
+    if len(gammas) <= 7:
+        assert got == want
+        assert coherent == np_coherent_sum_snr(gammas)
+        return
+    assert coherent == pytest.approx(np_coherent_sum_snr(gammas), rel=1e-12, abs=0.0)
+    if isinstance(want, type):
+        assert got is want
+        return
+    for new, old in zip(flat(got), flat(want), strict=True):
+        assert new == pytest.approx(old, rel=1e-12, abs=0.0)
