@@ -49,6 +49,7 @@ from .flows import (
     hyper_inner,
     max_flow,
     multicast_outer,
+    sum_rate_cut,
     unicast_inner,
 )
 from .info import awgn_capacity, db_to_linear, qsc_capacity
@@ -73,7 +74,12 @@ ALPHA_GRID = tuple(k / 10 for k in range(11))
 # tolerance, so earlier-enumerated (simpler) constructions win exact ties.
 _IMPROVE_TOL = 1e-9
 
+# Margin of multicast_eq_lower's cut test: far above the slack (about 1e-8)
+# that validate_hyper_result's tolerances leave a solved total over its cut.
+_CUT_MARGIN = 1e-6
+
 _MAX_BETA_COMBOS = 4096
+_MAX_SWEEP_POINTS = 10_000
 
 C12_NOTE = (
     "the q=8, xi=0.1 collaboration link has capacity "
@@ -96,7 +102,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
     """Parse a start:stop:step sweep into an inclusive tuple of floats.
 
     The stop value is included whenever it sits within 1e-9 of a grid point,
-    so "0:1:0.1" yields eleven values despite binary rounding.
+    so "0:1:0.1" yields eleven values despite binary rounding. A sweep of
+    more than _MAX_SWEEP_POINTS values is refused before any is made.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -105,11 +112,19 @@ def parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(part) for part in parts)
     except ValueError:
         raise ValueError(f"sweep must hold three numbers, got {text!r}") from None
+    if not all(math.isfinite(value) for value in (start, stop, step)):
+        raise ValueError(f"sweep values must be finite, got {text!r}")
     if step <= 0:
         raise ValueError(f"sweep step must be positive, got {step:g}")
     if stop < start:
         raise ValueError(f"sweep stop {stop:g} lies below start {start:g}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9
+    if not steps < _MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"sweep {text!r} would hold more than {_MAX_SWEEP_POINTS} points; "
+            "widen the step"
+        )
+    count = int(math.floor(steps)) + 1
     return tuple(start + k * step for k in range(count))
 
 
@@ -781,6 +796,15 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
     is scored by the sum-objective routing LP on the lower network. Each
     (split, decode order) structure is built once and rated at both shares;
     candidates are scored share by share, so ties resolve as listed.
+
+    Before its LP, a candidate's sum_rate_cut (the least total rate entering
+    a receiver, which every session must reach) is compared with the
+    incumbent: the LP is skipped when the cut plus _CUT_MARGIN cannot beat
+    the incumbent by more than _IMPROVE_TOL. A solved total exceeds its cut
+    by at most the validator's slack (about 1e-8), far below the margin, so
+    a skipped candidate could never have replaced the incumbent and the
+    result is bit for bit the exhaustive search's; each solved total is
+    checked against its cut.
     """
     demands = net.demands
     sinks = sorted(demands[0].sinks)
@@ -793,8 +817,12 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
 
     def consider(lower: NoiselessNetwork) -> None:
         nonlocal best
+        cut = sum_rate_cut(lower, demands)
+        if cut + _CUT_MARGIN <= best + _IMPROVE_TOL:
+            return
         results = hyper_inner(lower, demands, objective="sum")
         total = sum(result.rate for result in results)
+        assert total <= cut + _CUT_MARGIN, f"rate total {total} exceeds cut {cut}"
         if total > best + _IMPROVE_TOL:
             best = total
 

@@ -12,6 +12,16 @@ SciPy's bundled bindings, which discards the previous model and basis, so
 each solve is still a cold start. Every reported flow is re-validated against
 conservation and capacity constraints; bounds are certifiable, not solver
 folklore.
+
+sum_rate_cut bounds the rate total of any routing without solving an LP:
+every session delivers its whole rate into each of its sinks, so the total
+cannot exceed the rate of the pipes entering a sink that all sessions share.
+A validated hyper_inner total exceeds that cut by at most the slack of
+validate_hyper_result's 1e-9 tolerances (about 1e-8 on the multicast
+search's networks). A search over candidate networks may therefore skip the
+LP of a candidate whose cut falls short of its incumbent by a margin far
+above that slack (the multicast search uses 1e-6): such a candidate could
+never have won.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ __all__ = [
     "max_flow",
     "multicast_outer",
     "unicast_inner",
+    "sum_rate_cut",
     "hyper_inner",
     "blend_inner",
     "validate_hyper_result",
@@ -626,6 +637,26 @@ def validate_hyper_result(
         assert value <= pipes[a].rate + tol, (
             f"pipe {a} usage {value} exceeds rate {pipes[a].rate}"
         )
+
+
+def sum_rate_cut(net: NoiselessNetwork, demands: tuple[Demand, ...]) -> float:
+    """Upper bound on the rate total of ``demands`` under any routing on ``net``.
+
+    Every session delivers its whole rate into each of its sinks, and one
+    pipe's rate bounds the sum of all sessions' draws on it. So at a node that
+    is a sink of every demand, the rate total is at most the total rate of the
+    pipes with that node among their heads; a hyper-arc counts once at each of
+    its heads. Returns the least such total over those nodes, or ``inf`` when
+    the demands share no sink.
+    """
+    if not demands:
+        raise ValueError("demands must be nonempty")
+    inflow = dict.fromkeys(frozenset.intersection(*(d.sinks for d in demands)), 0.0)
+    for pipe in net.pipes:
+        for head in pipe.heads:
+            if head in inflow:
+                inflow[head] += pipe.rate
+    return min(inflow.values(), default=math.inf)
 
 
 def hyper_inner(

@@ -219,6 +219,13 @@ def optimal_noise_shares(gammas: tuple[float, ...], alpha: float) -> NoisePartit
     """
     mu = solve_mu(gammas, alpha)
     shares = [0.5 * (math.sqrt(g * (g + 4.0 * mu)) - g) for g in gammas]
+    # For mu far below gamma_i the difference above cancels, down to 0.0 when
+    # alpha is within about 1e-13 of 1; such a share takes the equal form
+    # that does not cancel. Positive shares keep the form the bisection used.
+    shares = [
+        a if a > 0.0 else 2.0 * g * mu / (math.sqrt(g * (g + 4.0 * mu)) + g)
+        for a, g in zip(shares, gammas)
+    ]
     # The bisection residual can leave the total a hair off 1 - alpha; scale
     # it out so downstream consumers see an exact partition.
     scale = (1.0 - alpha) / _sum(shares)

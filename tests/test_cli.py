@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from netbounds import cli
+from netbounds import cli, flows
 from netbounds.assemble import LowerStructure
 from netbounds.cli import main, parse_grid
 from netbounds.decouple import decompose
@@ -74,6 +76,32 @@ class TestParseGrid:
         with pytest.raises(ValueError, match="below start"):
             parse_grid("3:1:1")
 
+    @pytest.mark.parametrize("text", ["nan:1:1", "0:inf:1", "-inf:0:1", "0:1:nan"])
+    def test_rejects_values_that_are_not_finite(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_grid(text)
+
+    def test_size_limit_holds_at_the_cap(self):
+        assert len(parse_grid(f"1:{cli._MAX_SWEEP_POINTS}:1")) == cli._MAX_SWEEP_POINTS
+
+    def test_rejects_a_sweep_over_the_cap_before_building_it(self):
+        # One point over the cap: the refused sweep would take about 0.3 MB,
+        # so a peak far below that shows nothing was built first.
+        text = f"0:{cli._MAX_SWEEP_POINTS}:1"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(repr(text))):
+                parse_grid(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000
+
+    def test_cli_refuses_an_oversized_alpha_sweep(self, tmp_path, capsys):
+        path = write_network(tmp_path / "net.json", single_link_doc())
+        assert main(["bounds", path, "--alpha-grid", "0:1:0.00009"]) == 2
+        assert "'0:1:0.00009' would hold more than" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_single_link_bounds_meet_at_capacity(self, tmp_path, capsys):
@@ -131,6 +159,28 @@ class TestBounds:
         path = write_network(tmp_path / "net.json", single_link_doc())
         assert main(["bounds", path, "--alpha-grid", "0:2:0.5"]) == 2
         assert "outside" in capsys.readouterr().err
+
+
+    def test_alpha_next_to_one_gives_finite_bounds(self, tmp_path, capsys):
+        # A noise share of the strong input used to cancel to 0.0 here.
+        doc = {
+            "nodes": ["a", "b", "d"],
+            "links": [
+                {"from": "a", "to": "d", "kind": "awgn", "snr": 0.836},
+                {"from": "b", "to": "d", "kind": "awgn", "snr": 839.0},
+            ],
+            "demands": [
+                {"kind": "unicast", "source": "a", "sinks": ["d"]},
+                {"kind": "unicast", "source": "b", "sinks": ["d"]},
+            ],
+        }
+        path = write_network(tmp_path / "mac.json", doc)
+        grid = "0.99999999999999:0.99999999999999:0.1"
+        assert main(["bounds", path, "--alpha-grid", grid]) == 0
+        out = capsys.readouterr().out
+        bounds = re.findall(r"^  (?:outer|inner) +(\S+)", out, flags=re.MULTILINE)
+        assert len(bounds) == 4
+        assert all(math.isfinite(float(value)) for value in bounds)
 
 
 class TestDecoupleAndValidate:
@@ -321,3 +371,45 @@ class TestLowerStructuresPerSearch:
         net = cli.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
         cli.multicast_eq_lower(net, decompose(net))
         assert len(built) == 29
+
+
+class TestMulticastCutPruning:
+    @staticmethod
+    def run_point(receivers, p_db, delta_ratio_db):
+        power = db_to_linear(p_db)
+        net = cli.multicast_network(
+            receivers, power, power * db_to_linear(delta_ratio_db), 8, 0.1
+        )
+        return cli.multicast_eq_lower(net, decompose(net))
+
+    def test_pruned_search_equals_exhaustive(self, monkeypatch):
+        points = [
+            (receivers, p_db, delta_ratio_db)
+            for receivers in (2, 4, 10)
+            for p_db in (-5.0, 7.0, 25.0)
+            for delta_ratio_db in (-10.0, -3.0)
+        ]
+        pruned = [self.run_point(*point) for point in points]
+        monkeypatch.setattr(cli, "sum_rate_cut", lambda net, demands: math.inf)
+        exhaustive = [self.run_point(*point) for point in points]
+        assert pruned == exhaustive
+
+    def test_bench_point_solves_at_most_two_lps(self, monkeypatch):
+        # LP and rating counts do not depend on machine speed, so they guard
+        # the pruning where a timer cannot.
+        solves, rated = [], []
+        solve, network = flows._solve_lp, LowerStructure.network
+
+        def counting_solve(lp, upper):
+            solves.append(lp)
+            return solve(lp, upper)
+
+        def counting_network(self, bc_betas):
+            rated.append(bc_betas)
+            return network(self, bc_betas)
+
+        monkeypatch.setattr(flows, "_solve_lp", counting_solve)
+        monkeypatch.setattr(LowerStructure, "network", counting_network)
+        assert self.run_point(10, 13.0, -3.0) > 0.0
+        assert 0 < len(solves) <= 2
+        assert len(rated) == 56

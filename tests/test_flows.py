@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from netbounds import cli, flows
@@ -17,6 +19,7 @@ from netbounds.flows import (
     hyper_inner,
     max_flow,
     multicast_outer,
+    sum_rate_cut,
     unicast_inner,
     validate_hyper_result,
 )
@@ -335,6 +338,64 @@ class TestHyperInner:
         net = pipes_network([("s", "t", 1.0)])
         with pytest.raises(ValueError):
             hyper_inner(net, (unicast("s", "t"),), objective="median")
+
+
+class TestSumRateCut:
+    def test_least_inflow_over_the_shared_sinks(self):
+        net = pipes_network(
+            [("s", "a", 1.0), ("s", ("a", "b"), 2.0), ("s", "b", 0.5), ("a", "b", 4.0)]
+        )
+        demands = (multicast("s", {"a", "b"}),)
+        # The hyper-arc counts once at each head: a gets 1 + 2, b gets 2 + 0.5 + 4.
+        assert sum_rate_cut(net, demands) == 3.0
+        assert sum_rate_cut(net, (*demands, unicast("s", "b"))) == 6.5
+
+    def test_infinite_without_a_shared_sink(self):
+        net = pipes_network([("s", "a", 1.0), ("s", "b", 1.0)])
+        assert sum_rate_cut(net, (unicast("s", "a"), unicast("s", "b"))) == INF
+
+    def test_rejects_empty_demands(self):
+        with pytest.raises(ValueError):
+            sum_rate_cut(pipes_network([("s", "t", 1.0)]), ())
+
+
+@st.composite
+def routing_instances(draw):
+    """A small network of pipes and hyper-arcs with 1-3 demands on it."""
+    names = [f"v{k}" for k in range(draw(st.integers(2, 6)))]
+    node = st.sampled_from(names)
+    pipes = draw(
+        st.lists(
+            st.builds(
+                BitPipe,
+                tail=node,
+                heads=st.lists(node, min_size=1, max_size=3, unique=True).map(tuple),
+                rate=st.sampled_from((0.0, 0.25, 0.5, 1.0, 1.5, 3.0)),
+            ),
+            max_size=12,
+        )
+    )
+    demands = []
+    for _ in range(draw(st.integers(1, 3))):
+        source = draw(node)
+        others = [name for name in names if name != source]
+        sinks = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+        kind = "multicast"
+        if len(sinks) == 1:
+            kind = draw(st.sampled_from(("unicast", "multicast")))
+        demands.append(Demand(kind=kind, source=source, sinks=frozenset(sinks)))
+    nodes = tuple(Node(id=name) for name in names)
+    return NoiselessNetwork(nodes=nodes, pipes=tuple(pipes)), tuple(demands)
+
+
+@given(routing_instances())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_sum_rate_cut_bounds_every_routing(instance):
+    net, demands = instance
+    bound = sum_rate_cut(net, demands)
+    assert (bound == INF) == (not frozenset.intersection(*(d.sinks for d in demands)))
+    total = sum(result.rate for result in hyper_inner(net, demands, "sum"))
+    assert total <= bound + 1e-8
 
 
 class TestUnicastInner:

@@ -136,6 +136,16 @@ def test_optimal_shares_sum_to_budget():
     assert partition.alphas[1] > partition.alphas[0]
 
 
+def test_mac_upper_alpha_next_to_one_keeps_every_share_positive():
+    # 0.5*(sqrt(g*(g + 4*mu)) - g) cancels to 0.0 for the strong input here.
+    alpha = 0.99999999999999
+    rv, partition = mac_upper(MacSpec(gammas=(0.836, 839.0)), alpha)
+    assert all(a > 0 for a in partition.alphas)
+    assert abs(sum(partition.alphas) - (1.0 - alpha)) < 1e-20
+    assert math.isfinite(rv.sum_rate)
+    assert all(math.isfinite(rate) for rate in rv.individual)
+
+
 def test_mac_upper_endpoint_alpha_one():
     spec = MacSpec(gammas=(1.0, 2.0, 100.0))
     rv, partition = mac_upper(spec, 1.0)
