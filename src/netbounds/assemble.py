@@ -10,25 +10,32 @@ capacity from `link_capacity`.
 The lower network replaces every component by an achievable coding scheme:
 superposition layers on broadcast sides (hyper-arcs to the receivers that
 decode each layer) and successive interference cancellation at multi-access
-receivers. It is built in two steps, and both rate formulas live in the
-second, nowhere else:
+receivers. It is built in steps (structure, ledger, arcs, network), and both
+rate formulas live in the arcs step, nowhere else:
 
 - `LowerStructure` fixes and validates what does not depend on the power
   split beta: each broadcast side's layer count and decode targets, explicit
-  decode orders, the node list and the point-to-point pipes.
+  decode orders, the node list and the point-to-point arcs.
 - `LowerStructure.ledger(betas)` charges every receiver with the power it
   will never decode and resolves default decode orders, which depend on those
-  residuals; `LowerStructure.network(betas)` rates every layer arc and SIC
-  pipe against that ledger, so each rate is achievable with every
-  cross-component interference accounted for.
+  residuals.
+- `LowerStructure.arcs(betas)` rates every layer arc and SIC arc against
+  that ledger, so each rate is achievable with every cross-component
+  interference accounted for. It returns plain ``(tail, heads, rate, label)``
+  tuples, which is all a search needs to score a candidate.
+- `LowerStructure.network(betas)` is those arcs as a `NoiselessNetwork`, each
+  label formatted into its pipe's provenance; `network_of(arcs)` does that
+  last step for arcs already rated, so a search builds pipes only for the
+  candidates it routes.
 
-`build_lower` and `interference_ledger` are these two steps for one
+`build_lower` and `interference_ledger` are these steps for one
 `LowerParams`; a search over betas builds each structure once and evaluates
 it per candidate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .bc import BcSpec, bc_upper_cumulative
@@ -379,8 +386,10 @@ class _BcSide:
         if given is None:
             return (1.0,) + (0.0,) * (self.layers - 1)
         betas = tuple(float(b) for b in given)
-        if any(b < 0 for b in betas):
-            raise ValueError(f"bc_betas for {self.key} must be nonnegative, got {betas}")
+        if not all(0.0 <= b < math.inf for b in betas):
+            raise ValueError(
+                f"bc_betas for {self.key} must be nonnegative and finite, got {betas}"
+            )
         if abs(sum(betas) - 1.0) > 1e-9:
             raise ValueError(f"bc_betas for {self.key} must sum to 1, got {betas}")
         if len(betas) != self.layers:
@@ -445,9 +454,10 @@ class LowerStructure:
     each broadcast side's layer count (the length of its `bc_betas` entry,
     by default one layer per receiver; the values are not read), its layers'
     decode targets and any explicit multi-access decode orders, all
-    validated here. `ledger(bc_betas)` and `network(bc_betas)` then charge
-    and rate it for one power split; default decode orders depend on the
-    residuals and are resolved there. A search that sweeps betas over one
+    validated here. `ledger(bc_betas)` and `arcs(bc_betas)` then charge
+    and rate it for one power split, and `network(bc_betas)` builds its
+    pipes; default decode orders depend on the residuals and are resolved
+    in the ledger. A search that sweeps betas over one
     structure builds it once and keeps it for that search only.
 
     Raises:
@@ -467,16 +477,18 @@ class LowerStructure:
             if key not in bc_by_key:
                 raise ValueError(f"bc_decode_targets entry {key} matches no component")
         self._bc_keys = bc_by_key
-        self._nodes = tuple(Node(id=name) for name in _all_nodes(self.components))
+        self.node_ids = _all_nodes(self.components)
+        self._nodes = tuple(Node(id=name) for name in self.node_ids)
         self._bc_inputs = {comp.inputs[0] for comp in self.components if comp.kind == "bc"}
-        # Components in order: a prebuilt p2p pipe, a _BcSide or a _MacSide.
+        # Components in order: a prebuilt p2p arc, a _BcSide or a _MacSide.
         self._steps: list = []
         self._bcs: list[_BcSide] = []
         self._macs: list[_MacSide] = []
         residual_keys: dict[tuple[str, str], None] = {}
         for comp in self.components:
             if comp.kind == "p2p":
-                self._steps.append(_p2p_pipe(comp.links[0]))
+                pipe = _p2p_pipe(comp.links[0])
+                self._steps.append((pipe.tail, pipe.heads, pipe.rate, pipe.provenance))
                 continue
             if comp.kind == "bc":
                 side = _BcSide(comp, params)
@@ -532,11 +544,13 @@ class LowerStructure:
             mac_order=mac_order,
         )
 
-    def network(self, bc_betas: dict) -> NoiselessNetwork:
-        """The lower network of this structure at one power split.
+    def arcs(self, bc_betas: dict) -> list[tuple]:
+        """The arcs of this structure at one power split, without pipes.
 
-        Point-to-point links become capacity pipes. Each multi-access
-        receiver runs successive cancellation on effective SNRs
+        One ``(tail, heads, rate, label)`` per arc, in the order of
+        `network`'s pipes; `network` formats ``label`` into the pipe's
+        provenance. Point-to-point links become capacity arcs. Each
+        multi-access receiver runs successive cancellation on effective SNRs
         (gamma - residual) / (1 + receiver floor), which equals the physical
         per-position rate with earlier inputs cancelled down to their
         residual and later inputs at full power. Each broadcast side emits
@@ -551,17 +565,18 @@ class LowerStructure:
         never exceed j's multi-access rate for input i, so every shared link
         respects both sides; the per-layer arc keeps the smaller
         (broadcast-side) requirement, and the multi-access side emits no
-        pipe for an input that is a broadcast transmitter.
+        arc for an input that is a broadcast transmitter. Arcs of rate 0 are
+        left out.
 
         Args and Raises: as `ledger`.
         """
         ledger = self.ledger(bc_betas)
         residual = ledger.gamma_residual
         extrinsic = ledger.extrinsic
-        pipes: list[BitPipe] = []
+        arcs: list[tuple] = []
         for step in self._steps:
-            if isinstance(step, BitPipe):
-                pipes.append(step)
+            if isinstance(step, tuple):
+                arcs.append(step)
             elif isinstance(step, _BcSide):
                 tx, gamma = step.tx, step.gamma
                 betas, targets = ledger.bc_layers[step.key]
@@ -577,19 +592,7 @@ class LowerStructure:
                     )
                     if rate == 0.0:
                         continue
-                    shared = [j for j in chosen if extrinsic[(tx, j)] > 0]
-                    note = f" (interference-adjusted at {shared})" if shared else ""
-                    pipes.append(
-                        BitPipe(
-                            tail=tx,
-                            heads=chosen,
-                            rate=rate,
-                            provenance=(
-                                f"bc {tx}: layer {layer + 1} beta={beta:g} -> "
-                                f"{list(chosen)}{note}"
-                            ),
-                        )
-                    )
+                    arcs.append((tx, chosen, rate, ("bc", layer, beta, extrinsic)))
             elif step.piped:
                 rx = step.rx
                 order = ledger.mac_order[step.key]
@@ -606,15 +609,41 @@ class LowerStructure:
                     rate = awgn_capacity(effective[tx] / (1.0 + undecoded))
                     if rate == 0.0:
                         continue
-                    pipes.append(
-                        BitPipe(
-                            tail=tx,
-                            heads=(rx,),
-                            rate=rate,
-                            provenance=f"mac {rx}: input {tx} sic (order {list(order)})",
-                        )
-                    )
-        return NoiselessNetwork(nodes=self._nodes, pipes=tuple(pipes))
+                    arcs.append((tx, (rx,), rate, ("mac", order)))
+        return arcs
+
+    def network(self, bc_betas: dict) -> NoiselessNetwork:
+        """The lower network of this structure at one power split: the
+        pipes of `arcs(bc_betas)`, with their provenance.
+
+        Args and Raises: as `ledger`.
+        """
+        return self.network_of(self.arcs(bc_betas))
+
+    def network_of(self, arcs) -> NoiselessNetwork:
+        """The network whose pipes are ``arcs``, a list that `arcs` returned
+        for this structure, each label formatted into its provenance."""
+        return NoiselessNetwork(
+            nodes=self._nodes,
+            pipes=tuple(
+                BitPipe(tail, heads, rate, _provenance(tail, heads, label))
+                for tail, heads, rate, label in arcs
+            ),
+        )
+
+
+def _provenance(tail: str, heads: tuple[str, ...], label) -> str:
+    """The provenance text of one lower arc from its `LowerStructure.arcs`
+    label: a point-to-point arc's text itself, ("bc", layer, beta, extrinsic)
+    for a broadcast layer or ("mac", decode order) for a SIC arc."""
+    if isinstance(label, str):
+        return label
+    if label[0] == "mac":
+        return f"mac {heads[0]}: input {tail} sic (order {list(label[1])})"
+    _kind, layer, beta, extrinsic = label
+    shared = [j for j in heads if extrinsic[(tail, j)] > 0]
+    note = f" (interference-adjusted at {shared})" if shared else ""
+    return f"bc {tail}: layer {layer + 1} beta={beta:g} -> {list(heads)}{note}"
 
 
 def interference_ledger(components, params: LowerParams | None = None) -> InterferenceLedger:
@@ -632,7 +661,7 @@ def build_lower(components, params: LowerParams | None = None) -> NoiselessNetwo
     """Build the achievable lower bounding network (may contain hyper-arcs).
 
     The network of `LowerStructure(components, params)` at `params.bc_betas`;
-    see `LowerStructure.network` for the rates.
+    see `LowerStructure.arcs` for the rates.
     """
     params = params or LowerParams()
     return LowerStructure(components, params).network(params.bc_betas)

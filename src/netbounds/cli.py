@@ -51,6 +51,7 @@ from .flows import (
     multicast_outer,
     sum_rate_cut,
     unicast_inner,
+    unicast_inner_arcs,
 )
 from .info import awgn_capacity, db_to_linear, qsc_capacity
 from .mac import MacSpec, mac_upper
@@ -441,7 +442,8 @@ def relay_eq_lower(components) -> float:
     exactly. The per-family share search starts on a coarse 1/8 grid and
     zooms three times around the best point; each evaluation is an exact
     max-flow, so the zoom stays cheap. Each (targets, decode order) structure
-    is built once and rated for every share.
+    is built once and rated for every share, as arcs: no candidate becomes a
+    network of pipes.
     """
     orders = (("R", "S"), ("S", "R"))
     demand = _relay_demand()
@@ -453,7 +455,9 @@ def relay_eq_lower(components) -> float:
             best = rate
 
     def rate_at(structure: LowerStructure, betas) -> float:
-        return unicast_inner(structure.network({("bc", "S"): betas}), demand).rate
+        arcs = structure.arcs({("bc", "S"): betas})
+        triples = [(tail, heads, rate) for tail, heads, rate, _ in arcs]
+        return unicast_inner_arcs(structure.node_ids, triples, demand).rate
 
     for order in orders:
         single = _relay_structure(components, 1, {(("bc", "S"), 0): ("D",)}, order)
@@ -797,14 +801,15 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
     (split, decode order) structure is built once and rated at both shares;
     candidates are scored share by share, so ties resolve as listed.
 
-    Before its LP, a candidate's sum_rate_cut (the least total rate entering
-    a receiver, which every session must reach) is compared with the
-    incumbent: the LP is skipped when the cut plus _CUT_MARGIN cannot beat
-    the incumbent by more than _IMPROVE_TOL. A solved total exceeds its cut
-    by at most the validator's slack (about 1e-8), far below the margin, so
-    a skipped candidate could never have replaced the incumbent and the
-    result is bit for bit the exhaustive search's; each solved total is
-    checked against its cut.
+    Each candidate is rated as arcs first, and its sum_rate_cut (the least
+    total rate entering a receiver, which every session must reach) is
+    compared with the incumbent: the LP is skipped when the cut plus
+    _CUT_MARGIN cannot beat the incumbent by more than _IMPROVE_TOL. A
+    solved total exceeds its cut by at most the validator's slack (about
+    1e-8), far below the margin, so a skipped candidate could never have
+    replaced the incumbent and the result is bit for bit the exhaustive
+    search's; each solved total is checked against its cut. Only the
+    candidates that reach the LP become networks of pipes.
     """
     demands = net.demands
     sinks = sorted(demands[0].sinks)
@@ -815,19 +820,20 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
 
     best = 0.0
 
-    def consider(lower: NoiselessNetwork) -> None:
+    def consider(structure: LowerStructure, betas) -> None:
         nonlocal best
-        cut = sum_rate_cut(lower, demands)
+        arcs = structure.arcs(betas)
+        cut = sum_rate_cut([(heads, rate) for _, heads, rate, _ in arcs], demands)
         if cut + _CUT_MARGIN <= best + _IMPROVE_TOL:
             return
-        results = hyper_inner(lower, demands, objective="sum")
+        results = hyper_inner(structure.network_of(arcs), demands, objective="sum")
         total = sum(result.rate for result in results)
         assert total <= cut + _CUT_MARGIN, f"rate total {total} exceeds cut {cut}"
         if total > best + _IMPROVE_TOL:
             best = total
 
     for order in (s2_first, s1_first):
-        consider(build_lower(components, LowerParams(mac_order=order)))
+        consider(LowerStructure(components, LowerParams(mac_order=order)), {})
 
     all_targets = tuple(sinks)
     two_layers = {key1: (1.0, 0.0), key2: (1.0, 0.0)}
@@ -854,7 +860,7 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
         for share in (0.125, 0.25):
             betas = {key1: (1.0 - share, share), key2: (1.0 - share, share)}
             for structure in structures:
-                consider(structure.network(betas))
+                consider(structure, betas)
     return best
 
 

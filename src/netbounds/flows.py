@@ -13,6 +13,12 @@ each solve is still a cold start. Every reported flow is re-validated against
 conservation and capacity constraints; bounds are certifiable, not solver
 folklore.
 
+unicast_inner_arcs and sum_rate_cut read plain arc tuples, not networks, so
+a search can score a candidate lower network from its rated arcs alone and
+build pipes only for the candidates it routes. unicast_inner is
+unicast_inner_arcs on a network's pipes; both feed the max-flow the same
+node list and capacity map, so they agree bit for bit.
+
 sum_rate_cut bounds the rate total of any routing without solving an LP:
 every session delivers its whole rate into each of its sinks, so the total
 cannot exceed the rate of the pipes entering a sink that all sessions share.
@@ -47,6 +53,7 @@ __all__ = [
     "max_flow",
     "multicast_outer",
     "unicast_inner",
+    "unicast_inner_arcs",
     "sum_rate_cut",
     "hyper_inner",
     "blend_inner",
@@ -207,7 +214,8 @@ def _certified_flow(
             for (u, v), cap in capacity.items()
             if u in reachable and v not in reachable
         )
-        if abs(cut_capacity - value) > 1e-9 * max(1.0, abs(value)):
+        # Written so that a NaN cut or flow fails the certificate.
+        if not abs(cut_capacity - value) <= 1e-9 * max(1.0, abs(value)):
             raise AssertionError(
                 f"min-cut {cut_capacity} does not certify flow {value}"
             )
@@ -263,54 +271,70 @@ def unicast_inner(net: NoiselessNetwork, demand: Demand) -> FlowResult:
     with a min-cut certificate instead of a routing LP.  Matches
     ``hyper_inner`` on single-demand inputs, up to solver tolerance.
 
-    The rewrite goes straight into the capacity map and node list that the
-    max-flow takes; no pipes are built.  The nodes are the network's, then
-    one split node per hyper-arc in pipe order, named ``hyperarc_<index>``
-    (with ``_`` appended until the name is free).  Capacities sum per
-    ``(tail, head)`` key in pipe order: a point-to-point pipe adds its rate,
-    a hyper-arc adds its rate to ``(tail, split)`` and an infinite rate to
-    ``(split, head)`` for each head.
+    This is `unicast_inner_arcs` on the network's node ids and its pipes'
+    ``(tail, heads, rate)``; see there for the rewrite and the witness.
 
     Args:
         net: Bounding network, possibly containing hyper-arcs.
         demand: A unicast demand with endpoints in ``net``.
 
-    Returns:
-        FlowResult whose witness carries the rewritten network's flow and
-        cut data plus a ``split_nodes`` map from auxiliary node id to the
-        index of the hyper-arc it replaced.
-
     Raises:
         ValueError: If the demand is not unicast or an endpoint is not a
             node of ``net``.
     """
+    arcs = [(pipe.tail, pipe.heads, pipe.rate) for pipe in net.pipes]
+    return unicast_inner_arcs(net.node_ids, arcs, demand)
+
+
+def unicast_inner_arcs(node_ids, arcs, demand: Demand) -> FlowResult:
+    """`unicast_inner` on ``(tail, heads, rate)`` arcs over ``node_ids``.
+
+    The rewrite goes straight into the capacity map and node list that the
+    max-flow takes; no pipes are built.  The nodes are ``node_ids``, then
+    one split node per hyper-arc in arc order, named ``hyperarc_<index>``
+    (with ``_`` appended until the name is free).  Capacities sum per
+    ``(tail, head)`` key in arc order: a point-to-point arc adds its rate,
+    a hyper-arc adds its rate to ``(tail, split)`` and an infinite rate to
+    ``(split, head)`` for each head.  Without hyper-arcs this is the
+    capacity map of `max_flow`, and the result is `max_flow`'s.
+
+    Returns:
+        FlowResult whose witness carries the rewritten network's flow and
+        cut data plus, when there are hyper-arcs, a ``split_nodes`` map from
+        auxiliary node id to the index of the hyper-arc it replaced.
+
+    Raises:
+        ValueError: If the demand is not unicast or an endpoint is not in
+            ``node_ids``.
+    """
     if demand.kind != "unicast":
         raise ValueError("unicast_inner handles unicast demands only")
-    if not any(pipe.is_hyper for pipe in net.pipes):
-        return max_flow(net, demand)
-    node_ids = list(net.node_ids)
     _check_endpoints(node_ids, demand)
-    taken = set(node_ids)
+    nodes = list(node_ids)
+    taken = set(nodes)
     capacity: dict[tuple[str, str], float] = {}
     split_nodes: dict[str, int] = {}
-    for index, pipe in enumerate(net.pipes):
-        if not pipe.is_hyper:
-            key = (pipe.tail, pipe.head)
-            capacity[key] = capacity.get(key, 0.0) + pipe.rate
+    for index, (tail, heads, rate) in enumerate(arcs):
+        if len(heads) == 1:
+            key = (tail, heads[0])
+            capacity[key] = capacity.get(key, 0.0) + rate
             continue
+        if not heads:
+            raise ValueError(f"arc {index} from {tail!r} has no head")
         split = f"hyperarc_{index}"
         while split in taken:
             split = split + "_"
         taken.add(split)
-        node_ids.append(split)
+        nodes.append(split)
         split_nodes[split] = index
-        key = (pipe.tail, split)
-        capacity[key] = capacity.get(key, 0.0) + pipe.rate
-        for head in pipe.heads:
+        key = (tail, split)
+        capacity[key] = capacity.get(key, 0.0) + rate
+        for head in heads:
             key = (split, head)
             capacity[key] = capacity.get(key, 0.0) + math.inf
-    result = _certified_flow(tuple(node_ids), capacity, demand)
-    result.witness["split_nodes"] = split_nodes
+    result = _certified_flow(tuple(nodes), capacity, demand)
+    if split_nodes:
+        result.witness["split_nodes"] = split_nodes
     return result
 
 
@@ -639,23 +663,24 @@ def validate_hyper_result(
         )
 
 
-def sum_rate_cut(net: NoiselessNetwork, demands: tuple[Demand, ...]) -> float:
-    """Upper bound on the rate total of ``demands`` under any routing on ``net``.
+def sum_rate_cut(arcs, demands: tuple[Demand, ...]) -> float:
+    """Upper bound on the rate total of ``demands`` under any routing.
 
-    Every session delivers its whole rate into each of its sinks, and one
-    pipe's rate bounds the sum of all sessions' draws on it. So at a node that
-    is a sink of every demand, the rate total is at most the total rate of the
-    pipes with that node among their heads; a hyper-arc counts once at each of
-    its heads. Returns the least such total over those nodes, or ``inf`` when
+    ``arcs`` holds ``(heads, rate)`` per pipe of the network. Every session
+    delivers its whole rate into each of its sinks, and one pipe's rate
+    bounds the sum of all sessions' draws on it. So at a node that is a sink
+    of every demand, the rate total is at most the total rate of the pipes
+    with that node among their heads; a hyper-arc counts once at each of its
+    heads. Returns the least such total over those nodes, or ``inf`` when
     the demands share no sink.
     """
     if not demands:
         raise ValueError("demands must be nonempty")
     inflow = dict.fromkeys(frozenset.intersection(*(d.sinks for d in demands)), 0.0)
-    for pipe in net.pipes:
-        for head in pipe.heads:
+    for heads, rate in arcs:
+        for head in heads:
             if head in inflow:
-                inflow[head] += pipe.rate
+                inflow[head] += rate
     return min(inflow.values(), default=math.inf)
 
 

@@ -11,6 +11,8 @@ the closed form of `qsc_capacity` is checked.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -49,8 +51,9 @@ def awgn_capacity(gamma: float) -> float:
     """
     if gamma < 0:
         raise ValueError(f"SNR must be nonnegative, got {gamma}")
-    if np.isinf(gamma):
+    if math.isinf(gamma):
         return float("inf")
+    # np.log2, not math.log2: the two round differently on some inputs.
     return float(0.5 * np.log2(1.0 + gamma))
 
 

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from netbounds import assemble
+from netbounds import assemble, cli
 from netbounds.assemble import (
     LowerParams,
     LowerStructure,
@@ -17,14 +19,17 @@ from netbounds.assemble import (
 )
 from netbounds.decouple import decompose, relay_noise_share
 from netbounds.flows import hyper_inner, max_flow
-from netbounds.info import awgn_capacity, bsc_capacity
+from netbounds.info import awgn_capacity, bsc_capacity, db_to_linear
 from netbounds.netmodel import (
     Demand,
     NoisyLink,
     NoisyNetwork,
     Node,
+    parse_network,
     validate_bounding_network,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def awgn_network(links):
@@ -246,6 +251,17 @@ class TestInterferenceLedger:
         with pytest.raises(ValueError):
             interference_ledger(relay_components(), params)
 
+    def test_non_finite_beta_raises_naming_the_component(self):
+        # NaN passes both the sign and the sum test, so it needs its own.
+        nan = float("nan")
+        structure = LowerStructure(relay_components())
+        for bad in ((nan, 1.0), (1.0, nan), (nan, nan)):
+            params = LowerParams(bc_betas={("bc", "S"): bad})
+            with pytest.raises(ValueError, match=r"bc_betas for \('bc', 'S'\)"):
+                build_lower(relay_components(), params)
+            with pytest.raises(ValueError, match="finite"):
+                structure.arcs({("bc", "S"): bad})
+
     def test_unknown_component_key_raises(self):
         with pytest.raises(ValueError):
             interference_ledger(
@@ -428,6 +444,62 @@ class TestLowerStructure:
                 )
                 assert structure.network(betas) == build_lower(comps, params)
                 assert structure.ledger(betas) == interference_ledger(comps, params)
+
+    def test_network_pipes_are_the_arcs_in_order(self):
+        # network(b) is arcs(b) plus provenance: same (tail, heads, rate), in
+        # order, on every structure the searches rate, at random splits with
+        # some layers at zero power.
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        for structure, layers in self.searched_structures():
+            for _ in range(12):
+                betas = {}
+                for key, count in layers.items():
+                    shares = rng.dirichlet(np.ones(count))
+                    if count > 1 and rng.random() < 0.3:
+                        shares[rng.integers(count)] = 0.0
+                        shares /= shares.sum()
+                    betas[key] = tuple(shares.tolist())
+                arcs = structure.arcs(betas)
+                pipes = structure.network(betas).pipes
+                assert [(p.tail, p.heads, p.rate) for p in pipes] == [
+                    (tail, heads, rate) for tail, heads, rate, _ in arcs
+                ]
+                checked += 1
+        assert checked == 12 * 9  # 4 relay, 3 multicast and 2 bounds structures
+
+    @staticmethod
+    def searched_structures():
+        """(structure, layer count per BC key) of the relay, the multicast
+        fan and both tests/data bounds files."""
+        targets = {(("bc", "S"), 0): ("D", "R"), (("bc", "S"), 1): ("D",)}
+        for family in ({}, targets):
+            for order in (("R", "S"), ("S", "R")):
+                params = LowerParams(
+                    mac_order={("mac", "D"): order}, bc_decode_targets=family
+                )
+                yield LowerStructure(relay_components(gamma_sr=3.0), params), {
+                    ("bc", "S"): 2
+                }
+        power = db_to_linear(13.0)
+        net = cli.multicast_network(4, power, power * db_to_linear(-3.0), 8, 0.1)
+        sinks = sorted(net.demands[0].sinks)
+        two_layers = {("bc", "S1"): 2, ("bc", "S2"): 2}
+        for split in range(1, len(sinks)):
+            params = LowerParams(
+                bc_betas={key: (1.0, 0.0) for key in two_layers},
+                bc_decode_targets={
+                    (("bc", "S1"), 0): tuple(sinks),
+                    (("bc", "S1"), 1): tuple(sinks[:split]),
+                    (("bc", "S2"), 0): tuple(sinks),
+                    (("bc", "S2"), 1): tuple(sinks[split:]),
+                },
+            )
+            yield LowerStructure(decompose(net), params), two_layers
+        for name in ("lower_bounds_2x3xunicast-0.json", "lower_bounds_3x2xmulticast-1.json"):
+            components = decompose(parse_network((DATA / name).read_text(encoding="utf-8")))
+            layers = {c.key: len(c.links) for c in components if c.kind == "bc"}
+            yield LowerStructure(components), layers
 
     def test_default_decode_order_follows_each_split(self):
         # With all power on the private layer the destination cannot decode

@@ -13,6 +13,7 @@ from netbounds.assemble import LowerStructure
 from netbounds.cli import main, parse_grid
 from netbounds.decouple import decompose
 from netbounds.info import db_to_linear
+from netbounds.netmodel import NoiselessNetwork
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -335,6 +336,19 @@ class TestEntryPoint:
         assert "internal error: solver went sideways" in capsys.readouterr().err
 
 
+def count_networks(monkeypatch):
+    """Record every NoiselessNetwork built from here on."""
+    built = []
+    post_init = NoiselessNetwork.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(NoiselessNetwork, "__post_init__", counting)
+    return built
+
+
 class TestLowerStructuresPerSearch:
     # Construction counts do not depend on machine speed, so they guard the
     # searches' reuse of one lower structure per (targets, decode orders,
@@ -355,6 +369,21 @@ class TestLowerStructuresPerSearch:
         built = self.count_constructions(monkeypatch)
         cli.relay_experiment(0.0, 10.0, (5.0,))
         assert 0 < len(built) <= 6
+
+    def test_relay_point_rates_arcs_and_builds_no_network(self, monkeypatch):
+        rated = []
+        arcs = LowerStructure.arcs
+
+        def counting_arcs(self, bc_betas):
+            rated.append(bc_betas)
+            return arcs(self, bc_betas)
+
+        monkeypatch.setattr(LowerStructure, "arcs", counting_arcs)
+        built = count_networks(monkeypatch)
+        components = decompose(cli.relay_network(1.0, db_to_linear(5.0), 10.0))
+        assert cli.relay_eq_lower(components) > 0.0
+        assert len(rated) == 160  # the search's candidate count at this point
+        assert built == []
 
     def test_bounds_builds_one_per_file(self, monkeypatch, capsys):
         built = self.count_constructions(monkeypatch)
@@ -398,18 +427,21 @@ class TestMulticastCutPruning:
         # LP and rating counts do not depend on machine speed, so they guard
         # the pruning where a timer cannot.
         solves, rated = [], []
-        solve, network = flows._solve_lp, LowerStructure.network
+        solve, arcs = flows._solve_lp, LowerStructure.arcs
 
         def counting_solve(lp, upper):
             solves.append(lp)
             return solve(lp, upper)
 
-        def counting_network(self, bc_betas):
+        def counting_arcs(self, bc_betas):
             rated.append(bc_betas)
-            return network(self, bc_betas)
+            return arcs(self, bc_betas)
 
         monkeypatch.setattr(flows, "_solve_lp", counting_solve)
-        monkeypatch.setattr(LowerStructure, "network", counting_network)
+        monkeypatch.setattr(LowerStructure, "arcs", counting_arcs)
+        built = count_networks(monkeypatch)
         assert self.run_point(10, 13.0, -3.0) > 0.0
         assert 0 < len(solves) <= 2
         assert len(rated) == 56
+        # Only the candidates that reach the routing LP become networks.
+        assert len(built) == len(solves)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from netbounds import cli, flows
-from netbounds.assemble import LowerParams, build_lower
+from netbounds.assemble import LowerParams, LowerStructure, build_lower
 from netbounds.decouple import decompose
 from netbounds.flows import (
     FlowResult,
@@ -21,6 +21,7 @@ from netbounds.flows import (
     multicast_outer,
     sum_rate_cut,
     unicast_inner,
+    unicast_inner_arcs,
     validate_hyper_result,
 )
 from netbounds.netmodel import (
@@ -132,6 +133,17 @@ class TestMaxFlow:
         )
         assert abs(cap - result.rate) < 1e-12
         assert "s" in side and "t" not in side
+
+    def test_nan_capacity_on_the_cut_fails_the_certificate(self):
+        # The flow of 0.5 avoids the NaN arc, but the cut it would report
+        # crosses it; NaN compares false both ways, so only a check written
+        # to fail on NaN refuses it.
+        net = pipes_network([("s", "a", float("nan")), ("a", "t", 1.0), ("s", "t", 0.5)])
+        with pytest.raises(AssertionError, match="does not certify"):
+            max_flow(net, unicast("s", "t"))
+        arcs = [(pipe.tail, pipe.heads, pipe.rate) for pipe in net.pipes]
+        with pytest.raises(AssertionError, match="does not certify"):
+            unicast_inner_arcs(net.node_ids, arcs, unicast("s", "t"))
 
     def test_rejects_hyper_arcs(self):
         net = pipes_network([("s", ("a", "b"), 1.0), ("a", "t", 1.0)])
@@ -340,6 +352,11 @@ class TestHyperInner:
             hyper_inner(net, (unicast("s", "t"),), objective="median")
 
 
+def inflow_arcs(net):
+    """The (heads, rate) pairs that sum_rate_cut reads, one per pipe."""
+    return [(pipe.heads, pipe.rate) for pipe in net.pipes]
+
+
 class TestSumRateCut:
     def test_least_inflow_over_the_shared_sinks(self):
         net = pipes_network(
@@ -347,16 +364,17 @@ class TestSumRateCut:
         )
         demands = (multicast("s", {"a", "b"}),)
         # The hyper-arc counts once at each head: a gets 1 + 2, b gets 2 + 0.5 + 4.
-        assert sum_rate_cut(net, demands) == 3.0
-        assert sum_rate_cut(net, (*demands, unicast("s", "b"))) == 6.5
+        assert sum_rate_cut(inflow_arcs(net), demands) == 3.0
+        assert sum_rate_cut(inflow_arcs(net), (*demands, unicast("s", "b"))) == 6.5
 
     def test_infinite_without_a_shared_sink(self):
         net = pipes_network([("s", "a", 1.0), ("s", "b", 1.0)])
-        assert sum_rate_cut(net, (unicast("s", "a"), unicast("s", "b"))) == INF
+        demands = (unicast("s", "a"), unicast("s", "b"))
+        assert sum_rate_cut(inflow_arcs(net), demands) == INF
 
     def test_rejects_empty_demands(self):
         with pytest.raises(ValueError):
-            sum_rate_cut(pipes_network([("s", "t", 1.0)]), ())
+            sum_rate_cut([(("t",), 1.0)], ())
 
 
 @st.composite
@@ -392,7 +410,7 @@ def routing_instances(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_sum_rate_cut_bounds_every_routing(instance):
     net, demands = instance
-    bound = sum_rate_cut(net, demands)
+    bound = sum_rate_cut(inflow_arcs(net), demands)
     assert (bound == INF) == (not frozenset.intersection(*(d.sinks for d in demands)))
     total = sum(result.rate for result in hyper_inner(net, demands, "sum"))
     assert total <= bound + 1e-8
@@ -449,6 +467,13 @@ class TestUnicastInner:
         with pytest.raises(ValueError):
             unicast_inner(net, multicast("s", ("a", "b")))
 
+    def test_rejects_a_pipe_without_heads(self):
+        net = pipes_network([("s", ("a", "t"), 1.0), ("s", "t", 1.0)])
+        headless = BitPipe(tail="s", heads=(), rate=1.0)
+        net = NoiselessNetwork(nodes=net.nodes, pipes=(*net.pipes, headless))
+        with pytest.raises(ValueError, match="no head"):
+            unicast_inner(net, unicast("s", "t"))
+
     def test_rejects_endpoint_outside_the_network(self):
         # The split node's name is free in the network, so it is no endpoint.
         net = pipes_network([("s", ("a", "b"), 1.0), ("a", "t", 1.0)])
@@ -485,7 +510,10 @@ def _split_node_reference(net, demand):
 class TestUnicastInnerMatchesSplitNodeRewrite:
     def assert_same(self, net, demand):
         rate, witness = _split_node_reference(net, demand)
-        result = unicast_inner(net, demand)
+        self.assert_result(unicast_inner(net, demand), rate, witness)
+
+    @staticmethod
+    def assert_result(result, rate, witness):
         assert result.rate == rate
         assert list(result.witness) == list(witness)
         for key, value in witness.items():
@@ -495,19 +523,31 @@ class TestUnicastInnerMatchesSplitNodeRewrite:
                 assert list(got.items()) == list(value.items())
 
     def test_every_relay_candidate_of_one_point(self, monkeypatch):
-        seen = []
+        # The search rates arcs and routes them without building a network;
+        # each of its flows must be the reference's on the candidate's network.
+        rated, flowed = [], []
+        arcs = LowerStructure.arcs
 
-        def recording(net, demand):
-            seen.append((net, demand))
-            return unicast_inner(net, demand)
+        def recording_arcs(self, bc_betas):
+            rated.append((self, bc_betas))
+            return arcs(self, bc_betas)
 
-        monkeypatch.setattr(cli, "unicast_inner", recording)
-        components = decompose(cli.relay_network(1.0, 10.0 ** 0.5, 10.0))
-        cli.relay_eq_lower(components)
-        assert len(seen) > 100
-        assert any(len(net.pipes) > 2 for net, _ in seen)
-        for net, demand in seen:
-            self.assert_same(net, demand)
+        def recording_flow(node_ids, triples, demand):
+            result = unicast_inner_arcs(node_ids, triples, demand)
+            flowed.append((demand, result))
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LowerStructure, "arcs", recording_arcs)
+            patch.setattr(cli, "unicast_inner_arcs", recording_flow)
+            components = decompose(cli.relay_network(1.0, 10.0 ** 0.5, 10.0))
+            cli.relay_eq_lower(components)
+        assert len(rated) == len(flowed) > 100
+        nets = [structure.network(bc_betas) for structure, bc_betas in rated]
+        assert any(len(net.pipes) > 2 for net in nets)
+        for net, (demand, result) in zip(nets, flowed):
+            rate, witness = _split_node_reference(net, demand)
+            self.assert_result(result, rate, witness)
 
     def test_hyper_arcs_sharing_a_head(self):
         net = pipes_network(

@@ -31,6 +31,20 @@ def test_awgn_capacity_values():
     assert awgn_capacity(float("inf")) == float("inf")
 
 
+def test_awgn_capacity_is_the_numpy_formula_bit_for_bit():
+    # The capacity must stay the half-log of np.log2 (math.log2 rounds some
+    # inputs differently); only the infinity test may avoid NumPy.
+    rng = np.random.default_rng(23)
+    subnormals = [5e-324, 1e-310, 2.2250738585072e-308]
+    draws = np.concatenate(
+        [rng.uniform(0.0, 4.0, 2000), 10.0 ** rng.uniform(-300, 300, 2000)]
+    ).tolist()
+    for g in [0.0, *subnormals, *draws, float("inf")]:
+        got = awgn_capacity(g)
+        assert type(got) is float
+        assert got == float(0.5 * np.log2(1.0 + g)), g
+
+
 def test_awgn_capacity_rejects_negative():
     with pytest.raises(ValueError):
         awgn_capacity(-0.1)

@@ -7,9 +7,11 @@ the layered experiment at 0 and 20 dB. Each is rebuilt with `build_lower` and
 hashed over its nodes, pipes, `repr` of every rate and every provenance. The
 digest in tests/data/lower_networks.json was recorded while `build_lower`
 still rebuilt every network from scratch for each beta, so it shows that
-building a structure once and re-rating it changes no network. Re-record it
-(the failure message prints the new value) only when a change is meant to
-move a lower network.
+building a structure once and re-rating it changes no network. Inputs are
+recorded where a search rates a candidate, `LowerStructure.arcs`, which
+`network` also goes through, so candidates that the searches never turn
+into networks are pinned too. Re-record it (the failure message prints the
+new value) only when a change is meant to move a lower network.
 """
 
 import contextlib
@@ -63,14 +65,14 @@ def _update(digest, net) -> None:
 
 def test_lower_networks_match_recorded_digest(monkeypatch):
     inputs = []
-    evaluate = LowerStructure.network
+    rate = LowerStructure.arcs
 
     def recording(self, bc_betas):
         params = dataclasses.replace(self.params, bc_betas=bc_betas)
         inputs.append((self.components, params))
-        return evaluate(self, bc_betas)
+        return rate(self, bc_betas)
 
-    monkeypatch.setattr(LowerStructure, "network", recording)
+    monkeypatch.setattr(LowerStructure, "arcs", recording)
     counts = {}
     for name, run in SECTIONS.items():
         start = len(inputs)
