@@ -5,7 +5,12 @@ pipes routed through one auxiliary node per multi-terminal component, with a
 link shared by a broadcast side and a multi-access side carried by a single
 pipe at the larger of the two required rates. The rates come from
 `bc.bc_upper_cumulative` and `mac.mac_upper`; point-to-point links get their
-capacity from `link_capacity`.
+capacity from `link_capacity`. `UpperStructure` fixes what does not depend
+on the noise split alpha: nodes, auxiliary ids, each broadcast side's
+cumulative rates for its receiver order, point-to-point arcs and shared
+links. Its `arcs(mac_alpha)` rates the multi-access pipes (and the shared
+ones, at the larger rate) as ``(tail, heads, rate, label)`` tuples, and
+`network(mac_alpha)` adds the pipes and their provenance.
 
 The lower network replaces every component by an achievable coding scheme:
 superposition layers on broadcast sides (hyper-arcs to the receivers that
@@ -28,9 +33,9 @@ rate formulas live in the arcs step, nowhere else:
   last step for arcs already rated, so a search builds pipes only for the
   candidates it routes.
 
-`build_lower` and `interference_ledger` are these steps for one
-`LowerParams`; a search over betas builds each structure once and evaluates
-it per candidate.
+`build_upper` and `build_lower` are these steps for one `UpperParams` or
+`LowerParams`; a search over alpha or beta builds each structure once and
+evaluates it per candidate.
 """
 
 from __future__ import annotations
@@ -48,10 +53,10 @@ __all__ = [
     "UpperParams",
     "LowerParams",
     "InterferenceLedger",
+    "UpperStructure",
     "LowerStructure",
     "link_capacity",
     "build_upper",
-    "interference_ledger",
     "build_lower",
 ]
 
@@ -193,129 +198,123 @@ def _all_nodes(components) -> tuple[str, ...]:
     return tuple(names)
 
 
-def build_upper(components, params: UpperParams | None = None) -> NoiselessNetwork:
-    """Build the point-to-point upper bounding network.
+class UpperStructure:
+    """The part of an upper network that does not depend on the noise split.
 
-    Every broadcast component becomes pipes through an auxiliary node
-    "<tx>_out": the transmitter feeds the auxiliary at the component sum rate
-    and each receiver is fed at its cumulative-group rate. Every multi-access
-    component becomes pipes through "<rx>_in": each input feeds the auxiliary
-    at its per-input rate and the auxiliary feeds the receiver at the sum
-    rate. A link on both a broadcast and a multi-access side becomes a single
-    auxiliary-to-auxiliary pipe at the larger of its two rates; any lossless
-    representation must support the bigger requirement.
-
-    Args:
-        components: output of decompose.
-        params: upper-model choices; None means all defaults.
+    Built once from the components and `bc_perm` (as in `UpperParams`). Every
+    broadcast component becomes pipes through an auxiliary node "<tx>_out":
+    the transmitter feeds it at the component sum rate and it feeds each
+    receiver at its cumulative-group rate. Every multi-access component
+    becomes pipes through "<rx>_in": each input feeds it at its per-input
+    rate and it feeds the receiver at the sum rate; `arcs(mac_alpha)` rates
+    these. A link on both sides becomes one auxiliary-to-auxiliary pipe at
+    the larger of its two rates, which any lossless representation needs.
 
     Raises:
-        ValueError: on parameter entries that match no component or invalid
-            permutations.
+        ValueError: on `bc_perm` entries that match no component or do not
+            order its receivers, and on auxiliary ids taken by a node.
     """
+
+    def __init__(self, components, bc_perm: dict | None = None):
+        bc_perm = bc_perm or {}
+        bc_by_key, self._mac_keys = _component_maps(components)
+        _check_param_keys(bc_perm, bc_by_key, "bc_perm")
+        nodes = [Node(id=name) for name in _all_nodes(components)]
+        taken = {node.id for node in nodes}
+
+        def auxiliary(name: str) -> str:
+            if name in taken:
+                raise ValueError(f"auxiliary id {name!r} collides with a node id")
+            taken.add(name)
+            nodes.append(Node(id=name, kind=AUXILIARY))
+            return name
+
+        # (tail, heads, fixed rate, MAC rate, label) per pipe, in order. A MAC
+        # rate (index, input position or None for the sum) is read per alpha,
+        # at least the fixed rate; its label is the text around the alpha.
+        self._slots: list[tuple] = []
+        bc_links: dict[tuple[str, str], tuple[float, str]] = {}
+        for comp in [comp for comp in components if comp.kind == "bc"]:
+            tx, receivers = comp.inputs[0], _bc_receivers(comp)
+            perm_ids = bc_perm.get(comp.key, _default_perm(comp))
+            if sorted(perm_ids) != sorted(receivers):
+                raise ValueError(
+                    f"bc_perm for {comp.key} must order receivers {sorted(receivers)}, "
+                    f"got {perm_ids}"
+                )
+            perm = tuple(receivers.index(r) for r in perm_ids)
+            rv = bc_upper_cumulative(BcSpec(gammas=comp.gamma_list()), perm)
+            label = f"bc {tx}: sum over {len(receivers)} receivers"
+            self._slots.append((tx, (auxiliary(f"{tx}_out"),), rv.sum_rate, None, label))
+            for position, rx in enumerate(perm_ids):
+                label = f"bc {tx}: receiver {rx} (cumulative position {position + 1})"
+                bc_links[(tx, rx)] = (rv.individual[position], label)
+        self._macs: list[tuple[tuple, MacSpec]] = []
+        mac_links: dict[tuple[str, str], tuple[int, int]] = {}
+        for comp in [comp for comp in components if comp.kind == "mac"]:
+            rx, index = comp.outputs[0], len(self._macs)
+            self._macs.append((comp.key, MacSpec(gammas=comp.gamma_list())))
+            label = (f"mac {rx}: sum (alpha=", ")")
+            self._slots.append((auxiliary(f"{rx}_in"), (rx,), None, (index, None), label))
+            for position, tx in enumerate(_mac_inputs(comp)):
+                mac_links[(tx, rx)] = (index, position)
+
+        mac_rx = {rx for _, rx in mac_links}
+        for (tx, rx), (rate, label) in bc_links.items():
+            head = (f"{rx}_in",) if rx in mac_rx else (rx,)
+            mac = mac_links.get((tx, rx))
+            if mac is not None:
+                label = (f"shared: {label} / mac {rx}: input {tx} (alpha=", "), max")
+            self._slots.append((f"{tx}_out", head, rate, mac, label))
+        bc_tx = {tx for tx, _ in bc_links}
+        for (tx, rx), mac in mac_links.items():
+            if (tx, rx) not in bc_links:
+                tail = f"{tx}_out" if tx in bc_tx else tx
+                label = (f"mac {rx}: input {tx} (alpha=", ")")
+                self._slots.append((tail, (f"{rx}_in",), None, mac, label))
+        for comp in components:
+            if comp.kind == "p2p":
+                pipe = _p2p_pipe(comp.links[0])
+                self._slots.append((pipe.tail, pipe.heads, pipe.rate, None, pipe.provenance))
+        self._nodes = tuple(nodes)
+        self.node_ids = tuple(node.id for node in nodes)
+
+    def arcs(self, mac_alpha: dict) -> list[tuple]:
+        """One ``(tail, heads, rate, label)`` per pipe of `network`, in order,
+        with one `mac_upper` per MAC at its `mac_alpha` entry (as in
+        `UpperParams`). A label is the provenance, or ``(text before, alpha,
+        text after)`` on a MAC-rated pipe. Raises ValueError on unknown keys.
+        """
+        _check_param_keys(mac_alpha, self._mac_keys, "mac_alpha")
+        alphas = [mac_alpha.get(key, 1.0) for key, _ in self._macs]
+        rated = [mac_upper(spec, a)[0] for (_, spec), a in zip(self._macs, alphas)]
+        arcs: list[tuple] = []
+        for tail, heads, fixed, mac, label in self._slots:
+            if mac is None:
+                arcs.append((tail, heads, fixed, label))
+                continue
+            rv = rated[mac[0]]
+            rate = rv.sum_rate if mac[1] is None else rv.individual[mac[1]]
+            if fixed is not None:
+                rate = max(fixed, rate)
+            arcs.append((tail, heads, rate, (label[0], alphas[mac[0]], label[1])))
+        return arcs
+
+    def network(self, mac_alpha: dict) -> NoiselessNetwork:
+        """The pipes of `arcs(mac_alpha)` with their provenance; raises as `arcs`."""
+        pipes = tuple(
+            BitPipe(tail, heads, rate, label if isinstance(label, str) else "%s%g%s" % label)
+            for tail, heads, rate, label in self.arcs(mac_alpha)
+        )
+        return NoiselessNetwork(nodes=self._nodes, pipes=pipes)
+
+
+def build_upper(components, params: UpperParams | None = None) -> NoiselessNetwork:
+    """Build the point-to-point upper bounding network: the network of
+    `UpperStructure(components, params.bc_perm)` at `params.mac_alpha`
+    (None means all defaults). Raises ValueError as those two do."""
     params = params or UpperParams()
-    bc_by_key, mac_by_key = _component_maps(components)
-    _check_param_keys(params.mac_alpha, mac_by_key, "mac_alpha")
-    _check_param_keys(params.bc_perm, bc_by_key, "bc_perm")
-
-    nodes = [Node(id=name) for name in _all_nodes(components)]
-    taken = {node.id for node in nodes}
-    pipes: list[BitPipe] = []
-
-    # Per-link rates demanded by each side, keyed by (src, dst).
-    bc_rate: dict[tuple[str, str], float] = {}
-    mac_rate: dict[tuple[str, str], float] = {}
-    bc_label: dict[tuple[str, str], str] = {}
-    mac_label: dict[tuple[str, str], str] = {}
-
-    for comp in components:
-        if comp.kind != "bc":
-            continue
-        tx = comp.inputs[0]
-        receivers = _bc_receivers(comp)
-        perm_ids = params.bc_perm.get(comp.key, _default_perm(comp))
-        if sorted(perm_ids) != sorted(receivers):
-            raise ValueError(
-                f"bc_perm for {comp.key} must order receivers {sorted(receivers)}, "
-                f"got {perm_ids}"
-            )
-        spec = BcSpec(gammas=comp.gamma_list())
-        perm = tuple(receivers.index(r) for r in perm_ids)
-        rv = bc_upper_cumulative(spec, perm)
-        aux = f"{tx}_out"
-        if aux in taken:
-            raise ValueError(f"auxiliary id {aux!r} collides with a node id")
-        taken.add(aux)
-        nodes.append(Node(id=aux, kind=AUXILIARY))
-        pipes.append(
-            BitPipe(
-                tail=tx,
-                heads=(aux,),
-                rate=rv.sum_rate,
-                provenance=f"bc {tx}: sum over {len(receivers)} receivers",
-            )
-        )
-        for position, receiver in enumerate(perm_ids):
-            bc_rate[(tx, receiver)] = rv.individual[position]
-            bc_label[(tx, receiver)] = (
-                f"bc {tx}: receiver {receiver} (cumulative position {position + 1})"
-            )
-
-    for comp in components:
-        if comp.kind != "mac":
-            continue
-        rx = comp.outputs[0]
-        inputs = _mac_inputs(comp)
-        alpha = params.mac_alpha.get(comp.key, 1.0)
-        spec = MacSpec(gammas=comp.gamma_list())
-        rv, _partition = mac_upper(spec, alpha)
-        aux = f"{rx}_in"
-        if aux in taken:
-            raise ValueError(f"auxiliary id {aux!r} collides with a node id")
-        taken.add(aux)
-        nodes.append(Node(id=aux, kind=AUXILIARY))
-        pipes.append(
-            BitPipe(
-                tail=aux,
-                heads=(rx,),
-                rate=rv.sum_rate,
-                provenance=f"mac {rx}: sum (alpha={alpha:g})",
-            )
-        )
-        for position, tx in enumerate(inputs):
-            mac_rate[(tx, rx)] = rv.individual[position]
-            mac_label[(tx, rx)] = f"mac {rx}: input {tx} (alpha={alpha:g})"
-
-    bc_tx = {comp.inputs[0] for comp in components if comp.kind == "bc"}
-    mac_rx = {comp.outputs[0] for comp in components if comp.kind == "mac"}
-
-    emitted: set[tuple[str, str]] = set()
-    for (tx, rx), rate in bc_rate.items():
-        tail = f"{tx}_out"
-        head = f"{rx}_in" if rx in mac_rx else rx
-        if (tx, rx) in mac_rate:
-            other = mac_rate[(tx, rx)]
-            provenance = (
-                f"shared: {bc_label[(tx, rx)]} / {mac_label[(tx, rx)]}, max"
-            )
-            rate = max(rate, other)
-        else:
-            provenance = bc_label[(tx, rx)]
-        pipes.append(BitPipe(tail=tail, heads=(head,), rate=rate, provenance=provenance))
-        emitted.add((tx, rx))
-    for (tx, rx), rate in mac_rate.items():
-        if (tx, rx) in emitted:
-            continue
-        tail = f"{tx}_out" if tx in bc_tx else tx
-        pipes.append(
-            BitPipe(
-                tail=tail, heads=(f"{rx}_in",), rate=rate, provenance=mac_label[(tx, rx)]
-            )
-        )
-
-    pipes.extend(_p2p_pipe(comp.links[0]) for comp in components if comp.kind == "p2p")
-
-    return NoiselessNetwork(nodes=tuple(nodes), pipes=tuple(pipes))
+    return UpperStructure(components, params.bc_perm).network(params.mac_alpha)
 
 
 def _bc_targets(
@@ -644,17 +643,6 @@ def _provenance(tail: str, heads: tuple[str, ...], label) -> str:
     shared = [j for j in heads if extrinsic[(tail, j)] > 0]
     note = f" (interference-adjusted at {shared})" if shared else ""
     return f"bc {tail}: layer {layer + 1} beta={beta:g} -> {list(heads)}{note}"
-
-
-def interference_ledger(components, params: LowerParams | None = None) -> InterferenceLedger:
-    """Charge every receiver with the power it will never decode.
-
-    The ledger of `LowerStructure(components, params)` at `params.bc_betas`;
-    see `LowerStructure.ledger`. It also keeps each broadcast side's
-    validated layers and each multi-access receiver's decode order.
-    """
-    params = params or LowerParams()
-    return LowerStructure(components, params).ledger(params.bc_betas)
 
 
 def build_lower(components, params: LowerParams | None = None) -> NoiselessNetwork:

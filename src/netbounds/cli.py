@@ -36,6 +36,7 @@ from .assemble import (
     LowerParams,
     LowerStructure,
     UpperParams,
+    UpperStructure,
     build_lower,
     build_upper,
     link_capacity,
@@ -48,7 +49,9 @@ from .flows import (
     combine_bounds,
     hyper_inner,
     max_flow,
+    max_flow_arcs,
     multicast_outer,
+    multicast_outer_arcs,
     sum_rate_cut,
     unicast_inner,
     unicast_inner_arcs,
@@ -56,7 +59,6 @@ from .flows import (
 from .info import awgn_capacity, db_to_linear, qsc_capacity
 from .mac import MacSpec, mac_upper
 from .netmodel import (
-    BitPipe,
     Demand,
     NetworkFormatError,
     Node,
@@ -398,21 +400,25 @@ def relay_network(gamma_sd: float, gamma_sr: float, gamma_rd: float) -> NoisyNet
     )
 
 
+_RELAY_SOURCE_SETS = (frozenset({"S"}), frozenset({"S", "R"}))
+
+
 def _relay_demand() -> Demand:
     return Demand(kind="unicast", source="S", sinks=frozenset({"D"}))
 
 
 def relay_eq_upper(components, alphas=ALPHA_GRID) -> float:
-    """Tightest flow bound over the noise-split sweep and both decode orders."""
+    """Tightest flow bound over the noise-split sweep and both receiver orders
+    of the cumulative BC upper model: one upper structure per order."""
     demand = _relay_demand()
+    structures = [
+        UpperStructure(components, {("bc", "S"): perm}) for perm in (("D", "R"), ("R", "D"))
+    ]
     best = float("inf")
     for alpha in alphas:
-        for perm in (("D", "R"), ("R", "D")):
-            upper = build_upper(
-                components,
-                UpperParams(mac_alpha={("mac", "D"): alpha}, bc_perm={("bc", "S"): perm}),
-            )
-            best = min(best, max_flow(upper, demand).rate)
+        for structure in structures:
+            arcs = [arc[:3] for arc in structure.arcs({("mac", "D"): alpha})]
+            best = min(best, max_flow_arcs(structure.node_ids, arcs, demand).rate)
     return best
 
 
@@ -433,6 +439,26 @@ def _relay_targets(family: str):
     return {(("bc", "S"), 0): ("D", "R"), (("bc", "S"), 1): ("D",)}
 
 
+def _relay_cut_rate(arcs, crossing: dict) -> float:
+    """The least total, over the relay's source-side sets {S} and {S, R}, of
+    the ``(tail, heads, rate, label)`` arcs leaving the set, summed in arc
+    order; a hyper-arc counts once if any head is outside. By max-flow/min-cut
+    on the split-node rewrite, this is `unicast_inner_arcs`' rate. ``crossing``
+    keeps the sets each ``(tail, heads)`` leaves: one dict per structure."""
+    totals = [0.0] * len(_RELAY_SOURCE_SETS)
+    for tail, heads, rate, _ in arcs:
+        cuts = crossing.get((tail, heads))
+        if cuts is None:
+            cuts = crossing[(tail, heads)] = tuple(
+                k
+                for k, side in enumerate(_RELAY_SOURCE_SETS)
+                if tail in side and not side.issuperset(heads)
+            )
+        for k in cuts:
+            totals[k] += rate
+    return min(totals)
+
+
 def relay_eq_lower(components) -> float:
     """Best achievable rate over superposition splits and decode orders.
 
@@ -440,28 +466,32 @@ def relay_eq_lower(components) -> float:
     improvement replaces the incumbent, so when the relay cannot help the
     relay-off construction is reported and the direct-link capacity is hit
     exactly. The per-family share search starts on a coarse 1/8 grid and
-    zooms three times around the best point; each evaluation is an exact
-    max-flow, so the zoom stays cheap. Each (targets, decode order) structure
-    is built once and rated for every share, as arcs: no candidate becomes a
-    network of pipes.
+    zooms three times around the best point. Each (targets, decode order)
+    structure is built once and rated for every share, as arcs: no candidate
+    becomes a network of pipes.
+
+    Candidates are rated by `_relay_cut_rate`. The reported rate is the
+    winner's certified `unicast_inner_arcs` max flow, one per search, which
+    equals the winner's cut rate bit for bit unless an arc is thinner than
+    the max flow's residual tolerance.
     """
     orders = (("R", "S"), ("S", "R"))
     demand = _relay_demand()
-    best = 0.0
-
-    def consider(rate: float) -> None:
-        nonlocal best
-        if rate > best + _IMPROVE_TOL:
-            best = rate
+    best, winner = 0.0, None
+    crossings: dict[LowerStructure, dict] = {}
 
     def rate_at(structure: LowerStructure, betas) -> float:
+        """The candidate's cut rate; a strict improvement becomes the winner."""
+        nonlocal best, winner
         arcs = structure.arcs({("bc", "S"): betas})
-        triples = [(tail, heads, rate) for tail, heads, rate, _ in arcs]
-        return unicast_inner_arcs(structure.node_ids, triples, demand).rate
+        rate = _relay_cut_rate(arcs, crossings.setdefault(structure, {}))
+        if rate > best + _IMPROVE_TOL:
+            best, winner = rate, (structure.node_ids, arcs)
+        return rate
 
     for order in orders:
         single = _relay_structure(components, 1, {(("bc", "S"), 0): ("D",)}, order)
-        consider(rate_at(single, (1.0,)))
+        rate_at(single, (1.0,))
 
     structures: dict[tuple[str, tuple], LowerStructure] = {}
     threads: dict[tuple[str, tuple], tuple[float, float]] = {}
@@ -475,7 +505,6 @@ def relay_eq_lower(components) -> float:
                 if family == "direct" and share == 0.0:
                     continue
                 rate = rate_at(structure, (1.0 - share, share))
-                consider(rate)
                 incumbent = threads.get((family, order))
                 if incumbent is None or rate > incumbent[0] + _IMPROVE_TOL:
                     threads[(family, order)] = (rate, share)
@@ -489,10 +518,18 @@ def relay_eq_lower(components) -> float:
             local_best = None
             for share in candidates:
                 rate = rate_at(structure, (1.0 - share, share))
-                consider(rate)
                 if local_best is None or rate > local_best[0] + _IMPROVE_TOL:
                     local_best = (rate, share)
             center = local_best[1]
+
+    if winner is not None:
+        node_ids, arcs = winner
+        certified = unicast_inner_arcs(node_ids, [arc[:3] for arc in arcs], demand).rate
+        # The same bits unless the max flow left unused a path as thin as its
+        # residual tolerance; its min-cut certificate bounds that gap.
+        ok = certified <= best <= certified + 1e-9 * max(1.0, certified)
+        assert ok, f"cut rate {best} is not the max flow {certified}"
+        best = certified
     return best
 
 
@@ -748,45 +785,27 @@ def multicast_network(
     return NoisyNetwork(nodes=nodes, links=tuple(links), demands=demands)
 
 
-def _with_joint_source(net: NoiselessNetwork, sources):
-    """Add a node feeding every source without rate limit; returns (net, id)."""
-    name = "JOINT_SRC"
-    taken = set(net.node_ids)
-    while name in taken:
-        name = name + "_"
-    pipes = list(net.pipes)
-    for source in sources:
-        pipes.append(
-            BitPipe(
-                tail=name,
-                heads=(source,),
-                rate=float("inf"),
-                provenance=f"joint-source feed to {source}",
-            )
-        )
-    return (
-        NoiselessNetwork(nodes=(*net.nodes, Node(id=name)), pipes=tuple(pipes)),
-        name,
-    )
-
-
 def multicast_eq_upper(components, sinks, alphas=ALPHA_GRID) -> float:
     """Outer bound on the sum rate: joint-source flow to the worst receiver.
 
     Any pair of achievable session rates is also achievable when both sources
     share one encoder, so the min-cut from a merged source to each sink caps
     the session sum: the multicast outer bound from the merged source.
-    Minimized over the noise-split sweep.
+    Minimized over the noise-split sweep, on one upper structure's arcs plus
+    infinite arcs from the merged source JOINT_SRC (``_`` added while taken).
     """
     mac_keys = [comp.key for comp in components if comp.kind == "mac"]
+    structure = UpperStructure(components)
+    name = "JOINT_SRC"
+    while name in structure.node_ids:
+        name = name + "_"
+    node_ids = (*structure.node_ids, name)
+    feeds = [(name, (source,), math.inf) for source in ("S1", "S2")]
+    demand = Demand(kind="multicast", source=name, sinks=frozenset(sinks))
     best = float("inf")
     for alpha in alphas:
-        upper = build_upper(
-            components, UpperParams(mac_alpha={key: alpha for key in mac_keys})
-        )
-        joint, name = _with_joint_source(upper, ("S1", "S2"))
-        demand = Demand(kind="multicast", source=name, sinks=frozenset(sinks))
-        best = min(best, multicast_outer(joint, demand).rate)
+        arcs = [arc[:3] for arc in structure.arcs({key: alpha for key in mac_keys})]
+        best = min(best, multicast_outer_arcs(node_ids, arcs + feeds, demand).rate)
     return best
 
 

@@ -13,11 +13,12 @@ each solve is still a cold start. Every reported flow is re-validated against
 conservation and capacity constraints; bounds are certifiable, not solver
 folklore.
 
-unicast_inner_arcs and sum_rate_cut read plain arc tuples, not networks, so
-a search can score a candidate lower network from its rated arcs alone and
-build pipes only for the candidates it routes. unicast_inner is
-unicast_inner_arcs on a network's pipes; both feed the max-flow the same
-node list and capacity map, so they agree bit for bit.
+max_flow_arcs, multicast_outer_arcs, unicast_inner_arcs and sum_rate_cut
+read plain arc tuples, not networks, so a search can score a candidate
+bounding network from its rated arcs alone and build pipes only for the
+candidates it keeps. max_flow, multicast_outer and unicast_inner are the arc
+forms on a network's pipes; each pair feeds the max-flow the same node list
+and capacity map, so they agree bit for bit.
 
 sum_rate_cut bounds the rate total of any routing without solving an LP:
 every session delivers its whole rate into each of its sinks, so the total
@@ -51,7 +52,9 @@ __all__ = [
     "FlowResult",
     "BoundReport",
     "max_flow",
+    "max_flow_arcs",
     "multicast_outer",
+    "multicast_outer_arcs",
     "unicast_inner",
     "unicast_inner_arcs",
     "sum_rate_cut",
@@ -101,20 +104,21 @@ class BoundReport:
         return violations
 
 
-def _require_p2p(net: NoiselessNetwork):
-    for pipe in net.pipes:
-        if pipe.is_hyper:
+def _pipe_arcs(net: NoiselessNetwork) -> list[tuple]:
+    return [(pipe.tail, pipe.heads, pipe.rate) for pipe in net.pipes]
+
+
+def _edge_capacities(arcs) -> dict[tuple[str, str], float]:
+    """Capacity per ``(tail, head)`` of point-to-point arcs, in arc order."""
+    capacity: dict[tuple[str, str], float] = {}
+    for tail, heads, rate in arcs:
+        if len(heads) != 1:
             raise ValueError(
-                f"network contains a hyper-arc {pipe.tail}->{list(pipe.heads)}; "
+                f"network contains a hyper-arc {tail}->{list(heads)}; "
                 "max-flow applies to point-to-point networks only"
             )
-
-
-def _edge_capacities(net: NoiselessNetwork) -> dict[tuple[str, str], float]:
-    capacity: dict[tuple[str, str], float] = {}
-    for pipe in net.pipes:
-        key = (pipe.tail, pipe.head)
-        capacity[key] = capacity.get(key, 0.0) + pipe.rate
+        key = (tail, heads[0])
+        capacity[key] = capacity.get(key, 0.0) + rate
     return capacity
 
 
@@ -176,6 +180,7 @@ def max_flow(net: NoiselessNetwork, demand: Demand) -> FlowResult:
 
     Runs shortest-augmenting-path max-flow with infinite-rate pipes treated as
     uncapacitated, and certifies the value with the residual-graph min cut.
+    This is `max_flow_arcs` on the network's pipes.
 
     Args:
         net: noiseless network of point-to-point pipes only.
@@ -185,12 +190,17 @@ def max_flow(net: NoiselessNetwork, demand: Demand) -> FlowResult:
         ValueError: when the network has hyper-arcs or the demand is not
             unicast.
     """
-    _require_p2p(net)
+    return max_flow_arcs(net.node_ids, _pipe_arcs(net), demand)
+
+
+def max_flow_arcs(node_ids, arcs, demand: Demand) -> FlowResult:
+    """`max_flow` on ``(tail, heads, rate)`` arcs over ``node_ids``; each
+    ``(tail, head)`` capacity sums in arc order, as over a network's pipes."""
+    capacity = _edge_capacities(arcs)
     if demand.kind != "unicast":
         raise ValueError("max_flow takes a unicast demand; see multicast_outer")
-    node_ids = net.node_ids
     _check_endpoints(node_ids, demand)
-    return _certified_flow(node_ids, _edge_capacities(net), demand)
+    return _certified_flow(node_ids, capacity, demand)
 
 
 def _check_endpoints(node_ids: tuple[str, ...], demand: Demand) -> None:
@@ -234,14 +244,19 @@ def multicast_outer(net: NoiselessNetwork, demand: Demand) -> FlowResult:
     first sink's witness among those of least rate, plus `per_sink`, the rate
     of every sink in `demand.sink_list` order.
 
+    This is `multicast_outer_arcs` on the network's pipes.
+
     Raises:
         ValueError: when the network has hyper-arcs or an endpoint of the
             demand is not a network node.
     """
-    _require_p2p(net)
-    node_ids = net.node_ids
+    return multicast_outer_arcs(net.node_ids, _pipe_arcs(net), demand)
+
+
+def multicast_outer_arcs(node_ids, arcs, demand: Demand) -> FlowResult:
+    """`multicast_outer` on ``(tail, heads, rate)`` arcs over ``node_ids``."""
+    capacity = _edge_capacities(arcs)
     _check_endpoints(node_ids, demand)
-    capacity = _edge_capacities(net)
     best: FlowResult | None = None
     per_sink: dict[str, float] = {}
     for sink in demand.sink_list:
@@ -282,8 +297,7 @@ def unicast_inner(net: NoiselessNetwork, demand: Demand) -> FlowResult:
         ValueError: If the demand is not unicast or an endpoint is not a
             node of ``net``.
     """
-    arcs = [(pipe.tail, pipe.heads, pipe.rate) for pipe in net.pipes]
-    return unicast_inner_arcs(net.node_ids, arcs, demand)
+    return unicast_inner_arcs(net.node_ids, _pipe_arcs(net), demand)
 
 
 def unicast_inner_arcs(node_ids, arcs, demand: Demand) -> FlowResult:

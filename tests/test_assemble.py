@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -12,16 +13,27 @@ from netbounds.assemble import (
     LowerParams,
     LowerStructure,
     UpperParams,
+    UpperStructure,
     build_lower,
     build_upper,
-    interference_ledger,
     link_capacity,
 )
 from netbounds.decouple import decompose, relay_noise_share
-from netbounds.flows import hyper_inner, max_flow
+from netbounds.bc import BcSpec, bc_upper_cumulative
+from netbounds.flows import (
+    hyper_inner,
+    max_flow,
+    max_flow_arcs,
+    multicast_outer,
+    multicast_outer_arcs,
+)
 from netbounds.info import awgn_capacity, bsc_capacity, db_to_linear
+from netbounds.mac import MacSpec, mac_upper
 from netbounds.netmodel import (
+    AUXILIARY,
+    BitPipe,
     Demand,
+    NoiselessNetwork,
     NoisyLink,
     NoisyNetwork,
     Node,
@@ -196,15 +208,171 @@ class TestBuildUpper:
             build_upper(comps)
 
 
+def _reference_build_upper(components, params=None):
+    """build_upper written as it was before UpperStructure: every step for
+    one alpha, BC models and pipes rebuilt per call."""
+    params = params or UpperParams()
+    bc_by_key, mac_by_key = assemble._component_maps(components)
+    assemble._check_param_keys(params.mac_alpha, mac_by_key, "mac_alpha")
+    assemble._check_param_keys(params.bc_perm, bc_by_key, "bc_perm")
+    nodes = [Node(id=name) for name in assemble._all_nodes(components)]
+    taken = {node.id for node in nodes}
+    pipes = []
+    bc_rate, mac_rate, bc_label, mac_label = {}, {}, {}, {}
+    for comp in components:
+        if comp.kind != "bc":
+            continue
+        tx = comp.inputs[0]
+        receivers = tuple(link.dst for link in comp.links)
+        perm_ids = params.bc_perm.get(comp.key, assemble._default_perm(comp))
+        if sorted(perm_ids) != sorted(receivers):
+            raise ValueError(f"bad bc_perm {perm_ids}")
+        perm = tuple(receivers.index(r) for r in perm_ids)
+        rv = bc_upper_cumulative(BcSpec(gammas=comp.gamma_list()), perm)
+        aux = f"{tx}_out"
+        if aux in taken:
+            raise ValueError(f"auxiliary id {aux!r} collides with a node id")
+        taken.add(aux)
+        nodes.append(Node(id=aux, kind=AUXILIARY))
+        pipes.append(
+            BitPipe(tx, (aux,), rv.sum_rate, f"bc {tx}: sum over {len(receivers)} receivers")
+        )
+        for position, receiver in enumerate(perm_ids):
+            bc_rate[(tx, receiver)] = rv.individual[position]
+            bc_label[(tx, receiver)] = (
+                f"bc {tx}: receiver {receiver} (cumulative position {position + 1})"
+            )
+    for comp in components:
+        if comp.kind != "mac":
+            continue
+        rx = comp.outputs[0]
+        alpha = params.mac_alpha.get(comp.key, 1.0)
+        rv, _partition = mac_upper(MacSpec(gammas=comp.gamma_list()), alpha)
+        aux = f"{rx}_in"
+        if aux in taken:
+            raise ValueError(f"auxiliary id {aux!r} collides with a node id")
+        taken.add(aux)
+        nodes.append(Node(id=aux, kind=AUXILIARY))
+        pipes.append(BitPipe(aux, (rx,), rv.sum_rate, f"mac {rx}: sum (alpha={alpha:g})"))
+        for position, link in enumerate(comp.links):
+            mac_rate[(link.src, rx)] = rv.individual[position]
+            mac_label[(link.src, rx)] = f"mac {rx}: input {link.src} (alpha={alpha:g})"
+    bc_tx = {comp.inputs[0] for comp in components if comp.kind == "bc"}
+    mac_rx = {comp.outputs[0] for comp in components if comp.kind == "mac"}
+    for (tx, rx), rate in bc_rate.items():
+        head = f"{rx}_in" if rx in mac_rx else rx
+        provenance = bc_label[(tx, rx)]
+        if (tx, rx) in mac_rate:
+            provenance = f"shared: {provenance} / {mac_label[(tx, rx)]}, max"
+            rate = max(rate, mac_rate[(tx, rx)])
+        pipes.append(BitPipe(f"{tx}_out", (head,), rate, provenance))
+    for (tx, rx), rate in mac_rate.items():
+        if (tx, rx) not in bc_rate:
+            tail = f"{tx}_out" if tx in bc_tx else tx
+            pipes.append(BitPipe(tail, (f"{rx}_in",), rate, mac_label[(tx, rx)]))
+    for comp in components:
+        if comp.kind == "p2p":
+            pipes.append(assemble._p2p_pipe(comp.links[0]))
+    return NoiselessNetwork(nodes=tuple(nodes), pipes=tuple(pipes))
+
+
+def _network_key(net):
+    nodes = tuple((node.id, node.kind) for node in net.nodes)
+    return nodes, tuple((p.tail, p.heads, repr(p.rate), p.provenance) for p in net.pipes)
+
+
+def _flow_key(result):
+    # repr keeps every dict's order: flows, per_sink.
+    return result.demand, repr(result.rate), repr(result.witness)
+
+
+def random_upper_inputs(rng):
+    """A random decomposed network of 5 nodes (coupled groups share links),
+    with a random receiver order per BC and a random alpha per MAC (0, 1, a
+    uniform draw, or left at the default)."""
+    names = ["n0", "n1", "n2", "n3", "n4"]
+    pairs = [(u, v) for u in names for v in names if u != v]
+    chosen = rng.sample(pairs, rng.randint(2, 9))
+    links = [
+        NoisyLink(src=u, dst=v, kind="awgn", snr=db_to_linear(rng.uniform(-10.0, 30.0)))
+        for u, v in chosen
+    ]
+    if rng.random() < 0.3:
+        links.append(NoisyLink(src="n0", dst="b0", kind="bsc", eps=rng.uniform(0.0, 0.5)))
+    comps = decompose(
+        NoisyNetwork(nodes=tuple(Node(id=n) for n in names + ["b0"]), links=tuple(links))
+    )
+    perms, alphas = {}, {}
+    for comp in comps:
+        if comp.kind == "bc" and rng.random() < 0.7:
+            perms[comp.key] = tuple(rng.sample(comp.outputs, len(comp.outputs)))
+        if comp.kind == "mac" and rng.random() < 0.8:
+            alphas[comp.key] = rng.choice([0.0, 1.0, rng.random()])
+    return comps, perms, alphas
+
+
+class TestUpperStructure:
+    def test_network_is_the_reference_build(self):
+        rng = random.Random(20261018)
+        shared = 0
+        for _ in range(80):
+            comps, perms, alphas = random_upper_inputs(rng)
+            want = _network_key(_reference_build_upper(comps, UpperParams(alphas, perms)))
+            structure = UpperStructure(comps, perms)
+            assert _network_key(structure.network(alphas)) == want
+            assert _network_key(build_upper(comps, UpperParams(alphas, perms))) == want
+            # One structure re-rated at another alpha is that alpha's build.
+            other = {key: 1.0 - alpha for key, alpha in alphas.items()}
+            assert _network_key(structure.network(other)) == _network_key(
+                _reference_build_upper(comps, UpperParams(other, perms))
+            )
+            shared += sum(p.provenance.startswith("shared") for p in structure.network({}).pipes)
+        assert shared > 20
+
+    def test_arc_forms_match_network_forms(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            comps, perms, alphas = random_upper_inputs(rng)
+            structure = UpperStructure(comps, perms)
+            net = structure.network(alphas)
+            arcs = [arc[:3] for arc in structure.arcs(alphas)]
+            assert arcs == [(p.tail, p.heads, p.rate) for p in net.pipes]
+            names = [node.id for node in net.nodes if node.kind != AUXILIARY]
+            source, *sinks = rng.sample(names, min(4, len(names)))
+            for sink in sinks:
+                assert _flow_key(max_flow_arcs(net.node_ids, arcs, unicast(source, sink))) == (
+                    _flow_key(max_flow(net, unicast(source, sink)))
+                )
+            demand = Demand(kind="multicast", source=source, sinks=frozenset(sinks))
+            assert _flow_key(multicast_outer_arcs(net.node_ids, arcs, demand)) == (
+                _flow_key(multicast_outer(net, demand))
+            )
+
+    def test_rejects_unknown_keys_bad_perms_and_collisions(self):
+        comps = relay_components()
+        with pytest.raises(ValueError, match="mac_alpha"):
+            UpperStructure(comps).arcs({("mac", "Z"): 0.5})
+        with pytest.raises(ValueError, match="bc_perm"):
+            UpperStructure(comps, {("bc", "Z"): ("R", "D")})
+        with pytest.raises(ValueError, match="must order receivers"):
+            UpperStructure(comps, {("bc", "S"): ("R", "R")})
+        comps = decompose(awgn_network([("S", "S_out", 1.0), ("S", "B", 2.0)]))
+        with pytest.raises(ValueError, match="collides"):
+            UpperStructure(comps)
+        comps = decompose(awgn_network([("A", "C", 1.0), ("B", "C", 2.0), ("X", "C_in", 1.0)]))
+        with pytest.raises(ValueError, match="collides"):
+            UpperStructure(comps)
+
+
 class TestInterferenceLedger:
     def test_defaults_decode_everything(self):
-        ledger = interference_ledger(relay_components())
+        ledger = LowerStructure(relay_components()).ledger({})
         assert all(abs(v) < 1e-12 for v in ledger.gamma_residual.values())
         assert all(abs(v) < 1e-12 for v in ledger.receiver_floor.values())
 
     def test_relay_private_layer_residual(self):
         params = LowerParams(bc_betas={("bc", "S"): (0.5, 0.5)})
-        ledger = interference_ledger(relay_components(), params)
+        ledger = LowerStructure(relay_components(), params).ledger(params.bc_betas)
         assert abs(ledger.gamma_residual[("S", "D")] - 0.5) < 1e-12
         assert abs(ledger.gamma_residual[("R", "D")]) < 1e-12
         assert abs(ledger.receiver_floor["D"] - 0.5) < 1e-12
@@ -215,7 +383,7 @@ class TestInterferenceLedger:
 
     def test_relay_effective_snrs_and_sic_sum(self):
         params = LowerParams(bc_betas={("bc", "S"): (0.5, 0.5)})
-        ledger = interference_ledger(relay_components(), params)
+        ledger = LowerStructure(relay_components(), params).ledger(params.bc_betas)
         floor = ledger.receiver_floor["D"]
         g_s = (1.0 - ledger.gamma_residual[("S", "D")]) / (1.0 + floor)
         g_r = (10.0 - ledger.gamma_residual[("R", "D")]) / (1.0 + floor)
@@ -228,7 +396,7 @@ class TestInterferenceLedger:
             awgn_network([("X1", "J", 1.0), ("X2", "J", 2.0), ("X2", "K", 3.0)])
         )
         params = LowerParams(bc_betas={("bc", "X2"): (0.0, 1.0)})
-        ledger = interference_ledger(comps, params)
+        ledger = LowerStructure(comps, params).ledger(params.bc_betas)
         assert abs(ledger.gamma_residual[("X2", "J")] - 2.0) < 1e-12
         assert abs(ledger.receiver_floor["J"] - 2.0) < 1e-12
 
@@ -237,19 +405,19 @@ class TestInterferenceLedger:
             bc_betas={("bc", "S"): (0.5, 0.5)},
             mac_order={("mac", "D"): ("S", "R")},
         )
-        ledger = interference_ledger(relay_components(), params)
+        ledger = LowerStructure(relay_components(), params).ledger(params.bc_betas)
         assert abs(ledger.extrinsic[("S", "D")] - 10.0) < 1e-12
         assert abs(ledger.extrinsic[("R", "D")] - 0.5) < 1e-12
 
     def test_bad_beta_sum_raises(self):
         params = LowerParams(bc_betas={("bc", "S"): (0.5, 0.4)})
         with pytest.raises(ValueError):
-            interference_ledger(relay_components(), params)
+            LowerStructure(relay_components(), params).ledger(params.bc_betas)
 
     def test_negative_beta_raises(self):
         params = LowerParams(bc_betas={("bc", "S"): (1.5, -0.5)})
         with pytest.raises(ValueError):
-            interference_ledger(relay_components(), params)
+            LowerStructure(relay_components(), params).ledger(params.bc_betas)
 
     def test_non_finite_beta_raises_naming_the_component(self):
         # NaN passes both the sign and the sum test, so it needs its own.
@@ -264,14 +432,13 @@ class TestInterferenceLedger:
 
     def test_unknown_component_key_raises(self):
         with pytest.raises(ValueError):
-            interference_ledger(
-                relay_components(), LowerParams(bc_betas={("bc", "Q"): (1.0,)})
-            )
+            params = LowerParams(bc_betas={("bc", "Q"): (1.0,)})
+            LowerStructure(relay_components(), params).ledger(params.bc_betas)
 
     def test_bad_order_raises(self):
         params = LowerParams(mac_order={("mac", "D"): ("S", "S")})
         with pytest.raises(ValueError):
-            interference_ledger(relay_components(), params)
+            LowerStructure(relay_components(), params).ledger(params.bc_betas)
 
     def test_non_nested_targets_raise(self):
         params = LowerParams(
@@ -282,7 +449,7 @@ class TestInterferenceLedger:
             },
         )
         with pytest.raises(ValueError):
-            interference_ledger(relay_components(), params)
+            LowerStructure(relay_components(), params).ledger(params.bc_betas)
 
     def test_empty_target_raises(self):
         params = LowerParams(
@@ -290,7 +457,7 @@ class TestInterferenceLedger:
             bc_decode_targets={(("bc", "S"), 1): ()},
         )
         with pytest.raises(ValueError):
-            interference_ledger(relay_components(), params)
+            LowerStructure(relay_components(), params).ledger(params.bc_betas)
 
 
 class TestBuildLower:
@@ -443,7 +610,9 @@ class TestLowerStructure:
                     bc_betas=betas, mac_order=mac_order, bc_decode_targets=targets
                 )
                 assert structure.network(betas) == build_lower(comps, params)
-                assert structure.ledger(betas) == interference_ledger(comps, params)
+                assert structure.ledger(betas) == LowerStructure(comps, params).ledger(
+                    params.bc_betas
+                )
 
     def test_network_pipes_are_the_arcs_in_order(self):
         # network(b) is arcs(b) plus provenance: same (tail, heads, rate), in

@@ -7,11 +7,14 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netbounds import cli, flows
-from netbounds.assemble import LowerStructure
+from netbounds.assemble import LowerStructure, UpperStructure
 from netbounds.cli import main, parse_grid
 from netbounds.decouple import decompose
+from netbounds.flows import unicast_inner_arcs
 from netbounds.info import db_to_linear
 from netbounds.netmodel import NoiselessNetwork
 
@@ -400,6 +403,97 @@ class TestLowerStructuresPerSearch:
         net = cli.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
         cli.multicast_eq_lower(net, decompose(net))
         assert len(built) == 29
+
+
+RELAY_ORDERS = (("R", "S"), ("S", "R"))
+
+
+def relay_structures(components, share):
+    """Every structure the relay search rates, with its betas at ``share``."""
+    single = {(("bc", "S"), 0): ("D",)}
+    structures = [
+        (cli._relay_structure(components, 1, single, order), (1.0,))
+        for order in RELAY_ORDERS
+    ]
+    for family in ("strong", "direct"):
+        targets = cli._relay_targets(family)
+        structures += [
+            (cli._relay_structure(components, 2, targets, order), (1 - share, share))
+            for order in RELAY_ORDERS
+        ]
+    return structures
+
+
+@given(
+    gamma_sr_db=st.floats(min_value=-10.0, max_value=30.0),
+    share=st.one_of(
+        st.sampled_from((0.0, 1.0)),
+        st.integers(min_value=0, max_value=4096).map(lambda k: k / 4096),  # the search's grid
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_relay_cut_rate_is_the_max_flow(gamma_sr_db, share):
+    components = decompose(cli.relay_network(1.0, db_to_linear(gamma_sr_db), 10.0))
+    demand = cli._relay_demand()
+    for structure, betas in relay_structures(components, share):
+        arcs = structure.arcs({("bc", "S"): betas})
+        flow = unicast_inner_arcs(structure.node_ids, [arc[:3] for arc in arcs], demand).rate
+        crossing = {}
+        cut = cli._relay_cut_rate(arcs, crossing)
+        assert cli._relay_cut_rate(arcs, crossing) == cut  # from the kept crossings
+        if all(rate == 0.0 or rate > flows._EK_TOL for _, _, rate, _ in arcs):
+            assert cut == flow
+        else:
+            # The max flow leaves paths of at most its residual tolerance
+            # unused (share 1e-12 at 0 dB: cut 0.5, flow 0.4999999999992786).
+            assert flow <= cut <= flow + 1e-9
+
+
+class TestOuterAndCertifiedFlowsPerSearch:
+    # Like the construction counts above, these do not depend on machine speed.
+    def test_relay_lower_certifies_only_its_winner(self, monkeypatch):
+        flowed = []
+
+        def counting(node_ids, arcs, demand):
+            flowed.append(demand)
+            return flows.unicast_inner_arcs(node_ids, arcs, demand)
+
+        cut_rate, rated = cli._relay_cut_rate, []
+
+        def recording(arcs, crossing):
+            rated.append(cut_rate(arcs, crossing))
+            return rated[-1]
+
+        monkeypatch.setattr(cli, "unicast_inner_arcs", counting)
+        monkeypatch.setattr(cli, "_relay_cut_rate", recording)
+        rows = cli.relay_experiment(0.0, 10.0, (-10.0, 5.0, 20.0))
+        assert len(flowed) == len(rows)  # one min cut per point, for its winner
+        # Each reported rate is, bit for bit, a cut rate its search computed.
+        assert all(row["eq_lower"] > 0.0 and row["eq_lower"] in rated for row in rows)
+
+    @staticmethod
+    def count_upper_structures(monkeypatch):
+        built = []
+        init = UpperStructure.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(UpperStructure, "__init__", counting)
+        return built
+
+    def test_outer_searches_keep_their_structures(self, monkeypatch):
+        structures = self.count_upper_structures(monkeypatch)
+        networks = count_networks(monkeypatch)
+        cli.relay_eq_upper(decompose(cli.relay_network(1.0, db_to_linear(5.0), 10.0)))
+        assert len(structures) == 2  # one per receiver order of the broadcast side
+        power = db_to_linear(13.0)
+        net = cli.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
+        cli.multicast_eq_upper(decompose(net), sorted(net.demands[0].sinks))
+        assert len(structures) == 3
+        assert networks == []
 
 
 class TestMulticastCutPruning:

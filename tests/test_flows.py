@@ -523,8 +523,10 @@ class TestUnicastInnerMatchesSplitNodeRewrite:
                 assert list(got.items()) == list(value.items())
 
     def test_every_relay_candidate_of_one_point(self, monkeypatch):
-        # The search rates arcs and routes them without building a network;
-        # each of its flows must be the reference's on the candidate's network.
+        # The search rates arcs without building a network and routes only
+        # its winner; on every candidate it rates, unicast_inner_arcs must be
+        # the reference's on the candidate's network, and the one flow the
+        # search runs must be the reference's on one of them.
         rated, flowed = [], []
         arcs = LowerStructure.arcs
 
@@ -534,20 +536,25 @@ class TestUnicastInnerMatchesSplitNodeRewrite:
 
         def recording_flow(node_ids, triples, demand):
             result = unicast_inner_arcs(node_ids, triples, demand)
-            flowed.append((demand, result))
+            flowed.append(result)
             return result
 
         with monkeypatch.context() as patch:
             patch.setattr(LowerStructure, "arcs", recording_arcs)
             patch.setattr(cli, "unicast_inner_arcs", recording_flow)
             components = decompose(cli.relay_network(1.0, 10.0 ** 0.5, 10.0))
-            cli.relay_eq_lower(components)
-        assert len(rated) == len(flowed) > 100
+            best = cli.relay_eq_lower(components)
+        assert len(rated) > 100 and len(flowed) == 1
+        assert flowed[0].rate == best
         nets = [structure.network(bc_betas) for structure, bc_betas in rated]
         assert any(len(net.pipes) > 2 for net in nets)
-        for net, (demand, result) in zip(nets, flowed):
-            rate, witness = _split_node_reference(net, demand)
-            self.assert_result(result, rate, witness)
+        references = []
+        for (structure, bc_betas), net in zip(rated, nets):
+            triples = [arc[:3] for arc in structure.arcs(bc_betas)]
+            result = unicast_inner_arcs(structure.node_ids, triples, flowed[0].demand)
+            references.append(_split_node_reference(net, flowed[0].demand))
+            self.assert_result(result, *references[-1])
+        assert any(rate == best for rate, _ in references)
 
     def test_hyper_arcs_sharing_a_head(self):
         net = pipes_network(

@@ -1,14 +1,17 @@
 """Every outer bound of a fixed set of inputs, pinned by one SHA-256.
 
-The inputs are the upper networks that the outer searches build: the relay
+The inputs are the upper networks that the outer searches rate: the relay
 search at three source-relay SNRs, the multicast search at one power with 10
 receivers, and the alpha sweep of `bounds` on two files under tests/data.
-While the searches run, each upper network is recorded as it is built, with
+While the searches run, each (structure, alpha) is recorded where it is
+rated, `UpperStructure.arcs` (which `build_upper` also goes through), with
 every `mac_upper` result behind it and what the search returns (for `bounds`,
-its stdout). Each network's outer bounds are then computed as its search takes
-them: `max_flow` for a unicast demand, `multicast_outer` for a multicast one,
-and for the multicast search also `max_flow` to each sink. They are hashed
-over rate, flows (keys, order, `repr` of values), cut, cut capacity and
+its stdout); each record is hashed as `UpperStructure.network(alpha)`. Each
+network's outer bounds are then computed as its search takes them:
+`max_flow` for a unicast demand, `multicast_outer` for a multicast one, and
+for the multicast search, on the network's arcs plus the merged source's
+infinite feeds, `multicast_outer_arcs` and `max_flow_arcs` to each sink.
+They are hashed over rate, flows (keys, order, `repr` of values), cut, cut capacity and
 per-sink rates. The digest in tests/data/outer_results.json was recorded while
 `mac_upper` still computed with NumPy and the multicast search still took one
 `max_flow` per sink, so it shows that neither change moved an outer bound.
@@ -20,11 +23,13 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 from netbounds import assemble, cli
+from netbounds.assemble import UpperStructure
 from netbounds.decouple import decompose
-from netbounds.flows import max_flow, multicast_outer
+from netbounds.flows import max_flow, max_flow_arcs, multicast_outer, multicast_outer_arcs
 from netbounds.info import db_to_linear
 from netbounds.netmodel import Demand, parse_network
 
@@ -55,10 +60,14 @@ def _multicast():
     value = cli.multicast_eq_upper(decompose(net), sinks)
 
     def outer(upper):
-        joint, name = cli._with_joint_source(upper, ("S1", "S2"))
+        name = "JOINT_SRC"
+        assert name not in upper.node_ids
+        node_ids = (*upper.node_ids, name)
+        arcs = [(pipe.tail, pipe.heads, pipe.rate) for pipe in upper.pipes]
+        arcs += [(name, (source,), math.inf) for source in ("S1", "S2")]
         demand = Demand(kind="multicast", source=name, sinks=frozenset(sinks))
-        return [multicast_outer(joint, demand)] + [
-            max_flow(joint, _unicast(name, sink)) for sink in sinks
+        return [multicast_outer_arcs(node_ids, arcs, demand)] + [
+            max_flow_arcs(node_ids, arcs, _unicast(name, sink)) for sink in sinks
         ]
 
     return [value], outer
@@ -119,19 +128,18 @@ def _flow_key(result):
 def test_outer_results_match_recorded_digest(monkeypatch):
     uppers: list = []
     macs: list[str] = []
-    build_upper, mac_upper = cli.build_upper, assemble.mac_upper
+    rate, mac_upper = UpperStructure.arcs, assemble.mac_upper
 
-    def recording_build(*args, **kwargs):
-        upper = build_upper(*args, **kwargs)
-        uppers.append(upper)
-        return upper
+    def recording_arcs(self, mac_alpha):
+        uppers.append((self, dict(mac_alpha)))
+        return rate(self, mac_alpha)
 
     def recording_mac(spec, alpha):
         result = mac_upper(spec, alpha)
         macs.append(_mac_key(spec, alpha, result))
         return result
 
-    monkeypatch.setattr(cli, "build_upper", recording_build)
+    monkeypatch.setattr(UpperStructure, "arcs", recording_arcs)
     monkeypatch.setattr(assemble, "mac_upper", recording_mac)
     runs = {}
     for name, run in SECTIONS.items():
@@ -139,6 +147,9 @@ def test_outer_results_match_recorded_digest(monkeypatch):
         values, outer = run()
         runs[name] = (values, outer, uppers[upper_start:], macs[mac_start:])
     monkeypatch.undo()
+    # Built after the hooks are gone, so no `mac_upper` call is counted twice.
+    for _values, _outer, section_uppers, _macs in runs.values():
+        section_uppers[:] = [structure.network(alpha) for structure, alpha in section_uppers]
 
     digest = hashlib.sha256()
     counts = {}
