@@ -27,15 +27,15 @@ rate formulas live in the arcs step, nowhere else:
 - `LowerStructure.arcs(betas)` rates every layer arc and SIC arc against
   that ledger, so each rate is achievable with every cross-component
   interference accounted for. It returns plain ``(tail, heads, rate, label)``
-  tuples, which is all a search needs to score a candidate.
+  tuples, which is all the flow layer reads.
 - `LowerStructure.network(betas)` is those arcs as a `NoiselessNetwork`, each
-  label formatted into its pipe's provenance; `network_of(arcs)` does that
-  last step for arcs already rated, so a search builds pipes only for the
-  candidates it routes.
+  label formatted into its pipe's provenance.
 
-`build_upper` and `build_lower` are these steps for one `UpperParams` or
-`LowerParams`; a search over alpha or beta builds each structure once and
-evaluates it per candidate.
+The flow functions in `netbounds.flows` and `validate_bounding_network` take
+these arcs as they are, so the searches and the `bounds` sweep build each
+structure once, rate it per alpha or beta, and build no network; `network`
+is for a caller that wants the pipes and their provenance. `build_upper` and
+`build_lower` are the steps for one `UpperParams` or `LowerParams`.
 """
 
 from __future__ import annotations
@@ -613,20 +613,15 @@ class LowerStructure:
 
     def network(self, bc_betas: dict) -> NoiselessNetwork:
         """The lower network of this structure at one power split: the
-        pipes of `arcs(bc_betas)`, with their provenance.
+        pipes of `arcs(bc_betas)`, each label formatted into its provenance.
 
         Args and Raises: as `ledger`.
         """
-        return self.network_of(self.arcs(bc_betas))
-
-    def network_of(self, arcs) -> NoiselessNetwork:
-        """The network whose pipes are ``arcs``, a list that `arcs` returned
-        for this structure, each label formatted into its provenance."""
         return NoiselessNetwork(
             nodes=self._nodes,
             pipes=tuple(
                 BitPipe(tail, heads, rate, _provenance(tail, heads, label))
-                for tail, heads, rate, label in arcs
+                for tail, heads, rate, label in self.arcs(bc_betas)
             ),
         )
 

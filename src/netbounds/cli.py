@@ -35,7 +35,6 @@ from . import __version__
 from .assemble import (
     LowerParams,
     LowerStructure,
-    UpperParams,
     UpperStructure,
     build_lower,
     build_upper,
@@ -49,12 +48,9 @@ from .flows import (
     combine_bounds,
     hyper_inner,
     max_flow,
-    max_flow_arcs,
     multicast_outer,
-    multicast_outer_arcs,
     sum_rate_cut,
     unicast_inner,
-    unicast_inner_arcs,
 )
 from .info import awgn_capacity, db_to_linear, qsc_capacity
 from .mac import MacSpec, mac_upper
@@ -62,7 +58,6 @@ from .netmodel import (
     Demand,
     NetworkFormatError,
     Node,
-    NoiselessNetwork,
     NoisyLink,
     NoisyNetwork,
     parse_network,
@@ -182,11 +177,17 @@ def _beta_steps(step: float) -> int:
     return count
 
 
-def _inner_rates(lower: NoiselessNetwork, demands) -> dict[Demand, float]:
+def _require_valid(node_ids, arcs, role: str) -> None:
+    problems = validate_bounding_network(node_ids, arcs, role)
+    if problems:
+        raise RuntimeError(f"{role} network failed validation: " + "; ".join(problems))
+
+
+def _inner_rates(node_ids, arcs, demands) -> dict[Demand, float]:
     demands = tuple(demands)
     if len(demands) == 1 and demands[0].kind == "unicast":
-        return {demands[0]: unicast_inner(lower, demands[0]).rate}
-    results = hyper_inner(lower, demands, objective="maxmin")
+        return {demands[0]: unicast_inner(node_ids, arcs, demands[0]).rate}
+    results = hyper_inner(node_ids, arcs, demands, objective="maxmin")
     return {result.demand: result.rate for result in results}
 
 
@@ -209,23 +210,6 @@ def cmd_bounds(args) -> int:
     steps = _beta_steps(args.beta_step)
     mac_keys = [comp.key for comp in components if comp.kind == "mac"]
     bc_comps = [comp for comp in components if comp.kind == "bc"]
-
-    outer_runs = []
-    for alpha in alphas:
-        upper = build_upper(
-            components, UpperParams(mac_alpha={key: min(alpha, 1.0) for key in mac_keys})
-        )
-        problems = validate_bounding_network(upper, "upper")
-        if problems:
-            raise RuntimeError("upper network failed validation: " + "; ".join(problems))
-        rates = {}
-        for demand in net.demands:
-            if demand.kind == "unicast":
-                rates[demand] = max_flow(upper, demand).rate
-            else:
-                rates[demand] = multicast_outer(upper, demand).rate
-        outer_runs.append((f"upper alpha={alpha:g}", rates))
-
     grids = [list(simplex_grid(len(comp.links), steps)) for comp in bc_comps]
     total = math.prod(len(grid) for grid in grids)
     if total > _MAX_BETA_COMBOS:
@@ -233,15 +217,25 @@ def cmd_bounds(args) -> int:
             f"beta sweep would evaluate {total} share combinations "
             f"(cap {_MAX_BETA_COMBOS}); coarsen --beta-step"
         )
+
+    # Every run is validated and rated on its structure's arcs; no network
+    # is built.
+    outer_runs = []
+    upper = UpperStructure(components)
+    for alpha in alphas:
+        arcs = upper.arcs({key: min(alpha, 1.0) for key in mac_keys})
+        _require_valid(upper.node_ids, arcs, "upper")
+        rates = {}
+        for demand in net.demands:
+            flow = max_flow if demand.kind == "unicast" else multicast_outer
+            rates[demand] = flow(upper.node_ids, arcs, demand).rate
+        outer_runs.append((f"upper alpha={alpha:g}", rates))
+
     inner_runs = []
-    structure = LowerStructure(components)
+    lower = LowerStructure(components)
     for combo in itertools.product(*grids):
-        lower = structure.network(
-            {comp.key: betas for comp, betas in zip(bc_comps, combo)}
-        )
-        problems = validate_bounding_network(lower, "lower")
-        if problems:
-            raise RuntimeError("lower network failed validation: " + "; ".join(problems))
+        arcs = lower.arcs({comp.key: betas for comp, betas in zip(bc_comps, combo)})
+        _require_valid(lower.node_ids, arcs, "lower")
         if combo:
             label = "lower " + " ".join(
                 f"{comp.key[1]}=" + "/".join(f"{beta:g}" for beta in betas)
@@ -249,7 +243,7 @@ def cmd_bounds(args) -> int:
             )
         else:
             label = "lower default"
-        inner_runs.append((label, _inner_rates(lower, net.demands)))
+        inner_runs.append((label, _inner_rates(lower.node_ids, arcs, net.demands)))
 
     report = combine_bounds(outer_runs, inner_runs)
 
@@ -358,8 +352,8 @@ def cmd_validate(args) -> int:
     components = decompose(net)
     upper = build_upper(components)
     lower = build_lower(components)
-    problems = validate_bounding_network(upper, "upper")
-    problems += validate_bounding_network(lower, "lower")
+    problems = validate_bounding_network(upper.node_ids, upper.arcs, "upper")
+    problems += validate_bounding_network(lower.node_ids, lower.arcs, "lower")
     links = {"awgn": 0, "qsc": 0, "bsc": 0}
     for link in net.links:
         links[link.kind] += 1
@@ -417,8 +411,8 @@ def relay_eq_upper(components, alphas=ALPHA_GRID) -> float:
     best = float("inf")
     for alpha in alphas:
         for structure in structures:
-            arcs = [arc[:3] for arc in structure.arcs({("mac", "D"): alpha})]
-            best = min(best, max_flow_arcs(structure.node_ids, arcs, demand).rate)
+            arcs = structure.arcs({("mac", "D"): alpha})
+            best = min(best, max_flow(structure.node_ids, arcs, demand).rate)
     return best
 
 
@@ -443,7 +437,7 @@ def _relay_cut_rate(arcs, crossing: dict) -> float:
     """The least total, over the relay's source-side sets {S} and {S, R}, of
     the ``(tail, heads, rate, label)`` arcs leaving the set, summed in arc
     order; a hyper-arc counts once if any head is outside. By max-flow/min-cut
-    on the split-node rewrite, this is `unicast_inner_arcs`' rate. ``crossing``
+    on the split-node rewrite, this is `unicast_inner`'s rate. ``crossing``
     keeps the sets each ``(tail, heads)`` leaves: one dict per structure."""
     totals = [0.0] * len(_RELAY_SOURCE_SETS)
     for tail, heads, rate, _ in arcs:
@@ -471,7 +465,7 @@ def relay_eq_lower(components) -> float:
     becomes a network of pipes.
 
     Candidates are rated by `_relay_cut_rate`. The reported rate is the
-    winner's certified `unicast_inner_arcs` max flow, one per search, which
+    winner's certified `unicast_inner` max flow, one per search, which
     equals the winner's cut rate bit for bit unless an arc is thinner than
     the max flow's residual tolerance.
     """
@@ -524,7 +518,7 @@ def relay_eq_lower(components) -> float:
 
     if winner is not None:
         node_ids, arcs = winner
-        certified = unicast_inner_arcs(node_ids, [arc[:3] for arc in arcs], demand).rate
+        certified = unicast_inner(node_ids, arcs, demand).rate
         # The same bits unless the max flow left unused a path as thin as its
         # residual tolerance; its min-cut certificate bounds that gap.
         ok = certified <= best <= certified + 1e-9 * max(1.0, certified)
@@ -653,11 +647,10 @@ def layered_experiment(num_pairs: int, gamma: float, alphas=ALPHA_GRID) -> dict:
     mac_keys = [comp.key for comp in components if comp.kind == "mac"]
 
     rows = []
+    upper = UpperStructure(components)
     for alpha in alphas:
-        upper = build_upper(
-            components, UpperParams(mac_alpha={key: alpha for key in mac_keys})
-        )
-        results = hyper_inner(upper, demands, objective="maxmin")
+        arcs = upper.arcs({key: alpha for key in mac_keys})
+        results = hyper_inner(upper.node_ids, arcs, demands, objective="maxmin")
         outer_sym = min(result.rate for result in results)
         if abs(outer_sym - capacity_sym) > 1e-6:
             raise RuntimeError(
@@ -800,12 +793,12 @@ def multicast_eq_upper(components, sinks, alphas=ALPHA_GRID) -> float:
     while name in structure.node_ids:
         name = name + "_"
     node_ids = (*structure.node_ids, name)
-    feeds = [(name, (source,), math.inf) for source in ("S1", "S2")]
+    feeds = [(name, (source,), math.inf, "joint source") for source in ("S1", "S2")]
     demand = Demand(kind="multicast", source=name, sinks=frozenset(sinks))
     best = float("inf")
     for alpha in alphas:
-        arcs = [arc[:3] for arc in structure.arcs({key: alpha for key in mac_keys})]
-        best = min(best, multicast_outer_arcs(node_ids, arcs + feeds, demand).rate)
+        arcs = structure.arcs({key: alpha for key in mac_keys})
+        best = min(best, multicast_outer(node_ids, arcs + feeds, demand).rate)
     return best
 
 
@@ -827,8 +820,8 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
     solved total exceeds its cut by at most the validator's slack (about
     1e-8), far below the margin, so a skipped candidate could never have
     replaced the incumbent and the result is bit for bit the exhaustive
-    search's; each solved total is checked against its cut. Only the
-    candidates that reach the LP become networks of pipes.
+    search's; each solved total is checked against its cut. No candidate
+    becomes a network of pipes: the LP routes its arcs.
     """
     demands = net.demands
     sinks = sorted(demands[0].sinks)
@@ -842,10 +835,10 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
     def consider(structure: LowerStructure, betas) -> None:
         nonlocal best
         arcs = structure.arcs(betas)
-        cut = sum_rate_cut([(heads, rate) for _, heads, rate, _ in arcs], demands)
+        cut = sum_rate_cut(arcs, demands)
         if cut + _CUT_MARGIN <= best + _IMPROVE_TOL:
             return
-        results = hyper_inner(structure.network_of(arcs), demands, objective="sum")
+        results = hyper_inner(structure.node_ids, arcs, demands, objective="sum")
         total = sum(result.rate for result in results)
         assert total <= cut + _CUT_MARGIN, f"rate total {total} exceeds cut {cut}"
         if total > best + _IMPROVE_TOL:

@@ -13,12 +13,12 @@ each solve is still a cold start. Every reported flow is re-validated against
 conservation and capacity constraints; bounds are certifiable, not solver
 folklore.
 
-max_flow_arcs, multicast_outer_arcs, unicast_inner_arcs and sum_rate_cut
-read plain arc tuples, not networks, so a search can score a candidate
-bounding network from its rated arcs alone and build pipes only for the
-candidates it keeps. max_flow, multicast_outer and unicast_inner are the arc
-forms on a network's pipes; each pair feeds the max-flow the same node list
-and capacity map, so they agree bit for bit.
+Every function here reads a bounding network as its node ids and its arcs,
+``(tail, heads, rate, label)`` tuples in pipe order, the form that
+`assemble.UpperStructure.arcs` and `assemble.LowerStructure.arcs` return and
+`NoiselessNetwork.arcs` reads off a built network. Labels are never read, so
+a search or a sweep can rate a candidate from its arcs alone and build no
+pipes.
 
 sum_rate_cut bounds the rate total of any routing without solving an LP:
 every session delivers its whole rate into each of its sinks, so the total
@@ -46,17 +46,14 @@ from scipy.sparse import csc_array
 # bound here; the routing LPs go to HiGHS directly through SciPy's bindings.
 from scipy.optimize import linprog  # noqa: F401
 
-from .netmodel import BitPipe, Demand, NoiselessNetwork
+from .netmodel import Demand, NoiselessNetwork
 
 __all__ = [
     "FlowResult",
     "BoundReport",
     "max_flow",
-    "max_flow_arcs",
     "multicast_outer",
-    "multicast_outer_arcs",
     "unicast_inner",
-    "unicast_inner_arcs",
     "sum_rate_cut",
     "hyper_inner",
     "blend_inner",
@@ -104,14 +101,10 @@ class BoundReport:
         return violations
 
 
-def _pipe_arcs(net: NoiselessNetwork) -> list[tuple]:
-    return [(pipe.tail, pipe.heads, pipe.rate) for pipe in net.pipes]
-
-
 def _edge_capacities(arcs) -> dict[tuple[str, str], float]:
     """Capacity per ``(tail, head)`` of point-to-point arcs, in arc order."""
     capacity: dict[tuple[str, str], float] = {}
-    for tail, heads, rate in arcs:
+    for tail, heads, rate, _ in arcs:
         if len(heads) != 1:
             raise ValueError(
                 f"network contains a hyper-arc {tail}->{list(heads)}; "
@@ -175,27 +168,22 @@ def _edmonds_karp(
     raise AssertionError("augmenting-path cap exceeded; max-flow logic error")
 
 
-def max_flow(net: NoiselessNetwork, demand: Demand) -> FlowResult:
+def max_flow(node_ids, arcs, demand: Demand) -> FlowResult:
     """Maximum source-to-sink rate in a point-to-point network.
 
-    Runs shortest-augmenting-path max-flow with infinite-rate pipes treated as
+    Runs shortest-augmenting-path max-flow with infinite-rate arcs treated as
     uncapacitated, and certifies the value with the residual-graph min cut.
-    This is `max_flow_arcs` on the network's pipes.
+    Each ``(tail, head)`` capacity sums its arcs' rates in arc order.
 
     Args:
-        net: noiseless network of point-to-point pipes only.
+        node_ids: the network's node ids.
+        arcs: ``(tail, heads, rate, label)`` per pipe, point-to-point only.
         demand: unicast demand.
 
     Raises:
         ValueError: when the network has hyper-arcs or the demand is not
             unicast.
     """
-    return max_flow_arcs(net.node_ids, _pipe_arcs(net), demand)
-
-
-def max_flow_arcs(node_ids, arcs, demand: Demand) -> FlowResult:
-    """`max_flow` on ``(tail, heads, rate)`` arcs over ``node_ids``; each
-    ``(tail, head)`` capacity sums in arc order, as over a network's pipes."""
     capacity = _edge_capacities(arcs)
     if demand.kind != "unicast":
         raise ValueError("max_flow takes a unicast demand; see multicast_outer")
@@ -234,27 +222,20 @@ def _certified_flow(
     return FlowResult(demand=demand, rate=value, witness=witness)
 
 
-def multicast_outer(net: NoiselessNetwork, demand: Demand) -> FlowResult:
+def multicast_outer(node_ids, arcs, demand: Demand) -> FlowResult:
     """Outer bound for one demand: min over sinks of the max flow.
 
     For a single-source multicast on a point-to-point network the min over
-    per-sink max flows is the natural cut outer bound. The network is checked
-    and its capacity map built once; each sink then gets the certified
+    per-sink max flows is the natural cut outer bound. The arcs are checked
+    and their capacity map built once; each sink then gets the certified
     max flow that `max_flow` would return for it. The result carries the
     first sink's witness among those of least rate, plus `per_sink`, the rate
     of every sink in `demand.sink_list` order.
-
-    This is `multicast_outer_arcs` on the network's pipes.
 
     Raises:
         ValueError: when the network has hyper-arcs or an endpoint of the
             demand is not a network node.
     """
-    return multicast_outer_arcs(net.node_ids, _pipe_arcs(net), demand)
-
-
-def multicast_outer_arcs(node_ids, arcs, demand: Demand) -> FlowResult:
-    """`multicast_outer` on ``(tail, heads, rate)`` arcs over ``node_ids``."""
     capacity = _edge_capacities(arcs)
     _check_endpoints(node_ids, demand)
     best: FlowResult | None = None
@@ -273,7 +254,7 @@ def multicast_outer_arcs(node_ids, arcs, demand: Demand) -> FlowResult:
     return FlowResult(demand=demand, rate=best.rate, witness=witness)
 
 
-def unicast_inner(net: NoiselessNetwork, demand: Demand) -> FlowResult:
+def unicast_inner(node_ids, arcs, demand: Demand) -> FlowResult:
     """Achievable rate of a single unicast session, hyper-arcs allowed.
 
     When one unicast session has the network to itself, drawing capacity x
@@ -286,23 +267,6 @@ def unicast_inner(net: NoiselessNetwork, demand: Demand) -> FlowResult:
     with a min-cut certificate instead of a routing LP.  Matches
     ``hyper_inner`` on single-demand inputs, up to solver tolerance.
 
-    This is `unicast_inner_arcs` on the network's node ids and its pipes'
-    ``(tail, heads, rate)``; see there for the rewrite and the witness.
-
-    Args:
-        net: Bounding network, possibly containing hyper-arcs.
-        demand: A unicast demand with endpoints in ``net``.
-
-    Raises:
-        ValueError: If the demand is not unicast or an endpoint is not a
-            node of ``net``.
-    """
-    return unicast_inner_arcs(net.node_ids, _pipe_arcs(net), demand)
-
-
-def unicast_inner_arcs(node_ids, arcs, demand: Demand) -> FlowResult:
-    """`unicast_inner` on ``(tail, heads, rate)`` arcs over ``node_ids``.
-
     The rewrite goes straight into the capacity map and node list that the
     max-flow takes; no pipes are built.  The nodes are ``node_ids``, then
     one split node per hyper-arc in arc order, named ``hyperarc_<index>``
@@ -311,6 +275,11 @@ def unicast_inner_arcs(node_ids, arcs, demand: Demand) -> FlowResult:
     a hyper-arc adds its rate to ``(tail, split)`` and an infinite rate to
     ``(split, head)`` for each head.  Without hyper-arcs this is the
     capacity map of `max_flow`, and the result is `max_flow`'s.
+
+    Args:
+        node_ids: the network's node ids.
+        arcs: ``(tail, heads, rate, label)`` per pipe, hyper-arcs allowed.
+        demand: A unicast demand with endpoints in ``node_ids``.
 
     Returns:
         FlowResult whose witness carries the rewritten network's flow and
@@ -328,7 +297,7 @@ def unicast_inner_arcs(node_ids, arcs, demand: Demand) -> FlowResult:
     taken = set(nodes)
     capacity: dict[tuple[str, str], float] = {}
     split_nodes: dict[str, int] = {}
-    for index, (tail, heads, rate) in enumerate(arcs):
+    for index, (tail, heads, rate, _) in enumerate(arcs):
         if len(heads) == 1:
             key = (tail, heads[0])
             capacity[key] = capacity.get(key, 0.0) + rate
@@ -537,12 +506,6 @@ def _compiled_routing_lp(node_ids, arcs, demands, objective) -> _RoutingLP:
     return _build_routing_lp(node_ids, arcs, demands, objective)
 
 
-def _arc_structure(net: NoiselessNetwork) -> tuple:
-    return tuple(
-        (pipe.tail, pipe.heads, pipe.rate != float("inf")) for pipe in net.pipes
-    )
-
-
 @functools.cache
 def _solver() -> highs._Highs:
     """The one HiGHS instance every routing LP is solved on.
@@ -610,22 +573,23 @@ def _results_from_solution(
 
 
 def validate_hyper_result(
-    net: NoiselessNetwork,
+    node_ids,
+    arcs,
     demands: tuple[Demand, ...],
     results: list[FlowResult],
     tol: float = 1e-9,
 ):
     """Re-check a routing witness against the LP's physical constraints.
 
-    Verifies that usage and flows are nonnegative and every flow enters one
-    of its pipe's heads, per-pipe capacity sharing, per-session
-    single-counting of hyper-arc draws, and per-sink flow conservation
-    delivering each session's rate. Each session's witness is read in one
-    pass. Raises AssertionError on any violation beyond tol.
+    ``arcs`` holds ``(tail, heads, rate, label)`` per pipe of the routed
+    network, whose nodes are ``node_ids``. Verifies that usage and flows are
+    nonnegative and every flow enters one of its pipe's heads, per-pipe
+    capacity sharing, per-session single-counting of hyper-arc draws, and
+    per-sink flow conservation delivering each session's rate. Each
+    session's witness is read in one pass. Raises AssertionError on any
+    violation beyond tol.
     """
-    pipes = net.pipes
-    node_ids = net.node_ids
-    total_usage = {a: 0.0 for a in range(len(pipes))}
+    total_usage = {a: 0.0 for a in range(len(arcs))}
     for s, (demand, result) in enumerate(zip(demands, results)):
         usage: dict[int, float] = {}
         for (r, a), value in result.witness["usage"].items():
@@ -640,17 +604,17 @@ def validate_hyper_result(
             tally = tallies.get(sink) if r == 0 else None
             if tally is None:
                 continue
-            pipe = pipes[a]
-            assert h in pipe.heads, (
+            tail, heads = arcs[a][0], arcs[a][1]
+            assert h in heads, (
                 f"session {s} sink {sink}: flow on pipe {a} enters {h}, "
-                f"not one of its heads {list(pipe.heads)}"
+                f"not one of its heads {list(heads)}"
             )
             assert value >= -tol, (
                 f"session {s} sink {sink}: flow {value} on pipe {a} is negative"
             )
             drawn, out, into = tally
             drawn[a] = drawn.get(a, 0.0) + value
-            out[pipe.tail] = out.get(pipe.tail, 0.0) + value
+            out[tail] = out.get(tail, 0.0) + value
             into[h] = into.get(h, 0.0) + value
         for sink, (drawn, out, into) in tallies.items():
             # Pipes without flow draw 0, within their nonnegative usage.
@@ -672,26 +636,25 @@ def validate_hyper_result(
                     f"expected {expected}"
                 )
     for a, value in total_usage.items():
-        assert value <= pipes[a].rate + tol, (
-            f"pipe {a} usage {value} exceeds rate {pipes[a].rate}"
-        )
+        rate = arcs[a][2]
+        assert value <= rate + tol, f"pipe {a} usage {value} exceeds rate {rate}"
 
 
 def sum_rate_cut(arcs, demands: tuple[Demand, ...]) -> float:
     """Upper bound on the rate total of ``demands`` under any routing.
 
-    ``arcs`` holds ``(heads, rate)`` per pipe of the network. Every session
-    delivers its whole rate into each of its sinks, and one pipe's rate
-    bounds the sum of all sessions' draws on it. So at a node that is a sink
-    of every demand, the rate total is at most the total rate of the pipes
-    with that node among their heads; a hyper-arc counts once at each of its
-    heads. Returns the least such total over those nodes, or ``inf`` when
-    the demands share no sink.
+    ``arcs`` holds ``(tail, heads, rate, label)`` per pipe of the network.
+    Every session delivers its whole rate into each of its sinks, and one
+    pipe's rate bounds the sum of all sessions' draws on it. So at a node
+    that is a sink of every demand, the rate total is at most the total rate
+    of the pipes with that node among their heads; a hyper-arc counts once at
+    each of its heads. Returns the least such total over those nodes, or
+    ``inf`` when the demands share no sink.
     """
     if not demands:
         raise ValueError("demands must be nonempty")
     inflow = dict.fromkeys(frozenset.intersection(*(d.sinks for d in demands)), 0.0)
-    for heads, rate in arcs:
+    for _, heads, rate, _ in arcs:
         for head in heads:
             if head in inflow:
                 inflow[head] += rate
@@ -699,17 +662,20 @@ def sum_rate_cut(arcs, demands: tuple[Demand, ...]) -> float:
 
 
 def hyper_inner(
-    net: NoiselessNetwork,
+    node_ids,
+    arcs,
     demands: tuple[Demand, ...],
     objective: str = "maxmin",
 ) -> list[FlowResult]:
     """Achievable rates on a network with hyper-arcs, by fractional routing.
 
-    Each session routes fractionally; one capacity draw on a hyper-arc serves
-    all of its heads for that session (heads may forward disjoint parts of the
-    draw), and sessions share every pipe additively. The LP maximizes the
-    common rate ("maxmin") or the rate total ("sum"); either way the result
-    is achievable by routing plus copying at hyper-arc heads.
+    ``arcs`` holds ``(tail, heads, rate, label)`` per pipe of the network,
+    whose nodes are ``node_ids``. Each session routes fractionally; one
+    capacity draw on a hyper-arc serves all of its heads for that session
+    (heads may forward disjoint parts of the draw), and sessions share every
+    pipe additively. The LP maximizes the common rate ("maxmin") or the rate
+    total ("sum"); either way the result is achievable by routing plus
+    copying at hyper-arc heads.
 
     Returns one FlowResult per demand; witnesses are re-validated before
     returning.
@@ -717,28 +683,15 @@ def hyper_inner(
     demands = tuple(demands)
     if not demands:
         raise ValueError("demands must be nonempty")
-    lp = _compiled_routing_lp(net.node_ids, _arc_structure(net), demands, objective)
+    structure = tuple((tail, heads, rate != math.inf) for tail, heads, rate, _ in arcs)
+    lp = _compiled_routing_lp(tuple(node_ids), structure, demands, objective)
     upper = lp.upper.copy()
-    rates = np.array([pipe.rate for pipe in net.pipes])
+    rates = np.array([rate for _, _, rate, _ in arcs])
     upper[lp.capacity_rows] = rates[lp.finite_arcs]
     solution = _solve_lp(lp, upper)
     results = _results_from_solution(lp, demands, solution)
-    validate_hyper_result(net, demands, results)
+    validate_hyper_result(node_ids, arcs, demands, results)
     return results
-
-
-def _average_networks(nets, weights) -> NoiselessNetwork:
-    base = nets[0]
-    pipes = []
-    for a, pipe in enumerate(base.pipes):
-        if pipe.rate == float("inf"):
-            rate = float("inf")
-        else:
-            rate = sum(w * net.pipes[a].rate for net, w in zip(nets, weights))
-        pipes.append(
-            BitPipe(tail=pipe.tail, heads=pipe.heads, rate=rate, provenance=pipe.provenance)
-        )
-    return NoiselessNetwork(nodes=base.nodes, pipes=tuple(pipes))
 
 
 def blend_inner(
@@ -772,32 +725,43 @@ def blend_inner(
         raise ValueError("demands must be nonempty")
     if not nets:
         raise ValueError("nets must be nonempty")
-    nets = list(nets)
-    base = nets[0]
-    for net in nets[1:]:
-        if set(net.node_ids) != set(base.node_ids):
+    node_ids = nets[0].node_ids
+    runs = [net.arcs for net in nets]
+    base = runs[0]
+    for net, arcs in zip(nets[1:], runs[1:]):
+        if set(net.node_ids) != set(node_ids):
             raise ValueError("blended networks must share one node set")
-        if len(net.pipes) != len(base.pipes):
+        if len(arcs) != len(base):
             raise ValueError("blended networks must have matching arc lists")
-        for ours, theirs in zip(base.pipes, net.pipes):
-            if ours.tail != theirs.tail or ours.heads != theirs.heads:
+        for (tail, heads, rate, _), (their_tail, their_heads, their_rate, _) in zip(
+            base, arcs
+        ):
+            if tail != their_tail or heads != their_heads:
                 raise ValueError(
-                    f"arc mismatch: {ours.tail}->{list(ours.heads)} vs "
-                    f"{theirs.tail}->{list(theirs.heads)}"
+                    f"arc mismatch: {tail}->{list(heads)} vs "
+                    f"{their_tail}->{list(their_heads)}"
                 )
-            if (ours.rate == float("inf")) != (theirs.rate == float("inf")):
+            if (rate == math.inf) != (their_rate == math.inf):
                 raise ValueError(
-                    f"arc {ours.tail}->{list(ours.heads)} must be finite in "
-                    "every run or in none"
+                    f"arc {tail}->{list(heads)} must be finite in every run or in none"
                 )
-    rates = [[pipe.rate for pipe in net.pipes] for net in nets]
-    structure = _arc_structure(base)
-    lp = _build_routing_lp(base.node_ids, structure, demands, objective, rates)
+    rates = [[rate for _, _, rate, _ in arcs] for arcs in runs]
+    structure = tuple((tail, heads, rate != math.inf) for tail, heads, rate, _ in base)
+    lp = _build_routing_lp(node_ids, structure, demands, objective, rates)
     solution = _solve_lp(lp, lp.upper)
     weights = tuple(float(w) for w in solution[lp.lam_col :])
-    averaged = _average_networks(nets, weights)
+    # Every arc at its weighted-average rate over the runs.
+    averaged = [
+        (
+            tail,
+            heads,
+            rate if rate == math.inf else sum(w * r[a] for r, w in zip(rates, weights)),
+            label,
+        )
+        for a, (tail, heads, rate, label) in enumerate(base)
+    ]
     results = _results_from_solution(lp, demands, solution, {"weights": weights})
-    validate_hyper_result(averaged, demands, results, tol=1e-8)
+    validate_hyper_result(node_ids, averaged, demands, results, tol=1e-8)
     return results, weights
 
 

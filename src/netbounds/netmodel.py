@@ -227,15 +227,22 @@ class NoiselessNetwork:
         return tuple(node.id for node in self.nodes)
 
     @property
-    def provenance(self) -> dict[BitPipe, str]:
-        return {pipe: pipe.provenance for pipe in self.pipes}
+    def arcs(self) -> tuple[tuple, ...]:
+        """``(tail, heads, rate, provenance)`` per pipe, in order: the arc
+        form that the flow functions and `validate_bounding_network` take."""
+        return tuple(
+            (pipe.tail, pipe.heads, pipe.rate, pipe.provenance) for pipe in self.pipes
+        )
 
 
-def validate_bounding_network(net: NoiselessNetwork, role: str) -> list[str]:
+def validate_bounding_network(node_ids, arcs, role: str) -> list[str]:
     """Collect invariant violations of a noiseless bounding network.
 
     Args:
-        net: the candidate network.
+        node_ids: the candidate network's node ids.
+        arcs: ``(tail, heads, rate, label)`` per pipe, as the structures in
+            `netbounds.assemble` rate them or `NoiselessNetwork.arcs` reads
+            them; a label is the pipe's provenance and must not be empty.
         role: "upper" or "lower". Upper-bounding networks must consist of
             point-to-point pipes only; lower-bounding networks may also carry
             hyper-arcs.
@@ -247,28 +254,28 @@ def validate_bounding_network(net: NoiselessNetwork, role: str) -> list[str]:
     if role not in ("upper", "lower"):
         raise ValueError(f"role must be 'upper' or 'lower', got {role!r}")
     violations: list[str] = []
-    ids = [node.id for node in net.nodes]
+    ids = list(node_ids)
     for dup in sorted({i for i in ids if ids.count(i) > 1}):
         violations.append(f"duplicate node id {dup!r}")
     known = set(ids)
-    for index, pipe in enumerate(net.pipes):
-        where = f"pipe[{index}] {pipe.tail!r}->{list(pipe.heads)}"
-        if not pipe.heads:
+    for index, (tail, heads, rate, label) in enumerate(arcs):
+        where = f"pipe[{index}] {tail!r}->{list(heads)}"
+        if not heads:
             violations.append(f"{where}: empty head set")
-        if pipe.tail not in known:
-            violations.append(f"{where}: unknown tail {pipe.tail!r}")
-        for head in pipe.heads:
+        if tail not in known:
+            violations.append(f"{where}: unknown tail {tail!r}")
+        for head in heads:
             if head not in known:
                 violations.append(f"{where}: unknown head {head!r}")
-            if head == pipe.tail:
+            if head == tail:
                 violations.append(f"{where}: tail appears among heads")
-        if len(set(pipe.heads)) != len(pipe.heads):
+        if len(set(heads)) != len(heads):
             violations.append(f"{where}: repeated head")
-        if math.isnan(pipe.rate) or pipe.rate < 0:
-            violations.append(f"{where}: rate must be >= 0, got {pipe.rate}")
-        if not pipe.provenance:
+        if math.isnan(rate) or rate < 0:
+            violations.append(f"{where}: rate must be >= 0, got {rate}")
+        if not label:
             violations.append(f"{where}: missing provenance")
-        if role == "upper" and pipe.is_hyper:
+        if role == "upper" and len(heads) > 1:
             violations.append(
                 f"{where}: hyper-arcs are not allowed in upper bounding networks"
             )

@@ -421,7 +421,7 @@ def test_criterion_10_flow_certificates():
         demand = Demand(
             kind="unicast", source=names[0], sinks=frozenset({names[-1]})
         )
-        flow = max_flow(net, demand).rate
+        flow = max_flow(net.node_ids, net.arcs, demand).rate
         edges = list(capacity.items())
         best = math.inf
         for mask in range(2 ** (size - 2)):
@@ -468,9 +468,9 @@ def test_criterion_10_flow_certificates():
             ),
             Demand(kind="unicast", source=names[1], sinks=frozenset({names[-1]})),
         )
-        results = hyper_inner(net, demands, objective="maxmin")
+        results = hyper_inner(net.node_ids, net.arcs, demands, objective="maxmin")
         try:
-            validate_hyper_result(net, demands, results, tol=1e-9)
+            validate_hyper_result(net.node_ids, net.arcs, demands, results, tol=1e-9)
         except AssertionError as exc:
             failures.append(f"hyper witness trial {trial}: {exc}")
             break

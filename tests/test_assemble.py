@@ -20,13 +20,7 @@ from netbounds.assemble import (
 )
 from netbounds.decouple import decompose, relay_noise_share
 from netbounds.bc import BcSpec, bc_upper_cumulative
-from netbounds.flows import (
-    hyper_inner,
-    max_flow,
-    max_flow_arcs,
-    multicast_outer,
-    multicast_outer_arcs,
-)
+from netbounds.flows import hyper_inner, max_flow, multicast_outer
 from netbounds.info import awgn_capacity, bsc_capacity, db_to_linear
 from netbounds.mac import MacSpec, mac_upper
 from netbounds.netmodel import (
@@ -102,7 +96,7 @@ class TestBuildUpper:
         net = build_upper(comps)
         assert len(net.pipes) == 1
         assert abs(net.pipes[0].rate - 1.0) < 1e-12
-        assert validate_bounding_network(net, "upper") == []
+        assert validate_bounding_network(net.node_ids, net.arcs, "upper") == []
 
     def test_relay_default_shape(self):
         comps = relay_components()
@@ -118,8 +112,8 @@ class TestBuildUpper:
         assert rates[("S_out", ("D_in",))] == float("inf")
         assert rates[("R", ("D_in",))] == float("inf")
         assert abs(rates[("S_out", ("R",))] - awgn_capacity(10.0)) < 1e-9
-        assert validate_bounding_network(net, "upper") == []
-        flow = max_flow(net, unicast("S", "D"))
+        assert validate_bounding_network(net.node_ids, net.arcs, "upper") == []
+        flow = max_flow(net.node_ids, net.arcs, unicast("S", "D"))
         assert abs(flow.rate - min(bc_sum, mac_sum)) < 1e-9
 
     def test_relay_finite_alpha_matches_cut_enumeration(self):
@@ -127,7 +121,7 @@ class TestBuildUpper:
         params = UpperParams(mac_alpha={("mac", "D"): 0.5})
         net = build_upper(comps, params)
         assert all(p.rate < float("inf") for p in net.pipes)
-        flow = max_flow(net, unicast("S", "D"))
+        flow = max_flow(net.node_ids, net.arcs, unicast("S", "D"))
         assert abs(flow.rate - min_cut_p2p(net, "S", "D")) < 1e-9
 
     def test_relay_both_perms_differ(self):
@@ -151,7 +145,7 @@ class TestBuildUpper:
         net = build_upper(
             comps, UpperParams(bc_perm={("bc", "S"): ("B", "A")})
         )
-        flow = max_flow(net, unicast("S", "B"))
+        flow = max_flow(net.node_ids, net.arcs, unicast("S", "B"))
         assert abs(flow.rate - awgn_capacity(1.0)) < 1e-9
 
     def test_independent_mac_alpha_zero_per_input(self):
@@ -160,7 +154,7 @@ class TestBuildUpper:
         rates = pipe_map(net)
         assert rates[("C_in", ("C",))] == float("inf")
         assert rates[("A", ("C_in",))] < float("inf")
-        flow = max_flow(net, unicast("A", "C"))
+        flow = max_flow(net.node_ids, net.arcs, unicast("A", "C"))
         assert abs(flow.rate - rates[("A", ("C_in",))]) < 1e-9
 
     def test_xchannel_shape(self):
@@ -180,7 +174,7 @@ class TestBuildUpper:
         # 2x2 all-ones partition gives effective BC SNRs of 2 per receiver.
         assert abs(rates[("T1", ("T1_out",))] - awgn_capacity(4.0)) < 1e-9
         assert abs(rates[("R1_in", ("R1",))] - awgn_capacity(4.0)) < 1e-9
-        assert validate_bounding_network(net, "upper") == []
+        assert validate_bounding_network(net.node_ids, net.arcs, "upper") == []
 
     def test_bsc_side_channel_pipe(self):
         net = NoisyNetwork(
@@ -335,17 +329,19 @@ class TestUpperStructure:
             comps, perms, alphas = random_upper_inputs(rng)
             structure = UpperStructure(comps, perms)
             net = structure.network(alphas)
-            arcs = [arc[:3] for arc in structure.arcs(alphas)]
-            assert arcs == [(p.tail, p.heads, p.rate) for p in net.pipes]
+            arcs = structure.arcs(alphas)
+            assert structure.node_ids == net.node_ids
+            assert [arc[:3] for arc in arcs] == [arc[:3] for arc in net.arcs]
             names = [node.id for node in net.nodes if node.kind != AUXILIARY]
             source, *sinks = rng.sample(names, min(4, len(names)))
             for sink in sinks:
-                assert _flow_key(max_flow_arcs(net.node_ids, arcs, unicast(source, sink))) == (
-                    _flow_key(max_flow(net, unicast(source, sink)))
+                demand = unicast(source, sink)
+                assert _flow_key(max_flow(structure.node_ids, arcs, demand)) == (
+                    _flow_key(max_flow(net.node_ids, net.arcs, demand))
                 )
             demand = Demand(kind="multicast", source=source, sinks=frozenset(sinks))
-            assert _flow_key(multicast_outer_arcs(net.node_ids, arcs, demand)) == (
-                _flow_key(multicast_outer(net, demand))
+            assert _flow_key(multicast_outer(structure.node_ids, arcs, demand)) == (
+                _flow_key(multicast_outer(net.node_ids, net.arcs, demand))
             )
 
     def test_rejects_unknown_keys_bad_perms_and_collisions(self):
@@ -466,7 +462,7 @@ class TestBuildLower:
         net = build_lower(comps)
         assert len(net.pipes) == 1
         assert abs(net.pipes[0].rate - 1.0) < 1e-12
-        assert validate_bounding_network(net, "lower") == []
+        assert validate_bounding_network(net.node_ids, net.arcs, "lower") == []
 
     def test_independent_bc_matches_superposition_model(self):
         comps = decompose(awgn_network([("S", "A", 1.0), ("S", "B", 4.0)]))
@@ -512,7 +508,7 @@ class TestBuildLower:
         net = build_lower(comps, params)
         rates = pipe_map(net)
         assert rates[("S", ("D",))] == 0.5
-        flow = max_flow(net, unicast("S", "D"))
+        flow = max_flow(net.node_ids, net.arcs, unicast("S", "D"))
         assert flow.rate == 0.5
 
     def test_relay_beta_half_rates_and_flow(self):
@@ -523,18 +519,19 @@ class TestBuildLower:
         assert abs(rates[("S", ("D", "R"))] - awgn_capacity(1.0 / 3.0)) < 1e-12
         assert abs(rates[("S", ("R",))] - awgn_capacity(5.0)) < 1e-12
         assert abs(rates[("R", ("D",))] - awgn_capacity(5.0)) < 1e-12
-        results = hyper_inner(net, (unicast("S", "D"),))
+        results = hyper_inner(net.node_ids, net.arcs, (unicast("S", "D"),))
         assert abs(results[0].rate - 1.5) < 1e-8
-        assert validate_bounding_network(net, "lower") == []
+        assert validate_bounding_network(net.node_ids, net.arcs, "lower") == []
 
     def test_relay_sandwich_over_beta_grid(self):
         comps = relay_components()
-        outer = max_flow(build_upper(comps), unicast("S", "D")).rate
+        upper = build_upper(comps)
+        outer = max_flow(upper.node_ids, upper.arcs, unicast("S", "D")).rate
         for k in range(9):
             beta2 = k / 8.0
             params = LowerParams(bc_betas={("bc", "S"): (1.0 - beta2, beta2)})
             net = build_lower(comps, params)
-            inner = hyper_inner(net, (unicast("S", "D"),))[0].rate
+            inner = hyper_inner(net.node_ids, net.arcs, (unicast("S", "D"),))[0].rate
             assert inner <= outer + 1e-9
 
     def test_xchannel_lower_rates(self):
@@ -554,7 +551,7 @@ class TestBuildLower:
         # T2 at full power, T2's sees only T1's zero residual.
         assert abs(rates[("T1", ("R1", "R2"))] - awgn_capacity(0.5)) < 1e-12
         assert abs(rates[("T2", ("R1", "R2"))] - awgn_capacity(1.0)) < 1e-12
-        assert validate_bounding_network(net, "lower") == []
+        assert validate_bounding_network(net.node_ids, net.arcs, "lower") == []
 
     def test_hyper_arcs_only_from_bc_inputs(self):
         comps = relay_components()

@@ -14,7 +14,7 @@ from netbounds import cli, flows
 from netbounds.assemble import LowerStructure, UpperStructure
 from netbounds.cli import main, parse_grid
 from netbounds.decouple import decompose
-from netbounds.flows import unicast_inner_arcs
+from netbounds.flows import unicast_inner
 from netbounds.info import db_to_linear
 from netbounds.netmodel import NoiselessNetwork
 
@@ -186,6 +186,36 @@ class TestBounds:
         assert len(bounds) == 4
         assert all(math.isfinite(float(value)) for value in bounds)
 
+    def test_oversized_beta_grid_is_refused_before_any_flow(self, monkeypatch, capsys):
+        flowed = []
+
+        def counting(node_ids, arcs, demand):
+            flowed.append(demand)
+            return flows.max_flow(node_ids, arcs, demand)
+
+        monkeypatch.setattr(cli, "max_flow", counting)
+        path = DATA / "lower_bounds_2x3xunicast-0.json"
+        assert main(["bounds", str(path), "--beta-step", "0.01"]) == 2
+        assert "share combinations (cap 4096)" in capsys.readouterr().err
+        assert flowed == []
+
+    @pytest.mark.parametrize("structure", [UpperStructure, LowerStructure])
+    def test_every_run_is_validated(self, monkeypatch, capsys, structure):
+        # A NaN rate on one arc of every run must stop the sweep with the
+        # validator's message, not reach a flow.
+        rate = structure.arcs
+
+        def poisoned(self, params):
+            (tail, heads, _, label), *rest = rate(self, params)
+            return [(tail, heads, math.nan, label), *rest]
+
+        monkeypatch.setattr(structure, "arcs", poisoned)
+        path = DATA / "lower_bounds_2x3xunicast-0.json"
+        assert main(["bounds", str(path), "--beta-step", "0.25"]) == 3
+        err = capsys.readouterr().err
+        assert "network failed validation: pipe[0]" in err
+        assert "rate must be >= 0, got nan" in err
+
 
 class TestDecoupleAndValidate:
     def test_decouple_reports_coupled_components(self, tmp_path, capsys):
@@ -352,24 +382,25 @@ def count_networks(monkeypatch):
     return built
 
 
+def count_constructions(monkeypatch, structure=LowerStructure):
+    """Record every ``structure`` built from here on."""
+    built = []
+    init = structure.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "__init__", counting)
+    return built
+
+
 class TestLowerStructuresPerSearch:
     # Construction counts do not depend on machine speed, so they guard the
     # searches' reuse of one lower structure per (targets, decode orders,
     # layer counts) where a timer cannot.
-    @staticmethod
-    def count_constructions(monkeypatch):
-        built = []
-        init = LowerStructure.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(LowerStructure, "__init__", counting)
-        return built
-
     def test_relay_point_builds_at_most_six(self, monkeypatch):
-        built = self.count_constructions(monkeypatch)
+        built = count_constructions(monkeypatch)
         cli.relay_experiment(0.0, 10.0, (5.0,))
         assert 0 < len(built) <= 6
 
@@ -389,16 +420,20 @@ class TestLowerStructuresPerSearch:
         assert built == []
 
     def test_bounds_builds_one_per_file(self, monkeypatch, capsys):
-        built = self.count_constructions(monkeypatch)
+        built = count_constructions(monkeypatch)
+        uppers = count_constructions(monkeypatch, UpperStructure)
+        networks = count_networks(monkeypatch)
         path = DATA / "lower_bounds_2x3xunicast-0.json"
         assert main(["bounds", str(path), "--beta-step", "0.25"]) == 0
-        assert "225 inner" in capsys.readouterr().out
+        assert "11 outer (alpha sweep 0:1:0.1), 225 inner" in capsys.readouterr().out
         assert len(built) == 1
+        assert len(uppers) == 1
+        assert networks == []
 
     def test_multicast_point_builds_one_per_split_and_order(self, monkeypatch):
         # 2 common-layer orders, then 9 splits x 3 decode orders, each rated
         # at both private shares.
-        built = self.count_constructions(monkeypatch)
+        built = count_constructions(monkeypatch)
         power = db_to_linear(13.0)
         net = cli.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
         cli.multicast_eq_lower(net, decompose(net))
@@ -438,7 +473,7 @@ def test_relay_cut_rate_is_the_max_flow(gamma_sr_db, share):
     demand = cli._relay_demand()
     for structure, betas in relay_structures(components, share):
         arcs = structure.arcs({("bc", "S"): betas})
-        flow = unicast_inner_arcs(structure.node_ids, [arc[:3] for arc in arcs], demand).rate
+        flow = unicast_inner(structure.node_ids, arcs, demand).rate
         crossing = {}
         cut = cli._relay_cut_rate(arcs, crossing)
         assert cli._relay_cut_rate(arcs, crossing) == cut  # from the kept crossings
@@ -457,7 +492,7 @@ class TestOuterAndCertifiedFlowsPerSearch:
 
         def counting(node_ids, arcs, demand):
             flowed.append(demand)
-            return flows.unicast_inner_arcs(node_ids, arcs, demand)
+            return flows.unicast_inner(node_ids, arcs, demand)
 
         cut_rate, rated = cli._relay_cut_rate, []
 
@@ -465,27 +500,15 @@ class TestOuterAndCertifiedFlowsPerSearch:
             rated.append(cut_rate(arcs, crossing))
             return rated[-1]
 
-        monkeypatch.setattr(cli, "unicast_inner_arcs", counting)
+        monkeypatch.setattr(cli, "unicast_inner", counting)
         monkeypatch.setattr(cli, "_relay_cut_rate", recording)
         rows = cli.relay_experiment(0.0, 10.0, (-10.0, 5.0, 20.0))
         assert len(flowed) == len(rows)  # one min cut per point, for its winner
         # Each reported rate is, bit for bit, a cut rate its search computed.
         assert all(row["eq_lower"] > 0.0 and row["eq_lower"] in rated for row in rows)
 
-    @staticmethod
-    def count_upper_structures(monkeypatch):
-        built = []
-        init = UpperStructure.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(UpperStructure, "__init__", counting)
-        return built
-
     def test_outer_searches_keep_their_structures(self, monkeypatch):
-        structures = self.count_upper_structures(monkeypatch)
+        structures = count_constructions(monkeypatch, UpperStructure)
         networks = count_networks(monkeypatch)
         cli.relay_eq_upper(decompose(cli.relay_network(1.0, db_to_linear(5.0), 10.0)))
         assert len(structures) == 2  # one per receiver order of the broadcast side
@@ -513,7 +536,7 @@ class TestMulticastCutPruning:
             for delta_ratio_db in (-10.0, -3.0)
         ]
         pruned = [self.run_point(*point) for point in points]
-        monkeypatch.setattr(cli, "sum_rate_cut", lambda net, demands: math.inf)
+        monkeypatch.setattr(cli, "sum_rate_cut", lambda arcs, demands: math.inf)
         exhaustive = [self.run_point(*point) for point in points]
         assert pruned == exhaustive
 
@@ -537,5 +560,5 @@ class TestMulticastCutPruning:
         assert self.run_point(10, 13.0, -3.0) > 0.0
         assert 0 < len(solves) <= 2
         assert len(rated) == 56
-        # Only the candidates that reach the routing LP become networks.
-        assert len(built) == len(solves)
+        # The candidates that reach the routing LP are routed as arcs too.
+        assert built == []

@@ -21,7 +21,6 @@ from netbounds.flows import (
     multicast_outer,
     sum_rate_cut,
     unicast_inner,
-    unicast_inner_arcs,
     validate_hyper_result,
 )
 from netbounds.netmodel import (
@@ -78,7 +77,7 @@ def brute_force_min_cut(net, source, sink):
 class TestMaxFlow:
     def test_single_pipe(self):
         net = pipes_network([("s", "t", 1.5)])
-        result = max_flow(net, unicast("s", "t"))
+        result = max_flow(net.node_ids, net.arcs, unicast("s", "t"))
         assert abs(result.rate - 1.5) < 1e-12
         assert result.witness["cut"] == ("s",)
 
@@ -86,33 +85,33 @@ class TestMaxFlow:
         net = pipes_network(
             [("s", "a", 1.0), ("s", "b", 1.0), ("a", "t", 1.0), ("b", "t", 1.0)]
         )
-        result = max_flow(net, unicast("s", "t"))
+        result = max_flow(net.node_ids, net.arcs, unicast("s", "t"))
         assert abs(result.rate - 2.0) < 1e-12
 
     def test_bottleneck_in_middle(self):
         net = pipes_network([("s", "a", 5.0), ("a", "b", 0.75), ("b", "t", 5.0)])
-        result = max_flow(net, unicast("s", "t"))
+        result = max_flow(net.node_ids, net.arcs, unicast("s", "t"))
         assert abs(result.rate - 0.75) < 1e-12
         assert result.witness["cut_capacity"] == pytest.approx(0.75)
 
     def test_parallel_pipes_add(self):
         net = pipes_network([("s", "t", 1.0), ("s", "t", 0.25)])
-        result = max_flow(net, unicast("s", "t"))
+        result = max_flow(net.node_ids, net.arcs, unicast("s", "t"))
         assert abs(result.rate - 1.25) < 1e-12
 
     def test_infinite_pipe_is_uncapacitated(self):
         net = pipes_network([("s", "a", float("inf")), ("a", "t", 3.0)])
-        result = max_flow(net, unicast("s", "t"))
+        result = max_flow(net.node_ids, net.arcs, unicast("s", "t"))
         assert abs(result.rate - 3.0) < 1e-12
 
     def test_all_infinite_path_gives_infinite_rate(self):
         net = pipes_network([("s", "a", float("inf")), ("a", "t", float("inf"))])
-        result = max_flow(net, unicast("s", "t"))
+        result = max_flow(net.node_ids, net.arcs, unicast("s", "t"))
         assert result.rate == float("inf")
 
     def test_disconnected_sink_gives_zero(self):
         net = pipes_network([("s", "a", 1.0), ("b", "t", 1.0)])
-        result = max_flow(net, unicast("s", "t"))
+        result = max_flow(net.node_ids, net.arcs, unicast("s", "t"))
         assert result.rate == 0.0
         assert result.witness["cut_capacity"] == 0.0
 
@@ -126,7 +125,7 @@ class TestMaxFlow:
                 ("b", "t", 4.0),
             ]
         )
-        result = max_flow(net, unicast("s", "t"))
+        result = max_flow(net.node_ids, net.arcs, unicast("s", "t"))
         side = set(result.witness["cut"])
         cap = sum(
             p.rate for p in net.pipes if p.tail in side and p.head not in side
@@ -140,25 +139,24 @@ class TestMaxFlow:
         # to fail on NaN refuses it.
         net = pipes_network([("s", "a", float("nan")), ("a", "t", 1.0), ("s", "t", 0.5)])
         with pytest.raises(AssertionError, match="does not certify"):
-            max_flow(net, unicast("s", "t"))
-        arcs = [(pipe.tail, pipe.heads, pipe.rate) for pipe in net.pipes]
+            max_flow(net.node_ids, net.arcs, unicast("s", "t"))
         with pytest.raises(AssertionError, match="does not certify"):
-            unicast_inner_arcs(net.node_ids, arcs, unicast("s", "t"))
+            unicast_inner(net.node_ids, net.arcs, unicast("s", "t"))
 
     def test_rejects_hyper_arcs(self):
         net = pipes_network([("s", ("a", "b"), 1.0), ("a", "t", 1.0)])
         with pytest.raises(ValueError):
-            max_flow(net, unicast("s", "t"))
+            max_flow(net.node_ids, net.arcs, unicast("s", "t"))
 
     def test_rejects_multicast_demand(self):
         net = pipes_network([("s", "a", 1.0), ("s", "b", 1.0)])
         with pytest.raises(ValueError):
-            max_flow(net, multicast("s", {"a", "b"}))
+            max_flow(net.node_ids, net.arcs, multicast("s", {"a", "b"}))
 
     def test_rejects_unknown_endpoint(self):
         net = pipes_network([("s", "a", 1.0)])
         with pytest.raises(ValueError):
-            max_flow(net, unicast("s", "zz"))
+            max_flow(net.node_ids, net.arcs, unicast("s", "zz"))
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(7)
@@ -174,7 +172,7 @@ class TestMaxFlow:
                 continue
             net = pipes_network(edges, extra_nodes=names)
             source, sink = names[0], names[-1]
-            result = max_flow(net, unicast(source, sink))
+            result = max_flow(net.node_ids, net.arcs, unicast(source, sink))
             oracle = brute_force_min_cut(net, source, sink)
             assert abs(result.rate - oracle) < 1e-9, f"trial {trial}"
 
@@ -182,23 +180,23 @@ class TestMaxFlow:
         base = [("s", "a", 1.0), ("a", "t", 2.0), ("s", "t", 0.5)]
         net = pipes_network(base)
         bigger = pipes_network([(u, v, 1.5 * r) for u, v, r in base])
-        low = max_flow(net, unicast("s", "t")).rate
-        high = max_flow(bigger, unicast("s", "t")).rate
+        low = max_flow(net.node_ids, net.arcs, unicast("s", "t")).rate
+        high = max_flow(bigger.node_ids, bigger.arcs, unicast("s", "t")).rate
         assert high >= low - 1e-12
 
 
 class TestMulticastOuter:
     def test_min_over_sinks(self):
         net = pipes_network([("s", "a", 2.0), ("s", "b", 0.5)])
-        result = multicast_outer(net, multicast("s", {"a", "b"}))
+        result = multicast_outer(net.node_ids, net.arcs, multicast("s", {"a", "b"}))
         assert abs(result.rate - 0.5) < 1e-12
         assert result.witness["per_sink"]["a"] == pytest.approx(2.0)
         assert result.witness["per_sink"]["b"] == pytest.approx(0.5)
 
     def test_single_sink_matches_max_flow(self):
         net = pipes_network([("s", "a", 1.0), ("a", "t", 0.8)])
-        direct = max_flow(net, unicast("s", "t")).rate
-        result = multicast_outer(net, multicast("s", {"t"}))
+        direct = max_flow(net.node_ids, net.arcs, unicast("s", "t")).rate
+        result = multicast_outer(net.node_ids, net.arcs, multicast("s", {"t"}))
         assert abs(result.rate - direct) < 1e-12
 
     def test_ten_sinks_build_one_capacity_map(self, monkeypatch):
@@ -214,7 +212,7 @@ class TestMulticastOuter:
             return edge_capacities(net)
 
         monkeypatch.setattr(flows, "_edge_capacities", counting)
-        result = multicast_outer(net, multicast("s", sinks))
+        result = multicast_outer(net.node_ids, net.arcs, multicast("s", sinks))
         assert len(builds) == 1
         assert result.rate == 0.5
         assert list(result.witness["per_sink"]) == sorted(sinks)
@@ -224,9 +222,10 @@ class TestMulticastOuter:
         net = pipes_network(
             [("s", "a", 1.0), ("s", "b", 1.0), ("a", "c", 0.7), ("b", "c", 0.4)]
         )
-        result = multicast_outer(net, multicast("s", {"c", "b", "a"}))
+        result = multicast_outer(net.node_ids, net.arcs, multicast("s", {"c", "b", "a"}))
         per_sink = {
-            sink: max_flow(net, unicast("s", sink)) for sink in ("a", "b", "c")
+            sink: max_flow(net.node_ids, net.arcs, unicast("s", sink))
+            for sink in ("a", "b", "c")
         }
         assert result.witness["per_sink"] == {
             sink: flow.rate for sink, flow in per_sink.items()
@@ -238,10 +237,10 @@ class TestMulticastOuter:
     def test_rejects_missing_endpoint_and_hyper_arcs(self):
         net = pipes_network([("s", "a", 1.0)])
         with pytest.raises(ValueError, match="'z' is not a network node"):
-            multicast_outer(net, multicast("s", {"a", "z"}))
+            multicast_outer(net.node_ids, net.arcs, multicast("s", {"a", "z"}))
         hyper = pipes_network([("s", ("a", "b"), 1.0)])
         with pytest.raises(ValueError, match="hyper-arc"):
-            multicast_outer(hyper, multicast("s", {"a", "b"}))
+            multicast_outer(hyper.node_ids, hyper.arcs, multicast("s", {"a", "b"}))
 
 
 class TestHyperInner:
@@ -250,13 +249,13 @@ class TestHyperInner:
             [("s", "a", 1.0), ("s", "b", 2.0), ("a", "t", 1.5), ("b", "t", 0.5)]
         )
         demand = unicast("s", "t")
-        expected = max_flow(net, demand).rate
-        results = hyper_inner(net, (demand,))
+        expected = max_flow(net.node_ids, net.arcs, demand).rate
+        results = hyper_inner(net.node_ids, net.arcs, (demand,))
         assert abs(results[0].rate - expected) < 1e-8
 
     def test_hyper_arc_serves_both_multicast_sinks(self):
         net = pipes_network([("s", ("a", "b"), 1.0)])
-        results = hyper_inner(net, (multicast("s", {"a", "b"}),))
+        results = hyper_inner(net.node_ids, net.arcs, (multicast("s", {"a", "b"}),))
         assert abs(results[0].rate - 1.0) < 1e-8
 
     def test_hyper_arc_draw_is_single_counted_per_session(self):
@@ -265,7 +264,7 @@ class TestHyperInner:
         net = pipes_network(
             [("s", ("a", "b"), 1.0), ("a", "t", 0.6), ("b", "t", 0.6)]
         )
-        results = hyper_inner(net, (unicast("s", "t"),))
+        results = hyper_inner(net.node_ids, net.arcs, (unicast("s", "t"),))
         assert abs(results[0].rate - 1.0) < 1e-8
 
     def test_shared_pipe_splits_between_sessions(self):
@@ -276,10 +275,10 @@ class TestHyperInner:
             [("s1", "m", 1.0), ("s2", "m", 1.0), ("m", "r", 1.0), ("r", "t1", 1.0), ("r", "t2", 1.0)]
         )
         demands = (unicast("s1", "t1"), unicast("s2", "t2"))
-        results = hyper_inner(shared, demands, objective="maxmin")
+        results = hyper_inner(shared.node_ids, shared.arcs, demands, objective="maxmin")
         for result in results:
             assert abs(result.rate - 0.5) < 1e-8
-        results = hyper_inner(net, demands, objective="maxmin")
+        results = hyper_inner(net.node_ids, net.arcs, demands, objective="maxmin")
         for result in results:
             assert abs(result.rate - 5.0) < 1e-8
 
@@ -288,7 +287,7 @@ class TestHyperInner:
             [("s1", "m", 1.0), ("s2", "m", 1.0), ("m", "t", 1.0)]
         )
         demands = (unicast("s1", "t"), unicast("s2", "t"))
-        results = hyper_inner(net, demands, objective="sum")
+        results = hyper_inner(net.node_ids, net.arcs, demands, objective="sum")
         total = sum(result.rate for result in results)
         assert abs(total - 1.0) < 1e-8
 
@@ -297,21 +296,21 @@ class TestHyperInner:
             [("s", ("a", "b"), 2.0), ("a", "t", 1.0), ("b", "t", 1.0), ("s", "t", 0.3)]
         )
         demands = (unicast("s", "t"),)
-        results = hyper_inner(net, demands)
-        validate_hyper_result(net, demands, results)
+        results = hyper_inner(net.node_ids, net.arcs, demands)
+        validate_hyper_result(net.node_ids, net.arcs, demands, results)
         assert abs(results[0].rate - 2.3) < 1e-8
 
     def test_tampered_witness_fails_validation(self):
         net = pipes_network([("s", "t", 1.0)])
         demands = (unicast("s", "t"),)
-        results = hyper_inner(net, demands)
+        results = hyper_inner(net.node_ids, net.arcs, demands)
         bad = FlowResult(
             demand=results[0].demand,
             rate=results[0].rate + 0.5,
             witness=results[0].witness,
         )
         with pytest.raises(AssertionError):
-            validate_hyper_result(net, demands, [bad])
+            validate_hyper_result(net.node_ids, net.arcs, demands, [bad])
 
     def test_flow_must_enter_a_head_of_its_pipe(self):
         # The only pipe is s->a, yet the witness delivers its flow straight to t.
@@ -320,7 +319,7 @@ class TestHyperInner:
         witness = {"usage": {(0, 0): 1.0}, "flows": {(0, "t", 0, "t"): 1.0}}
         result = FlowResult(demand=demand, rate=1.0, witness=witness)
         with pytest.raises(AssertionError, match="not one of its heads"):
-            validate_hyper_result(net, (demand,), [result])
+            validate_hyper_result(net.node_ids, net.arcs, (demand,), [result])
 
     @pytest.mark.parametrize("negative_usage", [False, True])
     def test_negative_flow_is_rejected(self, negative_usage):
@@ -334,27 +333,22 @@ class TestHyperInner:
         witness = {"usage": usage, "flows": flows}
         result = FlowResult(demand=demand, rate=2.0, witness=witness)
         with pytest.raises(AssertionError, match="is negative"):
-            validate_hyper_result(net, (demand,), [result])
+            validate_hyper_result(net.node_ids, net.arcs, (demand,), [result])
 
     def test_multicast_session_needs_rate_at_every_sink(self):
         net = pipes_network([("s", "a", 2.0), ("s", "b", 0.5)])
-        results = hyper_inner(net, (multicast("s", {"a", "b"}),))
+        results = hyper_inner(net.node_ids, net.arcs, (multicast("s", {"a", "b"}),))
         assert abs(results[0].rate - 0.5) < 1e-8
 
     def test_rejects_empty_demands(self):
         net = pipes_network([("s", "t", 1.0)])
         with pytest.raises(ValueError):
-            hyper_inner(net, ())
+            hyper_inner(net.node_ids, net.arcs, ())
 
     def test_rejects_unknown_objective(self):
         net = pipes_network([("s", "t", 1.0)])
         with pytest.raises(ValueError):
-            hyper_inner(net, (unicast("s", "t"),), objective="median")
-
-
-def inflow_arcs(net):
-    """The (heads, rate) pairs that sum_rate_cut reads, one per pipe."""
-    return [(pipe.heads, pipe.rate) for pipe in net.pipes]
+            hyper_inner(net.node_ids, net.arcs, (unicast("s", "t"),), objective="median")
 
 
 class TestSumRateCut:
@@ -364,17 +358,17 @@ class TestSumRateCut:
         )
         demands = (multicast("s", {"a", "b"}),)
         # The hyper-arc counts once at each head: a gets 1 + 2, b gets 2 + 0.5 + 4.
-        assert sum_rate_cut(inflow_arcs(net), demands) == 3.0
-        assert sum_rate_cut(inflow_arcs(net), (*demands, unicast("s", "b"))) == 6.5
+        assert sum_rate_cut(net.arcs, demands) == 3.0
+        assert sum_rate_cut(net.arcs, (*demands, unicast("s", "b"))) == 6.5
 
     def test_infinite_without_a_shared_sink(self):
         net = pipes_network([("s", "a", 1.0), ("s", "b", 1.0)])
         demands = (unicast("s", "a"), unicast("s", "b"))
-        assert sum_rate_cut(inflow_arcs(net), demands) == INF
+        assert sum_rate_cut(net.arcs, demands) == INF
 
     def test_rejects_empty_demands(self):
         with pytest.raises(ValueError):
-            sum_rate_cut([(("t",), 1.0)], ())
+            sum_rate_cut([("s", ("t",), 1.0, "")], ())
 
 
 @st.composite
@@ -410,9 +404,10 @@ def routing_instances(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_sum_rate_cut_bounds_every_routing(instance):
     net, demands = instance
-    bound = sum_rate_cut(inflow_arcs(net), demands)
+    bound = sum_rate_cut(net.arcs, demands)
     assert (bound == INF) == (not frozenset.intersection(*(d.sinks for d in demands)))
-    total = sum(result.rate for result in hyper_inner(net, demands, "sum"))
+    results = hyper_inner(net.node_ids, net.arcs, demands, "sum")
+    total = sum(result.rate for result in results)
     assert total <= bound + 1e-8
 
 
@@ -420,22 +415,22 @@ class TestUnicastInner:
     def test_plain_network_matches_max_flow(self):
         net = pipes_network([("s", "a", 1.0), ("a", "t", 0.7), ("s", "t", 0.2)])
         demand = unicast("s", "t")
-        result = unicast_inner(net, demand)
-        assert abs(result.rate - max_flow(net, demand).rate) < 1e-12
+        result = unicast_inner(net.node_ids, net.arcs, demand)
+        assert abs(result.rate - max_flow(net.node_ids, net.arcs, demand).rate) < 1e-12
         assert "split_nodes" not in result.witness
 
     def test_hyper_draw_is_shared_not_duplicated(self):
         # One draw of 1.0 reaches both heads; forwarding the copy from each
         # head in full would claim 2.0, the shared-draw semantics allow 1.0.
         net = pipes_network([("s", ("a", "b"), 1.0), ("a", "t", 5.0), ("b", "t", 5.0)])
-        result = unicast_inner(net, unicast("s", "t"))
+        result = unicast_inner(net.node_ids, net.arcs, unicast("s", "t"))
         assert abs(result.rate - 1.0) < 1e-12
         assert len(result.witness["split_nodes"]) == 1
 
     def test_heads_forward_disjoint_shares(self):
         # Narrow per-head exits force the session to split the drawn bits.
         net = pipes_network([("s", ("a", "b"), 1.0), ("a", "t", 0.4), ("b", "t", 0.4)])
-        result = unicast_inner(net, unicast("s", "t"))
+        result = unicast_inner(net.node_ids, net.arcs, unicast("s", "t"))
         assert abs(result.rate - 0.8) < 1e-12
 
     def test_matches_hyper_inner_on_random_networks(self):
@@ -451,40 +446,40 @@ class TestUnicastInner:
             edges.append(("s", ("a", "b"), float(rng.uniform(0.2, 1.5))))
             edges.append(("a", ("c", "d"), float(rng.uniform(0.2, 1.5))))
             net = pipes_network(edges, extra_nodes=order)
-            exact = unicast_inner(net, demand).rate
-            via_lp = hyper_inner(net, (demand,))[0].rate
+            exact = unicast_inner(net.node_ids, net.arcs, demand).rate
+            via_lp = hyper_inner(net.node_ids, net.arcs, (demand,))[0].rate
             assert abs(exact - via_lp) < 1e-7
 
     def test_split_node_names_avoid_collisions(self):
         net = pipes_network(
             [("s", ("hyperarc_0", "b"), 1.0), ("hyperarc_0", "t", 0.4), ("b", "t", 0.4)]
         )
-        result = unicast_inner(net, unicast("s", "t"))
+        result = unicast_inner(net.node_ids, net.arcs, unicast("s", "t"))
         assert abs(result.rate - 0.8) < 1e-12
 
     def test_rejects_multicast_demand(self):
         net = pipes_network([("s", ("a", "b"), 1.0)])
         with pytest.raises(ValueError):
-            unicast_inner(net, multicast("s", ("a", "b")))
+            unicast_inner(net.node_ids, net.arcs, multicast("s", ("a", "b")))
 
     def test_rejects_a_pipe_without_heads(self):
         net = pipes_network([("s", ("a", "t"), 1.0), ("s", "t", 1.0)])
         headless = BitPipe(tail="s", heads=(), rate=1.0)
         net = NoiselessNetwork(nodes=net.nodes, pipes=(*net.pipes, headless))
         with pytest.raises(ValueError, match="no head"):
-            unicast_inner(net, unicast("s", "t"))
+            unicast_inner(net.node_ids, net.arcs, unicast("s", "t"))
 
     def test_rejects_endpoint_outside_the_network(self):
         # The split node's name is free in the network, so it is no endpoint.
         net = pipes_network([("s", ("a", "b"), 1.0), ("a", "t", 1.0)])
         with pytest.raises(ValueError, match="not a network node"):
-            unicast_inner(net, unicast("s", "hyperarc_0"))
+            unicast_inner(net.node_ids, net.arcs, unicast("s", "hyperarc_0"))
 
 
 def _split_node_reference(net, demand):
     """unicast_inner written as a Node/BitPipe rewrite followed by max_flow."""
     if not any(pipe.is_hyper for pipe in net.pipes):
-        result = max_flow(net, demand)
+        result = max_flow(net.node_ids, net.arcs, demand)
         return result.rate, result.witness
     nodes = list(net.nodes)
     taken = set(net.node_ids)
@@ -503,14 +498,15 @@ def _split_node_reference(net, demand):
         pipes.append(BitPipe(tail=pipe.tail, heads=(split,), rate=pipe.rate))
         for head in pipe.heads:
             pipes.append(BitPipe(tail=split, heads=(head,), rate=INF))
-    result = max_flow(NoiselessNetwork(nodes=tuple(nodes), pipes=tuple(pipes)), demand)
+    rewritten = NoiselessNetwork(nodes=tuple(nodes), pipes=tuple(pipes))
+    result = max_flow(rewritten.node_ids, rewritten.arcs, demand)
     return result.rate, {**result.witness, "split_nodes": split_nodes}
 
 
 class TestUnicastInnerMatchesSplitNodeRewrite:
     def assert_same(self, net, demand):
         rate, witness = _split_node_reference(net, demand)
-        self.assert_result(unicast_inner(net, demand), rate, witness)
+        self.assert_result(unicast_inner(net.node_ids, net.arcs, demand), rate, witness)
 
     @staticmethod
     def assert_result(result, rate, witness):
@@ -524,7 +520,7 @@ class TestUnicastInnerMatchesSplitNodeRewrite:
 
     def test_every_relay_candidate_of_one_point(self, monkeypatch):
         # The search rates arcs without building a network and routes only
-        # its winner; on every candidate it rates, unicast_inner_arcs must be
+        # its winner; on every candidate it rates, unicast_inner must be
         # the reference's on the candidate's network, and the one flow the
         # search runs must be the reference's on one of them.
         rated, flowed = [], []
@@ -534,14 +530,14 @@ class TestUnicastInnerMatchesSplitNodeRewrite:
             rated.append((self, bc_betas))
             return arcs(self, bc_betas)
 
-        def recording_flow(node_ids, triples, demand):
-            result = unicast_inner_arcs(node_ids, triples, demand)
+        def recording_flow(node_ids, arcs, demand):
+            result = unicast_inner(node_ids, arcs, demand)
             flowed.append(result)
             return result
 
         with monkeypatch.context() as patch:
             patch.setattr(LowerStructure, "arcs", recording_arcs)
-            patch.setattr(cli, "unicast_inner_arcs", recording_flow)
+            patch.setattr(cli, "unicast_inner", recording_flow)
             components = decompose(cli.relay_network(1.0, 10.0 ** 0.5, 10.0))
             best = cli.relay_eq_lower(components)
         assert len(rated) > 100 and len(flowed) == 1
@@ -550,8 +546,8 @@ class TestUnicastInnerMatchesSplitNodeRewrite:
         assert any(len(net.pipes) > 2 for net in nets)
         references = []
         for (structure, bc_betas), net in zip(rated, nets):
-            triples = [arc[:3] for arc in structure.arcs(bc_betas)]
-            result = unicast_inner_arcs(structure.node_ids, triples, flowed[0].demand)
+            arcs = structure.arcs(bc_betas)
+            result = unicast_inner(structure.node_ids, arcs, flowed[0].demand)
             references.append(_split_node_reference(net, flowed[0].demand))
             self.assert_result(result, *references[-1])
         assert any(rate == best for rate, _ in references)
@@ -577,7 +573,7 @@ class TestUnicastInnerMatchesSplitNodeRewrite:
             ]
         )
         self.assert_same(net, unicast("s", "t"))
-        result = unicast_inner(net, unicast("s", "t"))
+        result = unicast_inner(net.node_ids, net.arcs, unicast("s", "t"))
         assert result.witness["split_nodes"] == {"hyperarc_0__": 0, "hyperarc_2": 2}
 
 
@@ -590,7 +586,7 @@ class TestBlendInner:
         run_b = pipes_network([("s", "m", 1.0), ("m", "t", 2.0)])
         demands = (unicast("s", "t"),)
         per_run = max(
-            hyper_inner(run_a, demands)[0].rate, hyper_inner(run_b, demands)[0].rate
+            hyper_inner(run.node_ids, run.arcs, demands)[0].rate for run in (run_a, run_b)
         )
         assert abs(per_run - 1.0) < 1e-8
         blended, weights = blend_inner([run_a, run_b], demands)
@@ -601,7 +597,7 @@ class TestBlendInner:
     def test_single_run_reduces_to_hyper_inner(self):
         net = pipes_network([("s", ("a", "b"), 1.2), ("a", "t", 0.5), ("b", "t", 0.4)])
         demands = (unicast("s", "t"),)
-        direct = hyper_inner(net, demands)[0].rate
+        direct = hyper_inner(net.node_ids, net.arcs, demands)[0].rate
         blended, weights = blend_inner([net], demands)
         assert abs(blended[0].rate - direct) < 1e-8
         assert abs(weights[0] - 1.0) < 1e-9
@@ -621,8 +617,8 @@ class TestBlendInner:
             demands = (unicast("s", "t"),)
             blended, _ = blend_inner([run_a, run_b], demands)
             best_single = max(
-                hyper_inner(run_a, demands)[0].rate,
-                hyper_inner(run_b, demands)[0].rate,
+                hyper_inner(run_a.node_ids, run_a.arcs, demands)[0].rate,
+                hyper_inner(run_b.node_ids, run_b.arcs, demands)[0].rate,
             )
             assert blended[0].rate >= best_single - 1e-8
 
@@ -674,7 +670,7 @@ def relay_lower(beta2):
 def fresh_solve(net, demands, objective="maxmin"):
     """hyper_inner on a routing LP compiled from scratch."""
     flows._compiled_routing_lp.cache_clear()
-    return hyper_inner(net, demands, objective)
+    return hyper_inner(net.node_ids, net.arcs, demands, objective)
 
 
 def assert_same_results(got, want):
@@ -717,14 +713,15 @@ def solved_lps(monkeypatch, run):
 
 def run_multicast_lower():
     net = cli.multicast_network(4, power=10.0, delta_power=5.0, q=8, xi=0.1)
-    hyper_inner(build_lower(decompose(net), LowerParams()), net.demands, "sum")
+    lower = build_lower(decompose(net), LowerParams())
+    hyper_inner(lower.node_ids, lower.arcs, net.demands, "sum")
 
 
 def run_bounds_lower():
     net = parse_network(json.dumps(TWO_BY_THREE_DOC))
     betas = {("bc", "S1"): (0.5, 0.25, 0.25), ("bc", "S2"): (0.25, 0.0, 0.75)}
     lower = build_lower(decompose(net), LowerParams(bc_betas=betas))
-    hyper_inner(lower, net.demands, "maxmin")
+    hyper_inner(lower.node_ids, lower.arcs, net.demands, "maxmin")
 
 
 def run_layered_blend():
@@ -761,8 +758,8 @@ class TestRoutingLpCache:
         assert [p.rate for p in first.pipes] != [p.rate for p in second.pipes]
         demands = (unicast("S", "D"),)
         flows._compiled_routing_lp.cache_clear()
-        got_first = hyper_inner(first, demands)
-        got_second = hyper_inner(second, demands)
+        got_first = hyper_inner(first.node_ids, first.arcs, demands)
+        got_second = hyper_inner(second.node_ids, second.arcs, demands)
         info = flows._compiled_routing_lp.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
         assert got_first[0].rate != got_second[0].rate
@@ -781,14 +778,14 @@ class TestRoutingLpCache:
         demands = (unicast("s1", "t1"), unicast("s2", "t2"))
         objective = "maxmin"
         flows._compiled_routing_lp.cache_clear()
-        hyper_inner(net, demands, objective)
+        hyper_inner(net.node_ids, net.arcs, demands, objective)
         if change == "finiteness":
             net = pipes_network([("s1", "m", INF), *edges[1:]])
         elif change == "demand order":
             demands = demands[::-1]
         else:
             objective = "sum"
-        got = hyper_inner(net, demands, objective)
+        got = hyper_inner(net.node_ids, net.arcs, demands, objective)
         info = flows._compiled_routing_lp.cache_info()
         assert (info.misses, info.hits) == (2, 0)
         assert_same_results(got, fresh_solve(net, demands, objective))
@@ -799,7 +796,7 @@ class TestRoutingLpCache:
         assert maxsize is not None
         for k in range(maxsize + 4):
             chain = pipes_network([(f"n{i}", f"n{i + 1}", 1.0) for i in range(k + 1)])
-            hyper_inner(chain, (unicast("n0", f"n{k + 1}"),))
+            hyper_inner(chain.node_ids, chain.arcs, (unicast("n0", f"n{k + 1}"),))
             assert flows._compiled_routing_lp.cache_info().currsize <= maxsize
         info = flows._compiled_routing_lp.cache_info()
         assert (info.misses, info.currsize) == (maxsize + 4, maxsize)
@@ -827,7 +824,7 @@ class TestRoutingLpCache:
     def test_unbounded_lp_raises(self, objective):
         net = pipes_network([("s", "m", INF), ("m", "t", INF)])
         with pytest.raises(RuntimeError, match="routing LP failed: .*Unbounded"):
-            hyper_inner(net, (unicast("s", "t"),), objective=objective)
+            hyper_inner(net.node_ids, net.arcs, (unicast("s", "t"),), objective)
 
 
 def dense_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
@@ -906,7 +903,7 @@ def run_two_session_multisink():
     )
     demands = (multicast("s1", {"t1", "t2"}), unicast("s2", "t3"))
     for objective in ("maxmin", "sum"):
-        hyper_inner(net, demands, objective)
+        hyper_inner(net.node_ids, net.arcs, demands, objective)
     blend_inner([net, net], demands)
 
 
@@ -953,8 +950,9 @@ class TestSharedSolver:
         [(lp_a, upper_a)] = solved_lps(monkeypatch, run_bounds_lower)
         [(lp_b, upper_b)] = solved_lps(monkeypatch, run_multicast_lower)
         net = pipes_network([("s", "m", INF), ("m", "t", INF)])
+        structure = tuple((tail, heads, rate != INF) for tail, heads, rate, _ in net.arcs)
         unbounded = flows._compiled_routing_lp(
-            net.node_ids, flows._arc_structure(net), (unicast("s", "t"),), "sum"
+            net.node_ids, structure, (unicast("s", "t"),), "sum"
         )
 
         def on_fresh_solver(lp, upper):

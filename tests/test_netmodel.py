@@ -160,10 +160,10 @@ def test_validate_upper_rejects_hyper_arc():
         nodes=(Node("A"), Node("B"), Node("C")),
         pipes=(BitPipe("A", ("B", "C"), 1.0, provenance="test"),),
     )
-    violations = validate_bounding_network(net, "upper")
+    violations = validate_bounding_network(net.node_ids, net.arcs, "upper")
     assert len(violations) == 1
     assert "hyper" in violations[0]
-    assert validate_bounding_network(net, "lower") == []
+    assert validate_bounding_network(net.node_ids, net.arcs, "lower") == []
 
 
 def test_validate_flags_negative_rate():
@@ -171,7 +171,7 @@ def test_validate_flags_negative_rate():
         nodes=(Node("A"), Node("B")),
         pipes=(BitPipe("A", ("B",), -1.0, provenance="test"),),
     )
-    violations = validate_bounding_network(net, "lower")
+    violations = validate_bounding_network(net.node_ids, net.arcs, "lower")
     assert len(violations) == 1
     assert "rate" in violations[0]
 
@@ -181,7 +181,7 @@ def test_validate_flags_missing_provenance_and_bad_nodes():
         nodes=(Node("A"),),
         pipes=(BitPipe("A", ("B",), 1.0),),
     )
-    violations = validate_bounding_network(net, "lower")
+    violations = validate_bounding_network(net.node_ids, net.arcs, "lower")
     assert any("unknown head" in v for v in violations)
     assert any("provenance" in v for v in violations)
 
@@ -197,7 +197,7 @@ def test_validate_accepts_lower_with_aux_nodes():
             BitPipe("R", ("D",), 1.7, provenance="relay forward"),
         ),
     )
-    assert validate_bounding_network(net, "lower") == []
+    assert validate_bounding_network(net.node_ids, net.arcs, "lower") == []
 
 
 def test_bit_pipe_accessors():
@@ -215,7 +215,7 @@ def test_infinite_rate_pipe_is_valid():
         nodes=(Node("A"), Node("B")),
         pipes=(BitPipe("A", ("B",), float("inf"), provenance="uncapacitated"),),
     )
-    assert validate_bounding_network(net, "upper") == []
+    assert validate_bounding_network(net.node_ids, net.arcs, "upper") == []
 
 
 _IDS = st.lists(

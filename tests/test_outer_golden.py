@@ -7,10 +7,10 @@ While the searches run, each (structure, alpha) is recorded where it is
 rated, `UpperStructure.arcs` (which `build_upper` also goes through), with
 every `mac_upper` result behind it and what the search returns (for `bounds`,
 its stdout); each record is hashed as `UpperStructure.network(alpha)`. Each
-network's outer bounds are then computed as its search takes them:
-`max_flow` for a unicast demand, `multicast_outer` for a multicast one, and
-for the multicast search, on the network's arcs plus the merged source's
-infinite feeds, `multicast_outer_arcs` and `max_flow_arcs` to each sink.
+network's outer bounds are then computed on its arcs as its search takes
+them: `max_flow` for a unicast demand, `multicast_outer` for a multicast one,
+and for the multicast search, on the network's arcs plus the merged source's
+infinite feeds, `multicast_outer` and `max_flow` to each sink.
 They are hashed over rate, flows (keys, order, `repr` of values), cut, cut capacity and
 per-sink rates. The digest in tests/data/outer_results.json was recorded while
 `mac_upper` still computed with NumPy and the multicast search still took one
@@ -29,7 +29,7 @@ from pathlib import Path
 from netbounds import assemble, cli
 from netbounds.assemble import UpperStructure
 from netbounds.decouple import decompose
-from netbounds.flows import max_flow, max_flow_arcs, multicast_outer, multicast_outer_arcs
+from netbounds.flows import max_flow, multicast_outer
 from netbounds.info import db_to_linear
 from netbounds.netmodel import Demand, parse_network
 
@@ -50,7 +50,9 @@ def _relay():
         )
         for gamma_sr_db in (-10.0, 5.0, 20.0)
     ]
-    return values, lambda upper: [max_flow(upper, _unicast("S", "D"))]
+    return values, lambda upper: [
+        max_flow(upper.node_ids, upper.arcs, _unicast("S", "D"))
+    ]
 
 
 def _multicast():
@@ -63,11 +65,11 @@ def _multicast():
         name = "JOINT_SRC"
         assert name not in upper.node_ids
         node_ids = (*upper.node_ids, name)
-        arcs = [(pipe.tail, pipe.heads, pipe.rate) for pipe in upper.pipes]
-        arcs += [(name, (source,), math.inf) for source in ("S1", "S2")]
+        feeds = [(name, (source,), math.inf, "") for source in ("S1", "S2")]
+        arcs = [*upper.arcs, *feeds]
         demand = Demand(kind="multicast", source=name, sinks=frozenset(sinks))
-        return [multicast_outer_arcs(node_ids, arcs, demand)] + [
-            max_flow_arcs(node_ids, arcs, _unicast(name, sink)) for sink in sinks
+        return [multicast_outer(node_ids, arcs, demand)] + [
+            max_flow(node_ids, arcs, _unicast(name, sink)) for sink in sinks
         ]
 
     return [value], outer
@@ -82,7 +84,9 @@ def _bounds(name):
 
     def outer(upper):
         return [
-            (max_flow if demand.kind == "unicast" else multicast_outer)(upper, demand)
+            (max_flow if demand.kind == "unicast" else multicast_outer)(
+                upper.node_ids, upper.arcs, demand
+            )
             for demand in demands
         ]
 
