@@ -15,8 +15,14 @@ ones, at the larger rate) as ``(tail, heads, rate, label)`` tuples, and
 The lower network replaces every component by an achievable coding scheme:
 superposition layers on broadcast sides (hyper-arcs to the receivers that
 decode each layer) and successive interference cancellation at multi-access
-receivers. It is built in steps (structure, ledger, arcs, network), and both
-rate formulas live in the arcs step, nowhere else:
+receivers. It is built in steps (structure, ledger, arcs, network). The
+ledger's formulas and both rate formulas are written once, in one rating core
+(`LowerStructure._charge` and `_rate`) that takes each broadcast side's betas
+in one of two forms: floats for one power split, or one 1-D array per layer
+for a batch of splits. What differs by form is in `_OneSplit` and
+`_Splits`: the capacity (both take the same `np.log2`), the elementwise min,
+max(0, x), and how betas are checked and decode orders resolved. Sums run
+from 0, left to right, in both, so a batch row is bit for bit the float form.
 
 - `LowerStructure` fixes and validates what does not depend on the power
   split beta: each broadcast side's layer count and decode targets, explicit
@@ -25,9 +31,15 @@ rate formulas live in the arcs step, nowhere else:
   will never decode and resolves default decode orders, which depend on those
   residuals.
 - `LowerStructure.arcs(betas)` rates every layer arc and SIC arc against
-  that ledger, so each rate is achievable with every cross-component
-  interference accounted for. It returns plain ``(tail, heads, rate, label)``
-  tuples, which is all the flow layer reads.
+  those charges for one split (the float form), so each rate is achievable
+  with every cross-component interference accounted for. It returns plain
+  ``(tail, heads, rate, label)`` tuples, which is all the flow layer reads.
+  `bounds`, the multicast search and `network` rate one split at a time here.
+- `LowerStructure.rate_batch(splits)` rates n splits in one NumPy pass (the
+  array form) and returns a `LowerBatch`: the structure's arc slots and an
+  n x slots rate array, from which any split's arcs can be read as `arcs`
+  gives them. The relay search, whose grid and zoom steps are known before
+  it rates any of their splits, rates each step this way.
 - `LowerStructure.network(betas)` is those arcs as a `NoiselessNetwork`, each
   label formatted into its pipe's provenance.
 
@@ -40,12 +52,16 @@ is for a caller that wants the pipes and their provenance. `build_upper` and
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .bc import BcSpec, bc_upper_cumulative
 from .decouple import DecoupledComponent
-from .info import awgn_capacity, bsc_capacity, qsc_capacity
+from .info import awgn_capacities, awgn_capacity, bsc_capacity, qsc_capacity
 from .mac import MacSpec, mac_upper
 from .netmodel import AUXILIARY, BitPipe, NoiselessNetwork, NoisyLink, Node
 
@@ -55,6 +71,7 @@ __all__ = [
     "InterferenceLedger",
     "UpperStructure",
     "LowerStructure",
+    "LowerBatch",
     "link_capacity",
     "build_upper",
     "build_lower",
@@ -365,8 +382,9 @@ def _bc_targets(
 class _BcSide:
     """A broadcast side's layers and who decodes each."""
 
-    def __init__(self, comp: DecoupledComponent, params: LowerParams):
+    def __init__(self, comp: DecoupledComponent, params: LowerParams, index: int):
         self.key = comp.key
+        self.index = index  # its place among the structure's broadcast sides
         self.tx = comp.inputs[0]
         given = params.bc_betas.get(self.key)
         self.layers = len(comp.links) if given is None else len(given)
@@ -398,14 +416,36 @@ class _BcSide:
             )
         return betas
 
+    def columns(self, rows) -> tuple:
+        """The power shares of a batch of evaluations, one array per layer
+        holding every split's share. Each row passes the checks of `betas`,
+        and the first that fails raises its error."""
+        if rows is None:
+            return self.betas(None)
+        try:
+            table = np.array(rows, dtype=float)
+        except (TypeError, ValueError):
+            table = None
+        if table is not None and table.ndim == 2 and table.shape[1] == self.layers:
+            columns = tuple(np.ascontiguousarray(table.T))
+            in_range = 0.0 <= table.min() and table.max() < math.inf  # False on NaN
+            if in_range and abs(sum(columns) - 1.0).max() <= 1e-9:
+                return columns
+        for row in rows:
+            self.betas(row)
+        raise AssertionError(f"bc_betas for {self.key}: batch check disagrees with betas")
+
 
 class _MacSide:
     """A multi-access receiver: its inputs and, per decode order, which
     inputs it has decoded (residual power) or not yet (full power) while
     decoding each one."""
 
-    def __init__(self, comp: DecoupledComponent, params: LowerParams, bc_inputs):
+    def __init__(
+        self, comp: DecoupledComponent, params: LowerParams, bc_inputs, index: int
+    ):
         self.key = comp.key
+        self.index = index  # its place among the structure's multi-access sides
         self.rx = comp.outputs[0]
         self.links = tuple((link.src, link.snr) for link in comp.links)
         # Inputs that are broadcast transmitters get no SIC pipe: their
@@ -446,6 +486,106 @@ class _MacSide:
         return terms
 
 
+class _OneSplit:
+    """The rating core's input form for one power split: every beta, residual
+    and rate is a float. Its helpers are picked by form, the formulas are not."""
+
+    capacity = staticmethod(awgn_capacity)
+    least = staticmethod(min)  # of an iterable
+    clip = staticmethod(functools.partial(max, 0.0))
+    lowest = staticmethod(float)  # a float's least entry is itself
+    off = staticmethod(operator.not_)  # a layer without power
+
+    @staticmethod
+    def betas(bc: _BcSide, given):
+        return bc.betas(given)
+
+    @staticmethod
+    def order(mac: _MacSide, residual) -> tuple[str, ...]:
+        return mac.order or mac.default_order(residual)
+
+
+class _Splits:
+    """The rating core's input form for n power splits: what depends on the
+    split is a 1-D array with one entry per split, the rest stays a float.
+    Elementwise IEEE arithmetic rounds as the float form does."""
+
+    capacity = staticmethod(awgn_capacities)
+    clip = staticmethod(functools.partial(np.maximum, 0.0))
+
+    def __init__(self, n: int):
+        self.n = n
+
+    @staticmethod
+    def least(values):
+        return functools.reduce(np.minimum, values)
+
+    @staticmethod
+    def lowest(value) -> float:
+        return np.minimum.reduce(value) if isinstance(value, np.ndarray) else value
+
+    @staticmethod
+    def off(beta) -> bool:
+        """Without power at every split."""
+        return not (np.logical_or.reduce(beta) if isinstance(beta, np.ndarray) else beta)
+
+    @staticmethod
+    def betas(bc: _BcSide, given):
+        return bc.columns(given)
+
+    def order(self, mac: _MacSide, residual) -> tuple[str, ...]:
+        if mac.order:
+            return mac.order
+        if self.n > 1:
+            raise ValueError(
+                f"mac_order for {mac.key} is needed to rate {self.n} splits in one "
+                f"batch: its default decode order depends on the split"
+            )
+        return mac.default_order({key: _at(value, 0) for key, value in residual.items()})
+
+
+def _at(value, row: int):
+    """One split's entry of a `_Splits` value: an array's, or the float."""
+    return float(value[row]) if isinstance(value, np.ndarray) else value
+
+
+def _kept(rate, label) -> bool:
+    """Whether `LowerStructure.arcs` keeps an arc: a point-to-point arc (its
+    label is its provenance text) always, a layer or SIC arc if its rate is
+    not 0."""
+    return rate != 0.0 or isinstance(label, str)
+
+
+@dataclass(frozen=True)
+class LowerBatch:
+    """The arcs of one lower structure at n power splits, rated in one pass.
+
+    `slots` holds every arc the structure can have as ``(tail, heads)``, in
+    the order of `network`'s pipes; `rates[r, s]` is slot s's rate at split r,
+    0.0 wherever `LowerStructure.arcs` leaves the layer or SIC arc out.
+    `arcs(r)` is split r's arcs as `LowerStructure.arcs` returns them.
+    """
+
+    slots: tuple[tuple[str, tuple[str, ...]], ...]
+    rates: np.ndarray
+    labels: tuple  # per slot, as `arcs` labels it, with arrays for the split's beta
+    extrinsic: dict  # the broadcast labels' extrinsic terms, floats or arrays
+
+    def arcs(self, row: int) -> list[tuple]:
+        """Split `row`'s ``(tail, heads, rate, label)`` arcs, equal to what
+        `LowerStructure.arcs` returns for that split, without re-rating."""
+        extrinsic = {key: _at(value, row) for key, value in self.extrinsic.items()}
+        arcs = []
+        rates = self.rates[row].tolist()
+        for (tail, heads), rate, label in zip(self.slots, rates, self.labels):
+            if not _kept(rate, label):
+                continue
+            if label[0] == "bc":
+                label = ("bc", label[1], _at(label[2], row), extrinsic)
+            arcs.append((tail, heads, rate, label))
+        return arcs
+
+
 class LowerStructure:
     """The part of a lower network that does not depend on the power split.
 
@@ -454,10 +594,10 @@ class LowerStructure:
     by default one layer per receiver; the values are not read), its layers'
     decode targets and any explicit multi-access decode orders, all
     validated here. `ledger(bc_betas)` and `arcs(bc_betas)` then charge
-    and rate it for one power split, and `network(bc_betas)` builds its
-    pipes; default decode orders depend on the residuals and are resolved
-    in the ledger. A search that sweeps betas over one
-    structure builds it once and keeps it for that search only.
+    and rate it for one power split, `network(bc_betas)` builds its pipes,
+    and `rate_batch` rates many splits at once; default decode orders depend
+    on the residuals and are resolved per split. A search that sweeps betas
+    over one structure builds it once and keeps it for that search only.
 
     Raises:
         ValueError: on parameter entries naming unknown components,
@@ -483,21 +623,46 @@ class LowerStructure:
         self._steps: list = []
         self._bcs: list[_BcSide] = []
         self._macs: list[_MacSide] = []
-        residual_keys: dict[tuple[str, str], None] = {}
+        residual_keys: dict[tuple[str, str], float] = {}
         for comp in self.components:
             if comp.kind == "p2p":
                 pipe = _p2p_pipe(comp.links[0])
                 self._steps.append((pipe.tail, pipe.heads, pipe.rate, pipe.provenance))
                 continue
             if comp.kind == "bc":
-                side = _BcSide(comp, params)
+                side = _BcSide(comp, params, len(self._bcs))
+                self._bcs.append(side)
             else:
-                side = _MacSide(comp, params, self._bc_inputs)
-            (self._bcs if comp.kind == "bc" else self._macs).append(side)
+                side = _MacSide(comp, params, self._bc_inputs, len(self._macs))
+                self._macs.append(side)
             self._steps.append(side)
             for link in comp.links:
-                residual_keys.setdefault((link.src, link.dst))
-        self._residual_keys = tuple(residual_keys)
+                residual_keys.setdefault((link.src, link.dst), 0.0)
+        # No residual and no extrinsic interference: what each split starts from.
+        self._no_residual = residual_keys
+        self._no_extrinsic = {(bc.tx, j): 0.0 for bc in self._bcs for j in bc.gamma}
+
+    def _charge(self, bc_betas: dict, form) -> tuple:
+        """The ledger's formulas in either input form (see `ledger`): each
+        broadcast side's betas, the residuals, the extrinsic terms and each
+        multi-access side's decode order."""
+        _check_param_keys(bc_betas, self._bc_keys, "bc_betas")
+        sides = [form.betas(bc, bc_betas.get(bc.key)) for bc in self._bcs]
+        residual = dict(self._no_residual)
+        for bc, betas in zip(self._bcs, sides):
+            for j, snr, k in bc.decoded:
+                residual[(bc.tx, j)] = snr * sum(betas[k:])
+        for (i, j), value in residual.items():
+            if form.lowest(value) < -1e-12:
+                raise AssertionError(f"negative residual at ({i}, {j}): {value}")
+        extrinsic = dict(self._no_extrinsic)
+        orders = []
+        for mac in self._macs:
+            order = form.order(mac, residual)
+            orders.append(order)
+            for i, before, after in mac.sic(order):
+                extrinsic[(i, mac.rx)] = sum(residual[key] for key in before) + after
+        return sides, residual, extrinsic, orders
 
     def ledger(self, bc_betas: dict) -> InterferenceLedger:
         """The interference ledger of this structure at one power split.
@@ -519,29 +684,55 @@ class LowerStructure:
         Raises:
             ValueError: on entries naming unknown components or invalid betas.
         """
-        _check_param_keys(bc_betas, self._bc_keys, "bc_betas")
-        bc_layers = {}
-        bc_residual = {}
-        for bc in self._bcs:
-            betas = bc.betas(bc_betas.get(bc.key))
-            bc_layers[bc.key] = (betas, bc.targets)
-            for j, snr, k in bc.decoded:
-                bc_residual[(bc.tx, j)] = snr * sum(betas[k:])
-        residual = {key: bc_residual.get(key, 0.0) for key in self._residual_keys}
-        extrinsic = {(bc.tx, j): 0.0 for bc in self._bcs for j in bc.gamma}
-        mac_order = {}
-        for mac in self._macs:
-            order = mac.order or mac.default_order(residual)
-            mac_order[mac.key] = order
-            for i, before, after in mac.sic(order):
-                extrinsic[(i, mac.rx)] = sum(residual[key] for key in before) + after
+        sides, residual, extrinsic, orders = self._charge(bc_betas, _OneSplit)
         return InterferenceLedger(
             gamma_residual=residual,
             receiver_floor=_residual_totals(residual),
             extrinsic=extrinsic,
-            bc_layers=bc_layers,
-            mac_order=mac_order,
+            bc_layers={bc.key: (betas, bc.targets) for bc, betas in zip(self._bcs, sides)},
+            mac_order={mac.key: order for mac, order in zip(self._macs, orders)},
         )
+
+    def _rate(self, bc_betas: dict, form) -> tuple[list[tuple], dict]:
+        """The rating core, in either input form: every arc slot as ``(tail,
+        heads, rate, label)`` in network order, rate 0 where `arcs` leaves
+        the arc out, and the extrinsic terms the broadcast labels hold."""
+        sides, residual, extrinsic, orders = self._charge(bc_betas, form)
+        floors = _residual_totals(residual)
+        slots: list[tuple] = []
+        for step in self._steps:
+            if isinstance(step, tuple):
+                slots.append(step)
+            elif isinstance(step, _BcSide):
+                tx, gamma, betas = step.tx, step.gamma, sides[step.index]
+                for layer, (beta, chosen) in enumerate(zip(betas, step.targets)):
+                    label = ("bc", layer, beta, extrinsic)
+                    if form.off(beta):
+                        slots.append((tx, chosen, 0.0, label))
+                        continue
+                    later = sum(betas[layer + 1 :])
+                    rate = form.least(
+                        form.capacity(
+                            gamma[j] * beta / (1.0 + extrinsic[(tx, j)] + gamma[j] * later)
+                        )
+                        for j in chosen
+                    )
+                    slots.append((tx, chosen, rate, label))
+            elif step.piped:
+                rx, order = step.rx, orders[step.index]
+                floor = floors.get(rx, 0.0)
+                effective = {
+                    src: form.clip(snr - residual[(src, rx)]) / (1.0 + floor)
+                    for src, snr in step.links
+                }
+                undecoded = sum(effective.values())
+                for tx in order:
+                    undecoded = undecoded - effective[tx]
+                    if tx in self._bc_inputs:
+                        continue
+                    rate = form.capacity(effective[tx] / (1.0 + undecoded))
+                    slots.append((tx, (rx,), rate, ("mac", order)))
+        return slots, extrinsic
 
     def arcs(self, bc_betas: dict) -> list[tuple]:
         """The arcs of this structure at one power split, without pipes.
@@ -564,52 +755,50 @@ class LowerStructure:
         never exceed j's multi-access rate for input i, so every shared link
         respects both sides; the per-layer arc keeps the smaller
         (broadcast-side) requirement, and the multi-access side emits no
-        arc for an input that is a broadcast transmitter. Arcs of rate 0 are
-        left out.
+        arc for an input that is a broadcast transmitter. Layer and SIC arcs
+        of rate 0 (a layer of zero power among them) are left out.
 
         Args and Raises: as `ledger`.
         """
-        ledger = self.ledger(bc_betas)
-        residual = ledger.gamma_residual
-        extrinsic = ledger.extrinsic
-        arcs: list[tuple] = []
-        for step in self._steps:
-            if isinstance(step, tuple):
-                arcs.append(step)
-            elif isinstance(step, _BcSide):
-                tx, gamma = step.tx, step.gamma
-                betas, targets = ledger.bc_layers[step.key]
-                for layer, (beta, chosen) in enumerate(zip(betas, targets)):
-                    if beta == 0.0:
-                        continue
-                    later = sum(betas[layer + 1 :])
-                    rate = min(
-                        awgn_capacity(
-                            gamma[j] * beta / (1.0 + extrinsic[(tx, j)] + gamma[j] * later)
-                        )
-                        for j in chosen
-                    )
-                    if rate == 0.0:
-                        continue
-                    arcs.append((tx, chosen, rate, ("bc", layer, beta, extrinsic)))
-            elif step.piped:
-                rx = step.rx
-                order = ledger.mac_order[step.key]
-                floor = ledger.receiver_floor.get(rx, 0.0)
-                effective = {
-                    src: max(0.0, snr - residual[(src, rx)]) / (1.0 + floor)
-                    for src, snr in step.links
-                }
-                undecoded = sum(effective.values())
-                for tx in order:
-                    undecoded -= effective[tx]
-                    if tx in self._bc_inputs:
-                        continue
-                    rate = awgn_capacity(effective[tx] / (1.0 + undecoded))
-                    if rate == 0.0:
-                        continue
-                    arcs.append((tx, (rx,), rate, ("mac", order)))
-        return arcs
+        slots, _ = self._rate(bc_betas, _OneSplit)
+        return [arc for arc in slots if _kept(arc[2], arc[3])]
+
+    def rate_batch(self, bc_betas: dict) -> LowerBatch:
+        """The arcs of this structure at n power splits, rated in one pass.
+
+        The formulas of `arcs` run once, on one array per layer that holds
+        every split's beta, and give each split the rates `arcs` gives it,
+        bit for bit. A search whose splits are known before it rates any of
+        them calls this; one split at a time goes through `arcs`.
+
+        Args:
+            bc_betas: by BC key, a sequence of n per-layer power splits, each
+                as `arcs` takes it; every entry holds the same n >= 1. A
+                missing entry puts all power in the first layer at every split.
+
+        Raises:
+            ValueError: as `arcs`, for the first split that `arcs` would
+                refuse; on entries of different or zero lengths; and, for
+                n > 1, on a multi-access side without an explicit decode
+                order, whose default order depends on the split.
+        """
+        counts = {len(rows) for rows in bc_betas.values()}
+        if len(counts) > 1 or 0 in counts:
+            raise ValueError(
+                f"bc_betas entries must hold the same number of splits, at least "
+                f"one; got {sorted(counts)}"
+            )
+        n = counts.pop() if counts else 1
+        slots, extrinsic = self._rate(bc_betas, _Splits(n))
+        rates = np.empty((n, len(slots)))
+        for s, arc in enumerate(slots):
+            rates[:, s] = arc[2]
+        return LowerBatch(
+            slots=tuple((tail, heads) for tail, heads, _, _ in slots),
+            rates=rates,
+            labels=tuple(arc[3] for arc in slots),
+            extrinsic=extrinsic,
+        )
 
     def network(self, bc_betas: dict) -> NoiselessNetwork:
         """The lower network of this structure at one power split: the

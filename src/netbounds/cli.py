@@ -31,8 +31,11 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .assemble import (
+    LowerBatch,
     LowerParams,
     LowerStructure,
     UpperStructure,
@@ -433,24 +436,21 @@ def _relay_targets(family: str):
     return {(("bc", "S"), 0): ("D", "R"), (("bc", "S"), 1): ("D",)}
 
 
-def _relay_cut_rate(arcs, crossing: dict) -> float:
-    """The least total, over the relay's source-side sets {S} and {S, R}, of
-    the ``(tail, heads, rate, label)`` arcs leaving the set, summed in arc
-    order; a hyper-arc counts once if any head is outside. By max-flow/min-cut
-    on the split-node rewrite, this is `unicast_inner`'s rate. ``crossing``
-    keeps the sets each ``(tail, heads)`` leaves: one dict per structure."""
-    totals = [0.0] * len(_RELAY_SOURCE_SETS)
-    for tail, heads, rate, _ in arcs:
-        cuts = crossing.get((tail, heads))
-        if cuts is None:
-            cuts = crossing[(tail, heads)] = tuple(
-                k
-                for k, side in enumerate(_RELAY_SOURCE_SETS)
-                if tail in side and not side.issuperset(heads)
-            )
-        for k in cuts:
-            totals[k] += rate
-    return min(totals)
+def _relay_cuts(batch: LowerBatch) -> list[float]:
+    """Per split of `batch`, the least total, over the relay's source-side
+    sets {S} and {S, R}, of the rates of the arc slots leaving the set, summed
+    in arc order; a hyper-arc counts once if any head is outside. Slots that
+    `arcs` leaves out add 0.0, so each total is the one over that split's
+    arcs, bit for bit. By max-flow/min-cut on the split-node rewrite, this is
+    `unicast_inner`'s rate on those arcs."""
+    totals = []
+    for side in _RELAY_SOURCE_SETS:
+        total = np.zeros(len(batch.rates))
+        for s, (tail, heads) in enumerate(batch.slots):
+            if tail in side and not side.issuperset(heads):
+                total = total + batch.rates[:, s]
+        totals.append(total)
+    return np.minimum.reduce(totals).tolist()
 
 
 def relay_eq_lower(components) -> float:
@@ -461,31 +461,33 @@ def relay_eq_lower(components) -> float:
     relay-off construction is reported and the direct-link capacity is hit
     exactly. The per-family share search starts on a coarse 1/8 grid and
     zooms three times around the best point. Each (targets, decode order)
-    structure is built once and rated for every share, as arcs: no candidate
-    becomes a network of pipes.
+    structure is built once, and the splits of each grid or zoom step, known
+    before any is rated, are rated as one `LowerStructure.rate_batch`: no
+    candidate becomes a network of pipes.
 
-    Candidates are rated by `_relay_cut_rate`. The reported rate is the
-    winner's certified `unicast_inner` max flow, one per search, which
-    equals the winner's cut rate bit for bit unless an arc is thinner than
-    the max flow's residual tolerance.
+    Candidates are rated by `_relay_cuts` and scanned in order. The reported
+    rate is the winner's certified `unicast_inner` max flow, one per search,
+    on the winner's arcs as its batch holds them. It equals the winner's cut
+    rate bit for bit unless an arc is thinner than the max flow's residual
+    tolerance.
     """
     orders = (("R", "S"), ("S", "R"))
     demand = _relay_demand()
     best, winner = 0.0, None
-    crossings: dict[LowerStructure, dict] = {}
 
-    def rate_at(structure: LowerStructure, betas) -> float:
-        """The candidate's cut rate; a strict improvement becomes the winner."""
+    def rate_all(structure: LowerStructure, splits) -> list[float]:
+        """The splits' cut rates, in order; a strict improvement becomes the winner."""
         nonlocal best, winner
-        arcs = structure.arcs({("bc", "S"): betas})
-        rate = _relay_cut_rate(arcs, crossings.setdefault(structure, {}))
-        if rate > best + _IMPROVE_TOL:
-            best, winner = rate, (structure.node_ids, arcs)
-        return rate
+        batch = structure.rate_batch({("bc", "S"): splits})
+        rates = _relay_cuts(batch)
+        for row, rate in enumerate(rates):
+            if rate > best + _IMPROVE_TOL:
+                best, winner = rate, (structure.node_ids, batch, row)
+        return rates
 
     for order in orders:
         single = _relay_structure(components, 1, {(("bc", "S"), 0): ("D",)}, order)
-        rate_at(single, (1.0,))
+        rate_all(single, [(1.0,)])
 
     structures: dict[tuple[str, tuple], LowerStructure] = {}
     threads: dict[tuple[str, tuple], tuple[float, float]] = {}
@@ -495,10 +497,9 @@ def relay_eq_lower(components) -> float:
             structure = structures[(family, order)] = _relay_structure(
                 components, 2, _relay_targets(family), order
             )
-            for share in coarse:
-                if family == "direct" and share == 0.0:
-                    continue
-                rate = rate_at(structure, (1.0 - share, share))
+            shares = [share for share in coarse if family == "strong" or share != 0.0]
+            rates = rate_all(structure, [(1.0 - share, share) for share in shares])
+            for rate, share in zip(rates, shares):
                 incumbent = threads.get((family, order))
                 if incumbent is None or rate > incumbent[0] + _IMPROVE_TOL:
                     threads[(family, order)] = (rate, share)
@@ -509,16 +510,16 @@ def relay_eq_lower(components) -> float:
             candidates = sorted(
                 {min(1.0, max(0.0, center + j * step)) for j in range(-8, 9)}
             )
+            rates = rate_all(structure, [(1.0 - share, share) for share in candidates])
             local_best = None
-            for share in candidates:
-                rate = rate_at(structure, (1.0 - share, share))
+            for rate, share in zip(rates, candidates):
                 if local_best is None or rate > local_best[0] + _IMPROVE_TOL:
                     local_best = (rate, share)
             center = local_best[1]
 
     if winner is not None:
-        node_ids, arcs = winner
-        certified = unicast_inner(node_ids, arcs, demand).rate
+        node_ids, batch, row = winner
+        certified = unicast_inner(node_ids, batch.arcs(row), demand).rate
         # The same bits unless the max flow left unused a path as thin as its
         # residual tolerance; its min-cut certificate bounds that gap.
         ok = certified <= best <= certified + 1e-9 * max(1.0, certified)

@@ -1,4 +1,4 @@
-"""Scalar capacity primitives shared by every bounding-model formula.
+"""Capacity primitives shared by every bounding-model formula.
 
 All rates are in bits per channel use (base-2 logs). Gaussian links follow the
 half-log convention: a point-to-point AWGN link with linear SNR gamma supports
@@ -19,6 +19,7 @@ __all__ = [
     "db_to_linear",
     "linear_to_db",
     "awgn_capacity",
+    "awgn_capacities",
     "binary_entropy",
     "bsc_capacity",
     "qsc_capacity",
@@ -55,6 +56,13 @@ def awgn_capacity(gamma: float) -> float:
         return float("inf")
     # np.log2, not math.log2: the two round differently on some inputs.
     return float(0.5 * np.log2(1.0 + gamma))
+
+
+def awgn_capacities(gammas: np.ndarray) -> np.ndarray:
+    """`awgn_capacity` of every entry of an array of SNRs >= 0 (+inf allowed),
+    in one `np.log2` pass, bit for bit as long as the host's array log2
+    rounds as its scalar one does (tests/test_info.py checks this)."""
+    return 0.5 * np.log2(1.0 + gammas)
 
 
 def binary_entropy(p: float) -> float:

@@ -196,16 +196,6 @@ class BitPipe:
         object.__setattr__(self, "heads", tuple(heads))
         object.__setattr__(self, "rate", float(self.rate))
 
-    @property
-    def is_hyper(self) -> bool:
-        return len(self.heads) > 1
-
-    @property
-    def head(self) -> str:
-        if len(self.heads) != 1:
-            raise ValueError("head is only defined for point-to-point pipes")
-        return self.heads[0]
-
 
 @dataclass(frozen=True)
 class NoiselessNetwork:

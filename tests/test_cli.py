@@ -406,13 +406,19 @@ class TestLowerStructuresPerSearch:
 
     def test_relay_point_rates_arcs_and_builds_no_network(self, monkeypatch):
         rated = []
-        arcs = LowerStructure.arcs
+        arcs, rate_batch = LowerStructure.arcs, LowerStructure.rate_batch
 
         def counting_arcs(self, bc_betas):
             rated.append(bc_betas)
             return arcs(self, bc_betas)
 
+        def counting_batch(self, bc_betas):
+            batch = rate_batch(self, bc_betas)
+            rated.extend([bc_betas] * len(batch.rates))  # one per split
+            return batch
+
         monkeypatch.setattr(LowerStructure, "arcs", counting_arcs)
+        monkeypatch.setattr(LowerStructure, "rate_batch", counting_batch)
         built = count_networks(monkeypatch)
         components = decompose(cli.relay_network(1.0, db_to_linear(5.0), 10.0))
         assert cli.relay_eq_lower(components) > 0.0
@@ -474,9 +480,10 @@ def test_relay_cut_rate_is_the_max_flow(gamma_sr_db, share):
     for structure, betas in relay_structures(components, share):
         arcs = structure.arcs({("bc", "S"): betas})
         flow = unicast_inner(structure.node_ids, arcs, demand).rate
-        crossing = {}
-        cut = cli._relay_cut_rate(arcs, crossing)
-        assert cli._relay_cut_rate(arcs, crossing) == cut  # from the kept crossings
+        (cut,) = cli._relay_cuts(structure.rate_batch({("bc", "S"): [betas]}))
+        others = [(1.0,)] if len(betas) == 1 else [(0.5, 0.5), (1.0, 0.0)]
+        batch = structure.rate_batch({("bc", "S"): [*others, betas]})
+        assert cli._relay_cuts(batch)[-1] == cut  # whatever the batch holds besides
         if all(rate == 0.0 or rate > flows._EK_TOL for _, _, rate, _ in arcs):
             assert cut == flow
         else:
@@ -494,14 +501,14 @@ class TestOuterAndCertifiedFlowsPerSearch:
             flowed.append(demand)
             return flows.unicast_inner(node_ids, arcs, demand)
 
-        cut_rate, rated = cli._relay_cut_rate, []
+        cut_rates, rated = cli._relay_cuts, []
 
-        def recording(arcs, crossing):
-            rated.append(cut_rate(arcs, crossing))
-            return rated[-1]
+        def recording(batch):
+            rated.extend(cut_rates(batch))
+            return rated[-len(batch.rates) :]
 
         monkeypatch.setattr(cli, "unicast_inner", counting)
-        monkeypatch.setattr(cli, "_relay_cut_rate", recording)
+        monkeypatch.setattr(cli, "_relay_cuts", recording)
         rows = cli.relay_experiment(0.0, 10.0, (-10.0, 5.0, 20.0))
         assert len(flowed) == len(rows)  # one min cut per point, for its winner
         # Each reported rate is, bit for bit, a cut rate its search computed.

@@ -68,7 +68,7 @@ def brute_force_min_cut(net, source, sink):
         for chosen in itertools.combinations(others, r):
             side = {source, *chosen}
             cap = sum(
-                p.rate for p in net.pipes if p.tail in side and p.head not in side
+                p.rate for p in net.pipes if p.tail in side and p.heads[0] not in side
             )
             best = min(best, cap)
     return best
@@ -128,7 +128,7 @@ class TestMaxFlow:
         result = max_flow(net.node_ids, net.arcs, unicast("s", "t"))
         side = set(result.witness["cut"])
         cap = sum(
-            p.rate for p in net.pipes if p.tail in side and p.head not in side
+            p.rate for p in net.pipes if p.tail in side and p.heads[0] not in side
         )
         assert abs(cap - result.rate) < 1e-12
         assert "s" in side and "t" not in side
@@ -478,7 +478,7 @@ class TestUnicastInner:
 
 def _split_node_reference(net, demand):
     """unicast_inner written as a Node/BitPipe rewrite followed by max_flow."""
-    if not any(pipe.is_hyper for pipe in net.pipes):
+    if not any(len(pipe.heads) > 1 for pipe in net.pipes):
         result = max_flow(net.node_ids, net.arcs, demand)
         return result.rate, result.witness
     nodes = list(net.nodes)
@@ -486,7 +486,7 @@ def _split_node_reference(net, demand):
     pipes = []
     split_nodes = {}
     for index, pipe in enumerate(net.pipes):
-        if not pipe.is_hyper:
+        if len(pipe.heads) <= 1:
             pipes.append(pipe)
             continue
         split = f"hyperarc_{index}"
@@ -524,11 +524,17 @@ class TestUnicastInnerMatchesSplitNodeRewrite:
         # the reference's on the candidate's network, and the one flow the
         # search runs must be the reference's on one of them.
         rated, flowed = [], []
-        arcs = LowerStructure.arcs
+        arcs, rate_batch = LowerStructure.arcs, LowerStructure.rate_batch
 
         def recording_arcs(self, bc_betas):
             rated.append((self, bc_betas))
             return arcs(self, bc_betas)
+
+        def recording_batch(self, bc_betas):
+            batch = rate_batch(self, bc_betas)
+            for row in range(len(batch.rates)):
+                rated.append((self, {key: rows[row] for key, rows in bc_betas.items()}))
+            return batch
 
         def recording_flow(node_ids, arcs, demand):
             result = unicast_inner(node_ids, arcs, demand)
@@ -537,6 +543,7 @@ class TestUnicastInnerMatchesSplitNodeRewrite:
 
         with monkeypatch.context() as patch:
             patch.setattr(LowerStructure, "arcs", recording_arcs)
+            patch.setattr(LowerStructure, "rate_batch", recording_batch)
             patch.setattr(cli, "unicast_inner", recording_flow)
             components = decompose(cli.relay_network(1.0, 10.0 ** 0.5, 10.0))
             best = cli.relay_eq_lower(components)

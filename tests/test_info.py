@@ -1,4 +1,4 @@
-"""Tests for the scalar capacity primitives."""
+"""Tests for the capacity primitives."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netbounds.info import (
+    awgn_capacities,
     awgn_capacity,
     binary_entropy,
     bsc_capacity,
@@ -22,6 +23,22 @@ def test_db_round_trip():
         assert abs(linear_to_db(db_to_linear(db)) - db) < 1e-12
     assert abs(db_to_linear(0.0) - 1.0) < 1e-15
     assert abs(db_to_linear(10.0) - 10.0) < 1e-12
+
+
+def test_awgn_capacities_match_the_scalar_form_bit_for_bit():
+    # The batch rating of lower networks takes np.log2 over arrays, which may
+    # run a SIMD kernel that the scalar call does not. A host whose kernel
+    # rounds differently fails here instead of moving the relay search's bits.
+    gammas = np.concatenate(
+        ([0.0, 1e-300, 1e-12], np.logspace(-300, 300, 20001), [np.inf])
+    )
+    got = awgn_capacities(gammas)
+    want = np.array([awgn_capacity(float(g)) for g in gammas])
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for start in range(8):  # every alignment of the kernel's vector tail
+        part = slice(start, start + 37)
+        assert np.array_equal(awgn_capacities(gammas[part]), want[part])
 
 
 def test_awgn_capacity_values():

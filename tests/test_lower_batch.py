@@ -1,0 +1,173 @@
+"""`LowerStructure.rate_batch` against `LowerStructure.arcs`, split by split.
+
+The batch runs the formulas of `arcs` once over arrays that hold every
+split's betas, so each of its rows must be `arcs` of that split bit for bit:
+the same arcs left out, the `repr` of every rate and every label. Invalid
+splits must raise the same ValueError text in both forms.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from netbounds import cli
+from netbounds.assemble import LowerParams, LowerStructure
+from netbounds.decouple import decompose
+from netbounds.info import db_to_linear
+
+KEY = ("bc", "S")
+RELAY_ORDERS = (("R", "S"), ("S", "R"))
+
+SHARES = st.one_of(
+    st.sampled_from((0.0, 1.0, 1e-12)),
+    st.integers(min_value=0, max_value=4096).map(lambda k: k / 4096),  # the search's grid
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+def relay_components(gamma_sr_db):
+    return decompose(cli.relay_network(1.0, db_to_linear(gamma_sr_db), 10.0))
+
+
+def relay_structures(components):
+    """The six structures the relay search rates, with their layer counts."""
+    single = {(KEY, 0): ("D",)}
+    structures = [(cli._relay_structure(components, 1, single, o), 1) for o in RELAY_ORDERS]
+    for family in ("strong", "direct"):
+        targets = cli._relay_targets(family)
+        structures += [
+            (cli._relay_structure(components, 2, targets, o), 2) for o in RELAY_ORDERS
+        ]
+    return structures
+
+
+def multicast_structure(receivers=4, split=2):
+    """A split structure of the multicast search, its decode orders aligned."""
+    power = db_to_linear(13.0)
+    net = cli.multicast_network(receivers, power, power * db_to_linear(-3.0), 8, 0.1)
+    sinks = sorted(net.demands[0].sinks)
+    key1, key2 = ("bc", "S1"), ("bc", "S2")
+    targets = {
+        (key1, 0): tuple(sinks),
+        (key1, 1): tuple(sinks[:split]),
+        (key2, 0): tuple(sinks),
+        (key2, 1): tuple(sinks[split:]),
+    }
+    aligned = {
+        ("mac", sink): (("S2", "S1") if index < split else ("S1", "S2"))
+        for index, sink in enumerate(sinks)
+    }
+    params = LowerParams(
+        bc_betas={key1: (1.0, 0.0), key2: (1.0, 0.0)},
+        mac_order=aligned,
+        bc_decode_targets=targets,
+    )
+    return LowerStructure(decompose(net), params), key1, key2
+
+
+def assert_rows_are_arcs(structure, splits):
+    """Every row of the batch of ``splits`` (BC key -> n splits) is `arcs`
+    of that split: arcs and labels by `repr`, the rate array likewise."""
+    batch = structure.rate_batch(splits)
+    n = len(next(iter(splits.values())))
+    assert batch.rates.shape == (n, len(batch.slots))
+    for row in range(n):
+        want = structure.arcs({key: rows[row] for key, rows in splits.items()})
+        assert [repr(arc) for arc in batch.arcs(row)] == [repr(arc) for arc in want]
+        rated = [
+            (slot, repr(rate))
+            for slot, rate in zip(batch.slots, batch.rates[row].tolist())
+            if rate != 0.0
+        ]
+        assert rated == [((t, h), repr(r)) for t, h, r, _ in want if r != 0.0]
+
+
+@given(
+    gamma_sr_db=st.floats(min_value=-10.0, max_value=30.0),
+    shares=st.lists(SHARES, min_size=1, max_size=9),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_relay_batch_rows_are_the_float_arcs(gamma_sr_db, shares):
+    for structure, layers in relay_structures(relay_components(gamma_sr_db)):
+        if layers == 1:
+            rows = [(1.0,)] * len(shares)
+        else:
+            rows = [(1.0 - share, share) for share in shares]
+        assert_rows_are_arcs(structure, {KEY: rows})
+
+
+MULTICAST = multicast_structure()
+
+
+@given(shares=st.lists(st.tuples(SHARES, SHARES), min_size=1, max_size=9))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_multicast_batch_rows_are_the_float_arcs(shares):
+    structure, key1, key2 = MULTICAST
+    splits = {
+        key1: [(1.0 - first, first) for first, _ in shares],
+        key2: [(1.0 - second, second) for _, second in shares],
+    }
+    assert_rows_are_arcs(structure, splits)
+    # A key left out is the default split, at every row, in both forms.
+    assert_rows_are_arcs(structure, {key1: splits[key1]})
+
+
+def test_edge_shares_of_every_structure():
+    shares = [0.0, 1.0, 1e-12, 1 - 1e-12, 1 / 4096, 0.5, 4095 / 4096]
+    for structure, layers in relay_structures(relay_components(0.0)):
+        rows = [(1.0,)] * len(shares) if layers == 1 else [(1 - s, s) for s in shares]
+        assert_rows_are_arcs(structure, {KEY: rows})
+    structure, key1, key2 = MULTICAST
+    rows = [(1 - s, s) for s in shares]
+    assert_rows_are_arcs(structure, {key1: rows, key2: rows[::-1]})
+
+
+INVALID = [
+    (math.nan, 1.0),
+    (math.inf, 0.0),
+    (-0.25, 1.25),
+    (0.5, 0.6),
+    (1.0,),
+    (0.5, 0.25, 0.25),
+]
+
+
+@pytest.mark.parametrize("bad", INVALID, ids=repr)
+def test_invalid_split_raises_the_float_forms_error(bad):
+    structure = relay_structures(relay_components(5.0))[2][0]
+    with pytest.raises(ValueError) as single:
+        structure.arcs({KEY: bad})
+    for rows in ([(0.5, 0.5), bad], [(0.5, 0.5), bad, (math.nan, 1.0)]):
+        with pytest.raises(ValueError) as batched:
+            structure.rate_batch({KEY: rows})
+        assert str(batched.value) == str(single.value)  # the first bad split's
+
+
+def test_unknown_key_raises_the_float_forms_error():
+    structure = relay_structures(relay_components(5.0))[2][0]
+    unknown = ("bc", "X")
+    with pytest.raises(ValueError) as single:
+        structure.arcs({unknown: (1.0,)})
+    with pytest.raises(ValueError) as batched:
+        structure.rate_batch({unknown: [(1.0,), (1.0,)]})
+    assert str(batched.value) == str(single.value)
+
+
+def test_entries_of_different_lengths_raise():
+    structure, key1, key2 = MULTICAST
+    with pytest.raises(ValueError, match="same number of splits"):
+        structure.rate_batch({key1: [(0.5, 0.5)] * 2, key2: [(0.5, 0.5)] * 3})
+    with pytest.raises(ValueError, match="same number of splits"):
+        structure.rate_batch({key1: []})
+
+
+def test_default_decode_order_needs_one_split_per_batch():
+    # Without an explicit order, the order depends on the split's residuals.
+    params = LowerParams(bc_betas={KEY: (1.0, 0.0)})
+    structure = LowerStructure(relay_components(5.0), params)
+    with pytest.raises(ValueError, match=r"mac_order for \('mac', 'D'\)"):
+        structure.rate_batch({KEY: [(0.5, 0.5), (0.25, 0.75)]})
+    for split in [(0.5, 0.5), (0.25, 0.75), (1.0, 0.0)]:
+        assert_rows_are_arcs(structure, {KEY: [split]})

@@ -10,8 +10,10 @@ still rebuilt every network from scratch for each beta, so it shows that
 building a structure once and re-rating it changes no network. Inputs are
 recorded where a search rates a candidate, `LowerStructure.arcs`, which
 `network` also goes through, so candidates that the searches never turn
-into networks are pinned too. Re-record it (the failure message prints the
-new value) only when a change is meant to move a lower network.
+into networks are pinned too; a search that rates many splits at once goes
+through `LowerStructure.rate_batch`, where each of its splits is recorded.
+Re-record it (the failure message prints the new value) only when a change
+is meant to move a lower network.
 """
 
 import contextlib
@@ -65,14 +67,22 @@ def _update(digest, net) -> None:
 
 def test_lower_networks_match_recorded_digest(monkeypatch):
     inputs = []
-    rate = LowerStructure.arcs
+    rate, rate_batch = LowerStructure.arcs, LowerStructure.rate_batch
 
     def recording(self, bc_betas):
         params = dataclasses.replace(self.params, bc_betas=bc_betas)
         inputs.append((self.components, params))
         return rate(self, bc_betas)
 
+    def recording_batch(self, bc_betas):
+        batch = rate_batch(self, bc_betas)
+        for row in range(len(batch.rates)):
+            split = {key: rows[row] for key, rows in bc_betas.items()}
+            inputs.append((self.components, dataclasses.replace(self.params, bc_betas=split)))
+        return batch
+
     monkeypatch.setattr(LowerStructure, "arcs", recording)
+    monkeypatch.setattr(LowerStructure, "rate_batch", recording_batch)
     counts = {}
     for name, run in SECTIONS.items():
         start = len(inputs)

@@ -202,12 +202,10 @@ def test_validate_accepts_lower_with_aux_nodes():
 
 def test_bit_pipe_accessors():
     pipe = BitPipe("A", ("B",), 1.0, provenance="x")
-    assert not pipe.is_hyper
-    assert pipe.head == "B"
+    assert pipe.heads == ("B",)
+    assert BitPipe("A", "B", 1).heads == ("B",)
     hyper = BitPipe("A", ("B", "C"), 1.0, provenance="x")
-    assert hyper.is_hyper
-    with pytest.raises(ValueError):
-        _ = hyper.head
+    assert hyper.heads == ("B", "C")
 
 
 def test_infinite_rate_pipe_is_valid():
