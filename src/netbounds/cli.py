@@ -50,6 +50,7 @@ from .flows import (
     blend_inner,
     combine_bounds,
     hyper_inner,
+    hyper_inner_batch,
     max_flow,
     multicast_outer,
     sum_rate_cut,
@@ -186,14 +187,6 @@ def _require_valid(node_ids, arcs, role: str) -> None:
         raise RuntimeError(f"{role} network failed validation: " + "; ".join(problems))
 
 
-def _inner_rates(node_ids, arcs, demands) -> dict[Demand, float]:
-    demands = tuple(demands)
-    if len(demands) == 1 and demands[0].kind == "unicast":
-        return {demands[0]: unicast_inner(node_ids, arcs, demands[0]).rate}
-    results = hyper_inner(node_ids, arcs, demands, objective="maxmin")
-    return {result.demand: result.rate for result in results}
-
-
 def _component_counts(components) -> dict[str, int]:
     counts = {"bc": 0, "mac": 0, "p2p": 0}
     for comp in components:
@@ -234,11 +227,33 @@ def cmd_bounds(args) -> int:
             rates[demand] = flow(upper.node_ids, arcs, demand).rate
         outer_runs.append((f"upper alpha={alpha:g}", rates))
 
-    inner_runs = []
+    # The beta sweep's routing LPs run as one batch, which reads (so rates and
+    # validates) every combination's arcs before it solves any; a single
+    # unicast demand takes one max flow per run. Only the rates are kept.
     lower = LowerStructure(components)
-    for combo in itertools.product(*grids):
-        arcs = lower.arcs({comp.key: betas for comp, betas in zip(bc_comps, combo)})
-        _require_valid(lower.node_ids, arcs, "lower")
+    combos = list(itertools.product(*grids))
+
+    def lower_arcs():
+        for combo in combos:
+            arcs = lower.arcs({comp.key: betas for comp, betas in zip(bc_comps, combo)})
+            _require_valid(lower.node_ids, arcs, "lower")
+            yield arcs
+
+    demands = tuple(net.demands)
+    if len(demands) == 1 and demands[0].kind == "unicast":
+        rates = (
+            {demands[0]: unicast_inner(lower.node_ids, arcs, demands[0]).rate}
+            for arcs in lower_arcs()
+        )
+    else:
+        rates = (
+            {result.demand: result.rate for result in results}
+            for results in hyper_inner_batch(
+                lower.node_ids, lower_arcs(), demands, "maxmin"
+            )
+        )
+    inner_runs = []
+    for combo, run_rates in zip(combos, rates):
         if combo:
             label = "lower " + " ".join(
                 f"{comp.key[1]}=" + "/".join(f"{beta:g}" for beta in betas)
@@ -246,7 +261,7 @@ def cmd_bounds(args) -> int:
             )
         else:
             label = "lower default"
-        inner_runs.append((label, _inner_rates(lower.node_ids, arcs, net.demands)))
+        inner_runs.append((label, run_rates))
 
     report = combine_bounds(outer_runs, inner_runs)
 

@@ -5,13 +5,16 @@ demand, min over sinks for multicast). Inner bounds on networks with
 hyper-arcs come from a fractional-routing linear program in which one
 capacity draw on a hyper-arc serves all of its heads for a given session;
 blend_inner solves the same program over run-weighted average arc rates of
-several candidate lower networks with one arc structure. hyper_inner compiles
-the routing LP of each arc structure once, from index arrays, as HiGHS's own
-model; every solve hands its LP to one long-lived HiGHS instance through
-SciPy's bundled bindings, which discards the previous model and basis, so
-each solve is still a cold start. Every reported flow is re-validated against
-conservation and capacity constraints; bounds are certifiable, not solver
-folklore.
+several candidate lower networks with one arc structure. The routing LP of
+each arc structure is compiled once, from index arrays, as HiGHS's own model.
+hyper_inner_batch routes many arc lists in three phases: it compiles each
+distinct structure and holds it for the call, solves every run back to back,
+and only then reads and checks each run's witnesses; hyper_inner is its
+one-run case. Every solve hands its LP to one long-lived HiGHS instance
+through SciPy's bundled bindings, which discards the previous model and
+basis, so each solve is a cold start and the order of the solves does not
+change any result. Every reported flow is re-validated against conservation
+and capacity constraints; bounds are certifiable, not solver folklore.
 
 Every function here reads a bounding network as its node ids and its arcs,
 ``(tail, heads, rate, label)`` tuples in pipe order, the form that
@@ -36,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +60,7 @@ __all__ = [
     "unicast_inner",
     "sum_rate_cut",
     "hyper_inner",
+    "hyper_inner_batch",
     "blend_inner",
     "validate_hyper_result",
     "combine_bounds",
@@ -524,7 +529,8 @@ def _solve_lp(lp: _RoutingLP, upper: np.ndarray) -> np.ndarray:
     Every call passes its model to the one long-lived HiGHS instance.
     ``passModel`` replaces the previous model and discards its basis and
     solution, so each solve is a cold start and its result does not depend
-    on the solves before it.
+    on the solves before it. That is what lets `hyper_inner_batch` run a
+    batch's solves back to back, in any order.
     """
     lp.model.row_upper_ = upper.tolist()
     solver = _solver()
@@ -678,20 +684,70 @@ def hyper_inner(
     copying at hyper-arc heads.
 
     Returns one FlowResult per demand; witnesses are re-validated before
-    returning.
+    returning. This is `hyper_inner_batch` of the one arc list.
+    """
+    [results] = hyper_inner_batch(node_ids, [arcs], demands, objective)
+    return results
+
+
+def hyper_inner_batch(
+    node_ids,
+    arc_lists,
+    demands: tuple[Demand, ...],
+    objective: str = "maxmin",
+) -> Iterator[list[FlowResult]]:
+    """`hyper_inner` of every arc list in ``arc_lists``, solved as one batch.
+
+    The runs share ``node_ids``, ``demands`` and ``objective`` and may differ
+    in arc structure and rates. The batch works in three phases: it reads
+    every arc list and compiles each distinct arc structure once, holding it
+    for the whole call (so the LRU of compiled LPs cannot evict a structure
+    mid-batch); then it solves every run back to back; only then does it read
+    each run's witnesses and validate them. Each solve is a cold start, so a
+    run's result does not depend on the runs solved before it.
+
+    Yields one run's validated FlowResults (as `hyper_inner` returns them) at
+    a time, in input order; a run's results and witnesses are not kept once
+    yielded. ``arc_lists`` may be any iterable and is read once, in the
+    first phase.
+
+    Raises:
+        ValueError: on empty demands or an unknown objective.
+        RuntimeError: when a routing LP has no optimal solution.
+        AssertionError: when a witness fails `validate_hyper_result`.
     """
     demands = tuple(demands)
     if not demands:
         raise ValueError("demands must be nonempty")
-    structure = tuple((tail, heads, rate != math.inf) for tail, heads, rate, _ in arcs)
-    lp = _compiled_routing_lp(tuple(node_ids), structure, demands, objective)
-    upper = lp.upper.copy()
-    rates = np.array([rate for _, _, rate, _ in arcs])
-    upper[lp.capacity_rows] = rates[lp.finite_arcs]
-    solution = _solve_lp(lp, upper)
-    results = _results_from_solution(lp, demands, solution)
-    validate_hyper_result(node_ids, arcs, demands, results)
-    return results
+    node_ids = tuple(node_ids)
+    # Phase 1: each run as its structure (one tuple per distinct structure),
+    # that structure's compiled LP and its arc rates; the caller's arc lists,
+    # labels and all, are not kept, so a long sweep does not hold them.
+    compiled: dict[tuple, tuple[tuple, _RoutingLP]] = {}
+    runs = []
+    for arcs in arc_lists:
+        structure = tuple((tail, heads, rate != math.inf) for tail, heads, rate, _ in arcs)
+        entry = compiled.get(structure)
+        if entry is None:
+            lp = _compiled_routing_lp(node_ids, structure, demands, objective)
+            entry = compiled[structure] = (structure, lp)
+        runs.append((*entry, np.array([rate for _, _, rate, _ in arcs])))
+    # Phase 2: every solve, back to back.
+    solutions = []
+    for _, lp, rates in runs:
+        upper = lp.upper.copy()
+        upper[lp.capacity_rows] = rates[lp.finite_arcs]
+        solutions.append(_solve_lp(lp, upper))
+    # Phase 3: each run's witnesses, checked against its arcs as rebuilt from
+    # the structure and the rates, which are the caller's values.
+    for (structure, lp, rates), solution in zip(runs, solutions):
+        arcs = [
+            (tail, heads, rate, None)
+            for (tail, heads, _), rate in zip(structure, rates.tolist())
+        ]
+        results = _results_from_solution(lp, demands, solution)
+        validate_hyper_result(node_ids, arcs, demands, results)
+        yield results
 
 
 def blend_inner(

@@ -514,6 +514,30 @@ class TestOuterAndCertifiedFlowsPerSearch:
         # Each reported rate is, bit for bit, a cut rate its search computed.
         assert all(row["eq_lower"] > 0.0 and row["eq_lower"] in rated for row in rows)
 
+    def test_relay_lower_keeps_the_earliest_of_tied_candidates(self, monkeypatch):
+        # Each batch of splits rates 1.0 above the batch before, so the last
+        # batch holds the winner; within a batch the rates rise by less than
+        # _IMPROVE_TOL in all, so only its first row in scan order may win.
+        batches, certified = [], []
+
+        def tied(batch):
+            batches.append(batch)
+            step = 0.5 * cli._IMPROVE_TOL / len(batch.rates)
+            return [len(batches) + row * step for row in range(len(batch.rates))]
+
+        def certify(node_ids, arcs, demand):
+            certified.append(arcs)
+            return flows.FlowResult(demand=demand, rate=float(len(batches)), witness={})
+
+        monkeypatch.setattr(cli, "_relay_cuts", tied)
+        monkeypatch.setattr(cli, "unicast_inner", certify)
+        components = decompose(cli.relay_network(1.0, db_to_linear(5.0), 10.0))
+        assert cli.relay_eq_lower(components) == len(batches)
+        last = batches[-1]
+        assert len(last.rates) > 1
+        assert last.arcs(0) != last.arcs(len(last.rates) - 1)
+        assert certified == [last.arcs(0)]
+
     def test_outer_searches_keep_their_structures(self, monkeypatch):
         structures = count_constructions(monkeypatch, UpperStructure)
         networks = count_networks(monkeypatch)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from netbounds import cli, flows
 from netbounds.assemble import LowerParams, LowerStructure, build_lower
+from netbounds.bc import simplex_grid
 from netbounds.decouple import decompose
 from netbounds.flows import (
     FlowResult,
     blend_inner,
     combine_bounds,
     hyper_inner,
+    hyper_inner_batch,
     max_flow,
     multicast_outer,
     sum_rate_cut,
@@ -832,6 +835,85 @@ class TestRoutingLpCache:
         net = pipes_network([("s", "m", INF), ("m", "t", INF)])
         with pytest.raises(RuntimeError, match="routing LP failed: .*Unbounded"):
             hyper_inner(net.node_ids, net.arcs, (unicast("s", "t"),), objective)
+
+
+def two_by_three_sweep():
+    """(node ids, arcs per beta combination, demands) of `bounds`' lower sweep
+    of TWO_BY_THREE_DOC at beta step 0.25, in the sweep's order."""
+    net = parse_network(json.dumps(TWO_BY_THREE_DOC))
+    components = decompose(net)
+    sides = [comp for comp in components if comp.kind == "bc"]
+    lower = LowerStructure(components)
+    grids = [simplex_grid(len(comp.links), 4) for comp in sides]
+    arc_lists = [
+        lower.arcs({comp.key: betas for comp, betas in zip(sides, combo)})
+        for combo in itertools.product(*grids)
+    ]
+    return lower.node_ids, arc_lists, net.demands
+
+
+class TestHyperInnerBatch:
+    def test_matches_per_run_hyper_inner_in_any_order(self):
+        node_ids, arc_lists, demands = two_by_three_sweep()
+        assert len(arc_lists) == 225
+        want = [hyper_inner(node_ids, arcs, demands) for arcs in arc_lists]
+        got = list(hyper_inner_batch(node_ids, arc_lists, demands))
+        assert len(got) == len(want)
+        for got_run, want_run in zip(got, want):
+            assert_same_results(got_run, want_run)
+        # Every solve is a cold start: a shuffled batch gives each run the
+        # same rates and witnesses, bit for bit.
+        order = list(range(len(arc_lists)))
+        random.Random(14).shuffle(order)
+        shuffled = hyper_inner_batch(node_ids, [arc_lists[i] for i in order], demands)
+        for i, got_run in zip(order, shuffled, strict=True):
+            assert_same_results(got_run, want[i])
+
+    def test_solves_every_run_before_checking_any_witness(self, monkeypatch):
+        node_ids, arc_lists, demands = two_by_three_sweep()
+        events = []
+        solve, validate = flows._solve_lp, flows.validate_hyper_result
+
+        def logged_solve(lp, upper):
+            events.append("solve")
+            return solve(lp, upper)
+
+        def logged_validate(*args):
+            events.append("validate")
+            return validate(*args)
+
+        monkeypatch.setattr(flows, "_solve_lp", logged_solve)
+        monkeypatch.setattr(flows, "validate_hyper_result", logged_validate)
+        runs = list(hyper_inner_batch(node_ids, arc_lists[:5], demands))
+        assert len(runs) == 5
+        assert events == ["solve"] * 5 + ["validate"] * 5
+
+    def test_compiles_each_structure_once_beyond_the_cache_size(self, monkeypatch):
+        # More distinct structures than the LRU holds, each routed twice with
+        # the whole first round between: per-run calls would compile each
+        # structure twice, the batch holds every one for the call.
+        count = flows._LP_CACHE_SIZE + 4
+        chains = [[(f"n{i}", f"n{i + 1}") for i in range(k + 1)] for k in range(count)]
+        arc_lists = [
+            [(tail, (head,), rate, None) for tail, head in chain]
+            for rate in (1.0, 2.5)
+            for chain in chains
+        ]
+        node_ids = tuple(f"n{i}" for i in range(count + 1))
+        demands = (unicast("n0", "n1"),)
+        built = []
+        build = flows._build_routing_lp
+
+        def counting(*args):
+            built.append(args[1])
+            return build(*args)
+
+        monkeypatch.setattr(flows, "_build_routing_lp", counting)
+        flows._compiled_routing_lp.cache_clear()
+        runs = list(hyper_inner_batch(node_ids, arc_lists, demands))
+        flows._compiled_routing_lp.cache_clear()
+        assert len(built) == len(set(built)) == count
+        assert [results[0].rate for results in runs] == [1.0] * count + [2.5] * count
 
 
 def dense_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
