@@ -15,23 +15,22 @@ ones, at the larger rate) as ``(tail, heads, rate, label)`` tuples, and
 The lower network replaces every component by an achievable coding scheme:
 superposition layers on broadcast sides (hyper-arcs to the receivers that
 decode each layer) and successive interference cancellation at multi-access
-receivers. It is built in steps (structure, ledger, arcs, network). The
-ledger's formulas and both rate formulas are written once, in one rating core
-(`LowerStructure._charge` and `_rate`) that takes each broadcast side's betas
-in one of two forms: floats for one power split, or one 1-D array per layer
-for a batch of splits. What differs by form is in `_OneSplit` and
-`_Splits`: the capacity (both take the same `np.log2`), the elementwise min,
-max(0, x), and how betas are checked and decode orders resolved. Sums run
-from 0, left to right, in both, so a batch row is bit for bit the float form.
+receivers. Its model is a two-step update, written once in one rating core:
+`LowerStructure._charge` charges every receiver with the power it never
+decodes, and `_rate` rates the layer and SIC arcs against those charges. The
+core takes each broadcast side's betas in one of two forms: floats for one
+power split, or one 1-D array per layer for a batch of splits. What differs
+by form is in `_OneSplit` and `_Splits`: the capacity (both take the same
+`np.log2`), the elementwise min, max(0, x), and how betas are checked and
+decode orders resolved. Sums run from 0, left to right, in both, so a batch
+row is bit for bit the float form.
 
 - `LowerStructure` fixes and validates what does not depend on the power
   split beta: each broadcast side's layer count and decode targets, explicit
   decode orders, the node list and the point-to-point arcs.
-- `LowerStructure.ledger(betas)` charges every receiver with the power it
-  will never decode and resolves default decode orders, which depend on those
-  residuals.
-- `LowerStructure.arcs(betas)` rates every layer arc and SIC arc against
-  those charges for one split (the float form), so each rate is achievable
+- `LowerStructure.arcs(betas)` charges the residuals of one split (the float
+  form), resolves default decode orders, which depend on those residuals, and
+  rates every layer arc and SIC arc against them, so each rate is achievable
   with every cross-component interference accounted for. It returns plain
   ``(tail, heads, rate, label)`` tuples, which is all the flow layer reads.
   `bounds`, the multicast search and `network` rate one split at a time here.
@@ -68,7 +67,6 @@ from .netmodel import AUXILIARY, BitPipe, NoiselessNetwork, NoisyLink, Node
 __all__ = [
     "UpperParams",
     "LowerParams",
-    "InterferenceLedger",
     "UpperStructure",
     "LowerStructure",
     "LowerBatch",
@@ -113,40 +111,8 @@ class LowerParams:
     bc_decode_targets: dict[tuple, tuple[str, ...]] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class InterferenceLedger:
-    """Undecoded-power bookkeeping for the lower network.
-
-    `gamma_residual[(i, j)]` is the received power from input i that receiver
-    j never decodes. `receiver_floor[j]` is the total residual interference
-    at j after all cancellation. `extrinsic[(i, j)]` is the interference from
-    other inputs seen at j while decoding input i: residual power of inputs
-    decoded earlier plus full power of inputs decoded later.
-    `bc_layers[key]` holds a broadcast component's validated (betas, targets)
-    per layer and `mac_order[key]` a multi-access component's decode order.
-    """
-
-    gamma_residual: dict[tuple[str, str], float]
-    receiver_floor: dict[str, float]
-    extrinsic: dict[tuple[str, str], float]
-    bc_layers: dict[tuple, tuple[tuple[float, ...], tuple[tuple[str, ...], ...]]]
-    mac_order: dict[tuple, tuple[str, ...]]
-
-    def __post_init__(self):
-        totals = _residual_totals(self.gamma_residual)
-        for (i, j), value in self.gamma_residual.items():
-            if value < -1e-12:
-                raise AssertionError(f"negative residual at ({i}, {j}): {value}")
-        for j, floor in self.receiver_floor.items():
-            total = totals.get(j, 0)
-            if abs(total - floor) > 1e-9:
-                raise AssertionError(
-                    f"receiver {j} floor {floor} != residual total {total}"
-                )
-
-
 def _residual_totals(residual: dict[tuple[str, str], float]) -> dict[str, float]:
-    """Residual power per receiver, summed in one pass in the ledger's order."""
+    """Residual power per receiver, summed in one pass in the residuals' order."""
     totals: dict[str, float] = {}
     for (_i, j), value in residual.items():
         totals[j] = totals.get(j, 0) + value
@@ -593,8 +559,8 @@ class LowerStructure:
     each broadcast side's layer count (the length of its `bc_betas` entry,
     by default one layer per receiver; the values are not read), its layers'
     decode targets and any explicit multi-access decode orders, all
-    validated here. `ledger(bc_betas)` and `arcs(bc_betas)` then charge
-    and rate it for one power split, `network(bc_betas)` builds its pipes,
+    validated here. `arcs(bc_betas)` then charges and rates it for one
+    power split, `network(bc_betas)` builds its pipes,
     and `rate_batch` rates many splits at once; default decode orders depend
     on the residuals and are resolved per split. A search that sweeps betas
     over one structure builds it once and keeps it for that search only.
@@ -643,9 +609,18 @@ class LowerStructure:
         self._no_extrinsic = {(bc.tx, j): 0.0 for bc in self._bcs for j in bc.gamma}
 
     def _charge(self, bc_betas: dict, form) -> tuple:
-        """The ledger's formulas in either input form (see `ledger`): each
+        """The charges of one evaluation, in either input form: each
         broadcast side's betas, the residuals, the extrinsic terms and each
-        multi-access side's decode order."""
+        multi-access side's decode order.
+
+        For each broadcast component the power share of every layer a
+        receiver is not intended to decode stays as interference:
+        residual(i, j) = gamma_ij * sum of betas over layers whose target set
+        excludes j. Inputs without a broadcast side leave no residual at
+        their own receiver. The extrinsic term for decoding input i at
+        receiver j follows j's decode order: inputs decoded before i
+        contribute their residual, inputs decoded after i their full power.
+        """
         _check_param_keys(bc_betas, self._bc_keys, "bc_betas")
         sides = [form.betas(bc, bc_betas.get(bc.key)) for bc in self._bcs]
         residual = dict(self._no_residual)
@@ -663,35 +638,6 @@ class LowerStructure:
             for i, before, after in mac.sic(order):
                 extrinsic[(i, mac.rx)] = sum(residual[key] for key in before) + after
         return sides, residual, extrinsic, orders
-
-    def ledger(self, bc_betas: dict) -> InterferenceLedger:
-        """The interference ledger of this structure at one power split.
-
-        For each broadcast component the power share of every layer a
-        receiver is not intended to decode stays as interference:
-        residual(i, j) = gamma_ij * sum of betas over layers whose target set
-        excludes j. Inputs without a broadcast side leave no residual at
-        their own receiver. The receiver floor adds residuals over all
-        inputs; the extrinsic term for decoding input i at receiver j follows
-        j's decode order: inputs decoded before i contribute their residual,
-        inputs decoded after i their full power.
-
-        Args:
-            bc_betas: per-layer power shares by BC key (nonnegative, summing
-                to 1, one per layer of the structure); a missing entry puts
-                all power in the first layer.
-
-        Raises:
-            ValueError: on entries naming unknown components or invalid betas.
-        """
-        sides, residual, extrinsic, orders = self._charge(bc_betas, _OneSplit)
-        return InterferenceLedger(
-            gamma_residual=residual,
-            receiver_floor=_residual_totals(residual),
-            extrinsic=extrinsic,
-            bc_layers={bc.key: (betas, bc.targets) for bc, betas in zip(self._bcs, sides)},
-            mac_order={mac.key: order for mac, order in zip(self._macs, orders)},
-        )
 
     def _rate(self, bc_betas: dict, form) -> tuple[list[tuple], dict]:
         """The rating core, in either input form: every arc slot as ``(tail,
@@ -758,7 +704,13 @@ class LowerStructure:
         arc for an input that is a broadcast transmitter. Layer and SIC arcs
         of rate 0 (a layer of zero power among them) are left out.
 
-        Args and Raises: as `ledger`.
+        Args:
+            bc_betas: per-layer power shares by BC key (nonnegative, summing
+                to 1, one per layer of the structure); a missing entry puts
+                all power in the first layer.
+
+        Raises:
+            ValueError: on entries naming unknown components or invalid betas.
         """
         slots, _ = self._rate(bc_betas, _OneSplit)
         return [arc for arc in slots if _kept(arc[2], arc[3])]
@@ -804,7 +756,7 @@ class LowerStructure:
         """The lower network of this structure at one power split: the
         pipes of `arcs(bc_betas)`, each label formatted into its provenance.
 
-        Args and Raises: as `ledger`.
+        Args and Raises: as `arcs`.
         """
         return NoiselessNetwork(
             nodes=self._nodes,

@@ -2,14 +2,15 @@
 
 This module holds the broadcast upper model: a permutation-parameterized
 family of point-to-point pipes whose k-th rate lets the first k receivers in
-the permutation cooperate (`bc_upper_cumulative`, assembled into the upper
-network by `assemble.build_upper`). It also holds the power-share grid that
-`netbounds bounds` sweeps (`simplex_grid`) and the closed-form sum-rate gap
-between the two models (`bc_sum_gap`).
+the permutation cooperate (`bc_upper_cumulative`, rated into the upper
+network's arcs by `assemble.UpperStructure`). It also holds the power-share
+grid that `netbounds bounds` sweeps (`simplex_grid`) and the closed-form
+sum-rate gap between the two models (`bc_sum_gap`).
 
 The lower model, superposition coding with power shares beta, lives in
-`assemble.build_lower` alone: each layer becomes a hyper-arc to the receivers
-that decode it, rated against the interference ledger of the whole network.
+`assemble.LowerStructure` alone: each layer becomes a hyper-arc to the
+receivers that decode it, rated against the power that every receiver of the
+whole network never decodes.
 """
 
 from __future__ import annotations

@@ -206,13 +206,17 @@ def cmd_bounds(args) -> int:
     steps = _beta_steps(args.beta_step)
     mac_keys = [comp.key for comp in components if comp.kind == "mac"]
     bc_comps = [comp for comp in components if comp.kind == "bc"]
-    grids = [list(simplex_grid(len(comp.links), steps)) for comp in bc_comps]
-    total = math.prod(len(grid) for grid in grids)
+    # A grid of k-way splits has comb(steps + k - 1, k - 1) points; the cap
+    # is checked on that count, before any grid is built.
+    total = math.prod(
+        math.comb(steps + len(comp.links) - 1, len(comp.links) - 1) for comp in bc_comps
+    )
     if total > _MAX_BETA_COMBOS:
         raise ValueError(
             f"beta sweep would evaluate {total} share combinations "
             f"(cap {_MAX_BETA_COMBOS}); coarsen --beta-step"
         )
+    grids = [list(simplex_grid(len(comp.links), steps)) for comp in bc_comps]
 
     # Every run is validated and rated on its structure's arcs; no network
     # is built.
@@ -687,7 +691,7 @@ def layered_experiment(num_pairs: int, gamma: float, alphas=ALPHA_GRID) -> dict:
             }
         )
 
-    runs = []
+    schedules = []
     for stage in range(n):
         order = {}
         for i in range(1, n):
@@ -695,8 +699,13 @@ def layered_experiment(num_pairs: int, gamma: float, alphas=ALPHA_GRID) -> dict:
                 order[("mac", f"R{i + 1}")] = (f"S{i}", f"R{i}")
             else:
                 order[("mac", f"R{i + 1}")] = (f"R{i}", f"S{i}")
-        runs.append(build_lower(components, LowerParams(mac_order=order)))
-    results, weights = blend_inner(runs, demands, objective="maxmin")
+        schedules.append(LowerStructure(components, LowerParams(mac_order=order)))
+    results, weights = blend_inner(
+        schedules[0].node_ids,
+        [lower.arcs({}) for lower in schedules],
+        demands,
+        objective="maxmin",
+    )
     inner_sym = min(result.rate for result in results)
     if abs(inner_sym - inner_sym_closed) > 1e-6:
         raise RuntimeError(

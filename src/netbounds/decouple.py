@@ -83,10 +83,8 @@ class GaussPartition:
     i; columns sum to 1 over the inputs that reach the receiver and are 0
     elsewhere. `lambdas` and `mus` are the stationarity multipliers
     (per-receiver and per-input), `residual` is the largest relative spread of
-    the stationarity ratios after the final column renormalization,
-    `iterations` counts the accelerated solver steps, and `last_change` is
-    the largest change of a log row multiplier in the final step (0 when the
-    warm start is already stationary).
+    the stationarity ratios after the final column renormalization, and
+    `iterations` counts the accelerated solver steps.
     """
 
     alphas: np.ndarray
@@ -94,7 +92,6 @@ class GaussPartition:
     mus: np.ndarray
     residual: float
     iterations: int
-    last_change: float
 
     def __post_init__(self):
         mask = self.alphas > 0
@@ -221,7 +218,6 @@ def gauss_noise_partition(
     log_mu = np.log1p(sqrt_gamma @ sqrt_gamma.sum(axis=0))
     lam, step = _multiplier_maps(sqrt_gamma, log_mu)
     change = float(np.max(np.abs(step)))
-    last_change = 0.0
     log_mu_steps: list[np.ndarray] = []
     residual_steps: list[np.ndarray] = []
     iterations = 0
@@ -253,7 +249,6 @@ def gauss_noise_partition(
         residual_steps.append(step_new - step)
         if len(residual_steps) > _ANDERSON_MEMORY:
             del log_mu_steps[0], residual_steps[0]
-        last_change = float(np.max(np.abs(candidate - log_mu)))
         log_mu, lam, step = candidate, lam_new, step_new
         change = float(np.max(np.abs(step)))
     mu = np.exp(log_mu)
@@ -282,7 +277,6 @@ def gauss_noise_partition(
         mus=mu_fresh,
         residual=residual,
         iterations=iterations,
-        last_change=last_change,
     )
 
 

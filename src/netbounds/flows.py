@@ -4,8 +4,8 @@ Outer bounds on point-to-point networks come from max-flow/min-cut (per
 demand, min over sinks for multicast). Inner bounds on networks with
 hyper-arcs come from a fractional-routing linear program in which one
 capacity draw on a hyper-arc serves all of its heads for a given session;
-blend_inner solves the same program over run-weighted average arc rates of
-several candidate lower networks with one arc structure. The routing LP of
+blend_inner solves the same program over run-weighted average rates of
+several arc lists with one arc structure. The routing LP of
 each arc structure is compiled once, from index arrays, as HiGHS's own model.
 hyper_inner_batch routes many arc lists in three phases: it compiles each
 distinct structure and holds it for the call, solves every run back to back,
@@ -50,7 +50,7 @@ from scipy.sparse import csc_array
 # bound here; the routing LPs go to HiGHS directly through SciPy's bindings.
 from scipy.optimize import linprog  # noqa: F401
 
-from .netmodel import Demand, NoiselessNetwork
+from .netmodel import Demand
 
 __all__ = [
     "FlowResult",
@@ -563,11 +563,11 @@ def _results_from_solution(
     for i, value in zip(hot.tolist(), block[hot].tolist()):
         if i < n_drawn:
             s, a = divmod(i, lp.n_arcs)
-            usage[s][(0, a)] = value
+            usage[s][a] = value
         else:
             c, p = divmod(i - n_drawn, len(lp.pair_heads))
             s, sink = commodities[c]
-            flows[s][(0, sink, lp.pair_arcs[p], lp.pair_heads[p])] = value
+            flows[s][(sink, lp.pair_arcs[p], lp.pair_heads[p])] = value
     rates = (solution[1:x_col] + 0.0).tolist()  # HiGHS may return -0.0
     results = []
     for demand, rate, used, routes in zip(demands, rates, usage, flows):
@@ -588,28 +588,28 @@ def validate_hyper_result(
     """Re-check a routing witness against the LP's physical constraints.
 
     ``arcs`` holds ``(tail, heads, rate, label)`` per pipe of the routed
-    network, whose nodes are ``node_ids``. Verifies that usage and flows are
-    nonnegative and every flow enters one of its pipe's heads, per-pipe
-    capacity sharing, per-session single-counting of hyper-arc draws, and
-    per-sink flow conservation delivering each session's rate. Each
-    session's witness is read in one pass. Raises AssertionError on any
-    violation beyond tol.
+    network, whose nodes are ``node_ids``. A witness holds ``usage[a]``, the
+    session's draw on pipe a, and ``flows[(sink, a, h)]``, the flow toward
+    ``sink`` on pipe a into its head h. Verifies that usage and flows are
+    nonnegative, that every flow heads for one of the session's sinks and
+    enters one of its pipe's heads, per-pipe capacity sharing, per-session
+    single-counting of hyper-arc draws, and per-sink flow conservation
+    delivering each session's rate. Each session's witness is read in one
+    pass. Raises AssertionError on any violation beyond tol.
     """
     total_usage = {a: 0.0 for a in range(len(arcs))}
     for s, (demand, result) in enumerate(zip(demands, results)):
-        usage: dict[int, float] = {}
-        for (r, a), value in result.witness["usage"].items():
-            if r != 0:
-                continue
+        usage = result.witness["usage"]
+        for a, value in usage.items():
             assert value >= -tol, f"session {s}: usage {value} on pipe {a} is negative"
-            usage[a] = value
             total_usage[a] += value
         # Per sink: draw per pipe, and flow out of and into each node.
         tallies = {sink: ({}, {}, {}) for sink in demand.sink_list}
-        for (r, sink, a, h), value in result.witness["flows"].items():
-            tally = tallies.get(sink) if r == 0 else None
-            if tally is None:
-                continue
+        for (sink, a, h), value in result.witness["flows"].items():
+            tally = tallies.get(sink)
+            assert tally is not None, (
+                f"session {s}: flow on pipe {a} heads for {sink}, not one of its sinks"
+            )
             tail, heads = arcs[a][0], arcs[a][1]
             assert h in heads, (
                 f"session {s} sink {sink}: flow on pipe {a} enters {h}, "
@@ -751,26 +751,28 @@ def hyper_inner_batch(
 
 
 def blend_inner(
-    nets: list[NoiselessNetwork],
+    node_ids,
+    arc_lists,
     demands: tuple[Demand, ...],
     objective: str = "maxmin",
 ) -> tuple[list[FlowResult], tuple[float, ...]]:
     """Best rates when the configurations behind the runs are time-shared.
 
-    The runs must describe the same node set and arc structure and differ in
-    rates only (decode orders, power splits). Splitting the coding block
-    among the configurations with weights lambda lets every arc sustain its
-    weighted-average rate over the whole block, with relays buffering across
-    the block, so one routing problem is solved on the averaged network with
-    the weights free. This reaches interior operating points of multi-access
-    regions that no single decode order offers. Time sharing at the flow
-    level, where each run routes its own flows, cannot: a session crossing
-    two arcs that are never simultaneously fast is stuck below the slow rate
-    in every run there.
+    Each run is one arc list over ``node_ids``, ``(tail, heads, rate,
+    label)`` per pipe, as `hyper_inner_batch` takes them. The runs must have
+    one arc structure and differ in rates only (decode orders, power splits).
+    Splitting the coding block among the configurations with weights lambda
+    lets every arc sustain its weighted-average rate over the whole block,
+    with relays buffering across the block, so one routing problem is solved
+    on the averaged arcs with the weights free. This reaches interior
+    operating points of multi-access regions that no single decode order
+    offers. Time sharing at the flow level, where each run routes its own
+    flows, cannot: a session crossing two arcs that are never simultaneously
+    fast is stuck below the slow rate in every run there.
 
     Returns:
         (results, weights): per-demand FlowResult, validated against the
-        averaged network, and the chosen run weights.
+        averaged arcs, and the chosen run weights.
 
     Raises:
         ValueError: on empty inputs, mismatched arc structure, or arcs that
@@ -779,16 +781,14 @@ def blend_inner(
     demands = tuple(demands)
     if not demands:
         raise ValueError("demands must be nonempty")
-    if not nets:
-        raise ValueError("nets must be nonempty")
-    node_ids = nets[0].node_ids
-    runs = [net.arcs for net in nets]
+    runs = list(arc_lists)
+    if not runs:
+        raise ValueError("arc_lists must be nonempty")
+    node_ids = tuple(node_ids)
     base = runs[0]
-    for net, arcs in zip(nets[1:], runs[1:]):
-        if set(net.node_ids) != set(node_ids):
-            raise ValueError("blended networks must share one node set")
+    for arcs in runs[1:]:
         if len(arcs) != len(base):
-            raise ValueError("blended networks must have matching arc lists")
+            raise ValueError("blended runs must have matching arc lists")
         for (tail, heads, rate, _), (their_tail, their_heads, their_rate, _) in zip(
             base, arcs
         ):

@@ -5,12 +5,12 @@ pipes that splits the unit receiver noise into a share alpha on the sum
 constraint and shares alpha_i on the per-input constraints (`mac_upper`, with
 its multiplier `solve_mu` and bracket `mu_bracket`). alpha = 1 is the basic
 model with the cooperative sum rate and unconstrained per-input rates.
-`assemble.build_upper` turns it into pipes; `mac_sum_gap` is the closed-form
-sum-rate gap between the basic upper model and the lower model.
+`assemble.UpperStructure` rates it into arcs; `mac_sum_gap` is the
+closed-form sum-rate gap between the basic upper model and the lower model.
 
 The lower model, successive interference cancellation in a chosen decode
-order, lives in `assemble.build_lower` alone, where it runs on effective SNRs
-from the interference ledger of the whole network.
+order, lives in `assemble.LowerStructure` alone, where it runs on effective
+SNRs after every receiver is charged with the power it never decodes.
 
 SNRs are linear and all rates are bits per channel use.
 

@@ -360,60 +360,90 @@ class TestUpperStructure:
             UpperStructure(comps)
 
 
+def rated(components, bc_betas=None, mac_order=None):
+    """{(tail, heads): (rate, label)} of a lower structure's arcs at one split."""
+    bc_betas = bc_betas or {}
+    params = LowerParams(bc_betas=bc_betas, mac_order=mac_order or {})
+    arcs = LowerStructure(components, params).arcs(bc_betas)
+    return {(tail, heads): (rate, label) for tail, heads, rate, label in arcs}
+
+
 class TestInterferenceLedger:
+    """The charges of `LowerStructure`, seen through the arcs they rate: each
+    receiver's residual and floor through SIC rates, the extrinsic terms
+    through the broadcast labels, default decode orders through the SIC
+    labels ("mac", order)."""
+
+    RELAY_D = {("mac", "D"): ("S", "R")}  # the relay decoded last at D
+    HALF = {("bc", "S"): (0.5, 0.5)}
+
     def test_defaults_decode_everything(self):
-        ledger = LowerStructure(relay_components()).ledger({})
-        assert all(abs(v) < 1e-12 for v in ledger.gamma_residual.values())
-        assert all(abs(v) < 1e-12 for v in ledger.receiver_floor.values())
+        # No residual and no floor: decoded last, the relay sees its full SNR
+        # 10; decoded first, the source's full power 1 on top of the noise.
+        relay_last = rated(relay_components(), mac_order=self.RELAY_D)
+        assert abs(relay_last[("R", ("D",))][0] - awgn_capacity(10.0)) < 1e-12
+        relay_first = rated(relay_components())
+        assert abs(relay_first[("R", ("D",))][0] - awgn_capacity(10.0 / 2.0)) < 1e-12
+        extrinsic = relay_first[("S", ("D", "R"))][1][3]
+        assert extrinsic[("S", "D")] == extrinsic[("S", "R")] == 0.0
 
     def test_relay_private_layer_residual(self):
-        params = LowerParams(bc_betas={("bc", "S"): (0.5, 0.5)})
-        ledger = LowerStructure(relay_components(), params).ledger(params.bc_betas)
-        assert abs(ledger.gamma_residual[("S", "D")] - 0.5) < 1e-12
-        assert abs(ledger.gamma_residual[("R", "D")]) < 1e-12
-        assert abs(ledger.receiver_floor["D"] - 0.5) < 1e-12
+        # D does not decode the private layer: residual(S, D) = 0.5, the relay
+        # leaves none, so D's floor is 0.5.
+        g_s = (1.0 - 0.5) / (1.0 + 0.5)
+        g_r = (10.0 - 0.0) / (1.0 + 0.5)
+        default = rated(relay_components(), self.HALF)
+        relay_last = rated(relay_components(), self.HALF, self.RELAY_D)
+        assert abs(default[("R", ("D",))][0] - awgn_capacity(g_r / (1.0 + g_s))) < 1e-12
+        assert abs(relay_last[("R", ("D",))][0] - awgn_capacity(g_r)) < 1e-12
         # Default order decodes the relay first: the relay sees the source at
         # full power, then the source sees only the relay's zero residual.
-        assert abs(ledger.extrinsic[("S", "D")]) < 1e-12
-        assert abs(ledger.extrinsic[("R", "D")] - 1.0) < 1e-12
+        assert default[("R", ("D",))][1] == ("mac", ("R", "S"))
+        extrinsic = default[("S", ("D", "R"))][1][3]
+        assert abs(extrinsic[("S", "D")]) < 1e-12
+        assert abs(extrinsic[("R", "D")] - 1.0) < 1e-12
 
     def test_relay_effective_snrs_and_sic_sum(self):
-        params = LowerParams(bc_betas={("bc", "S"): (0.5, 0.5)})
-        ledger = LowerStructure(relay_components(), params).ledger(params.bc_betas)
-        floor = ledger.receiver_floor["D"]
-        g_s = (1.0 - ledger.gamma_residual[("S", "D")]) / (1.0 + floor)
-        g_r = (10.0 - ledger.gamma_residual[("R", "D")]) / (1.0 + floor)
+        # Effective SNRs at D: (gamma - residual) / (1 + floor).
+        g_s = (1.0 - 0.5) / (1.0 + 0.5)
+        g_r = (10.0 - 0.0) / (1.0 + 0.5)
         assert abs(g_s - 1.0 / 3.0) < 1e-12
         assert abs(g_r - 20.0 / 3.0) < 1e-12
-        assert abs(awgn_capacity(g_s + g_r) - 1.5) < 1e-12
+        rates = rated(relay_components(), self.HALF)
+        common, relay = rates[("S", ("D", "R"))][0], rates[("R", ("D",))][0]
+        assert abs(common - awgn_capacity(g_s)) < 1e-12
+        assert abs(relay - awgn_capacity(g_r / (1.0 + g_s))) < 1e-12
+        # What D decodes adds up to the SIC sum rate C(g_s + g_r).
+        assert abs(common + relay - 1.5) < 1e-12
 
     def test_pure_interference_input(self):
         comps = decompose(
             awgn_network([("X1", "J", 1.0), ("X2", "J", 2.0), ("X2", "K", 3.0)])
         )
-        params = LowerParams(bc_betas={("bc", "X2"): (0.0, 1.0)})
-        ledger = LowerStructure(comps, params).ledger(params.bc_betas)
-        assert abs(ledger.gamma_residual[("X2", "J")] - 2.0) < 1e-12
-        assert abs(ledger.receiver_floor["J"] - 2.0) < 1e-12
+        betas = {("bc", "X2"): (0.0, 1.0)}
+        # J decodes no power of X2 (residual 2), so the default order puts X1
+        # first, ahead of X2's stronger SNR ...
+        assert rated(comps, betas)[("X1", ("J",))][1] == ("mac", ("X1", "X2"))
+        # ... and X1, decoded last, still sees J's floor of 2.
+        last = rated(comps, betas, {("mac", "J"): ("X2", "X1")})
+        assert abs(last[("X1", ("J",))][0] - awgn_capacity(1.0 / (1.0 + 2.0))) < 1e-12
 
     def test_explicit_order_flips_extrinsic(self):
-        params = LowerParams(
-            bc_betas={("bc", "S"): (0.5, 0.5)},
-            mac_order={("mac", "D"): ("S", "R")},
-        )
-        ledger = LowerStructure(relay_components(), params).ledger(params.bc_betas)
-        assert abs(ledger.extrinsic[("S", "D")] - 10.0) < 1e-12
-        assert abs(ledger.extrinsic[("R", "D")] - 0.5) < 1e-12
+        rates = rated(relay_components(), self.HALF, self.RELAY_D)
+        assert rates[("R", ("D",))][1] == ("mac", ("S", "R"))
+        extrinsic = rates[("S", ("D", "R"))][1][3]
+        assert abs(extrinsic[("S", "D")] - 10.0) < 1e-12
+        assert abs(extrinsic[("R", "D")] - 0.5) < 1e-12
 
     def test_bad_beta_sum_raises(self):
         params = LowerParams(bc_betas={("bc", "S"): (0.5, 0.4)})
         with pytest.raises(ValueError):
-            LowerStructure(relay_components(), params).ledger(params.bc_betas)
+            LowerStructure(relay_components(), params).arcs(params.bc_betas)
 
     def test_negative_beta_raises(self):
         params = LowerParams(bc_betas={("bc", "S"): (1.5, -0.5)})
         with pytest.raises(ValueError):
-            LowerStructure(relay_components(), params).ledger(params.bc_betas)
+            LowerStructure(relay_components(), params).arcs(params.bc_betas)
 
     def test_non_finite_beta_raises_naming_the_component(self):
         # NaN passes both the sign and the sum test, so it needs its own.
@@ -429,12 +459,14 @@ class TestInterferenceLedger:
     def test_unknown_component_key_raises(self):
         with pytest.raises(ValueError):
             params = LowerParams(bc_betas={("bc", "Q"): (1.0,)})
-            LowerStructure(relay_components(), params).ledger(params.bc_betas)
+            LowerStructure(relay_components(), params).arcs(params.bc_betas)
+        with pytest.raises(ValueError, match="matches no component"):
+            LowerStructure(relay_components()).arcs({("bc", "Q"): (1.0,)})
 
     def test_bad_order_raises(self):
         params = LowerParams(mac_order={("mac", "D"): ("S", "S")})
         with pytest.raises(ValueError):
-            LowerStructure(relay_components(), params).ledger(params.bc_betas)
+            LowerStructure(relay_components(), params).arcs(params.bc_betas)
 
     def test_non_nested_targets_raise(self):
         params = LowerParams(
@@ -445,7 +477,7 @@ class TestInterferenceLedger:
             },
         )
         with pytest.raises(ValueError):
-            LowerStructure(relay_components(), params).ledger(params.bc_betas)
+            LowerStructure(relay_components(), params).arcs(params.bc_betas)
 
     def test_empty_target_raises(self):
         params = LowerParams(
@@ -453,7 +485,7 @@ class TestInterferenceLedger:
             bc_decode_targets={(("bc", "S"), 1): ()},
         )
         with pytest.raises(ValueError):
-            LowerStructure(relay_components(), params).ledger(params.bc_betas)
+            LowerStructure(relay_components(), params).arcs(params.bc_betas)
 
 
 class TestBuildLower:
@@ -608,7 +640,7 @@ class TestLowerStructure:
                     bc_betas=betas, mac_order=mac_order, bc_decode_targets=targets
                 )
                 assert structure.network(betas) == build_lower(comps, params)
-                assert structure.ledger(betas) == LowerStructure(comps, params).ledger(
+                assert structure.arcs(betas) == LowerStructure(comps, params).arcs(
                     params.bc_betas
                 )
 
@@ -672,10 +704,14 @@ class TestLowerStructure:
         # With all power on the private layer the destination cannot decode
         # the source, so the default order moves the relay first.
         structure = LowerStructure(relay_components(gamma_sd=4.0, gamma_rd=2.0))
-        even = structure.ledger({("bc", "S"): (1.0, 0.0)})
-        private = structure.ledger({("bc", "S"): (0.0, 1.0)})
-        assert even.mac_order[("mac", "D")] == ("S", "R")
-        assert private.mac_order[("mac", "D")] == ("R", "S")
+
+        def sic_label(betas):
+            arcs = structure.arcs({("bc", "S"): betas})
+            [label] = [label for tail, _, _, label in arcs if tail == "R"]
+            return label
+
+        assert sic_label((1.0, 0.0)) == ("mac", ("S", "R"))
+        assert sic_label((0.0, 1.0)) == ("mac", ("R", "S"))
 
     def test_layer_count_is_fixed_by_the_structure(self):
         structure = LowerStructure(relay_components())

@@ -199,6 +199,27 @@ class TestBounds:
         assert "share combinations (cap 4096)" in capsys.readouterr().err
         assert flowed == []
 
+    def test_beta_cap_is_checked_before_any_grid_is_built(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # One 3-receiver broadcast side at step 1e-5 would need about 5e9
+        # splits; counting them must refuse the sweep without making one.
+        def refused(parts, steps):
+            raise AssertionError(f"simplex_grid({parts}, {steps}) was built")
+
+        monkeypatch.setattr(cli, "simplex_grid", refused)
+        doc = {
+            "nodes": ["S", "A", "B", "C"],
+            "links": [
+                {"from": "S", "to": rx, "kind": "awgn", "snr": snr}
+                for rx, snr in (("A", 1.0), ("B", 2.0), ("C", 4.0))
+            ],
+            "demands": [{"kind": "unicast", "source": "S", "sinks": ["A"]}],
+        }
+        path = write_network(tmp_path / "bc3.json", doc)
+        assert main(["bounds", path, "--beta-step", "0.00001"]) == 2
+        assert "5000150001 share combinations (cap 4096)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("structure", [UpperStructure, LowerStructure])
     def test_every_run_is_validated(self, monkeypatch, capsys, structure):
         # A NaN rate on one arc of every run must stop the sweep with the
@@ -382,6 +403,17 @@ def count_networks(monkeypatch):
     return built
 
 
+def refuse_networks(monkeypatch):
+    """Make building any NoiselessNetwork, or a lower structure's network,
+    raise from here on."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a network was built")
+
+    monkeypatch.setattr(NoiselessNetwork, "__post_init__", refused)
+    monkeypatch.setattr(LowerStructure, "network", refused)
+
+
 def count_constructions(monkeypatch, structure=LowerStructure):
     """Record every ``structure`` built from here on."""
     built = []
@@ -435,6 +467,14 @@ class TestLowerStructuresPerSearch:
         assert len(built) == 1
         assert len(uppers) == 1
         assert networks == []
+
+    def test_layered_blend_rates_one_structure_per_schedule(self, monkeypatch):
+        # The blend time-shares the schedules' arcs; no network is built.
+        built = count_constructions(monkeypatch)
+        refuse_networks(monkeypatch)
+        result = cli.layered_experiment(4, 1.0)
+        assert len(built) == 4
+        assert abs(result["inner_sym_flow"] - result["inner_sym_closed"]) < 1e-6
 
     def test_multicast_point_builds_one_per_split_and_order(self, monkeypatch):
         # 2 common-layer orders, then 9 splits x 3 decode orders, each rated

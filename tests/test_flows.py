@@ -319,9 +319,19 @@ class TestHyperInner:
         # The only pipe is s->a, yet the witness delivers its flow straight to t.
         net = pipes_network([("s", "a", 1.0)], extra_nodes=("t",))
         demand = unicast("s", "t")
-        witness = {"usage": {(0, 0): 1.0}, "flows": {(0, "t", 0, "t"): 1.0}}
+        witness = {"usage": {0: 1.0}, "flows": {("t", 0, "t"): 1.0}}
         result = FlowResult(demand=demand, rate=1.0, witness=witness)
         with pytest.raises(AssertionError, match="not one of its heads"):
+            validate_hyper_result(net.node_ids, net.arcs, (demand,), [result])
+
+    def test_flow_must_head_for_a_sink_of_its_session(self):
+        # A valid routing to t, plus a flow entry toward a, which is no sink.
+        net = pipes_network([("s", "a", 1.0), ("a", "t", 1.0)])
+        demand = unicast("s", "t")
+        flows = {("t", 0, "a"): 1.0, ("t", 1, "t"): 1.0, ("a", 0, "a"): 1.0}
+        witness = {"usage": {0: 1.0, 1: 1.0}, "flows": flows}
+        result = FlowResult(demand=demand, rate=1.0, witness=witness)
+        with pytest.raises(AssertionError, match="not one of its sinks"):
             validate_hyper_result(net.node_ids, net.arcs, (demand,), [result])
 
     @pytest.mark.parametrize("negative_usage", [False, True])
@@ -329,10 +339,10 @@ class TestHyperInner:
         # A flow of -1 on t->s lifts the balance to rate 2 on s->a->t (max flow 1).
         net = pipes_network([("s", "a", 1.0), ("a", "t", 1.0), ("t", "s", 1.0)])
         demand = unicast("s", "t")
-        usage = {(0, 0): 1.0, (0, 1): 1.0}
+        usage = {0: 1.0, 1: 1.0}
         if negative_usage:
-            usage[(0, 2)] = -1.0
-        flows = {(0, "t", 0, "a"): 1.0, (0, "t", 1, "t"): 1.0, (0, "t", 2, "s"): -1.0}
+            usage[2] = -1.0
+        flows = {("t", 0, "a"): 1.0, ("t", 1, "t"): 1.0, ("t", 2, "s"): -1.0}
         witness = {"usage": usage, "flows": flows}
         result = FlowResult(demand=demand, rate=2.0, witness=witness)
         with pytest.raises(AssertionError, match="is negative"):
@@ -599,7 +609,7 @@ class TestBlendInner:
             hyper_inner(run.node_ids, run.arcs, demands)[0].rate for run in (run_a, run_b)
         )
         assert abs(per_run - 1.0) < 1e-8
-        blended, weights = blend_inner([run_a, run_b], demands)
+        blended, weights = blend_inner(run_a.node_ids, [run_a.arcs, run_b.arcs], demands)
         assert abs(blended[0].rate - 1.5) < 1e-8
         assert abs(weights[0] - 0.5) < 1e-6
         assert abs(sum(weights) - 1.0) < 1e-9
@@ -608,7 +618,7 @@ class TestBlendInner:
         net = pipes_network([("s", ("a", "b"), 1.2), ("a", "t", 0.5), ("b", "t", 0.4)])
         demands = (unicast("s", "t"),)
         direct = hyper_inner(net.node_ids, net.arcs, demands)[0].rate
-        blended, weights = blend_inner([net], demands)
+        blended, weights = blend_inner(net.node_ids, [net.arcs], demands)
         assert abs(blended[0].rate - direct) < 1e-8
         assert abs(weights[0] - 1.0) < 1e-9
 
@@ -625,7 +635,7 @@ class TestBlendInner:
                 [(u, v, r) for (u, v), r in zip(edges, rates_b)]
             )
             demands = (unicast("s", "t"),)
-            blended, _ = blend_inner([run_a, run_b], demands)
+            blended, _ = blend_inner(run_a.node_ids, [run_a.arcs, run_b.arcs], demands)
             best_single = max(
                 hyper_inner(run_a.node_ids, run_a.arcs, demands)[0].rate,
                 hyper_inner(run_b.node_ids, run_b.arcs, demands)[0].rate,
@@ -635,31 +645,31 @@ class TestBlendInner:
     def test_keeps_infinite_arcs_infinite(self):
         run_a = pipes_network([("s", "m", float("inf")), ("m", "t", 1.0)])
         run_b = pipes_network([("s", "m", float("inf")), ("m", "t", 3.0)])
-        blended, _ = blend_inner([run_a, run_b], (unicast("s", "t"),))
+        blended, _ = blend_inner(run_a.node_ids, [run_a.arcs, run_b.arcs], (unicast("s", "t"),))
         assert abs(blended[0].rate - 3.0) < 1e-8
 
     def test_rejects_mismatched_arc_structure(self):
         run_a = pipes_network([("s", "m", 1.0), ("m", "t", 1.0)])
         run_b = pipes_network([("s", "m", 1.0), ("s", "t", 1.0)])
         with pytest.raises(ValueError, match="arc mismatch"):
-            blend_inner([run_a, run_b], (unicast("s", "t"),))
+            blend_inner(run_a.node_ids, [run_a.arcs, run_b.arcs], (unicast("s", "t"),))
 
     def test_rejects_mixed_finite_and_infinite_arc(self):
         run_a = pipes_network([("s", "t", 1.0)])
         run_b = pipes_network([("s", "t", float("inf"))])
         with pytest.raises(ValueError, match="finite"):
-            blend_inner([run_a, run_b], (unicast("s", "t"),))
+            blend_inner(run_a.node_ids, [run_a.arcs, run_b.arcs], (unicast("s", "t"),))
 
     def test_rejects_empty_inputs(self):
         net = pipes_network([("s", "t", 1.0)])
-        with pytest.raises(ValueError, match="nets"):
-            blend_inner([], (unicast("s", "t"),))
+        with pytest.raises(ValueError, match="arc_lists"):
+            blend_inner(net.node_ids, [], (unicast("s", "t"),))
         with pytest.raises(ValueError, match="demands"):
-            blend_inner([net], ())
+            blend_inner(net.node_ids, [net.arcs], ())
 
     def test_witness_reports_weights(self):
         net = pipes_network([("s", "t", 0.8)])
-        blended, weights = blend_inner([net], (unicast("s", "t"),))
+        blended, weights = blend_inner(net.node_ids, [net.arcs], (unicast("s", "t"),))
         assert blended[0].witness["weights"] == weights
 
 
@@ -993,7 +1003,7 @@ def run_two_session_multisink():
     demands = (multicast("s1", {"t1", "t2"}), unicast("s2", "t3"))
     for objective in ("maxmin", "sum"):
         hyper_inner(net.node_ids, net.arcs, demands, objective)
-    blend_inner([net, net], demands)
+    blend_inner(net.node_ids, [net.arcs, net.arcs], demands)
 
 
 class TestCompiledLpMatchesDefinition:
