@@ -1,14 +1,17 @@
 """Command-line front end for the bounding-network toolkit.
 
 Subcommands:
-    bounds     Parse a network file, sweep the bounding-model parameters, and
-               report the best outer and inner rate bound per demand.
+    bounds     Parse a network file, run `pipeline.bound` on it, and print
+               the best outer and inner rate bound per demand.
     decouple   Parse a network file and print its decoupled channel
                components, including shared noise partitions.
     validate   Parse a network file and dry-run both bounding constructions,
                reporting any structural problems.
     repro      Deterministic experiment sweeps (relay, layered, multicast)
                that emit CSV tables.
+
+Apart from the `repro` experiments, which still live here, each subcommand
+parses its arguments, calls the library and prints.
 
 SNR parameters cross this boundary in dB and are converted to linear scale
 here; library code works in linear scale throughout. Every CSV starts with a
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import math
 import shlex
 import sys
@@ -43,14 +45,11 @@ from .assemble import (
     build_upper,
     link_capacity,
 )
-from .bc import simplex_grid
 from .benchmarks import RelaySpec, cf_bound, cutset_bound, df_bound
 from .decouple import decompose
 from .flows import (
     blend_inner,
-    combine_bounds,
     hyper_inner,
-    hyper_inner_batch,
     max_flow,
     multicast_outer,
     sum_rate_cut,
@@ -67,6 +66,7 @@ from .netmodel import (
     parse_network,
     validate_bounding_network,
 )
+from .pipeline import bound
 
 # Default sweep over the noise fraction assigned to the multi-access sum
 # constraint; alpha = 1 recovers the classical sum rate.
@@ -80,7 +80,6 @@ _IMPROVE_TOL = 1e-9
 # that validate_hyper_result's tolerances leave a solved total over its cut.
 _CUT_MARGIN = 1e-6
 
-_MAX_BETA_COMBOS = 4096
 _MAX_SWEEP_POINTS = 10_000
 
 C12_NOTE = (
@@ -172,21 +171,6 @@ def _link_detail(link: NoisyLink) -> str:
 # bounds
 
 
-def _beta_steps(step: float) -> int:
-    if not 0 < step <= 1:
-        raise ValueError(f"beta step must lie in (0, 1], got {step:g}")
-    count = round(1.0 / step)
-    if abs(count * step - 1.0) > 1e-9:
-        raise ValueError(f"beta step must divide 1 evenly, got {step:g}")
-    return count
-
-
-def _require_valid(node_ids, arcs, role: str) -> None:
-    problems = validate_bounding_network(node_ids, arcs, role)
-    if problems:
-        raise RuntimeError(f"{role} network failed validation: " + "; ".join(problems))
-
-
 def _component_counts(components) -> dict[str, int]:
     counts = {"bc": 0, "mac": 0, "p2p": 0}
     for comp in components:
@@ -198,78 +182,8 @@ def cmd_bounds(args) -> int:
     net = _load_network(args.file)
     if not net.demands:
         raise NetworkFormatError(f"{args.file}: no demands; nothing to bound")
-    components = decompose(net)
-    alphas = parse_grid(args.alpha_grid)
-    for alpha in alphas:
-        if not 0.0 <= alpha <= 1.0 + 1e-12:
-            raise ValueError(f"alpha sweep value {alpha:g} lies outside [0, 1]")
-    steps = _beta_steps(args.beta_step)
-    mac_keys = [comp.key for comp in components if comp.kind == "mac"]
-    bc_comps = [comp for comp in components if comp.kind == "bc"]
-    # A grid of k-way splits has comb(steps + k - 1, k - 1) points; the cap
-    # is checked on that count, before any grid is built.
-    total = math.prod(
-        math.comb(steps + len(comp.links) - 1, len(comp.links) - 1) for comp in bc_comps
-    )
-    if total > _MAX_BETA_COMBOS:
-        raise ValueError(
-            f"beta sweep would evaluate {total} share combinations "
-            f"(cap {_MAX_BETA_COMBOS}); coarsen --beta-step"
-        )
-    grids = [list(simplex_grid(len(comp.links), steps)) for comp in bc_comps]
-
-    # Every run is validated and rated on its structure's arcs; no network
-    # is built.
-    outer_runs = []
-    upper = UpperStructure(components)
-    for alpha in alphas:
-        arcs = upper.arcs({key: min(alpha, 1.0) for key in mac_keys})
-        _require_valid(upper.node_ids, arcs, "upper")
-        rates = {}
-        for demand in net.demands:
-            flow = max_flow if demand.kind == "unicast" else multicast_outer
-            rates[demand] = flow(upper.node_ids, arcs, demand).rate
-        outer_runs.append((f"upper alpha={alpha:g}", rates))
-
-    # The beta sweep's routing LPs run as one batch, which reads (so rates and
-    # validates) every combination's arcs before it solves any; a single
-    # unicast demand takes one max flow per run. Only the rates are kept.
-    lower = LowerStructure(components)
-    combos = list(itertools.product(*grids))
-
-    def lower_arcs():
-        for combo in combos:
-            arcs = lower.arcs({comp.key: betas for comp, betas in zip(bc_comps, combo)})
-            _require_valid(lower.node_ids, arcs, "lower")
-            yield arcs
-
-    demands = tuple(net.demands)
-    if len(demands) == 1 and demands[0].kind == "unicast":
-        rates = (
-            {demands[0]: unicast_inner(lower.node_ids, arcs, demands[0]).rate}
-            for arcs in lower_arcs()
-        )
-    else:
-        rates = (
-            {result.demand: result.rate for result in results}
-            for results in hyper_inner_batch(
-                lower.node_ids, lower_arcs(), demands, "maxmin"
-            )
-        )
-    inner_runs = []
-    for combo, run_rates in zip(combos, rates):
-        if combo:
-            label = "lower " + " ".join(
-                f"{comp.key[1]}=" + "/".join(f"{beta:g}" for beta in betas)
-                for comp, betas in zip(bc_comps, combo)
-            )
-        else:
-            label = "lower default"
-        inner_runs.append((label, run_rates))
-
-    report = combine_bounds(outer_runs, inner_runs)
-
-    counts = _component_counts(components)
+    report = bound(net, parse_grid(args.alpha_grid), args.beta_step)
+    counts = _component_counts(report.components)
     lines = [
         f"netbounds {__version__}",
         f"file: {args.file}",
@@ -282,8 +196,8 @@ def cmd_bounds(args) -> int:
             f"{counts['p2p']} point-to-point"
         ),
         (
-            f"runs: {len(outer_runs)} outer (alpha sweep {args.alpha_grid}), "
-            f"{len(inner_runs)} inner (beta step {args.beta_step:g})"
+            f"runs: {report.outer_runs} outer (alpha sweep {args.alpha_grid}), "
+            f"{report.inner_runs} inner (beta step {args.beta_step:g})"
         ),
     ]
     rows = []
@@ -297,35 +211,12 @@ def cmd_bounds(args) -> int:
         lines.append(f"  outer {_fmt(outer_rate)}  via {outer_label}")
         lines.append(f"  inner {_fmt(inner_rate)}  via {inner_label}")
         lines.append(f"  gap   {_fmt(gap)}")
-        rows.append(
-            [
-                demand.source,
-                sinks,
-                demand.kind,
-                _fmt(outer_rate),
-                outer_label,
-                _fmt(inner_rate),
-                inner_label,
-                _fmt(gap),
-            ]
-        )
+        row = [demand.source, sinks, demand.kind, _fmt(outer_rate), outer_label]
+        rows.append(row + [_fmt(inner_rate), inner_label, _fmt(gap)])
     print("\n".join(lines))
     if args.out:
-        _emit_csv(
-            args,
-            [f"file: {args.file}"],
-            [
-                "source",
-                "sinks",
-                "kind",
-                "outer_rate",
-                "outer_label",
-                "inner_rate",
-                "inner_label",
-                "gap",
-            ],
-            rows,
-        )
+        columns = "source,sinks,kind,outer_rate,outer_label,inner_rate,inner_label,gap"
+        _emit_csv(args, [f"file: {args.file}"], columns.split(","), rows)
     violations = report.sandwich_violations()
     if violations:
         for violation in violations:

@@ -7,14 +7,16 @@ capacity draw on a hyper-arc serves all of its heads for a given session;
 blend_inner solves the same program over run-weighted average rates of
 several arc lists with one arc structure. The routing LP of
 each arc structure is compiled once, from index arrays, as HiGHS's own model.
-hyper_inner_batch routes many arc lists in three phases: it compiles each
-distinct structure and holds it for the call, solves every run back to back,
-and only then reads and checks each run's witnesses; hyper_inner is its
-one-run case. Every solve hands its LP to one long-lived HiGHS instance
-through SciPy's bundled bindings, which discards the previous model and
-basis, so each solve is a cold start and the order of the solves does not
-change any result. Every reported flow is re-validated against conservation
-and capacity constraints; bounds are certifiable, not solver folklore.
+hyper_inner_batch routes many arc lists (the beta sweep of `pipeline.bound`
+is one batch) in three phases: it compiles each distinct structure and holds
+it for the call, solves every run back to back, and only then reads and
+checks each run's witnesses; hyper_inner is its one-run case. Every solve
+hands its LP to one long-lived HiGHS instance through SciPy's bundled
+bindings, which discards the previous model and basis, so each solve is a
+cold start and the order of the solves does not change any result. Every
+reported flow is re-validated against conservation and capacity
+constraints; bounds are certifiable, not solver folklore. Keeping each
+demand's best rate over many runs is `pipeline.bound`'s job.
 
 Every function here reads a bounding network as its node ids and its arcs,
 ``(tail, heads, rate, label)`` tuples in pipe order, the form that
@@ -54,7 +56,6 @@ from .netmodel import Demand
 
 __all__ = [
     "FlowResult",
-    "BoundReport",
     "max_flow",
     "multicast_outer",
     "unicast_inner",
@@ -63,7 +64,6 @@ __all__ = [
     "hyper_inner_batch",
     "blend_inner",
     "validate_hyper_result",
-    "combine_bounds",
 ]
 
 _EK_TOL = 1e-12
@@ -81,29 +81,6 @@ class FlowResult:
     demand: Demand
     rate: float
     witness: dict
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Per-demand outer/inner rates with the runs that produced them."""
-
-    demands: tuple[Demand, ...]
-    outer: dict[Demand, tuple[float, str]]
-    inner: dict[Demand, tuple[float, str]]
-
-    def sandwich_violations(self, tol: float = 1e-9) -> list[str]:
-        """Demands whose inner bound exceeds the outer bound beyond tol."""
-        violations = []
-        for demand in self.demands:
-            if demand in self.outer and demand in self.inner:
-                outer = self.outer[demand][0]
-                inner = self.inner[demand][0]
-                if inner > outer + tol:
-                    violations.append(
-                        f"demand {demand.source}->{sorted(demand.sinks)}: "
-                        f"inner {inner} exceeds outer {outer}"
-                    )
-        return violations
 
 
 def _edge_capacities(arcs) -> dict[tuple[str, str], float]:
@@ -590,17 +567,18 @@ def validate_hyper_result(
     ``arcs`` holds ``(tail, heads, rate, label)`` per pipe of the routed
     network, whose nodes are ``node_ids``. A witness holds ``usage[a]``, the
     session's draw on pipe a, and ``flows[(sink, a, h)]``, the flow toward
-    ``sink`` on pipe a into its head h. Verifies that usage and flows are
-    nonnegative, that every flow heads for one of the session's sinks and
-    enters one of its pipe's heads, per-pipe capacity sharing, per-session
-    single-counting of hyper-arc draws, and per-sink flow conservation
-    delivering each session's rate. Each session's witness is read in one
+    ``sink`` on pipe a into its head h. Verifies that every entry names a
+    pipe of ``arcs``, that usage and flows are nonnegative, that every flow
+    heads for one of the session's sinks and enters one of its pipe's heads,
+    per-pipe capacity sharing, per-session single-counting of hyper-arc
+    draws, and per-sink flow conservation delivering each session's rate. Each session's witness is read in one
     pass. Raises AssertionError on any violation beyond tol.
     """
     total_usage = {a: 0.0 for a in range(len(arcs))}
     for s, (demand, result) in enumerate(zip(demands, results)):
         usage = result.witness["usage"]
         for a, value in usage.items():
+            assert 0 <= a < len(arcs), f"session {s}: usage on pipe {a}, which is absent"
             assert value >= -tol, f"session {s}: usage {value} on pipe {a} is negative"
             total_usage[a] += value
         # Per sink: draw per pipe, and flow out of and into each node.
@@ -610,6 +588,7 @@ def validate_hyper_result(
             assert tally is not None, (
                 f"session {s}: flow on pipe {a} heads for {sink}, not one of its sinks"
             )
+            assert 0 <= a < len(arcs), f"session {s}: flow on pipe {a}, which is absent"
             tail, heads = arcs[a][0], arcs[a][1]
             assert h in heads, (
                 f"session {s} sink {sink}: flow on pipe {a} enters {h}, "
@@ -819,38 +798,3 @@ def blend_inner(
     results = _results_from_solution(lp, demands, solution, {"weights": weights})
     validate_hyper_result(node_ids, averaged, demands, results, tol=1e-8)
     return results, weights
-
-
-def combine_bounds(
-    outer_runs: list[tuple[str, dict[Demand, float]]],
-    inner_runs: list[tuple[str, dict[Demand, float]]],
-) -> BoundReport:
-    """Combine parameterized runs: outer = per-demand min, inner = max.
-
-    Every valid parameter choice yields a valid outer (resp. inner) bound, so
-    the tightest combination takes the pointwise min across outer runs and
-    max across inner runs, remembering which run produced each value.
-
-    Raises:
-        ValueError: when runs disagree on the demand set.
-    """
-    if not outer_runs and not inner_runs:
-        raise ValueError("no runs to combine")
-    reference: tuple[Demand, ...] | None = None
-    for _, rates in outer_runs + inner_runs:
-        keys = tuple(sorted(rates, key=lambda d: (d.source, sorted(d.sinks))))
-        if reference is None:
-            reference = keys
-        elif keys != reference:
-            raise ValueError("runs evaluate different demand sets")
-    outer: dict[Demand, tuple[float, str]] = {}
-    for label, rates in outer_runs:
-        for demand, rate in rates.items():
-            if demand not in outer or rate < outer[demand][0]:
-                outer[demand] = (rate, label)
-    inner: dict[Demand, tuple[float, str]] = {}
-    for label, rates in inner_runs:
-        for demand, rate in rates.items():
-            if demand not in inner or rate > inner[demand][0]:
-                inner[demand] = (rate, label)
-    return BoundReport(demands=reference or (), outer=outer, inner=inner)

@@ -196,7 +196,9 @@ def solve_mu(
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         residual = _share_sum(gam, mid) - budget
-        if abs(residual) < tol:
+        # Once mid equals an endpoint the bracket cannot shrink any further:
+        # above about 64 dB the residual's cancellation error exceeds tol.
+        if abs(residual) < tol or mid in (lo, hi):
             return mid
         if residual < 0:
             lo = mid

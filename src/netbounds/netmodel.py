@@ -351,7 +351,8 @@ def parse_network(text: str) -> NoisyNetwork:
     The document holds `nodes` (list of id strings), `links` (objects with
     `from`, `to`, `kind`, and the kind's parameters; awgn links take `snr`
     in linear scale or `snr_db` in dB, never both), and optional `demands`
-    (objects with `kind`, `source`, `sinks`). Unknown keys are rejected.
+    (objects with `kind`, `source`, `sinks`, each node on at least one
+    link). Unknown keys are rejected.
 
     Raises:
         NetworkFormatError: on malformed JSON (with line/column context) or
@@ -380,7 +381,13 @@ def parse_network(text: str) -> NoisyNetwork:
     if not isinstance(demands_raw, list):
         raise NetworkFormatError("demands: expected a list")
     demands = tuple(_parse_demand(obj, i) for i, obj in enumerate(demands_raw))
-    return NoisyNetwork(nodes=nodes, links=links, demands=demands)
+    net = NoisyNetwork(nodes=nodes, links=links, demands=demands)
+    linked = {end for link in links for end in (link.src, link.dst)}
+    for index, demand in enumerate(demands):
+        for node in (demand.source, *demand.sink_list):
+            if node not in linked:
+                raise NetworkFormatError(f"demands[{index}]: node {node!r} has no link")
+    return net
 
 
 def serialize_network(net: NoisyNetwork) -> str:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netbounds import cli, flows
+from netbounds import cli, flows, pipeline
 from netbounds.assemble import LowerStructure, UpperStructure
 from netbounds.cli import main, parse_grid
 from netbounds.decouple import decompose
@@ -186,14 +186,59 @@ class TestBounds:
         assert len(bounds) == 4
         assert all(math.isfinite(float(value)) for value in bounds)
 
+    def test_70_db_multi_access_input_gets_bounds(self, tmp_path, capsys):
+        # mac_upper's bisection used to stall here and exit 3.
+        doc = {
+            "nodes": ["a", "b", "d"],
+            "links": [
+                {"from": "a", "to": "d", "kind": "awgn", "snr_db": 70.0},
+                {"from": "b", "to": "d", "kind": "awgn", "snr_db": 0.0},
+            ],
+            "demands": [
+                {"kind": "unicast", "source": "a", "sinks": ["d"]},
+                {"kind": "unicast", "source": "b", "sinks": ["d"]},
+            ],
+        }
+        path = write_network(tmp_path / "mac70.json", doc)
+        assert main(["bounds", path]) == 0
+        out = capsys.readouterr().out
+        outer = [float(v) for v in re.findall(r"^  outer (\S+)", out, flags=re.MULTILINE)]
+        inner = [float(v) for v in re.findall(r"^  inner (\S+)", out, flags=re.MULTILINE)]
+        assert len(outer) == len(inner) == 2
+        assert all(i <= o + 1e-9 for o, i in zip(outer, inner))
+
+    def test_demand_on_a_node_without_links_is_an_input_error(self, tmp_path, capsys):
+        doc = single_link_doc()
+        doc["nodes"].append("c")
+        doc["demands"].append({"kind": "unicast", "source": "a", "sinks": ["c"]})
+        path = write_network(tmp_path / "net.json", doc)
+        assert main(["bounds", path]) == 2
+        assert "error: demands[1]: node 'c' has no link" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name", ["lower_bounds_2x3xunicast-0.json", "lower_bounds_3x2xmulticast-1.json"]
+    )
+    def test_csv_matches_golden(self, name, tmp_path, monkeypatch, capsys):
+        # Relative names keep the checkout's path out of the CSV's header.
+        (tmp_path / name).write_bytes((DATA / name).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        assert main(["bounds", name, "--beta-step", "0.25", "--out", "out.csv"]) == 0
+        capsys.readouterr()
+        golden = DATA / name.replace("lower_bounds_", "bounds_").replace(".json", ".csv")
+        assert (tmp_path / "out.csv").read_bytes() == golden.read_bytes()
+
     def test_oversized_beta_grid_is_refused_before_any_flow(self, monkeypatch, capsys):
         flowed = []
 
-        def counting(node_ids, arcs, demand):
-            flowed.append(demand)
-            return flows.max_flow(node_ids, arcs, demand)
+        def refused(name):
+            def flow(*args, **kwargs):
+                flowed.append(name)
+                raise AssertionError(f"{name} ran")
 
-        monkeypatch.setattr(cli, "max_flow", counting)
+            return flow
+
+        for name in ("max_flow", "multicast_outer", "unicast_inner", "hyper_inner_batch"):
+            monkeypatch.setattr(pipeline, name, refused(name))
         path = DATA / "lower_bounds_2x3xunicast-0.json"
         assert main(["bounds", str(path), "--beta-step", "0.01"]) == 2
         assert "share combinations (cap 4096)" in capsys.readouterr().err
@@ -207,7 +252,7 @@ class TestBounds:
         def refused(parts, steps):
             raise AssertionError(f"simplex_grid({parts}, {steps}) was built")
 
-        monkeypatch.setattr(cli, "simplex_grid", refused)
+        monkeypatch.setattr(pipeline, "simplex_grid", refused)
         doc = {
             "nodes": ["S", "A", "B", "C"],
             "links": [

@@ -17,7 +17,6 @@ from netbounds.decouple import decompose
 from netbounds.flows import (
     FlowResult,
     blend_inner,
-    combine_bounds,
     hyper_inner,
     hyper_inner_batch,
     max_flow,
@@ -332,6 +331,28 @@ class TestHyperInner:
         witness = {"usage": {0: 1.0, 1: 1.0}, "flows": flows}
         result = FlowResult(demand=demand, rate=1.0, witness=witness)
         with pytest.raises(AssertionError, match="not one of its sinks"):
+            validate_hyper_result(net.node_ids, net.arcs, (demand,), [result])
+
+    @pytest.mark.parametrize(
+        "usage, extra_flows",
+        [
+            ({5: 0.5}, {}),
+            ({-1: 0.0}, {}),
+            ({}, {("t", 7, "t"): 0.5}),
+            # arcs[-1] is a pipe into t, so only the index check catches it.
+            ({}, {("t", -1, "t"): 0.0}),
+        ],
+        ids=["usage-past-end", "usage-negative", "flow-past-end", "flow-negative"],
+    )
+    def test_entry_on_an_absent_pipe_is_rejected(self, usage, extra_flows):
+        # A valid routing on s->a->t plus one entry keyed by a pipe index that
+        # names no pipe: a witness fault, so an AssertionError like any other.
+        net = pipes_network([("s", "a", 1.0), ("a", "t", 1.0)])
+        demand = unicast("s", "t")
+        flows = {("t", 0, "a"): 1.0, ("t", 1, "t"): 1.0, **extra_flows}
+        witness = {"usage": {0: 1.0, 1: 1.0, **usage}, "flows": flows}
+        result = FlowResult(demand=demand, rate=1.0, witness=witness)
+        with pytest.raises(AssertionError, match="which is absent"):
             validate_hyper_result(net.node_ids, net.arcs, (demand,), [result])
 
     @pytest.mark.parametrize("negative_usage", [False, True])
@@ -1086,46 +1107,3 @@ class TestSharedSolver:
         assert cli.main(["bounds", str(path), "--beta-step", "0.25"]) == 0
         # The cleared cache makes the run build its solver: exactly once.
         assert len(made) == 1
-
-
-class TestCombineBounds:
-    def test_outer_takes_min_inner_takes_max(self):
-        d = unicast("s", "t")
-        report = combine_bounds(
-            outer_runs=[("alpha=0.3", {d: 2.0}), ("alpha=0.7", {d: 1.5})],
-            inner_runs=[("beta=a", {d: 0.9}), ("beta=b", {d: 1.2})],
-        )
-        assert report.outer[d] == (1.5, "alpha=0.7")
-        assert report.inner[d] == (1.2, "beta=b")
-        assert report.sandwich_violations() == []
-
-    def test_reports_sandwich_violations(self):
-        d = unicast("s", "t")
-        report = combine_bounds(
-            outer_runs=[("o", {d: 1.0})],
-            inner_runs=[("i", {d: 1.5})],
-        )
-        violations = report.sandwich_violations()
-        assert len(violations) == 1
-        assert "exceeds" in violations[0]
-
-    def test_rejects_mismatched_demand_sets(self):
-        d1 = unicast("s", "t")
-        d2 = unicast("s", "u")
-        with pytest.raises(ValueError):
-            combine_bounds(
-                outer_runs=[("o", {d1: 1.0})],
-                inner_runs=[("i", {d2: 0.5})],
-            )
-
-    def test_rejects_no_runs(self):
-        with pytest.raises(ValueError):
-            combine_bounds([], [])
-
-    def test_ties_keep_first_run(self):
-        d = unicast("s", "t")
-        report = combine_bounds(
-            outer_runs=[("first", {d: 1.0}), ("second", {d: 1.0})],
-            inner_runs=[("first", {d: 1.0})],
-        )
-        assert report.outer[d][1] == "first"

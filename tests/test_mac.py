@@ -121,6 +121,20 @@ def test_solve_mu_residual_and_bracket():
         assert abs(residual) < 1e-9
 
 
+def test_mac_upper_at_70_db_stops_where_the_bisection_stalls():
+    # The residual's cancellation error, about g * 2**-52 = 2e-9 at 70 dB,
+    # exceeds the 1e-10 tolerance; the bisection ends when mid meets an
+    # endpoint, and its mu still gives shares that sum to 1 - alpha.
+    gammas, alpha = (1e7, 1.0), 0.9
+    rv, partition = mac_upper(MacSpec(gammas=gammas), alpha)
+    lo, hi = mu_bracket(gammas, alpha)
+    assert lo * (1.0 - 1e-12) <= partition.mu <= hi * (1.0 + 1e-12)
+    assert all(a > 0 for a in partition.alphas)
+    assert abs(sum(partition.alphas) - (1.0 - alpha)) < 1e-15
+    assert math.isfinite(rv.sum_rate)
+    assert all(math.isfinite(rate) for rate in rv.individual)
+
+
 def test_mu_bracket_endpoints_equal_iff_equal_snrs():
     lo, hi = mu_bracket((2.0, 2.0, 2.0), 0.3)
     assert abs(lo - hi) < 1e-12

@@ -146,6 +146,28 @@ def test_parse_rejects_unknown_endpoints_and_self_loops():
         parse_network(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "demands",
+    [
+        [{"kind": "unicast", "source": "C", "sinks": ["B"]}],
+        [
+            {"kind": "unicast", "source": "A", "sinks": ["B"]},
+            {"kind": "multicast", "source": "A", "sinks": ["B", "C"]},
+        ],
+    ],
+    ids=["source", "sink"],
+)
+def test_parse_rejects_demand_on_a_node_without_links(demands):
+    doc = {
+        "nodes": ["A", "B", "C"],
+        "links": [{"from": "A", "to": "B", "kind": "awgn", "snr": 1}],
+        "demands": demands,
+    }
+    index = len(demands) - 1
+    with pytest.raises(NetworkFormatError, match=rf"demands\[{index}\]: node 'C' has no link"):
+        parse_network(json.dumps(doc))
+
+
 def test_demand_invariants():
     with pytest.raises(NetworkFormatError, match="exclude"):
         Demand(kind="unicast", source="A", sinks=frozenset({"A"}))
@@ -247,9 +269,12 @@ def _networks(draw):
             eps = draw(st.floats(min_value=0.0, max_value=0.5))
             links.append(NoisyLink(src, dst, "bsc", eps=eps))
     demands = []
-    if draw(st.booleans()):
-        source = draw(st.sampled_from(ids))
-        others = [i for i in ids if i != source]
+    # Demand endpoints are drawn among the nodes that have a link, as the
+    # parser requires.
+    linked = sorted({end for link in links for end in (link.src, link.dst)})
+    if linked and draw(st.booleans()):
+        source = draw(st.sampled_from(linked))
+        others = [i for i in linked if i != source]
         n_sinks = draw(st.integers(min_value=1, max_value=len(others)))
         sinks = frozenset(draw(st.permutations(others))[:n_sinks])
         kind = "unicast" if n_sinks == 1 else "multicast"
