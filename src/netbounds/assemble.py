@@ -9,8 +9,7 @@ capacity from `link_capacity`. `UpperStructure` fixes what does not depend
 on the noise split alpha: nodes, auxiliary ids, each broadcast side's
 cumulative rates for its receiver order, point-to-point arcs and shared
 links. Its `arcs(mac_alpha)` rates the multi-access pipes (and the shared
-ones, at the larger rate) as ``(tail, heads, rate, label)`` tuples, and
-`network(mac_alpha)` adds the pipes and their provenance.
+ones, at the larger rate) as ``(tail, heads, rate, label)`` tuples.
 
 The lower network replaces every component by an achievable coding scheme:
 superposition layers on broadcast sides (hyper-arcs to the receivers that
@@ -33,20 +32,20 @@ row is bit for bit the float form.
   rates every layer arc and SIC arc against them, so each rate is achievable
   with every cross-component interference accounted for. It returns plain
   ``(tail, heads, rate, label)`` tuples, which is all the flow layer reads.
-  `bounds`, the multicast search and `network` rate one split at a time here.
+  `bounds` and the multicast search rate one split at a time here.
 - `LowerStructure.rate_batch(splits)` rates n splits in one NumPy pass (the
   array form) and returns a `LowerBatch`: the structure's arc slots and an
   n x slots rate array, from which any split's arcs can be read as `arcs`
   gives them. The relay search, whose grid and zoom steps are known before
   it rates any of their splits, rates each step this way.
-- `LowerStructure.network(betas)` is those arcs as a `NoiselessNetwork`, each
-  label formatted into its pipe's provenance.
 
+A bounding network is its node ids and these arcs; there is no other form.
 The flow functions in `netbounds.flows` and `validate_bounding_network` take
-these arcs as they are, so the searches and the `bounds` sweep build each
-structure once, rate it per alpha or beta, and build no network; `network`
-is for a caller that wants the pipes and their provenance. `build_upper` and
-`build_lower` are the steps for one `UpperParams` or `LowerParams`.
+them as they are, so the searches and the `bounds` sweep build each
+structure once and rate it per alpha or beta. A label is the data behind an
+arc's provenance, and `describe(arc)` renders it as text. `build_upper` and
+`build_lower` return ``(node_ids, arcs)`` at the defaults or, for the lower
+network, at one `LowerParams`.
 """
 
 from __future__ import annotations
@@ -62,34 +61,18 @@ from .bc import BcSpec, bc_upper_cumulative
 from .decouple import DecoupledComponent
 from .info import awgn_capacities, awgn_capacity, bsc_capacity, qsc_capacity
 from .mac import MacSpec, mac_upper
-from .netmodel import AUXILIARY, BitPipe, NoiselessNetwork, NoisyLink, Node
+from .netmodel import NoisyLink
 
 __all__ = [
-    "UpperParams",
     "LowerParams",
     "UpperStructure",
     "LowerStructure",
     "LowerBatch",
     "link_capacity",
+    "describe",
     "build_upper",
     "build_lower",
 ]
-
-
-@dataclass(frozen=True)
-class UpperParams:
-    """Choices parameterizing the upper bounding network.
-
-    `mac_alpha` maps a MAC component key ("mac", receiver) to the share of
-    receiver noise backing the sum constraint; missing entries default to 1
-    (full cooperation, unconstrained per-input pipes). `bc_perm` maps a BC
-    component key ("bc", transmitter) to the receiver id order of the
-    cumulative upper model; missing entries default to effective-SNR
-    descending order.
-    """
-
-    mac_alpha: dict[tuple, float] = field(default_factory=dict)
-    bc_perm: dict[tuple, tuple[str, ...]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -163,13 +146,8 @@ def _default_perm(comp: DecoupledComponent) -> tuple[str, ...]:
     )
 
 
-def _p2p_pipe(link: NoisyLink) -> BitPipe:
-    return BitPipe(
-        tail=link.src,
-        heads=(link.dst,),
-        rate=link_capacity(link),
-        provenance=f"p2p {link.kind} {link.src}->{link.dst}",
-    )
+def _p2p_arc(link: NoisyLink) -> tuple:
+    return (link.src, (link.dst,), link_capacity(link), f"p2p {link.kind} {link.src}->{link.dst}")
 
 
 def _all_nodes(components) -> tuple[str, ...]:
@@ -184,7 +162,9 @@ def _all_nodes(components) -> tuple[str, ...]:
 class UpperStructure:
     """The part of an upper network that does not depend on the noise split.
 
-    Built once from the components and `bc_perm` (as in `UpperParams`). Every
+    Built once from the components and `bc_perm`, which maps a BC component
+    key ("bc", transmitter) to the receiver id order of its cumulative upper
+    model; a missing entry puts receivers in descending effective SNR. Every
     broadcast component becomes pipes through an auxiliary node "<tx>_out":
     the transmitter feeds it at the component sum rate and it feeds each
     receiver at its cumulative-group rate. Every multi-access component
@@ -202,14 +182,12 @@ class UpperStructure:
         bc_perm = bc_perm or {}
         bc_by_key, self._mac_keys = _component_maps(components)
         _check_param_keys(bc_perm, bc_by_key, "bc_perm")
-        nodes = [Node(id=name) for name in _all_nodes(components)]
-        taken = {node.id for node in nodes}
+        nodes = list(_all_nodes(components))
 
         def auxiliary(name: str) -> str:
-            if name in taken:
+            if name in nodes:
                 raise ValueError(f"auxiliary id {name!r} collides with a node id")
-            taken.add(name)
-            nodes.append(Node(id=name, kind=AUXILIARY))
+            nodes.append(name)
             return name
 
         # (tail, heads, fixed rate, MAC rate, label) per pipe, in order. A MAC
@@ -257,15 +235,16 @@ class UpperStructure:
                 self._slots.append((tail, (f"{rx}_in",), None, mac, label))
         for comp in components:
             if comp.kind == "p2p":
-                pipe = _p2p_pipe(comp.links[0])
-                self._slots.append((pipe.tail, pipe.heads, pipe.rate, None, pipe.provenance))
-        self._nodes = tuple(nodes)
-        self.node_ids = tuple(node.id for node in nodes)
+                tail, heads, rate, label = _p2p_arc(comp.links[0])
+                self._slots.append((tail, heads, rate, None, label))
+        self.node_ids = tuple(nodes)
 
     def arcs(self, mac_alpha: dict) -> list[tuple]:
-        """One ``(tail, heads, rate, label)`` per pipe of `network`, in order,
-        with one `mac_upper` per MAC at its `mac_alpha` entry (as in
-        `UpperParams`). A label is the provenance, or ``(text before, alpha,
+        """One ``(tail, heads, rate, label)`` per pipe, in order, with one
+        `mac_upper` per MAC at its `mac_alpha` entry: by MAC component key
+        ("mac", receiver), the share of receiver noise backing the sum
+        constraint, 1 (full cooperation, unconstrained per-input pipes) where
+        missing. A label is the provenance text, or ``(text before, alpha,
         text after)`` on a MAC-rated pipe. Raises ValueError on unknown keys.
         """
         _check_param_keys(mac_alpha, self._mac_keys, "mac_alpha")
@@ -282,22 +261,6 @@ class UpperStructure:
                 rate = max(fixed, rate)
             arcs.append((tail, heads, rate, (label[0], alphas[mac[0]], label[1])))
         return arcs
-
-    def network(self, mac_alpha: dict) -> NoiselessNetwork:
-        """The pipes of `arcs(mac_alpha)` with their provenance; raises as `arcs`."""
-        pipes = tuple(
-            BitPipe(tail, heads, rate, label if isinstance(label, str) else "%s%g%s" % label)
-            for tail, heads, rate, label in self.arcs(mac_alpha)
-        )
-        return NoiselessNetwork(nodes=self._nodes, pipes=pipes)
-
-
-def build_upper(components, params: UpperParams | None = None) -> NoiselessNetwork:
-    """Build the point-to-point upper bounding network: the network of
-    `UpperStructure(components, params.bc_perm)` at `params.mac_alpha`
-    (None means all defaults). Raises ValueError as those two do."""
-    params = params or UpperParams()
-    return UpperStructure(components, params.bc_perm).network(params.mac_alpha)
 
 
 def _bc_targets(
@@ -527,7 +490,7 @@ class LowerBatch:
     """The arcs of one lower structure at n power splits, rated in one pass.
 
     `slots` holds every arc the structure can have as ``(tail, heads)``, in
-    the order of `network`'s pipes; `rates[r, s]` is slot s's rate at split r,
+    the order of `LowerStructure.arcs`; `rates[r, s]` is slot s's rate at split r,
     0.0 wherever `LowerStructure.arcs` leaves the layer or SIC arc out.
     `arcs(r)` is split r's arcs as `LowerStructure.arcs` returns them.
     """
@@ -560,8 +523,7 @@ class LowerStructure:
     by default one layer per receiver; the values are not read), its layers'
     decode targets and any explicit multi-access decode orders, all
     validated here. `arcs(bc_betas)` then charges and rates it for one
-    power split, `network(bc_betas)` builds its pipes,
-    and `rate_batch` rates many splits at once; default decode orders depend
+    power split, and `rate_batch` rates many splits at once; default decode orders depend
     on the residuals and are resolved per split. A search that sweeps betas
     over one structure builds it once and keeps it for that search only.
 
@@ -583,7 +545,6 @@ class LowerStructure:
                 raise ValueError(f"bc_decode_targets entry {key} matches no component")
         self._bc_keys = bc_by_key
         self.node_ids = _all_nodes(self.components)
-        self._nodes = tuple(Node(id=name) for name in self.node_ids)
         self._bc_inputs = {comp.inputs[0] for comp in self.components if comp.kind == "bc"}
         # Components in order: a prebuilt p2p arc, a _BcSide or a _MacSide.
         self._steps: list = []
@@ -592,8 +553,7 @@ class LowerStructure:
         residual_keys: dict[tuple[str, str], float] = {}
         for comp in self.components:
             if comp.kind == "p2p":
-                pipe = _p2p_pipe(comp.links[0])
-                self._steps.append((pipe.tail, pipe.heads, pipe.rate, pipe.provenance))
+                self._steps.append(_p2p_arc(comp.links[0]))
                 continue
             if comp.kind == "bc":
                 side = _BcSide(comp, params, len(self._bcs))
@@ -641,7 +601,7 @@ class LowerStructure:
 
     def _rate(self, bc_betas: dict, form) -> tuple[list[tuple], dict]:
         """The rating core, in either input form: every arc slot as ``(tail,
-        heads, rate, label)`` in network order, rate 0 where `arcs` leaves
+        heads, rate, label)`` in arc order, rate 0 where `arcs` leaves
         the arc out, and the extrinsic terms the broadcast labels hold."""
         sides, residual, extrinsic, orders = self._charge(bc_betas, form)
         floors = _residual_totals(residual)
@@ -681,11 +641,10 @@ class LowerStructure:
         return slots, extrinsic
 
     def arcs(self, bc_betas: dict) -> list[tuple]:
-        """The arcs of this structure at one power split, without pipes.
+        """The arcs of this structure at one power split.
 
-        One ``(tail, heads, rate, label)`` per arc, in the order of
-        `network`'s pipes; `network` formats ``label`` into the pipe's
-        provenance. Point-to-point links become capacity arcs. Each
+        One ``(tail, heads, rate, label)`` per arc; `describe` renders a
+        label as provenance text. Point-to-point links become capacity arcs. Each
         multi-access receiver runs successive cancellation on effective SNRs
         (gamma - residual) / (1 + receiver floor), which equals the physical
         per-position rate with earlier inputs cancelled down to their
@@ -752,40 +711,36 @@ class LowerStructure:
             extrinsic=extrinsic,
         )
 
-    def network(self, bc_betas: dict) -> NoiselessNetwork:
-        """The lower network of this structure at one power split: the
-        pipes of `arcs(bc_betas)`, each label formatted into its provenance.
 
-        Args and Raises: as `arcs`.
-        """
-        return NoiselessNetwork(
-            nodes=self._nodes,
-            pipes=tuple(
-                BitPipe(tail, heads, rate, _provenance(tail, heads, label))
-                for tail, heads, rate, label in self.arcs(bc_betas)
-            ),
-        )
-
-
-def _provenance(tail: str, heads: tuple[str, ...], label) -> str:
-    """The provenance text of one lower arc from its `LowerStructure.arcs`
-    label: a point-to-point arc's text itself, ("bc", layer, beta, extrinsic)
-    for a broadcast layer or ("mac", decode order) for a SIC arc."""
+def describe(arc) -> str:
+    """The provenance text of one arc of `UpperStructure.arcs` or
+    `LowerStructure.arcs`, from its label: a text label is itself, ``(text
+    before, alpha, text after)`` a MAC-rated upper pipe, ("bc", layer, beta,
+    extrinsic) a broadcast layer and ("mac", decode order) a SIC arc."""
+    tail, heads, _rate, label = arc
     if isinstance(label, str):
         return label
     if label[0] == "mac":
         return f"mac {heads[0]}: input {tail} sic (order {list(label[1])})"
+    if label[0] != "bc":
+        return "%s%g%s" % label
     _kind, layer, beta, extrinsic = label
     shared = [j for j in heads if extrinsic[(tail, j)] > 0]
     note = f" (interference-adjusted at {shared})" if shared else ""
     return f"bc {tail}: layer {layer + 1} beta={beta:g} -> {list(heads)}{note}"
 
 
-def build_lower(components, params: LowerParams | None = None) -> NoiselessNetwork:
-    """Build the achievable lower bounding network (may contain hyper-arcs).
+def build_upper(components) -> tuple:
+    """``(node_ids, arcs)`` of the upper network at the default receiver
+    orders and alphas. Raises ValueError as `UpperStructure` does."""
+    structure = UpperStructure(components)
+    return structure.node_ids, structure.arcs({})
 
-    The network of `LowerStructure(components, params)` at `params.bc_betas`;
-    see `LowerStructure.arcs` for the rates.
-    """
+
+def build_lower(components, params: LowerParams | None = None) -> tuple:
+    """``(node_ids, arcs)`` of the lower network of `LowerStructure(components,
+    params)` at `params.bc_betas` (None means all defaults); see
+    `LowerStructure.arcs` for the rates."""
     params = params or LowerParams()
-    return LowerStructure(components, params).network(params.bc_betas)
+    structure = LowerStructure(components, params)
+    return structure.node_ids, structure.arcs(params.bc_betas)

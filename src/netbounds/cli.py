@@ -263,10 +263,10 @@ def cmd_decouple(args) -> int:
 def cmd_validate(args) -> int:
     net = _load_network(args.file)
     components = decompose(net)
-    upper = build_upper(components)
-    lower = build_lower(components)
-    problems = validate_bounding_network(upper.node_ids, upper.arcs, "upper")
-    problems += validate_bounding_network(lower.node_ids, lower.arcs, "lower")
+    upper_ids, upper = build_upper(components)
+    lower_ids, lower = build_lower(components)
+    problems = validate_bounding_network(upper_ids, upper, "upper")
+    problems += validate_bounding_network(lower_ids, lower, "lower")
     links = {"awgn": 0, "qsc": 0, "bsc": 0}
     for link in net.links:
         links[link.kind] += 1
@@ -281,7 +281,7 @@ def cmd_validate(args) -> int:
         f"components: {len(components)} (broadcast {counts['bc']}, "
         f"multi-access {counts['mac']}, point-to-point {counts['p2p']})"
     )
-    print(f"upper network: {len(upper.pipes)} pipes; lower network: {len(lower.pipes)} pipes")
+    print(f"upper network: {len(upper)} pipes; lower network: {len(lower)} pipes")
     if problems:
         for problem in problems:
             print(f"invalid: {problem}", file=sys.stderr)
@@ -372,8 +372,7 @@ def relay_eq_lower(components) -> float:
     exactly. The per-family share search starts on a coarse 1/8 grid and
     zooms three times around the best point. Each (targets, decode order)
     structure is built once, and the splits of each grid or zoom step, known
-    before any is rated, are rated as one `LowerStructure.rate_batch`: no
-    candidate becomes a network of pipes.
+    before any is rated, are rated as one `LowerStructure.rate_batch`.
 
     Candidates are rated by `_relay_cuts` and scanned in order. The reported
     rate is the winner's certified `unicast_inner` max flow, one per search,
@@ -736,8 +735,8 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
     solved total exceeds its cut by at most the validator's slack (about
     1e-8), far below the margin, so a skipped candidate could never have
     replaced the incumbent and the result is bit for bit the exhaustive
-    search's; each solved total is checked against its cut. No candidate
-    becomes a network of pipes: the LP routes its arcs.
+    search's; each solved total is checked against its cut. The LP routes
+    each candidate's arcs.
     """
     demands = net.demands
     sinks = sorted(demands[0].sinks)

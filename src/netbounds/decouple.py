@@ -16,7 +16,7 @@ reach it so as to minimize the total of the per-input cooperative sum rates.
 Discrete links (qsc, bsc) use their own alphabets, so they are orthogonal
 point-to-point side channels and never join a Gaussian group. Two discrete
 links sharing a transmitter or a receiver would form a discrete MAC or BC,
-which has no decoupling rule here and is rejected.
+which has no decoupling rule here; `NoisyNetwork` rejects it.
 """
 
 from __future__ import annotations
@@ -100,26 +100,6 @@ class GaussPartition:
         if np.any(np.abs(col_sums[used] - 1.0) > 1e-9):
             raise AssertionError(
                 f"column sums deviate from 1: {col_sums[used]}"
-            )
-
-
-def _check_discrete_links(links: list[NoisyLink]):
-    by_tail: dict[str, int] = {}
-    by_head: dict[str, int] = {}
-    for link in links:
-        by_tail[link.src] = by_tail.get(link.src, 0) + 1
-        by_head[link.dst] = by_head.get(link.dst, 0) + 1
-    for node, count in sorted(by_tail.items()):
-        if count > 1:
-            raise ValueError(
-                f"node {node!r} transmits on {count} discrete links; discrete "
-                "broadcast structures have no decoupling rule"
-            )
-    for node, count in sorted(by_head.items()):
-        if count > 1:
-            raise ValueError(
-                f"node {node!r} receives on {count} discrete links; discrete "
-                "superposition structures have no decoupling rule"
             )
 
 
@@ -426,15 +406,11 @@ def decompose(net: NoisyNetwork) -> list[DecoupledComponent]:
     Discrete links become point-to-point components outright. AWGN links are
     grouped by shared transmitters and shared receivers; each group becomes a
     p2p link, an independent MAC, an independent BC, or (when coupled) a set
-    of decoupled MACs and BCs with a shared noise partition.
-
-    Raises:
-        ValueError: when two discrete links share a transmitter or receiver.
+    of decoupled MACs and BCs with a shared noise partition. `NoisyNetwork`
+    already holds at most one discrete link per sender and per receiver.
     """
-    discrete = [l for l in net.links if l.kind != "awgn"]
-    _check_discrete_links(discrete)
     components: list[DecoupledComponent] = []
-    for link in discrete:
+    for link in [l for l in net.links if l.kind != "awgn"]:
         components.append(
             DecoupledComponent(
                 kind="p2p",

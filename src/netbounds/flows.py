@@ -13,17 +13,17 @@ it for the call, solves every run back to back, and only then reads and
 checks each run's witnesses; hyper_inner is its one-run case. Every solve
 hands its LP to one long-lived HiGHS instance through SciPy's bundled
 bindings, which discards the previous model and basis, so each solve is a
-cold start and the order of the solves does not change any result. Every
-reported flow is re-validated against conservation and capacity
+cold start and the order of the solves does not change any result. HiGHS
+solves to a primal feasibility tolerance of 1e-10, below the 1e-9 to which
+every reported flow is re-validated against conservation and capacity
 constraints; bounds are certifiable, not solver folklore. Keeping each
 demand's best rate over many runs is `pipeline.bound`'s job.
 
 Every function here reads a bounding network as its node ids and its arcs,
 ``(tail, heads, rate, label)`` tuples in pipe order, the form that
-`assemble.UpperStructure.arcs` and `assemble.LowerStructure.arcs` return and
-`NoiselessNetwork.arcs` reads off a built network. Labels are never read, so
-a search or a sweep can rate a candidate from its arcs alone and build no
-pipes.
+`assemble.UpperStructure.arcs` and `assemble.LowerStructure.arcs` return.
+Labels are never read, so a search or a sweep rates a candidate from its
+arcs alone.
 
 sum_rate_cut bounds the rate total of any routing without solving an LP:
 every session delivers its whole rate into each of its sinks, so the total
@@ -497,6 +497,9 @@ def _solver() -> highs._Highs:
     """
     solver = highs._Highs()
     solver.setOptionValue("log_to_console", False)
+    # Below validate_hyper_result's 1e-9 conservation tolerance, so a
+    # solution HiGHS calls feasible passes the witness check.
+    solver.setOptionValue("primal_feasibility_tolerance", 1e-10)
     return solver
 
 

@@ -1,10 +1,12 @@
-"""Data model for noisy networks, noiseless bounding networks, and demands.
+"""Data model for noisy networks and demands, and the bounding-network check.
 
-A noisy network is a set of terminal nodes joined by typed noisy links (AWGN
-links described by a linear SNR, q-ary symmetric links by (q, xi), binary
-symmetric links by eps) plus traffic demands. Bounding constructions turn it
-into a noiseless network of point-to-point bit pipes and hyper-arcs, possibly
-with auxiliary nodes. All values are immutable after construction.
+A noisy network is a set of nodes joined by typed noisy links (AWGN links
+described by a linear SNR, q-ary symmetric links by (q, xi), binary symmetric
+links by eps) plus traffic demands. All values are immutable after
+construction. Bounding constructions (`netbounds.assemble`) turn it into a
+noiseless network, read everywhere as its node ids and its ``(tail, heads,
+rate, label)`` arcs: point-to-point bit pipes and hyper-arcs, possibly
+through auxiliary nodes. `validate_bounding_network` checks that form.
 """
 
 from __future__ import annotations
@@ -21,15 +23,10 @@ __all__ = [
     "NoisyLink",
     "Demand",
     "NoisyNetwork",
-    "BitPipe",
-    "NoiselessNetwork",
     "parse_network",
     "serialize_network",
     "validate_bounding_network",
 ]
-
-TERMINAL = "terminal"
-AUXILIARY = "auxiliary"
 
 LINK_KINDS = ("awgn", "qsc", "bsc")
 DEMAND_KINDS = ("unicast", "multicast")
@@ -41,14 +38,9 @@ class NetworkFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Node:
-    """A network node. Auxiliary nodes appear only in noiseless networks."""
+    """A node of a noisy network."""
 
     id: str
-    kind: str = TERMINAL
-
-    def __post_init__(self):
-        if self.kind not in (TERMINAL, AUXILIARY):
-            raise NetworkFormatError(f"node {self.id!r}: unknown kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -147,11 +139,6 @@ class NoisyNetwork:
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise NetworkFormatError(f"duplicate node ids: {dup}")
-        for node in self.nodes:
-            if node.kind != TERMINAL:
-                raise NetworkFormatError(
-                    f"node {node.id!r}: noisy networks hold terminal nodes only"
-                )
         known = set(ids)
         for link in self.links:
             where = f"link {link.src!r}->{link.dst!r}"
@@ -161,6 +148,24 @@ class NoisyNetwork:
                 raise NetworkFormatError(f"{where}: unknown node {link.dst!r}")
             if link.src == link.dst:
                 raise NetworkFormatError(f"{where}: self-loops are not allowed")
+        # Discrete broadcast and superposition structures have no decoupling
+        # rule, so a node sends and receives on at most one discrete link.
+        sends: dict[str, int] = {}
+        receives: dict[str, int] = {}
+        for index, link in enumerate(self.links):
+            if link.kind == "awgn":
+                continue
+            for node, seen, verb, structure in (
+                (link.src, sends, "transmits", "broadcast"),
+                (link.dst, receives, "receives", "superposition"),
+            ):
+                if node in seen:
+                    raise NetworkFormatError(
+                        f"links[{index}]: node {node!r} already {verb} on discrete "
+                        f"link links[{seen[node]}]; discrete {structure} structures "
+                        "have no decoupling rule"
+                    )
+                seen[node] = index
         for demand in self.demands:
             where = f"demand from {demand.source!r}"
             if demand.source not in known:
@@ -174,65 +179,14 @@ class NoisyNetwork:
         return tuple(node.id for node in self.nodes)
 
 
-@dataclass(frozen=True)
-class BitPipe:
-    """A noiseless pipe from one tail to one or more heads.
-
-    With a single head this is a point-to-point bit pipe; with several heads it
-    is a hyper-arc delivering the same bits to every head. The rate is in bits
-    per channel use and may be infinite (an uncapacitated pipe). `provenance`
-    names the model and constraint that produced the pipe.
-    """
-
-    tail: str
-    heads: tuple[str, ...]
-    rate: float
-    provenance: str = ""
-
-    def __post_init__(self):
-        heads = self.heads
-        if isinstance(heads, str):
-            heads = (heads,)
-        object.__setattr__(self, "heads", tuple(heads))
-        object.__setattr__(self, "rate", float(self.rate))
-
-
-@dataclass(frozen=True)
-class NoiselessNetwork:
-    """A directed noiseless network of bit pipes and hyper-arcs.
-
-    Construction is permissive so that malformed candidates can still be built
-    and then examined; use validate_bounding_network to collect violations.
-    """
-
-    nodes: tuple[Node, ...]
-    pipes: tuple[BitPipe, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "pipes", tuple(self.pipes))
-
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(node.id for node in self.nodes)
-
-    @property
-    def arcs(self) -> tuple[tuple, ...]:
-        """``(tail, heads, rate, provenance)`` per pipe, in order: the arc
-        form that the flow functions and `validate_bounding_network` take."""
-        return tuple(
-            (pipe.tail, pipe.heads, pipe.rate, pipe.provenance) for pipe in self.pipes
-        )
-
-
 def validate_bounding_network(node_ids, arcs, role: str) -> list[str]:
     """Collect invariant violations of a noiseless bounding network.
 
     Args:
         node_ids: the candidate network's node ids.
         arcs: ``(tail, heads, rate, label)`` per pipe, as the structures in
-            `netbounds.assemble` rate them or `NoiselessNetwork.arcs` reads
-            them; a label is the pipe's provenance and must not be empty.
+            `netbounds.assemble` rate them; a label names the model behind
+            the pipe (`assemble.describe` renders it) and must not be empty.
         role: "upper" or "lower". Upper-bounding networks must consist of
             point-to-point pipes only; lower-bounding networks may also carry
             hyper-arcs.

@@ -12,22 +12,19 @@ from netbounds import assemble, cli
 from netbounds.assemble import (
     LowerParams,
     LowerStructure,
-    UpperParams,
     UpperStructure,
     build_lower,
     build_upper,
+    describe,
     link_capacity,
 )
 from netbounds.decouple import decompose, relay_noise_share
 from netbounds.bc import BcSpec, bc_upper_cumulative
-from netbounds.flows import hyper_inner, max_flow, multicast_outer
+from netbounds.flows import hyper_inner, max_flow
 from netbounds.info import awgn_capacity, bsc_capacity, db_to_linear
 from netbounds.mac import MacSpec, mac_upper
 from netbounds.netmodel import (
-    AUXILIARY,
-    BitPipe,
     Demand,
-    NoiselessNetwork,
     NoisyLink,
     NoisyNetwork,
     Node,
@@ -59,18 +56,25 @@ def relay_components(gamma_sd=1.0, gamma_sr=10.0, gamma_rd=10.0):
     return decompose(net)
 
 
-def pipe_map(net):
-    return {(p.tail, p.heads): p.rate for p in net.pipes}
+def pipe_map(arcs):
+    return {(tail, heads): rate for tail, heads, rate, _ in arcs}
 
 
-def min_cut_p2p(net, source, sink):
-    others = [n for n in net.node_ids if n not in {source, sink}]
+def upper_network(components, mac_alpha=None, bc_perm=None):
+    """``(node_ids, arcs)`` of the upper network at one choice of alphas and
+    receiver orders."""
+    structure = UpperStructure(components, bc_perm)
+    return structure.node_ids, structure.arcs(mac_alpha or {})
+
+
+def min_cut_p2p(node_ids, arcs, source, sink):
+    others = [n for n in node_ids if n not in {source, sink}]
     best = float("inf")
     for r in range(len(others) + 1):
         for chosen in itertools.combinations(others, r):
             side = {source, *chosen}
             cap = sum(
-                p.rate for p in net.pipes if p.tail in side and p.heads[0] not in side
+                rate for tail, heads, rate, _ in arcs if tail in side and heads[0] not in side
             )
             best = min(best, cap)
     return best
@@ -93,16 +97,16 @@ class TestLinkCapacity:
 class TestBuildUpper:
     def test_single_awgn_link(self):
         comps = decompose(awgn_network([("a", "b", 3.0)]))
-        net = build_upper(comps)
-        assert len(net.pipes) == 1
-        assert abs(net.pipes[0].rate - 1.0) < 1e-12
-        assert validate_bounding_network(net.node_ids, net.arcs, "upper") == []
+        node_ids, arcs = build_upper(comps)
+        assert len(arcs) == 1
+        assert abs(arcs[0][2] - 1.0) < 1e-12
+        assert validate_bounding_network(node_ids, arcs, "upper") == []
 
     def test_relay_default_shape(self):
         comps = relay_components()
-        net = build_upper(comps)
+        node_ids, arcs = build_upper(comps)
         alpha = relay_noise_share(1.0, 10.0, 10.0)
-        rates = pipe_map(net)
+        rates = pipe_map(arcs)
         bc_sum = awgn_capacity(10.0 + 1.0 / alpha)
         mac_sum = awgn_capacity((1.0 + math.sqrt(10.0)) ** 2)
         assert abs(rates[("S", ("S_out",))] - bc_sum) < 1e-9
@@ -112,26 +116,21 @@ class TestBuildUpper:
         assert rates[("S_out", ("D_in",))] == float("inf")
         assert rates[("R", ("D_in",))] == float("inf")
         assert abs(rates[("S_out", ("R",))] - awgn_capacity(10.0)) < 1e-9
-        assert validate_bounding_network(net.node_ids, net.arcs, "upper") == []
-        flow = max_flow(net.node_ids, net.arcs, unicast("S", "D"))
+        assert validate_bounding_network(node_ids, arcs, "upper") == []
+        flow = max_flow(node_ids, arcs, unicast("S", "D"))
         assert abs(flow.rate - min(bc_sum, mac_sum)) < 1e-9
 
     def test_relay_finite_alpha_matches_cut_enumeration(self):
         comps = relay_components()
-        params = UpperParams(mac_alpha={("mac", "D"): 0.5})
-        net = build_upper(comps, params)
-        assert all(p.rate < float("inf") for p in net.pipes)
-        flow = max_flow(net.node_ids, net.arcs, unicast("S", "D"))
-        assert abs(flow.rate - min_cut_p2p(net, "S", "D")) < 1e-9
+        node_ids, arcs = upper_network(comps, mac_alpha={("mac", "D"): 0.5})
+        assert all(rate < float("inf") for _, _, rate, _ in arcs)
+        flow = max_flow(node_ids, arcs, unicast("S", "D"))
+        assert abs(flow.rate - min_cut_p2p(node_ids, arcs, "S", "D")) < 1e-9
 
     def test_relay_both_perms_differ(self):
         comps = relay_components()
-        strong_first = build_upper(
-            comps, UpperParams(bc_perm={("bc", "S"): ("R", "D")})
-        )
-        weak_first = build_upper(
-            comps, UpperParams(bc_perm={("bc", "S"): ("D", "R")})
-        )
+        _, strong_first = upper_network(comps, bc_perm={("bc", "S"): ("R", "D")})
+        _, weak_first = upper_network(comps, bc_perm={("bc", "S"): ("D", "R")})
         alpha = relay_noise_share(1.0, 10.0, 10.0)
         rates_s = pipe_map(strong_first)
         rates_w = pipe_map(weak_first)
@@ -142,19 +141,17 @@ class TestBuildUpper:
 
     def test_independent_bc_perm_controls_weak_receiver(self):
         comps = decompose(awgn_network([("S", "A", 4.0), ("S", "B", 1.0)]))
-        net = build_upper(
-            comps, UpperParams(bc_perm={("bc", "S"): ("B", "A")})
-        )
-        flow = max_flow(net.node_ids, net.arcs, unicast("S", "B"))
+        node_ids, arcs = upper_network(comps, bc_perm={("bc", "S"): ("B", "A")})
+        flow = max_flow(node_ids, arcs, unicast("S", "B"))
         assert abs(flow.rate - awgn_capacity(1.0)) < 1e-9
 
     def test_independent_mac_alpha_zero_per_input(self):
         comps = decompose(awgn_network([("A", "C", 1.0), ("B", "C", 10.0)]))
-        net = build_upper(comps, UpperParams(mac_alpha={("mac", "C"): 0.0}))
-        rates = pipe_map(net)
+        node_ids, arcs = upper_network(comps, mac_alpha={("mac", "C"): 0.0})
+        rates = pipe_map(arcs)
         assert rates[("C_in", ("C",))] == float("inf")
         assert rates[("A", ("C_in",))] < float("inf")
-        flow = max_flow(net.node_ids, net.arcs, unicast("A", "C"))
+        flow = max_flow(node_ids, arcs, unicast("A", "C"))
         assert abs(flow.rate - rates[("A", ("C_in",))]) < 1e-9
 
     def test_xchannel_shape(self):
@@ -168,31 +165,31 @@ class TestBuildUpper:
                 ]
             )
         )
-        net = build_upper(comps)
-        assert len(net.pipes) == 8
-        rates = pipe_map(net)
+        node_ids, arcs = build_upper(comps)
+        assert len(arcs) == 8
+        rates = pipe_map(arcs)
         # 2x2 all-ones partition gives effective BC SNRs of 2 per receiver.
         assert abs(rates[("T1", ("T1_out",))] - awgn_capacity(4.0)) < 1e-9
         assert abs(rates[("R1_in", ("R1",))] - awgn_capacity(4.0)) < 1e-9
-        assert validate_bounding_network(net.node_ids, net.arcs, "upper") == []
+        assert validate_bounding_network(node_ids, arcs, "upper") == []
 
     def test_bsc_side_channel_pipe(self):
         net = NoisyNetwork(
             nodes=(Node(id="a"), Node(id="b")),
             links=(NoisyLink(src="a", dst="b", kind="bsc", eps=0.11),),
         )
-        upper = build_upper(decompose(net))
-        assert abs(upper.pipes[0].rate - bsc_capacity(0.11)) < 1e-12
+        _, arcs = build_upper(decompose(net))
+        assert abs(arcs[0][2] - bsc_capacity(0.11)) < 1e-12
 
     def test_unknown_mac_alpha_key_raises(self):
         comps = relay_components()
         with pytest.raises(ValueError):
-            build_upper(comps, UpperParams(mac_alpha={("mac", "Z"): 0.5}))
+            upper_network(comps, mac_alpha={("mac", "Z"): 0.5})
 
     def test_bad_perm_raises(self):
         comps = relay_components()
         with pytest.raises(ValueError):
-            build_upper(comps, UpperParams(bc_perm={("bc", "S"): ("R", "R")}))
+            upper_network(comps, bc_perm={("bc", "S"): ("R", "R")})
 
     def test_aux_collision_raises(self):
         comps = decompose(
@@ -202,15 +199,14 @@ class TestBuildUpper:
             build_upper(comps)
 
 
-def _reference_build_upper(components, params=None):
-    """build_upper written as it was before UpperStructure: every step for
-    one alpha, BC models and pipes rebuilt per call."""
-    params = params or UpperParams()
+def _reference_build_upper(components, mac_alpha, bc_perm):
+    """The upper network written as it was before UpperStructure: every step
+    for one alpha, BC models and pipes rebuilt per call, each provenance
+    written out as text."""
     bc_by_key, mac_by_key = assemble._component_maps(components)
-    assemble._check_param_keys(params.mac_alpha, mac_by_key, "mac_alpha")
-    assemble._check_param_keys(params.bc_perm, bc_by_key, "bc_perm")
-    nodes = [Node(id=name) for name in assemble._all_nodes(components)]
-    taken = {node.id for node in nodes}
+    assemble._check_param_keys(mac_alpha, mac_by_key, "mac_alpha")
+    assemble._check_param_keys(bc_perm, bc_by_key, "bc_perm")
+    nodes = list(assemble._all_nodes(components))
     pipes = []
     bc_rate, mac_rate, bc_label, mac_label = {}, {}, {}, {}
     for comp in components:
@@ -218,19 +214,16 @@ def _reference_build_upper(components, params=None):
             continue
         tx = comp.inputs[0]
         receivers = tuple(link.dst for link in comp.links)
-        perm_ids = params.bc_perm.get(comp.key, assemble._default_perm(comp))
+        perm_ids = bc_perm.get(comp.key, assemble._default_perm(comp))
         if sorted(perm_ids) != sorted(receivers):
             raise ValueError(f"bad bc_perm {perm_ids}")
         perm = tuple(receivers.index(r) for r in perm_ids)
         rv = bc_upper_cumulative(BcSpec(gammas=comp.gamma_list()), perm)
         aux = f"{tx}_out"
-        if aux in taken:
+        if aux in nodes:
             raise ValueError(f"auxiliary id {aux!r} collides with a node id")
-        taken.add(aux)
-        nodes.append(Node(id=aux, kind=AUXILIARY))
-        pipes.append(
-            BitPipe(tx, (aux,), rv.sum_rate, f"bc {tx}: sum over {len(receivers)} receivers")
-        )
+        nodes.append(aux)
+        pipes.append((tx, (aux,), rv.sum_rate, f"bc {tx}: sum over {len(receivers)} receivers"))
         for position, receiver in enumerate(perm_ids):
             bc_rate[(tx, receiver)] = rv.individual[position]
             bc_label[(tx, receiver)] = (
@@ -240,14 +233,13 @@ def _reference_build_upper(components, params=None):
         if comp.kind != "mac":
             continue
         rx = comp.outputs[0]
-        alpha = params.mac_alpha.get(comp.key, 1.0)
+        alpha = mac_alpha.get(comp.key, 1.0)
         rv, _partition = mac_upper(MacSpec(gammas=comp.gamma_list()), alpha)
         aux = f"{rx}_in"
-        if aux in taken:
+        if aux in nodes:
             raise ValueError(f"auxiliary id {aux!r} collides with a node id")
-        taken.add(aux)
-        nodes.append(Node(id=aux, kind=AUXILIARY))
-        pipes.append(BitPipe(aux, (rx,), rv.sum_rate, f"mac {rx}: sum (alpha={alpha:g})"))
+        nodes.append(aux)
+        pipes.append((aux, (rx,), rv.sum_rate, f"mac {rx}: sum (alpha={alpha:g})"))
         for position, link in enumerate(comp.links):
             mac_rate[(link.src, rx)] = rv.individual[position]
             mac_label[(link.src, rx)] = f"mac {rx}: input {link.src} (alpha={alpha:g})"
@@ -259,25 +251,23 @@ def _reference_build_upper(components, params=None):
         if (tx, rx) in mac_rate:
             provenance = f"shared: {provenance} / {mac_label[(tx, rx)]}, max"
             rate = max(rate, mac_rate[(tx, rx)])
-        pipes.append(BitPipe(f"{tx}_out", (head,), rate, provenance))
+        pipes.append((f"{tx}_out", (head,), rate, provenance))
     for (tx, rx), rate in mac_rate.items():
         if (tx, rx) not in bc_rate:
             tail = f"{tx}_out" if tx in bc_tx else tx
-            pipes.append(BitPipe(tail, (f"{rx}_in",), rate, mac_label[(tx, rx)]))
+            pipes.append((tail, (f"{rx}_in",), rate, mac_label[(tx, rx)]))
     for comp in components:
         if comp.kind == "p2p":
-            pipes.append(assemble._p2p_pipe(comp.links[0]))
-    return NoiselessNetwork(nodes=tuple(nodes), pipes=tuple(pipes))
+            link = comp.links[0]
+            provenance = f"p2p {link.kind} {link.src}->{link.dst}"
+            pipes.append((link.src, (link.dst,), link_capacity(link), provenance))
+    return tuple(nodes), pipes
 
 
-def _network_key(net):
-    nodes = tuple((node.id, node.kind) for node in net.nodes)
-    return nodes, tuple((p.tail, p.heads, repr(p.rate), p.provenance) for p in net.pipes)
-
-
-def _flow_key(result):
-    # repr keeps every dict's order: flows, per_sink.
-    return result.demand, repr(result.rate), repr(result.witness)
+def _network_key(node_ids, arcs):
+    return tuple(node_ids), tuple(
+        (arc[0], arc[1], repr(float(arc[2])), describe(arc)) for arc in arcs
+    )
 
 
 def random_upper_inputs(rng):
@@ -311,38 +301,20 @@ class TestUpperStructure:
         shared = 0
         for _ in range(80):
             comps, perms, alphas = random_upper_inputs(rng)
-            want = _network_key(_reference_build_upper(comps, UpperParams(alphas, perms)))
+            want = _network_key(*_reference_build_upper(comps, alphas, perms))
             structure = UpperStructure(comps, perms)
-            assert _network_key(structure.network(alphas)) == want
-            assert _network_key(build_upper(comps, UpperParams(alphas, perms))) == want
+            assert _network_key(structure.node_ids, structure.arcs(alphas)) == want
             # One structure re-rated at another alpha is that alpha's build.
             other = {key: 1.0 - alpha for key, alpha in alphas.items()}
-            assert _network_key(structure.network(other)) == _network_key(
-                _reference_build_upper(comps, UpperParams(other, perms))
+            assert _network_key(structure.node_ids, structure.arcs(other)) == _network_key(
+                *_reference_build_upper(comps, other, perms)
             )
-            shared += sum(p.provenance.startswith("shared") for p in structure.network({}).pipes)
+            # build_upper is the structure at the defaults.
+            assert _network_key(*build_upper(comps)) == _network_key(
+                *_reference_build_upper(comps, {}, {})
+            )
+            shared += sum(describe(arc).startswith("shared") for arc in structure.arcs({}))
         assert shared > 20
-
-    def test_arc_forms_match_network_forms(self):
-        rng = random.Random(7)
-        for _ in range(60):
-            comps, perms, alphas = random_upper_inputs(rng)
-            structure = UpperStructure(comps, perms)
-            net = structure.network(alphas)
-            arcs = structure.arcs(alphas)
-            assert structure.node_ids == net.node_ids
-            assert [arc[:3] for arc in arcs] == [arc[:3] for arc in net.arcs]
-            names = [node.id for node in net.nodes if node.kind != AUXILIARY]
-            source, *sinks = rng.sample(names, min(4, len(names)))
-            for sink in sinks:
-                demand = unicast(source, sink)
-                assert _flow_key(max_flow(structure.node_ids, arcs, demand)) == (
-                    _flow_key(max_flow(net.node_ids, net.arcs, demand))
-                )
-            demand = Demand(kind="multicast", source=source, sinks=frozenset(sinks))
-            assert _flow_key(multicast_outer(structure.node_ids, arcs, demand)) == (
-                _flow_key(multicast_outer(net.node_ids, net.arcs, demand))
-            )
 
     def test_rejects_unknown_keys_bad_perms_and_collisions(self):
         comps = relay_components()
@@ -491,16 +463,16 @@ class TestInterferenceLedger:
 class TestBuildLower:
     def test_single_awgn_link(self):
         comps = decompose(awgn_network([("a", "b", 3.0)]))
-        net = build_lower(comps)
-        assert len(net.pipes) == 1
-        assert abs(net.pipes[0].rate - 1.0) < 1e-12
-        assert validate_bounding_network(net.node_ids, net.arcs, "lower") == []
+        node_ids, arcs = build_lower(comps)
+        assert len(arcs) == 1
+        assert abs(arcs[0][2] - 1.0) < 1e-12
+        assert validate_bounding_network(node_ids, arcs, "lower") == []
 
     def test_independent_bc_matches_superposition_model(self):
         comps = decompose(awgn_network([("S", "A", 1.0), ("S", "B", 4.0)]))
         params = LowerParams(bc_betas={("bc", "S"): (0.3, 0.7)})
-        net = build_lower(comps, params)
-        rates = pipe_map(net)
+        _, arcs = build_lower(comps, params)
+        rates = pipe_map(arcs)
         # Layer 1 is decoded by both receivers under layer 2's interference,
         # so the weaker one sets its rate; layer 2 reaches the strong one.
         assert len(rates) == 2
@@ -510,16 +482,15 @@ class TestBuildLower:
 
     def test_default_single_layer_hyper_arc(self):
         comps = decompose(awgn_network([("S", "A", 1.0), ("S", "B", 4.0)]))
-        net = build_lower(comps)
-        assert len(net.pipes) == 1
-        pipe = net.pipes[0]
-        assert set(pipe.heads) == {"A", "B"}
-        assert abs(pipe.rate - awgn_capacity(1.0)) < 1e-12
+        _, arcs = build_lower(comps)
+        [(_, heads, rate, _)] = arcs
+        assert set(heads) == {"A", "B"}
+        assert abs(rate - awgn_capacity(1.0)) < 1e-12
 
     def test_independent_mac_sic_corner(self):
         comps = decompose(awgn_network([("A", "C", 1.0), ("B", "C", 10.0)]))
-        net = build_lower(comps)
-        rates = pipe_map(net)
+        _, arcs = build_lower(comps)
+        rates = pipe_map(arcs)
         # Default decodes the strong input first against the weak one.
         assert abs(rates[("B", ("C",))] - awgn_capacity(10.0 / 2.0)) < 1e-12
         assert abs(rates[("A", ("C",))] - awgn_capacity(1.0)) < 1e-12
@@ -529,41 +500,39 @@ class TestBuildLower:
     def test_independent_mac_order_override(self):
         comps = decompose(awgn_network([("A", "C", 1.0), ("B", "C", 10.0)]))
         params = LowerParams(mac_order={("mac", "C"): ("A", "B")})
-        net = build_lower(comps, params)
-        rates = pipe_map(net)
+        _, arcs = build_lower(comps, params)
+        rates = pipe_map(arcs)
         assert abs(rates[("A", ("C",))] - awgn_capacity(1.0 / 11.0)) < 1e-12
         assert abs(rates[("B", ("C",))] - awgn_capacity(10.0)) < 1e-12
 
     def test_relay_off_is_exact_direct_capacity(self):
         comps = relay_components(gamma_sd=1.0, gamma_sr=0.5, gamma_rd=10.0)
         params = LowerParams(bc_betas={("bc", "S"): (0.0, 1.0)})
-        net = build_lower(comps, params)
-        rates = pipe_map(net)
+        node_ids, arcs = build_lower(comps, params)
+        rates = pipe_map(arcs)
         assert rates[("S", ("D",))] == 0.5
-        flow = max_flow(net.node_ids, net.arcs, unicast("S", "D"))
+        flow = max_flow(node_ids, arcs, unicast("S", "D"))
         assert flow.rate == 0.5
 
     def test_relay_beta_half_rates_and_flow(self):
         comps = relay_components()
         params = LowerParams(bc_betas={("bc", "S"): (0.5, 0.5)})
-        net = build_lower(comps, params)
-        rates = pipe_map(net)
+        node_ids, arcs = build_lower(comps, params)
+        rates = pipe_map(arcs)
         assert abs(rates[("S", ("D", "R"))] - awgn_capacity(1.0 / 3.0)) < 1e-12
         assert abs(rates[("S", ("R",))] - awgn_capacity(5.0)) < 1e-12
         assert abs(rates[("R", ("D",))] - awgn_capacity(5.0)) < 1e-12
-        results = hyper_inner(net.node_ids, net.arcs, (unicast("S", "D"),))
+        results = hyper_inner(node_ids, arcs, (unicast("S", "D"),))
         assert abs(results[0].rate - 1.5) < 1e-8
-        assert validate_bounding_network(net.node_ids, net.arcs, "lower") == []
+        assert validate_bounding_network(node_ids, arcs, "lower") == []
 
     def test_relay_sandwich_over_beta_grid(self):
         comps = relay_components()
-        upper = build_upper(comps)
-        outer = max_flow(upper.node_ids, upper.arcs, unicast("S", "D")).rate
+        outer = max_flow(*build_upper(comps), unicast("S", "D")).rate
         for k in range(9):
             beta2 = k / 8.0
             params = LowerParams(bc_betas={("bc", "S"): (1.0 - beta2, beta2)})
-            net = build_lower(comps, params)
-            inner = hyper_inner(net.node_ids, net.arcs, (unicast("S", "D"),))[0].rate
+            inner = hyper_inner(*build_lower(comps, params), (unicast("S", "D"),))[0].rate
             assert inner <= outer + 1e-9
 
     def test_xchannel_lower_rates(self):
@@ -577,21 +546,21 @@ class TestBuildLower:
                 ]
             )
         )
-        net = build_lower(comps)
-        rates = pipe_map(net)
+        node_ids, arcs = build_lower(comps)
+        rates = pipe_map(arcs)
         # Default order decodes T1 first everywhere: T1's common layer sees
         # T2 at full power, T2's sees only T1's zero residual.
         assert abs(rates[("T1", ("R1", "R2"))] - awgn_capacity(0.5)) < 1e-12
         assert abs(rates[("T2", ("R1", "R2"))] - awgn_capacity(1.0)) < 1e-12
-        assert validate_bounding_network(net.node_ids, net.arcs, "lower") == []
+        assert validate_bounding_network(node_ids, arcs, "lower") == []
 
     def test_hyper_arcs_only_from_bc_inputs(self):
         comps = relay_components()
         params = LowerParams(bc_betas={("bc", "S"): (0.5, 0.5)})
-        net = build_lower(comps, params)
-        for pipe in net.pipes:
-            if len(pipe.heads) > 1:
-                assert pipe.tail == "S"
+        _, arcs = build_lower(comps, params)
+        for tail, heads, _, _ in arcs:
+            if len(heads) > 1:
+                assert tail == "S"
 
     def test_determinism(self):
         params = LowerParams(bc_betas={("bc", "S"): (0.25, 0.75)})
@@ -613,11 +582,11 @@ class TestBuildLower:
 
         # The float form of the rating core takes its capacity from here.
         monkeypatch.setattr(assemble._OneSplit, "capacity", staticmethod(counting))
-        net = build_lower(comps, params)
+        _, arcs = build_lower(comps, params)
         layer_rates = 2 + 1  # layer 1 to {D, R}, layer 2 to {R}
         sic_rates = 1  # R at D; S at D is skipped
         assert len(calls) == layer_rates + sic_rates
-        assert len(net.pipes) == 3
+        assert len(arcs) == 3
 
 
 class TestLowerStructure:
@@ -639,15 +608,14 @@ class TestLowerStructure:
                 params = LowerParams(
                     bc_betas=betas, mac_order=mac_order, bc_decode_targets=targets
                 )
-                assert structure.network(betas) == build_lower(comps, params)
-                assert structure.arcs(betas) == LowerStructure(comps, params).arcs(
-                    params.bc_betas
+                assert (structure.node_ids, structure.arcs(betas)) == build_lower(
+                    comps, params
                 )
 
-    def test_network_pipes_are_the_arcs_in_order(self):
-        # network(b) is arcs(b) plus provenance: same (tail, heads, rate), in
-        # order, on every structure the searches rate, at random splits with
-        # some layers at zero power.
+    def test_searched_arcs_are_valid_and_described(self):
+        # Every structure the searches rate, at random splits with some layers
+        # at zero power, gives a valid lower network whose every arc has a
+        # provenance text.
         rng = np.random.default_rng(20261018)
         checked = 0
         for structure, layers in self.searched_structures():
@@ -660,10 +628,8 @@ class TestLowerStructure:
                         shares /= shares.sum()
                     betas[key] = tuple(shares.tolist())
                 arcs = structure.arcs(betas)
-                pipes = structure.network(betas).pipes
-                assert [(p.tail, p.heads, p.rate) for p in pipes] == [
-                    (tail, heads, rate) for tail, heads, rate, _ in arcs
-                ]
+                assert validate_bounding_network(structure.node_ids, arcs, "lower") == []
+                assert all(describe(arc) for arc in arcs)
                 checked += 1
         assert checked == 12 * 9  # 4 relay, 3 multicast and 2 bounds structures
 
@@ -716,12 +682,39 @@ class TestLowerStructure:
     def test_layer_count_is_fixed_by_the_structure(self):
         structure = LowerStructure(relay_components())
         with pytest.raises(ValueError, match="built with 2"):
-            structure.network({("bc", "S"): (1.0,)})
+            structure.arcs({("bc", "S"): (1.0,)})
 
     def test_evaluation_validates_betas(self):
         structure = LowerStructure(relay_components())
         for bad in ((0.5, 0.4), (1.5, -0.5)):
             with pytest.raises(ValueError):
-                structure.network({("bc", "S"): bad})
+                structure.arcs({("bc", "S"): bad})
         with pytest.raises(ValueError, match="matches no component"):
-            structure.network({("bc", "Q"): (1.0,)})
+            structure.arcs({("bc", "Q"): (1.0,)})
+
+
+class TestDescribe:
+    def test_every_label_form_renders_its_provenance(self):
+        upper = UpperStructure(relay_components()).arcs({("mac", "D"): 0.25})
+        assert [describe(arc) for arc in upper] == [
+            "bc S: sum over 2 receivers",
+            "mac D: sum (alpha=0.25)",
+            "bc S: receiver R (cumulative position 1)",
+            "shared: bc S: receiver D (cumulative position 2) / mac D: input S "
+            "(alpha=0.25), max",
+            "mac D: input R (alpha=0.25)",
+        ]
+        params = LowerParams(mac_order={("mac", "D"): ("S", "R")})
+        lower = LowerStructure(relay_components(), params).arcs({("bc", "S"): (0.5, 0.5)})
+        assert [describe(arc) for arc in lower] == [
+            "bc S: layer 1 beta=0.5 -> ['D', 'R'] (interference-adjusted at ['D'])",
+            "bc S: layer 2 beta=0.5 -> ['R']",
+            "mac D: input R sic (order ['S', 'R'])",
+        ]
+        net = NoisyNetwork(
+            nodes=(Node(id="a"), Node(id="b")),
+            links=(NoisyLink(src="a", dst="b", kind="bsc", eps=0.11),),
+        )
+        for build in (build_upper, build_lower):
+            _, [arc] = build(decompose(net))
+            assert describe(arc) == "p2p bsc a->b"

@@ -1,8 +1,8 @@
 """Tests for the broadcast bounding models.
 
-The upper model is checked through `bc_upper_cumulative` and the upper
-network of `build_upper`; the superposition lower model exists only inside
-`build_lower`, so its identities are checked on the lower network of an
+The upper model is checked through `bc_upper_cumulative` and the arcs of
+`UpperStructure`; the superposition lower model exists only inside
+`LowerStructure`, so its identities are checked on the lower arcs of an
 independent broadcast channel.
 """
 
@@ -11,7 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from netbounds.assemble import LowerParams, UpperParams, build_lower, build_upper
+from netbounds.assemble import LowerParams, UpperStructure, build_lower
 from netbounds.bc import BcSpec, bc_sum_gap, bc_upper_cumulative, simplex_grid
 from netbounds.decouple import decompose
 from netbounds.info import awgn_capacity
@@ -32,14 +32,16 @@ def broadcast(gammas, receivers=None):
 
 
 def upper_rates(components, perm=None):
-    params = UpperParams(bc_perm={("bc", "S"): perm}) if perm else None
-    return {(p.tail, p.heads): p.rate for p in build_upper(components, params).pipes}
+    bc_perm = {("bc", "S"): perm} if perm else None
+    arcs = UpperStructure(components, bc_perm).arcs({})
+    return {(tail, heads): rate for tail, heads, rate, _ in arcs}
 
 
 def layer_rates(components, betas=None):
     """Lower-network rate per receiver set of the layers that carry power."""
     params = LowerParams(bc_betas={("bc", "S"): betas}) if betas else None
-    return {p.heads: p.rate for p in build_lower(components, params).pipes}
+    _, arcs = build_lower(components, params)
+    return {heads: rate for _, heads, rate, _ in arcs}
 
 
 def test_upper_basic_variant1():

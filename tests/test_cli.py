@@ -16,7 +16,6 @@ from netbounds.cli import main, parse_grid
 from netbounds.decouple import decompose
 from netbounds.flows import unicast_inner
 from netbounds.info import db_to_linear
-from netbounds.netmodel import NoiselessNetwork
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -205,6 +204,37 @@ class TestBounds:
         outer = [float(v) for v in re.findall(r"^  outer (\S+)", out, flags=re.MULTILINE)]
         inner = [float(v) for v in re.findall(r"^  inner (\S+)", out, flags=re.MULTILINE)]
         assert len(outer) == len(inner) == 2
+        assert all(i <= o + 1e-9 for o, i in zip(outer, inner))
+
+    def test_rates_over_many_orders_of_magnitude_pass_the_witness_check(
+        self, tmp_path, capsys
+    ):
+        # At HiGHS's default feasibility tolerance (1e-7) a routing witness
+        # drew about 1e-9 from a pipe it did not use, past the 1e-9 witness
+        # check, and this file exited 3.
+        links = [
+            ("N0", "N1", 8.51405769897751),
+            ("N0", "N2", -46.03174702731056),
+            ("N1", "N2", 35.67234823605378),
+            ("N1", "N0", 46.276104501816036),
+        ]
+        doc = {
+            "nodes": ["N0", "N1", "N2"],
+            "links": [
+                {"from": u, "to": v, "kind": "awgn", "snr_db": snr_db} for u, v, snr_db in links
+            ],
+            "demands": [
+                {"kind": "multicast", "source": "N1", "sinks": ["N0", "N2"]},
+                {"kind": "multicast", "source": "N0", "sinks": ["N2", "N1"]},
+                {"kind": "multicast", "source": "N0", "sinks": ["N2", "N1"]},
+            ],
+        }
+        path = write_network(tmp_path / "wide.json", doc)
+        assert main(["bounds", path]) == 0, capsys.readouterr().err
+        out = capsys.readouterr().out
+        outer = [float(v) for v in re.findall(r"^  outer (\S+)", out, flags=re.MULTILINE)]
+        inner = [float(v) for v in re.findall(r"^  inner (\S+)", out, flags=re.MULTILINE)]
+        assert len(outer) == len(inner) == 3
         assert all(i <= o + 1e-9 for o, i in zip(outer, inner))
 
     def test_demand_on_a_node_without_links_is_an_input_error(self, tmp_path, capsys):
@@ -435,30 +465,6 @@ class TestEntryPoint:
         assert "internal error: solver went sideways" in capsys.readouterr().err
 
 
-def count_networks(monkeypatch):
-    """Record every NoiselessNetwork built from here on."""
-    built = []
-    post_init = NoiselessNetwork.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(NoiselessNetwork, "__post_init__", counting)
-    return built
-
-
-def refuse_networks(monkeypatch):
-    """Make building any NoiselessNetwork, or a lower structure's network,
-    raise from here on."""
-
-    def refused(*args, **kwargs):
-        raise AssertionError("a network was built")
-
-    monkeypatch.setattr(NoiselessNetwork, "__post_init__", refused)
-    monkeypatch.setattr(LowerStructure, "network", refused)
-
-
 def count_constructions(monkeypatch, structure=LowerStructure):
     """Record every ``structure`` built from here on."""
     built = []
@@ -496,27 +502,22 @@ class TestLowerStructuresPerSearch:
 
         monkeypatch.setattr(LowerStructure, "arcs", counting_arcs)
         monkeypatch.setattr(LowerStructure, "rate_batch", counting_batch)
-        built = count_networks(monkeypatch)
         components = decompose(cli.relay_network(1.0, db_to_linear(5.0), 10.0))
         assert cli.relay_eq_lower(components) > 0.0
         assert len(rated) == 160  # the search's candidate count at this point
-        assert built == []
 
     def test_bounds_builds_one_per_file(self, monkeypatch, capsys):
         built = count_constructions(monkeypatch)
         uppers = count_constructions(monkeypatch, UpperStructure)
-        networks = count_networks(monkeypatch)
         path = DATA / "lower_bounds_2x3xunicast-0.json"
         assert main(["bounds", str(path), "--beta-step", "0.25"]) == 0
         assert "11 outer (alpha sweep 0:1:0.1), 225 inner" in capsys.readouterr().out
         assert len(built) == 1
         assert len(uppers) == 1
-        assert networks == []
 
     def test_layered_blend_rates_one_structure_per_schedule(self, monkeypatch):
-        # The blend time-shares the schedules' arcs; no network is built.
+        # The blend time-shares the schedules' arcs.
         built = count_constructions(monkeypatch)
-        refuse_networks(monkeypatch)
         result = cli.layered_experiment(4, 1.0)
         assert len(built) == 4
         assert abs(result["inner_sym_flow"] - result["inner_sym_closed"]) < 1e-6
@@ -625,14 +626,12 @@ class TestOuterAndCertifiedFlowsPerSearch:
 
     def test_outer_searches_keep_their_structures(self, monkeypatch):
         structures = count_constructions(monkeypatch, UpperStructure)
-        networks = count_networks(monkeypatch)
         cli.relay_eq_upper(decompose(cli.relay_network(1.0, db_to_linear(5.0), 10.0)))
         assert len(structures) == 2  # one per receiver order of the broadcast side
         power = db_to_linear(13.0)
         net = cli.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
         cli.multicast_eq_upper(decompose(net), sorted(net.demands[0].sinks))
         assert len(structures) == 3
-        assert networks == []
 
 
 class TestMulticastCutPruning:
@@ -672,9 +671,6 @@ class TestMulticastCutPruning:
 
         monkeypatch.setattr(flows, "_solve_lp", counting_solve)
         monkeypatch.setattr(LowerStructure, "arcs", counting_arcs)
-        built = count_networks(monkeypatch)
         assert self.run_point(10, 13.0, -3.0) > 0.0
         assert 0 < len(solves) <= 2
         assert len(rated) == 56
-        # The candidates that reach the routing LP are routed as arcs too.
-        assert built == []

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -26,10 +27,7 @@ from netbounds.flows import (
     validate_hyper_result,
 )
 from netbounds.netmodel import (
-    AUXILIARY,
-    BitPipe,
     Demand,
-    NoiselessNetwork,
     NoisyLink,
     NoisyNetwork,
     Node,
@@ -39,19 +37,26 @@ from netbounds.netmodel import (
 INF = float("inf")
 
 
+class Network(NamedTuple):
+    """A noiseless network as the flow functions take it: its node ids and
+    its ``(tail, heads, rate, label)`` arcs."""
+
+    node_ids: tuple
+    arcs: tuple
+
+
 def pipes_network(edges, extra_nodes=()):
     """Build a noiseless network from (tail, head(s), rate) triples."""
     names = list(extra_nodes)
-    pipes = []
+    arcs = []
     for tail, heads, rate in edges:
         if isinstance(heads, str):
             heads = (heads,)
-        pipes.append(BitPipe(tail=tail, heads=tuple(heads), rate=rate))
+        arcs.append((tail, tuple(heads), float(rate), ""))
         for name in (tail, *heads):
             if name not in names:
                 names.append(name)
-    nodes = tuple(Node(id=name) for name in names)
-    return NoiselessNetwork(nodes=nodes, pipes=tuple(pipes))
+    return Network(tuple(names), tuple(arcs))
 
 
 def unicast(source, sink):
@@ -70,7 +75,7 @@ def brute_force_min_cut(net, source, sink):
         for chosen in itertools.combinations(others, r):
             side = {source, *chosen}
             cap = sum(
-                p.rate for p in net.pipes if p.tail in side and p.heads[0] not in side
+                rate for tail, heads, rate, _ in net.arcs if tail in side and heads[0] not in side
             )
             best = min(best, cap)
     return best
@@ -130,7 +135,7 @@ class TestMaxFlow:
         result = max_flow(net.node_ids, net.arcs, unicast("s", "t"))
         side = set(result.witness["cut"])
         cap = sum(
-            p.rate for p in net.pipes if p.tail in side and p.heads[0] not in side
+            rate for tail, heads, rate, _ in net.arcs if tail in side and heads[0] not in side
         )
         assert abs(cap - result.rate) < 1e-12
         assert "s" in side and "t" not in side
@@ -410,13 +415,13 @@ def routing_instances(draw):
     """A small network of pipes and hyper-arcs with 1-3 demands on it."""
     names = [f"v{k}" for k in range(draw(st.integers(2, 6)))]
     node = st.sampled_from(names)
-    pipes = draw(
+    arcs = draw(
         st.lists(
-            st.builds(
-                BitPipe,
-                tail=node,
-                heads=st.lists(node, min_size=1, max_size=3, unique=True).map(tuple),
-                rate=st.sampled_from((0.0, 0.25, 0.5, 1.0, 1.5, 3.0)),
+            st.tuples(
+                node,
+                st.lists(node, min_size=1, max_size=3, unique=True).map(tuple),
+                st.sampled_from((0.0, 0.25, 0.5, 1.0, 1.5, 3.0)),
+                st.just(""),
             ),
             max_size=12,
         )
@@ -430,8 +435,7 @@ def routing_instances(draw):
         if len(sinks) == 1:
             kind = draw(st.sampled_from(("unicast", "multicast")))
         demands.append(Demand(kind=kind, source=source, sinks=frozenset(sinks)))
-    nodes = tuple(Node(id=name) for name in names)
-    return NoiselessNetwork(nodes=nodes, pipes=tuple(pipes)), tuple(demands)
+    return Network(tuple(names), tuple(arcs)), tuple(demands)
 
 
 @given(routing_instances())
@@ -498,8 +502,7 @@ class TestUnicastInner:
 
     def test_rejects_a_pipe_without_heads(self):
         net = pipes_network([("s", ("a", "t"), 1.0), ("s", "t", 1.0)])
-        headless = BitPipe(tail="s", heads=(), rate=1.0)
-        net = NoiselessNetwork(nodes=net.nodes, pipes=(*net.pipes, headless))
+        net = Network(net.node_ids, (*net.arcs, ("s", (), 1.0, "")))
         with pytest.raises(ValueError, match="no head"):
             unicast_inner(net.node_ids, net.arcs, unicast("s", "t"))
 
@@ -511,29 +514,28 @@ class TestUnicastInner:
 
 
 def _split_node_reference(net, demand):
-    """unicast_inner written as a Node/BitPipe rewrite followed by max_flow."""
-    if not any(len(pipe.heads) > 1 for pipe in net.pipes):
+    """unicast_inner written as a rewrite of the network's arcs followed by
+    max_flow."""
+    if not any(len(heads) > 1 for _, heads, _, _ in net.arcs):
         result = max_flow(net.node_ids, net.arcs, demand)
         return result.rate, result.witness
-    nodes = list(net.nodes)
-    taken = set(net.node_ids)
-    pipes = []
+    nodes = list(net.node_ids)
+    arcs = []
     split_nodes = {}
-    for index, pipe in enumerate(net.pipes):
-        if len(pipe.heads) <= 1:
-            pipes.append(pipe)
+    for index, arc in enumerate(net.arcs):
+        tail, heads, rate, _ = arc
+        if len(heads) <= 1:
+            arcs.append(arc)
             continue
         split = f"hyperarc_{index}"
-        while split in taken:
+        while split in nodes:
             split = split + "_"
-        taken.add(split)
-        nodes.append(Node(id=split, kind=AUXILIARY))
+        nodes.append(split)
         split_nodes[split] = index
-        pipes.append(BitPipe(tail=pipe.tail, heads=(split,), rate=pipe.rate))
-        for head in pipe.heads:
-            pipes.append(BitPipe(tail=split, heads=(head,), rate=INF))
-    rewritten = NoiselessNetwork(nodes=tuple(nodes), pipes=tuple(pipes))
-    result = max_flow(rewritten.node_ids, rewritten.arcs, demand)
+        arcs.append((tail, (split,), rate, ""))
+        for head in heads:
+            arcs.append((split, (head,), INF, ""))
+    result = max_flow(nodes, arcs, demand)
     return result.rate, {**result.witness, "split_nodes": split_nodes}
 
 
@@ -583,12 +585,11 @@ class TestUnicastInnerMatchesSplitNodeRewrite:
             best = cli.relay_eq_lower(components)
         assert len(rated) > 100 and len(flowed) == 1
         assert flowed[0].rate == best
-        nets = [structure.network(bc_betas) for structure, bc_betas in rated]
-        assert any(len(net.pipes) > 2 for net in nets)
+        nets = [Network(structure.node_ids, structure.arcs(betas)) for structure, betas in rated]
+        assert any(len(net.arcs) > 2 for net in nets)
         references = []
-        for (structure, bc_betas), net in zip(rated, nets):
-            arcs = structure.arcs(bc_betas)
-            result = unicast_inner(structure.node_ids, arcs, flowed[0].demand)
+        for net in nets:
+            result = unicast_inner(net.node_ids, net.arcs, flowed[0].demand)
             references.append(_split_node_reference(net, flowed[0].demand))
             self.assert_result(result, *references[-1])
         assert any(rate == best for rate, _ in references)
@@ -705,7 +706,7 @@ def relay_lower(beta2):
         ),
     )
     params = LowerParams(bc_betas={("bc", "S"): (1.0 - beta2, beta2)})
-    return build_lower(decompose(noisy), params)
+    return Network(*build_lower(decompose(noisy), params))
 
 
 def fresh_solve(net, demands, objective="maxmin"):
@@ -754,15 +755,13 @@ def solved_lps(monkeypatch, run):
 
 def run_multicast_lower():
     net = cli.multicast_network(4, power=10.0, delta_power=5.0, q=8, xi=0.1)
-    lower = build_lower(decompose(net), LowerParams())
-    hyper_inner(lower.node_ids, lower.arcs, net.demands, "sum")
+    hyper_inner(*build_lower(decompose(net), LowerParams()), net.demands, "sum")
 
 
 def run_bounds_lower():
     net = parse_network(json.dumps(TWO_BY_THREE_DOC))
     betas = {("bc", "S1"): (0.5, 0.25, 0.25), ("bc", "S2"): (0.25, 0.0, 0.75)}
-    lower = build_lower(decompose(net), LowerParams(bc_betas=betas))
-    hyper_inner(lower.node_ids, lower.arcs, net.demands, "maxmin")
+    hyper_inner(*build_lower(decompose(net), LowerParams(bc_betas=betas)), net.demands, "maxmin")
 
 
 def run_layered_blend():
@@ -793,10 +792,8 @@ class TestDirectSolveMatchesMilp:
 class TestRoutingLpCache:
     def test_candidates_with_one_arc_structure_share_a_compiled_lp(self):
         first, second = relay_lower(0.5), relay_lower(0.3)
-        assert [(p.tail, p.heads) for p in first.pipes] == [
-            (p.tail, p.heads) for p in second.pipes
-        ]
-        assert [p.rate for p in first.pipes] != [p.rate for p in second.pipes]
+        assert [arc[:2] for arc in first.arcs] == [arc[:2] for arc in second.arcs]
+        assert [arc[2] for arc in first.arcs] != [arc[2] for arc in second.arcs]
         demands = (unicast("S", "D"),)
         flows._compiled_routing_lp.cache_clear()
         got_first = hyper_inner(first.node_ids, first.arcs, demands)

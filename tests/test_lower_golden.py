@@ -4,14 +4,15 @@ The inputs are the candidates that the searches rate: the relay search at
 three source-relay SNRs, the multicast search at one power, the full beta
 grid of `bounds` on two files under tests/data, and the decode-order runs of
 the layered experiment at 0 and 20 dB. Each is rebuilt with `build_lower` and
-hashed over its nodes, pipes, `repr` of every rate and every provenance. The
-digest in tests/data/lower_networks.json was recorded while `build_lower`
-still rebuilt every network from scratch for each beta, so it shows that
-building a structure once and re-rating it changes no network. Inputs are
-recorded where a search rates a candidate, `LowerStructure.arcs`, which
-`network` also goes through, so candidates that the searches never turn
-into networks are pinned too; a search that rates many splits at once goes
-through `LowerStructure.rate_batch`, where each of its splits is recorded.
+hashed over its nodes (each with the kind that network objects once carried:
+"auxiliary" for an id of no component, else "terminal"), its arcs, `repr` of
+every rate as a float and every arc's `describe` text. The digest in
+tests/data/lower_networks.json was recorded while `build_lower` still rebuilt
+every network from scratch for each beta and built pipe objects, so it shows
+that building a structure once and re-rating it, and keeping only arcs,
+changes no network. Inputs are recorded where a search rates a candidate,
+`LowerStructure.arcs`; a search that rates many splits at once goes through
+`LowerStructure.rate_batch`, where each of its splits is recorded.
 Re-record it (the failure message prints the new value) only when a change
 is meant to move a lower network.
 """
@@ -24,7 +25,7 @@ import json
 from pathlib import Path
 
 from netbounds import cli
-from netbounds.assemble import LowerStructure, build_lower
+from netbounds.assemble import LowerStructure, build_lower, describe
 from netbounds.decouple import decompose
 from netbounds.info import db_to_linear
 
@@ -59,9 +60,10 @@ def _layered():
 SECTIONS = {"relay": _relay, "multicast": _multicast, "bounds": _bounds, "layered": _layered}
 
 
-def _update(digest, net) -> None:
-    nodes = tuple((node.id, node.kind) for node in net.nodes)
-    pipes = tuple((p.tail, p.heads, repr(p.rate), p.provenance) for p in net.pipes)
+def _update(digest, components, node_ids, arcs) -> None:
+    terminals = {name for comp in components for name in (*comp.inputs, *comp.outputs)}
+    nodes = tuple((i, "terminal" if i in terminals else "auxiliary") for i in node_ids)
+    pipes = tuple((a[0], a[1], repr(float(a[2])), describe(a)) for a in arcs)
     digest.update(repr((nodes, pipes)).encode("utf-8"))
 
 
@@ -92,7 +94,7 @@ def test_lower_networks_match_recorded_digest(monkeypatch):
 
     digest = hashlib.sha256()
     for components, params in inputs:
-        _update(digest, build_lower(components, params))
+        _update(digest, components, *build_lower(components, params))
     want = json.loads((DATA / "lower_networks.json").read_text(encoding="utf-8"))
     assert counts == want["networks"]
     assert digest.hexdigest() == want["sha256"], digest.hexdigest()

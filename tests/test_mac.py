@@ -1,8 +1,8 @@
 """Tests for the multiple-access bounding models.
 
 The upper model is checked through `mac_upper`; the successive-cancellation
-lower model exists only inside `build_lower`, so its identities are checked on
-the lower network of an independent multiple-access channel.
+lower model exists only inside `LowerStructure`, so its identities are checked
+on the lower arcs of an independent multiple-access channel.
 """
 
 import math
@@ -43,7 +43,8 @@ def multiple_access(gammas):
 def sic_rates(components, order=None):
     """Lower-network rate per input of the successive-cancellation receiver."""
     params = LowerParams(mac_order={("mac", "X"): order}) if order else None
-    return {p.tail: p.rate for p in build_lower(components, params).pipes}
+    _, arcs = build_lower(components, params)
+    return {tail: rate for tail, _, rate, _ in arcs}
 
 
 def two_user_split(gamma1, gamma2):

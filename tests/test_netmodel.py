@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netbounds.netmodel import (
-    BitPipe,
     Demand,
     NetworkFormatError,
     Node,
-    NoiselessNetwork,
     NoisyLink,
     NoisyNetwork,
     parse_network,
@@ -178,32 +176,22 @@ def test_demand_invariants():
 
 
 def test_validate_upper_rejects_hyper_arc():
-    net = NoiselessNetwork(
-        nodes=(Node("A"), Node("B"), Node("C")),
-        pipes=(BitPipe("A", ("B", "C"), 1.0, provenance="test"),),
-    )
-    violations = validate_bounding_network(net.node_ids, net.arcs, "upper")
+    node_ids = ("A", "B", "C")
+    arcs = [("A", ("B", "C"), 1.0, "test")]
+    violations = validate_bounding_network(node_ids, arcs, "upper")
     assert len(violations) == 1
     assert "hyper" in violations[0]
-    assert validate_bounding_network(net.node_ids, net.arcs, "lower") == []
+    assert validate_bounding_network(node_ids, arcs, "lower") == []
 
 
 def test_validate_flags_negative_rate():
-    net = NoiselessNetwork(
-        nodes=(Node("A"), Node("B")),
-        pipes=(BitPipe("A", ("B",), -1.0, provenance="test"),),
-    )
-    violations = validate_bounding_network(net.node_ids, net.arcs, "lower")
+    violations = validate_bounding_network(("A", "B"), [("A", ("B",), -1.0, "test")], "lower")
     assert len(violations) == 1
     assert "rate" in violations[0]
 
 
 def test_validate_flags_missing_provenance_and_bad_nodes():
-    net = NoiselessNetwork(
-        nodes=(Node("A"),),
-        pipes=(BitPipe("A", ("B",), 1.0),),
-    )
-    violations = validate_bounding_network(net.node_ids, net.arcs, "lower")
+    violations = validate_bounding_network(("A",), [("A", ("B",), 1.0, "")], "lower")
     assert any("unknown head" in v for v in violations)
     assert any("provenance" in v for v in violations)
 
@@ -211,31 +199,49 @@ def test_validate_flags_missing_provenance_and_bad_nodes():
 def test_validate_accepts_lower_with_aux_nodes():
     # A source broadcast followed by a relay pipe, the shape produced by the
     # lower-bounding construction for a relay: one hyper-arc and two pipes.
-    net = NoiselessNetwork(
-        nodes=(Node("S"), Node("R"), Node("D"), Node("S_out", "auxiliary")),
-        pipes=(
-            BitPipe("S", ("S_out",), 1.5, provenance="source encoder"),
-            BitPipe("S_out", ("R", "D"), 1.2, provenance="common layer"),
-            BitPipe("R", ("D",), 1.7, provenance="relay forward"),
-        ),
-    )
-    assert validate_bounding_network(net.node_ids, net.arcs, "lower") == []
-
-
-def test_bit_pipe_accessors():
-    pipe = BitPipe("A", ("B",), 1.0, provenance="x")
-    assert pipe.heads == ("B",)
-    assert BitPipe("A", "B", 1).heads == ("B",)
-    hyper = BitPipe("A", ("B", "C"), 1.0, provenance="x")
-    assert hyper.heads == ("B", "C")
+    node_ids = ("S", "R", "D", "S_out")
+    arcs = [
+        ("S", ("S_out",), 1.5, "source encoder"),
+        ("S_out", ("R", "D"), 1.2, "common layer"),
+        ("R", ("D",), 1.7, "relay forward"),
+    ]
+    assert validate_bounding_network(node_ids, arcs, "lower") == []
 
 
 def test_infinite_rate_pipe_is_valid():
-    net = NoiselessNetwork(
-        nodes=(Node("A"), Node("B")),
-        pipes=(BitPipe("A", ("B",), float("inf"), provenance="uncapacitated"),),
-    )
-    assert validate_bounding_network(net.node_ids, net.arcs, "upper") == []
+    arcs = [("A", ("B",), float("inf"), "uncapacitated")]
+    assert validate_bounding_network(("A", "B"), arcs, "upper") == []
+
+
+@pytest.mark.parametrize(
+    "links, message",
+    [
+        (
+            [("A", "B", "bsc"), ("A", "C", "awgn"), ("A", "C", "qsc")],
+            r"links\[2\]: node 'A' already transmits on discrete link links\[0\]; "
+            "discrete broadcast",
+        ),
+        (
+            [("A", "C", "qsc"), ("B", "C", "awgn"), ("B", "C", "bsc")],
+            r"links\[2\]: node 'C' already receives on discrete link links\[0\]; "
+            "discrete superposition",
+        ),
+    ],
+    ids=["sending", "receiving"],
+)
+def test_parse_rejects_a_node_on_two_discrete_links_naming_both(links, message):
+    params = {"awgn": {"snr": 1}, "bsc": {"eps": 0.1}, "qsc": {"q": 3, "xi": 0.1}}
+    doc = {
+        "nodes": ["A", "B", "C"],
+        "links": [
+            {"from": src, "to": dst, "kind": kind, **params[kind]} for src, dst, kind in links
+        ],
+    }
+    with pytest.raises(NetworkFormatError, match=message):
+        parse_network(json.dumps(doc))
+    # One discrete link per sender and receiver, next to any AWGN links, is fine.
+    doc["links"].pop()
+    assert len(parse_network(json.dumps(doc)).links) == 2
 
 
 _IDS = st.lists(
@@ -251,13 +257,16 @@ def _networks(draw):
     ids = draw(_IDS)
     n_links = draw(st.integers(min_value=0, max_value=8))
     links = []
-    seen = set()
+    discrete_ends = set()  # ("tx", node) and ("rx", node) of discrete links
     for _ in range(n_links):
         src = draw(st.sampled_from(ids))
         dst = draw(st.sampled_from([i for i in ids if i != src]))
         kind = draw(st.sampled_from(["awgn", "qsc", "bsc"]))
-        key = (src, dst, kind, len(seen))
-        seen.add(key)
+        if kind != "awgn":
+            ends = {("tx", src), ("rx", dst)}
+            if ends & discrete_ends:
+                continue  # a second discrete link on a node, which NoisyNetwork refuses
+            discrete_ends |= ends
         if kind == "awgn":
             snr = draw(st.floats(min_value=0.0, max_value=1e3, exclude_min=True))
             links.append(NoisyLink(src, dst, "awgn", snr=snr))

@@ -4,17 +4,20 @@ The inputs are the upper networks that the outer searches rate: the relay
 search at three source-relay SNRs, the multicast search at one power with 10
 receivers, and the alpha sweep of `bounds` on two files under tests/data.
 While the searches run, each (structure, alpha) is recorded where it is
-rated, `UpperStructure.arcs` (which `build_upper` also goes through), with
-every `mac_upper` result behind it and what the search returns (for `bounds`,
-its stdout); each record is hashed as `UpperStructure.network(alpha)`. Each
-network's outer bounds are then computed on its arcs as its search takes
+rated, `UpperStructure.arcs`, with every `mac_upper` result behind it and
+what the search returns (for `bounds`, its stdout). Each record is re-rated
+and hashed over its nodes (each with the kind that network objects once
+carried: "auxiliary" for an id of no component, else "terminal"), its arcs,
+`repr` of every rate as a float and every arc's `describe` text. Each
+network's outer bounds are then computed on those arcs as its search takes
 them: `max_flow` for a unicast demand, `multicast_outer` for a multicast one,
 and for the multicast search, on the network's arcs plus the merged source's
 infinite feeds, `multicast_outer` and `max_flow` to each sink.
 They are hashed over rate, flows (keys, order, `repr` of values), cut, cut capacity and
 per-sink rates. The digest in tests/data/outer_results.json was recorded while
-`mac_upper` still computed with NumPy and the multicast search still took one
-`max_flow` per sink, so it shows that neither change moved an outer bound.
+`mac_upper` still computed with NumPy, the multicast search still took one
+`max_flow` per sink and upper networks were still pipe objects, so it shows
+that none of these changes moved an outer bound.
 Re-record it (the failure message prints the new value) only when a change is
 meant to move one.
 """
@@ -27,7 +30,7 @@ import math
 from pathlib import Path
 
 from netbounds import assemble, cli
-from netbounds.assemble import UpperStructure
+from netbounds.assemble import UpperStructure, describe
 from netbounds.decouple import decompose
 from netbounds.flows import max_flow, multicast_outer
 from netbounds.info import db_to_linear
@@ -101,10 +104,21 @@ SECTIONS = {
 }
 
 
-def _network_key(net):
-    nodes = tuple((node.id, node.kind) for node in net.nodes)
-    pipes = tuple((p.tail, p.heads, repr(p.rate), p.provenance) for p in net.pipes)
-    return repr((nodes, pipes))
+class _Upper:
+    """One recorded upper network: node ids and arcs with float rates, as
+    pipe objects held them."""
+
+    def __init__(self, structure, mac_alpha, terminals):
+        self.node_ids = structure.node_ids
+        self.arcs = [(t, h, float(r), label) for t, h, r, label in structure.arcs(mac_alpha)]
+        self.terminals = terminals
+
+    def key(self):
+        nodes = tuple(
+            (i, "terminal" if i in self.terminals else "auxiliary") for i in self.node_ids
+        )
+        pipes = tuple((a[0], a[1], repr(a[2]), describe(a)) for a in self.arcs)
+        return repr((nodes, pipes))
 
 
 def _mac_key(spec, alpha, result):
@@ -132,7 +146,12 @@ def _flow_key(result):
 def test_outer_results_match_recorded_digest(monkeypatch):
     uppers: list = []
     macs: list[str] = []
-    rate, mac_upper = UpperStructure.arcs, assemble.mac_upper
+    terminals: dict = {}  # the component nodes of each structure
+    init, rate, mac_upper = UpperStructure.__init__, UpperStructure.arcs, assemble.mac_upper
+
+    def recording_init(self, components, bc_perm=None):
+        init(self, components, bc_perm)
+        terminals[self] = {n for c in components for n in (*c.inputs, *c.outputs)}
 
     def recording_arcs(self, mac_alpha):
         uppers.append((self, dict(mac_alpha)))
@@ -143,6 +162,7 @@ def test_outer_results_match_recorded_digest(monkeypatch):
         macs.append(_mac_key(spec, alpha, result))
         return result
 
+    monkeypatch.setattr(UpperStructure, "__init__", recording_init)
     monkeypatch.setattr(UpperStructure, "arcs", recording_arcs)
     monkeypatch.setattr(assemble, "mac_upper", recording_mac)
     runs = {}
@@ -153,7 +173,9 @@ def test_outer_results_match_recorded_digest(monkeypatch):
     monkeypatch.undo()
     # Built after the hooks are gone, so no `mac_upper` call is counted twice.
     for _values, _outer, section_uppers, _macs in runs.values():
-        section_uppers[:] = [structure.network(alpha) for structure, alpha in section_uppers]
+        section_uppers[:] = [
+            _Upper(structure, alpha, terminals[structure]) for structure, alpha in section_uppers
+        ]
 
     digest = hashlib.sha256()
     counts = {}
@@ -163,7 +185,7 @@ def test_outer_results_match_recorded_digest(monkeypatch):
         for key in section_macs:
             digest.update(key.encode("utf-8"))
         for upper in section_uppers:
-            digest.update(_network_key(upper).encode("utf-8"))
+            digest.update(upper.key().encode("utf-8"))
             for result in outer(upper):
                 digest.update(_flow_key(result).encode("utf-8"))
     want = json.loads((DATA / "outer_results.json").read_text(encoding="utf-8"))
