@@ -8,8 +8,9 @@ pipe at the larger of the two required rates. The rates come from
 capacity from `link_capacity`. `UpperStructure` fixes what does not depend
 on the noise split alpha: nodes, auxiliary ids, each broadcast side's
 cumulative rates for its receiver order, point-to-point arcs and shared
-links. Its `arcs(mac_alpha)` rates the multi-access pipes (and the shared
-ones, at the larger rate) as ``(tail, heads, rate, label)`` tuples.
+links. Its `arcs(alpha)` rates the multi-access pipes (and the shared ones,
+at the larger rate) as ``(tail, heads, rate, label)`` tuples, with one noise
+split alpha common to every multi-access side.
 
 The lower network replaces every component by an achievable coding scheme:
 superposition layers on broadcast sides (hyper-arcs to the receivers that
@@ -169,7 +170,7 @@ class UpperStructure:
     the transmitter feeds it at the component sum rate and it feeds each
     receiver at its cumulative-group rate. Every multi-access component
     becomes pipes through "<rx>_in": each input feeds it at its per-input
-    rate and it feeds the receiver at the sum rate; `arcs(mac_alpha)` rates
+    rate and it feeds the receiver at the sum rate; `arcs(alpha)` rates
     these. A link on both sides becomes one auxiliary-to-auxiliary pipe at
     the larger of its two rates, which any lossless representation needs.
 
@@ -180,7 +181,7 @@ class UpperStructure:
 
     def __init__(self, components, bc_perm: dict | None = None):
         bc_perm = bc_perm or {}
-        bc_by_key, self._mac_keys = _component_maps(components)
+        bc_by_key, _ = _component_maps(components)
         _check_param_keys(bc_perm, bc_by_key, "bc_perm")
         nodes = list(_all_nodes(components))
 
@@ -210,11 +211,11 @@ class UpperStructure:
             for position, rx in enumerate(perm_ids):
                 label = f"bc {tx}: receiver {rx} (cumulative position {position + 1})"
                 bc_links[(tx, rx)] = (rv.individual[position], label)
-        self._macs: list[tuple[tuple, MacSpec]] = []
+        self._macs: list[MacSpec] = []
         mac_links: dict[tuple[str, str], tuple[int, int]] = {}
         for comp in [comp for comp in components if comp.kind == "mac"]:
             rx, index = comp.outputs[0], len(self._macs)
-            self._macs.append((comp.key, MacSpec(gammas=comp.gamma_list())))
+            self._macs.append(MacSpec(gammas=comp.gamma_list()))
             label = (f"mac {rx}: sum (alpha=", ")")
             self._slots.append((auxiliary(f"{rx}_in"), (rx,), None, (index, None), label))
             for position, tx in enumerate(_mac_inputs(comp)):
@@ -239,17 +240,14 @@ class UpperStructure:
                 self._slots.append((tail, heads, rate, None, label))
         self.node_ids = tuple(nodes)
 
-    def arcs(self, mac_alpha: dict) -> list[tuple]:
+    def arcs(self, alpha: float) -> list[tuple]:
         """One ``(tail, heads, rate, label)`` per pipe, in order, with one
-        `mac_upper` per MAC at its `mac_alpha` entry: by MAC component key
-        ("mac", receiver), the share of receiver noise backing the sum
-        constraint, 1 (full cooperation, unconstrained per-input pipes) where
-        missing. A label is the provenance text, or ``(text before, alpha,
-        text after)`` on a MAC-rated pipe. Raises ValueError on unknown keys.
+        `mac_upper` per MAC at `alpha`, the share of every MAC receiver's
+        noise backing its sum constraint (1 is full cooperation, with
+        unconstrained per-input pipes). A label is the provenance text, or
+        ``(text before, alpha, text after)`` on a MAC-rated pipe.
         """
-        _check_param_keys(mac_alpha, self._mac_keys, "mac_alpha")
-        alphas = [mac_alpha.get(key, 1.0) for key, _ in self._macs]
-        rated = [mac_upper(spec, a)[0] for (_, spec), a in zip(self._macs, alphas)]
+        rated = [mac_upper(spec, alpha)[0] for spec in self._macs]
         arcs: list[tuple] = []
         for tail, heads, fixed, mac, label in self._slots:
             if mac is None:
@@ -259,7 +257,7 @@ class UpperStructure:
             rate = rv.sum_rate if mac[1] is None else rv.individual[mac[1]]
             if fixed is not None:
                 rate = max(fixed, rate)
-            arcs.append((tail, heads, rate, (label[0], alphas[mac[0]], label[1])))
+            arcs.append((tail, heads, rate, (label[0], alpha, label[1])))
         return arcs
 
 
@@ -732,9 +730,9 @@ def describe(arc) -> str:
 
 def build_upper(components) -> tuple:
     """``(node_ids, arcs)`` of the upper network at the default receiver
-    orders and alphas. Raises ValueError as `UpperStructure` does."""
+    orders and alpha 1. Raises ValueError as `UpperStructure` does."""
     structure = UpperStructure(components)
-    return structure.node_ids, structure.arcs({})
+    return structure.node_ids, structure.arcs(1.0)
 
 
 def build_lower(components, params: LowerParams | None = None) -> tuple:

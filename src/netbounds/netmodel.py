@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 LINK_KINDS = ("awgn", "qsc", "bsc")
+# AWGN SNRs the models hold digits for (-150..150 dB): at 160 dB next to 0 dB
+# the SIC rating's running interference total cancels to -1 and divides by 0.
+_SNR_RANGE = (1e-15, 1e15)
 DEMAND_KINDS = ("unicast", "multicast")
 
 
@@ -48,7 +51,7 @@ class NoisyLink:
     """A directed noisy link.
 
     Exactly the parameters of the link's kind must be set: `snr` for awgn
-    (linear scale, positive and finite), `q` and `xi` for qsc (xi in [0, (q-1)/q]),
+    (linear scale, in [1e-15, 1e15]), `q` and `xi` for qsc (xi in [0, (q-1)/q]),
     `eps` for bsc.
     """
 
@@ -77,6 +80,12 @@ class NoisyLink:
             if not 0.0 < self.snr < math.inf:
                 raise NetworkFormatError(
                     f"{where}: snr must be positive and finite, got {self.snr}"
+                )
+            low, high = _SNR_RANGE
+            if not low <= self.snr <= high:
+                raise NetworkFormatError(
+                    f"{where}: snr must lie in [{low:g}, {high:g}] (-150..150 dB), "
+                    f"got {self.snr}"
                 )
         elif self.kind == "qsc":
             if int(self.q) != self.q or self.q < 2:

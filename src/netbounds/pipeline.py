@@ -94,7 +94,6 @@ def bound(net: NoisyNetwork, alphas, beta_step: float) -> BoundReport:
             raise ValueError(f"alpha sweep value {alpha:g} lies outside [0, 1]")
     steps = _beta_steps(beta_step)
     components = tuple(decompose(net))
-    mac_keys = [comp.key for comp in components if comp.kind == "mac"]
     bc_comps = [comp for comp in components if comp.kind == "bc"]
     # A grid of k-way splits has comb(steps + k - 1, k - 1) points.
     total = math.prod(
@@ -111,7 +110,7 @@ def bound(net: NoisyNetwork, alphas, beta_step: float) -> BoundReport:
     outer: dict[Demand, tuple[float, str]] = {}
     upper = UpperStructure(components)
     for alpha in alphas:
-        arcs = upper.arcs({key: min(alpha, 1.0) for key in mac_keys})
+        arcs = upper.arcs(min(alpha, 1.0))
         _require_valid(upper.node_ids, arcs, "upper")
         rates = {}
         for demand in demands:

@@ -17,17 +17,13 @@ import numpy as np
 import pytest
 
 from netbounds.bc import BcSpec, bc_sum_gap
-from netbounds.cli import (
-    layered_experiment,
-    main,
-    multicast_experiment,
-    relay_experiment,
-)
+from netbounds.cli import main
 from netbounds.decouple import (
     gauss_noise_partition,
     partition_objective,
     relay_noise_share,
 )
+from netbounds.experiments import layered_experiment, multicast_experiment, relay_experiment
 from netbounds.flows import hyper_inner, max_flow, validate_hyper_result
 from netbounds.info import awgn_capacity
 from netbounds.mac import MacSpec, mac_sum_gap, mac_upper, mu_bracket

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netbounds import assemble, cli
+from netbounds import assemble, experiments
 from netbounds.assemble import (
     LowerParams,
     LowerStructure,
@@ -60,11 +60,11 @@ def pipe_map(arcs):
     return {(tail, heads): rate for tail, heads, rate, _ in arcs}
 
 
-def upper_network(components, mac_alpha=None, bc_perm=None):
-    """``(node_ids, arcs)`` of the upper network at one choice of alphas and
-    receiver orders."""
+def upper_network(components, alpha=1.0, bc_perm=None):
+    """``(node_ids, arcs)`` of the upper network at one alpha and one choice
+    of receiver orders."""
     structure = UpperStructure(components, bc_perm)
-    return structure.node_ids, structure.arcs(mac_alpha or {})
+    return structure.node_ids, structure.arcs(alpha)
 
 
 def min_cut_p2p(node_ids, arcs, source, sink):
@@ -122,7 +122,7 @@ class TestBuildUpper:
 
     def test_relay_finite_alpha_matches_cut_enumeration(self):
         comps = relay_components()
-        node_ids, arcs = upper_network(comps, mac_alpha={("mac", "D"): 0.5})
+        node_ids, arcs = upper_network(comps, alpha=0.5)
         assert all(rate < float("inf") for _, _, rate, _ in arcs)
         flow = max_flow(node_ids, arcs, unicast("S", "D"))
         assert abs(flow.rate - min_cut_p2p(node_ids, arcs, "S", "D")) < 1e-9
@@ -147,7 +147,7 @@ class TestBuildUpper:
 
     def test_independent_mac_alpha_zero_per_input(self):
         comps = decompose(awgn_network([("A", "C", 1.0), ("B", "C", 10.0)]))
-        node_ids, arcs = upper_network(comps, mac_alpha={("mac", "C"): 0.0})
+        node_ids, arcs = upper_network(comps, alpha=0.0)
         rates = pipe_map(arcs)
         assert rates[("C_in", ("C",))] == float("inf")
         assert rates[("A", ("C_in",))] < float("inf")
@@ -181,11 +181,6 @@ class TestBuildUpper:
         _, arcs = build_upper(decompose(net))
         assert abs(arcs[0][2] - bsc_capacity(0.11)) < 1e-12
 
-    def test_unknown_mac_alpha_key_raises(self):
-        comps = relay_components()
-        with pytest.raises(ValueError):
-            upper_network(comps, mac_alpha={("mac", "Z"): 0.5})
-
     def test_bad_perm_raises(self):
         comps = relay_components()
         with pytest.raises(ValueError):
@@ -199,12 +194,11 @@ class TestBuildUpper:
             build_upper(comps)
 
 
-def _reference_build_upper(components, mac_alpha, bc_perm):
+def _reference_build_upper(components, alpha, bc_perm):
     """The upper network written as it was before UpperStructure: every step
     for one alpha, BC models and pipes rebuilt per call, each provenance
     written out as text."""
-    bc_by_key, mac_by_key = assemble._component_maps(components)
-    assemble._check_param_keys(mac_alpha, mac_by_key, "mac_alpha")
+    bc_by_key, _ = assemble._component_maps(components)
     assemble._check_param_keys(bc_perm, bc_by_key, "bc_perm")
     nodes = list(assemble._all_nodes(components))
     pipes = []
@@ -233,7 +227,6 @@ def _reference_build_upper(components, mac_alpha, bc_perm):
         if comp.kind != "mac":
             continue
         rx = comp.outputs[0]
-        alpha = mac_alpha.get(comp.key, 1.0)
         rv, _partition = mac_upper(MacSpec(gammas=comp.gamma_list()), alpha)
         aux = f"{rx}_in"
         if aux in nodes:
@@ -272,8 +265,8 @@ def _network_key(node_ids, arcs):
 
 def random_upper_inputs(rng):
     """A random decomposed network of 5 nodes (coupled groups share links),
-    with a random receiver order per BC and a random alpha per MAC (0, 1, a
-    uniform draw, or left at the default)."""
+    with a random receiver order per BC and a random alpha (0, 1 or a
+    uniform draw)."""
     names = ["n0", "n1", "n2", "n3", "n4"]
     pairs = [(u, v) for u in names for v in names if u != v]
     chosen = rng.sample(pairs, rng.randint(2, 9))
@@ -286,13 +279,11 @@ def random_upper_inputs(rng):
     comps = decompose(
         NoisyNetwork(nodes=tuple(Node(id=n) for n in names + ["b0"]), links=tuple(links))
     )
-    perms, alphas = {}, {}
+    perms = {}
     for comp in comps:
         if comp.kind == "bc" and rng.random() < 0.7:
             perms[comp.key] = tuple(rng.sample(comp.outputs, len(comp.outputs)))
-        if comp.kind == "mac" and rng.random() < 0.8:
-            alphas[comp.key] = rng.choice([0.0, 1.0, rng.random()])
-    return comps, perms, alphas
+    return comps, perms, rng.choice([0.0, 1.0, rng.random()])
 
 
 class TestUpperStructure:
@@ -300,26 +291,23 @@ class TestUpperStructure:
         rng = random.Random(20261018)
         shared = 0
         for _ in range(80):
-            comps, perms, alphas = random_upper_inputs(rng)
-            want = _network_key(*_reference_build_upper(comps, alphas, perms))
+            comps, perms, alpha = random_upper_inputs(rng)
+            want = _network_key(*_reference_build_upper(comps, alpha, perms))
             structure = UpperStructure(comps, perms)
-            assert _network_key(structure.node_ids, structure.arcs(alphas)) == want
+            assert _network_key(structure.node_ids, structure.arcs(alpha)) == want
             # One structure re-rated at another alpha is that alpha's build.
-            other = {key: 1.0 - alpha for key, alpha in alphas.items()}
-            assert _network_key(structure.node_ids, structure.arcs(other)) == _network_key(
-                *_reference_build_upper(comps, other, perms)
+            assert _network_key(structure.node_ids, structure.arcs(1.0 - alpha)) == _network_key(
+                *_reference_build_upper(comps, 1.0 - alpha, perms)
             )
             # build_upper is the structure at the defaults.
             assert _network_key(*build_upper(comps)) == _network_key(
-                *_reference_build_upper(comps, {}, {})
+                *_reference_build_upper(comps, 1.0, {})
             )
-            shared += sum(describe(arc).startswith("shared") for arc in structure.arcs({}))
+            shared += sum(describe(arc).startswith("shared") for arc in structure.arcs(1.0))
         assert shared > 20
 
     def test_rejects_unknown_keys_bad_perms_and_collisions(self):
         comps = relay_components()
-        with pytest.raises(ValueError, match="mac_alpha"):
-            UpperStructure(comps).arcs({("mac", "Z"): 0.5})
         with pytest.raises(ValueError, match="bc_perm"):
             UpperStructure(comps, {("bc", "Z"): ("R", "D")})
         with pytest.raises(ValueError, match="must order receivers"):
@@ -647,7 +635,7 @@ class TestLowerStructure:
                     ("bc", "S"): 2
                 }
         power = db_to_linear(13.0)
-        net = cli.multicast_network(4, power, power * db_to_linear(-3.0), 8, 0.1)
+        net = experiments.multicast_network(4, power, power * db_to_linear(-3.0), 8, 0.1)
         sinks = sorted(net.demands[0].sinks)
         two_layers = {("bc", "S1"): 2, ("bc", "S2"): 2}
         for split in range(1, len(sinks)):
@@ -695,7 +683,7 @@ class TestLowerStructure:
 
 class TestDescribe:
     def test_every_label_form_renders_its_provenance(self):
-        upper = UpperStructure(relay_components()).arcs({("mac", "D"): 0.25})
+        upper = UpperStructure(relay_components()).arcs(0.25)
         assert [describe(arc) for arc in upper] == [
             "bc S: sum over 2 receivers",
             "mac D: sum (alpha=0.25)",

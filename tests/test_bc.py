@@ -33,7 +33,7 @@ def broadcast(gammas, receivers=None):
 
 def upper_rates(components, perm=None):
     bc_perm = {("bc", "S"): perm} if perm else None
-    arcs = UpperStructure(components, bc_perm).arcs({})
+    arcs = UpperStructure(components, bc_perm).arcs(1.0)
     return {(tail, heads): rate for tail, heads, rate, _ in arcs}
 
 

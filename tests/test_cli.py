@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import ast
 import json
 import math
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netbounds import cli, flows, pipeline
+from netbounds import cli, experiments, flows, pipeline
 from netbounds.assemble import LowerStructure, UpperStructure
 from netbounds.cli import main, parse_grid
 from netbounds.decouple import decompose
@@ -484,7 +485,7 @@ class TestLowerStructuresPerSearch:
     # layer counts) where a timer cannot.
     def test_relay_point_builds_at_most_six(self, monkeypatch):
         built = count_constructions(monkeypatch)
-        cli.relay_experiment(0.0, 10.0, (5.0,))
+        experiments.relay_experiment(0.0, 10.0, (5.0,))
         assert 0 < len(built) <= 6
 
     def test_relay_point_rates_arcs_and_builds_no_network(self, monkeypatch):
@@ -502,8 +503,8 @@ class TestLowerStructuresPerSearch:
 
         monkeypatch.setattr(LowerStructure, "arcs", counting_arcs)
         monkeypatch.setattr(LowerStructure, "rate_batch", counting_batch)
-        components = decompose(cli.relay_network(1.0, db_to_linear(5.0), 10.0))
-        assert cli.relay_eq_lower(components) > 0.0
+        components = decompose(experiments.relay_network(1.0, db_to_linear(5.0), 10.0))
+        assert experiments.relay_eq_lower(components) > 0.0
         assert len(rated) == 160  # the search's candidate count at this point
 
     def test_bounds_builds_one_per_file(self, monkeypatch, capsys):
@@ -518,7 +519,7 @@ class TestLowerStructuresPerSearch:
     def test_layered_blend_rates_one_structure_per_schedule(self, monkeypatch):
         # The blend time-shares the schedules' arcs.
         built = count_constructions(monkeypatch)
-        result = cli.layered_experiment(4, 1.0)
+        result = experiments.layered_experiment(4, 1.0)
         assert len(built) == 4
         assert abs(result["inner_sym_flow"] - result["inner_sym_closed"]) < 1e-6
 
@@ -527,8 +528,8 @@ class TestLowerStructuresPerSearch:
         # at both private shares.
         built = count_constructions(monkeypatch)
         power = db_to_linear(13.0)
-        net = cli.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
-        cli.multicast_eq_lower(net, decompose(net))
+        net = experiments.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
+        experiments.multicast_eq_lower(net, decompose(net))
         assert len(built) == 29
 
 
@@ -539,13 +540,13 @@ def relay_structures(components, share):
     """Every structure the relay search rates, with its betas at ``share``."""
     single = {(("bc", "S"), 0): ("D",)}
     structures = [
-        (cli._relay_structure(components, 1, single, order), (1.0,))
+        (experiments._relay_structure(components, 1, single, order), (1.0,))
         for order in RELAY_ORDERS
     ]
     for family in ("strong", "direct"):
-        targets = cli._relay_targets(family)
+        targets = experiments._relay_targets(family)
         structures += [
-            (cli._relay_structure(components, 2, targets, order), (1 - share, share))
+            (experiments._relay_structure(components, 2, targets, order), (1 - share, share))
             for order in RELAY_ORDERS
         ]
     return structures
@@ -561,15 +562,15 @@ def relay_structures(components, share):
 )
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_relay_cut_rate_is_the_max_flow(gamma_sr_db, share):
-    components = decompose(cli.relay_network(1.0, db_to_linear(gamma_sr_db), 10.0))
-    demand = cli._relay_demand()
+    components = decompose(experiments.relay_network(1.0, db_to_linear(gamma_sr_db), 10.0))
+    demand = experiments._relay_demand()
     for structure, betas in relay_structures(components, share):
         arcs = structure.arcs({("bc", "S"): betas})
         flow = unicast_inner(structure.node_ids, arcs, demand).rate
-        (cut,) = cli._relay_cuts(structure.rate_batch({("bc", "S"): [betas]}))
+        (cut,) = experiments._relay_cuts(structure.rate_batch({("bc", "S"): [betas]}))
         others = [(1.0,)] if len(betas) == 1 else [(0.5, 0.5), (1.0, 0.0)]
         batch = structure.rate_batch({("bc", "S"): [*others, betas]})
-        assert cli._relay_cuts(batch)[-1] == cut  # whatever the batch holds besides
+        assert experiments._relay_cuts(batch)[-1] == cut  # whatever the batch holds besides
         if all(rate == 0.0 or rate > flows._EK_TOL for _, _, rate, _ in arcs):
             assert cut == flow
         else:
@@ -587,15 +588,15 @@ class TestOuterAndCertifiedFlowsPerSearch:
             flowed.append(demand)
             return flows.unicast_inner(node_ids, arcs, demand)
 
-        cut_rates, rated = cli._relay_cuts, []
+        cut_rates, rated = experiments._relay_cuts, []
 
         def recording(batch):
             rated.extend(cut_rates(batch))
             return rated[-len(batch.rates) :]
 
-        monkeypatch.setattr(cli, "unicast_inner", counting)
-        monkeypatch.setattr(cli, "_relay_cuts", recording)
-        rows = cli.relay_experiment(0.0, 10.0, (-10.0, 5.0, 20.0))
+        monkeypatch.setattr(experiments, "unicast_inner", counting)
+        monkeypatch.setattr(experiments, "_relay_cuts", recording)
+        rows = experiments.relay_experiment(0.0, 10.0, (-10.0, 5.0, 20.0))
         assert len(flowed) == len(rows)  # one min cut per point, for its winner
         # Each reported rate is, bit for bit, a cut rate its search computed.
         assert all(row["eq_lower"] > 0.0 and row["eq_lower"] in rated for row in rows)
@@ -608,17 +609,17 @@ class TestOuterAndCertifiedFlowsPerSearch:
 
         def tied(batch):
             batches.append(batch)
-            step = 0.5 * cli._IMPROVE_TOL / len(batch.rates)
+            step = 0.5 * experiments._IMPROVE_TOL / len(batch.rates)
             return [len(batches) + row * step for row in range(len(batch.rates))]
 
         def certify(node_ids, arcs, demand):
             certified.append(arcs)
             return flows.FlowResult(demand=demand, rate=float(len(batches)), witness={})
 
-        monkeypatch.setattr(cli, "_relay_cuts", tied)
-        monkeypatch.setattr(cli, "unicast_inner", certify)
-        components = decompose(cli.relay_network(1.0, db_to_linear(5.0), 10.0))
-        assert cli.relay_eq_lower(components) == len(batches)
+        monkeypatch.setattr(experiments, "_relay_cuts", tied)
+        monkeypatch.setattr(experiments, "unicast_inner", certify)
+        components = decompose(experiments.relay_network(1.0, db_to_linear(5.0), 10.0))
+        assert experiments.relay_eq_lower(components) == len(batches)
         last = batches[-1]
         assert len(last.rates) > 1
         assert last.arcs(0) != last.arcs(len(last.rates) - 1)
@@ -626,11 +627,11 @@ class TestOuterAndCertifiedFlowsPerSearch:
 
     def test_outer_searches_keep_their_structures(self, monkeypatch):
         structures = count_constructions(monkeypatch, UpperStructure)
-        cli.relay_eq_upper(decompose(cli.relay_network(1.0, db_to_linear(5.0), 10.0)))
+        experiments.relay_eq_upper(decompose(experiments.relay_network(1.0, db_to_linear(5.0), 10.0)))
         assert len(structures) == 2  # one per receiver order of the broadcast side
         power = db_to_linear(13.0)
-        net = cli.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
-        cli.multicast_eq_upper(decompose(net), sorted(net.demands[0].sinks))
+        net = experiments.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
+        experiments.multicast_eq_upper(decompose(net), sorted(net.demands[0].sinks))
         assert len(structures) == 3
 
 
@@ -638,10 +639,10 @@ class TestMulticastCutPruning:
     @staticmethod
     def run_point(receivers, p_db, delta_ratio_db):
         power = db_to_linear(p_db)
-        net = cli.multicast_network(
+        net = experiments.multicast_network(
             receivers, power, power * db_to_linear(delta_ratio_db), 8, 0.1
         )
-        return cli.multicast_eq_lower(net, decompose(net))
+        return experiments.multicast_eq_lower(net, decompose(net))
 
     def test_pruned_search_equals_exhaustive(self, monkeypatch):
         points = [
@@ -651,8 +652,15 @@ class TestMulticastCutPruning:
             for delta_ratio_db in (-10.0, -3.0)
         ]
         pruned = [self.run_point(*point) for point in points]
-        monkeypatch.setattr(cli, "sum_rate_cut", lambda arcs, demands: math.inf)
+        cuts = []
+
+        def no_cut(arcs, demands):
+            cuts.append(arcs)
+            return math.inf
+
+        monkeypatch.setattr(experiments, "sum_rate_cut", no_cut)
         exhaustive = [self.run_point(*point) for point in points]
+        assert cuts  # the search read its cuts through the patched name
         assert pruned == exhaustive
 
     def test_bench_point_solves_at_most_two_lps(self, monkeypatch):
@@ -674,3 +682,21 @@ class TestMulticastCutPruning:
         assert self.run_point(10, 13.0, -3.0) > 0.0
         assert 0 < len(solves) <= 2
         assert len(rated) == 56
+
+
+def test_cli_imports_no_model_or_flow_module():
+    # The CLI parses, calls the library and prints: the channel models, the
+    # flow layer and the relay benchmarks are reached through the library.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:  # relative to netbounds, where cli.py sits
+                base = "netbounds" + (f".{node.module}" if node.module else "")
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    forbidden = {f"netbounds.{name}" for name in ("flows", "mac", "bc", "benchmarks")}
+    assert imported.isdisjoint(forbidden), sorted(imported & forbidden)

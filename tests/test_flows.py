@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from netbounds import cli, flows
+from netbounds import cli, experiments, flows
 from netbounds.assemble import LowerParams, LowerStructure, build_lower
 from netbounds.bc import simplex_grid
 from netbounds.decouple import decompose
@@ -580,9 +580,9 @@ class TestUnicastInnerMatchesSplitNodeRewrite:
         with monkeypatch.context() as patch:
             patch.setattr(LowerStructure, "arcs", recording_arcs)
             patch.setattr(LowerStructure, "rate_batch", recording_batch)
-            patch.setattr(cli, "unicast_inner", recording_flow)
-            components = decompose(cli.relay_network(1.0, 10.0 ** 0.5, 10.0))
-            best = cli.relay_eq_lower(components)
+            patch.setattr(experiments, "unicast_inner", recording_flow)
+            components = decompose(experiments.relay_network(1.0, 10.0 ** 0.5, 10.0))
+            best = experiments.relay_eq_lower(components)
         assert len(rated) > 100 and len(flowed) == 1
         assert flowed[0].rate == best
         nets = [Network(structure.node_ids, structure.arcs(betas)) for structure, betas in rated]
@@ -754,7 +754,7 @@ def solved_lps(monkeypatch, run):
 
 
 def run_multicast_lower():
-    net = cli.multicast_network(4, power=10.0, delta_power=5.0, q=8, xi=0.1)
+    net = experiments.multicast_network(4, power=10.0, delta_power=5.0, q=8, xi=0.1)
     hyper_inner(*build_lower(decompose(net), LowerParams()), net.demands, "sum")
 
 
@@ -765,7 +765,7 @@ def run_bounds_lower():
 
 
 def run_layered_blend():
-    cli.layered_experiment(4, 1.0)
+    experiments.layered_experiment(4, 1.0)
 
 
 class TestDirectSolveMatchesMilp:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netbounds import cli
+from netbounds import experiments
 from netbounds.assemble import LowerParams, LowerStructure
 from netbounds.decouple import decompose
 from netbounds.info import db_to_linear
@@ -28,17 +28,17 @@ SHARES = st.one_of(
 
 
 def relay_components(gamma_sr_db):
-    return decompose(cli.relay_network(1.0, db_to_linear(gamma_sr_db), 10.0))
+    return decompose(experiments.relay_network(1.0, db_to_linear(gamma_sr_db), 10.0))
 
 
 def relay_structures(components):
     """The six structures the relay search rates, with their layer counts."""
     single = {(KEY, 0): ("D",)}
-    structures = [(cli._relay_structure(components, 1, single, o), 1) for o in RELAY_ORDERS]
+    structures = [(experiments._relay_structure(components, 1, single, o), 1) for o in RELAY_ORDERS]
     for family in ("strong", "direct"):
-        targets = cli._relay_targets(family)
+        targets = experiments._relay_targets(family)
         structures += [
-            (cli._relay_structure(components, 2, targets, o), 2) for o in RELAY_ORDERS
+            (experiments._relay_structure(components, 2, targets, o), 2) for o in RELAY_ORDERS
         ]
     return structures
 
@@ -46,7 +46,7 @@ def relay_structures(components):
 def multicast_structure(receivers=4, split=2):
     """A split structure of the multicast search, its decode orders aligned."""
     power = db_to_linear(13.0)
-    net = cli.multicast_network(receivers, power, power * db_to_linear(-3.0), 8, 0.1)
+    net = experiments.multicast_network(receivers, power, power * db_to_linear(-3.0), 8, 0.1)
     sinks = sorted(net.demands[0].sinks)
     key1, key2 = ("bc", "S1"), ("bc", "S2")
     targets = {

@@ -24,7 +24,7 @@ import io
 import json
 from pathlib import Path
 
-from netbounds import cli
+from netbounds import cli, experiments
 from netbounds.assemble import LowerStructure, build_lower, describe
 from netbounds.decouple import decompose
 from netbounds.info import db_to_linear
@@ -36,14 +36,14 @@ BOUNDS_FILES = ("lower_bounds_2x3xunicast-0.json", "lower_bounds_3x2xmulticast-1
 def _relay():
     gamma_sd, gamma_rd = db_to_linear(0.0), db_to_linear(10.0)
     for gamma_sr_db in (-10.0, 5.0, 20.0):
-        net = cli.relay_network(gamma_sd, db_to_linear(gamma_sr_db), gamma_rd)
-        cli.relay_eq_lower(decompose(net))
+        net = experiments.relay_network(gamma_sd, db_to_linear(gamma_sr_db), gamma_rd)
+        experiments.relay_eq_lower(decompose(net))
 
 
 def _multicast():
     power = db_to_linear(13.0)
-    net = cli.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
-    cli.multicast_eq_lower(net, decompose(net))
+    net = experiments.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
+    experiments.multicast_eq_lower(net, decompose(net))
 
 
 def _bounds():
@@ -54,7 +54,7 @@ def _bounds():
 
 def _layered():
     for gamma_db in (0.0, 20.0):
-        cli.layered_experiment(4, db_to_linear(gamma_db))
+        experiments.layered_experiment(4, db_to_linear(gamma_db))
 
 
 SECTIONS = {"relay": _relay, "multicast": _multicast, "bounds": _bounds, "layered": _layered}

@@ -116,7 +116,15 @@ def test_parse_rejects_awgn_snr_not_positive_and_finite():
             parse_network(awgn_doc(field, value))
     with pytest.raises(NetworkFormatError, match="link 'A'->'B': snr"):
         NoisyLink("A", "B", "awgn", snr=float("nan"))
-    assert parse_network(awgn_doc("snr", 1e-300)).links[0].snr == 1e-300
+    # The models hold digits only within -150..150 dB.
+    for field, value in (("snr", 1e-300), ("snr", 2e15), ("snr_db", -151), ("snr_db", 160)):
+        with pytest.raises(
+            NetworkFormatError,
+            match=r"links\[0\]: link 'A'->'B': snr must lie in \[1e-15, 1e\+15\] \(-150\.\.150 dB\)",
+        ):
+            parse_network(awgn_doc(field, value))
+    for field, value in (("snr", 1e-15), ("snr", 1e15), ("snr_db", -150), ("snr_db", 150)):
+        assert parse_network(awgn_doc(field, value)).links[0].snr > 0.0
 
 
 def test_parse_reports_json_position():
@@ -268,7 +276,7 @@ def _networks(draw):
                 continue  # a second discrete link on a node, which NoisyNetwork refuses
             discrete_ends |= ends
         if kind == "awgn":
-            snr = draw(st.floats(min_value=0.0, max_value=1e3, exclude_min=True))
+            snr = draw(st.floats(min_value=1e-15, max_value=1e3))
             links.append(NoisyLink(src, dst, "awgn", snr=snr))
         elif kind == "qsc":
             q = draw(st.integers(min_value=2, max_value=16))

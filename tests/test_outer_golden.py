@@ -29,7 +29,7 @@ import json
 import math
 from pathlib import Path
 
-from netbounds import assemble, cli
+from netbounds import assemble, cli, experiments
 from netbounds.assemble import UpperStructure, describe
 from netbounds.decouple import decompose
 from netbounds.flows import max_flow, multicast_outer
@@ -48,8 +48,8 @@ def _relay():
     """Returns (what the search returns, outer bounds of one upper network)."""
     gamma_sd, gamma_rd = db_to_linear(0.0), db_to_linear(10.0)
     values = [
-        cli.relay_eq_upper(
-            decompose(cli.relay_network(gamma_sd, db_to_linear(gamma_sr_db), gamma_rd))
+        experiments.relay_eq_upper(
+            decompose(experiments.relay_network(gamma_sd, db_to_linear(gamma_sr_db), gamma_rd))
         )
         for gamma_sr_db in (-10.0, 5.0, 20.0)
     ]
@@ -60,9 +60,9 @@ def _relay():
 
 def _multicast():
     power = db_to_linear(13.0)
-    net = cli.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
+    net = experiments.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
     sinks = sorted(net.demands[0].sinks)
-    value = cli.multicast_eq_upper(decompose(net), sinks)
+    value = experiments.multicast_eq_upper(decompose(net), sinks)
 
     def outer(upper):
         name = "JOINT_SRC"
@@ -108,9 +108,9 @@ class _Upper:
     """One recorded upper network: node ids and arcs with float rates, as
     pipe objects held them."""
 
-    def __init__(self, structure, mac_alpha, terminals):
+    def __init__(self, structure, alpha, terminals):
         self.node_ids = structure.node_ids
-        self.arcs = [(t, h, float(r), label) for t, h, r, label in structure.arcs(mac_alpha)]
+        self.arcs = [(t, h, float(r), label) for t, h, r, label in structure.arcs(alpha)]
         self.terminals = terminals
 
     def key(self):
@@ -153,9 +153,9 @@ def test_outer_results_match_recorded_digest(monkeypatch):
         init(self, components, bc_perm)
         terminals[self] = {n for c in components for n in (*c.inputs, *c.outputs)}
 
-    def recording_arcs(self, mac_alpha):
-        uppers.append((self, dict(mac_alpha)))
-        return rate(self, mac_alpha)
+    def recording_arcs(self, alpha):
+        uppers.append((self, alpha))
+        return rate(self, alpha)
 
     def recording_mac(spec, alpha):
         result = mac_upper(spec, alpha)

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from netbounds.cli import main, relay_experiment
+from netbounds.cli import main
+from netbounds.experiments import relay_experiment
 
 DATA = Path(__file__).resolve().parent / "data"
 
