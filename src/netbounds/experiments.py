@@ -31,6 +31,7 @@ from .assemble import LowerBatch, LowerParams, LowerStructure, UpperStructure
 from .benchmarks import RelaySpec, cf_bound, cutset_bound, df_bound
 from .decouple import decompose
 from .flows import (
+    _CUT_MARGIN,
     blend_inner,
     hyper_inner,
     max_flow,
@@ -48,10 +49,6 @@ ALPHA_GRID = tuple(k / 10 for k in range(11))
 
 # The least improvement by which a candidate replaces the incumbent.
 _IMPROVE_TOL = 1e-9
-
-# Margin of multicast_eq_lower's cut test: far above the slack (about 1e-8)
-# that validate_hyper_result's tolerances leave a solved total over its cut.
-_CUT_MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ capacity draw on a hyper-arc serves all of its heads for a given session;
 blend_inner solves the same program over run-weighted average rates of
 several arc lists with one arc structure. The routing LP of
 each arc structure is compiled once, from index arrays, as HiGHS's own model.
-hyper_inner_batch routes many arc lists (the beta sweep of `pipeline.bound`
-is one batch) in three phases: it compiles each distinct structure and holds
-it for the call, solves every run back to back, and only then reads and
-checks each run's witnesses; hyper_inner is its one-run case. Every solve
-hands its LP to one long-lived HiGHS instance through SciPy's bundled
-bindings, which discards the previous model and basis, so each solve is a
+hyper_inner_batch routes many arc lists (each round of `pipeline.bound`'s
+beta sweep is one batch) in three phases: it compiles each distinct
+structure and holds it for the call, solves every run back to back, and only
+then reads and checks each run's witnesses; hyper_inner is its one-run
+case. Every solve hands its LP to one long-lived HiGHS instance through
+SciPy's bundled bindings, which discards the previous model and basis, so each solve is a
 cold start and the order of the solves does not change any result. HiGHS
 solves to a primal feasibility tolerance of 1e-10, below the 1e-9 to which
 every reported flow is re-validated against conservation and capacity
@@ -25,15 +25,17 @@ Every function here reads a bounding network as its node ids and its arcs,
 Labels are never read, so a search or a sweep rates a candidate from its
 arcs alone.
 
-sum_rate_cut bounds the rate total of any routing without solving an LP:
-every session delivers its whole rate into each of its sinks, so the total
-cannot exceed the rate of the pipes entering a sink that all sessions share.
-A validated hyper_inner total exceeds that cut by at most the slack of
-validate_hyper_result's 1e-9 tolerances (about 1e-8 on the multicast
-search's networks). A search over candidate networks may therefore skip the
-LP of a candidate whose cut falls short of its incumbent by a margin far
-above that slack (the multicast search uses 1e-6): such a candidate could
-never have won.
+Two cuts bound a routing without solving an LP. sum_rate_cut bounds the
+rate total: every session delivers its whole rate into each of its sinks, so
+the total cannot exceed the rate of the pipes entering a sink that all
+sessions share. demand_cut bounds one session's rate by source-side cuts of
+the split-node rewrite that `unicast_inner` routes. A validated hyper_inner
+rate or total exceeds its cut by at most the slack of validate_hyper_result's
+1e-9 tolerances (about 1e-8 on the multicast search's networks). A search
+over candidate networks may therefore skip the LP of a candidate whose cut
+falls short of its incumbent by _CUT_MARGIN, far above that slack: such a
+candidate could neither beat nor tie the incumbent. The multicast search and
+`pipeline.bound`'s inner sweep both skip by it.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ __all__ = [
     "multicast_outer",
     "unicast_inner",
     "sum_rate_cut",
+    "demand_cut",
     "hyper_inner",
     "hyper_inner_batch",
     "blend_inner",
@@ -67,6 +70,10 @@ __all__ = [
 ]
 
 _EK_TOL = 1e-12
+
+# Margin of every LP skip by a cut: far above the slack (about 1e-8) that
+# validate_hyper_result's tolerances leave a solved rate over its cut.
+_CUT_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -647,6 +654,52 @@ def sum_rate_cut(arcs, demands: tuple[Demand, ...]) -> float:
             if head in inflow:
                 inflow[head] += rate
     return min(inflow.values(), default=math.inf)
+
+
+def demand_cut(arcs, demand: Demand) -> float:
+    """Upper bound on the rate of ``demand`` under any routing of ``arcs``.
+
+    ``arcs`` holds ``(tail, heads, rate, label)`` per pipe of the network.
+    For each sink it takes the least rate total of the pipes that leave a
+    source-side set, a hyper-arc counting once when any of its heads lies
+    outside. Each set holds the source and every node that is the tail of no
+    pipe, except the sink, and none, exactly one or all of the other
+    transmitting nodes (tails of some pipe). The bound is the least of these
+    totals over the sinks.
+
+    Each total is a cut of `unicast_inner`'s split-node rewrite, so by
+    max-flow/min-cut no routing beats it; other sessions only take capacity
+    away. The sets grow linearly with the transmitting nodes, and they are
+    every cut that matters when at most two transmitting nodes lie outside
+    the source and the sink: then the bound is that max flow.
+    """
+    transmitters = {tail for tail, _, _, _ in arcs}
+    source = demand.source
+    bound = math.inf
+    for sink in demand.sinks:
+        others = transmitters - {source, sink}
+        # Only the sink and the other transmitters can lie outside a set.
+        exits = others | {sink}
+        # One pass over the pipes totals every set's cut: with none of the
+        # others inside, with each one alone, and with all of them (then
+        # every tail but the sink is inside, and only the sink outside).
+        none = every = 0.0
+        single = dict.fromkeys(others, 0.0)
+        for tail, heads, rate, _ in arcs:
+            leaving = exits.intersection(heads)
+            if tail == sink or not leaving:
+                continue
+            if sink in leaving:
+                every += rate
+            if tail == source:
+                none += rate
+                for node in single:
+                    if leaving != {node}:
+                        single[node] += rate
+            elif leaving != {tail}:
+                single[tail] += rate
+        bound = min(bound, none, every, *single.values())
+    return bound
 
 
 def hyper_inner(

@@ -4,13 +4,19 @@
 lower structure (hyper-arcs), and rates every run of two sweeps on their arcs,
 each validated first: the outer sweep over the multi-access noise split alpha
 (`max_flow` per unicast demand, `multicast_outer` per multicast one), and the
-inner sweep over every combination of broadcast power splits, routed as one
-`hyper_inner_batch`. A network whose one demand is unicast takes an exact
-`unicast_inner` max flow per inner run instead, with its min-cut certificate.
+inner sweep over every combination of broadcast power splits. A network whose
+one demand is unicast takes an exact `unicast_inner` max flow per inner run,
+with its min-cut certificate. Otherwise `flows.demand_cut` bounds each
+demand's rate on each inner run without an LP, and the runs are routed best
+first, in rounds of one `hyper_inner_batch` each: a run is routed only while
+its cut, plus `flows._CUT_MARGIN`, could still beat or tie some demand's best
+routed rate.
 
 Every run gives a valid bound, so per demand the sweep keeps the least outer
-and the largest inner rate as it goes, with its run's label; only a strict
-improvement replaces the incumbent, so the earliest run wins ties.
+and the largest inner rate, with its run's label, over the runs in sweep
+order; only a strict improvement replaces the incumbent, so the earliest run
+wins ties. A run left unrouted could neither beat nor tie, so each inner
+(rate, label) is the one that routing every run would give.
 """
 
 from __future__ import annotations
@@ -23,7 +29,14 @@ from dataclasses import dataclass
 from .assemble import LowerStructure, UpperStructure
 from .bc import simplex_grid
 from .decouple import DecoupledComponent, decompose
-from .flows import hyper_inner_batch, max_flow, multicast_outer, unicast_inner
+from .flows import (
+    _CUT_MARGIN,
+    demand_cut,
+    hyper_inner_batch,
+    max_flow,
+    multicast_outer,
+    unicast_inner,
+)
 from .netmodel import Demand, NoisyNetwork, validate_bounding_network
 
 __all__ = ["BoundReport", "bound"]
@@ -77,6 +90,46 @@ def _keep(best, rates, label: str, better) -> None:
             best[demand] = (rate, label)
 
 
+def _route_best_first(node_ids, arc_lists, demands) -> list[tuple[int, dict]]:
+    """(run index, rate per demand) of every run routed, in sweep order.
+
+    Each run's `demand_cut` bounds each demand's rate on it. Each demand
+    ranks the runs once, by descending cut and then by index. Every round
+    takes, for each open demand, its first run not yet routed, and routes
+    the round's runs as one `hyper_inner_batch`. A demand closes once that
+    run's cut plus _CUT_MARGIN is at most its best routed rate: no later
+    run of its ranking can beat or tie that rate. A run is routed when some
+    demand takes it, so the runs left out can set no demand's inner bound.
+    """
+    cuts = [{demand: demand_cut(arcs, demand) for demand in demands} for arcs in arc_lists]
+    # Each ranking is stored reversed, so that its next run is its last entry.
+    ranks = {
+        demand: sorted(
+            range(len(arc_lists)), key=lambda run: (-cuts[run][demand], run), reverse=True
+        )
+        for demand in demands
+    }
+    best = dict.fromkeys(ranks, -math.inf)
+    routed: dict[int, dict] = {}
+    while ranks:
+        picks = []
+        for demand, rank in list(ranks.items()):
+            while rank and rank[-1] in routed:
+                rank.pop()
+            if not rank or cuts[rank[-1]][demand] + _CUT_MARGIN <= best[demand]:
+                del ranks[demand]
+            elif rank[-1] not in picks:
+                picks.append(rank[-1])
+        batch = hyper_inner_batch(node_ids, [arc_lists[run] for run in picks], demands, "maxmin")
+        for run, results in zip(picks, batch):
+            rates = routed[run] = {result.demand: result.rate for result in results}
+            for demand, rate in rates.items():
+                cut = cuts[run][demand]
+                assert rate <= cut + _CUT_MARGIN, f"run {run}: rate {rate} exceeds its cut {cut}"
+                best[demand] = max(best[demand], rate)
+    return sorted(routed.items())
+
+
 def bound(net: NoisyNetwork, alphas, beta_step: float) -> BoundReport:
     """Outer and inner rate bounds of every demand of ``net``.
 
@@ -118,8 +171,6 @@ def bound(net: NoisyNetwork, alphas, beta_step: float) -> BoundReport:
             rates[demand] = flow(upper.node_ids, arcs, demand).rate
         _keep(outer, rates, f"upper alpha={alpha:g}", operator.lt)
 
-    # The batch reads (so rates and validates) every run's arcs before it
-    # solves any.
     lower = LowerStructure(components)
     combos = list(itertools.product(*grids))
 
@@ -130,17 +181,15 @@ def bound(net: NoisyNetwork, alphas, beta_step: float) -> BoundReport:
             yield arcs
 
     if len(demands) == 1 and demands[0].kind == "unicast":
-        runs = (
+        runs = enumerate(
             {demands[0]: unicast_inner(lower.node_ids, arcs, demands[0]).rate}
             for arcs in lower_arcs()
         )
     else:
-        runs = (
-            {result.demand: result.rate for result in results}
-            for results in hyper_inner_batch(lower.node_ids, lower_arcs(), demands, "maxmin")
-        )
+        runs = _route_best_first(lower.node_ids, list(lower_arcs()), demands)
     inner: dict[Demand, tuple[float, str]] = {}
-    for combo, rates in zip(combos, runs):
+    for index, rates in runs:
+        combo = combos[index]
         label = " ".join(
             f"{comp.key[1]}=" + "/".join(f"{beta:g}" for beta in betas)
             for comp, betas in zip(bc_comps, combo)

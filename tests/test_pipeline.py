@@ -1,16 +1,23 @@
 """Tests for the bounding pipeline, `pipeline.bound`, called directly."""
 
 import csv
+import functools
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from netbounds import pipeline
+from netbounds import flows, pipeline
+from netbounds.assemble import LowerStructure
+from netbounds.bc import simplex_grid
 from netbounds.cli import parse_grid
-from netbounds.flows import FlowResult
-from netbounds.netmodel import parse_network
+from netbounds.decouple import decompose
+from netbounds.flows import FlowResult, demand_cut, hyper_inner_batch, unicast_inner
+from netbounds.netmodel import Demand, parse_network
 from netbounds.pipeline import bound
+from test_bounds_fuzz import random_document
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -136,3 +143,140 @@ def test_reports_sandwich_violations_ordered_by_source(monkeypatch):
 def test_rejects_bad_sweeps(alphas, beta_step, message):
     with pytest.raises(ValueError, match=message):
         bound(broadcast(), alphas, beta_step)
+
+
+# Seed of the generated networks below; the same generator as the bounds fuzz.
+SWEEP_SEED = 20261020
+
+
+@functools.cache
+def swept_networks() -> tuple:
+    """(name, network) of both lower_bounds_* files and 2 x 20 generated
+    networks of 2-3 demands that `bound` accepts, SNRs drawn over spans of 30
+    and 100 dB."""
+    nets = [
+        (path.stem, parse_network(path.read_text(encoding="utf-8")))
+        for path in sorted(DATA.glob("lower_bounds_*.json"))
+    ]
+    rng = random.Random(SWEEP_SEED)
+    for span_db in (30.0, 100.0):
+        kept = 0
+        while kept < 20:
+            doc = random_document(rng, span_db)
+            if len(doc["demands"]) < 2:
+                continue
+            try:
+                net = parse_network(json.dumps(doc))
+                decompose(net)
+            except ValueError:
+                continue
+            nets.append((f"{span_db:g}dB-{kept}", net))
+            kept += 1
+    return tuple(nets)
+
+
+def sweep_runs(net, beta_step):
+    """(node ids, (label, arcs) per beta run in sweep order) of `bound`'s
+    inner sweep."""
+    components = decompose(net)
+    sides = [comp for comp in components if comp.kind == "bc"]
+    lower = LowerStructure(components)
+    grids = [simplex_grid(len(comp.links), round(1 / beta_step)) for comp in sides]
+    runs = []
+    for combo in itertools.product(*grids):
+        label = " ".join(
+            f"{comp.key[1]}=" + "/".join(f"{beta:g}" for beta in betas)
+            for comp, betas in zip(sides, combo)
+        )
+        betas = {comp.key: betas for comp, betas in zip(sides, combo)}
+        runs.append((f"lower {label or 'default'}", lower.arcs(betas)))
+    return lower.node_ids, runs
+
+
+def counted_solves(monkeypatch) -> list:
+    """A list that grows by one entry per routing LP solved from now on."""
+    solves = []
+    solve = flows._solve_lp
+
+    def counting(lp, upper):
+        solves.append(1)
+        return solve(lp, upper)
+
+    monkeypatch.setattr(flows, "_solve_lp", counting)
+    return solves
+
+
+@pytest.mark.parametrize("beta_step", [0.5, 0.25])
+def test_pruned_sweep_equals_exhaustive_sweep(beta_step, monkeypatch):
+    # The reference routes every run and keeps strict improvements in sweep
+    # order, so the earliest of tied runs wins. A demand listed twice keeps
+    # the rate of its last session, as `bound` does.
+    solves = counted_solves(monkeypatch)
+    routed = swept = 0
+    for name, net in swept_networks():
+        node_ids, runs = sweep_runs(net, beta_step)
+        batch = hyper_inner_batch(node_ids, [arcs for _, arcs in runs], net.demands)
+        want = {}
+        for (label, _), results in zip(runs, batch):
+            rates = {result.demand: result.rate for result in results}
+            for demand, rate in rates.items():
+                if demand not in want or rate > want[demand][0]:
+                    want[demand] = (rate, label)
+        before = len(solves)
+        report = bound(net, (0.5,), beta_step)
+        assert report.inner == want, name
+        assert report.inner_runs == len(runs)
+        routed += len(solves) - before
+        swept += len(runs)
+    assert routed < swept, (routed, swept)
+
+
+def test_demand_cut_bounds_every_routing():
+    checked = exact = 0
+    for name, net in swept_networks():
+        node_ids, runs = sweep_runs(net, 0.25)
+        for _, arcs in runs:
+            transmitters = {tail for tail, _, _, _ in arcs}
+            for demand in net.demands:
+                rate = min(
+                    unicast_inner(node_ids, arcs, Demand("unicast", demand.source, {sink})).rate
+                    for sink in demand.sinks
+                )
+                cut = demand_cut(arcs, demand)
+                # The max flow sums its augmenting paths in another order
+                # than the cut sums its arcs, so the two may differ in the
+                # last bit.
+                assert cut >= rate - 1e-12 * max(1.0, rate), (name, demand, cut, rate)
+                checked += 1
+                if all(len(transmitters - {demand.source, sink}) <= 2 for sink in demand.sinks):
+                    assert abs(cut - rate) <= 1e-9 * max(1.0, rate), (name, demand, cut, rate)
+                    exact += 1
+    assert exact > checked // 2, (exact, checked)
+
+
+def test_demand_cut_holds_where_its_sets_miss_the_min_cut():
+    # s -> a -> b -> c -> t: the least cut leaves {s, a, b} on the source
+    # side, which holds two of the three other transmitters, so the bound
+    # stays above the max flow.
+    arcs = [
+        ("s", ("a",), 5.0, None),
+        ("a", ("b", "x"), 5.0, None),
+        ("b", ("c",), 1.0, None),
+        ("c", ("t",), 5.0, None),
+    ]
+    node_ids = ("s", "a", "b", "c", "t", "x")
+    demand = Demand("unicast", "s", frozenset({"t"}))
+    assert unicast_inner(node_ids, arcs, demand).rate == 1.0
+    assert demand_cut(arcs, demand) == 5.0
+
+
+@pytest.mark.parametrize(
+    "name, solves", [("2x3xunicast-0", 19), ("3x2xmulticast-1", 25)]
+)
+def test_bound_routes_only_runs_that_can_set_a_bound(name, solves, monkeypatch):
+    # The full sweeps have 225 and 125 runs.
+    net = parse_network((DATA / f"lower_bounds_{name}.json").read_text(encoding="utf-8"))
+    calls = counted_solves(monkeypatch)
+    report = bound(net, parse_grid("0:1:0.1"), 0.25)
+    assert len(calls) == solves
+    assert report.inner_runs > len(calls)
