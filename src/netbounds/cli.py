@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import shlex
 import sys
@@ -310,6 +311,7 @@ def cmd_repro_multicast(args) -> int:
 # parser and entry point
 
 
+@functools.cache  # built at the first call, then shared: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netbounds",

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .assemble import LowerBatch, LowerParams, LowerStructure, UpperStructure
+from .assemble import LowerParams, LowerStructure, UpperStructure
 from .benchmarks import RelaySpec, cf_bound, cutset_bound, df_bound
 from .decouple import decompose
 from .flows import (
     _CUT_MARGIN,
     blend_inner,
+    demand_cut,
     hyper_inner,
     max_flow,
     multicast_outer,
@@ -66,9 +65,6 @@ def relay_network(gamma_sd: float, gamma_sr: float, gamma_rd: float) -> NoisyNet
         ),
         demands=(_relay_demand(),),
     )
-
-
-_RELAY_SOURCE_SETS = (frozenset({"S"}), frozenset({"S", "R"}))
 
 
 def _relay_demand() -> Demand:
@@ -107,23 +103,6 @@ def _relay_targets(family: str):
     return {(("bc", "S"), 0): ("D", "R"), (("bc", "S"), 1): ("D",)}
 
 
-def _relay_cuts(batch: LowerBatch) -> list[float]:
-    """Per split of `batch`, the least total, over the relay's source-side
-    sets {S} and {S, R}, of the rates of the arc slots leaving the set, summed
-    in arc order; a hyper-arc counts once if any head is outside. Slots that
-    `arcs` leaves out add 0.0, so each total is the one over that split's
-    arcs, bit for bit. By max-flow/min-cut on the split-node rewrite, this is
-    `unicast_inner`'s rate on those arcs."""
-    totals = []
-    for side in _RELAY_SOURCE_SETS:
-        total = np.zeros(len(batch.rates))
-        for s, (tail, heads) in enumerate(batch.slots):
-            if tail in side and not side.issuperset(heads):
-                total = total + batch.rates[:, s]
-        totals.append(total)
-    return np.minimum.reduce(totals).tolist()
-
-
 def relay_eq_lower(components) -> float:
     """Best achievable rate over superposition splits and decode orders.
 
@@ -134,7 +113,7 @@ def relay_eq_lower(components) -> float:
     structure is built once, and the splits of each grid or zoom step, known
     before any is rated, are rated as one `LowerStructure.rate_batch`.
 
-    Candidates are rated by `_relay_cuts` and scanned in order. The reported
+    Candidates are rated by `demand_cut` and scanned in order. The reported
     rate is the winner's certified `unicast_inner` max flow, one per search,
     on the winner's arcs as its batch holds them. It equals the winner's cut
     rate bit for bit unless an arc is thinner than the max flow's residual
@@ -148,7 +127,7 @@ def relay_eq_lower(components) -> float:
         """The splits' cut rates, in order; a strict improvement becomes the winner."""
         nonlocal best, winner
         batch = structure.rate_batch({("bc", "S"): splits})
-        rates = _relay_cuts(batch)
+        rates = demand_cut(batch.slots, batch.rates, demand).tolist()
         for row, rate in enumerate(rates):
             if rate > best + _IMPROVE_TOL:
                 best, winner = rate, (structure.node_ids, batch, row)

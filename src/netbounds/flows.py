@@ -656,16 +656,18 @@ def sum_rate_cut(arcs, demands: tuple[Demand, ...]) -> float:
     return min(inflow.values(), default=math.inf)
 
 
-def demand_cut(arcs, demand: Demand) -> float:
-    """Upper bound on the rate of ``demand`` under any routing of ``arcs``.
+def demand_cut(slots, rates, demand: Demand) -> np.ndarray:
+    """Upper bound on the rate of ``demand`` under any routing, per row of
+    ``rates``: one network's rate per pipe ``(tail, heads)`` of ``slots``, as
+    in `assemble.LowerBatch`.
 
-    ``arcs`` holds ``(tail, heads, rate, label)`` per pipe of the network.
     For each sink it takes the least rate total of the pipes that leave a
     source-side set, a hyper-arc counting once when any of its heads lies
     outside. Each set holds the source and every node that is the tail of no
-    pipe, except the sink, and none, exactly one or all of the other
-    transmitting nodes (tails of some pipe). The bound is the least of these
-    totals over the sinks.
+    slot, except the sink, and none, exactly one or all of the other
+    transmitting nodes (tails of some slot). The bound is the least of these
+    totals over the sinks. Each total sums rate columns from 0, left to
+    right, so a pipe of rate 0 changes no bit of it.
 
     Each total is a cut of `unicast_inner`'s split-node rewrite, so by
     max-flow/min-cut no routing beats it; other sessions only take capacity
@@ -673,33 +675,34 @@ def demand_cut(arcs, demand: Demand) -> float:
     every cut that matters when at most two transmitting nodes lie outside
     the source and the sink: then the bound is that max flow.
     """
-    transmitters = {tail for tail, _, _, _ in arcs}
+    zero = np.zeros(len(rates))
+    transmitters = {tail for tail, _ in slots}
     source = demand.source
-    bound = math.inf
+    totals = []
     for sink in demand.sinks:
         others = transmitters - {source, sink}
         # Only the sink and the other transmitters can lie outside a set.
         exits = others | {sink}
-        # One pass over the pipes totals every set's cut: with none of the
-        # others inside, with each one alone, and with all of them (then
-        # every tail but the sink is inside, and only the sink outside).
-        none = every = 0.0
-        single = dict.fromkeys(others, 0.0)
-        for tail, heads, rate, _ in arcs:
+        # One pass over the slots totals every set's cut: with none of the
+        # others inside, each one alone (if there are two or more), or all of
+        # them (then every tail but the sink is inside, and only the sink out).
+        none = every = zero
+        single = dict.fromkeys(others if len(others) > 1 else (), zero)
+        for (tail, heads), rate in zip(slots, rates.T):
             leaving = exits.intersection(heads)
             if tail == sink or not leaving:
                 continue
             if sink in leaving:
-                every += rate
+                every = every + rate
             if tail == source:
-                none += rate
+                none = none + rate
                 for node in single:
                     if leaving != {node}:
-                        single[node] += rate
-            elif leaving != {tail}:
-                single[tail] += rate
-        bound = min(bound, none, every, *single.values())
-    return bound
+                        single[node] = single[node] + rate
+            elif tail in single:
+                single[tail] = single[tail] + rate
+        totals += (none, every, *single.values())
+    return functools.reduce(np.minimum, totals)
 
 
 def hyper_inner(

@@ -315,7 +315,7 @@ def parse_network(text: str) -> NoisyNetwork:
     `from`, `to`, `kind`, and the kind's parameters; awgn links take `snr`
     in linear scale or `snr_db` in dB, never both), and optional `demands`
     (objects with `kind`, `source`, `sinks`, each node on at least one
-    link). Unknown keys are rejected.
+    link, no demand listed twice). Unknown keys are rejected.
 
     Raises:
         NetworkFormatError: on malformed JSON (with line/column context) or
@@ -347,6 +347,8 @@ def parse_network(text: str) -> NoisyNetwork:
     net = NoisyNetwork(nodes=nodes, links=links, demands=demands)
     linked = {end for link in links for end in (link.src, link.dst)}
     for index, demand in enumerate(demands):
+        if demand in demands[:index]:  # bounds are reported once per demand
+            raise NetworkFormatError(f"demands[{index}]: repeats demands[{demands.index(demand)}]")
         for node in (demand.source, *demand.sink_list):
             if node not in linked:
                 raise NetworkFormatError(f"demands[{index}]: node {node!r} has no link")

@@ -4,13 +4,14 @@
 lower structure (hyper-arcs), and rates every run of two sweeps on their arcs,
 each validated first: the outer sweep over the multi-access noise split alpha
 (`max_flow` per unicast demand, `multicast_outer` per multicast one), and the
-inner sweep over every combination of broadcast power splits. A network whose
-one demand is unicast takes an exact `unicast_inner` max flow per inner run,
-with its min-cut certificate. Otherwise `flows.demand_cut` bounds each
-demand's rate on each inner run without an LP, and the runs are routed best
-first, in rounds of one `hyper_inner_batch` each: a run is routed only while
-its cut, plus `flows._CUT_MARGIN`, could still beat or tie some demand's best
-routed rate.
+inner sweep over every combination of broadcast power splits, rated as one
+`LowerStructure.rate_batch` and validated once per decode-order group. A
+network whose one demand is unicast takes an exact `unicast_inner` max flow
+per inner run, with its min-cut certificate. Otherwise `flows.demand_cut`
+bounds each demand's rate on every inner run without an LP, and the runs are
+routed best first, in rounds of one `hyper_inner_batch` each: a run is routed
+only while its cut, plus `flows._CUT_MARGIN`, could still beat or tie some
+demand's best routed rate. A run's arcs are listed only for a flow.
 
 Every run gives a valid bound, so per demand the sweep keeps the least outer
 and the largest inner rate, with its run's label, over the runs in sweep
@@ -25,6 +26,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .assemble import LowerStructure, UpperStructure
 from .bc import simplex_grid
@@ -90,8 +93,8 @@ def _keep(best, rates, label: str, better) -> None:
             best[demand] = (rate, label)
 
 
-def _route_best_first(node_ids, arc_lists, demands) -> list[tuple[int, dict]]:
-    """(run index, rate per demand) of every run routed, in sweep order.
+def _route_best_first(node_ids, batch, demands) -> list[tuple[int, dict]]:
+    """(run index, rate per demand) of every run of `batch` routed, in order.
 
     Each run's `demand_cut` bounds each demand's rate on it. Each demand
     ranks the runs once, by descending cut and then by index. Every round
@@ -101,14 +104,10 @@ def _route_best_first(node_ids, arc_lists, demands) -> list[tuple[int, dict]]:
     run of its ranking can beat or tie that rate. A run is routed when some
     demand takes it, so the runs left out can set no demand's inner bound.
     """
-    cuts = [{demand: demand_cut(arcs, demand) for demand in demands} for arcs in arc_lists]
+    cuts = {demand: demand_cut(batch.slots, batch.rates, demand) for demand in demands}
+    index = np.arange(len(batch.rates))
     # Each ranking is stored reversed, so that its next run is its last entry.
-    ranks = {
-        demand: sorted(
-            range(len(arc_lists)), key=lambda run: (-cuts[run][demand], run), reverse=True
-        )
-        for demand in demands
-    }
+    ranks = {demand: np.lexsort((index, -cut))[::-1].tolist() for demand, cut in cuts.items()}
     best = dict.fromkeys(ranks, -math.inf)
     routed: dict[int, dict] = {}
     while ranks:
@@ -116,15 +115,15 @@ def _route_best_first(node_ids, arc_lists, demands) -> list[tuple[int, dict]]:
         for demand, rank in list(ranks.items()):
             while rank and rank[-1] in routed:
                 rank.pop()
-            if not rank or cuts[rank[-1]][demand] + _CUT_MARGIN <= best[demand]:
+            if not rank or cuts[demand][rank[-1]] + _CUT_MARGIN <= best[demand]:
                 del ranks[demand]
             elif rank[-1] not in picks:
                 picks.append(rank[-1])
-        batch = hyper_inner_batch(node_ids, [arc_lists[run] for run in picks], demands, "maxmin")
-        for run, results in zip(picks, batch):
+        arc_lists = [batch.arcs(run) for run in picks]
+        for run, results in zip(picks, hyper_inner_batch(node_ids, arc_lists, demands, "maxmin")):
             rates = routed[run] = {result.demand: result.rate for result in results}
             for demand, rate in rates.items():
-                cut = cuts[run][demand]
+                cut = cuts[demand][run]
                 assert rate <= cut + _CUT_MARGIN, f"run {run}: rate {rate} exceeds its cut {cut}"
                 best[demand] = max(best[demand], rate)
     return sorted(routed.items())
@@ -173,20 +172,20 @@ def bound(net: NoisyNetwork, alphas, beta_step: float) -> BoundReport:
 
     lower = LowerStructure(components)
     combos = list(itertools.product(*grids))
-
-    def lower_arcs():
-        for combo in combos:
-            arcs = lower.arcs({comp.key: betas for comp, betas in zip(bc_comps, combo)})
-            _require_valid(lower.node_ids, arcs, "lower")
-            yield arcs
+    batch = lower.rate_batch({comp.key: rows for comp, rows in zip(bc_comps, zip(*combos))})
+    # Every slot and label, at one run per decode-order group, and every rate
+    # (NaN fails too), with the validator's message at the first run that fails.
+    failed = np.flatnonzero(~(batch.rates >= 0.0).all(axis=1))[:1]
+    for row in [*np.unique(batch.group, return_index=True)[1], *failed]:
+        _require_valid(lower.node_ids, batch.slot_arcs(row), "lower")
 
     if len(demands) == 1 and demands[0].kind == "unicast":
         runs = enumerate(
-            {demands[0]: unicast_inner(lower.node_ids, arcs, demands[0]).rate}
-            for arcs in lower_arcs()
+            {demands[0]: unicast_inner(lower.node_ids, batch.arcs(row), demands[0]).rate}
+            for row in range(len(combos))
         )
     else:
-        runs = _route_best_first(lower.node_ids, list(lower_arcs()), demands)
+        runs = _route_best_first(lower.node_ids, batch, demands)
     inner: dict[Demand, tuple[float, str]] = {}
     for index, rates in runs:
         combo = combos[index]

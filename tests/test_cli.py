@@ -7,6 +7,7 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,7 +213,9 @@ class TestBounds:
     ):
         # At HiGHS's default feasibility tolerance (1e-7) a routing witness
         # drew about 1e-9 from a pipe it did not use, past the 1e-9 witness
-        # check, and this file exited 3.
+        # check, and this file exited 3. (It listed N0 -> {N1, N2} twice,
+        # which the parser now refuses; with N1 -> N0 as its third demand it
+        # still exits 3 at that tolerance, on the same kind of draw.)
         links = [
             ("N0", "N1", 8.51405769897751),
             ("N0", "N2", -46.03174702731056),
@@ -227,7 +230,7 @@ class TestBounds:
             "demands": [
                 {"kind": "multicast", "source": "N1", "sinks": ["N0", "N2"]},
                 {"kind": "multicast", "source": "N0", "sinks": ["N2", "N1"]},
-                {"kind": "multicast", "source": "N0", "sinks": ["N2", "N1"]},
+                {"kind": "unicast", "source": "N1", "sinks": ["N0"]},
             ],
         }
         path = write_network(tmp_path / "wide.json", doc)
@@ -298,15 +301,26 @@ class TestBounds:
 
     @pytest.mark.parametrize("structure", [UpperStructure, LowerStructure])
     def test_every_run_is_validated(self, monkeypatch, capsys, structure):
-        # A NaN rate on one arc of every run must stop the sweep with the
-        # validator's message, not reach a flow.
-        rate = structure.arcs
+        # A NaN rate on one arc of every outer run, or of the last inner run
+        # alone, must stop the sweep with the validator's message, not reach a
+        # flow. The inner sweep is one batch.
+        if structure is UpperStructure:
+            rate = structure.arcs
 
-        def poisoned(self, params):
-            (tail, heads, _, label), *rest = rate(self, params)
-            return [(tail, heads, math.nan, label), *rest]
+            def poisoned(self, params):
+                (tail, heads, _, label), *rest = rate(self, params)
+                return [(tail, heads, math.nan, label), *rest]
 
-        monkeypatch.setattr(structure, "arcs", poisoned)
+            monkeypatch.setattr(structure, "arcs", poisoned)
+        else:
+            rate_batch = structure.rate_batch
+
+            def poisoned(self, splits):
+                batch = rate_batch(self, splits)
+                batch.rates[-1, 0] = math.nan
+                return batch
+
+            monkeypatch.setattr(structure, "rate_batch", poisoned)
         path = DATA / "lower_bounds_2x3xunicast-0.json"
         assert main(["bounds", str(path), "--beta-step", "0.25"]) == 3
         err = capsys.readouterr().err
@@ -346,6 +360,26 @@ class TestDecoupleAndValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: links[0]: link 'a'->'b': xi must lie in [0, 0.5]")
 
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # The parser is built once per process; a call must give what it gives
+        # in a fresh process, whichever command ran before it.
+        path = str(DATA / "lower_bounds_3x2xmulticast-1.json")
+        commands = {"bounds": ["bounds", path, "--beta-step", "0.5"], "decouple": ["decouple", path]}
+
+        def run(name):
+            code = main(commands[name])
+            return code, capsys.readouterr().out
+
+        fresh = {}
+        for name in commands:
+            cli.build_parser.cache_clear()
+            fresh[name] = run(name)
+        assert all(code == 0 for code, _ in fresh.values())
+        for order in (("bounds", "decouple"), ("decouple", "bounds")):
+            cli.build_parser.cache_clear()
+            assert [run(name) for name in order] == [fresh[name] for name in order]
+        assert cli.build_parser() is cli.build_parser()
 
     @pytest.mark.parametrize("command", ["validate", "bounds"])
     def test_rejects_zero_snr_in_multi_access_naming_the_link(
@@ -567,10 +601,12 @@ def test_relay_cut_rate_is_the_max_flow(gamma_sr_db, share):
     for structure, betas in relay_structures(components, share):
         arcs = structure.arcs({("bc", "S"): betas})
         flow = unicast_inner(structure.node_ids, arcs, demand).rate
-        (cut,) = experiments._relay_cuts(structure.rate_batch({("bc", "S"): [betas]}))
+        batch = structure.rate_batch({("bc", "S"): [betas]})
+        (cut,) = flows.demand_cut(batch.slots, batch.rates, demand)
         others = [(1.0,)] if len(betas) == 1 else [(0.5, 0.5), (1.0, 0.0)]
         batch = structure.rate_batch({("bc", "S"): [*others, betas]})
-        assert experiments._relay_cuts(batch)[-1] == cut  # whatever the batch holds besides
+        # Whatever the batch holds besides.
+        assert flows.demand_cut(batch.slots, batch.rates, demand)[-1] == cut
         if all(rate == 0.0 or rate > flows._EK_TOL for _, _, rate, _ in arcs):
             assert cut == flow
         else:
@@ -588,14 +624,15 @@ class TestOuterAndCertifiedFlowsPerSearch:
             flowed.append(demand)
             return flows.unicast_inner(node_ids, arcs, demand)
 
-        cut_rates, rated = experiments._relay_cuts, []
+        cut_rates, rated = experiments.demand_cut, []
 
-        def recording(batch):
-            rated.extend(cut_rates(batch))
-            return rated[-len(batch.rates) :]
+        def recording(slots, rates, demand):
+            cuts = cut_rates(slots, rates, demand)
+            rated.extend(cuts.tolist())
+            return cuts
 
         monkeypatch.setattr(experiments, "unicast_inner", counting)
-        monkeypatch.setattr(experiments, "_relay_cuts", recording)
+        monkeypatch.setattr(experiments, "demand_cut", recording)
         rows = experiments.relay_experiment(0.0, 10.0, (-10.0, 5.0, 20.0))
         assert len(flowed) == len(rows)  # one min cut per point, for its winner
         # Each reported rate is, bit for bit, a cut rate its search computed.
@@ -606,17 +643,22 @@ class TestOuterAndCertifiedFlowsPerSearch:
         # batch holds the winner; within a batch the rates rise by less than
         # _IMPROVE_TOL in all, so only its first row in scan order may win.
         batches, certified = [], []
+        rate_batch = LowerStructure.rate_batch
 
-        def tied(batch):
-            batches.append(batch)
-            step = 0.5 * experiments._IMPROVE_TOL / len(batch.rates)
-            return [len(batches) + row * step for row in range(len(batch.rates))]
+        def recording(self, splits):
+            batches.append(rate_batch(self, splits))
+            return batches[-1]
+
+        def tied(slots, rates, demand):  # the cut of the last batch rated
+            step = 0.5 * experiments._IMPROVE_TOL / len(rates)
+            return len(batches) + step * np.arange(len(rates))
 
         def certify(node_ids, arcs, demand):
             certified.append(arcs)
             return flows.FlowResult(demand=demand, rate=float(len(batches)), witness={})
 
-        monkeypatch.setattr(experiments, "_relay_cuts", tied)
+        monkeypatch.setattr(LowerStructure, "rate_batch", recording)
+        monkeypatch.setattr(experiments, "demand_cut", tied)
         monkeypatch.setattr(experiments, "unicast_inner", certify)
         components = decompose(experiments.relay_network(1.0, db_to_linear(5.0), 10.0))
         assert experiments.relay_eq_lower(components) == len(batches)

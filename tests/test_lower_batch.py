@@ -1,12 +1,15 @@
 """`LowerStructure.rate_batch` against `LowerStructure.arcs`, split by split.
 
-The batch runs the formulas of `arcs` once over arrays that hold every
-split's betas, so each of its rows must be `arcs` of that split bit for bit:
-the same arcs left out, the `repr` of every rate and every label. Invalid
-splits must raise the same ValueError text in both forms.
+The batch runs the formulas of `arcs` once per decode-order group over arrays
+that hold every split's betas, so each of its rows must be `arcs` of that
+split bit for bit: the same arcs left out, the `repr` of every rate and every
+label. Invalid splits must raise the same ValueError text in both forms.
 """
 
+import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +17,12 @@ from hypothesis import strategies as st
 
 from netbounds import experiments
 from netbounds.assemble import LowerParams, LowerStructure
+from netbounds.bc import simplex_grid
 from netbounds.decouple import decompose
 from netbounds.info import db_to_linear
+from netbounds.netmodel import parse_network
 
+DATA = Path(__file__).resolve().parent / "data"
 KEY = ("bc", "S")
 RELAY_ORDERS = (("R", "S"), ("S", "R"))
 
@@ -69,9 +75,10 @@ def multicast_structure(receivers=4, split=2):
 
 def assert_rows_are_arcs(structure, splits):
     """Every row of the batch of ``splits`` (BC key -> n splits) is `arcs`
-    of that split: arcs and labels by `repr`, the rate array likewise."""
+    of that split: arcs and labels by `repr`, the rate array likewise, in
+    whatever order its decode orders put the SIC arcs. Returns the batch."""
     batch = structure.rate_batch(splits)
-    n = len(next(iter(splits.values())))
+    n = len(next(iter(splits.values()), [None]))
     assert batch.rates.shape == (n, len(batch.slots))
     for row in range(n):
         want = structure.arcs({key: rows[row] for key, rows in splits.items()})
@@ -81,7 +88,8 @@ def assert_rows_are_arcs(structure, splits):
             for slot, rate in zip(batch.slots, batch.rates[row].tolist())
             if rate != 0.0
         ]
-        assert rated == [((t, h), repr(r)) for t, h, r, _ in want if r != 0.0]
+        assert sorted(rated) == sorted(((t, h), repr(r)) for t, h, r, _ in want if r != 0.0)
+    return batch
 
 
 @given(
@@ -163,11 +171,41 @@ def test_entries_of_different_lengths_raise():
         structure.rate_batch({key1: []})
 
 
-def test_default_decode_order_needs_one_split_per_batch():
-    # Without an explicit order, the order depends on the split's residuals.
-    params = LowerParams(bc_betas={KEY: (1.0, 0.0)})
-    structure = LowerStructure(relay_components(5.0), params)
-    with pytest.raises(ValueError, match=r"mac_order for \('mac', 'D'\)"):
-        structure.rate_batch({KEY: [(0.5, 0.5), (0.25, 0.75)]})
-    for split in [(0.5, 0.5), (0.25, 0.75), (1.0, 0.0)]:
-        assert_rows_are_arcs(structure, {KEY: [split]})
+def awgn_network(links):
+    """A network of AWGN links ``(src, dst, snr)`` and no demands."""
+    doc = {
+        "nodes": sorted({end for src, dst, _ in links for end in (src, dst)}),
+        "links": [{"from": s, "to": d, "kind": "awgn", "snr": snr} for s, d, snr in links],
+    }
+    return parse_network(json.dumps(doc))
+
+
+# A broadcasts to D and E; B sends to D alone, at A's SNR at D. Where A leaves
+# no residual at D, D's two inputs tie in decodable power and node ids order
+# them, A first; elsewhere B is decoded first.
+TIED = [("A", "D", 2.0), ("A", "E", 8.0), ("B", "D", 2.0)]
+# Two links from B to D: the lower model takes B as one input of D, at the
+# last link's SNR, in both forms.
+PARALLEL = [("A", "D", 2.0), ("A", "E", 8.0), ("B", "D", 1.0), ("B", "D", 2.0)]
+
+
+@pytest.mark.parametrize(
+    "name", ["lower_bounds_2x3xunicast-0", "lower_bounds_3x2xmulticast-1", "tied", "parallel"]
+)
+def test_default_decode_orders_follow_each_split(name):
+    # Without an explicit order, each split's order depends on its residuals,
+    # so the batch rates each group of splits that share their orders apart.
+    if name in ("tied", "parallel"):
+        net = awgn_network(TIED if name == "tied" else PARALLEL)
+    else:
+        net = parse_network((DATA / f"{name}.json").read_text(encoding="utf-8"))
+    components = decompose(net)
+    sides = [comp for comp in components if comp.kind == "bc"]
+    combos = list(itertools.product(*(simplex_grid(len(comp.links), 4) for comp in sides)))
+    splits = {comp.key: [combo[k] for combo in combos] for k, comp in enumerate(sides)}
+    batch = assert_rows_are_arcs(LowerStructure(components), splits)
+    assert len(batch.groups) > 1
+    if name == "tied":
+        # The last split, (1, 0), leaves A no residual at D; the others do not.
+        orders = [arc[3][1] for row in (0, 4) for arc in batch.arcs(row) if arc[3][0] == "mac"]
+        assert orders == [("B", "A"), ("A", "B")]

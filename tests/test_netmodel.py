@@ -174,6 +174,28 @@ def test_parse_rejects_demand_on_a_node_without_links(demands):
         parse_network(json.dumps(doc))
 
 
+def test_parse_rejects_a_demand_listed_twice():
+    # A multicast demand is the same whatever the order of its sinks; a
+    # unicast and a multicast demand over one pair are two demands.
+    doc = {
+        "nodes": ["A", "B", "C"],
+        "links": [
+            {"from": "A", "to": "B", "kind": "awgn", "snr": 1},
+            {"from": "A", "to": "C", "kind": "awgn", "snr": 2},
+        ],
+        "demands": [
+            {"kind": "multicast", "source": "A", "sinks": ["B", "C"]},
+            {"kind": "unicast", "source": "A", "sinks": ["B"]},
+            {"kind": "multicast", "source": "A", "sinks": ["B"]},
+            {"kind": "multicast", "source": "A", "sinks": ["C", "B"]},
+        ],
+    }
+    with pytest.raises(NetworkFormatError, match=r"^demands\[3\]: repeats demands\[0\]$"):
+        parse_network(json.dumps(doc))
+    del doc["demands"][3]
+    assert len(parse_network(json.dumps(doc)).demands) == 3
+
+
 def test_demand_invariants():
     with pytest.raises(NetworkFormatError, match="exclude"):
         Demand(kind="unicast", source="A", sinks=frozenset({"A"}))

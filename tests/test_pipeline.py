@@ -7,10 +7,11 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from netbounds import flows, pipeline
-from netbounds.assemble import LowerStructure
+from netbounds.assemble import LowerBatch, LowerStructure
 from netbounds.bc import simplex_grid
 from netbounds.cli import parse_grid
 from netbounds.decouple import decompose
@@ -175,42 +176,52 @@ def swept_networks() -> tuple:
     return tuple(nets)
 
 
-def sweep_runs(net, beta_step):
+def sweep_runs(net, beta_step, batched=False):
     """(node ids, (label, arcs) per beta run in sweep order) of `bound`'s
-    inner sweep."""
+    inner sweep, each run rated alone by `LowerStructure.arcs`; with
+    ``batched``, also the `LowerBatch` of all runs, which `bound` rates."""
     components = decompose(net)
     sides = [comp for comp in components if comp.kind == "bc"]
     lower = LowerStructure(components)
     grids = [simplex_grid(len(comp.links), round(1 / beta_step)) for comp in sides]
     runs = []
-    for combo in itertools.product(*grids):
+    combos = list(itertools.product(*grids))
+    for combo in combos:
         label = " ".join(
             f"{comp.key[1]}=" + "/".join(f"{beta:g}" for beta in betas)
             for comp, betas in zip(sides, combo)
         )
         betas = {comp.key: betas for comp, betas in zip(sides, combo)}
         runs.append((f"lower {label or 'default'}", lower.arcs(betas)))
-    return lower.node_ids, runs
+    if not batched:
+        return lower.node_ids, runs
+    splits = {comp.key: [combo[k] for combo in combos] for k, comp in enumerate(sides)}
+    return lower.node_ids, runs, lower.rate_batch(splits)
+
+
+def counted(monkeypatch, owner, name) -> list:
+    """A list that grows by the result of each call of ``owner.name`` from now on."""
+    results = []
+    call = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        results.append(call(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, counting)
+    return results
 
 
 def counted_solves(monkeypatch) -> list:
     """A list that grows by one entry per routing LP solved from now on."""
-    solves = []
-    solve = flows._solve_lp
-
-    def counting(lp, upper):
-        solves.append(1)
-        return solve(lp, upper)
-
-    monkeypatch.setattr(flows, "_solve_lp", counting)
-    return solves
+    return counted(monkeypatch, flows, "_solve_lp")
 
 
 @pytest.mark.parametrize("beta_step", [0.5, 0.25])
 def test_pruned_sweep_equals_exhaustive_sweep(beta_step, monkeypatch):
     # The reference routes every run and keeps strict improvements in sweep
-    # order, so the earliest of tied runs wins. A demand listed twice keeps
-    # the rate of its last session, as `bound` does.
+    # order, so the earliest of tied runs wins. No demand is listed twice:
+    # the parser refuses such files.
     solves = counted_solves(monkeypatch)
     routed = swept = 0
     for name, net in swept_networks():
@@ -234,15 +245,16 @@ def test_pruned_sweep_equals_exhaustive_sweep(beta_step, monkeypatch):
 def test_demand_cut_bounds_every_routing():
     checked = exact = 0
     for name, net in swept_networks():
-        node_ids, runs = sweep_runs(net, 0.25)
-        for _, arcs in runs:
-            transmitters = {tail for tail, _, _, _ in arcs}
+        node_ids, runs, batch = sweep_runs(net, 0.25, batched=True)
+        transmitters = {tail for tail, _ in batch.slots}
+        cuts = {demand: demand_cut(batch.slots, batch.rates, demand) for demand in net.demands}
+        for row, (_, arcs) in enumerate(runs):
             for demand in net.demands:
                 rate = min(
                     unicast_inner(node_ids, arcs, Demand("unicast", demand.source, {sink})).rate
                     for sink in demand.sinks
                 )
-                cut = demand_cut(arcs, demand)
+                cut = cuts[demand][row]
                 # The max flow sums its augmenting paths in another order
                 # than the cut sums its arcs, so the two may differ in the
                 # last bit.
@@ -258,16 +270,17 @@ def test_demand_cut_holds_where_its_sets_miss_the_min_cut():
     # s -> a -> b -> c -> t: the least cut leaves {s, a, b} on the source
     # side, which holds two of the three other transmitters, so the bound
     # stays above the max flow.
-    arcs = [
-        ("s", ("a",), 5.0, None),
-        ("a", ("b", "x"), 5.0, None),
-        ("b", ("c",), 1.0, None),
-        ("c", ("t",), 5.0, None),
-    ]
+    slots = [("s", ("a",)), ("a", ("b", "x")), ("b", ("c",)), ("c", ("t",)), ("x", ("t",))]
+    rates = [5.0, 5.0, 1.0, 5.0, 0.0]
     node_ids = ("s", "a", "b", "c", "t", "x")
     demand = Demand("unicast", "s", frozenset({"t"}))
+    arcs = [(*slot, rate, "label") for slot, rate in zip(slots, rates) if rate]
     assert unicast_inner(node_ids, arcs, demand).rate == 1.0
-    assert demand_cut(arcs, demand) == 5.0
+    # The second row keeps the x -> t slot at rate 0, as `LowerStructure.arcs`
+    # leaves such an arc out: its tail x joins the set family, but a slot of
+    # rate 0 adds 0.0 to every total, and the cut stays 5.
+    cuts = demand_cut(slots[:4], np.array([rates[:4]]), demand).tolist()
+    assert cuts + demand_cut(slots, np.array([rates]), demand).tolist() == [5.0, 5.0]
 
 
 @pytest.mark.parametrize(
@@ -280,3 +293,22 @@ def test_bound_routes_only_runs_that_can_set_a_bound(name, solves, monkeypatch):
     report = bound(net, parse_grid("0:1:0.1"), 0.25)
     assert len(calls) == solves
     assert report.inner_runs > len(calls)
+
+
+def test_bound_rates_and_validates_its_sweep_as_one_batch(monkeypatch):
+    # Counts of calls, which do not depend on machine speed: the sweep is one
+    # batch, validated once per decode-order group and once per alpha, and
+    # an arc list is built only for a run that is routed.
+    net = parse_network((DATA / "lower_bounds_3x2xmulticast-1.json").read_text(encoding="utf-8"))
+    arcs = counted(monkeypatch, LowerStructure, "arcs")
+    batches = counted(monkeypatch, LowerStructure, "rate_batch")
+    validated = counted(monkeypatch, pipeline, "validate_bounding_network")
+    arc_lists = counted(monkeypatch, LowerBatch, "arcs")
+    solves = counted_solves(monkeypatch)
+    alphas = parse_grid("0:1:0.1")
+    bound(net, alphas, 0.25)
+    assert (len(arcs), len(batches)) == (0, 1)
+    [batch] = batches
+    assert len(batch.groups) > 1
+    assert len(validated) == len(batch.groups) + len(alphas)
+    assert len(arc_lists) == len(solves) == 25
