@@ -13,7 +13,8 @@ structure and holds it for the call, solves every run back to back, and only
 then reads and checks each run's witnesses; hyper_inner is its one-run
 case. Every solve hands its LP to one long-lived HiGHS instance through
 SciPy's bundled bindings, which discards the previous model and basis, so each solve is a
-cold start and the order of the solves does not change any result. HiGHS
+cold start and the order of the solves does not change any result. SciPy loads
+at the first routing LP, so a process that solves none never imports it. HiGHS
 solves to a primal feasibility tolerance of 1e-10, below the 1e-9 to which
 every reported flow is re-validated against conservation and capacity
 constraints; bounds are certifiable, not solver folklore. Keeping each
@@ -47,14 +48,20 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
-from scipy.sparse import csc_array
-
-# perfbench/layertrace.py wraps ``flows.linprog`` by name, so the name stays
-# bound here; the routing LPs go to HiGHS directly through SciPy's bindings.
-from scipy.optimize import linprog  # noqa: F401
 
 from .netmodel import Demand
+
+
+def __getattr__(name):
+    # perfbench/layertrace.py wraps ``flows.linprog`` by name. It is bound on
+    # first access, so that importing flows does not load scipy.optimize.
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        globals()["linprog"] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "FlowResult",
@@ -310,24 +317,36 @@ def unicast_inner(node_ids, arcs, demand: Demand) -> FlowResult:
     return result
 
 
+@functools.cache
+def _highs():
+    """SciPy's bindings of HiGHS, imported at the first routing LP.
+
+    Importing them runs ``scipy.optimize``'s package init, most of a fresh
+    process's start-up, which commands that solve no LP never pay.
+    """
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
 _LP_CACHE_SIZE = 64  # compiled routing LPs kept, one per arc structure
 _WITNESS_FLOOR = 1e-12  # solution entries at or below this stay out of witnesses
 
 
 @dataclass(frozen=True, eq=False)
 class _RoutingLP:
-    """One routing LP as the arrays HiGHS takes, and as HiGHS's own model.
+    """One routing LP as HiGHS's own model, with its bounds as arrays.
 
     Columns are [t] [R_s] [x_{s,a}] [f_{s,sink,a,h}] [lambda_r], rows the
     inequalities (per-session draws, arc capacities, common rate) over the
     equalities (flow conservation, then sum_r lambda_r = 1 when blending).
     Without lambda columns the arc rates enter only ``upper`` at
     ``capacity_rows``, so one compiled LP serves every rate assignment.
-    ``model`` holds the same arrays; each solve overwrites its row uppers.
+    ``model`` holds the constraint matrix in CSC form and the same bounds;
+    each solve overwrites its row uppers.
     """
 
-    model: highs.HighsLp
-    matrix: csc_array
+    model: object  # a HighsLp
     cost: np.ndarray
     lower: np.ndarray  # row bounds; inequality rows have -inf below
     upper: np.ndarray
@@ -444,13 +463,12 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
     rows = np.concatenate([r for r, _, _ in triplets])
     cols = np.concatenate([c for _, c, _ in triplets])
     vals = np.concatenate([np.full(len(r), v) for r, _, v in triplets])
+    hot = vals != 0.0  # blended rates of 0 stay out of the matrix
+    rows, cols, vals = rows[hot], cols[hot], vals[hot]
     # No cell is emitted twice, so sorting by column, then row, gives the CSC.
     order = np.lexsort((rows, cols))
-    indptr = np.zeros(n_vars + 1, dtype=np.intp)
-    np.cumsum(np.bincount(cols, minlength=n_vars), out=indptr[1:])
-    matrix = csc_array((vals[order], rows[order], indptr), shape=(n_rows, n_vars))
-    if n_runs:
-        matrix.eliminate_zeros()  # blended rates of 0
+    start = np.zeros(n_vars + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=n_vars), out=start[1:])
     lower = np.zeros(n_rows)
     lower[:n_ub] = -np.inf
     upper = np.zeros(n_rows)
@@ -461,21 +479,21 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
         cost[0] = -1.0
     else:
         cost[1 : 1 + n_sessions] = -1.0
+    highs = _highs()
     # HiGHS's model takes lists far faster than arrays.
     model = highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = n_vars
     model.num_row_ = model.a_matrix_.num_row_ = n_rows
     model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = matrix.indptr.tolist()
-    model.a_matrix_.index_ = matrix.indices.tolist()
-    model.a_matrix_.value_ = matrix.data.tolist()
+    model.a_matrix_.start_ = start.tolist()
+    model.a_matrix_.index_ = rows[order].tolist()
+    model.a_matrix_.value_ = vals[order].tolist()
     model.col_cost_ = cost.tolist()
     model.col_lower_ = [0.0] * n_vars
     model.col_upper_ = [np.inf] * n_vars
     model.row_lower_ = lower.tolist()
     return _RoutingLP(
         model=model,
-        matrix=matrix,
         cost=cost,
         lower=lower,
         upper=upper,
@@ -496,13 +514,13 @@ def _compiled_routing_lp(node_ids, arcs, demands, objective) -> _RoutingLP:
 
 
 @functools.cache
-def _solver() -> highs._Highs:
+def _solver():
     """The one HiGHS instance every routing LP is solved on.
 
     Sharing it (and each compiled LP's model) makes routing solves unsafe to
     run from several threads at once.
     """
-    solver = highs._Highs()
+    solver = _highs()._Highs()
     solver.setOptionValue("log_to_console", False)
     # Below validate_hyper_result's 1e-9 conservation tolerance, so a
     # solution HiGHS calls feasible passes the witness check.
@@ -520,6 +538,7 @@ def _solve_lp(lp: _RoutingLP, upper: np.ndarray) -> np.ndarray:
     batch's solves back to back, in any order.
     """
     lp.model.row_upper_ = upper.tolist()
+    highs = _highs()
     solver = _solver()
     if solver.passModel(lp.model) == highs.HighsStatus.kError:
         status = highs.HighsModelStatus.kModelError

@@ -175,6 +175,16 @@ class NoisyNetwork:
                         "have no decoupling rule"
                     )
                 seen[node] = index
+        # The lower model keys a receiver's inputs by sender, so a second link
+        # on one (sender, receiver) pair would silently drop the first.
+        pairs: dict[tuple[str, str], int] = {}
+        for index, link in enumerate(self.links):
+            first = pairs.setdefault((link.src, link.dst), index)
+            if first != index:
+                raise NetworkFormatError(
+                    f"links[{index}]: link {link.src!r}->{link.dst!r} repeats links[{first}]; "
+                    "parallel links are not modelled"
+                )
         for demand in self.demands:
             where = f"demand from {demand.source!r}"
             if demand.source not in known:
@@ -315,7 +325,8 @@ def parse_network(text: str) -> NoisyNetwork:
     `from`, `to`, `kind`, and the kind's parameters; awgn links take `snr`
     in linear scale or `snr_db` in dB, never both), and optional `demands`
     (objects with `kind`, `source`, `sinks`, each node on at least one
-    link, no demand listed twice). Unknown keys are rejected.
+    link, no demand listed twice). No two links share a sender and a receiver.
+    Unknown keys are rejected.
 
     Raises:
         NetworkFormatError: on malformed JSON (with line/column context) or

@@ -3,7 +3,11 @@
 import ast
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -394,6 +398,34 @@ class TestDecoupleAndValidate:
             "error: links[0]: link 'S'->'D': snr must be positive and finite, got 0.0"
         )
 
+    @pytest.mark.parametrize(
+        "links, sinks",
+        [
+            # A second A->D link used to drop out of the MAC's inner rates.
+            ([("A", "D", 2.0), ("A", "D", 3.0), ("B", "D", 2.0)], {"A": "D", "B": "D"}),
+            # With a broadcast side, the BC permutation check failed unnamed.
+            ([("A", "D", 2.0), ("A", "D", 3.0), ("A", "E", 2.0)], {"A": "D"}),
+        ],
+        ids=["mac", "mac-and-bc"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "bounds"])
+    def test_rejects_parallel_links_naming_both(
+        self, tmp_path, capsys, command, links, sinks
+    ):
+        doc = {
+            "nodes": ["A", "B", "D", "E"],
+            "links": [
+                {"from": src, "to": dst, "kind": "awgn", "snr": snr} for src, dst, snr in links
+            ],
+            "demands": [
+                {"kind": "unicast", "source": src, "sinks": [dst]} for src, dst in sinks.items()
+            ],
+        }
+        path = write_network(tmp_path / "net.json", doc)
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: links[1]: link 'A'->'D' repeats links[0]; parallel")
+
 
 class TestReproRelay:
     def test_weak_relay_rows_pin_direct_link_capacity(self, tmp_path, capsys):
@@ -742,3 +774,75 @@ def test_cli_imports_no_model_or_flow_module():
             imported.update(f"{base}.{alias.name}" for alias in node.names)
     forbidden = {f"netbounds.{name}" for name in ("flows", "mac", "bc", "benchmarks")}
     assert imported.isdisjoint(forbidden), sorted(imported & forbidden)
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # SciPy's optimize package takes most of a fresh process's start-up, so it
+    # loads at the first routing LP (flows._highs), not when a module loads.
+    package = Path(cli.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        statements = list(ast.parse(path.read_text(encoding="utf-8")).body)
+        while statements:
+            node = statements.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue  # a function body runs only when called
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                statements.extend(ast.iter_child_nodes(node))
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_scipy_loads_only_when_a_routing_lp_is_solved(tmp_path):
+    # Run in a fresh interpreter: this one has SciPy loaded by other tests.
+    name = "lower_bounds_2x3xunicast-0.json"
+    (tmp_path / name).write_bytes((DATA / name).read_bytes())
+    script = textwrap.dedent(
+        f"""
+        import contextlib
+        import io
+        import sys
+
+        def loaded():
+            return [m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules]
+
+        import netbounds.cli
+        print(loaded())
+        from netbounds import cli, experiments
+        from netbounds.decouple import decompose
+        from netbounds.netmodel import parse_network
+
+        with open({name!r}, encoding="utf-8") as handle:
+            decompose(parse_network(handle.read()))
+        experiments.relay_experiment(0.0, 10.0, [5.0])
+        print(loaded())
+        argv = ["bounds", {name!r}, "--beta-step", "0.25", "--out", "out.csv"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        print(loaded())
+        """
+    )
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "[]",
+        "[]",
+        "['scipy.optimize', 'scipy.sparse']",
+    ]
+    golden = DATA / name.replace("lower_bounds_", "bounds_").replace(".json", ".csv")
+    assert (tmp_path / "out.csv").read_bytes() == golden.read_bytes()

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core as highs
+from scipy.sparse import csc_array
 
 from netbounds import cli, experiments, flows
 from netbounds.assemble import LowerParams, LowerStructure, build_lower
@@ -753,6 +755,12 @@ def solved_lps(monkeypatch, run):
     return solves
 
 
+def lp_matrix(lp):
+    """The compiled LP's constraint matrix, read from its HiGHS model's CSC."""
+    a = lp.model.a_matrix_
+    return csc_array((a.value_, a.index_, a.start_), shape=(a.num_row_, a.num_col_))
+
+
 def run_multicast_lower():
     net = experiments.multicast_network(4, power=10.0, delta_power=5.0, q=8, xi=0.1)
     hyper_inner(*build_lower(decompose(net), LowerParams()), net.demands, "sum")
@@ -782,7 +790,7 @@ class TestDirectSolveMatchesMilp:
         for lp, upper in solves:
             reference = milp(
                 lp.cost,
-                constraints=LinearConstraint(lp.matrix, lp.lower, upper),
+                constraints=LinearConstraint(lp_matrix(lp), lp.lower, upper),
                 bounds=Bounds(0, np.inf),
             )
             assert reference.success, reference.message
@@ -1056,7 +1064,7 @@ class TestCompiledLpMatchesDefinition:
             assert any(len(args) == 5 for args, _ in built)
         for args, lp in built:
             matrix, cost, lower, upper, capacity_rows = dense_routing_lp(*args)
-            assert np.array_equal(lp.matrix.toarray(), matrix)
+            assert np.array_equal(lp_matrix(lp).toarray(), matrix)
             assert np.array_equal(lp.cost, cost)
             assert np.array_equal(lp.lower, lower)
             assert np.array_equal(lp.upper, upper)
@@ -1094,13 +1102,13 @@ class TestSharedSolver:
         path = tmp_path / "net.json"
         path.write_text(json.dumps(TWO_BY_THREE_DOC), encoding="utf-8")
         made = []
-        construct = flows.highs._Highs
+        construct = highs._Highs
 
         def counting():
             made.append(1)
             return construct()
 
-        monkeypatch.setattr(flows.highs, "_Highs", counting)
+        monkeypatch.setattr(highs, "_Highs", counting)
         flows._solver.cache_clear()
         assert cli.main(["bounds", str(path), "--beta-step", "0.25"]) == 0
         # The cleared cache makes the run build its solver: exactly once.

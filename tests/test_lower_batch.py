@@ -184,19 +184,16 @@ def awgn_network(links):
 # no residual at D, D's two inputs tie in decodable power and node ids order
 # them, A first; elsewhere B is decoded first.
 TIED = [("A", "D", 2.0), ("A", "E", 8.0), ("B", "D", 2.0)]
-# Two links from B to D: the lower model takes B as one input of D, at the
-# last link's SNR, in both forms.
-PARALLEL = [("A", "D", 2.0), ("A", "E", 8.0), ("B", "D", 1.0), ("B", "D", 2.0)]
 
 
 @pytest.mark.parametrize(
-    "name", ["lower_bounds_2x3xunicast-0", "lower_bounds_3x2xmulticast-1", "tied", "parallel"]
+    "name", ["lower_bounds_2x3xunicast-0", "lower_bounds_3x2xmulticast-1", "tied"]
 )
 def test_default_decode_orders_follow_each_split(name):
     # Without an explicit order, each split's order depends on its residuals,
     # so the batch rates each group of splits that share their orders apart.
-    if name in ("tied", "parallel"):
-        net = awgn_network(TIED if name == "tied" else PARALLEL)
+    if name == "tied":
+        net = awgn_network(TIED)
     else:
         net = parse_network((DATA / f"{name}.json").read_text(encoding="utf-8"))
     components = decompose(net)

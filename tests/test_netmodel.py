@@ -274,6 +274,31 @@ def test_parse_rejects_a_node_on_two_discrete_links_naming_both(links, message):
     assert len(parse_network(json.dumps(doc)).links) == 2
 
 
+@pytest.mark.parametrize(
+    "links",
+    [
+        [("A", "D", "awgn"), ("B", "D", "awgn"), ("A", "D", "awgn")],
+        [("A", "D", "awgn"), ("B", "D", "awgn"), ("A", "D", "bsc")],
+    ],
+    ids=["awgn", "mixed-kinds"],
+)
+def test_parse_rejects_parallel_links_naming_both(links):
+    params = {"awgn": {"snr": 2}, "bsc": {"eps": 0.1}}
+    doc = {
+        "nodes": ["A", "B", "D"],
+        "links": [
+            {"from": src, "to": dst, "kind": kind, **params[kind]} for src, dst, kind in links
+        ],
+    }
+    with pytest.raises(
+        NetworkFormatError, match=r"^links\[2\]: link 'A'->'D' repeats links\[0\]; parallel"
+    ):
+        parse_network(json.dumps(doc))
+    # The reverse direction is a different link, not a parallel one.
+    doc["links"][2].update({"from": "D", "to": "A"})
+    assert len(parse_network(json.dumps(doc)).links) == 3
+
+
 _IDS = st.lists(
     st.text(alphabet="abcdefgh", min_size=1, max_size=3),
     min_size=2,
@@ -288,15 +313,19 @@ def _networks(draw):
     n_links = draw(st.integers(min_value=0, max_value=8))
     links = []
     discrete_ends = set()  # ("tx", node) and ("rx", node) of discrete links
+    pairs = set()  # (src, dst) of the links kept
     for _ in range(n_links):
         src = draw(st.sampled_from(ids))
         dst = draw(st.sampled_from([i for i in ids if i != src]))
+        if (src, dst) in pairs:
+            continue  # a parallel link, which NoisyNetwork refuses
         kind = draw(st.sampled_from(["awgn", "qsc", "bsc"]))
         if kind != "awgn":
             ends = {("tx", src), ("rx", dst)}
             if ends & discrete_ends:
                 continue  # a second discrete link on a node, which NoisyNetwork refuses
             discrete_ends |= ends
+        pairs.add((src, dst))
         if kind == "awgn":
             snr = draw(st.floats(min_value=1e-15, max_value=1e3))
             links.append(NoisyLink(src, dst, "awgn", snr=snr))
