@@ -8,9 +8,12 @@ pipe at the larger of the two required rates. The rates come from
 capacity from `link_capacity`. `UpperStructure` fixes what does not depend
 on the noise split alpha: nodes, auxiliary ids, each broadcast side's
 cumulative rates for its receiver order, point-to-point arcs and shared
-links. Its `arcs(alpha)` rates the multi-access pipes (and the shared ones,
-at the larger rate) as ``(tail, heads, rate, label)`` tuples, with one noise
-split alpha common to every multi-access side.
+links. Its `rate_batch(alphas)` rates the multi-access pipes (and the shared
+ones, at the larger rate) at a whole alpha sweep, one `mac_upper` per MAC and
+alpha, into an `UpperBatch`: the pipe slots and an alphas x slots rate array,
+from which each alpha's ``(tail, heads, rate, label)`` arcs can be read.
+`arcs(alpha)` is the batch of one alpha. One noise split alpha is common to
+every multi-access side.
 
 The lower network replaces every component by an achievable coding scheme:
 superposition layers on broadcast sides (hyper-arcs to the receivers that
@@ -45,10 +48,10 @@ for bit the float form.
 A bounding network is its node ids and these arcs; there is no other form.
 The flow functions in `netbounds.flows` and `validate_bounding_network` take
 them as they are, so the searches and the `bounds` sweep build each
-structure once and rate it per alpha or beta. A label is the data behind an
-arc's provenance, and `describe(arc)` renders it as text. `build_upper` and
-`build_lower` return ``(node_ids, arcs)`` at the defaults or, for the lower
-network, at one `LowerParams`.
+structure once and rate it at every alpha or beta. A label is the data behind
+an arc's provenance, and `describe(arc)` renders it as text. `build_upper`
+and `build_lower` return ``(node_ids, arcs)`` at the defaults or, for the
+lower network, at one `LowerParams`.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from .netmodel import NoisyLink
 __all__ = [
     "LowerParams",
     "UpperStructure",
+    "UpperBatch",
     "LowerStructure",
     "LowerBatch",
     "link_capacity",
@@ -172,8 +176,8 @@ class UpperStructure:
     the transmitter feeds it at the component sum rate and it feeds each
     receiver at its cumulative-group rate. Every multi-access component
     becomes pipes through "<rx>_in": each input feeds it at its per-input
-    rate and it feeds the receiver at the sum rate; `arcs(alpha)` rates
-    these. A link on both sides becomes one auxiliary-to-auxiliary pipe at
+    rate and it feeds the receiver at the sum rate; `rate_batch(alphas)`
+    rates these. A link on both sides becomes one auxiliary-to-auxiliary pipe at
     the larger of its two rates, which any lossless representation needs.
 
     Raises:
@@ -242,25 +246,72 @@ class UpperStructure:
                 self._slots.append((tail, heads, rate, None, label))
         self.node_ids = tuple(nodes)
 
-    def arcs(self, alpha: float) -> list[tuple]:
-        """One ``(tail, heads, rate, label)`` per pipe, in order, with one
-        `mac_upper` per MAC at `alpha`, the share of every MAC receiver's
-        noise backing its sum constraint (1 is full cooperation, with
-        unconstrained per-input pipes). A label is the provenance text, or
-        ``(text before, alpha, text after)`` on a MAC-rated pipe.
+    def rate_batch(self, alphas, rated: dict | None = None) -> UpperBatch:
+        """The pipes of this structure at every noise split of `alphas`, the
+        share of every MAC receiver's noise backing its sum constraint (1 is
+        full cooperation, with unconstrained per-input pipes). Row r of the
+        batch is, bit for bit, `arcs(alphas[r])`.
+
+        `rated` maps ``(MacSpec, alpha)`` to `mac_upper`'s rate vector, and
+        this call adds every pair it rates. Structures of one component list
+        have the same multi-access sides, so a search that rates several of
+        them passes one dict, which it drops when it returns: each (MAC,
+        alpha) of the search is then rated once.
         """
-        rated = [mac_upper(spec, alpha)[0] for spec in self._macs]
-        arcs: list[tuple] = []
-        for tail, heads, fixed, mac, label in self._slots:
+        alphas = tuple(alphas)
+        rated = {} if rated is None else rated
+        sweeps: list[list] = [[] for _ in self._macs]  # per MAC, its rates per alpha
+        for alpha in alphas:
+            for spec, sweep in zip(self._macs, sweeps):
+                if (spec, alpha) not in rated:
+                    rated[(spec, alpha)] = mac_upper(spec, alpha)[0]
+                sweep.append(rated[(spec, alpha)])
+        rates = np.empty((len(alphas), len(self._slots)))
+        for place, (_tail, _heads, fixed, mac, _label) in enumerate(self._slots):
             if mac is None:
-                arcs.append((tail, heads, fixed, label))
+                rates[:, place] = fixed
                 continue
-            rv = rated[mac[0]]
-            rate = rv.sum_rate if mac[1] is None else rv.individual[mac[1]]
-            if fixed is not None:
-                rate = max(fixed, rate)
-            arcs.append((tail, heads, rate, (label[0], alpha, label[1])))
-        return arcs
+            index, position = mac
+            column = [
+                rv.sum_rate if position is None else rv.individual[position]
+                for rv in sweeps[index]
+            ]
+            rates[:, place] = column if fixed is None else [max(fixed, rate) for rate in column]
+        slots = tuple((tail, heads) for tail, heads, *_ in self._slots)
+        labels = tuple(slot[4] for slot in self._slots)
+        return UpperBatch(slots, rates, alphas, labels)
+
+    def arcs(self, alpha: float) -> list[tuple]:
+        """One ``(tail, heads, rate, label)`` per pipe, in order, at `alpha`
+        (see `rate_batch`). A label is the provenance text, or ``(text
+        before, alpha, text after)`` on a MAC-rated pipe.
+        """
+        return self.rate_batch((alpha,)).arcs(0)
+
+
+@dataclass(frozen=True)
+class UpperBatch:
+    """The pipes of one upper structure at n noise splits.
+
+    `slots` holds every pipe as ``(tail, heads)``, in the order of
+    `UpperStructure.arcs`; `rates[r, s]` is slot s's rate at `alphas[r]`.
+    `labels` holds per slot its provenance text, or on a MAC-rated pipe the
+    texts before and after its alpha. `arcs(r)` is alpha r's arcs as
+    `UpperStructure.arcs` returns them.
+    """
+
+    slots: tuple[tuple[str, tuple[str, ...]], ...]
+    rates: np.ndarray
+    alphas: tuple[float, ...]
+    labels: tuple
+
+    def arcs(self, row: int) -> list[tuple]:
+        """Alpha `row`'s ``(tail, heads, rate, label)`` arcs."""
+        alpha = self.alphas[row]
+        return [
+            (tail, heads, rate, label if isinstance(label, str) else (label[0], alpha, label[1]))
+            for (tail, heads), rate, label in zip(self.slots, self.rates[row].tolist(), self.labels)
+        ]
 
 
 def _bc_targets(

@@ -12,10 +12,15 @@ plain rows, which `netbounds repro` prints as CSV:
 - multicast fan (`multicast_experiment`): two sources multicasting to n
   receivers over a q-ary collaboration link, swept over power.
 
-The outer searches take the least bound over the noise-split sweep. The inner
-searches enumerate candidates from simplest to richest: the relay-off or
-common-layer construction under each decode order first, then superposition
-splits. A candidate replaces the incumbent only when it beats it by more than
+The outer searches take the least bound over the noise-split sweep, in the
+form the relay inner search has: every upper structure is rated at the whole
+sweep as one `UpperStructure.rate_batch` (the relay's two receiver orders
+share one `mac_upper` per alpha), every (alpha, structure) candidate is rated
+by its exact `flows.min_cut` without a flow, and only the least, the earliest
+of ties, gets a certified flow, which is reported. The inner searches
+enumerate candidates from simplest to richest: the relay-off or common-layer
+construction under each decode order first, then superposition splits. A
+candidate replaces the incumbent only when it beats it by more than
 _IMPROVE_TOL, so the earliest of tied candidates wins; when the relay cannot
 help, the relay-off construction is reported and the direct-link capacity is
 hit exactly.
@@ -24,6 +29,8 @@ hit exactly.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .assemble import LowerParams, LowerStructure, UpperStructure
 from .benchmarks import RelaySpec, cf_bound, cutset_bound, df_bound
@@ -34,6 +41,7 @@ from .flows import (
     demand_cut,
     hyper_inner,
     max_flow,
+    min_cut,
     multicast_outer,
     sum_rate_cut,
     unicast_inner,
@@ -71,19 +79,47 @@ def _relay_demand() -> Demand:
     return Demand(kind="unicast", source="S", sinks=frozenset({"D"}))
 
 
+def _least_outer(node_ids, batches, demand: Demand, flow, feeds=()) -> float:
+    """The least outer bound of a search over every (alpha, structure)
+    candidate: `batches` holds each structure at the whole alpha sweep, and
+    `feeds` are arcs added to every candidate.
+
+    Each candidate is rated by its `min_cut`, alpha by alpha and, within an
+    alpha, structure by structure; the least cut wins, the earliest of ties.
+    The winner's arcs get one `flow` (`max_flow` or `multicast_outer`),
+    which must match its cut as the flow's min-cut certificate does, and the
+    certified flow is reported; inf on an empty sweep.
+    """
+    feed_slots = [(tail, heads) for tail, heads, _rate, _label in feeds]
+    feed_rates = [rate for _tail, _heads, rate, _label in feeds]
+    cuts = []
+    for batch in batches:
+        rates = np.hstack([batch.rates, np.tile(feed_rates, (len(batch.rates), 1))])
+        cuts.append(min_cut([*batch.slots, *feed_slots], rates, demand).tolist())
+    best, winner = math.inf, None
+    for row, row_cuts in enumerate(zip(*cuts)):
+        for batch, cut in zip(batches, row_cuts):
+            if cut < best:
+                best, winner = cut, (batch, row)
+    if winner is None:
+        return best
+    batch, row = winner
+    certified = flow(node_ids, [*batch.arcs(row), *feeds], demand).rate
+    ok = abs(best - certified) <= 1e-9 * max(1.0, certified)
+    assert ok, f"least cut {best} is not the max flow {certified}"
+    return certified
+
+
 def relay_eq_upper(components, alphas=ALPHA_GRID) -> float:
     """Tightest flow bound over the noise-split sweep and both receiver orders
-    of the cumulative BC upper model: one upper structure per order."""
-    demand = _relay_demand()
+    of the cumulative BC upper model: one upper structure per order, both
+    rated over one `mac_upper` sweep. See `_least_outer` for the search."""
     structures = [
         UpperStructure(components, {("bc", "S"): perm}) for perm in (("D", "R"), ("R", "D"))
     ]
-    best = float("inf")
-    for alpha in alphas:
-        for structure in structures:
-            arcs = structure.arcs(alpha)
-            best = min(best, max_flow(structure.node_ids, arcs, demand).rate)
-    return best
+    rated: dict = {}  # this search's MAC rates, shared by both structures
+    batches = [structure.rate_batch(alphas, rated) for structure in structures]
+    return _least_outer(structures[0].node_ids, batches, _relay_demand(), max_flow)
 
 
 def _relay_structure(components, layers, targets, order) -> LowerStructure:
@@ -360,7 +396,8 @@ def multicast_eq_upper(components, sinks, alphas=ALPHA_GRID) -> float:
     share one encoder, so the min-cut from a merged source to each sink caps
     the session sum: the multicast outer bound from the merged source.
     Minimized over the noise-split sweep, on one upper structure's arcs plus
-    infinite arcs from the merged source JOINT_SRC (``_`` added while taken).
+    infinite arcs from the merged source JOINT_SRC (``_`` added while taken);
+    see `_least_outer` for the search.
     """
     structure = UpperStructure(components)
     name = "JOINT_SRC"
@@ -369,11 +406,8 @@ def multicast_eq_upper(components, sinks, alphas=ALPHA_GRID) -> float:
     node_ids = (*structure.node_ids, name)
     feeds = [(name, (source,), math.inf, "joint source") for source in ("S1", "S2")]
     demand = Demand(kind="multicast", source=name, sinks=frozenset(sinks))
-    best = float("inf")
-    for alpha in alphas:
-        arcs = structure.arcs(alpha)
-        best = min(best, multicast_outer(node_ids, arcs + feeds, demand).rate)
-    return best
+    batch = structure.rate_batch(alphas)
+    return _least_outer(node_ids, [batch], demand, multicast_outer, feeds)
 
 
 def multicast_eq_lower(net: NoisyNetwork, components) -> float:

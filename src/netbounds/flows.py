@@ -26,17 +26,24 @@ Every function here reads a bounding network as its node ids and its arcs,
 Labels are never read, so a search or a sweep rates a candidate from its
 arcs alone.
 
-Two cuts bound a routing without solving an LP. sum_rate_cut bounds the
-rate total: every session delivers its whole rate into each of its sinks, so
-the total cannot exceed the rate of the pipes entering a sink that all
-sessions share. demand_cut bounds one session's rate by source-side cuts of
-the split-node rewrite that `unicast_inner` routes. A validated hyper_inner
+Two cuts bound a routing over hyper-arcs without solving an LP. sum_rate_cut
+bounds the rate total: every session delivers its whole rate into each of its
+sinks, so the total cannot exceed the rate of the pipes entering a sink that
+all sessions share. demand_cut bounds one session's rate by source-side cuts
+of the split-node rewrite that `unicast_inner` routes. A validated hyper_inner
 rate or total exceeds its cut by at most the slack of validate_hyper_result's
-1e-9 tolerances (about 1e-8 on the multicast search's networks). A search
-over candidate networks may therefore skip the LP of a candidate whose cut
-falls short of its incumbent by _CUT_MARGIN, far above that slack: such a
-candidate could neither beat nor tie the incumbent. The multicast search and
+1e-9 tolerances (about 1e-8 on the multicast search's networks). A search over
+candidate networks may therefore skip the LP of a candidate whose cut falls
+short of its incumbent by _CUT_MARGIN, far above that slack: such a candidate
+could neither beat nor tie the incumbent. The multicast search and
 `pipeline.bound`'s inner sweep both skip by it.
+
+A third cut is exact. min_cut takes a batch of point-to-point networks, one
+per row of rates over the same pipes, and gives each row's min cut by
+enumerating the subsets of each sink's interior (the nodes on some
+source-to-sink path, at most _MAX_INTERIOR of them). That is the rate
+max_flow or multicast_outer certifies, so the outer searches rate every
+candidate by it and run one certified flow, on the least.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ __all__ = [
     "unicast_inner",
     "sum_rate_cut",
     "demand_cut",
+    "min_cut",
     "hyper_inner",
     "hyper_inner_batch",
     "blend_inner",
@@ -81,6 +89,9 @@ _EK_TOL = 1e-12
 # Margin of every LP skip by a cut: far above the slack (about 1e-8) that
 # validate_hyper_result's tolerances leave a solved rate over its cut.
 _CUT_MARGIN = 1e-6
+
+# Interior nodes per sink whose subsets min_cut enumerates, at most.
+_MAX_INTERIOR = 12
 
 
 @dataclass(frozen=True)
@@ -722,6 +733,75 @@ def demand_cut(slots, rates, demand: Demand) -> np.ndarray:
                 single[tail] = single[tail] + rate
         totals += (none, every, *single.values())
     return functools.reduce(np.minimum, totals)
+
+
+def min_cut(slots, rates, demand: Demand) -> np.ndarray:
+    """The min cut of ``demand`` per row of ``rates``, one point-to-point
+    network's rate per pipe ``(tail, (head,))`` of ``slots``: the rate that
+    `max_flow` (unicast) or `multicast_outer` (multicast) certifies on that
+    row's arcs, without a flow.
+
+    For each sink it takes the least rate total of the pipes that leave a
+    source-side set. The sets run over every subset of the sink's interior,
+    the nodes other than the source and the sink that lie on some
+    source-to-sink path. A node that the source reaches but that cannot reach
+    the sink is on the source side, every other node on the sink side: moving
+    a node so cuts no pipe more, so on rates >= 0 the least of these totals
+    is the min cut. A set that cuts a pipe of infinite rate in every row is
+    skipped. Each total sums rate columns from 0, left to right, as
+    `demand_cut` does. The bound is the least of these totals over the sinks.
+
+    Raises:
+        ValueError: on a hyper-arc, and on a sink with more than
+            _MAX_INTERIOR interior nodes.
+    """
+    successors: dict[str, list[str]] = {}
+    predecessors: dict[str, list[str]] = {}
+    for tail, heads in slots:
+        if len(heads) != 1:
+            raise ValueError(
+                f"network contains a hyper-arc {tail}->{list(heads)}; "
+                "min_cut applies to point-to-point networks only"
+            )
+        successors.setdefault(tail, []).append(heads[0])
+        predecessors.setdefault(heads[0], []).append(tail)
+
+    def closure(start: str, step: dict) -> set[str]:
+        seen, stack = {start}, [start]
+        while stack:
+            for node in step.get(stack.pop(), ()):
+                if node not in seen:
+                    seen.add(node)
+                    stack.append(node)
+        return seen
+
+    source = demand.source
+    reached = closure(source, successors)
+    unbounded = np.isinf(rates).all(axis=0)
+    least = np.full(len(rates), math.inf)
+    for sink in demand.sink_list:
+        reaching = closure(sink, predecessors)
+        interior = sorted((reached & reaching) - {source, sink})
+        if len(interior) > _MAX_INTERIOR:
+            raise ValueError(
+                f"sink {sink!r} has {len(interior)} interior nodes; min_cut "
+                f"enumerates the subsets of at most {_MAX_INTERIOR}"
+            )
+        sets = np.arange(1 << len(interior))
+        inside = {node: (sets >> k & 1).astype(bool) for k, node in enumerate(interior)}
+        inside.update(
+            (node, np.ones(len(sets), dtype=bool)) for node in reached - reaching | {source}
+        )
+        never = np.zeros(len(sets), dtype=bool)
+        kept, totals = ~never, np.zeros((len(sets), len(rates)))
+        for (tail, (head,)), rate, infinite in zip(slots, rates.T, unbounded):
+            leaving = inside.get(tail, never) & ~inside.get(head, never)
+            if infinite:
+                kept &= ~leaving
+            elif leaving.any():
+                totals = totals + np.where(leaving[:, None], rate, 0.0)
+        least = np.minimum(least, totals[kept].min(axis=0, initial=math.inf))
+    return least
 
 
 def hyper_inner(

@@ -2,16 +2,18 @@
 
 `bound` decouples the network, builds one upper structure (bit pipes) and one
 lower structure (hyper-arcs), and rates every run of two sweeps on their arcs,
-each validated first: the outer sweep over the multi-access noise split alpha
-(`max_flow` per unicast demand, `multicast_outer` per multicast one), and the
+each validated first: the outer sweep over the multi-access noise split alpha,
+rated as one `UpperStructure.rate_batch` and validated once (`max_flow` per
+unicast demand, `multicast_outer` per multicast one, at every alpha), and the
 inner sweep over every combination of broadcast power splits, rated as one
-`LowerStructure.rate_batch` and validated once per decode-order group. A
-network whose one demand is unicast takes an exact `unicast_inner` max flow
-per inner run, with its min-cut certificate. Otherwise `flows.demand_cut`
-bounds each demand's rate on every inner run without an LP, and the runs are
-routed best first, in rounds of one `hyper_inner_batch` each: a run is routed
-only while its cut, plus `flows._CUT_MARGIN`, could still beat or tie some
-demand's best routed rate. A run's arcs are listed only for a flow.
+`LowerStructure.rate_batch` and validated once per decode-order group. Each
+batch's rates are also checked as one array. A network whose one demand is
+unicast takes an exact `unicast_inner` max flow per inner run, with its
+min-cut certificate. Otherwise `flows.demand_cut` bounds each demand's rate on
+every inner run without an LP, and the runs are routed best first, in rounds
+of one `hyper_inner_batch` each: a run is routed only while its cut, plus
+`flows._CUT_MARGIN`, could still beat or tie some demand's best routed rate. A
+run's arcs are listed only for a flow.
 
 Every run gives a valid bound, so per demand the sweep keeps the least outer
 and the largest inner rate, with its run's label, over the runs in sweep
@@ -85,6 +87,12 @@ def _require_valid(node_ids, arcs, role: str) -> None:
     problems = validate_bounding_network(node_ids, arcs, role)
     if problems:
         raise RuntimeError(f"{role} network failed validation: " + "; ".join(problems))
+
+
+def _failed_row(rates) -> list[int]:
+    """The first row of a batch's rates that holds a rate below 0 or NaN,
+    if one does; inf passes."""
+    return np.flatnonzero(~(rates >= 0.0).all(axis=1))[:1].tolist()
 
 
 def _keep(best, rates, label: str, better) -> None:
@@ -161,9 +169,13 @@ def bound(net: NoisyNetwork, alphas, beta_step: float) -> BoundReport:
 
     outer: dict[Demand, tuple[float, str]] = {}
     upper = UpperStructure(components)
-    for alpha in alphas:
-        arcs = upper.arcs(min(alpha, 1.0))
-        _require_valid(upper.node_ids, arcs, "upper")
+    sweep = upper.rate_batch([min(alpha, 1.0) for alpha in alphas])
+    # Every slot and label at the first alpha, and every rate (NaN fails, inf
+    # passes), with the validator's message at the first alpha that fails.
+    for row in [0, *_failed_row(sweep.rates)]:
+        _require_valid(upper.node_ids, sweep.arcs(row), "upper")
+    for row, alpha in enumerate(alphas):
+        arcs = sweep.arcs(row)
         rates = {}
         for demand in demands:
             flow = max_flow if demand.kind == "unicast" else multicast_outer
@@ -175,8 +187,7 @@ def bound(net: NoisyNetwork, alphas, beta_step: float) -> BoundReport:
     batch = lower.rate_batch({comp.key: rows for comp, rows in zip(bc_comps, zip(*combos))})
     # Every slot and label, at one run per decode-order group, and every rate
     # (NaN fails too), with the validator's message at the first run that fails.
-    failed = np.flatnonzero(~(batch.rates >= 0.0).all(axis=1))[:1]
-    for row in [*np.unique(batch.group, return_index=True)[1], *failed]:
+    for row in [*np.unique(batch.group, return_index=True)[1], *_failed_row(batch.rates)]:
         _require_valid(lower.node_ids, batch.slot_arcs(row), "lower")
 
     if len(demands) == 1 and demands[0].kind == "unicast":

@@ -16,12 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netbounds import cli, experiments, flows, pipeline
+from netbounds import assemble, cli, experiments, flows, pipeline
 from netbounds.assemble import LowerStructure, UpperStructure
 from netbounds.cli import main, parse_grid
 from netbounds.decouple import decompose
 from netbounds.flows import unicast_inner
 from netbounds.info import db_to_linear
+from netbounds.netmodel import Demand
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -305,26 +306,17 @@ class TestBounds:
 
     @pytest.mark.parametrize("structure", [UpperStructure, LowerStructure])
     def test_every_run_is_validated(self, monkeypatch, capsys, structure):
-        # A NaN rate on one arc of every outer run, or of the last inner run
-        # alone, must stop the sweep with the validator's message, not reach a
-        # flow. The inner sweep is one batch.
-        if structure is UpperStructure:
-            rate = structure.arcs
+        # A NaN rate on one arc of the last run of either sweep must stop the
+        # sweep with the validator's message, not reach a flow. Each sweep is
+        # one batch.
+        rate_batch = structure.rate_batch
 
-            def poisoned(self, params):
-                (tail, heads, _, label), *rest = rate(self, params)
-                return [(tail, heads, math.nan, label), *rest]
+        def poisoned(self, *args):
+            batch = rate_batch(self, *args)
+            batch.rates[-1, 0] = math.nan
+            return batch
 
-            monkeypatch.setattr(structure, "arcs", poisoned)
-        else:
-            rate_batch = structure.rate_batch
-
-            def poisoned(self, splits):
-                batch = rate_batch(self, splits)
-                batch.rates[-1, 0] = math.nan
-                return batch
-
-            monkeypatch.setattr(structure, "rate_batch", poisoned)
+        monkeypatch.setattr(structure, "rate_batch", poisoned)
         path = DATA / "lower_bounds_2x3xunicast-0.json"
         assert main(["bounds", str(path), "--beta-step", "0.25"]) == 3
         err = capsys.readouterr().err
@@ -699,6 +691,50 @@ class TestOuterAndCertifiedFlowsPerSearch:
         assert last.arcs(0) != last.arcs(len(last.rates) - 1)
         assert certified == [last.arcs(0)]
 
+    def test_outer_searches_rate_each_mac_once_and_certify_one_flow(self, monkeypatch):
+        calls = []
+
+        def counted(module, name):
+            call = getattr(module, name)
+
+            def counting(*args):
+                calls.append(name)
+                return call(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        counted(assemble, "mac_upper")
+        counted(experiments, "max_flow")
+        counted(experiments, "multicast_outer")
+        components = decompose(experiments.relay_network(1.0, db_to_linear(5.0), 10.0))
+        experiments.relay_eq_upper(components)
+        # One MAC at 11 alphas, shared by both receiver orders.
+        assert sorted(calls) == ["mac_upper"] * 11 + ["max_flow"]
+        calls.clear()
+        power = db_to_linear(13.0)
+        net = experiments.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
+        experiments.multicast_eq_upper(decompose(net), sorted(net.demands[0].sinks))
+        assert sorted(calls) == ["mac_upper"] * 110 + ["multicast_outer"]
+
+    def test_relay_outer_scans_alpha_by_alpha_and_keeps_the_earliest_tie(self, monkeypatch):
+        # The first structure's cuts are (2, 1) at the two alphas and the
+        # second's (1, 2): alpha by alpha, (alpha 0, second) comes first.
+        cuts, certified = [[2.0, 1.0], [1.0, 2.0]], []
+
+        def scripted(slots, rates, demand):
+            return np.array(cuts.pop(0))
+
+        def certify(node_ids, arcs, demand):
+            certified.append(arcs)
+            return flows.FlowResult(demand=demand, rate=1.0, witness={})
+
+        monkeypatch.setattr(experiments, "min_cut", scripted)
+        monkeypatch.setattr(experiments, "max_flow", certify)
+        components = decompose(experiments.relay_network(1.0, db_to_linear(5.0), 10.0))
+        assert experiments.relay_eq_upper(components, (0.3, 0.6)) == 1.0
+        second = UpperStructure(components, {("bc", "S"): ("R", "D")})
+        assert certified == [second.arcs(0.3)]
+
     def test_outer_searches_keep_their_structures(self, monkeypatch):
         structures = count_constructions(monkeypatch, UpperStructure)
         experiments.relay_eq_upper(decompose(experiments.relay_network(1.0, db_to_linear(5.0), 10.0)))
@@ -707,6 +743,61 @@ class TestOuterAndCertifiedFlowsPerSearch:
         net = experiments.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
         experiments.multicast_eq_upper(decompose(net), sorted(net.demands[0].sinks))
         assert len(structures) == 3
+
+
+def reference_relay_upper(components, alphas):
+    """The relay outer search as a loop: the least certified max flow over
+    every alpha and both receiver orders."""
+    demand = experiments._relay_demand()
+    structures = [
+        UpperStructure(components, {("bc", "S"): perm}) for perm in (("D", "R"), ("R", "D"))
+    ]
+    best = math.inf
+    for alpha in alphas:
+        for structure in structures:
+            best = min(best, flows.max_flow(structure.node_ids, structure.arcs(alpha), demand).rate)
+    return best
+
+
+def reference_multicast_upper(components, sinks, alphas):
+    """The multicast outer search as a loop: the least `multicast_outer` over
+    every alpha, from a merged source."""
+    structure = UpperStructure(components)
+    node_ids = (*structure.node_ids, "JOINT_SRC")
+    feeds = [("JOINT_SRC", (source,), math.inf, "joint source") for source in ("S1", "S2")]
+    demand = Demand(kind="multicast", source="JOINT_SRC", sinks=frozenset(sinks))
+    best = math.inf
+    for alpha in alphas:
+        arcs = structure.arcs(alpha) + feeds
+        best = min(best, flows.multicast_outer(node_ids, arcs, demand).rate)
+    return best
+
+
+OUTER_ALPHA_GRIDS = (experiments.ALPHA_GRID, (0.0, 1.0), (0.35,))
+
+
+@pytest.mark.parametrize("alphas", OUTER_ALPHA_GRIDS)
+def test_relay_outer_search_is_the_flow_loop(alphas):
+    # On the repro grid, bit for bit.
+    want, got = [], []
+    for gamma_sr_db in parse_grid("-10:30:1"):
+        components = decompose(experiments.relay_network(1.0, db_to_linear(gamma_sr_db), 10.0))
+        want.append(reference_relay_upper(components, alphas))
+        got.append(experiments.relay_eq_upper(components, alphas))
+    assert [repr(rate) for rate in got] == [repr(rate) for rate in want]
+
+
+@pytest.mark.parametrize("alphas", OUTER_ALPHA_GRIDS)
+@pytest.mark.parametrize("receivers, p_db", [(10, "-5:25:1"), (4, "-5:25:15")])
+def test_multicast_outer_search_is_the_flow_loop(alphas, receivers, p_db):
+    # On the repro grids, bit for bit.
+    want, got = [], []
+    for power in map(db_to_linear, parse_grid(p_db)):
+        net = experiments.multicast_network(receivers, power, power * db_to_linear(-3.0), 8, 0.1)
+        components, sinks = decompose(net), sorted(net.demands[0].sinks)
+        want.append(reference_multicast_upper(components, sinks, alphas))
+        got.append(experiments.multicast_eq_upper(components, sinks, alphas))
+    assert [repr(rate) for rate in got] == [repr(rate) for rate in want]
 
 
 class TestMulticastCutPruning:

@@ -194,6 +194,58 @@ class TestMaxFlow:
         assert high >= low - 1e-12
 
 
+class TestMinCut:
+    def test_matches_brute_force_and_flows_per_row(self):
+        # Each random graph is one batch of 4 rows. Some pipes have rate 0 in
+        # every row, some are infinite in every row and some in one row only.
+        rng = np.random.default_rng(11)
+        unbounded = 0
+        for trial in range(80):
+            n = int(rng.integers(3, 9))
+            names = [f"n{i}" for i in range(n)]
+            slots = [(u, (v,)) for u in names for v in names if u != v and rng.random() < 0.45]
+            if not slots:
+                continue
+            rates = rng.uniform(0.1, 4.0, size=(4, len(slots)))
+            for column in range(len(slots)):
+                draw = rng.random()
+                if draw < 0.15:
+                    rates[:, column] = 0.0
+                elif draw < 0.25:
+                    rates[:, column] = INF
+                elif draw < 0.35:
+                    rates[int(rng.integers(4)), column] = INF
+            source, sinks = names[0], names[1:]
+            for demand in (unicast(source, names[-1]), multicast(source, sinks)):
+                cuts = flows.min_cut(slots, rates, demand)
+                for row, cut in enumerate(cuts.tolist()):
+                    net = pipes_network(
+                        [(tail, heads, rate) for (tail, heads), rate in zip(slots, rates[row])],
+                        extra_nodes=names,
+                    )
+                    flow = (max_flow if demand.kind == "unicast" else multicast_outer)(
+                        net.node_ids, net.arcs, demand
+                    ).rate
+                    oracle = min(brute_force_min_cut(net, source, sink) for sink in demand.sinks)
+                    assert cut == oracle, f"trial {trial} row {row}"
+                    assert cut == flow or abs(cut - flow) <= 1e-9, f"trial {trial} row {row}"
+                    unbounded += cut == INF
+        assert unbounded > 0
+
+    def test_refuses_hyper_arcs_and_oversized_interiors(self):
+        def chain(length):
+            names = ["s", *(f"a{k}" for k in range(length)), "t"]
+            return [(u, (v,)) for u, v in zip(names, names[1:])]
+
+        rates = np.ones((1, 13))
+        (cut,) = flows.min_cut(chain(12), rates, unicast("s", "t"))
+        assert cut == 1.0
+        with pytest.raises(ValueError, match="'t' has 13 interior nodes"):
+            flows.min_cut(chain(13), np.ones((1, 14)), unicast("s", "t"))
+        with pytest.raises(ValueError, match="hyper-arc"):
+            flows.min_cut([("s", ("a", "t"))], np.ones((1, 1)), unicast("s", "t"))
+
+
 class TestMulticastOuter:
     def test_min_over_sinks(self):
         net = pipes_network([("s", "a", 2.0), ("s", "b", 0.5)])

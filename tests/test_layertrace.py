@@ -58,8 +58,8 @@ BENCH_POINTS = {
         {
             "decouple.decompose": 1,
             "decouple.gauss_noise_partition": 1,
-            "mac.mac_upper": 22,
-            "flows.max_flow": 22,
+            "mac.mac_upper": 11,
+            "flows.max_flow": 1,
             "flows.unicast_inner": 1,
             "benchmarks.relay_refs": 3,
         },
@@ -71,7 +71,7 @@ BENCH_POINTS = {
             "decouple.decompose": 1,
             "decouple.gauss_noise_partition": 1,
             "mac.mac_upper": 110,
-            "flows.multicast_outer": 11,
+            "flows.multicast_outer": 1,
             "flows.hyper_inner": 2,
             "flows.validate_hyper_result": 2,
         },

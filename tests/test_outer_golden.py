@@ -4,8 +4,13 @@ The inputs are the upper networks that the outer searches rate: the relay
 search at three source-relay SNRs, the multicast search at one power with 10
 receivers, and the alpha sweep of `bounds` on two files under tests/data.
 While the searches run, each (structure, alpha) is recorded where it is
-rated, `UpperStructure.arcs`, with every `mac_upper` result behind it and
-what the search returns (for `bounds`, its stdout). Each record is re-rated
+rated, `UpperStructure.rate_batch`, with every `mac_upper` result behind it
+and what the search returns (for `bounds`, its stdout). The networks are
+hashed in the order the searches scan them (alpha by alpha, and within an
+alpha the structures that share one MAC sweep, in order), each followed in
+the `mac_upper` part by its MACs' results, so a MAC result that two
+structures share counts once among the calls but is hashed for each. Each
+record is re-rated
 and hashed over its nodes (each with the kind that network objects once
 carried: "auxiliary" for an id of no component, else "terminal"), its arcs,
 `repr` of every rate as a float and every arc's `describe` text. Each
@@ -16,8 +21,9 @@ infinite feeds, `multicast_outer` and `max_flow` to each sink.
 They are hashed over rate, flows (keys, order, `repr` of values), cut, cut capacity and
 per-sink rates. The digest in tests/data/outer_results.json was recorded while
 `mac_upper` still computed with NumPy, the multicast search still took one
-`max_flow` per sink and upper networks were still pipe objects, so it shows
-that none of these changes moved an outer bound.
+`max_flow` per sink, upper networks were still pipe objects and every
+(structure, alpha) took its own `mac_upper` calls, so it shows that none of
+these changes moved an outer bound.
 Re-record it (the failure message prints the new value) only when a change is
 meant to move one.
 """
@@ -34,6 +40,7 @@ from netbounds.assemble import UpperStructure, describe
 from netbounds.decouple import decompose
 from netbounds.flows import max_flow, multicast_outer
 from netbounds.info import db_to_linear
+from netbounds.mac import MacSpec
 from netbounds.netmodel import Demand, parse_network
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -143,44 +150,69 @@ def _flow_key(result):
     )
 
 
+def _scanned(batches):
+    """(structure, alpha) per candidate of the recorded `rate_batch` calls,
+    in scan order: consecutive calls that share one dict of MAC rates are
+    one search's structures, interleaved alpha by alpha."""
+    groups = []
+    for structure, alphas, rated in batches:
+        if groups and rated is not None and groups[-1][2] is rated:
+            groups[-1][0].append(structure)
+        else:
+            groups.append(([structure], alphas, rated))
+    return [
+        (structure, alpha)
+        for structures, alphas, _ in groups
+        for alpha in alphas
+        for structure in structures
+    ]
+
+
 def test_outer_results_match_recorded_digest(monkeypatch):
-    uppers: list = []
-    macs: list[str] = []
-    terminals: dict = {}  # the component nodes of each structure
-    init, rate, mac_upper = UpperStructure.__init__, UpperStructure.arcs, assemble.mac_upper
+    batches: list = []
+    macs: dict = {}  # key per (MacSpec, alpha) rated
+    calls: list = []  # one entry per `mac_upper` call
+    specs: dict = {}  # the MACs of each structure, and its component nodes
+    init, rate, mac_upper = UpperStructure.__init__, UpperStructure.rate_batch, assemble.mac_upper
 
     def recording_init(self, components, bc_perm=None):
         init(self, components, bc_perm)
-        terminals[self] = {n for c in components for n in (*c.inputs, *c.outputs)}
+        specs[self] = (
+            [MacSpec(gammas=c.gamma_list()) for c in components if c.kind == "mac"],
+            {n for c in components for n in (*c.inputs, *c.outputs)},
+        )
 
-    def recording_arcs(self, alpha):
-        uppers.append((self, alpha))
-        return rate(self, alpha)
+    def recording_batch(self, alphas, rated=None):
+        batches.append((self, tuple(alphas), rated))
+        return rate(self, alphas, rated)
 
     def recording_mac(spec, alpha):
         result = mac_upper(spec, alpha)
-        macs.append(_mac_key(spec, alpha, result))
+        macs[(spec, alpha)] = _mac_key(spec, alpha, result)
+        calls.append(spec)
         return result
 
     monkeypatch.setattr(UpperStructure, "__init__", recording_init)
-    monkeypatch.setattr(UpperStructure, "arcs", recording_arcs)
+    monkeypatch.setattr(UpperStructure, "rate_batch", recording_batch)
     monkeypatch.setattr(assemble, "mac_upper", recording_mac)
     runs = {}
     for name, run in SECTIONS.items():
-        upper_start, mac_start = len(uppers), len(macs)
+        batch_start, call_start = len(batches), len(calls)
         values, outer = run()
-        runs[name] = (values, outer, uppers[upper_start:], macs[mac_start:])
+        scanned = _scanned(batches[batch_start:])
+        section_macs = [
+            macs[(spec, alpha)] for structure, alpha in scanned for spec in specs[structure][0]
+        ]
+        runs[name] = (values, outer, scanned, section_macs, len(calls) - call_start)
     monkeypatch.undo()
     # Built after the hooks are gone, so no `mac_upper` call is counted twice.
-    for _values, _outer, section_uppers, _macs in runs.values():
-        section_uppers[:] = [
-            _Upper(structure, alpha, terminals[structure]) for structure, alpha in section_uppers
-        ]
+    for _values, _outer, scanned, _macs, _calls in runs.values():
+        scanned[:] = [_Upper(structure, alpha, specs[structure][1]) for structure, alpha in scanned]
 
     digest = hashlib.sha256()
     counts = {}
-    for name, (values, outer, section_uppers, section_macs) in runs.items():
-        counts[name] = {"networks": len(section_uppers), "mac_upper": len(section_macs)}
+    for name, (values, outer, section_uppers, section_macs, section_calls) in runs.items():
+        counts[name] = {"networks": len(section_uppers), "mac_upper": section_calls}
         digest.update(repr((name, values)).encode("utf-8"))
         for key in section_macs:
             digest.update(key.encode("utf-8"))
@@ -190,4 +222,5 @@ def test_outer_results_match_recorded_digest(monkeypatch):
                 digest.update(_flow_key(result).encode("utf-8"))
     want = json.loads((DATA / "outer_results.json").read_text(encoding="utf-8"))
     assert counts == want["counts"]
+    assert digest.hexdigest() == want["sha256"], digest.hexdigest()
     assert digest.hexdigest() == want["sha256"], digest.hexdigest()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from netbounds import flows, pipeline
-from netbounds.assemble import LowerBatch, LowerStructure
+from netbounds.assemble import LowerBatch, LowerStructure, UpperStructure
 from netbounds.bc import simplex_grid
 from netbounds.cli import parse_grid
 from netbounds.decouple import decompose
@@ -296,19 +296,22 @@ def test_bound_routes_only_runs_that_can_set_a_bound(name, solves, monkeypatch):
 
 
 def test_bound_rates_and_validates_its_sweep_as_one_batch(monkeypatch):
-    # Counts of calls, which do not depend on machine speed: the sweep is one
-    # batch, validated once per decode-order group and once per alpha, and
-    # an arc list is built only for a run that is routed.
+    # Counts of calls, which do not depend on machine speed: each sweep is one
+    # batch, the inner one validated once per decode-order group and the
+    # outer one once, and an arc list is built only for a run that is routed.
     net = parse_network((DATA / "lower_bounds_3x2xmulticast-1.json").read_text(encoding="utf-8"))
     arcs = counted(monkeypatch, LowerStructure, "arcs")
     batches = counted(monkeypatch, LowerStructure, "rate_batch")
+    upper_arcs = counted(monkeypatch, UpperStructure, "arcs")
+    sweeps = counted(monkeypatch, UpperStructure, "rate_batch")
     validated = counted(monkeypatch, pipeline, "validate_bounding_network")
     arc_lists = counted(monkeypatch, LowerBatch, "arcs")
     solves = counted_solves(monkeypatch)
     alphas = parse_grid("0:1:0.1")
     bound(net, alphas, 0.25)
     assert (len(arcs), len(batches)) == (0, 1)
+    assert (len(upper_arcs), len(sweeps)) == (0, 1)
     [batch] = batches
     assert len(batch.groups) > 1
-    assert len(validated) == len(batch.groups) + len(alphas)
+    assert len(validated) == len(batch.groups) + 1
     assert len(arc_lists) == len(solves) == 25
