@@ -9,11 +9,16 @@ capacity from `link_capacity`. `UpperStructure` fixes what does not depend
 on the noise split alpha: nodes, auxiliary ids, each broadcast side's
 cumulative rates for its receiver order, point-to-point arcs and shared
 links. Its `rate_batch(alphas)` rates the multi-access pipes (and the shared
-ones, at the larger rate) at a whole alpha sweep, one `mac_upper` per MAC and
-alpha, into an `UpperBatch`: the pipe slots and an alphas x slots rate array,
-from which each alpha's ``(tail, heads, rate, label)`` arcs can be read.
-`arcs(alpha)` is the batch of one alpha. One noise split alpha is common to
-every multi-access side.
+ones, at the larger rate) at a whole alpha sweep into an `UpperBatch`: the
+pipe slots and an alphas x slots rate array, from which each alpha's
+``(tail, heads, rate, label)`` arcs can be read. `arcs(alpha)` is the batch
+of one alpha. One noise split alpha is common to every multi-access side.
+Each MAC's rates at an alpha come from `_mac_rates`, a cache of the last 64
+`mac_upper` rate vectors by (MAC, alpha): the relay's two receiver-order
+structures share their one MAC, and a relay sweep holds that MAC fixed at
+every point, so a whole sweep computes 11 rate vectors. The cache is smaller
+than one multicast point (110 pairs) or a `bounds` file's alpha sweep, whose
+pairs do not repeat within a run.
 
 The lower network replaces every component by an achievable coding scheme:
 superposition layers on broadcast sides (hyper-arcs to the receivers that
@@ -66,7 +71,7 @@ import numpy as np
 from .bc import BcSpec, bc_upper_cumulative
 from .decouple import DecoupledComponent
 from .info import awgn_capacities, awgn_capacity, bsc_capacity, qsc_capacity
-from .mac import MacSpec, mac_upper
+from .mac import MacSpec, RateVector, mac_upper
 from .netmodel import NoisyLink
 
 __all__ = [
@@ -166,6 +171,14 @@ def _all_nodes(components) -> tuple[str, ...]:
     return tuple(names)
 
 
+@functools.lru_cache(maxsize=64)
+def _mac_rates(spec: MacSpec, alpha: float) -> RateVector:
+    """`mac_upper`'s rate vector of `spec` at `alpha`, computed once per
+    (MAC, alpha) while it stays among the last 64 used. A miss calls
+    `mac_upper` through this module's globals."""
+    return mac_upper(spec, alpha)[0]
+
+
 class UpperStructure:
     """The part of an upper network that does not depend on the noise split.
 
@@ -246,26 +259,18 @@ class UpperStructure:
                 self._slots.append((tail, heads, rate, None, label))
         self.node_ids = tuple(nodes)
 
-    def rate_batch(self, alphas, rated: dict | None = None) -> UpperBatch:
+    def rate_batch(self, alphas) -> UpperBatch:
         """The pipes of this structure at every noise split of `alphas`, the
         share of every MAC receiver's noise backing its sum constraint (1 is
         full cooperation, with unconstrained per-input pipes). Row r of the
-        batch is, bit for bit, `arcs(alphas[r])`.
-
-        `rated` maps ``(MacSpec, alpha)`` to `mac_upper`'s rate vector, and
-        this call adds every pair it rates. Structures of one component list
-        have the same multi-access sides, so a search that rates several of
-        them passes one dict, which it drops when it returns: each (MAC,
-        alpha) of the search is then rated once.
+        batch is, bit for bit, `arcs(alphas[r])`. MAC rates come from
+        `_mac_rates`.
         """
         alphas = tuple(alphas)
-        rated = {} if rated is None else rated
         sweeps: list[list] = [[] for _ in self._macs]  # per MAC, its rates per alpha
         for alpha in alphas:
             for spec, sweep in zip(self._macs, sweeps):
-                if (spec, alpha) not in rated:
-                    rated[(spec, alpha)] = mac_upper(spec, alpha)[0]
-                sweep.append(rated[(spec, alpha)])
+                sweep.append(_mac_rates(spec, alpha))
         rates = np.empty((len(alphas), len(self._slots)))
         for place, (_tail, _heads, fixed, mac, _label) in enumerate(self._slots):
             if mac is None:

@@ -14,8 +14,9 @@ plain rows, which `netbounds repro` prints as CSV:
 
 The outer searches take the least bound over the noise-split sweep, in the
 form the relay inner search has: every upper structure is rated at the whole
-sweep as one `UpperStructure.rate_batch` (the relay's two receiver orders
-share one `mac_upper` per alpha), every (alpha, structure) candidate is rated
+sweep as one `UpperStructure.rate_batch` (whose MAC-rate cache lets the
+relay's two receiver orders, and every point of a relay sweep, share one
+`mac_upper` per alpha), every (alpha, structure) candidate is rated
 by its exact `flows.min_cut` without a flow, and only the least, the earliest
 of ties, gets a certified flow, which is reported. The inner searches
 enumerate candidates from simplest to richest: the relay-off or common-layer
@@ -112,13 +113,14 @@ def _least_outer(node_ids, batches, demand: Demand, flow, feeds=()) -> float:
 
 def relay_eq_upper(components, alphas=ALPHA_GRID) -> float:
     """Tightest flow bound over the noise-split sweep and both receiver orders
-    of the cumulative BC upper model: one upper structure per order, both
-    rated over one `mac_upper` sweep. See `_least_outer` for the search."""
+    of the cumulative BC upper model: one upper structure per order. Both
+    have the one MAC at D, whose rates at each alpha are computed once and
+    then read from `UpperStructure.rate_batch`'s MAC-rate cache. See
+    `_least_outer` for the search."""
     structures = [
         UpperStructure(components, {("bc", "S"): perm}) for perm in (("D", "R"), ("R", "D"))
     ]
-    rated: dict = {}  # this search's MAC rates, shared by both structures
-    batches = [structure.rate_batch(alphas, rated) for structure in structures]
+    batches = [structure.rate_batch(alphas) for structure in structures]
     return _least_outer(structures[0].node_ids, batches, _relay_demand(), max_flow)
 
 

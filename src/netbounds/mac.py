@@ -14,10 +14,12 @@ SNRs after every receiver is charged with the power it never decodes.
 
 SNRs are linear and all rates are bits per channel use.
 
-The sweeps call `mac_upper` once per (alpha, candidate) on MACs of a few
+`mac_upper` is called once per distinct (MAC, alpha) pair that a search
+rates (`assemble` keeps a small cache of its rate vectors), on MACs of a few
 inputs, so the module works in plain Python floats and `math`, not NumPy.
-Sums run left to right in an explicit loop (`_sum`), which is what `np.sum`
-does below 8 terms, and the coherent sum is squared as `s ** 2`, which rounds
+Sums run left to right in an explicit loop (`_sum`, and `_share_sum`, which
+the bisection calls about 25 times per solve), which is what `np.sum` does
+below 8 terms, and the coherent sum is squared as `s ** 2`, which rounds
 as NumPy's scalar square does (`s * s` does not always). So for up to 7
 inputs `mac_upper` and its helpers give bit for bit what the same formulas
 give in NumPy; from 8 terms `np.sum` adds pairwise, and the last bits may
@@ -154,7 +156,18 @@ def mu_bracket(gammas: tuple[float, ...], alpha: float) -> tuple[float, float]:
 
 
 def _share_sum(gammas: tuple[float, ...], mu: float) -> float:
-    return 0.5 * _sum(math.sqrt(g * (g + 4.0 * mu)) - g for g in gammas)
+    """0.5 * sum_i (sqrt(gamma_i*(gamma_i + 4*mu)) - gamma_i), summed left to
+    right as `_sum` does, in one loop: the bisection's inner step."""
+    sqrt, four_mu, total = math.sqrt, 4.0 * mu, 0.0
+    for g in gammas:
+        total += sqrt(g * (g + four_mu)) - g
+    return 0.5 * total
+
+
+def _equal_share(g: float, mu: float) -> float:
+    """0.5 * (sqrt(g*(g + 4*mu)) - g) in the equal form 2*g*mu/(sqrt(g*(g +
+    4*mu)) + g), which does not cancel when mu is far below g."""
+    return 2.0 * g * mu / (math.sqrt(g * (g + 4.0 * mu)) + g)
 
 
 def solve_mu(
@@ -188,7 +201,10 @@ def solve_mu(
     lo, hi = mu_bracket(gam, alpha)
     if hi - lo <= 1e-15 * max(1.0, hi):
         mu = 0.5 * (lo + hi)
-        assert abs(_share_sum(gam, mu) - budget) < 1e-8, "bracket degenerated badly"
+        # `_share_sum` cancels here with an error of about eps * gamma, which
+        # exceeds the check from about 80 dB on; the equal form does not.
+        residual = _sum(_equal_share(g, mu) for g in gam) - budget
+        assert abs(residual) < 1e-8, "bracket degenerated badly"
         return mu
     # Guard the bracket against floating-point rounding of the endpoints.
     lo *= 1.0 - 1e-12
@@ -224,10 +240,7 @@ def optimal_noise_shares(gammas: tuple[float, ...], alpha: float) -> NoisePartit
     # For mu far below gamma_i the difference above cancels, down to 0.0 when
     # alpha is within about 1e-13 of 1; such a share takes the equal form
     # that does not cancel. Positive shares keep the form the bisection used.
-    shares = [
-        a if a > 0.0 else 2.0 * g * mu / (math.sqrt(g * (g + 4.0 * mu)) + g)
-        for a, g in zip(shares, gammas)
-    ]
+    shares = [a if a > 0.0 else _equal_share(g, mu) for a, g in zip(shares, gammas)]
     # The bisection residual can leave the total a hair off 1 - alpha; scale
     # it out so downstream consumers see an exact partition.
     scale = (1.0 - alpha) / _sum(shares)

@@ -8,6 +8,12 @@ some on a node without a link. A file must either get its bounds (exit 0,
 inner <= outer for every demand) or be refused as an input error that names
 the field at fault (exit 2, naming `links[i]` or `demands[i]`). An internal
 error (exit 3) or an input error that names no field fails the test.
+
+A second, tied-SNR family holds fully connected 2x2 unicast, 2x3 multicast
+and 3x2 unicast files whose AWGN links all share one SNR, from -150 to 150 dB
+in steps of 0.5 dB: every multi-access side then has equal inputs, where
+`mac_upper`'s bisection bracket degenerates to a point. Every such file must
+get its bounds.
 """
 
 import json
@@ -48,6 +54,33 @@ def random_document(rng: random.Random, span_db: float) -> dict:
     return {"nodes": names, "links": links, "demands": demands}
 
 
+def tied_document(transmitters: int, receivers: int, kind: str, snr_db: float) -> dict:
+    """Transmitters S* fully connected to receivers D*, every link at snr_db:
+    unicast demands S_i -> D_(i mod receivers), or multicast from each S_i to
+    every receiver."""
+    tx = [f"S{i + 1}" for i in range(transmitters)]
+    rx = [f"D{j + 1}" for j in range(receivers)]
+    links = [{"from": s, "to": d, "kind": "awgn", "snr_db": snr_db} for s in tx for d in rx]
+    if kind == "unicast":
+        demands = [
+            {"kind": "unicast", "source": s, "sinks": [rx[i % receivers]]}
+            for i, s in enumerate(tx)
+        ]
+    else:
+        demands = [{"kind": "multicast", "source": s, "sinks": rx} for s in tx]
+    return {"nodes": tx + rx, "links": links, "demands": demands}
+
+
+def check_bounds(out: str, name: str) -> None:
+    """Check that `bounds` printed an inner and an outer bound per demand,
+    inner <= outer."""
+    outer = [float(v) for v in re.findall(r"^  outer (\S+)", out, re.MULTILINE)]
+    inner = [float(v) for v in re.findall(r"^  inner (\S+)", out, re.MULTILINE)]
+    assert outer and len(outer) == len(inner), f"{name}: {out}"
+    for up, low in zip(outer, inner):
+        assert low <= up + 1e-6, f"{name}: inner {low} above outer {up}"
+
+
 # (SNR span in dB, files that must get bounds): at 200 dB a quarter of the
 # AWGN links lie beyond the parser's range, so most files are refused.
 @pytest.mark.parametrize(
@@ -68,10 +101,22 @@ def test_every_accepted_file_gets_bounds_or_a_named_input_error(
         if code == 2:
             assert re.search(r"(links|demands)\[\d+\]", err), f"{path.name}: {err.strip()}"
             continue
-        outer = [float(v) for v in re.findall(r"^  outer (\S+)", out, re.MULTILINE)]
-        inner = [float(v) for v in re.findall(r"^  inner (\S+)", out, re.MULTILINE)]
-        assert outer and len(outer) == len(inner), f"{path.name}: {out}"
-        for up, low in zip(outer, inner):
-            assert low <= up + 1e-6, f"{path.name}: inner {low} above outer {up}"
+        check_bounds(out, path.name)
     # Both outcomes occur, so the generator reaches the models and the parser.
     assert codes[0] > bounded and codes[2] > 0, codes
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2, "unicast"), (2, 3, "multicast"), (3, 2, "unicast")],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_every_tied_snr_file_gets_bounds(shape, tmp_path, capsys):
+    path = tmp_path / "tied.json"
+    for half_db in range(-300, 301):
+        snr_db = half_db / 2
+        path.write_text(json.dumps(tied_document(*shape, snr_db)), encoding="utf-8")
+        code = main(["bounds", str(path), "--beta-step", "0.5"])
+        out, err = capsys.readouterr()
+        assert code == 0, f"{shape} at {snr_db} dB: exit {code}: {err.strip()}"
+        check_bounds(out, f"{shape} at {snr_db} dB")

@@ -213,6 +213,28 @@ class TestBounds:
         assert len(outer) == len(inner) == 2
         assert all(i <= o + 1e-9 for o, i in zip(outer, inner))
 
+    def test_two_equal_110_db_links_into_one_receiver_get_bounds(self, tmp_path, capsys):
+        # Tied SNRs give mac_upper's bisection a degenerate bracket, whose
+        # residual check used to cancel above about 80 dB and exit 3.
+        doc = {
+            "nodes": ["a", "b", "d"],
+            "links": [
+                {"from": "a", "to": "d", "kind": "awgn", "snr_db": 110.0},
+                {"from": "b", "to": "d", "kind": "awgn", "snr_db": 110.0},
+            ],
+            "demands": [
+                {"kind": "unicast", "source": "a", "sinks": ["d"]},
+                {"kind": "unicast", "source": "b", "sinks": ["d"]},
+            ],
+        }
+        path = write_network(tmp_path / "mac110.json", doc)
+        assert main(["bounds", path]) == 0
+        out = capsys.readouterr().out
+        outer = [float(v) for v in re.findall(r"^  outer (\S+)", out, flags=re.MULTILINE)]
+        inner = [float(v) for v in re.findall(r"^  inner (\S+)", out, flags=re.MULTILINE)]
+        assert len(outer) == len(inner) == 2
+        assert all(0.0 < i <= o + 1e-9 and math.isfinite(o) for o, i in zip(outer, inner))
+
     def test_rates_over_many_orders_of_magnitude_pass_the_witness_check(
         self, tmp_path, capsys
     ):
@@ -715,6 +737,21 @@ class TestOuterAndCertifiedFlowsPerSearch:
         net = experiments.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
         experiments.multicast_eq_upper(decompose(net), sorted(net.demands[0].sinks))
         assert sorted(calls) == ["mac_upper"] * 110 + ["multicast_outer"]
+
+    def test_relay_sweep_computes_each_mac_rate_once(self, monkeypatch):
+        # Every point of a relay sweep has the one MAC at D, with gamma_sd and
+        # gamma_rd fixed, so 41 points take 11 mac_upper calls in all.
+        calls = []
+        mac_upper = assemble.mac_upper
+
+        def counting(spec, alpha):
+            calls.append((spec, alpha))
+            return mac_upper(spec, alpha)
+
+        monkeypatch.setattr(assemble, "mac_upper", counting)
+        rows = experiments.relay_experiment(0.0, 10.0, [float(g) for g in range(-10, 31)])
+        assert len(rows) == 41
+        assert len(calls) == len(set(calls)) == len(experiments.ALPHA_GRID)
 
     def test_relay_outer_scans_alpha_by_alpha_and_keeps_the_earliest_tie(self, monkeypatch):
         # The first structure's cuts are (2, 1) at the two alphas and the

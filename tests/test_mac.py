@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from netbounds import mac
 from netbounds.assemble import LowerParams, build_lower
 from netbounds.decouple import decompose
 from netbounds.info import awgn_capacity
@@ -327,7 +328,10 @@ def np_solve_mu(gammas, alpha, tol=1e-10, max_iter=200):
 def np_optimal_noise_shares(gammas, alpha):
     gam = np.asarray(gammas, dtype=float)
     mu = np_solve_mu(tuple(gam), alpha)
-    shares = 0.5 * (np.sqrt(gam * (gam + 4.0 * mu)) - gam)
+    root = np.sqrt(gam * (gam + 4.0 * mu))
+    shares = 0.5 * (root - gam)
+    # The equal form where the difference cancels to 0.0, as mac.py takes it.
+    shares = np.where(shares > 0.0, shares, 2.0 * gam * mu / (root + gam))
     shares *= (1.0 - alpha) / float(shares.sum())
     return tuple(float(a) for a in shares), float(mu)
 
@@ -399,3 +403,108 @@ def test_float_model_matches_numpy_formulas(gammas, alpha):
         return
     for new, old in zip(flat(got), flat(want), strict=True):
         assert new == pytest.approx(old, rel=1e-12, abs=0.0)
+
+
+# `solve_mu` as it was while `_share_sum` summed a generator through `_sum` and
+# the degenerate bracket's check took that cancelling form, kept as the
+# reference of the loop that replaced it.
+
+
+def ref_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def ref_share_sum(gammas, mu):
+    return 0.5 * ref_sum(math.sqrt(g * (g + 4.0 * mu)) - g for g in gammas)
+
+
+def ref_solve_mu(gammas, alpha, tol=1e-10, max_iter=200):
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    gam = tuple(float(g) for g in gammas)
+    if len(gam) < 1:
+        raise ValueError("a MAC needs at least one input")
+    mac.check_snrs(gam)
+    budget = 1.0 - alpha
+    lo, hi = mu_bracket(gam, alpha)
+    if hi - lo <= 1e-15 * max(1.0, hi):
+        mu = 0.5 * (lo + hi)
+        assert abs(ref_share_sum(gam, mu) - budget) < 1e-8, "bracket degenerated badly"
+        return mu
+    lo *= 1.0 - 1e-12
+    hi *= 1.0 + 1e-12
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        residual = ref_share_sum(gam, mid) - budget
+        if abs(residual) < tol or mid in (lo, hi):
+            return mid
+        if residual < 0:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError(
+        f"bisection failed to reach residual {tol} within {max_iter} iterations"
+    )
+
+
+def reference_grid():
+    """(gammas, alpha) over m = 1..7 inputs: SNRs log-uniform over 1e-15 to
+    1e15 (above about 64 dB the bisection stalls before its tolerance), all
+    equal, and equal up to a few ulps; alpha at 0, at 1 - 1e-13 and drawn."""
+    rng = np.random.default_rng(20261019)
+    for m in range(1, 8):
+        for _ in range(30):
+            spread = tuple(10.0 ** rng.uniform(-15.0, 15.0, size=m))
+            base = float(10.0 ** rng.uniform(-15.0, 15.0))
+            near = tuple(base * (1.0 + k * 2.0**-52) for k in rng.integers(0, 4, size=m))
+            for gammas in (spread, (base,) * m, near):
+                for alpha in (0.0, 1.0 - 1e-13, *rng.uniform(0.0, 1.0, size=2)):
+                    yield tuple(float(g) for g in gammas), float(alpha)
+
+
+def test_share_sum_loop_keeps_every_bit_of_the_bisection(monkeypatch):
+    # Every iterate's share sum, mu and every field of `mac_upper` are the
+    # reference's bits where it solves. Where its degenerate-bracket check
+    # failed (tied SNRs from about 80 dB on), mu is the bracket midpoint, whose
+    # shares add to 1 - alpha.
+    share_sum, iterates = mac._share_sum, []
+
+    def checked(gammas, mu):
+        value = share_sum(gammas, mu)
+        iterates.append(value == ref_share_sum(gammas, mu))
+        return value
+
+    monkeypatch.setattr(mac, "_share_sum", checked)
+    cases = list(reference_grid())
+    solved, degenerate = [], []
+    for gammas, alpha in cases:
+        try:
+            solved.append((gammas, alpha, ref_solve_mu(gammas, alpha)))
+        except AssertionError as exc:
+            assert "bracket degenerated badly" in str(exc)
+            degenerate.append((gammas, alpha))
+    assert len(solved) > 0.9 * len(cases) and degenerate
+    for gammas, alpha, mu in solved:
+        assert solve_mu(gammas, alpha) == mu, (gammas, alpha)
+    assert len(iterates) > 10 * len(solved) and all(iterates)
+    for gammas, alpha in degenerate:
+        lo, hi = mu_bracket(gammas, alpha)
+        assert solve_mu(gammas, alpha) == 0.5 * (lo + hi), (gammas, alpha)
+        rv, partition = mac_upper(MacSpec(gammas=gammas), alpha)
+        assert sum(partition.alphas) == pytest.approx(1.0 - alpha, rel=1e-12)
+        assert all(math.isfinite(rate) for rate in rv.individual)
+    got = [float_mac_upper(gammas, alpha) for gammas, alpha, _ in solved]
+    monkeypatch.setattr(mac, "solve_mu", ref_solve_mu)
+    want = [float_mac_upper(gammas, alpha) for gammas, alpha, _ in solved]
+    assert got == want
+
+
+def test_tied_snrs_above_80_db_solve_at_the_bracket_midpoint():
+    # Both bracket endpoints coincide; the residual check used to cancel here.
+    rv, partition = mac_upper(MacSpec(gammas=(1e9, 1e9)), 0.1)
+    assert partition.mu == 0.5 * sum(mu_bracket((1e9, 1e9), 0.1))
+    assert partition.alphas[0] == partition.alphas[1] == pytest.approx(0.45, rel=1e-15)
+    assert rv.individual[0] == rv.individual[1] and math.isfinite(rv.sum_rate)
