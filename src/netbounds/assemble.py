@@ -13,12 +13,14 @@ ones, at the larger rate) at a whole alpha sweep into an `UpperBatch`: the
 pipe slots and an alphas x slots rate array, from which each alpha's
 ``(tail, heads, rate, label)`` arcs can be read. `arcs(alpha)` is the batch
 of one alpha. One noise split alpha is common to every multi-access side.
-Each MAC's rates at an alpha come from `_mac_rates`, a cache of the last 64
-`mac_upper` rate vectors by (MAC, alpha): the relay's two receiver-order
-structures share their one MAC, and a relay sweep holds that MAC fixed at
-every point, so a whole sweep computes 11 rate vectors. The cache is smaller
-than one multicast point (110 pairs) or a `bounds` file's alpha sweep, whose
-pairs do not repeat within a run.
+`rate_batch` takes every MAC's rates at every alpha of the sweep from one
+`_mac_rates` call: the (MAC, alpha) pairs among the last 64 used are read
+back, and all others are computed in one `mac_upper` call, each distinct
+pair once. The relay's two receiver-order structures share their one MAC,
+and a relay sweep holds that MAC fixed at every point, so a whole sweep
+computes 11 pairs, in one call. A multicast point (110 pairs) and a `bounds`
+file's alpha sweep do not fit in the cache and do not repeat, so each
+structure computes all of its pairs in one call.
 
 The lower network replaces every component by an achievable coding scheme:
 superposition layers on broadcast sides (hyper-arcs to the receivers that
@@ -35,14 +37,21 @@ for bit the float form.
 
 - `LowerStructure` fixes and validates what does not depend on the power
   split beta: each broadcast side's layer count and decode targets, explicit
-  decode orders, the node list and the point-to-point arcs.
+  decode orders, which multi-access inputs get SIC arcs, and the node list.
+  What one component alone fixes is built once per component, on its first
+  use by any structure, and kept while the component lives (`_fixed`): a
+  point-to-point component's arc with its capacity, a broadcast side's SNRs
+  and SNR-sorted receivers (`_BcLinks`), and a multi-access side's links
+  with one SIC table per decode order it is rated in (`_MacLinks`). So the
+  29 lower structures that the multicast search builds on one point's
+  components build 20 SIC tables, one per MAC and decode order, not 290.
 - `LowerStructure.arcs(betas)` charges the residuals of one split (the float
   form), resolves default decode orders, which depend on those residuals, and
   rates every layer arc and SIC arc against them, so each rate is achievable
   with every cross-component interference accounted for. It returns plain
   ``(tail, heads, rate, label)`` tuples, which is all the flow layer reads.
   The multicast search rates one split at a time here: on one of its
-  structures a one-split batch takes about 590 microseconds against 110 for
+  structures a one-split batch takes about 250 microseconds against 50 for
   `arcs`, which would about double a multicast pass (336 ratings).
 - `LowerStructure.rate_batch(splits)` charges n splits at once (the array
   form), groups them by their decode orders and rates each group in one
@@ -64,6 +73,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +82,7 @@ import numpy as np
 from .bc import BcSpec, bc_upper_cumulative
 from .decouple import DecoupledComponent
 from .info import awgn_capacities, awgn_capacity, bsc_capacity, qsc_capacity
-from .mac import MacSpec, RateVector, mac_upper
+from .mac import MacRates, MacSpec, mac_upper
 from .netmodel import NoisyLink
 
 __all__ = [
@@ -163,20 +174,101 @@ def _p2p_arc(link: NoisyLink) -> tuple:
 
 
 def _all_nodes(components) -> tuple[str, ...]:
-    names: list[str] = []
-    for comp in components:
-        for name in (*comp.inputs, *comp.outputs):
-            if name not in names:
-                names.append(name)
-    return tuple(names)
+    """Every component's inputs and outputs, each once, in order of first use."""
+    return tuple(
+        dict.fromkeys(name for comp in components for name in (*comp.inputs, *comp.outputs))
+    )
 
 
-@functools.lru_cache(maxsize=64)
-def _mac_rates(spec: MacSpec, alpha: float) -> RateVector:
-    """`mac_upper`'s rate vector of `spec` at `alpha`, computed once per
-    (MAC, alpha) while it stays among the last 64 used. A miss calls
-    `mac_upper` through this module's globals."""
-    return mac_upper(spec, alpha)[0]
+# The last 64 (MAC, alpha) pairs rated, by (SNRs, alpha), least recently used first.
+_MAC_RATES: OrderedDict[tuple[tuple[float, ...], float], MacRates] = OrderedDict()
+
+
+def _mac_rates(pairs) -> list[MacRates]:
+    """`mac_upper` of every (MacSpec, alpha) pair, in order. Pairs among the
+    last 64 used are read back; the others are computed in one `mac_upper`
+    call, through this module's globals, each distinct pair once."""
+    keys = [(spec.gammas, alpha) for spec, alpha in pairs]
+    found = [_MAC_RATES.get(key) for key in keys]
+    misses = {key: pair for key, pair, rates in zip(keys, pairs, found) if rates is None}
+    if misses:
+        computed = dict(zip(misses, mac_upper(misses.values())))
+        found = [computed[key] if rates is None else rates for key, rates in zip(keys, found)]
+    for key, rates in zip(keys, found):
+        _MAC_RATES[key] = rates
+        _MAC_RATES.move_to_end(key)
+    while len(_MAC_RATES) > 64:
+        _MAC_RATES.popitem(last=False)
+    return found
+
+
+class _BcLinks:
+    """What a broadcast component alone fixes: its transmitter, each
+    receiver's SNR, its receivers in ascending SNR (ties by id) and a zero
+    residual per link."""
+
+    def __init__(self, comp: DecoupledComponent):
+        self.tx = comp.inputs[0]
+        self.gamma = {link.dst: link.snr for link in comp.links}
+        self.ascending = tuple(
+            link.dst for link in sorted(comp.links, key=lambda link: (link.snr, link.dst))
+        )
+        self.no_residual = dict.fromkeys(((link.src, link.dst) for link in comp.links), 0.0)
+
+
+def _sic_table(rx: str, links, order) -> tuple:
+    """(input, residual keys of inputs decoded before it, full power of
+    inputs decoded after it) per input of a multi-access receiver, in link
+    order, for one decode order."""
+    position = {tx: k for k, tx in enumerate(order)}
+    return tuple(
+        (
+            i,
+            tuple((k, rx) for k, _ in links if position[k] < position[i]),
+            sum(snr for k, snr in links if position[k] > position[i]),
+        )
+        for i, _ in links
+    )
+
+
+class _MacLinks:
+    """What a multi-access component alone fixes: its receiver, its (input,
+    SNR) links in link order, its inputs sorted, a zero residual per link,
+    and one SIC table per decode order it is rated in, built on first use."""
+
+    def __init__(self, comp: DecoupledComponent):
+        self.rx = comp.outputs[0]
+        self.links = tuple((link.src, link.snr) for link in comp.links)
+        self.inputs = sorted(src for src, _ in self.links)
+        self.no_residual = dict.fromkeys(((link.src, link.dst) for link in comp.links), 0.0)
+        self._tables: dict[tuple[str, ...], tuple] = {}
+
+    def sic(self, order) -> tuple:
+        """`_sic_table` at one decode order."""
+        table = self._tables.get(order)
+        if table is None:
+            table = self._tables[order] = _sic_table(self.rx, self.links, order)
+        return table
+
+
+# Per component, what it alone fixes, kept while the component lives and
+# shared by every structure built from it: a point-to-point component's arc
+# with its capacity, a `_BcLinks` or a `_MacLinks`.
+_FIXED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _fixed(comp: DecoupledComponent):
+    """What `comp` alone fixes, built on its first use by any structure."""
+    fixed = _FIXED.get(comp)
+    if fixed is None:
+        if comp.kind == "p2p":
+            fixed = _p2p_arc(comp.links[0])
+        elif comp.kind == "bc":
+            fixed = _BcLinks(comp)
+        else:
+            fixed = _MacLinks(comp)
+        _FIXED[comp] = fixed
+    return fixed
 
 
 class UpperStructure:
@@ -202,12 +294,12 @@ class UpperStructure:
         bc_perm = bc_perm or {}
         bc_by_key, _ = _component_maps(components)
         _check_param_keys(bc_perm, bc_by_key, "bc_perm")
-        nodes = list(_all_nodes(components))
+        nodes = dict.fromkeys(_all_nodes(components))
 
         def auxiliary(name: str) -> str:
             if name in nodes:
                 raise ValueError(f"auxiliary id {name!r} collides with a node id")
-            nodes.append(name)
+            nodes[name] = None
             return name
 
         # (tail, heads, fixed rate, MAC rate, label) per pipe, in order. A MAC
@@ -255,7 +347,7 @@ class UpperStructure:
                 self._slots.append((tail, (f"{rx}_in",), None, mac, label))
         for comp in components:
             if comp.kind == "p2p":
-                tail, heads, rate, label = _p2p_arc(comp.links[0])
+                tail, heads, rate, label = _fixed(comp)
                 self._slots.append((tail, heads, rate, None, label))
         self.node_ids = tuple(nodes)
 
@@ -264,13 +356,12 @@ class UpperStructure:
         share of every MAC receiver's noise backing its sum constraint (1 is
         full cooperation, with unconstrained per-input pipes). Row r of the
         batch is, bit for bit, `arcs(alphas[r])`. MAC rates come from
-        `_mac_rates`.
+        `_mac_rates`, in one call for the whole sweep.
         """
         alphas = tuple(alphas)
-        sweeps: list[list] = [[] for _ in self._macs]  # per MAC, its rates per alpha
-        for alpha in alphas:
-            for spec, sweep in zip(self._macs, sweeps):
-                sweep.append(_mac_rates(spec, alpha))
+        macs = len(self._macs)
+        rated = _mac_rates([(spec, alpha) for alpha in alphas for spec in self._macs])
+        sweeps = [rated[index::macs] for index in range(macs)]  # per MAC, its rates per alpha
         rates = np.empty((len(alphas), len(self._slots)))
         for place, (_tail, _heads, fixed, mac, _label) in enumerate(self._slots):
             if mac is None:
@@ -320,17 +411,13 @@ class UpperBatch:
 
 
 def _bc_targets(
-    comp: DecoupledComponent, layers: int, params: LowerParams
+    key: tuple, sorted_receivers: tuple[str, ...], layers: int, params: LowerParams
 ) -> tuple[tuple[str, ...], ...]:
     """Intended receiver sets of a broadcast side's layers, validated.
 
     Default targets follow the receivers' original marginal SNRs, not the
-    inflated decoupled values.
+    inflated decoupled values: `sorted_receivers` ascend in them.
     """
-    key = comp.key
-    sorted_receivers = tuple(
-        link.dst for link in sorted(comp.links, key=lambda link: (link.snr, link.dst))
-    )
     m = len(sorted_receivers)
     targets: list[tuple[str, ...]] = []
     for layer in range(layers):
@@ -367,14 +454,15 @@ def _bc_targets(
 class _BcSide:
     """A broadcast side's layers and who decodes each."""
 
-    def __init__(self, comp: DecoupledComponent, params: LowerParams, index: int):
+    def __init__(
+        self, comp: DecoupledComponent, fixed: _BcLinks, params: LowerParams, index: int
+    ):
         self.key = comp.key
         self.index = index  # its place among the structure's broadcast sides
-        self.tx = comp.inputs[0]
+        self.tx, self.gamma = fixed.tx, fixed.gamma
         given = params.bc_betas.get(self.key)
         self.layers = len(comp.links) if given is None else len(given)
-        self.targets = _bc_targets(comp, self.layers, params)
-        self.gamma = {link.dst: link.snr for link in comp.links}
+        self.targets = _bc_targets(self.key, fixed.ascending, self.layers, params)
         # Targets are nested, so each receiver decodes the first k layers and
         # none after: (receiver, its SNR, k) per link.
         decoded = dict.fromkeys(self.gamma, 0)
@@ -424,25 +512,27 @@ class _BcSide:
 class _MacSide:
     """A multi-access receiver: its inputs and, per decode order, which
     inputs it has decoded (residual power) or not yet (full power) while
-    decoding each one."""
+    decoding each one (`sic`, the component's `_MacLinks.sic`)."""
 
     def __init__(
-        self, comp: DecoupledComponent, params: LowerParams, bc_inputs, index: int
+        self,
+        comp: DecoupledComponent,
+        fixed: _MacLinks,
+        params: LowerParams,
+        bc_inputs,
+        index: int,
     ):
         self.key = comp.key
         self.index = index  # its place among the structure's multi-access sides
-        self.rx = comp.outputs[0]
-        self.links = tuple((link.src, link.snr) for link in comp.links)
+        self.rx, self.links, self.sic = fixed.rx, fixed.links, fixed.sic
         # Inputs that are broadcast transmitters get no SIC pipe: their
         # traffic rides on the broadcast side's layer arcs.
         self.piped = any(src not in bc_inputs for src, _ in self.links)
         self.order = params.mac_order.get(self.key)
-        self._sic: dict[tuple[str, ...], tuple] = {}
         if self.order is not None:
-            inputs = _mac_inputs(comp)
-            if sorted(self.order) != sorted(inputs):
+            if sorted(self.order) != fixed.inputs:
                 raise ValueError(
-                    f"mac_order for {self.key} must order inputs {sorted(inputs)}, "
+                    f"mac_order for {self.key} must order inputs {fixed.inputs}, "
                     f"got {self.order}"
                 )
             self.order = tuple(self.order)
@@ -452,23 +542,6 @@ class _MacSide:
         rx = self.rx
         decodable = {src: snr - residual.get((src, rx), 0.0) for src, snr in self.links}
         return tuple(sorted(decodable, key=lambda tx: (-decodable[tx], tx)))
-
-    def sic(self, order) -> tuple:
-        """(input, residual keys of inputs decoded before it, full power of
-        inputs decoded after it) per input, in link order."""
-        terms = self._sic.get(order)
-        if terms is None:
-            rx = self.rx
-            position = {tx: k for k, tx in enumerate(order)}
-            terms = self._sic[order] = tuple(
-                (
-                    i,
-                    tuple((k, rx) for k, _ in self.links if position[k] < position[i]),
-                    sum(snr for k, snr in self.links if position[k] > position[i]),
-                )
-                for i, _ in self.links
-            )
-        return terms
 
 
 class _OneSplit:
@@ -591,18 +664,18 @@ class LowerStructure:
         self._macs: list[_MacSide] = []
         residual_keys: dict[tuple[str, str], float] = {}
         for comp in self.components:
+            fixed = _fixed(comp)
             if comp.kind == "p2p":
-                self._steps.append(_p2p_arc(comp.links[0]))
+                self._steps.append(fixed)
                 continue
             if comp.kind == "bc":
-                side = _BcSide(comp, params, len(self._bcs))
+                side = _BcSide(comp, fixed, params, len(self._bcs))
                 self._bcs.append(side)
             else:
-                side = _MacSide(comp, params, self._bc_inputs, len(self._macs))
+                side = _MacSide(comp, fixed, params, self._bc_inputs, len(self._macs))
                 self._macs.append(side)
             self._steps.append(side)
-            for link in comp.links:
-                residual_keys.setdefault((link.src, link.dst), 0.0)
+            residual_keys.update(fixed.no_residual)  # a link on two sides keeps its place
         # No residual and no extrinsic interference: what each split starts from.
         self._no_residual = residual_keys
         self._no_extrinsic = {(bc.tx, j): 0.0 for bc in self._bcs for j in bc.gamma}

@@ -300,7 +300,9 @@ def layered_experiment(num_pairs: int, gamma: float, alphas=ALPHA_GRID) -> dict:
 
     rows = []
     upper = UpperStructure(components)
-    for alpha in alphas:
+    spec = MacSpec(gammas=(gamma, gamma))
+    mac_rates = mac_upper([(spec, alpha) for alpha in alphas])
+    for alpha, rates in zip(alphas, mac_rates):
         arcs = upper.arcs(alpha)
         results = hyper_inner(upper.node_ids, arcs, demands, objective="maxmin")
         outer_sym = min(result.rate for result in results)
@@ -309,14 +311,13 @@ def layered_experiment(num_pairs: int, gamma: float, alphas=ALPHA_GRID) -> dict:
                 f"outer symmetric rate {outer_sym:.9f} at alpha={alpha:g} deviates "
                 f"from the closed form {capacity_sym:.9f}"
             )
-        mac_rates, _partition = mac_upper(MacSpec(gammas=(gamma, gamma)), alpha)
         rows.append(
             {
                 "alpha": alpha,
                 "link_rate": link_rate,
                 "bc_sum_rate": bc_sum_rate,
-                "mac_input_rate": mac_rates.individual[0],
-                "mac_sum_rate": mac_rates.sum_rate,
+                "mac_input_rate": rates.individual[0],
+                "mac_sum_rate": rates.sum_rate,
                 "sic_sum_rate": sic_sum_rate,
                 "outer_sym_flow": outer_sym,
                 "capacity_sym": capacity_sym,

@@ -6,7 +6,9 @@ from netbounds import assemble
 
 
 @pytest.fixture(autouse=True)
-def cold_mac_rate_cache():
-    """Start every test with an empty MAC-rate cache, so counts of
-    `mac_upper` calls do not depend on which tests ran before."""
-    assemble._mac_rates.cache_clear()
+def cold_assembly_caches():
+    """Start every test with an empty MAC-rate cache and an empty store of
+    per-component state, so counts of `mac_upper` calls and of what the
+    structures build do not depend on which tests ran before."""
+    assemble._MAC_RATES.clear()
+    assemble._FIXED.clear()

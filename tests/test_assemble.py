@@ -227,7 +227,7 @@ def _reference_build_upper(components, alpha, bc_perm):
         if comp.kind != "mac":
             continue
         rx = comp.outputs[0]
-        rv, _partition = mac_upper(MacSpec(gammas=comp.gamma_list()), alpha)
+        (rv,) = mac_upper([(MacSpec(gammas=comp.gamma_list()), alpha)])
         aux = f"{rx}_in"
         if aux in nodes:
             raise ValueError(f"auxiliary id {aux!r} collides with a node id")

@@ -612,6 +612,31 @@ class TestLowerStructuresPerSearch:
         experiments.multicast_eq_lower(net, decompose(net))
         assert len(built) == 29
 
+    def test_multicast_point_builds_what_one_component_fixes_once(self, monkeypatch):
+        # Its 30 structures (1 upper, 29 lower) share each component's state:
+        # each of the 10 MACs gets one SIC table per decode order it is rated
+        # in (2), where one per MAC per lower structure made 290, and the one
+        # point-to-point link, the q-ary S1 -> S2 link, one capacity.
+        tables, capacities = [], []
+        sic_table, link_capacity = assemble._sic_table, assemble.link_capacity
+
+        def counting_table(rx, links, order):
+            tables.append((rx, order))
+            return sic_table(rx, links, order)
+
+        def counting_capacity(link):
+            capacities.append(link)
+            return link_capacity(link)
+
+        monkeypatch.setattr(assemble, "_sic_table", counting_table)
+        monkeypatch.setattr(assemble, "link_capacity", counting_capacity)
+        built = count_constructions(monkeypatch)
+        experiments.multicast_experiment(10, (13.0,), -3.0, 8, 0.1)
+        assert len(built) == 29
+        assert len(tables) == len(set(tables)) == 20
+        assert {order for _rx, order in tables} == {("S1", "S2"), ("S2", "S1")}
+        assert [(link.src, link.dst, link.kind) for link in capacities] == [("S1", "S2", "qsc")]
+
 
 RELAY_ORDERS = (("R", "S"), ("S", "R"))
 
@@ -714,7 +739,9 @@ class TestOuterAndCertifiedFlowsPerSearch:
         assert certified == [last.arcs(0)]
 
     def test_outer_searches_rate_each_mac_once_and_certify_one_flow(self, monkeypatch):
-        calls = []
+        # One entry per flow call and per (MAC, alpha) pair that `mac_upper`
+        # computes; `batches` holds each `mac_upper` call's pair count.
+        calls, batches = [], []
 
         def counted(module, name):
             call = getattr(module, name)
@@ -725,28 +752,40 @@ class TestOuterAndCertifiedFlowsPerSearch:
 
             monkeypatch.setattr(module, name, counting)
 
-        counted(assemble, "mac_upper")
+        mac_upper = assemble.mac_upper
+
+        def counting_pairs(pairs):
+            pairs = tuple(pairs)
+            calls.extend(["mac_upper"] * len(pairs))
+            batches.append(len(pairs))
+            return mac_upper(pairs)
+
+        monkeypatch.setattr(assemble, "mac_upper", counting_pairs)
         counted(experiments, "max_flow")
         counted(experiments, "multicast_outer")
         components = decompose(experiments.relay_network(1.0, db_to_linear(5.0), 10.0))
         experiments.relay_eq_upper(components)
         # One MAC at 11 alphas, shared by both receiver orders.
         assert sorted(calls) == ["mac_upper"] * 11 + ["max_flow"]
+        assert batches == [11]
         calls.clear()
+        batches.clear()
         power = db_to_linear(13.0)
         net = experiments.multicast_network(10, power, power * db_to_linear(-3.0), 8, 0.1)
         experiments.multicast_eq_upper(decompose(net), sorted(net.demands[0].sinks))
         assert sorted(calls) == ["mac_upper"] * 110 + ["multicast_outer"]
+        assert batches == [110]
 
     def test_relay_sweep_computes_each_mac_rate_once(self, monkeypatch):
         # Every point of a relay sweep has the one MAC at D, with gamma_sd and
-        # gamma_rd fixed, so 41 points take 11 mac_upper calls in all.
+        # gamma_rd fixed, so 41 points compute 11 (MAC, alpha) pairs in all.
         calls = []
         mac_upper = assemble.mac_upper
 
-        def counting(spec, alpha):
-            calls.append((spec, alpha))
-            return mac_upper(spec, alpha)
+        def counting(pairs):
+            pairs = tuple(pairs)
+            calls.extend(pairs)
+            return mac_upper(pairs)
 
         monkeypatch.setattr(assemble, "mac_upper", counting)
         rows = experiments.relay_experiment(0.0, 10.0, [float(g) for g in range(-10, 31)])

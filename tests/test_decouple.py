@@ -10,7 +10,7 @@ from netbounds.decouple import (
     partition_objective,
     relay_noise_share,
 )
-from netbounds.mac import optimal_noise_shares
+from netbounds.mac import MacSpec, mac_upper
 from netbounds.netmodel import Node, NoisyLink, NoisyNetwork
 
 
@@ -154,9 +154,9 @@ def test_partition_symmetric_2x2():
 def test_partition_single_column_matches_mac_shares():
     gamma = np.array([[1.0], [10.0]])
     partition = gauss_noise_partition(gamma)
-    shares = optimal_noise_shares((1.0, 10.0), 0.0)
-    assert abs(partition.alphas[0, 0] - shares.alphas[0]) < 1e-8
-    assert abs(partition.alphas[1, 0] - shares.alphas[1]) < 1e-8
+    (rates,) = mac_upper([(MacSpec(gammas=(1.0, 10.0)), 0.0)])
+    assert abs(partition.alphas[0, 0] - rates.shares[0]) < 1e-8
+    assert abs(partition.alphas[1, 0] - rates.shares[1]) < 1e-8
 
 
 def test_partition_trivial_1x1():

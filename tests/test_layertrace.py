@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from netbounds import flows
+from netbounds import assemble, flows
 from netbounds.netmodel import Demand
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -50,7 +50,9 @@ def test_tracer_installs_on_every_target_and_uninstalls():
 
 
 # Per workload: a point, its golden key, and the traced call counts of that
-# point, which do not depend on machine speed.
+# point, which do not depend on machine speed. `mac.mac_upper` rates a whole
+# sweep's (MAC, alpha) pairs per call, so its span counts batches: one per
+# cold point.
 BENCH_POINTS = {
     "relay": (
         5.0,
@@ -58,7 +60,7 @@ BENCH_POINTS = {
         {
             "decouple.decompose": 1,
             "decouple.gauss_noise_partition": 1,
-            "mac.mac_upper": 11,
+            "mac.mac_upper": 1,
             "flows.max_flow": 1,
             "flows.unicast_inner": 1,
             "benchmarks.relay_refs": 3,
@@ -70,7 +72,7 @@ BENCH_POINTS = {
         {
             "decouple.decompose": 1,
             "decouple.gauss_noise_partition": 1,
-            "mac.mac_upper": 110,
+            "mac.mac_upper": 1,
             "flows.multicast_outer": 1,
             "flows.hyper_inner": 2,
             "flows.validate_hyper_result": 2,
@@ -92,3 +94,25 @@ def test_traced_bench_point_matches_golden_and_call_counts(workload):
     summary = workloads.summarize(workload, output)
     assert workloads.check(workload, summary, workloads.load_golden(workload)[key], payload) is None
     assert {name: calls for name, calls in tracer.calls.items() if calls} == counts
+
+
+def test_bounds_bench_pass_computes_220_mac_pairs(monkeypatch, tmp_path):
+    # Each of the 8 pool files rates its 2 or 3 MACs at 11 alphas in one
+    # `mac_upper` call, and no (MAC, alpha) pair repeats across files.
+    workloads = load_perfbench("workloads")
+    pairs, batches = [], []
+    mac_upper = assemble.mac_upper
+
+    def counting(batch):
+        batch = tuple(batch)
+        pairs.extend(batch)
+        batches.append(len(batch))
+        return mac_upper(batch)
+
+    monkeypatch.setattr(assemble, "mac_upper", counting)
+    points = workloads.make_points("bounds", 1, tmp_path)
+    for point in points:
+        code, _out, _err = workloads.run_point("bounds", point.payload)
+        assert code == 0
+    assert len(points) == len(batches) == 8
+    assert len(pairs) == len(set(pairs)) == 220

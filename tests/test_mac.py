@@ -16,14 +16,7 @@ from netbounds import mac
 from netbounds.assemble import LowerParams, build_lower
 from netbounds.decouple import decompose
 from netbounds.info import awgn_capacity
-from netbounds.mac import (
-    MacSpec,
-    mac_sum_gap,
-    mac_upper,
-    mu_bracket,
-    optimal_noise_shares,
-    solve_mu,
-)
+from netbounds.mac import MacSpec, mac_sum_gap, mac_upper, mu_bracket
 from netbounds.netmodel import NoisyLink, NoisyNetwork, Node
 
 from util_mi import sample_system, system_quantities
@@ -48,21 +41,27 @@ def sic_rates(components, order=None):
     return {tail: rate for tail, _, rate, _ in arcs}
 
 
+def upper(gammas, alpha):
+    """`mac_upper` of one (MAC, alpha) pair."""
+    (rates,) = mac_upper([(MacSpec(gammas=gammas), alpha)])
+    return rates
+
+
 def two_user_split(gamma1, gamma2):
     """The noise share of input 1 when the sum constraint gets none."""
-    rv, partition = mac_upper(MacSpec(gammas=(gamma1, gamma2)), 0.0)
-    return rv, partition.alphas[0]
+    rv = upper((gamma1, gamma2), 0.0)
+    return rv, rv.shares[0]
 
 
 def test_sum_model_values():
     # alpha = 1 is the basic model: cooperative sum rate, free inputs.
-    rv, _ = mac_upper(MacSpec(gammas=(1.0, 2.0, 100.0)), 1.0)
+    rv = upper((1.0, 2.0, 100.0), 1.0)
     expected = 0.5 * np.log2(1.0 + (1.0 + np.sqrt(2.0) + 10.0) ** 2)
     assert abs(rv.sum_rate - expected) < 1e-12
     assert abs(rv.sum_rate - 3.638) < 1e-3
     assert rv.individual == (float("inf"),) * 3
 
-    rv, _ = mac_upper(MacSpec(gammas=(3.0,)), 1.0)
+    rv = upper((3.0,), 1.0)
     assert abs(rv.sum_rate - 1.0) < 1e-12
 
 
@@ -101,11 +100,11 @@ def test_solve_mu_equal_snrs():
     # With equal SNRs both bracket endpoints coincide and mu is exactly 3/4.
     lo, hi = mu_bracket((1.0, 1.0), 0.0)
     assert abs(lo - hi) < 1e-15
-    assert abs(solve_mu((1.0, 1.0), 0.0) - 0.75) < 1e-12
+    assert abs(upper((1.0, 1.0), 0.0).mu - 0.75) < 1e-12
 
 
 def test_solve_mu_single_input():
-    assert abs(solve_mu((5.0,), 0.0) - 1.2) < 1e-12
+    assert abs(upper((5.0,), 0.0).mu - 1.2) < 1e-12
 
 
 def test_solve_mu_residual_and_bracket():
@@ -114,7 +113,7 @@ def test_solve_mu_residual_and_bracket():
         m = int(rng.integers(1, 9))
         gammas = tuple(np.exp(rng.uniform(np.log(0.01), np.log(100.0), size=m)))
         alpha = float(rng.uniform(0.0, 0.999))
-        mu = solve_mu(gammas, alpha)
+        mu = upper(gammas, alpha).mu
         lo, hi = mu_bracket(gammas, alpha)
         assert lo - 1e-9 <= mu <= hi + 1e-9
         residual = 0.5 * sum(
@@ -128,11 +127,11 @@ def test_mac_upper_at_70_db_stops_where_the_bisection_stalls():
     # exceeds the 1e-10 tolerance; the bisection ends when mid meets an
     # endpoint, and its mu still gives shares that sum to 1 - alpha.
     gammas, alpha = (1e7, 1.0), 0.9
-    rv, partition = mac_upper(MacSpec(gammas=gammas), alpha)
+    rv = upper(gammas, alpha)
     lo, hi = mu_bracket(gammas, alpha)
-    assert lo * (1.0 - 1e-12) <= partition.mu <= hi * (1.0 + 1e-12)
-    assert all(a > 0 for a in partition.alphas)
-    assert abs(sum(partition.alphas) - (1.0 - alpha)) < 1e-15
+    assert lo * (1.0 - 1e-12) <= rv.mu <= hi * (1.0 + 1e-12)
+    assert all(a > 0 for a in rv.shares)
+    assert abs(sum(rv.shares) - (1.0 - alpha)) < 1e-15
     assert math.isfinite(rv.sum_rate)
     assert all(math.isfinite(rate) for rate in rv.individual)
 
@@ -145,37 +144,37 @@ def test_mu_bracket_endpoints_equal_iff_equal_snrs():
 
 
 def test_optimal_shares_sum_to_budget():
-    partition = optimal_noise_shares((1.0, 10.0), 0.25)
-    assert abs(sum(partition.alphas) - 0.75) < 1e-9
-    assert all(a > 0 for a in partition.alphas)
+    shares = upper((1.0, 10.0), 0.25).shares
+    assert abs(sum(shares) - 0.75) < 1e-9
+    assert all(a > 0 for a in shares)
     # Stronger input gets the larger share.
-    assert partition.alphas[1] > partition.alphas[0]
+    assert shares[1] > shares[0]
 
 
 def test_mac_upper_alpha_next_to_one_keeps_every_share_positive():
     # 0.5*(sqrt(g*(g + 4*mu)) - g) cancels to 0.0 for the strong input here.
     alpha = 0.99999999999999
-    rv, partition = mac_upper(MacSpec(gammas=(0.836, 839.0)), alpha)
-    assert all(a > 0 for a in partition.alphas)
-    assert abs(sum(partition.alphas) - (1.0 - alpha)) < 1e-20
+    rv = upper((0.836, 839.0), alpha)
+    assert all(a > 0 for a in rv.shares)
+    assert abs(sum(rv.shares) - (1.0 - alpha)) < 1e-20
     assert math.isfinite(rv.sum_rate)
     assert all(math.isfinite(rate) for rate in rv.individual)
 
 
 def test_mac_upper_endpoint_alpha_one():
     spec = MacSpec(gammas=(1.0, 2.0, 100.0))
-    rv, partition = mac_upper(spec, 1.0)
+    (rv,) = mac_upper([(spec, 1.0)])
     assert abs(rv.sum_rate - awgn_capacity(spec.coherent_sum_snr)) < 1e-12
     assert rv.individual == (float("inf"),) * 3
-    assert partition.alpha == 1.0
+    assert rv.alpha == 1.0 and rv.shares == (0.0,) * 3 and rv.mu == 0.0
 
 
 def test_mac_upper_endpoint_alpha_zero():
-    rv, partition = mac_upper(MacSpec(gammas=(1.0, 1.0)), 0.0)
+    rv = upper((1.0, 1.0), 0.0)
     assert rv.sum_rate == float("inf")
-    assert abs(partition.alphas[0] - 0.5) < 1e-9
-    assert abs(partition.alphas[1] - 0.5) < 1e-9
-    assert abs(partition.mu - 0.75) < 1e-9
+    assert abs(rv.shares[0] - 0.5) < 1e-9
+    assert abs(rv.shares[1] - 0.5) < 1e-9
+    assert abs(rv.mu - 0.75) < 1e-9
     for rate in rv.individual:
         assert abs(rate - 0.5 * np.log2(3.0)) < 1e-9
 
@@ -189,11 +188,10 @@ def test_mac_upper_never_below_basic_sum():
             gammas=tuple(np.exp(rng.uniform(np.log(0.01), np.log(100.0), size=m)))
         )
         r_mac = awgn_capacity(spec.coherent_sum_snr)
-        for alpha in np.linspace(0.0, 1.0, 11):
-            rv, _ = mac_upper(spec, float(alpha))
+        for rv in mac_upper([(spec, float(alpha)) for alpha in np.linspace(0.0, 1.0, 11)]):
             effective = min(rv.sum_rate, sum(rv.individual))
             assert effective >= r_mac - 1e-9
-        rv, _ = mac_upper(spec, 1.0)
+        (rv,) = mac_upper([(spec, 1.0)])
         assert abs(min(rv.sum_rate, sum(rv.individual)) - r_mac) < 1e-9
 
 
@@ -201,8 +199,7 @@ def test_mac_upper_monotone_in_alpha():
     spec = MacSpec(gammas=(0.5, 3.0, 20.0))
     alphas = np.linspace(0.01, 0.99, 25)
     previous = None
-    for alpha in alphas:
-        rv, _ = mac_upper(spec, float(alpha))
+    for rv in mac_upper([(spec, float(alpha)) for alpha in alphas]):
         if previous is not None:
             assert rv.sum_rate <= previous.sum_rate + 1e-12
             for new, old in zip(rv.individual, previous.individual):
@@ -356,8 +353,7 @@ def np_mac_upper(gammas, alpha):
 
 
 def float_mac_upper(gammas, alpha):
-    rv, partition = mac_upper(MacSpec(gammas=gammas), alpha)
-    return rv.sum_rate, rv.individual, partition.alpha, partition.alphas, partition.mu
+    return tuple(upper(gammas, alpha))
 
 
 def outcome(model, gammas, alpha):
@@ -405,9 +401,10 @@ def test_float_model_matches_numpy_formulas(gammas, alpha):
         assert new == pytest.approx(old, rel=1e-12, abs=0.0)
 
 
-# `solve_mu` as it was while `_share_sum` summed a generator through `_sum` and
-# the degenerate bracket's check took that cancelling form, kept as the
-# reference of the loop that replaced it.
+# `mac_upper` as it was before it solved a sweep's pairs in one array
+# bisection: one pair at a time, in plain floats (`ref_solve_mu` and its step
+# `ref_share_sum`, summed left to right as `ref_sum` does). It is the
+# reference of the array form, which must keep every bit of it.
 
 
 def ref_sum(values):
@@ -421,6 +418,18 @@ def ref_share_sum(gammas, mu):
     return 0.5 * ref_sum(math.sqrt(g * (g + 4.0 * mu)) - g for g in gammas)
 
 
+def ref_equal_share(g, mu):
+    return 2.0 * g * mu / (math.sqrt(g * (g + 4.0 * mu)) + g)
+
+
+def ref_mu_bracket(gammas, alpha):
+    m = len(gammas)
+    budget = 1.0 - alpha
+    lo = budget / m + budget**2 / (m * ref_sum(gammas))
+    hi = budget / m + budget**2 / (m * m * min(gammas))
+    return lo, hi
+
+
 def ref_solve_mu(gammas, alpha, tol=1e-10, max_iter=200):
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
@@ -429,10 +438,11 @@ def ref_solve_mu(gammas, alpha, tol=1e-10, max_iter=200):
         raise ValueError("a MAC needs at least one input")
     mac.check_snrs(gam)
     budget = 1.0 - alpha
-    lo, hi = mu_bracket(gam, alpha)
+    lo, hi = ref_mu_bracket(gam, alpha)
     if hi - lo <= 1e-15 * max(1.0, hi):
         mu = 0.5 * (lo + hi)
-        assert abs(ref_share_sum(gam, mu) - budget) < 1e-8, "bracket degenerated badly"
+        residual = ref_sum(ref_equal_share(g, mu) for g in gam) - budget
+        assert abs(residual) < 1e-8, "bracket degenerated badly"
         return mu
     lo *= 1.0 - 1e-12
     hi *= 1.0 + 1e-12
@@ -448,6 +458,25 @@ def ref_solve_mu(gammas, alpha, tol=1e-10, max_iter=200):
     raise AssertionError(
         f"bisection failed to reach residual {tol} within {max_iter} iterations"
     )
+
+
+def ref_mac_upper(gammas, alpha):
+    """(sum rate, per-input rates, alpha, noise shares, mu) of one pair."""
+    m = len(gammas)
+    coherent = ref_sum(math.sqrt(g) for g in gammas) ** 2
+    if alpha == 1.0:
+        return awgn_capacity(coherent), (math.inf,) * m, 1.0, (0.0,) * m, 0.0
+    mu = ref_solve_mu(gammas, alpha)
+    shares = [0.5 * (math.sqrt(g * (g + 4.0 * mu)) - g) for g in gammas]
+    shares = [a if a > 0.0 else ref_equal_share(g, mu) for a, g in zip(shares, gammas)]
+    scale = (1.0 - alpha) / ref_sum(shares)
+    shares = tuple(a * scale for a in shares)
+    individual = tuple(awgn_capacity(g / a) for g, a in zip(gammas, shares))
+    if alpha == 0.0:
+        sum_rate = math.inf
+    else:
+        sum_rate = awgn_capacity((coherent + 1.0 - alpha) / alpha)
+    return sum_rate, individual, float(alpha), shares, float(mu)
 
 
 def reference_grid():
@@ -466,45 +495,42 @@ def reference_grid():
 
 
 def test_share_sum_loop_keeps_every_bit_of_the_bisection(monkeypatch):
-    # Every iterate's share sum, mu and every field of `mac_upper` are the
-    # reference's bits where it solves. Where its degenerate-bracket check
-    # failed (tied SNRs from about 80 dB on), mu is the bracket midpoint, whose
-    # shares add to 1 - alpha.
-    share_sum, iterates = mac._share_sum, []
+    # The whole grid, every input count mixed, plus rows at alpha = 1, in one
+    # `mac_upper` call: every field of every row is the reference's, and at
+    # every iterate each open row's share sum is the reference's step.
+    share_sums, iterates = mac._share_sums, []
 
     def checked(gammas, mu):
-        value = share_sum(gammas, mu)
-        iterates.append(value == ref_share_sum(gammas, mu))
-        return value
+        values = share_sums(gammas, mu)
+        for column, value, at in zip(gammas.T.tolist(), values.tolist(), mu.tolist()):
+            iterates.append(value == ref_share_sum(column, at))
+        return values
 
-    monkeypatch.setattr(mac, "_share_sum", checked)
+    monkeypatch.setattr(mac, "_share_sums", checked)
     cases = list(reference_grid())
-    solved, degenerate = [], []
-    for gammas, alpha in cases:
-        try:
-            solved.append((gammas, alpha, ref_solve_mu(gammas, alpha)))
-        except AssertionError as exc:
-            assert "bracket degenerated badly" in str(exc)
-            degenerate.append((gammas, alpha))
-    assert len(solved) > 0.9 * len(cases) and degenerate
-    for gammas, alpha, mu in solved:
-        assert solve_mu(gammas, alpha) == mu, (gammas, alpha)
-    assert len(iterates) > 10 * len(solved) and all(iterates)
-    for gammas, alpha in degenerate:
-        lo, hi = mu_bracket(gammas, alpha)
-        assert solve_mu(gammas, alpha) == 0.5 * (lo + hi), (gammas, alpha)
-        rv, partition = mac_upper(MacSpec(gammas=gammas), alpha)
-        assert sum(partition.alphas) == pytest.approx(1.0 - alpha, rel=1e-12)
-        assert all(math.isfinite(rate) for rate in rv.individual)
-    got = [float_mac_upper(gammas, alpha) for gammas, alpha, _ in solved]
-    monkeypatch.setattr(mac, "solve_mu", ref_solve_mu)
-    want = [float_mac_upper(gammas, alpha) for gammas, alpha, _ in solved]
-    assert got == want
+    cases += [(gammas, 1.0) for gammas, _alpha in cases[::4]]
+    got = mac_upper([(MacSpec(gammas=gammas), alpha) for gammas, alpha in cases])
+    assert {len(gammas) for gammas, _alpha in cases} == set(range(1, 8))
+    assert [tuple(rates) for rates in got] == [ref_mac_upper(*case) for case in cases]
+    assert len(iterates) > 10 * len(cases) and all(iterates)
+    # Tied SNRs give a degenerate bracket, whose midpoint is mu; its shares
+    # add to 1 - alpha at every SNR, where the cancelling form failed from
+    # about 80 dB on.
+    tied = [
+        (gammas, alpha, rates)
+        for (gammas, alpha), rates in zip(cases, got)
+        if alpha < 1.0 and len(set(gammas)) == 1
+    ]
+    assert max(gammas[0] for gammas, _alpha, _rates in tied) > 1e8
+    for gammas, alpha, rates in tied:
+        assert rates.mu == 0.5 * sum(mu_bracket(gammas, alpha)), (gammas, alpha)
+        assert sum(rates.shares) == pytest.approx(1.0 - alpha, rel=1e-12)
+        assert all(math.isfinite(rate) for rate in rates.individual)
 
 
 def test_tied_snrs_above_80_db_solve_at_the_bracket_midpoint():
     # Both bracket endpoints coincide; the residual check used to cancel here.
-    rv, partition = mac_upper(MacSpec(gammas=(1e9, 1e9)), 0.1)
-    assert partition.mu == 0.5 * sum(mu_bracket((1e9, 1e9), 0.1))
-    assert partition.alphas[0] == partition.alphas[1] == pytest.approx(0.45, rel=1e-15)
+    rv = upper((1e9, 1e9), 0.1)
+    assert rv.mu == 0.5 * sum(mu_bracket((1e9, 1e9), 0.1))
+    assert rv.shares[0] == rv.shares[1] == pytest.approx(0.45, rel=1e-15)
     assert rv.individual[0] == rv.individual[1] and math.isfinite(rv.sum_rate)

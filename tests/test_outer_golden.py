@@ -9,8 +9,8 @@ and what the search returns (for `bounds`, its stdout). The networks are
 hashed in the order the searches scan them (alpha by alpha, and within an
 alpha the structures that one search built from one component list, in
 order), each followed in the `mac_upper` part by its MACs' results, so a MAC
-result that several structures or searches share counts once among the calls
-but is hashed for each. Each record is re-rated and hashed over its nodes
+result that several structures or searches share counts once among the pairs
+computed but is hashed for each. Each record is re-rated and hashed over its nodes
 (each with the kind that network objects once carried: "auxiliary" for an id
 of no component, else "terminal"), its arcs,
 `repr` of every rate as a float and every arc's `describe` text. Each
@@ -26,8 +26,10 @@ per-sink rates. The digest in tests/data/outer_results.json was recorded while
 these changes moved an outer bound. Sharing MAC rates moved only the relay
 count: from 66 to 33 when both receiver orders of a search shared them, and
 to 11 when a cache let the three searches, all on one MAC, share them.
-Re-record it (the failure message prints the new value) only when a change is
-meant to move one.
+Since `mac_upper` rates a whole sweep's pairs in one call, its results are
+recorded per pair at that call, and the counts are of pairs computed, not of
+calls made, so they did not move. Re-record it (the failure message prints
+the new value) only when a change is meant to move one.
 """
 
 import contextlib
@@ -131,10 +133,9 @@ class _Upper:
 
 
 def _mac_key(spec, alpha, result):
-    rv, partition = result
     return repr(
-        (spec.gammas, alpha, rv.sum_rate, rv.individual)
-        + (partition.alpha, partition.alphas, partition.mu)
+        (spec.gammas, alpha, result.sum_rate, result.individual)
+        + (result.alpha, result.shares, result.mu)
     )
 
 
@@ -173,7 +174,7 @@ def _scanned(batches):
 def test_outer_results_match_recorded_digest(monkeypatch):
     batches: list = []
     macs: dict = {}  # key per (MacSpec, alpha) rated
-    calls: list = []  # one entry per `mac_upper` call
+    calls: list = []  # one entry per (MAC, alpha) pair `mac_upper` computes
     specs: dict = {}  # the MACs of each structure, its component nodes and list
     init, rate, mac_upper = UpperStructure.__init__, UpperStructure.rate_batch, assemble.mac_upper
 
@@ -189,11 +190,13 @@ def test_outer_results_match_recorded_digest(monkeypatch):
         batches.append((self, tuple(alphas), specs[self][2]))
         return rate(self, alphas)
 
-    def recording_mac(spec, alpha):
-        result = mac_upper(spec, alpha)
-        macs[(spec, alpha)] = _mac_key(spec, alpha, result)
-        calls.append(spec)
-        return result
+    def recording_mac(pairs):
+        pairs = tuple(pairs)
+        results = mac_upper(pairs)
+        for (spec, alpha), result in zip(pairs, results):
+            macs[(spec, alpha)] = _mac_key(spec, alpha, result)
+            calls.append(spec)
+        return results
 
     monkeypatch.setattr(UpperStructure, "__init__", recording_init)
     monkeypatch.setattr(UpperStructure, "rate_batch", recording_batch)
