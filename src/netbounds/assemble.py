@@ -13,14 +13,14 @@ ones, at the larger rate) at a whole alpha sweep into an `UpperBatch`: the
 pipe slots and an alphas x slots rate array, from which each alpha's
 ``(tail, heads, rate, label)`` arcs can be read. `arcs(alpha)` is the batch
 of one alpha. One noise split alpha is common to every multi-access side.
-`rate_batch` takes every MAC's rates at every alpha of the sweep from one
-`_mac_rates` call: the (MAC, alpha) pairs among the last 64 used are read
-back, and all others are computed in one `mac_upper` call, each distinct
-pair once. The relay's two receiver-order structures share their one MAC,
-and a relay sweep holds that MAC fixed at every point, so a whole sweep
+`rate_batch` takes every MAC's rates at every alpha of the sweep from
+`_mac_sweep`, a `functools.lru_cache` of the last 64 sweeps, keyed by the
+structure's MACs and the alphas: a sweep not among them is computed in one
+`mac_upper` call. The relay's two receiver-order structures share their one
+MAC, and a relay sweep holds that MAC fixed at every point, so a whole sweep
 computes 11 pairs, in one call. A multicast point (110 pairs) and a `bounds`
-file's alpha sweep do not fit in the cache and do not repeat, so each
-structure computes all of its pairs in one call.
+file's alpha sweep do not repeat, so each structure computes all of its pairs
+in one call.
 
 The lower network replaces every component by an achievable coding scheme:
 superposition layers on broadcast sides (hyper-arcs to the receivers that
@@ -74,7 +74,6 @@ import functools
 import math
 import operator
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,26 +179,12 @@ def _all_nodes(components) -> tuple[str, ...]:
     )
 
 
-# The last 64 (MAC, alpha) pairs rated, by (SNRs, alpha), least recently used first.
-_MAC_RATES: OrderedDict[tuple[tuple[float, ...], float], MacRates] = OrderedDict()
-
-
-def _mac_rates(pairs) -> list[MacRates]:
-    """`mac_upper` of every (MacSpec, alpha) pair, in order. Pairs among the
-    last 64 used are read back; the others are computed in one `mac_upper`
-    call, through this module's globals, each distinct pair once."""
-    keys = [(spec.gammas, alpha) for spec, alpha in pairs]
-    found = [_MAC_RATES.get(key) for key in keys]
-    misses = {key: pair for key, pair, rates in zip(keys, pairs, found) if rates is None}
-    if misses:
-        computed = dict(zip(misses, mac_upper(misses.values())))
-        found = [computed[key] if rates is None else rates for key, rates in zip(keys, found)]
-    for key, rates in zip(keys, found):
-        _MAC_RATES[key] = rates
-        _MAC_RATES.move_to_end(key)
-    while len(_MAC_RATES) > 64:
-        _MAC_RATES.popitem(last=False)
-    return found
+@functools.lru_cache(maxsize=64)
+def _mac_sweep(macs: tuple[MacSpec, ...], alphas: tuple[float, ...]) -> tuple[MacRates, ...]:
+    """`mac_upper` of every MAC of `macs` at every alpha of `alphas`, alpha by
+    alpha, in one call through this module's globals; the last 64 sweeps
+    are kept."""
+    return tuple(mac_upper([(spec, alpha) for alpha in alphas for spec in macs]))
 
 
 class _BcLinks:
@@ -356,11 +341,11 @@ class UpperStructure:
         share of every MAC receiver's noise backing its sum constraint (1 is
         full cooperation, with unconstrained per-input pipes). Row r of the
         batch is, bit for bit, `arcs(alphas[r])`. MAC rates come from
-        `_mac_rates`, in one call for the whole sweep.
+        `_mac_sweep`, in one call for the whole sweep.
         """
         alphas = tuple(alphas)
         macs = len(self._macs)
-        rated = _mac_rates([(spec, alpha) for alpha in alphas for spec in self._macs])
+        rated = _mac_sweep(tuple(self._macs), alphas) if macs else ()
         sweeps = [rated[index::macs] for index in range(macs)]  # per MAC, its rates per alpha
         rates = np.empty((len(alphas), len(self._slots)))
         for place, (_tail, _heads, fixed, mac, _label) in enumerate(self._slots):
@@ -741,11 +726,14 @@ class LowerStructure:
                     src: form.clip(snr - residual[(src, rx)]) / (1.0 + floor)
                     for src, snr in step.links
                 }
-                undecoded = sum(effective.values())
-                for tx in order:
-                    undecoded = undecoded - effective[tx]
+                for place, tx in enumerate(order):
                     if tx in self._bc_inputs:
                         continue
+                    # The inputs decoded after tx, in a left-to-right loop:
+                    # builtin `sum` compensates float sums from Python 3.12 on.
+                    undecoded = 0.0
+                    for later in order[place + 1 :]:
+                        undecoded = undecoded + effective[later]
                     rate = form.capacity(effective[tx] / (1.0 + undecoded))
                     slots.append((tx, (rx,), rate, ("mac", order)))
         return slots, extrinsic

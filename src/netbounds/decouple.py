@@ -317,39 +317,19 @@ def _component_for_group(
                 effective_snrs={link: link.snr},
             )
         ]
-    if len(tx_nodes) == 1:
-        ordered = tuple(sorted(links, key=lambda l: l.dst))
-        return [
-            DecoupledComponent(
-                kind="bc",
-                inputs=(tx_nodes[0],),
-                outputs=tuple(l.dst for l in ordered),
-                links=ordered,
-                effective_snrs={l: l.snr for l in ordered},
-            )
-        ]
-    if len(rx_nodes) == 1:
-        ordered = tuple(sorted(links, key=lambda l: l.src))
-        return [
-            DecoupledComponent(
-                kind="mac",
-                inputs=tuple(l.src for l in ordered),
-                outputs=(rx_nodes[0],),
-                links=ordered,
-                effective_snrs={l: l.snr for l in ordered},
-            )
-        ]
-
-    # Coupled group: solve one shared noise partition, then emit a decoupled
-    # BC per broadcasting transmitter and a decoupled MAC per multi-input
-    # receiver.
-    gamma = np.zeros((len(tx_nodes), len(rx_nodes)))
-    tx_index = {node: i for i, node in enumerate(tx_nodes)}
-    rx_index = {node: j for j, node in enumerate(rx_nodes)}
-    for link in links:
-        gamma[tx_index[link.src], rx_index[link.dst]] = link.snr
-    partition = gauss_noise_partition(gamma)
-    inflated = decoupled_bc_snrs(partition, gamma)
+    # An independent BC or MAC is the coupled loop below without a partition:
+    # it keeps its raw SNRs and holds no shared link. A coupled group solves
+    # one shared noise partition, then emits a decoupled BC per broadcasting
+    # transmitter and a decoupled MAC per multi-input receiver.
+    coupled = len(tx_nodes) > 1 and len(rx_nodes) > 1
+    if coupled:
+        tx_index = {node: i for i, node in enumerate(tx_nodes)}
+        rx_index = {node: j for j, node in enumerate(rx_nodes)}
+        gamma = np.zeros((len(tx_nodes), len(rx_nodes)))
+        for link in links:
+            gamma[tx_index[link.src], rx_index[link.dst]] = link.snr
+        partition = gauss_noise_partition(gamma)
+        inflated = decoupled_bc_snrs(partition, gamma)
 
     out_degree = {node: 0 for node in tx_nodes}
     in_degree = {node: 0 for node in rx_nodes}
@@ -372,14 +352,16 @@ def _component_for_group(
                 outputs=tuple(l.dst for l in own),
                 links=own,
                 effective_snrs={
-                    l: float(inflated[tx_index[node], rx_index[l.dst]]) for l in own
+                    l: float(inflated[tx_index[node], rx_index[l.dst]]) if coupled else l.snr
+                    for l in own
                 },
                 alpha_shares={
                     l: float(partition.alphas[tx_index[node], rx_index[l.dst]])
                     for l in own
+                    if coupled
                 },
                 shared_links=tuple(l for l in own if is_shared(l)),
-                coupled=True,
+                coupled=coupled,
             )
         )
     for node in rx_nodes:
@@ -394,7 +376,7 @@ def _component_for_group(
                 links=own,
                 effective_snrs={l: l.snr for l in own},
                 shared_links=tuple(l for l in own if is_shared(l)),
-                coupled=True,
+                coupled=coupled,
             )
         )
     return components

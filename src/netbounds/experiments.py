@@ -12,26 +12,23 @@ plain rows, which `netbounds repro` prints as CSV:
 - multicast fan (`multicast_experiment`): two sources multicasting to n
   receivers over a q-ary collaboration link, swept over power.
 
-The outer searches take the least bound over the noise-split sweep, in the
-form the relay inner search has: every upper structure is rated at the whole
-sweep as one `UpperStructure.rate_batch` (whose MAC-rate cache lets the
-relay's two receiver orders, and every point of a relay sweep, share one
-`mac_upper` per alpha), every (alpha, structure) candidate is rated
-by its exact `flows.min_cut` without a flow, and only the least, the earliest
-of ties, gets a certified flow, which is reported. The inner searches
-enumerate candidates from simplest to richest: the relay-off or common-layer
-construction under each decode order first, then superposition splits. A
-candidate replaces the incumbent only when it beats it by more than
-_IMPROVE_TOL, so the earliest of tied candidates wins; when the relay cannot
-help, the relay-off construction is reported and the direct-link capacity is
-hit exactly.
+The outer searches take the least bound over the noise-split sweep: every
+upper structure is rated at the whole sweep as one `UpperStructure.rate_batch`
+(whose MAC-rate cache lets the relay's two receiver orders, and every point of
+a relay sweep, share one `mac_upper` call), and `flows.least_outer`, the
+search that `pipeline.bound` runs too, rates every (alpha, structure)
+candidate by its exact min cut and certifies one flow, on the least, the
+earliest of ties, which is reported. The inner searches enumerate candidates
+from simplest to richest: the relay-off or common-layer construction under
+each decode order first, then superposition splits. A candidate replaces the
+incumbent only when it beats it by more than _IMPROVE_TOL, so the earliest of
+tied candidates wins; when the relay cannot help, the relay-off construction
+is reported and the direct-link capacity is hit exactly.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .assemble import LowerParams, LowerStructure, UpperStructure
 from .benchmarks import RelaySpec, cf_bound, cutset_bound, df_bound
@@ -41,9 +38,7 @@ from .flows import (
     blend_inner,
     demand_cut,
     hyper_inner,
-    max_flow,
-    min_cut,
-    multicast_outer,
+    least_outer,
     sum_rate_cut,
     unicast_inner,
 )
@@ -80,48 +75,17 @@ def _relay_demand() -> Demand:
     return Demand(kind="unicast", source="S", sinks=frozenset({"D"}))
 
 
-def _least_outer(node_ids, batches, demand: Demand, flow, feeds=()) -> float:
-    """The least outer bound of a search over every (alpha, structure)
-    candidate: `batches` holds each structure at the whole alpha sweep, and
-    `feeds` are arcs added to every candidate.
-
-    Each candidate is rated by its `min_cut`, alpha by alpha and, within an
-    alpha, structure by structure; the least cut wins, the earliest of ties.
-    The winner's arcs get one `flow` (`max_flow` or `multicast_outer`),
-    which must match its cut as the flow's min-cut certificate does, and the
-    certified flow is reported; inf on an empty sweep.
-    """
-    feed_slots = [(tail, heads) for tail, heads, _rate, _label in feeds]
-    feed_rates = [rate for _tail, _heads, rate, _label in feeds]
-    cuts = []
-    for batch in batches:
-        rates = np.hstack([batch.rates, np.tile(feed_rates, (len(batch.rates), 1))])
-        cuts.append(min_cut([*batch.slots, *feed_slots], rates, demand).tolist())
-    best, winner = math.inf, None
-    for row, row_cuts in enumerate(zip(*cuts)):
-        for batch, cut in zip(batches, row_cuts):
-            if cut < best:
-                best, winner = cut, (batch, row)
-    if winner is None:
-        return best
-    batch, row = winner
-    certified = flow(node_ids, [*batch.arcs(row), *feeds], demand).rate
-    ok = abs(best - certified) <= 1e-9 * max(1.0, certified)
-    assert ok, f"least cut {best} is not the max flow {certified}"
-    return certified
-
-
 def relay_eq_upper(components, alphas=ALPHA_GRID) -> float:
     """Tightest flow bound over the noise-split sweep and both receiver orders
     of the cumulative BC upper model: one upper structure per order. Both
     have the one MAC at D, whose rates at each alpha are computed once and
     then read from `UpperStructure.rate_batch`'s MAC-rate cache. See
-    `_least_outer` for the search."""
+    `flows.least_outer` for the search."""
     structures = [
         UpperStructure(components, {("bc", "S"): perm}) for perm in (("D", "R"), ("R", "D"))
     ]
     batches = [structure.rate_batch(alphas) for structure in structures]
-    return _least_outer(structures[0].node_ids, batches, _relay_demand(), max_flow)
+    return least_outer(structures[0].node_ids, batches, _relay_demand())[0]
 
 
 def _relay_structure(components, layers, targets, order) -> LowerStructure:
@@ -400,7 +364,7 @@ def multicast_eq_upper(components, sinks, alphas=ALPHA_GRID) -> float:
     the session sum: the multicast outer bound from the merged source.
     Minimized over the noise-split sweep, on one upper structure's arcs plus
     infinite arcs from the merged source JOINT_SRC (``_`` added while taken);
-    see `_least_outer` for the search.
+    see `flows.least_outer` for the search.
     """
     structure = UpperStructure(components)
     name = "JOINT_SRC"
@@ -410,7 +374,7 @@ def multicast_eq_upper(components, sinks, alphas=ALPHA_GRID) -> float:
     feeds = [(name, (source,), math.inf, "joint source") for source in ("S1", "S2")]
     demand = Demand(kind="multicast", source=name, sinks=frozenset(sinks))
     batch = structure.rate_batch(alphas)
-    return _least_outer(node_ids, [batch], demand, multicast_outer, feeds)
+    return least_outer(node_ids, [batch], demand, feeds)[0]
 
 
 def multicast_eq_lower(net: NoisyNetwork, components) -> float:

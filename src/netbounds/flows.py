@@ -42,8 +42,10 @@ A third cut is exact. min_cut takes a batch of point-to-point networks, one
 per row of rates over the same pipes, and gives each row's min cut by
 enumerating the subsets of each sink's interior (the nodes on some
 source-to-sink path, at most _MAX_INTERIOR of them). That is the rate
-max_flow or multicast_outer certifies, so the outer searches rate every
-candidate by it and run one certified flow, on the least.
+max_flow or multicast_outer certifies, so least_outer, the one outer-bound
+search (of the example networks' searches and of `pipeline.bound`), rates
+every candidate by it and runs one certified flow, on the least; where
+min_cut refuses a sink's interior, it rates by certified flows.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ __all__ = [
     "sum_rate_cut",
     "demand_cut",
     "min_cut",
+    "least_outer",
     "hyper_inner",
     "hyper_inner_batch",
     "blend_inner",
@@ -735,6 +738,10 @@ def demand_cut(slots, rates, demand: Demand) -> np.ndarray:
     return functools.reduce(np.minimum, totals)
 
 
+class _OversizedInterior(ValueError):
+    """`min_cut`'s refusal of a sink with more than _MAX_INTERIOR interior nodes."""
+
+
 def min_cut(slots, rates, demand: Demand) -> np.ndarray:
     """The min cut of ``demand`` per row of ``rates``, one point-to-point
     network's rate per pipe ``(tail, (head,))`` of ``slots``: the rate that
@@ -783,7 +790,7 @@ def min_cut(slots, rates, demand: Demand) -> np.ndarray:
         reaching = closure(sink, predecessors)
         interior = sorted((reached & reaching) - {source, sink})
         if len(interior) > _MAX_INTERIOR:
-            raise ValueError(
+            raise _OversizedInterior(
                 f"sink {sink!r} has {len(interior)} interior nodes; min_cut "
                 f"enumerates the subsets of at most {_MAX_INTERIOR}"
             )
@@ -802,6 +809,47 @@ def min_cut(slots, rates, demand: Demand) -> np.ndarray:
                 totals = totals + np.where(leaving[:, None], rate, 0.0)
         least = np.minimum(least, totals[kept].min(axis=0, initial=math.inf))
     return least
+
+
+def least_outer(node_ids, batches, demand: Demand, feeds=()) -> tuple[float, tuple | None]:
+    """The least outer bound of ``demand`` over every (row, batch) candidate,
+    and the winner as (batch, row): ``batches`` hold point-to-point networks
+    over ``node_ids`` as `assemble.UpperBatch` does, one per row, and
+    ``feeds`` are arcs added to every candidate.
+
+    Each batch's rows are rated by their `min_cut`, or, where `min_cut`
+    refuses a sink's interior, by their certified flows. The candidates are
+    scanned row by row and, within a row, batch by batch; the least rate
+    wins, the earliest of ties. A winner rated by its cut gets one certified
+    flow (`max_flow` for a unicast demand, `multicast_outer` for a multicast
+    one), which must match its cut as the flow's min-cut certificate does.
+    The certified flow's rate is reported; (inf, None) on an empty sweep.
+    """
+    flow = max_flow if demand.kind == "unicast" else multicast_outer
+    feed_slots = [(tail, heads) for tail, heads, _rate, _label in feeds]
+    feed_rates = [rate for _tail, _heads, rate, _label in feeds]
+    rated = []  # per batch, its rate per row and whether those are certified flows
+    for batch in batches:
+        rates = np.hstack([batch.rates, np.tile(feed_rates, (len(batch.rates), 1))])
+        try:
+            rated.append((min_cut([*batch.slots, *feed_slots], rates, demand).tolist(), False))
+        except _OversizedInterior:
+            arc_lists = ([*batch.arcs(row), *feeds] for row in range(len(rates)))
+            rated.append(([flow(node_ids, arcs, demand).rate for arcs in arc_lists], True))
+    best, winner = math.inf, None
+    for row, row_rates in enumerate(zip(*(rows for rows, _ in rated))):
+        for index, rate in enumerate(row_rates):
+            if rate < best:
+                best, winner = rate, (index, row)
+    if winner is None:
+        return best, None
+    index, row = winner
+    if not rated[index][1]:
+        certified = flow(node_ids, [*batches[index].arcs(row), *feeds], demand).rate
+        ok = abs(best - certified) <= 1e-9 * max(1.0, certified)
+        assert ok, f"least cut {best} is not the max flow {certified}"
+        best = certified
+    return best, (batches[index], row)
 
 
 def hyper_inner(

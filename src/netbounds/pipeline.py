@@ -3,15 +3,18 @@
 `bound` decouples the network, builds one upper structure (bit pipes) and one
 lower structure (hyper-arcs), and rates every run of two sweeps on their arcs,
 each validated first: the outer sweep over the multi-access noise split alpha,
-rated as one `UpperStructure.rate_batch` and validated once (`max_flow` per
-unicast demand, `multicast_outer` per multicast one, at every alpha), and the
-inner sweep over every combination of broadcast power splits, rated as one
+rated as one `UpperStructure.rate_batch` and validated once, and the inner
+sweep over every combination of broadcast power splits, rated as one
 `LowerStructure.rate_batch` and validated once per decode-order group. Each
-batch's rates are also checked as one array. A network whose one demand is
-unicast takes an exact `unicast_inner` max flow per inner run, with its
-min-cut certificate. Otherwise `flows.demand_cut` bounds each demand's rate on
-every inner run without an LP, and the runs are routed best first, in rounds
-of one `hyper_inner_batch` each: a run is routed only while its cut, plus
+batch's rates are also checked as one array. Each demand's outer bound is
+`flows.least_outer` of the outer sweep, the search the example networks' outer
+searches run: every alpha is rated by its exact min cut (by its certified flow
+where `min_cut` refuses a sink's interior as too large), and one flow is
+certified, on the least. A network whose one demand is unicast takes an exact
+`unicast_inner` max flow per inner run, with its min-cut certificate.
+Otherwise `flows.demand_cut` bounds each demand's rate on every inner run
+without an LP, and the runs are routed best first, in rounds of one
+`hyper_inner_batch` each: a run is routed only while its cut, plus
 `flows._CUT_MARGIN`, could still beat or tie some demand's best routed rate. A
 run's arcs are listed only for a flow.
 
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +36,7 @@ import numpy as np
 from .assemble import LowerStructure, UpperStructure
 from .bc import simplex_grid
 from .decouple import DecoupledComponent, decompose
-from .flows import (
-    _CUT_MARGIN,
-    demand_cut,
-    hyper_inner_batch,
-    max_flow,
-    multicast_outer,
-    unicast_inner,
-)
+from .flows import _CUT_MARGIN, demand_cut, hyper_inner_batch, least_outer, unicast_inner
 from .netmodel import Demand, NoisyNetwork, validate_bounding_network
 
 __all__ = ["BoundReport", "bound"]
@@ -95,9 +90,9 @@ def _failed_row(rates) -> list[int]:
     return np.flatnonzero(~(rates >= 0.0).all(axis=1))[:1].tolist()
 
 
-def _keep(best, rates, label: str, better) -> None:
+def _keep(best, rates, label: str) -> None:
     for demand, rate in rates.items():
-        if demand not in best or better(rate, best[demand][0]):
+        if demand not in best or rate > best[demand][0]:
             best[demand] = (rate, label)
 
 
@@ -174,13 +169,9 @@ def bound(net: NoisyNetwork, alphas, beta_step: float) -> BoundReport:
     # passes), with the validator's message at the first alpha that fails.
     for row in [0, *_failed_row(sweep.rates)]:
         _require_valid(upper.node_ids, sweep.arcs(row), "upper")
-    for row, alpha in enumerate(alphas):
-        arcs = sweep.arcs(row)
-        rates = {}
-        for demand in demands:
-            flow = max_flow if demand.kind == "unicast" else multicast_outer
-            rates[demand] = flow(upper.node_ids, arcs, demand).rate
-        _keep(outer, rates, f"upper alpha={alpha:g}", operator.lt)
+    for demand in demands:
+        rate, (_sweep, row) = least_outer(upper.node_ids, [sweep], demand)
+        outer[demand] = (rate, f"upper alpha={alphas[row]:g}")
 
     lower = LowerStructure(components)
     combos = list(itertools.product(*grids))
@@ -204,5 +195,5 @@ def bound(net: NoisyNetwork, alphas, beta_step: float) -> BoundReport:
             f"{comp.key[1]}=" + "/".join(f"{beta:g}" for beta in betas)
             for comp, betas in zip(bc_comps, combo)
         )
-        _keep(inner, rates, f"lower {label or 'default'}", operator.gt)
+        _keep(inner, rates, f"lower {label or 'default'}")
     return BoundReport(components, outer, inner, len(alphas), len(combos))

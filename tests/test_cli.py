@@ -298,8 +298,10 @@ class TestBounds:
 
             return flow
 
-        for name in ("max_flow", "multicast_outer", "unicast_inner", "hyper_inner_batch"):
+        for name in ("least_outer", "unicast_inner", "hyper_inner_batch"):
             monkeypatch.setattr(pipeline, name, refused(name))
+        for name in ("max_flow", "multicast_outer"):
+            monkeypatch.setattr(flows, name, refused(name))
         path = DATA / "lower_bounds_2x3xunicast-0.json"
         assert main(["bounds", str(path), "--beta-step", "0.01"]) == 2
         assert "share combinations (cap 4096)" in capsys.readouterr().err
@@ -761,8 +763,8 @@ class TestOuterAndCertifiedFlowsPerSearch:
             return mac_upper(pairs)
 
         monkeypatch.setattr(assemble, "mac_upper", counting_pairs)
-        counted(experiments, "max_flow")
-        counted(experiments, "multicast_outer")
+        counted(flows, "max_flow")
+        counted(flows, "multicast_outer")
         components = decompose(experiments.relay_network(1.0, db_to_linear(5.0), 10.0))
         experiments.relay_eq_upper(components)
         # One MAC at 11 alphas, shared by both receiver orders.
@@ -804,8 +806,8 @@ class TestOuterAndCertifiedFlowsPerSearch:
             certified.append(arcs)
             return flows.FlowResult(demand=demand, rate=1.0, witness={})
 
-        monkeypatch.setattr(experiments, "min_cut", scripted)
-        monkeypatch.setattr(experiments, "max_flow", certify)
+        monkeypatch.setattr(flows, "min_cut", scripted)
+        monkeypatch.setattr(flows, "max_flow", certify)
         components = decompose(experiments.relay_network(1.0, db_to_linear(5.0), 10.0))
         assert experiments.relay_eq_upper(components, (0.3, 0.6)) == 1.0
         second = UpperStructure(components, {("bc", "S"): ("R", "D")})

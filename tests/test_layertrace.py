@@ -116,3 +116,26 @@ def test_bounds_bench_pass_computes_220_mac_pairs(monkeypatch, tmp_path):
         assert code == 0
     assert len(points) == len(batches) == 8
     assert len(pairs) == len(set(pairs)) == 220
+
+
+def test_bounds_bench_pass_certifies_one_outer_flow_per_demand(monkeypatch, tmp_path):
+    # The 8 pool files hold 20 demands, half unicast and half multicast. Each
+    # demand's alpha sweep is rated by its min cut, and one flow is certified.
+    workloads = load_perfbench("workloads")
+    flowed = []
+
+    def counted(name):
+        flow = getattr(flows, name)
+
+        def counting(*args):
+            flowed.append(name)
+            return flow(*args)
+
+        monkeypatch.setattr(flows, name, counting)
+
+    counted("max_flow")
+    counted("multicast_outer")
+    for point in workloads.make_points("bounds", 1, tmp_path):
+        code, _out, _err = workloads.run_point("bounds", point.payload)
+        assert code == 0
+    assert sorted(flowed) == ["max_flow"] * 10 + ["multicast_outer"] * 10

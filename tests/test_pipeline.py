@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from netbounds import flows, pipeline
-from netbounds.assemble import LowerBatch, LowerStructure, UpperStructure
+from netbounds.assemble import LowerBatch, LowerStructure, UpperStructure, link_capacity
 from netbounds.bc import simplex_grid
 from netbounds.cli import parse_grid
 from netbounds.decouple import decompose
+from netbounds.experiments import ALPHA_GRID
 from netbounds.flows import FlowResult, demand_cut, hyper_inner_batch, unicast_inner
 from netbounds.netmodel import Demand, parse_network
 from netbounds.pipeline import bound
@@ -80,8 +81,18 @@ def test_bound_gives_what_bounds_prints(name, runs):
     assert report.sandwich_violations() == []
 
 
+def scripted_cuts(cuts):
+    """A `min_cut` that rates the rows of every batch by ``cuts``."""
+
+    def cut(slots, rates, demand):
+        return np.array(cuts[: len(rates)])
+
+    return cut
+
+
 def test_outer_takes_min_inner_takes_max(monkeypatch):
-    monkeypatch.setattr(pipeline, "max_flow", scripted([2.0, 1.5, 1.7]))
+    monkeypatch.setattr(flows, "min_cut", scripted_cuts([2.0, 1.5, 1.7]))
+    monkeypatch.setattr(flows, "max_flow", scripted([1.5]))
     monkeypatch.setattr(pipeline, "unicast_inner", scripted([0.9, 1.2, 0.3, 1.0, 1.1]))
     net = broadcast()
     report = bound(net, (0.0, 0.5, 1.0), 0.25)
@@ -93,7 +104,8 @@ def test_outer_takes_min_inner_takes_max(monkeypatch):
 
 
 def test_ties_keep_the_earliest_run(monkeypatch):
-    monkeypatch.setattr(pipeline, "max_flow", scripted([1.0, 0.5, 0.5, 0.5]))
+    monkeypatch.setattr(flows, "min_cut", scripted_cuts([1.0, 0.5, 0.5, 0.5]))
+    monkeypatch.setattr(flows, "max_flow", scripted([0.5]))
     monkeypatch.setattr(pipeline, "unicast_inner", scripted([0.2, 0.7, 0.7, 0.2, 0.7]))
     net = broadcast()
     report = bound(net, (0.0, 0.25, 0.5, 0.75), 0.25)
@@ -119,17 +131,94 @@ def test_ties_keep_the_earliest_run_unpatched():
 
 def test_reports_sandwich_violations_ordered_by_source(monkeypatch):
     # Two inputs into one receiver, the demands listed b first; every outer
-    # rate is forced to 0 so that both positive inner rates exceed it.
+    # rate is forced to 0 so that both positive inner rates exceed it. One
+    # flow per demand is certified.
     calls = []
-    monkeypatch.setattr(pipeline, "max_flow", scripted([0.0] * 6, calls))
+    monkeypatch.setattr(flows, "min_cut", scripted_cuts([0.0] * 3))
+    monkeypatch.setattr(flows, "max_flow", scripted([0.0] * 2, calls))
     net = network([("a", "d", 1.0), ("b", "d", 2.0)], [("b", ["d"]), ("a", ["d"])])
     report = bound(net, (0.0, 0.5, 1.0), 0.25)
-    assert len(calls) == 6
+    assert len(calls) == 2
     violations = report.sandwich_violations()
     assert len(violations) == 2
     assert violations[0].startswith("demand a->['d']: inner ")
     assert violations[1].startswith("demand b->['d']: inner ")
     assert all("exceeds outer 0.0" in violation for violation in violations)
+
+
+def test_outer_rates_by_flows_where_min_cut_refuses_the_interior():
+    # A 16-node chain with a second path N06 -> X -> N08, whose MAC at N08
+    # makes the alpha sweep matter. In the upper network the sink N15 of N00
+    # has 17 interior nodes (N01..N14, X and two auxiliaries), more than
+    # `min_cut` enumerates; X -> N15 has 8. Every outer (rate, label) is the
+    # least per-alpha flow, the earliest of ties.
+    chain = [f"N{k:02d}" for k in range(16)]
+    links = [(u, v, 100.0) for u, v in zip(chain, chain[1:]) if v != "N08"]
+    links += [("N07", "N08", 1.0), ("N06", "X", 100.0), ("X", "N08", 1.0)]
+    demands = [("N00", ["N15"]), ("N00", ["N10", "N15"]), ("X", ["N15"])]
+    net = network(links, demands)
+    upper = UpperStructure(decompose(net))
+    sweep = upper.rate_batch(ALPHA_GRID)
+    refused = []
+    for demand in net.demands:
+        try:
+            flows.min_cut(sweep.slots, sweep.rates, demand)
+        except ValueError as error:
+            assert "interior nodes" in str(error)
+            refused.append(demand.source)
+    assert refused == ["N00", "N00"]
+    want = {}
+    for alpha in ALPHA_GRID:
+        arcs = upper.arcs(alpha)
+        for demand in net.demands:
+            flow = flows.max_flow if demand.kind == "unicast" else flows.multicast_outer
+            rate = flow(upper.node_ids, arcs, demand).rate
+            if demand not in want or rate < want[demand][0]:
+                want[demand] = (rate, f"upper alpha={alpha:g}")
+    assert bound(net, ALPHA_GRID, 1.0).outer == want
+    assert sorted(label for _rate, label in want.values()) == [
+        "upper alpha=0",
+        "upper alpha=1",
+        "upper alpha=1",
+    ]
+
+
+# Files whose weak SIC input, decoded after a much stronger one, was rated
+# above its own link's capacity, while the running total of the inputs left
+# to decode cancelled.
+STRONG_THEN_WEAK = {
+    # 16.95 dB from B decoded after 149.9 dB from A, both into R.
+    "two inputs": (
+        {
+            "nodes": ["A", "B", "R"],
+            "links": [
+                {"from": "A", "to": "R", "kind": "awgn", "snr_db": 149.9},
+                {"from": "B", "to": "R", "kind": "awgn", "snr_db": 16.95},
+            ],
+            "demands": [
+                {"kind": "unicast", "source": "A", "sinks": ["R"]},
+                {"kind": "unicast", "source": "B", "sinks": ["R"]},
+            ],
+        },
+        "B",
+    ),
+    # The 146th file of the fuzz family at seed 777 and span 100 dB: N1 -> N0
+    # at 17.6 dB is decoded after N3 -> N0 at 92.0 dB.
+    "fuzz seed 777": (
+        [random_document(rng, 100.0) for rng in [random.Random(777)] for _ in range(146)][-1],
+        "N1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRONG_THEN_WEAK))
+def test_sic_input_rated_within_its_link_capacity(name):
+    doc, source = STRONG_THEN_WEAK[name]
+    net = parse_network(json.dumps(doc))
+    [link] = [link for link in net.links if link.src == source]
+    demand = Demand("unicast", source, frozenset({link.dst}))
+    rate, _label = bound(net, ALPHA_GRID, 0.5).inner[demand]
+    assert rate <= link_capacity(link)
 
 
 @pytest.mark.parametrize(
