@@ -42,9 +42,17 @@ for bit the float form.
   use by any structure, and kept while the component lives (`_fixed`): a
   point-to-point component's arc with its capacity, a broadcast side's SNRs
   and SNR-sorted receivers (`_BcLinks`), and a multi-access side's links
-  with one SIC table per decode order it is rated in (`_MacLinks`). So the
-  29 lower structures that the multicast search builds on one point's
-  components build 20 SIC tables, one per MAC and decode order, not 290.
+  with one SIC table per decode order it is rated in (`_MacLinks`). What
+  one tuple of components fixes is one `_Frame`, built on the tuple's first
+  use and kept in a `functools.lru_cache` of the last 4 (`_frame`): the
+  node ids, key maps, broadcast inputs, zero residual and extrinsic maps,
+  and per component one side per structural choice (`_BcSide` per layer
+  count and decode targets, `_MacSide` per decode order), validated when
+  it is built. A structure checks its parameters and takes the rest from
+  the frame. So the 29 lower structures that the multicast search builds
+  on one point's components build 20 broadcast sides and 20 multi-access
+  sides (one per component and structure made 58 and 290) and 20 SIC
+  tables.
 - `LowerStructure.arcs(betas)` charges the residuals of one split (the float
   form), resolves default decode orders, which depend on those residuals, and
   rates every layer arc and SIC arc against them, so each rate is achievable
@@ -187,6 +195,15 @@ def _mac_sweep(macs: tuple[MacSpec, ...], alphas: tuple[float, ...]) -> tuple[Ma
     return tuple(mac_upper([(spec, alpha) for alpha in alphas for spec in macs]))
 
 
+@functools.lru_cache(maxsize=4)
+def _frame(components: tuple) -> _Frame:
+    """The `_Frame` of a tuple of components, built on its first use by a
+    lower structure. A search builds all of its structures on one tuple, so
+    the last 4 are kept: each holds its components (about 75 kB on a
+    multicast point) alive."""
+    return _Frame(components)
+
+
 class _BcLinks:
     """What a broadcast component alone fixes: its transmitter, each
     receiver's SNR, its receivers in ascending SNR (ties by id) and a zero
@@ -254,6 +271,14 @@ def _fixed(comp: DecoupledComponent):
             fixed = _MacLinks(comp)
         _FIXED[comp] = fixed
     return fixed
+
+
+def _clear_caches() -> None:
+    """Empty every cache of this module: the frames, the MAC-rate sweeps and
+    the per-component state."""
+    _frame.cache_clear()
+    _mac_sweep.cache_clear()
+    _FIXED.clear()
 
 
 class UpperStructure:
@@ -395,19 +420,17 @@ class UpperBatch:
         ]
 
 
-def _bc_targets(
-    key: tuple, sorted_receivers: tuple[str, ...], layers: int, params: LowerParams
-) -> tuple[tuple[str, ...], ...]:
-    """Intended receiver sets of a broadcast side's layers, validated.
+def _bc_targets(key: tuple, sorted_receivers: tuple[str, ...], explicit: tuple) -> tuple:
+    """Intended receiver sets of a broadcast side's layers, validated:
+    `explicit` holds per layer its `bc_decode_targets` entry, or None.
 
     Default targets follow the receivers' original marginal SNRs, not the
     inflated decoupled values: `sorted_receivers` ascend in them.
     """
-    m = len(sorted_receivers)
+    m, layers = len(sorted_receivers), len(explicit)
     targets: list[tuple[str, ...]] = []
-    for layer in range(layers):
-        explicit = params.bc_decode_targets.get((key, layer))
-        if explicit is None:
+    for layer, given in enumerate(explicit):
+        if given is None:
             if layers != m:
                 raise ValueError(
                     f"bc_betas for {key} has {layers} layers; default "
@@ -415,7 +438,7 @@ def _bc_targets(
                 )
             chosen = sorted_receivers[layer:]
         else:
-            chosen = tuple(sorted(explicit))
+            chosen = tuple(sorted(given))
             unknown = set(chosen) - set(sorted_receivers)
             if unknown:
                 raise ValueError(
@@ -439,15 +462,12 @@ def _bc_targets(
 class _BcSide:
     """A broadcast side's layers and who decodes each."""
 
-    def __init__(
-        self, comp: DecoupledComponent, fixed: _BcLinks, params: LowerParams, index: int
-    ):
-        self.key = comp.key
+    def __init__(self, key: tuple, fixed: _BcLinks, explicit: tuple, index: int):
+        self.key = key
         self.index = index  # its place among the structure's broadcast sides
         self.tx, self.gamma = fixed.tx, fixed.gamma
-        given = params.bc_betas.get(self.key)
-        self.layers = len(comp.links) if given is None else len(given)
-        self.targets = _bc_targets(self.key, fixed.ascending, self.layers, params)
+        self.layers = len(explicit)
+        self.targets = _bc_targets(key, fixed.ascending, explicit)
         # Targets are nested, so each receiver decodes the first k layers and
         # none after: (receiver, its SNR, k) per link.
         decoded = dict.fromkeys(self.gamma, 0)
@@ -499,21 +519,14 @@ class _MacSide:
     inputs it has decoded (residual power) or not yet (full power) while
     decoding each one (`sic`, the component's `_MacLinks.sic`)."""
 
-    def __init__(
-        self,
-        comp: DecoupledComponent,
-        fixed: _MacLinks,
-        params: LowerParams,
-        bc_inputs,
-        index: int,
-    ):
-        self.key = comp.key
+    def __init__(self, key: tuple, fixed: _MacLinks, order, bc_inputs, index: int):
+        self.key = key
         self.index = index  # its place among the structure's multi-access sides
         self.rx, self.links, self.sic = fixed.rx, fixed.links, fixed.sic
         # Inputs that are broadcast transmitters get no SIC pipe: their
         # traffic rides on the broadcast side's layer arcs.
         self.piped = any(src not in bc_inputs for src, _ in self.links)
-        self.order = params.mac_order.get(self.key)
+        self.order = order
         if self.order is not None:
             if sorted(self.order) != fixed.inputs:
                 raise ValueError(
@@ -527,6 +540,70 @@ class _MacSide:
         rx = self.rx
         decodable = {src: snr - residual.get((src, rx), 0.0) for src, snr in self.links}
         return tuple(sorted(decodable, key=lambda tx: (-decodable[tx], tx)))
+
+
+class _Frame:
+    """What one tuple of components fixes for every lower structure built on
+    it: the node ids, the component keys, the broadcast inputs, the zero
+    residual and zero extrinsic maps each split starts from, and per
+    component its point-to-point arc or its sides. A side is built, and its
+    choice validated, on first use: one `_BcSide` per (layer count, decode
+    targets) and one `_MacSide` per decode order, shared by every structure
+    that chooses it."""
+
+    def __init__(self, components: tuple):
+        self.bc_by_key, self.mac_by_key = _component_maps(components)
+        self.node_ids = _all_nodes(components)
+        self.bc_inputs = {comp.inputs[0] for comp in components if comp.kind == "bc"}
+        # Per component in order: (kind, key, what it alone fixes, its place
+        # among its kind's sides, None for a point-to-point arc).
+        self.parts: list[tuple] = []
+        count = {"bc": 0, "mac": 0}
+        no_residual: dict[tuple[str, str], float] = {}
+        for comp in components:
+            fixed = _fixed(comp)
+            if comp.kind == "p2p":
+                self.parts.append((comp.kind, comp.key, fixed, None))
+                continue
+            self.parts.append((comp.kind, comp.key, fixed, count[comp.kind]))
+            count[comp.kind] += 1
+            no_residual.update(fixed.no_residual)  # a link on two sides keeps its place
+        self.no_residual = no_residual
+        self.no_extrinsic = {
+            (fixed.tx, j): 0.0
+            for kind, _key, fixed, _index in self.parts
+            if kind == "bc"
+            for j in fixed.gamma
+        }
+        self._sides: dict[tuple, _BcSide | _MacSide] = {}
+
+    def steps(self, params: LowerParams) -> list:
+        """Per component in order: its point-to-point arc, or the side that
+        `params` choose for it, validated when it is built."""
+        steps = []
+        for place, (kind, key, fixed, index) in enumerate(self.parts):
+            if index is None:
+                steps.append(fixed)
+                continue
+            if kind == "bc":
+                given = params.bc_betas.get(key)
+                layers = len(fixed.ascending) if given is None else len(given)
+                explicit = tuple(
+                    params.bc_decode_targets.get((key, layer)) for layer in range(layers)
+                )
+                choice = tuple(None if chosen is None else tuple(chosen) for chosen in explicit)
+            else:
+                explicit = params.mac_order.get(key)
+                choice = None if explicit is None else tuple(explicit)
+            side = self._sides.get((place, choice))
+            if side is None:
+                if kind == "bc":
+                    side = _BcSide(key, fixed, explicit, index)
+                else:
+                    side = _MacSide(key, fixed, explicit, self.bc_inputs, index)
+                self._sides[(place, choice)] = side
+            steps.append(side)
+        return steps
 
 
 class _OneSplit:
@@ -623,6 +700,8 @@ class LowerStructure:
     power split, and `rate_batch` rates many splits at once; default decode orders depend
     on the residuals and are resolved per split. A search that sweeps betas
     over one structure builds it once and keeps it for that search only.
+    Structures built on one tuple of components share its `_Frame`: they
+    check their parameters here and take everything else from it.
 
     Raises:
         ValueError: on parameter entries naming unknown components,
@@ -634,36 +713,21 @@ class LowerStructure:
         params = params or LowerParams()
         self.components = tuple(components)
         self.params = params
-        bc_by_key, mac_by_key = _component_maps(self.components)
-        _check_param_keys(params.bc_betas, bc_by_key, "bc_betas")
-        _check_param_keys(params.mac_order, mac_by_key, "mac_order")
+        frame = _frame(self.components)
+        _check_param_keys(params.bc_betas, frame.bc_by_key, "bc_betas")
+        _check_param_keys(params.mac_order, frame.mac_by_key, "mac_order")
         for key, _layer in params.bc_decode_targets:
-            if key not in bc_by_key:
+            if key not in frame.bc_by_key:
                 raise ValueError(f"bc_decode_targets entry {key} matches no component")
-        self._bc_keys = bc_by_key
-        self.node_ids = _all_nodes(self.components)
-        self._bc_inputs = {comp.inputs[0] for comp in self.components if comp.kind == "bc"}
+        self._bc_keys = frame.bc_by_key
+        self.node_ids = frame.node_ids
+        self._bc_inputs = frame.bc_inputs
         # Components in order: a prebuilt p2p arc, a _BcSide or a _MacSide.
-        self._steps: list = []
-        self._bcs: list[_BcSide] = []
-        self._macs: list[_MacSide] = []
-        residual_keys: dict[tuple[str, str], float] = {}
-        for comp in self.components:
-            fixed = _fixed(comp)
-            if comp.kind == "p2p":
-                self._steps.append(fixed)
-                continue
-            if comp.kind == "bc":
-                side = _BcSide(comp, fixed, params, len(self._bcs))
-                self._bcs.append(side)
-            else:
-                side = _MacSide(comp, fixed, params, self._bc_inputs, len(self._macs))
-                self._macs.append(side)
-            self._steps.append(side)
-            residual_keys.update(fixed.no_residual)  # a link on two sides keeps its place
+        self._steps = frame.steps(params)
+        self._bcs = [step for step in self._steps if isinstance(step, _BcSide)]
+        self._macs = [step for step in self._steps if isinstance(step, _MacSide)]
         # No residual and no extrinsic interference: what each split starts from.
-        self._no_residual = residual_keys
-        self._no_extrinsic = {(bc.tx, j): 0.0 for bc in self._bcs for j in bc.gamma}
+        self._no_residual, self._no_extrinsic = frame.no_residual, frame.no_extrinsic
 
     def _charge(self, bc_betas: dict, form) -> tuple:
         """The charges of one evaluation, in either input form: each

@@ -41,7 +41,8 @@ could neither beat nor tie the incumbent. The multicast search and
 A third cut is exact. min_cut takes a batch of point-to-point networks, one
 per row of rates over the same pipes, and gives each row's min cut by
 enumerating the subsets of each sink's interior (the nodes on some
-source-to-sink path, at most _MAX_INTERIOR of them). That is the rate
+source-to-sink path, at most _MAX_INTERIOR of them), all sinks' sets in one
+pass over the pipes, 2 ** _MAX_INTERIOR sets at most per pass. That is the rate
 max_flow or multicast_outer certifies, so least_outer, the one outer-bound
 search (of the example networks' searches and of `pipeline.bound`), rates
 every candidate by it and runs one certified flow, on the least; where
@@ -758,12 +759,18 @@ def min_cut(slots, rates, demand: Demand) -> np.ndarray:
     skipped. Each total sums rate columns from 0, left to right, as
     `demand_cut` does. The bound is the least of these totals over the sinks.
 
+    Every sink's sets lie on one axis, in blocks of at most 2 ** _MAX_INTERIOR
+    sets, and one pass over the slots totals every set of a block; each
+    sink's least is taken from its own sets.
+
     Raises:
         ValueError: on a hyper-arc, and on a sink with more than
             _MAX_INTERIOR interior nodes.
     """
+    source = demand.source
     successors: dict[str, list[str]] = {}
     predecessors: dict[str, list[str]] = {}
+    place = {source: 0}  # per node, its row of the source-side masks
     for tail, heads in slots:
         if len(heads) != 1:
             raise ValueError(
@@ -772,6 +779,8 @@ def min_cut(slots, rates, demand: Demand) -> np.ndarray:
             )
         successors.setdefault(tail, []).append(heads[0])
         predecessors.setdefault(heads[0], []).append(tail)
+        place.setdefault(tail, len(place))
+        place.setdefault(heads[0], len(place))
 
     def closure(start: str, step: dict) -> set[str]:
         seen, stack = {start}, [start]
@@ -782,10 +791,8 @@ def min_cut(slots, rates, demand: Demand) -> np.ndarray:
                     stack.append(node)
         return seen
 
-    source = demand.source
     reached = closure(source, successors)
-    unbounded = np.isinf(rates).all(axis=0)
-    least = np.full(len(rates), math.inf)
+    blocks = [[]]  # runs of sinks whose sets fit in 2 ** _MAX_INTERIOR together
     for sink in demand.sink_list:
         reaching = closure(sink, predecessors)
         interior = sorted((reached & reaching) - {source, sink})
@@ -794,20 +801,35 @@ def min_cut(slots, rates, demand: Demand) -> np.ndarray:
                 f"sink {sink!r} has {len(interior)} interior nodes; min_cut "
                 f"enumerates the subsets of at most {_MAX_INTERIOR}"
             )
-        sets = np.arange(1 << len(interior))
-        inside = {node: (sets >> k & 1).astype(bool) for k, node in enumerate(interior)}
-        inside.update(
-            (node, np.ones(len(sets), dtype=bool)) for node in reached - reaching | {source}
-        )
-        never = np.zeros(len(sets), dtype=bool)
-        kept, totals = ~never, np.zeros((len(sets), len(rates)))
-        for (tail, (head,)), rate, infinite in zip(slots, rates.T, unbounded):
-            leaving = inside.get(tail, never) & ~inside.get(head, never)
-            if infinite:
-                kept &= ~leaving
-            elif leaving.any():
-                totals = totals + np.where(leaving[:, None], rate, 0.0)
-        least = np.minimum(least, totals[kept].min(axis=0, initial=math.inf))
+        taken = sum(1 << len(other) for other, _ in blocks[-1])
+        if taken + (1 << len(interior)) > 1 << _MAX_INTERIOR:
+            blocks.append([])
+        # Its interior and the rest of its source side.
+        blocks[-1].append((interior, reached - reaching | {source}))
+    tails = [place[tail] for tail, _ in slots]
+    heads = [place[head] for _, (head,) in slots]
+    unbounded = np.isinf(rates).all(axis=0)
+    least = np.full(len(rates), math.inf)
+    for block in blocks:
+        spans, size = [], 0  # per sink, its sets on the block's axis
+        for interior, _ in block:
+            spans.append(slice(size, size + (1 << len(interior))))
+            size = spans[-1].stop
+        inside = np.zeros((len(place), size), dtype=bool)  # per node, per set
+        for (interior, held), span in zip(block, spans):
+            sets = np.arange(span.stop - span.start)
+            inside[[place[node] for node in interior], span] = (
+                sets >> np.arange(len(interior))[:, None] & 1
+            )
+            inside[[place[node] for node in held], span] = True
+        leaving = inside[tails] & ~inside[heads]  # per slot, per set
+        kept = ~leaving[unbounded].any(axis=0)
+        moving = ~unbounded & leaving.any(axis=1)
+        totals = np.zeros((size, len(rates)))
+        for cut, rate in zip(leaving[moving], rates.T[moving]):
+            np.add(totals, rate, out=totals, where=cut[:, None])
+        for span in spans:
+            least = np.minimum(least, totals[span][kept[span]].min(axis=0, initial=math.inf))
     return least
 
 

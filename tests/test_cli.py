@@ -639,6 +639,76 @@ class TestLowerStructuresPerSearch:
         assert {order for _rx, order in tables} == {("S1", "S2"), ("S2", "S1")}
         assert [(link.src, link.dst, link.kind) for link in capacities] == [("S1", "S2", "qsc")]
 
+    def test_multicast_point_builds_each_side_once(self, monkeypatch):
+        # Its 29 lower structures share one frame: each BC gets one side per
+        # (layer count, targets) it is built with (the common layer and 9
+        # splits), each of the 10 MACs one per decode order (2). One side per
+        # BC and MAC per structure made 58 and 290.
+        built = count_constructions(monkeypatch)
+        bc_sides = count_constructions(monkeypatch, assemble._BcSide)
+        mac_sides = count_constructions(monkeypatch, assemble._MacSide)
+        experiments.multicast_experiment(10, (13.0,), -3.0, 8, 0.1)
+        assert (len(built), len(bc_sides), len(mac_sides)) == (29, 20, 20)
+
+
+class TestSharedFrame:
+    # A structure built on a frame that other structures filled rates, bit
+    # for bit, as one built after every cache is emptied.
+    @staticmethod
+    def rated(structure, splits):
+        """Every split's `arcs` and the batch of all, in exact text."""
+        batch = structure.rate_batch(
+            {key: [split[key] for split in splits] for key in splits[0]}
+        )
+        return (
+            [repr(structure.arcs(split)) for split in splits],
+            repr((batch.slots, batch.groups)),
+            batch.rates.tobytes(),
+            batch.group.tobytes(),
+        )
+
+    def assert_warm_equals_cold(self, structures, splits_of):
+        warm = [self.rated(structure, splits_of(structure)) for structure in structures]
+        for structure, expected in zip(structures, warm):
+            assemble._clear_caches()
+            cold = LowerStructure(structure.components, structure.params)
+            assert self.rated(cold, splits_of(structure)) == expected
+
+    def test_multicast_point(self, monkeypatch):
+        built = count_constructions(monkeypatch)
+        experiments.multicast_experiment(10, (13.0,), -3.0, 8, 0.1)
+        keys = (("bc", "S1"), ("bc", "S2"))
+        ten = tuple(0.1 * (k + 1) / 5.5 for k in range(10))  # sums to 1 within 1e-9
+
+        def splits_of(structure):
+            if structure.params.bc_betas:
+                return [{key: (1 - share, share) for key in keys} for share in (0.125, 0.25)]
+            return [{}, {keys[0]: ten, keys[1]: ten[::-1]}]
+
+        # Pairs differing only in decode order share their BC sides and not
+        # their MAC sides; pairs differing only in targets the reverse.
+        s2_first, s1_first, _aligned, next_split = built[2:6]
+        assert s2_first.params.bc_decode_targets == s1_first.params.bc_decode_targets
+        assert s2_first.params.mac_order == next_split.params.mac_order
+        assert s2_first._bcs == s1_first._bcs and s2_first._macs != s1_first._macs
+        assert s2_first._macs == next_split._macs and s2_first._bcs != next_split._bcs
+        for a, b in ((s2_first, s1_first), (s2_first, next_split)):
+            split = splits_of(a)[0]
+            assert a.arcs(split) != b.arcs(split)
+        self.assert_warm_equals_cold(built, splits_of)
+
+    def test_relay_point(self, monkeypatch):
+        built = count_constructions(monkeypatch)
+        experiments.relay_experiment(0.0, 10.0, (5.0,))
+        assert len(built) == 6
+
+        def splits_of(structure):
+            if len(structure.params.bc_betas[("bc", "S")]) == 1:
+                return [{("bc", "S"): (1.0,)}]
+            return [{("bc", "S"): (1 - share, share)} for share in (0.0, 0.3, 0.75)]
+
+        self.assert_warm_equals_cold(built, splits_of)
+
 
 RELAY_ORDERS = (("R", "S"), ("S", "R"))
 

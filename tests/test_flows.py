@@ -245,6 +245,79 @@ class TestMinCut:
         with pytest.raises(ValueError, match="hyper-arc"):
             flows.min_cut([("s", ("a", "t"))], np.ones((1, 1)), unicast("s", "t"))
 
+    @staticmethod
+    def assert_exact(edges, rates, source, sinks, expected=None):
+        """min_cut of the multicast to ``sinks`` is, per row, the least
+        brute-force min cut over the sinks, bit for bit."""
+        slots = [(tail, (head,)) for tail, head in edges]
+        cuts = flows.min_cut(slots, np.array(rates, dtype=float), multicast(source, sinks))
+        oracle = [
+            min(
+                brute_force_min_cut(
+                    pipes_network([(t, h, rate) for (t, h), rate in zip(edges, row)]),
+                    source,
+                    sink,
+                )
+                for sink in sinks
+            )
+            for row in rates
+        ]
+        assert cuts.tolist() == oracle
+        if expected is not None:
+            assert oracle == expected
+        return cuts
+
+    def test_sinks_with_different_interiors(self):
+        # Interiors: t1 {a, b}, t2 {}, t3 {a}; a reaches t3 too, and t2 sits
+        # on the source side of t1's and t3's sets.
+        edges = [
+            ("s", "a"), ("a", "b"), ("b", "t1"), ("s", "b"),
+            ("s", "t2"), ("a", "t3"), ("t3", "t1"), ("s", "t1"),
+        ]
+        rates = [
+            [2.0, 1.5, 3.0, 0.25, 4.0, 0.5, 0.125, 1.0],
+            [2.0, 1.5, 3.0, 0.25, 0.75, 3.0, 0.125, 1.0],
+            [0.5, 1.5, 3.0, 0.25, 4.0, 3.0, 0.125, 1.0],
+        ]
+        self.assert_exact(edges, rates, "s", ["t1", "t2", "t3"], [0.5, 0.75, 0.5])
+
+    def test_unreachable_sink_cuts_nothing(self):
+        # u only sends, v hears only u: neither is reached from s.
+        edges = [("s", "a"), ("a", "t"), ("u", "a"), ("u", "v")]
+        self.assert_exact(edges, [[1.0, 2.0, 3.0, 4.0]], "s", ["t", "u", "v"], [0.0])
+        self.assert_exact(edges, [[1.0, 2.0, 3.0, 4.0]], "s", ["t"], [1.0])
+
+    def test_infinite_pipe_leaves_one_sinks_sets(self):
+        # a -> t1 is infinite in every row and leaves only t1's sets with a
+        # inside; t1 cannot reach t2, so for t2 it stays on the source side.
+        edges = [("s", "a"), ("a", "t1"), ("a", "t2"), ("s", "t1")]
+        rates = [[1.0, INF, 2.0, 3.0], [5.0, INF, 2.0, 3.0], [5.0, INF, 9.0, 3.0]]
+        self.assert_exact(edges, rates, "s", ["t1", "t2"], [1.0, 2.0, 5.0])
+
+    def test_refusal_names_the_sink(self):
+        # t1's interior {a0} is enumerated; t2's chain of 13 is refused.
+        chain = ["s", *(f"a{k}" for k in range(13)), "t2"]
+        slots = [(u, (v,)) for u, v in zip(chain, chain[1:])] + [("a0", ("t1",))]
+        with pytest.raises(ValueError, match="sink 't2' has 13 interior nodes"):
+            flows.min_cut(slots, np.ones((1, len(slots))), multicast("s", ["t1", "t2"]))
+
+    def test_sinks_past_one_block_of_sets(self):
+        # t0 and t1 have the 11 interior nodes a0..a10, t2 the 10 a0..a9:
+        # 2048 + 2048 sets fill the first block of 4096, t2 takes a second.
+        # Row 0's least cut is t2's, row 1's t0's.
+        hubs = [f"a{k}" for k in range(11)]
+        edges = [("s", hub) for hub in hubs]
+        edges += [(u, v) for u, v in zip(hubs[:9], hubs[1:10])]
+        edges += [(hub, sink) for sink in ("t0", "t1") for hub in hubs]
+        edges += [(hub, "t2") for hub in hubs[:10]]
+        rng = np.random.default_rng(3)
+        rates = rng.uniform(1.0, 2.0, size=(2, len(edges)))
+        for row, sink, rate in ((0, "t2", 0.01), (1, "t0", 0.02)):
+            rates[row, [k for k, (_, head) in enumerate(edges) if head == sink]] = rate
+        assert 2 * 2048 + 1024 > 1 << flows._MAX_INTERIOR
+        cuts = self.assert_exact(edges, rates.tolist(), "s", ["t0", "t1", "t2"])
+        assert cuts[0] < 0.11 and cuts[1] < 0.23
+
 
 class TestMulticastOuter:
     def test_min_over_sinks(self):
