@@ -38,21 +38,18 @@ for bit the float form.
 - `LowerStructure` fixes and validates what does not depend on the power
   split beta: each broadcast side's layer count and decode targets, explicit
   decode orders, which multi-access inputs get SIC arcs, and the node list.
-  What one component alone fixes is built once per component, on its first
-  use by any structure, and kept while the component lives (`_fixed`): a
-  point-to-point component's arc with its capacity, a broadcast side's SNRs
-  and SNR-sorted receivers (`_BcLinks`), and a multi-access side's links
-  with one SIC table per decode order it is rated in (`_MacLinks`). What
-  one tuple of components fixes is one `_Frame`, built on the tuple's first
-  use and kept in a `functools.lru_cache` of the last 4 (`_frame`): the
-  node ids, key maps, broadcast inputs, zero residual and extrinsic maps,
-  and per component one side per structural choice (`_BcSide` per layer
-  count and decode targets, `_MacSide` per decode order), validated when
-  it is built. A structure checks its parameters and takes the rest from
-  the frame. So the 29 lower structures that the multicast search builds
-  on one point's components build 20 broadcast sides and 20 multi-access
-  sides (one per component and structure made 58 and 290) and 20 SIC
-  tables.
+  What one tuple of components fixes is one `_Frame`, shared by the upper
+  and lower structures built on the tuple, built on its first use and kept
+  in a `functools.lru_cache` of the last 4 (`_frame`): the node ids, key
+  maps, point-to-point arcs with their capacities, broadcast inputs, zero
+  residual and extrinsic maps, and per component one side per structural
+  choice (`_BcSide` per layer count and decode targets, `_MacSide` per
+  decode order, with one SIC table per order it is rated in), validated
+  when it is built. A structure checks its parameters and takes the rest
+  from the frame. So the 29 lower structures that the multicast search
+  builds on one point's components build 20 broadcast sides and 20
+  multi-access sides (one per component and structure made 58 and 290) and
+  20 SIC tables.
 - `LowerStructure.arcs(betas)` charges the residuals of one split (the float
   form), resolves default decode orders, which depend on those residuals, and
   rates every layer arc and SIC arc against them, so each rate is achievable
@@ -81,7 +78,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,25 +193,11 @@ def _mac_sweep(macs: tuple[MacSpec, ...], alphas: tuple[float, ...]) -> tuple[Ma
 
 @functools.lru_cache(maxsize=4)
 def _frame(components: tuple) -> _Frame:
-    """The `_Frame` of a tuple of components, built on its first use by a
-    lower structure. A search builds all of its structures on one tuple, so
-    the last 4 are kept: each holds its components (about 75 kB on a
-    multicast point) alive."""
+    """The `_Frame` of a tuple of components, built on its first use by an
+    upper or lower structure. A search builds all of its structures on one
+    tuple, so the last 4 are kept: each holds its components (about 75 kB on
+    a multicast point) alive."""
     return _Frame(components)
-
-
-class _BcLinks:
-    """What a broadcast component alone fixes: its transmitter, each
-    receiver's SNR, its receivers in ascending SNR (ties by id) and a zero
-    residual per link."""
-
-    def __init__(self, comp: DecoupledComponent):
-        self.tx = comp.inputs[0]
-        self.gamma = {link.dst: link.snr for link in comp.links}
-        self.ascending = tuple(
-            link.dst for link in sorted(comp.links, key=lambda link: (link.snr, link.dst))
-        )
-        self.no_residual = dict.fromkeys(((link.src, link.dst) for link in comp.links), 0.0)
 
 
 def _sic_table(rx: str, links, order) -> tuple:
@@ -233,52 +215,10 @@ def _sic_table(rx: str, links, order) -> tuple:
     )
 
 
-class _MacLinks:
-    """What a multi-access component alone fixes: its receiver, its (input,
-    SNR) links in link order, its inputs sorted, a zero residual per link,
-    and one SIC table per decode order it is rated in, built on first use."""
-
-    def __init__(self, comp: DecoupledComponent):
-        self.rx = comp.outputs[0]
-        self.links = tuple((link.src, link.snr) for link in comp.links)
-        self.inputs = sorted(src for src, _ in self.links)
-        self.no_residual = dict.fromkeys(((link.src, link.dst) for link in comp.links), 0.0)
-        self._tables: dict[tuple[str, ...], tuple] = {}
-
-    def sic(self, order) -> tuple:
-        """`_sic_table` at one decode order."""
-        table = self._tables.get(order)
-        if table is None:
-            table = self._tables[order] = _sic_table(self.rx, self.links, order)
-        return table
-
-
-# Per component, what it alone fixes, kept while the component lives and
-# shared by every structure built from it: a point-to-point component's arc
-# with its capacity, a `_BcLinks` or a `_MacLinks`.
-_FIXED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _fixed(comp: DecoupledComponent):
-    """What `comp` alone fixes, built on its first use by any structure."""
-    fixed = _FIXED.get(comp)
-    if fixed is None:
-        if comp.kind == "p2p":
-            fixed = _p2p_arc(comp.links[0])
-        elif comp.kind == "bc":
-            fixed = _BcLinks(comp)
-        else:
-            fixed = _MacLinks(comp)
-        _FIXED[comp] = fixed
-    return fixed
-
-
 def _clear_caches() -> None:
-    """Empty every cache of this module: the frames, the MAC-rate sweeps and
-    the per-component state."""
+    """Empty every cache of this module: the frames and the MAC-rate sweeps."""
     _frame.cache_clear()
     _mac_sweep.cache_clear()
-    _FIXED.clear()
 
 
 class UpperStructure:
@@ -302,9 +242,9 @@ class UpperStructure:
 
     def __init__(self, components, bc_perm: dict | None = None):
         bc_perm = bc_perm or {}
-        bc_by_key, _ = _component_maps(components)
-        _check_param_keys(bc_perm, bc_by_key, "bc_perm")
-        nodes = dict.fromkeys(_all_nodes(components))
+        frame = _frame(tuple(components))
+        _check_param_keys(bc_perm, frame.bc_by_key, "bc_perm")
+        nodes = dict.fromkeys(frame.node_ids)
 
         def auxiliary(name: str) -> str:
             if name in nodes:
@@ -317,7 +257,7 @@ class UpperStructure:
         # at least the fixed rate; its label is the text around the alpha.
         self._slots: list[tuple] = []
         bc_links: dict[tuple[str, str], tuple[float, str]] = {}
-        for comp in [comp for comp in components if comp.kind == "bc"]:
+        for comp in frame.bc_by_key.values():
             tx, receivers = comp.inputs[0], _bc_receivers(comp)
             perm_ids = bc_perm.get(comp.key, _default_perm(comp))
             if sorted(perm_ids) != sorted(receivers):
@@ -334,7 +274,7 @@ class UpperStructure:
                 bc_links[(tx, rx)] = (rv.individual[position], label)
         self._macs: list[MacSpec] = []
         mac_links: dict[tuple[str, str], tuple[int, int]] = {}
-        for comp in [comp for comp in components if comp.kind == "mac"]:
+        for comp in frame.mac_by_key.values():
             rx, index = comp.outputs[0], len(self._macs)
             self._macs.append(MacSpec(gammas=comp.gamma_list()))
             label = (f"mac {rx}: sum (alpha=", ")")
@@ -355,9 +295,9 @@ class UpperStructure:
                 tail = f"{tx}_out" if tx in bc_tx else tx
                 label = (f"mac {rx}: input {tx} (alpha=", ")")
                 self._slots.append((tail, (f"{rx}_in",), None, mac, label))
-        for comp in components:
+        for comp, _key, arc in frame.parts:
             if comp.kind == "p2p":
-                tail, heads, rate, label = _fixed(comp)
+                tail, heads, rate, label = arc
                 self._slots.append((tail, heads, rate, None, label))
         self.node_ids = tuple(nodes)
 
@@ -462,12 +402,14 @@ def _bc_targets(key: tuple, sorted_receivers: tuple[str, ...], explicit: tuple) 
 class _BcSide:
     """A broadcast side's layers and who decodes each."""
 
-    def __init__(self, key: tuple, fixed: _BcLinks, explicit: tuple, index: int):
-        self.key = key
+    def __init__(self, comp: DecoupledComponent, explicit: tuple, index: int):
+        self.key = comp.key
         self.index = index  # its place among the structure's broadcast sides
-        self.tx, self.gamma = fixed.tx, fixed.gamma
+        self.tx = comp.inputs[0]
+        self.gamma = {link.dst: link.snr for link in comp.links}
         self.layers = len(explicit)
-        self.targets = _bc_targets(key, fixed.ascending, explicit)
+        ascending = sorted(comp.links, key=lambda link: (link.snr, link.dst))
+        self.targets = _bc_targets(self.key, tuple(link.dst for link in ascending), explicit)
         # Targets are nested, so each receiver decodes the first k layers and
         # none after: (receiver, its SNR, k) per link.
         decoded = dict.fromkeys(self.gamma, 0)
@@ -515,25 +457,36 @@ class _BcSide:
 
 
 class _MacSide:
-    """A multi-access receiver: its inputs and, per decode order, which
-    inputs it has decoded (residual power) or not yet (full power) while
-    decoding each one (`sic`, the component's `_MacLinks.sic`)."""
+    """A multi-access receiver at one decode order (None for the default):
+    its (input, SNR) links in link order and, per decode order it is rated
+    in, which inputs it has decoded (residual power) or not yet (full power)
+    while decoding each one (`sic`). A default-order side is rated in every
+    order its splits resolve to, so it keeps one table per order."""
 
-    def __init__(self, key: tuple, fixed: _MacLinks, order, bc_inputs, index: int):
-        self.key = key
+    def __init__(self, comp: DecoupledComponent, order, bc_inputs, index: int):
+        self.key = comp.key
         self.index = index  # its place among the structure's multi-access sides
-        self.rx, self.links, self.sic = fixed.rx, fixed.links, fixed.sic
+        self.rx = comp.outputs[0]
+        self.links = tuple((link.src, link.snr) for link in comp.links)
         # Inputs that are broadcast transmitters get no SIC pipe: their
         # traffic rides on the broadcast side's layer arcs.
         self.piped = any(src not in bc_inputs for src, _ in self.links)
         self.order = order
         if self.order is not None:
-            if sorted(self.order) != fixed.inputs:
+            inputs = sorted(src for src, _ in self.links)
+            if sorted(self.order) != inputs:
                 raise ValueError(
-                    f"mac_order for {self.key} must order inputs {fixed.inputs}, "
-                    f"got {self.order}"
+                    f"mac_order for {self.key} must order inputs {inputs}, got {self.order}"
                 )
             self.order = tuple(self.order)
+        self._tables: dict[tuple[str, ...], tuple] = {}
+
+    def sic(self, order) -> tuple:
+        """`_sic_table` at one decode order."""
+        table = self._tables.get(order)
+        if table is None:
+            table = self._tables[order] = _sic_table(self.rx, self.links, order)
+        return table
 
     def default_order(self, residual) -> tuple[str, ...]:
         """Stronger decodable powers first, ties by node id."""
@@ -543,37 +496,35 @@ class _MacSide:
 
 
 class _Frame:
-    """What one tuple of components fixes for every lower structure built on
-    it: the node ids, the component keys, the broadcast inputs, the zero
-    residual and zero extrinsic maps each split starts from, and per
-    component its point-to-point arc or its sides. A side is built, and its
-    choice validated, on first use: one `_BcSide` per (layer count, decode
-    targets) and one `_MacSide` per decode order, shared by every structure
-    that chooses it."""
+    """What one tuple of components fixes for every upper and lower
+    structure built on it: the node ids, the component keys, the broadcast
+    inputs, the zero residual and zero extrinsic maps each split starts
+    from, and per component its point-to-point arc or its sides. A side is
+    built, and its choice validated, on first use: one `_BcSide` per (layer
+    count, decode targets) and one `_MacSide` per decode order, shared by
+    every lower structure that chooses it."""
 
     def __init__(self, components: tuple):
         self.bc_by_key, self.mac_by_key = _component_maps(components)
         self.node_ids = _all_nodes(components)
         self.bc_inputs = {comp.inputs[0] for comp in components if comp.kind == "bc"}
-        # Per component in order: (kind, key, what it alone fixes, its place
-        # among its kind's sides, None for a point-to-point arc).
+        # Per component in order: (component, key, its point-to-point arc or
+        # its place among its kind's sides).
         self.parts: list[tuple] = []
         count = {"bc": 0, "mac": 0}
-        no_residual: dict[tuple[str, str], float] = {}
+        self.no_residual: dict[tuple[str, str], float] = {}
         for comp in components:
-            fixed = _fixed(comp)
             if comp.kind == "p2p":
-                self.parts.append((comp.kind, comp.key, fixed, None))
+                self.parts.append((comp, comp.key, _p2p_arc(comp.links[0])))
                 continue
-            self.parts.append((comp.kind, comp.key, fixed, count[comp.kind]))
+            self.parts.append((comp, comp.key, count[comp.kind]))
             count[comp.kind] += 1
-            no_residual.update(fixed.no_residual)  # a link on two sides keeps its place
-        self.no_residual = no_residual
+            # A link on two sides keeps its first place.
+            self.no_residual.update(((link.src, link.dst), 0.0) for link in comp.links)
         self.no_extrinsic = {
-            (fixed.tx, j): 0.0
-            for kind, _key, fixed, _index in self.parts
-            if kind == "bc"
-            for j in fixed.gamma
+            (comp.inputs[0], link.dst): 0.0
+            for comp in self.bc_by_key.values()
+            for link in comp.links
         }
         self._sides: dict[tuple, _BcSide | _MacSide] = {}
 
@@ -581,13 +532,13 @@ class _Frame:
         """Per component in order: its point-to-point arc, or the side that
         `params` choose for it, validated when it is built."""
         steps = []
-        for place, (kind, key, fixed, index) in enumerate(self.parts):
-            if index is None:
-                steps.append(fixed)
+        for place, (comp, key, arc_or_index) in enumerate(self.parts):
+            if comp.kind == "p2p":
+                steps.append(arc_or_index)
                 continue
-            if kind == "bc":
+            if comp.kind == "bc":
                 given = params.bc_betas.get(key)
-                layers = len(fixed.ascending) if given is None else len(given)
+                layers = len(comp.links) if given is None else len(given)
                 explicit = tuple(
                     params.bc_decode_targets.get((key, layer)) for layer in range(layers)
                 )
@@ -597,10 +548,10 @@ class _Frame:
                 choice = None if explicit is None else tuple(explicit)
             side = self._sides.get((place, choice))
             if side is None:
-                if kind == "bc":
-                    side = _BcSide(key, fixed, explicit, index)
+                if comp.kind == "bc":
+                    side = _BcSide(comp, explicit, arc_or_index)
                 else:
-                    side = _MacSide(key, fixed, explicit, self.bc_inputs, index)
+                    side = _MacSide(comp, explicit, self.bc_inputs, arc_or_index)
                 self._sides[(place, choice)] = side
             steps.append(side)
         return steps

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections.abc import MutableMapping
 from pathlib import Path
 
 import numpy as np
@@ -706,3 +707,23 @@ class TestDescribe:
         for build in (build_upper, build_lower):
             _, [arc] = build(decompose(net))
             assert describe(arc) == "p2p bsc a->b"
+
+
+def test_clear_caches_empties_every_module_cache():
+    # `tests/conftest.py` isolates tests by `_clear_caches`: a module cache
+    # that it leaves out fails here instead of making tests order-dependent.
+    experiments.multicast_experiment(10, (13.0,), -3.0, 8, 0.1)
+    caches = {
+        name: value for name, value in vars(assemble).items() if hasattr(value, "cache_info")
+    }
+    assert {"_frame", "_mac_sweep"} <= set(caches)
+    assert all(caches[name].cache_info().currsize > 0 for name in ("_frame", "_mac_sweep"))
+    assemble._clear_caches()
+    sizes = {name: cache.cache_info().currsize for name, cache in caches.items()}
+    assert sizes == dict.fromkeys(caches, 0)
+    stores = [
+        name
+        for name, value in vars(assemble).items()
+        if not name.startswith("__") and isinstance(value, MutableMapping)
+    ]
+    assert stores == []

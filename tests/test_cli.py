@@ -154,6 +154,11 @@ class TestBounds:
         assert "error:" in err
         assert "line" in err
 
+    def test_non_numeric_link_field_is_an_input_error(self, tmp_path, capsys):
+        path = write_network(tmp_path / "net.json", single_link_doc(snr=[1]))
+        assert main(["bounds", path]) == 2
+        assert "error: links[0].snr: expected a number, got [1]" in capsys.readouterr().err
+
     def test_missing_file_is_an_input_error(self, tmp_path, capsys):
         assert main(["bounds", str(tmp_path / "absent.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -615,10 +620,10 @@ class TestLowerStructuresPerSearch:
         assert len(built) == 29
 
     def test_multicast_point_builds_what_one_component_fixes_once(self, monkeypatch):
-        # Its 30 structures (1 upper, 29 lower) share each component's state:
-        # each of the 10 MACs gets one SIC table per decode order it is rated
-        # in (2), where one per MAC per lower structure made 290, and the one
-        # point-to-point link, the q-ary S1 -> S2 link, one capacity.
+        # Its 30 structures (1 upper, 29 lower) share one frame: each of the
+        # 10 MACs gets one side, with one SIC table, per decode order it is
+        # rated in (2), where one per MAC per lower structure made 290, and
+        # the one point-to-point link, the q-ary S1 -> S2 link, one capacity.
         tables, capacities = [], []
         sic_table, link_capacity = assemble._sic_table, assemble.link_capacity
 
@@ -667,6 +672,20 @@ class TestSharedFrame:
             batch.group.tobytes(),
         )
 
+    @staticmethod
+    def multicast_splits(structure):
+        keys = (("bc", "S1"), ("bc", "S2"))
+        if structure.params.bc_betas:
+            return [{key: (1 - share, share) for key in keys} for share in (0.125, 0.25)]
+        ten = tuple(0.1 * (k + 1) / 5.5 for k in range(10))  # sums to 1 within 1e-9
+        return [{}, {keys[0]: ten, keys[1]: ten[::-1]}]
+
+    @staticmethod
+    def relay_splits(structure):
+        if len(structure.params.bc_betas[("bc", "S")]) == 1:
+            return [{("bc", "S"): (1.0,)}]
+        return [{("bc", "S"): (1 - share, share)} for share in (0.0, 0.3, 0.75)]
+
     def assert_warm_equals_cold(self, structures, splits_of):
         warm = [self.rated(structure, splits_of(structure)) for structure in structures]
         for structure, expected in zip(structures, warm):
@@ -677,13 +696,7 @@ class TestSharedFrame:
     def test_multicast_point(self, monkeypatch):
         built = count_constructions(monkeypatch)
         experiments.multicast_experiment(10, (13.0,), -3.0, 8, 0.1)
-        keys = (("bc", "S1"), ("bc", "S2"))
-        ten = tuple(0.1 * (k + 1) / 5.5 for k in range(10))  # sums to 1 within 1e-9
-
-        def splits_of(structure):
-            if structure.params.bc_betas:
-                return [{key: (1 - share, share) for key in keys} for share in (0.125, 0.25)]
-            return [{}, {keys[0]: ten, keys[1]: ten[::-1]}]
+        splits_of = self.multicast_splits
 
         # Pairs differing only in decode order share their BC sides and not
         # their MAC sides; pairs differing only in targets the reverse.
@@ -701,13 +714,32 @@ class TestSharedFrame:
         built = count_constructions(monkeypatch)
         experiments.relay_experiment(0.0, 10.0, (5.0,))
         assert len(built) == 6
+        self.assert_warm_equals_cold(built, self.relay_splits)
 
-        def splits_of(structure):
-            if len(structure.params.bc_betas[("bc", "S")]) == 1:
-                return [{("bc", "S"): (1.0,)}]
-            return [{("bc", "S"): (1 - share, share)} for share in (0.0, 0.3, 0.75)]
-
-        self.assert_warm_equals_cold(built, splits_of)
+    @pytest.mark.parametrize("workload", ["relay", "multicast"])
+    def test_evicted_frame_rebuilds_bit_for_bit(self, monkeypatch, workload):
+        # Structures built again on their live components, after 4 newer
+        # component tuples pushed their frame out, rate as the warm ones.
+        built = count_constructions(monkeypatch)
+        if workload == "relay":
+            experiments.relay_experiment(0.0, 10.0, (5.0,))
+            splits_of = self.relay_splits
+        else:
+            experiments.multicast_experiment(10, (13.0,), -3.0, 8, 0.1)
+            splits_of = self.multicast_splits
+        structures = list(built)
+        warm = [self.rated(structure, splits_of(structure)) for structure in structures]
+        net = experiments.relay_network(1.0, 10.0, 10.0)
+        for _ in range(4):
+            LowerStructure(decompose(net))
+        misses = assemble._frame.cache_info().misses
+        rebuilt = [LowerStructure(old.components, old.params) for old in structures]
+        assert assemble._frame.cache_info().misses == misses + 1
+        for old, new, expected in zip(structures, rebuilt, warm):
+            assert not {id(side) for side in new._bcs + new._macs} & {
+                id(side) for side in old._bcs + old._macs
+            }
+            assert self.rated(new, splits_of(old)) == expected
 
 
 RELAY_ORDERS = (("R", "S"), ("S", "R"))

@@ -127,6 +127,46 @@ def test_parse_rejects_awgn_snr_not_positive_and_finite():
         assert parse_network(awgn_doc(field, value)).links[0].snr > 0.0
 
 
+VALID_FIELDS = {"awgn": {"snr": 1}, "qsc": {"q": 2, "xi": 0.1}, "bsc": {"eps": 0.1}}
+
+
+def link_doc(kind, field, value):
+    """A one-link document of `kind` whose `field` is `value`."""
+    link = {"from": "A", "to": "B", "kind": kind, **VALID_FIELDS[kind]}
+    if field == "snr_db":
+        del link["snr"]
+    link[field] = value
+    return json.dumps({"nodes": ["A", "B"], "links": [link]})
+
+
+@pytest.mark.parametrize(
+    ("kind", "field", "value", "expected"),
+    [
+        ("awgn", "snr", [1], "a number"),
+        ("awgn", "snr", None, "a number"),
+        ("awgn", "snr_db", [3], "a number"),
+        ("awgn", "snr", "abc", "a number"),
+        ("awgn", "snr", "3", "a number"),
+        ("awgn", "snr", True, "a number"),
+        pytest.param("awgn", "snr", 10**400, "out of range", id="awgn-snr-10**400"),
+        ("qsc", "q", None, "a number"),
+        ("qsc", "q", 2.5, "an integer"),
+        ("qsc", "q", True, "a number"),
+        ("qsc", "xi", "0.1", "a number"),
+        ("bsc", "eps", False, "a number"),
+        ("bsc", "eps", {"value": 0.1}, "a number"),
+    ],
+)
+def test_parse_accepts_only_json_numbers(kind, field, value, expected):
+    with pytest.raises(NetworkFormatError, match=rf"^links\[0\]\.{field}: .*{expected}"):
+        parse_network(link_doc(kind, field, value))
+
+
+def test_parse_accepts_integral_float_q():
+    link = parse_network(link_doc("qsc", "q", 4.0)).links[0]
+    assert link.q == 4 and isinstance(link.q, int)
+
+
 def test_parse_reports_json_position():
     with pytest.raises(NetworkFormatError, match="line"):
         parse_network('{"nodes": [,]}')
