@@ -51,9 +51,10 @@ for bit the float form.
   multi-access sides (one per component and structure made 58 and 290) and
   20 SIC tables.
 - `LowerStructure.arcs(betas)` charges the residuals of one split (the float
-  form), resolves default decode orders, which depend on those residuals, and
-  rates every layer arc and SIC arc against them, so each rate is achievable
-  with every cross-component interference accounted for. It returns plain
+  form), resolves default decode orders, which depend on those residuals, as
+  `rate_batch` does (`_order_groups`), and rates every layer arc and SIC arc
+  against them, so each rate is achievable with every cross-component
+  interference accounted for. It returns plain
   ``(tail, heads, rate, label)`` tuples, which is all the flow layer reads.
   The multicast search rates one split at a time here: on one of its
   structures a one-split batch takes about 250 microseconds against 50 for
@@ -139,37 +140,15 @@ def link_capacity(link: NoisyLink) -> float:
     raise ValueError(f"unknown link kind {link.kind!r}")
 
 
-def _component_maps(components):
-    bc_by_key = {}
-    mac_by_key = {}
-    for comp in components:
-        if comp.kind == "bc":
-            bc_by_key[comp.key] = comp
-        elif comp.kind == "mac":
-            mac_by_key[comp.key] = comp
-    return bc_by_key, mac_by_key
-
-
 def _check_param_keys(params_map: dict, known: dict, label: str):
     for key in params_map:
         if key not in known:
             raise ValueError(f"{label} entry {key} matches no component")
 
 
-def _bc_receivers(comp: DecoupledComponent) -> tuple[str, ...]:
-    return tuple(link.dst for link in comp.links)
-
-
-def _mac_inputs(comp: DecoupledComponent) -> tuple[str, ...]:
-    return tuple(link.src for link in comp.links)
-
-
 def _default_perm(comp: DecoupledComponent) -> tuple[str, ...]:
-    receivers = _bc_receivers(comp)
-    snrs = comp.gamma_list()
-    return tuple(
-        r for _, r in sorted(zip(snrs, receivers), key=lambda t: (-t[0], t[1]))
-    )
+    ranked = sorted(zip(comp.gamma_list(), comp.outputs), key=lambda t: (-t[0], t[1]))
+    return tuple(r for _, r in ranked)
 
 
 def _p2p_arc(link: NoisyLink) -> tuple:
@@ -258,7 +237,7 @@ class UpperStructure:
         self._slots: list[tuple] = []
         bc_links: dict[tuple[str, str], tuple[float, str]] = {}
         for comp in frame.bc_by_key.values():
-            tx, receivers = comp.inputs[0], _bc_receivers(comp)
+            tx, receivers = comp.inputs[0], comp.outputs
             perm_ids = bc_perm.get(comp.key, _default_perm(comp))
             if sorted(perm_ids) != sorted(receivers):
                 raise ValueError(
@@ -266,12 +245,12 @@ class UpperStructure:
                     f"got {perm_ids}"
                 )
             perm = tuple(receivers.index(r) for r in perm_ids)
-            rv = bc_upper_cumulative(BcSpec(gammas=comp.gamma_list()), perm)
+            rates = bc_upper_cumulative(BcSpec(gammas=comp.gamma_list()), perm)
             label = f"bc {tx}: sum over {len(receivers)} receivers"
-            self._slots.append((tx, (auxiliary(f"{tx}_out"),), rv.sum_rate, None, label))
+            self._slots.append((tx, (auxiliary(f"{tx}_out"),), rates[-1], None, label))
             for position, rx in enumerate(perm_ids):
                 label = f"bc {tx}: receiver {rx} (cumulative position {position + 1})"
-                bc_links[(tx, rx)] = (rv.individual[position], label)
+                bc_links[(tx, rx)] = (rates[position], label)
         self._macs: list[MacSpec] = []
         mac_links: dict[tuple[str, str], tuple[int, int]] = {}
         for comp in frame.mac_by_key.values():
@@ -279,7 +258,7 @@ class UpperStructure:
             self._macs.append(MacSpec(gammas=comp.gamma_list()))
             label = (f"mac {rx}: sum (alpha=", ")")
             self._slots.append((auxiliary(f"{rx}_in"), (rx,), None, (index, None), label))
-            for position, tx in enumerate(_mac_inputs(comp)):
+            for position, tx in enumerate(comp.inputs):
                 mac_links[(tx, rx)] = (index, position)
 
         mac_rx = {rx for _, rx in mac_links}
@@ -488,12 +467,6 @@ class _MacSide:
             table = self._tables[order] = _sic_table(self.rx, self.links, order)
         return table
 
-    def default_order(self, residual) -> tuple[str, ...]:
-        """Stronger decodable powers first, ties by node id."""
-        rx = self.rx
-        decodable = {src: snr - residual.get((src, rx), 0.0) for src, snr in self.links}
-        return tuple(sorted(decodable, key=lambda tx: (-decodable[tx], tx)))
-
 
 class _Frame:
     """What one tuple of components fixes for every upper and lower
@@ -505,13 +478,13 @@ class _Frame:
     every lower structure that chooses it."""
 
     def __init__(self, components: tuple):
-        self.bc_by_key, self.mac_by_key = _component_maps(components)
         self.node_ids = _all_nodes(components)
-        self.bc_inputs = {comp.inputs[0] for comp in components if comp.kind == "bc"}
         # Per component in order: (component, key, its point-to-point arc or
         # its place among its kind's sides).
         self.parts: list[tuple] = []
         count = {"bc": 0, "mac": 0}
+        by_key = {"bc": {}, "mac": {}}
+        self.bc_by_key, self.mac_by_key = by_key["bc"], by_key["mac"]
         self.no_residual: dict[tuple[str, str], float] = {}
         for comp in components:
             if comp.kind == "p2p":
@@ -519,8 +492,10 @@ class _Frame:
                 continue
             self.parts.append((comp, comp.key, count[comp.kind]))
             count[comp.kind] += 1
+            by_key[comp.kind][comp.key] = comp
             # A link on two sides keeps its first place.
             self.no_residual.update(((link.src, link.dst), 0.0) for link in comp.links)
+        self.bc_inputs = {comp.inputs[0] for comp in self.bc_by_key.values()}
         self.no_extrinsic = {
             (comp.inputs[0], link.dst): 0.0
             for comp in self.bc_by_key.values()
@@ -785,18 +760,19 @@ class LowerStructure:
             ValueError: on entries naming unknown components or invalid betas.
         """
         sides, residual = self._charge(bc_betas, _OneSplit)
-        orders = [mac.order or mac.default_order(residual) for mac in self._macs]
+        _, [orders] = self._order_groups(residual, 1)
         slots, _ = self._rate(sides, residual, orders, _OneSplit)
         return [arc for arc in slots if _kept(arc[2], arc[3])]
 
     def _order_groups(self, residual, n: int) -> tuple:
         """Each of n splits' decode-order group, and per group one order per
-        multi-access side: a free side's `default_order`, by one lexsort."""
+        multi-access side. A free side (no explicit order) decodes stronger
+        decodable powers first, ties by node id, by one lexsort."""
         free = [mac for mac in self._macs if mac.order is None]
         if not free:
             return np.zeros(n, dtype=np.intp), [[mac.order for mac in self._macs]]
         inputs, zero = [], np.zeros(n)  # per free side, its inputs in each split's decode order
-        for mac in free:  # decodable powers as in `default_order`, one per input
+        for mac in free:  # decodable powers, one per input
             power = {src: snr - residual[(src, mac.rx)] for src, snr in mac.links}
             ids = np.array(list(power))
             decodable = np.array([value + zero for value in power.values()])

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .info import awgn_capacity
-from .mac import RateVector, check_snrs
+from .mac import check_snrs
 
 __all__ = [
     "BcSpec",
@@ -54,8 +54,8 @@ class BcSpec:
         return len(self.gammas)
 
 
-def bc_upper_cumulative(spec: BcSpec, perm: tuple[int, ...]) -> RateVector:
-    """Permutation-parameterized BC upper model.
+def bc_upper_cumulative(spec: BcSpec, perm: tuple[int, ...]) -> tuple[float, ...]:
+    """Permutation-parameterized BC upper model: one rate per position of `perm`.
 
     The k-th rate along the permutation bounds what the first k receivers in
     `perm` can jointly decode: 0.5*log2(1 + sum of their SNRs). Rates are
@@ -65,8 +65,7 @@ def bc_upper_cumulative(spec: BcSpec, perm: tuple[int, ...]) -> RateVector:
     Args:
         spec: Gaussian BC spec.
         perm: permutation of range(m), receiver 0-based positions in
-            cumulative order. The returned individual rates are in
-            permutation position order.
+            cumulative order.
     """
     if sorted(perm) != list(range(spec.m)):
         raise ValueError(f"perm must be a permutation of 0..{spec.m - 1}")
@@ -75,7 +74,7 @@ def bc_upper_cumulative(spec: BcSpec, perm: tuple[int, ...]) -> RateVector:
     for receiver in perm:
         running += spec.gammas[receiver]
         rates.append(awgn_capacity(running))
-    return RateVector(sum_rate=rates[-1], individual=tuple(rates))
+    return tuple(rates)
 
 
 def simplex_grid(parts: int, steps: int) -> Iterator[tuple[float, ...]]:

@@ -301,22 +301,24 @@ def relay_noise_share(gamma_sd: float, gamma_sr: float, gamma_rd: float) -> floa
     return float(a / (a + b))
 
 
+def _p2p_component(link: NoisyLink) -> DecoupledComponent:
+    """One link as a point-to-point component; an AWGN link keeps its SNR."""
+    return DecoupledComponent(
+        kind="p2p",
+        inputs=(link.src,),
+        outputs=(link.dst,),
+        links=(link,),
+        effective_snrs={link: link.snr} if link.kind == "awgn" else {},
+    )
+
+
 def _component_for_group(
     links: list[NoisyLink],
 ) -> list[DecoupledComponent]:
     tx_nodes = sorted({link.src for link in links})
     rx_nodes = sorted({link.dst for link in links})
     if len(links) == 1:
-        link = links[0]
-        return [
-            DecoupledComponent(
-                kind="p2p",
-                inputs=(link.src,),
-                outputs=(link.dst,),
-                links=(link,),
-                effective_snrs={link: link.snr},
-            )
-        ]
+        return [_p2p_component(links[0])]
     # An independent BC or MAC is the coupled loop below without a partition:
     # it keeps its raw SNRs and holds no shared link. A coupled group solves
     # one shared noise partition, then emits a decoupled BC per broadcasting
@@ -391,16 +393,7 @@ def decompose(net: NoisyNetwork) -> list[DecoupledComponent]:
     of decoupled MACs and BCs with a shared noise partition. `NoisyNetwork`
     already holds at most one discrete link per sender and per receiver.
     """
-    components: list[DecoupledComponent] = []
-    for link in [l for l in net.links if l.kind != "awgn"]:
-        components.append(
-            DecoupledComponent(
-                kind="p2p",
-                inputs=(link.src,),
-                outputs=(link.dst,),
-                links=(link,),
-            )
-        )
+    components = [_p2p_component(l) for l in net.links if l.kind != "awgn"]
 
     awgn = [l for l in net.links if l.kind == "awgn"]
     uf = _UnionFind()

@@ -477,11 +477,9 @@ def multicast_experiment(
         n = num_receivers
         coop = min(
             awgn_capacity(
-                (
-                    math.sqrt(power - (k / n) * delta_power)
-                    + math.sqrt(power + (k / n) * delta_power)
-                )
-                ** 2
+                MacSpec(
+                    (power - (k / n) * delta_power, power + (k / n) * delta_power)
+                ).coherent_sum_snr
             )
             for k in range(1, n + 1)
         )

@@ -56,6 +56,7 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -112,18 +113,42 @@ class FlowResult:
     witness: dict
 
 
-def _edge_capacities(arcs) -> dict[tuple[str, str], float]:
-    """Capacity per ``(tail, head)`` of point-to-point arcs, in arc order."""
+def _capacities(node_ids, arcs, split: bool) -> tuple[dict, dict[str, int]]:
+    """The capacity per ``(tail, head)`` of a network, summed in arc order,
+    and its split nodes, for a max flow.
+
+    A point-to-point arc adds its rate. A hyper-arc is refused unless
+    `split`; then it gets a split node, named ``hyperarc_<index>`` (with
+    ``_`` appended until no node has the name), and adds its rate to
+    ``(tail, split)`` and an infinite rate to ``(split, head)`` for each
+    head. The split nodes map to their arc index, in arc order.
+    """
+    taken = set(node_ids)
     capacity: dict[tuple[str, str], float] = {}
-    for tail, heads, rate, _ in arcs:
-        if len(heads) != 1:
+    split_nodes: dict[str, int] = {}
+    for index, (tail, heads, rate, _) in enumerate(arcs):
+        if len(heads) == 1:
+            key = (tail, heads[0])
+            capacity[key] = capacity.get(key, 0.0) + rate
+            continue
+        if not split:
             raise ValueError(
                 f"network contains a hyper-arc {tail}->{list(heads)}; "
                 "max-flow applies to point-to-point networks only"
             )
-        key = (tail, heads[0])
+        if not heads:
+            raise ValueError(f"arc {index} from {tail!r} has no head")
+        name = f"hyperarc_{index}"
+        while name in taken:
+            name = name + "_"
+        taken.add(name)
+        split_nodes[name] = index
+        key = (tail, name)
         capacity[key] = capacity.get(key, 0.0) + rate
-    return capacity
+        for head in heads:
+            key = (name, head)
+            capacity[key] = capacity.get(key, 0.0) + math.inf
+    return capacity, split_nodes
 
 
 def _edmonds_karp(
@@ -195,7 +220,7 @@ def max_flow(node_ids, arcs, demand: Demand) -> FlowResult:
         ValueError: when the network has hyper-arcs or the demand is not
             unicast.
     """
-    capacity = _edge_capacities(arcs)
+    capacity, _ = _capacities(node_ids, arcs, split=False)
     if demand.kind != "unicast":
         raise ValueError("max_flow takes a unicast demand; see multicast_outer")
     _check_endpoints(node_ids, demand)
@@ -247,7 +272,7 @@ def multicast_outer(node_ids, arcs, demand: Demand) -> FlowResult:
         ValueError: when the network has hyper-arcs or an endpoint of the
             demand is not a network node.
     """
-    capacity = _edge_capacities(arcs)
+    capacity, _ = _capacities(node_ids, arcs, split=False)
     _check_endpoints(node_ids, demand)
     best: FlowResult | None = None
     per_sink: dict[str, float] = {}
@@ -278,13 +303,9 @@ def unicast_inner(node_ids, arcs, demand: Demand) -> FlowResult:
     with a min-cut certificate instead of a routing LP.  Matches
     ``hyper_inner`` on single-demand inputs, up to solver tolerance.
 
-    The rewrite goes straight into the capacity map and node list that the
-    max-flow takes; no pipes are built.  The nodes are ``node_ids``, then
-    one split node per hyper-arc in arc order, named ``hyperarc_<index>``
-    (with ``_`` appended until the name is free).  Capacities sum per
-    ``(tail, head)`` key in arc order: a point-to-point arc adds its rate,
-    a hyper-arc adds its rate to ``(tail, split)`` and an infinite rate to
-    ``(split, head)`` for each head.  Without hyper-arcs this is the
+    The rewrite goes straight into the capacity map that the max-flow takes
+    (`_capacities`, which names the split nodes), and the split nodes follow
+    ``node_ids``; no pipes are built.  Without hyper-arcs this is the
     capacity map of `max_flow`, and the result is `max_flow`'s.
 
     Args:
@@ -304,29 +325,8 @@ def unicast_inner(node_ids, arcs, demand: Demand) -> FlowResult:
     if demand.kind != "unicast":
         raise ValueError("unicast_inner handles unicast demands only")
     _check_endpoints(node_ids, demand)
-    nodes = list(node_ids)
-    taken = set(nodes)
-    capacity: dict[tuple[str, str], float] = {}
-    split_nodes: dict[str, int] = {}
-    for index, (tail, heads, rate, _) in enumerate(arcs):
-        if len(heads) == 1:
-            key = (tail, heads[0])
-            capacity[key] = capacity.get(key, 0.0) + rate
-            continue
-        if not heads:
-            raise ValueError(f"arc {index} from {tail!r} has no head")
-        split = f"hyperarc_{index}"
-        while split in taken:
-            split = split + "_"
-        taken.add(split)
-        nodes.append(split)
-        split_nodes[split] = index
-        key = (tail, split)
-        capacity[key] = capacity.get(key, 0.0) + rate
-        for head in heads:
-            key = (split, head)
-            capacity[key] = capacity.get(key, 0.0) + math.inf
-    result = _certified_flow(tuple(nodes), capacity, demand)
+    capacity, split_nodes = _capacities(node_ids, arcs, split=True)
+    result = _certified_flow((*node_ids, *split_nodes), capacity, demand)
     if split_nodes:
         result.witness["split_nodes"] = split_nodes
     return result
@@ -565,9 +565,7 @@ def _solve_lp(lp: _RoutingLP, upper: np.ndarray) -> np.ndarray:
     return np.array(solver.getSolution().col_value)
 
 
-def _results_from_solution(
-    lp: _RoutingLP, demands, solution, extra_witness=None
-) -> list[FlowResult]:
+def _results_from_solution(lp: _RoutingLP, demands, solution) -> list[FlowResult]:
     """One FlowResult per session, the witnesses read in one pass.
 
     The x block holds each session's draw per arc and the f block after it
@@ -590,13 +588,10 @@ def _results_from_solution(
             s, sink = commodities[c]
             flows[s][(sink, lp.pair_arcs[p], lp.pair_heads[p])] = value
     rates = (solution[1:x_col] + 0.0).tolist()  # HiGHS may return -0.0
-    results = []
-    for demand, rate, used, routes in zip(demands, rates, usage, flows):
-        witness = {"usage": used, "flows": routes}
-        if extra_witness:
-            witness.update(extra_witness)
-        results.append(FlowResult(demand=demand, rate=rate, witness=witness))
-    return results
+    return [
+        FlowResult(demand=demand, rate=rate, witness={"usage": used, "flows": routes})
+        for demand, rate, used, routes in zip(demands, rates, usage, flows)
+    ]
 
 
 def validate_hyper_result(
@@ -897,6 +892,11 @@ def hyper_inner(
     return results
 
 
+def _structure(arcs) -> tuple:
+    """``(tail, heads, rate is finite)`` per arc, what a routing LP is compiled from."""
+    return tuple((tail, heads, rate != math.inf) for tail, heads, rate, _ in arcs)
+
+
 def hyper_inner_batch(
     node_ids,
     arc_lists,
@@ -933,7 +933,7 @@ def hyper_inner_batch(
     compiled: dict[tuple, tuple[tuple, _RoutingLP]] = {}
     runs = []
     for arcs in arc_lists:
-        structure = tuple((tail, heads, rate != math.inf) for tail, heads, rate, _ in arcs)
+        structure = _structure(arcs)
         entry = compiled.get(structure)
         if entry is None:
             lp = _compiled_routing_lp(node_ids, structure, demands, objective)
@@ -993,23 +993,20 @@ def blend_inner(
         raise ValueError("arc_lists must be nonempty")
     node_ids = tuple(node_ids)
     base = runs[0]
-    for arcs in runs[1:]:
-        if len(arcs) != len(base):
-            raise ValueError("blended runs must have matching arc lists")
-        for (tail, heads, rate, _), (their_tail, their_heads, their_rate, _) in zip(
-            base, arcs
-        ):
-            if tail != their_tail or heads != their_heads:
-                raise ValueError(
-                    f"arc mismatch: {tail}->{list(heads)} vs "
-                    f"{their_tail}->{list(their_heads)}"
-                )
-            if (rate == math.inf) != (their_rate == math.inf):
-                raise ValueError(
-                    f"arc {tail}->{list(heads)} must be finite in every run or in none"
-                )
+    structure = _structure(base)
+    for run, arcs in enumerate(runs[1:], start=1):
+        theirs = _structure(arcs)
+        if theirs != structure:
+            a, ours, their = next(
+                (a, ours, their)
+                for a, (ours, their) in enumerate(zip_longest(structure, theirs))
+                if ours != their
+            )
+            raise ValueError(
+                f"arc mismatch: run {run} has arc {a} as {their} and run 0 as {ours}, "
+                "each (tail, heads, finite); an arc must be finite in every run or in none"
+            )
     rates = [[rate for _, _, rate, _ in arcs] for arcs in runs]
-    structure = tuple((tail, heads, rate != math.inf) for tail, heads, rate, _ in base)
     lp = _build_routing_lp(node_ids, structure, demands, objective, rates)
     solution = _solve_lp(lp, lp.upper)
     weights = tuple(float(w) for w in solution[lp.lam_col :])
@@ -1023,6 +1020,8 @@ def blend_inner(
         )
         for a, (tail, heads, rate, label) in enumerate(base)
     ]
-    results = _results_from_solution(lp, demands, solution, {"weights": weights})
+    results = _results_from_solution(lp, demands, solution)
+    for result in results:
+        result.witness["weights"] = weights
     validate_hyper_result(node_ids, averaged, demands, results, tol=1e-8)
     return results, weights

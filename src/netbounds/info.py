@@ -30,8 +30,10 @@ __all__ = [
 
 def db_to_linear(value_db: float) -> float:
     """Convert a power ratio from dB to linear scale; overflow gives inf."""
-    with np.errstate(over="ignore"):
-        return float(10.0 ** (np.asarray(value_db, dtype=float) / 10.0))
+    try:
+        return 10.0 ** (float(value_db) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def linear_to_db(value: float) -> float:

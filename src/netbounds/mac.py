@@ -44,7 +44,6 @@ from .info import awgn_capacities, awgn_capacity
 
 __all__ = [
     "MacSpec",
-    "RateVector",
     "MacRates",
     "mu_bracket",
     "mac_upper",
@@ -106,21 +105,6 @@ def _column_sums(rows: np.ndarray) -> np.ndarray:
     for k in range(1, len(rows)):
         total = total + rows[k]
     return total
-
-
-@dataclass(frozen=True)
-class RateVector:
-    """An ordered set of rate constraints: a sum rate plus per-entry rates."""
-
-    sum_rate: float
-    individual: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "individual", tuple(float(r) for r in self.individual)
-        )
-        if self.sum_rate < 0 or any(r < 0 for r in self.individual):
-            raise ValueError("rates must be nonnegative")
 
 
 class MacRates(NamedTuple):

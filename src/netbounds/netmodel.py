@@ -270,6 +270,13 @@ def _number(obj: dict, name: str, where: str, integral: bool = False):
         raise NetworkFormatError(f"{where}.{name}: number out of range") from None
 
 
+def _node_id(value, where: str) -> str:
+    """A node id field; only JSON strings pass."""
+    if not isinstance(value, str):
+        raise NetworkFormatError(f"{where}: expected a node id string, got {value!r}")
+    return value
+
+
 def _parse_link(obj: dict, index: int) -> NoisyLink:
     where = f"links[{index}]"
     if not isinstance(obj, dict):
@@ -300,10 +307,11 @@ def _parse_link(obj: dict, index: int) -> NoisyLink:
     q = _number(obj, "q", where, integral=True) if "q" in obj else None
     xi = _number(obj, "xi", where) if "xi" in obj else None
     eps = _number(obj, "eps", where) if "eps" in obj else None
+    src, dst = _node_id(obj["from"], f"{where}.from"), _node_id(obj["to"], f"{where}.to")
     try:
         return NoisyLink(
-            src=str(obj["from"]),
-            dst=str(obj["to"]),
+            src=src,
+            dst=dst,
             kind=kind,
             snr=snr,
             q=q,
@@ -327,12 +335,10 @@ def _parse_demand(obj: dict, index: int) -> Demand:
     sinks = obj["sinks"]
     if not isinstance(sinks, list):
         raise NetworkFormatError(f"{where}.sinks: expected a list")
+    source = _node_id(obj["source"], f"{where}.source")
+    sinks = [_node_id(sink, f"{where}.sinks[{k}]") for k, sink in enumerate(sinks)]
     try:
-        return Demand(
-            kind=str(obj["kind"]),
-            source=str(obj["source"]),
-            sinks=frozenset(str(s) for s in sinks),
-        )
+        return Demand(kind=str(obj["kind"]), source=source, sinks=frozenset(sinks))
     except NetworkFormatError as exc:
         raise NetworkFormatError(f"{where}: {exc}") from None
 
@@ -365,7 +371,7 @@ def parse_network(text: str) -> NoisyNetwork:
     nodes_raw = doc["nodes"]
     if not isinstance(nodes_raw, list):
         raise NetworkFormatError("nodes: expected a list of id strings")
-    nodes = tuple(Node(str(n)) for n in nodes_raw)
+    nodes = tuple(Node(_node_id(n, f"nodes[{i}]")) for i, n in enumerate(nodes_raw))
     links_raw = doc.get("links", [])
     if not isinstance(links_raw, list):
         raise NetworkFormatError("links: expected a list")

@@ -199,7 +199,7 @@ def _reference_build_upper(components, alpha, bc_perm):
     """The upper network written as it was before UpperStructure: every step
     for one alpha, BC models and pipes rebuilt per call, each provenance
     written out as text."""
-    bc_by_key, _ = assemble._component_maps(components)
+    bc_by_key = assemble._frame(tuple(components)).bc_by_key
     assemble._check_param_keys(bc_perm, bc_by_key, "bc_perm")
     nodes = list(assemble._all_nodes(components))
     pipes = []
@@ -213,14 +213,14 @@ def _reference_build_upper(components, alpha, bc_perm):
         if sorted(perm_ids) != sorted(receivers):
             raise ValueError(f"bad bc_perm {perm_ids}")
         perm = tuple(receivers.index(r) for r in perm_ids)
-        rv = bc_upper_cumulative(BcSpec(gammas=comp.gamma_list()), perm)
+        rates = bc_upper_cumulative(BcSpec(gammas=comp.gamma_list()), perm)
         aux = f"{tx}_out"
         if aux in nodes:
             raise ValueError(f"auxiliary id {aux!r} collides with a node id")
         nodes.append(aux)
-        pipes.append((tx, (aux,), rv.sum_rate, f"bc {tx}: sum over {len(receivers)} receivers"))
+        pipes.append((tx, (aux,), rates[-1], f"bc {tx}: sum over {len(receivers)} receivers"))
         for position, receiver in enumerate(perm_ids):
-            bc_rate[(tx, receiver)] = rv.individual[position]
+            bc_rate[(tx, receiver)] = rates[position]
             bc_label[(tx, receiver)] = (
                 f"bc {tx}: receiver {receiver} (cumulative position {position + 1})"
             )

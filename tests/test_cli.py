@@ -159,6 +159,14 @@ class TestBounds:
         assert main(["bounds", path]) == 2
         assert "error: links[0].snr: expected a number, got [1]" in capsys.readouterr().err
 
+    def test_node_id_that_is_not_a_string_is_an_input_error(self, tmp_path, capsys):
+        doc = single_link_doc()
+        doc["links"][0]["from"] = None
+        path = write_network(tmp_path / "net.json", doc)
+        assert main(["bounds", path]) == 2
+        err = capsys.readouterr().err
+        assert "error: links[0].from: expected a node id string, got None" in err
+
     def test_missing_file_is_an_input_error(self, tmp_path, capsys):
         assert main(["bounds", str(tmp_path / "absent.json")]) == 2
         assert "cannot read" in capsys.readouterr().err

@@ -339,13 +339,13 @@ class TestMulticastOuter:
             [("s", "a", 3.0)] + [("a", sink, 0.5 + k) for k, sink in enumerate(sinks)]
         )
         builds = []
-        edge_capacities = flows._edge_capacities
+        capacities = flows._capacities
 
-        def counting(net):
-            builds.append(net)
-            return edge_capacities(net)
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return capacities(*args, **kwargs)
 
-        monkeypatch.setattr(flows, "_edge_capacities", counting)
+        monkeypatch.setattr(flows, "_capacities", counting)
         result = multicast_outer(net.node_ids, net.arcs, multicast("s", sinks))
         assert len(builds) == 1
         assert result.rate == 0.5
@@ -808,6 +808,17 @@ class TestBlendInner:
         run_b = pipes_network([("s", "t", float("inf"))])
         with pytest.raises(ValueError, match="finite"):
             blend_inner(run_a.node_ids, [run_a.arcs, run_b.arcs], (unicast("s", "t"),))
+
+    def test_refusal_names_the_run_and_arc_that_differ_in_finiteness(self):
+        run_a = pipes_network([("s", "m", 1.0), ("m", "t", 1.0)])
+        run_b = pipes_network([("s", "m", 1.0), ("m", "t", float("inf"))])
+        runs = [run_a.arcs, run_a.arcs, run_b.arcs]
+        message = (
+            r"arc mismatch: run 2 has arc 1 as \('m', \('t',\), False\) and run 0 as "
+            r"\('m', \('t',\), True\), each \(tail, heads, finite\); .* finite in every run"
+        )
+        with pytest.raises(ValueError, match=message):
+            blend_inner(run_a.node_ids, runs, (unicast("s", "t"),))
 
     def test_rejects_empty_inputs(self):
         net = pipes_network([("s", "t", 1.0)])

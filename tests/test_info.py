@@ -25,6 +25,22 @@ def test_db_round_trip():
     assert abs(db_to_linear(10.0) - 10.0) < 1e-12
 
 
+def test_db_to_linear_is_the_numpy_formula_bit_for_bit():
+    # The float form must give what the NumPy formula gives, overflow to inf
+    # included, as a Python float.
+    rng = np.random.default_rng(29)
+    steps = (np.arange(-4000, 4001) / 10.0).tolist()
+    special = [0.0, -0.0, np.inf, -np.inf, 3082.5, 1e6, -1e6]
+    for db in [*rng.uniform(-400.0, 400.0, 20000).tolist(), *steps, *special]:
+        with np.errstate(over="ignore"):
+            want = float(10.0 ** (np.asarray(db, dtype=float) / 10.0))
+        got = db_to_linear(db)
+        assert type(got) is float
+        assert got == want, db
+    assert db_to_linear(4000.0) == np.inf
+    assert np.isnan(db_to_linear(np.nan))
+
+
 def test_awgn_capacities_match_the_scalar_form_bit_for_bit():
     # The batch rating of lower networks takes np.log2 over arrays, which may
     # run a SIMD kernel that the scalar call does not. A host whose kernel

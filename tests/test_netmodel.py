@@ -339,6 +339,44 @@ def test_parse_rejects_parallel_links_naming_both(links):
     assert len(parse_network(json.dumps(doc)).links) == 3
 
 
+def _two_receiver_doc():
+    return {
+        "nodes": ["A", "B", "C"],
+        "links": [
+            {"from": "A", "to": "B", "kind": "awgn", "snr": 2},
+            {"from": "A", "to": "C", "kind": "awgn", "snr": 3},
+        ],
+        "demands": [{"kind": "multicast", "source": "A", "sinks": ["B", "C"]}],
+    }
+
+
+@pytest.mark.parametrize(
+    "value", [None, 7, True, ["A"], {"id": "A"}], ids=["null", "number", "boolean", "list", "object"]
+)
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        (("nodes", 1), r"nodes\[1\]"),
+        (("links", 1, "from"), r"links\[1\]\.from"),
+        (("links", 0, "to"), r"links\[0\]\.to"),
+        (("demands", 0, "source"), r"demands\[0\]\.source"),
+        (("demands", 0, "sinks", 1), r"demands\[0\]\.sinks\[1\]"),
+    ],
+    ids=["node", "from", "to", "source", "sink"],
+)
+def test_parse_refuses_a_node_id_that_is_not_a_string(path, field, value):
+    # Node ids used to pass through str(), so null became the node 'None'.
+    doc = _two_receiver_doc()
+    assert len(parse_network(json.dumps(doc)).links) == 2
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(NetworkFormatError, match=rf"^{field}: expected a node id string, got "):
+        parse_network(json.dumps(doc))
+
+
 _IDS = st.lists(
     st.text(alphabet="abcdefgh", min_size=1, max_size=3),
     min_size=2,
