@@ -94,50 +94,15 @@ class GaussPartition:
     iterations: int
 
     def __post_init__(self):
-        mask = self.alphas > 0
         col_sums = self.alphas.sum(axis=0)
-        used = mask.any(axis=0)
-        if np.any(np.abs(col_sums[used] - 1.0) > 1e-9):
+        used = (self.alphas > 0).any(axis=0)
+        if (abs(col_sums[used] - 1.0) > 1e-9).any():
             raise AssertionError(
                 f"column sums deviate from 1: {col_sums[used]}"
             )
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, item):
-        self.parent.setdefault(item, item)
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 _ANDERSON_MEMORY = 5
-
-
-def _multiplier_maps(
-    sqrt_gamma: np.ndarray, log_mu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One plain pass of the stationarity maps, taken in log mu.
-
-    Returns lambda(mu) and the fixed-point residual log(mu') - log(mu), where
-    mu' is the row-multiplier update driven by lambda(mu). Zero gamma entries
-    contribute zero to both reductions, so the maps are plain matrix-vector
-    products in sqrt space.
-    """
-    sqrt_lam = sqrt_gamma.T @ np.exp(-0.5 * log_mu)
-    s = sqrt_gamma @ sqrt_lam
-    return sqrt_lam**2, 2.0 * np.log(0.5 * (np.sqrt(s**2 + 4.0) + s)) - log_mu
 
 
 def gauss_noise_partition(
@@ -155,7 +120,7 @@ def gauss_noise_partition(
     which, with lambda eliminated, form one map mu -> G(mu) on the row
     multipliers. Zero entries of gamma mean input i does not reach receiver
     j; their alpha is fixed to 0 and the column-sum constraint covers existing
-    links only.
+    links only, so in sqrt space both maps are plain matrix-vector products.
 
     Plain iteration of G converges only linearly and, at strong coupling,
     through a slowly decaying two-cycle (a nearly scale-free mode whose map
@@ -167,6 +132,9 @@ def gauss_noise_partition(
     log G(mu) instead whenever the extrapolated point is not finite or does
     not lower the largest residual entry. Both kinds of step keep the fixed
     points of G, so the returned partition is the same stationary point.
+    A group of a few inputs and up to a dozen receivers takes about 8 steps,
+    so a call costs mostly NumPy call overhead: the loop holds only the
+    arithmetic above, and the final residual is one masked reduction.
 
     Args:
         gamma: (inputs x outputs) finite nonnegative SNR matrix; every
@@ -184,20 +152,28 @@ def gauss_noise_partition(
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2:
         raise ValueError(f"gamma must be 2-D, got shape {gamma.shape}")
-    if not np.all((gamma >= 0) & np.isfinite(gamma)):
+    if not ((gamma >= 0) & np.isfinite(gamma)).all():
         raise ValueError("SNRs must be finite and nonnegative")
     mask = gamma > 0
-    if not np.all(mask.any(axis=0)):
-        missing = [int(j) for j in np.flatnonzero(~mask.any(axis=0))]
+    reached = mask.any(axis=0)
+    if not reached.all():
+        missing = [int(j) for j in np.flatnonzero(~reached)]
         raise ValueError(f"columns {missing} have no incoming link")
     sqrt_gamma = np.sqrt(gamma)
+    sqrt_gamma_t = sqrt_gamma.T
+
+    def maps(log_mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # lambda(mu) and the fixed-point residual log G(mu) - log mu.
+        sqrt_lam = sqrt_gamma_t @ np.exp(-0.5 * log_mu)
+        s = sqrt_gamma @ sqrt_lam
+        return sqrt_lam**2, 2.0 * np.log(0.5 * (np.sqrt(s**2 + 4.0) + s)) - log_mu
 
     # Warm start from the proportional split alpha[i,j] ~ sqrt(gamma[i,j]),
     # which is stationary whenever all row multipliers coincide; for columns
     # with a single positive entry it reduces to mu = 1 + row SNR sum.
     log_mu = np.log1p(sqrt_gamma @ sqrt_gamma.sum(axis=0))
-    lam, step = _multiplier_maps(sqrt_gamma, log_mu)
-    change = float(np.max(np.abs(step)))
+    lam, step = maps(log_mu)
+    change = float(abs(step).max())
     log_mu_steps: list[np.ndarray] = []
     residual_steps: list[np.ndarray] = []
     iterations = 0
@@ -211,46 +187,48 @@ def gauss_noise_partition(
         plain = log_mu + step
         candidate = None
         if residual_steps:
-            d_log_mu = np.column_stack(log_mu_steps)
-            d_residual = np.column_stack(residual_steps)
+            # The steps as columns. The product below takes its matrix in C
+            # order: that layout fixes the order in which BLAS sums it.
+            d_residual = np.array(residual_steps).T
             weights = np.linalg.lstsq(d_residual, step, rcond=None)[0]
-            extrapolated = plain - (d_log_mu + d_residual) @ weights
-            if np.all(np.isfinite(extrapolated)):
+            d_both = np.add(np.array(log_mu_steps).T, d_residual, order="C")
+            extrapolated = plain - d_both @ weights
+            if np.isfinite(extrapolated).all():
                 # A wild extrapolation may overflow; its non-finite residual
                 # then fails the comparison and the plain step is taken.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    lam_new, step_new = _multiplier_maps(sqrt_gamma, extrapolated)
-                if np.max(np.abs(step_new)) < change:
+                    lam_new, step_new = maps(extrapolated)
+                if abs(step_new).max() < change:
                     candidate = extrapolated
         if candidate is None:
             candidate = plain
-            lam_new, step_new = _multiplier_maps(sqrt_gamma, candidate)
+            lam_new, step_new = maps(candidate)
         log_mu_steps.append(candidate - log_mu)
         residual_steps.append(step_new - step)
         if len(residual_steps) > _ANDERSON_MEMORY:
             del log_mu_steps[0], residual_steps[0]
         log_mu, lam, step = candidate, lam_new, step_new
-        change = float(np.max(np.abs(step)))
+        change = float(abs(step).max())
     mu = np.exp(log_mu)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         alphas = np.where(
             mask, sqrt_gamma / (np.sqrt(lam)[None, :] * np.sqrt(mu)[:, None]), 0.0
         )
-    col_sums = alphas.sum(axis=0)
-    alphas = np.where(mask, alphas / col_sums[None, :], 0.0)
+    # The renormalization stays outside: a column sum of 0 or inf warns.
+    alphas = np.where(mask, alphas / alphas.sum(axis=0)[None, :], 0.0)
 
     # Fresh optimality check on the renormalized shares: within each column
-    # the ratio (gamma/alpha^2) / mu must be constant at the optimum.
+    # the ratio (gamma/alpha^2) / mu must be constant at the optimum. The
+    # spread (max - min) / max of a column with two or more links is NaN where
+    # a ratio is not finite, and NaN spreads do not count.
     with np.errstate(divide="ignore", invalid="ignore"):
         mu_fresh = 1.0 + np.where(mask, gamma / alphas, 0.0).sum(axis=1)
-        ratios = np.where(mask, gamma / alphas**2 / mu_fresh[:, None], np.nan)
-    residual = 0.0
-    for j in range(gamma.shape[1]):
-        column = ratios[mask[:, j], j]
-        if column.size > 1:
-            spread = (column.max() - column.min()) / column.max()
-            residual = max(residual, float(spread))
+        ratios = gamma / alphas**2 / mu_fresh[:, None]
+        high = np.where(mask, ratios, -np.inf).max(axis=0)
+        spread = (high - np.where(mask, ratios, np.inf).min(axis=0)) / high
+    spread = spread[mask.sum(axis=0) > 1]
+    residual = float(np.fmax.reduce(spread, initial=0.0))
     return GaussPartition(
         alphas=alphas,
         lambdas=lam,
@@ -315,59 +293,57 @@ def _p2p_component(link: NoisyLink) -> DecoupledComponent:
 def _component_for_group(
     links: list[NoisyLink],
 ) -> list[DecoupledComponent]:
-    tx_nodes = sorted({link.src for link in links})
-    rx_nodes = sorted({link.dst for link in links})
+    """The components of one group of AWGN links: one link is a p2p component;
+    otherwise each sender of two or more links is a BC and each receiver of two
+    or more a MAC, from one grouping of the links by sender and by receiver. An
+    independent BC or MAC keeps its raw SNRs and holds no shared link; the BCs
+    of a coupled group read their inflated SNRs and noise shares from the rows
+    of the group's one noise partition."""
     if len(links) == 1:
         return [_p2p_component(links[0])]
-    # An independent BC or MAC is the coupled loop below without a partition:
-    # it keeps its raw SNRs and holds no shared link. A coupled group solves
-    # one shared noise partition, then emits a decoupled BC per broadcasting
-    # transmitter and a decoupled MAC per multi-input receiver.
+    by_src: dict[str, list[NoisyLink]] = {}
+    by_dst: dict[str, list[NoisyLink]] = {}
+    for link in links:
+        by_src.setdefault(link.src, []).append(link)
+        by_dst.setdefault(link.dst, []).append(link)
+    tx_nodes = sorted(by_src)
+    rx_nodes = sorted(by_dst)
     coupled = len(tx_nodes) > 1 and len(rx_nodes) > 1
     if coupled:
-        tx_index = {node: i for i, node in enumerate(tx_nodes)}
         rx_index = {node: j for j, node in enumerate(rx_nodes)}
         gamma = np.zeros((len(tx_nodes), len(rx_nodes)))
-        for link in links:
-            gamma[tx_index[link.src], rx_index[link.dst]] = link.snr
+        for i, node in enumerate(tx_nodes):
+            for link in by_src[node]:
+                gamma[i, rx_index[link.dst]] = link.snr
         partition = gauss_noise_partition(gamma)
-        inflated = decoupled_bc_snrs(partition, gamma)
+        inflated = decoupled_bc_snrs(partition, gamma).tolist()
+        shares = partition.alphas.tolist()
 
-    out_degree = {node: 0 for node in tx_nodes}
-    in_degree = {node: 0 for node in rx_nodes}
-    for link in links:
-        out_degree[link.src] += 1
-        in_degree[link.dst] += 1
-
-    def is_shared(link: NoisyLink) -> bool:
-        return out_degree[link.src] >= 2 and in_degree[link.dst] >= 2
-
+    # A link is shared when its sender is a BC and its receiver a MAC.
     components: list[DecoupledComponent] = []
-    for node in tx_nodes:
-        own = tuple(sorted((l for l in links if l.src == node), key=lambda l: l.dst))
+    for i, node in enumerate(tx_nodes):
+        own = tuple(sorted(by_src[node], key=lambda l: l.dst))
         if len(own) < 2:
             continue
+        if coupled:
+            effective = {l: inflated[i][rx_index[l.dst]] for l in own}
+            alpha_shares = {l: shares[i][rx_index[l.dst]] for l in own}
+        else:
+            effective, alpha_shares = {l: l.snr for l in own}, {}
         components.append(
             DecoupledComponent(
                 kind="bc",
                 inputs=(node,),
                 outputs=tuple(l.dst for l in own),
                 links=own,
-                effective_snrs={
-                    l: float(inflated[tx_index[node], rx_index[l.dst]]) if coupled else l.snr
-                    for l in own
-                },
-                alpha_shares={
-                    l: float(partition.alphas[tx_index[node], rx_index[l.dst]])
-                    for l in own
-                    if coupled
-                },
-                shared_links=tuple(l for l in own if is_shared(l)),
+                effective_snrs=effective,
+                alpha_shares=alpha_shares,
+                shared_links=tuple(l for l in own if len(by_dst[l.dst]) > 1),
                 coupled=coupled,
             )
         )
     for node in rx_nodes:
-        own = tuple(sorted((l for l in links if l.dst == node), key=lambda l: l.src))
+        own = tuple(sorted(by_dst[node], key=lambda l: l.src))
         if len(own) < 2:
             continue
         components.append(
@@ -377,7 +353,7 @@ def _component_for_group(
                 outputs=(node,),
                 links=own,
                 effective_snrs={l: l.snr for l in own},
-                shared_links=tuple(l for l in own if is_shared(l)),
+                shared_links=tuple(l for l in own if len(by_src[l.src]) > 1),
                 coupled=coupled,
             )
         )
@@ -396,12 +372,20 @@ def decompose(net: NoisyNetwork) -> list[DecoupledComponent]:
     components = [_p2p_component(l) for l in net.links if l.kind != "awgn"]
 
     awgn = [l for l in net.links if l.kind == "awgn"]
-    uf = _UnionFind()
+    parent: dict = {}  # union-find over transmitter and receiver roles
+
+    def find(item):
+        parent.setdefault(item, item)
+        while parent[item] != item:
+            parent[item] = parent[parent[item]]
+            item = parent[item]
+        return item
+
     for link in awgn:
-        uf.union(("tx", link.src), ("rx", link.dst))
+        parent[find(("tx", link.src))] = find(("rx", link.dst))
     groups: dict = {}
     for link in awgn:
-        groups.setdefault(uf.find(("tx", link.src)), []).append(link)
+        groups.setdefault(find(("tx", link.src)), []).append(link)
     ordered_groups = sorted(
         groups.values(), key=lambda ls: min((l.src, l.dst) for l in ls)
     )

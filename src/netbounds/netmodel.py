@@ -29,10 +29,15 @@ __all__ = [
 ]
 
 LINK_KINDS = ("awgn", "qsc", "bsc")
+_LINK_FIELDS = {"awgn": ("snr",), "qsc": ("q", "xi"), "bsc": ("eps",)}
 # AWGN SNRs accepted (-150..150 dB): the envelope that the `bounds` fuzz tests
 # cover, where every run gives inner <= outer; nothing is claimed beyond it.
 _SNR_RANGE = (1e-15, 1e15)
 DEMAND_KINDS = ("unicast", "multicast")
+_DOCUMENT_KEYS = frozenset({"nodes", "links", "demands"})
+_LINK_KEYS = frozenset({"from", "to", "kind", "snr", "snr_db", "q", "xi", "eps"})
+_LINK_REQUIRED_KEYS = frozenset({"from", "to", "kind"})
+_DEMAND_KEYS = frozenset({"kind", "source", "sinks"})
 
 
 class NetworkFormatError(ValueError):
@@ -64,45 +69,55 @@ class NoisyLink:
     eps: float | None = None
 
     def __post_init__(self):
-        where = f"link {self.src!r}->{self.dst!r}"
         if self.kind not in LINK_KINDS:
-            raise NetworkFormatError(f"{where}: unknown kind {self.kind!r}")
-        required = {"awgn": ("snr",), "qsc": ("q", "xi"), "bsc": ("eps",)}[self.kind]
+            raise NetworkFormatError(f"{self._where}: unknown kind {self.kind!r}")
+        required = _LINK_FIELDS[self.kind]
         for name in ("snr", "q", "xi", "eps"):
             value = getattr(self, name)
             if name in required and value is None:
-                raise NetworkFormatError(f"{where}: missing field {name!r}")
+                raise NetworkFormatError(f"{self._where}: missing field {name!r}")
             if name not in required and value is not None:
                 raise NetworkFormatError(
-                    f"{where}: field {name!r} not allowed for kind {self.kind!r}"
+                    f"{self._where}: field {name!r} not allowed for kind {self.kind!r}"
                 )
         if self.kind == "awgn":
             if not 0.0 < self.snr < math.inf:
                 raise NetworkFormatError(
-                    f"{where}: snr must be positive and finite, got {self.snr}"
+                    f"{self._where}: snr must be positive and finite, got {self.snr}"
                 )
             low, high = _SNR_RANGE
             if not low <= self.snr <= high:
                 raise NetworkFormatError(
-                    f"{where}: snr must lie in [{low:g}, {high:g}] (-150..150 dB), "
+                    f"{self._where}: snr must lie in [{low:g}, {high:g}] (-150..150 dB), "
                     f"got {self.snr}"
                 )
         elif self.kind == "qsc":
             if int(self.q) != self.q or self.q < 2:
                 raise NetworkFormatError(
-                    f"{where}: q must be an integer >= 2, got {self.q}"
+                    f"{self._where}: q must be an integer >= 2, got {self.q}"
                 )
             boundary = (self.q - 1) / self.q
             if not 0.0 <= self.xi <= boundary:
                 raise NetworkFormatError(
-                    f"{where}: xi must lie in [0, {boundary:g}] for q={self.q}, "
+                    f"{self._where}: xi must lie in [0, {boundary:g}] for q={self.q}, "
                     f"got {self.xi}"
                 )
         elif self.kind == "bsc":
             if not 0.0 <= self.eps <= 0.5:
                 raise NetworkFormatError(
-                    f"{where}: eps must lie in [0, 1/2], got {self.eps}"
+                    f"{self._where}: eps must lie in [0, 1/2], got {self.eps}"
                 )
+
+    def __hash__(self):
+        # A network holds at most one link per (sender, receiver) pair, so the
+        # endpoints alone spread the per-link maps of a network; equal links
+        # have equal endpoints.
+        return hash((self.src, self.dst))
+
+    @property
+    def _where(self) -> str:
+        """The link as refusal messages name it."""
+        return f"link {self.src!r}->{self.dst!r}"
 
 
 @dataclass(frozen=True)
@@ -115,17 +130,21 @@ class Demand:
 
     def __post_init__(self):
         object.__setattr__(self, "sinks", frozenset(self.sinks))
-        where = f"demand from {self.source!r}"
         if self.kind not in DEMAND_KINDS:
-            raise NetworkFormatError(f"{where}: unknown kind {self.kind!r}")
+            raise NetworkFormatError(f"{self._where}: unknown kind {self.kind!r}")
         if not self.sinks:
-            raise NetworkFormatError(f"{where}: sinks must be nonempty")
+            raise NetworkFormatError(f"{self._where}: sinks must be nonempty")
         if self.source in self.sinks:
-            raise NetworkFormatError(f"{where}: sinks must exclude the source")
+            raise NetworkFormatError(f"{self._where}: sinks must exclude the source")
         if self.kind == "unicast" and len(self.sinks) != 1:
             raise NetworkFormatError(
-                f"{where}: unicast demand must have exactly one sink"
+                f"{self._where}: unicast demand must have exactly one sink"
             )
+
+    @property
+    def _where(self) -> str:
+        """The demand as refusal messages name it."""
+        return f"demand from {self.source!r}"
 
     @property
     def sink_list(self) -> tuple[str, ...]:
@@ -150,13 +169,11 @@ class NoisyNetwork:
             raise NetworkFormatError(f"duplicate node ids: {dup}")
         known = set(ids)
         for link in self.links:
-            where = f"link {link.src!r}->{link.dst!r}"
-            if link.src not in known:
-                raise NetworkFormatError(f"{where}: unknown node {link.src!r}")
-            if link.dst not in known:
-                raise NetworkFormatError(f"{where}: unknown node {link.dst!r}")
+            for node in (link.src, link.dst):
+                if node not in known:
+                    raise NetworkFormatError(f"{link._where}: unknown node {node!r}")
             if link.src == link.dst:
-                raise NetworkFormatError(f"{where}: self-loops are not allowed")
+                raise NetworkFormatError(f"{link._where}: self-loops are not allowed")
         # Discrete broadcast and superposition structures have no decoupling
         # rule, so a node sends and receives on at most one discrete link.
         sends: dict[str, int] = {}
@@ -186,12 +203,11 @@ class NoisyNetwork:
                     "parallel links are not modelled"
                 )
         for demand in self.demands:
-            where = f"demand from {demand.source!r}"
             if demand.source not in known:
-                raise NetworkFormatError(f"{where}: unknown node {demand.source!r}")
+                raise NetworkFormatError(f"{demand._where}: unknown node {demand.source!r}")
             for sink in demand.sink_list:
                 if sink not in known:
-                    raise NetworkFormatError(f"{where}: unknown sink {sink!r}")
+                    raise NetworkFormatError(f"{demand._where}: unknown sink {sink!r}")
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -245,13 +261,11 @@ def validate_bounding_network(node_ids, arcs, role: str) -> list[str]:
     return violations
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise NetworkFormatError(f"{where}: unknown keys {unknown}")
-    missing = sorted(required - set(obj))
-    if missing:
-        raise NetworkFormatError(f"{where}: missing keys {missing}")
+def _require_keys(obj: dict, allowed: frozenset, required: frozenset, where: str):
+    if not obj.keys() <= allowed:
+        raise NetworkFormatError(f"{where}: unknown keys {sorted(obj.keys() - allowed)}")
+    if not obj.keys() >= required:
+        raise NetworkFormatError(f"{where}: missing keys {sorted(required - obj.keys())}")
 
 
 def _number(obj: dict, name: str, where: str, integral: bool = False):
@@ -270,10 +284,11 @@ def _number(obj: dict, name: str, where: str, integral: bool = False):
         raise NetworkFormatError(f"{where}.{name}: number out of range") from None
 
 
-def _node_id(value, where: str) -> str:
-    """A node id field; only JSON strings pass."""
+def _node_id(value, where: str, field: str | int) -> str:
+    """Node id `field` of `where`, a key or a list index; only JSON strings pass."""
     if not isinstance(value, str):
-        raise NetworkFormatError(f"{where}: expected a node id string, got {value!r}")
+        at = f"{where}[{field}]" if isinstance(field, int) else f"{where}.{field}"
+        raise NetworkFormatError(f"{at}: expected a node id string, got {value!r}")
     return value
 
 
@@ -281,12 +296,7 @@ def _parse_link(obj: dict, index: int) -> NoisyLink:
     where = f"links[{index}]"
     if not isinstance(obj, dict):
         raise NetworkFormatError(f"{where}: expected an object")
-    _require_keys(
-        obj,
-        allowed={"from", "to", "kind", "snr", "snr_db", "q", "xi", "eps"},
-        required={"from", "to", "kind"},
-        where=where,
-    )
+    _require_keys(obj, _LINK_KEYS, _LINK_REQUIRED_KEYS, where)
     kind = obj["kind"]
     if kind not in LINK_KINDS:
         raise NetworkFormatError(f"{where}.kind: unknown kind {kind!r}")
@@ -307,7 +317,7 @@ def _parse_link(obj: dict, index: int) -> NoisyLink:
     q = _number(obj, "q", where, integral=True) if "q" in obj else None
     xi = _number(obj, "xi", where) if "xi" in obj else None
     eps = _number(obj, "eps", where) if "eps" in obj else None
-    src, dst = _node_id(obj["from"], f"{where}.from"), _node_id(obj["to"], f"{where}.to")
+    src, dst = _node_id(obj["from"], where, "from"), _node_id(obj["to"], where, "to")
     try:
         return NoisyLink(
             src=src,
@@ -326,19 +336,20 @@ def _parse_demand(obj: dict, index: int) -> Demand:
     where = f"demands[{index}]"
     if not isinstance(obj, dict):
         raise NetworkFormatError(f"{where}: expected an object")
-    _require_keys(
-        obj,
-        allowed={"kind", "source", "sinks"},
-        required={"kind", "source", "sinks"},
-        where=where,
-    )
-    sinks = obj["sinks"]
+    _require_keys(obj, _DEMAND_KEYS, _DEMAND_KEYS, where)
+    sinks, at_sinks = obj["sinks"], f"{where}.sinks"
     if not isinstance(sinks, list):
-        raise NetworkFormatError(f"{where}.sinks: expected a list")
-    source = _node_id(obj["source"], f"{where}.source")
-    sinks = [_node_id(sink, f"{where}.sinks[{k}]") for k, sink in enumerate(sinks)]
+        raise NetworkFormatError(f"{at_sinks}: expected a list")
+    source = _node_id(obj["source"], where, "source")
+    first: dict[str, int] = {}
+    for k, sink in enumerate(sinks):
+        if first.setdefault(_node_id(sink, at_sinks, k), k) != k:
+            raise NetworkFormatError(f"{where}.sinks[{k}]: repeats sinks[{first[sink]}]")
+    kind = obj["kind"]
+    if not isinstance(kind, str):
+        raise NetworkFormatError(f"{where}.kind: unknown kind {kind!r}")
     try:
-        return Demand(kind=str(obj["kind"]), source=source, sinks=frozenset(sinks))
+        return Demand(kind=kind, source=source, sinks=frozenset(first))
     except NetworkFormatError as exc:
         raise NetworkFormatError(f"{where}: {exc}") from None
 
@@ -365,13 +376,11 @@ def parse_network(text: str) -> NoisyNetwork:
         ) from None
     if not isinstance(doc, dict):
         raise NetworkFormatError("document root must be an object")
-    _require_keys(
-        doc, allowed={"nodes", "links", "demands"}, required={"nodes"}, where="document"
-    )
+    _require_keys(doc, _DOCUMENT_KEYS, frozenset({"nodes"}), "document")
     nodes_raw = doc["nodes"]
     if not isinstance(nodes_raw, list):
         raise NetworkFormatError("nodes: expected a list of id strings")
-    nodes = tuple(Node(_node_id(n, f"nodes[{i}]")) for i, n in enumerate(nodes_raw))
+    nodes = tuple(Node(_node_id(n, "nodes", i)) for i, n in enumerate(nodes_raw))
     links_raw = doc.get("links", [])
     if not isinstance(links_raw, list):
         raise NetworkFormatError("links: expected a list")

@@ -167,6 +167,13 @@ class TestBounds:
         err = capsys.readouterr().err
         assert "error: links[0].from: expected a node id string, got None" in err
 
+    def test_demand_kind_that_is_not_a_string_is_an_input_error(self, tmp_path, capsys):
+        doc = single_link_doc()
+        doc["demands"][0]["kind"] = None
+        path = write_network(tmp_path / "net.json", doc)
+        assert main(["bounds", path]) == 2
+        assert "error: demands[0].kind: unknown kind None" in capsys.readouterr().err
+
     def test_missing_file_is_an_input_error(self, tmp_path, capsys):
         assert main(["bounds", str(tmp_path / "absent.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -1090,6 +1097,9 @@ def test_scipy_loads_only_when_a_routing_lp_is_solved(tmp_path):
         def loaded():
             return [m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules]
 
+        def any_scipy():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
         import netbounds.cli
         print(loaded())
         from netbounds import cli, experiments
@@ -1097,9 +1107,11 @@ def test_scipy_loads_only_when_a_routing_lp_is_solved(tmp_path):
         from netbounds.netmodel import parse_network
 
         with open({name!r}, encoding="utf-8") as handle:
-            decompose(parse_network(handle.read()))
+            components = decompose(parse_network(handle.read()))
+        assert all(c.coupled for c in components), components
+        print(any_scipy())
         experiments.relay_experiment(0.0, 10.0, [5.0])
-        print(loaded())
+        print(any_scipy())
         argv = ["bounds", {name!r}, "--beta-step", "0.25", "--out", "out.csv"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
@@ -1118,7 +1130,10 @@ def test_scipy_loads_only_when_a_routing_lp_is_solved(tmp_path):
         check=False,
     )
     assert run.returncode == 0, run.stderr
+    # Parsing and decomposing a coupled group (the `partition` bench path) and
+    # a relay point load no SciPy module at all.
     assert run.stdout.splitlines() == [
+        "[]",
         "[]",
         "[]",
         "['scipy.optimize', 'scipy.sparse']",

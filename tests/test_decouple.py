@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netbounds.decouple import (
+    GaussPartition,
     decompose,
     decoupled_bc_snrs,
     gauss_noise_partition,
@@ -262,6 +263,146 @@ def test_partition_rejects_empty_column():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             gauss_noise_partition(np.array([[1.0, bad], [2.0, 1.0]]))
+
+
+# The solver loop as it stood before its arithmetic was trimmed of
+# interpreter and NumPy call overhead, kept verbatim as the bit-exact oracle
+# of `gauss_noise_partition`.
+_REFERENCE_MEMORY = 5
+
+
+def reference_multiplier_maps(sqrt_gamma, log_mu):
+    sqrt_lam = sqrt_gamma.T @ np.exp(-0.5 * log_mu)
+    s = sqrt_gamma @ sqrt_lam
+    return sqrt_lam**2, 2.0 * np.log(0.5 * (np.sqrt(s**2 + 4.0) + s)) - log_mu
+
+
+def reference_partition(gamma, tol=1e-12, max_iter=10000):
+    gamma = np.asarray(gamma, dtype=float)
+    mask = gamma > 0
+    sqrt_gamma = np.sqrt(gamma)
+    log_mu = np.log1p(sqrt_gamma @ sqrt_gamma.sum(axis=0))
+    lam, step = reference_multiplier_maps(sqrt_gamma, log_mu)
+    change = float(np.max(np.abs(step)))
+    log_mu_steps = []
+    residual_steps = []
+    iterations = 0
+    while not change < tol:
+        if iterations == max_iter:
+            raise RuntimeError("no convergence")
+        iterations += 1
+        plain = log_mu + step
+        candidate = None
+        if residual_steps:
+            d_log_mu = np.column_stack(log_mu_steps)
+            d_residual = np.column_stack(residual_steps)
+            weights = np.linalg.lstsq(d_residual, step, rcond=None)[0]
+            extrapolated = plain - (d_log_mu + d_residual) @ weights
+            if np.all(np.isfinite(extrapolated)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    lam_new, step_new = reference_multiplier_maps(sqrt_gamma, extrapolated)
+                if np.max(np.abs(step_new)) < change:
+                    candidate = extrapolated
+        if candidate is None:
+            candidate = plain
+            lam_new, step_new = reference_multiplier_maps(sqrt_gamma, candidate)
+        log_mu_steps.append(candidate - log_mu)
+        residual_steps.append(step_new - step)
+        if len(residual_steps) > _REFERENCE_MEMORY:
+            del log_mu_steps[0], residual_steps[0]
+        log_mu, lam, step = candidate, lam_new, step_new
+        change = float(np.max(np.abs(step)))
+    mu = np.exp(log_mu)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alphas = np.where(
+            mask, sqrt_gamma / (np.sqrt(lam)[None, :] * np.sqrt(mu)[:, None]), 0.0
+        )
+    col_sums = alphas.sum(axis=0)
+    alphas = np.where(mask, alphas / col_sums[None, :], 0.0)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu_fresh = 1.0 + np.where(mask, gamma / alphas, 0.0).sum(axis=1)
+        ratios = np.where(mask, gamma / alphas**2 / mu_fresh[:, None], np.nan)
+    residual = 0.0
+    for j in range(gamma.shape[1]):
+        column = ratios[mask[:, j], j]
+        if column.size > 1:
+            spread = (column.max() - column.min()) / column.max()
+            residual = max(residual, float(spread))
+    return GaussPartition(
+        alphas=alphas,
+        lambdas=lam,
+        mus=mu_fresh,
+        residual=residual,
+        iterations=iterations,
+    )
+
+
+def partition_bits(partition):
+    """Every field of a partition as exact bytes, NaN and signed zeros included."""
+    assert type(partition.residual) is float and type(partition.iterations) is int
+    arrays = (partition.alphas, partition.lambdas, partition.mus)
+    return (
+        *((a.shape, a.dtype.str, a.tobytes()) for a in arrays),
+        np.float64(partition.residual).tobytes(),
+        partition.iterations,
+    )
+
+
+def random_groups(rng, count, log10_range):
+    """`count` groups of 2-6 inputs by 2-12 receivers, SNRs log-uniform over a
+    random sub-range of `log10_range`, about 30% zero entries, and at least one
+    positive entry per receiver."""
+    for _ in range(count):
+        shape = (int(rng.integers(2, 7)), int(rng.integers(2, 13)))
+        low, high = np.sort(rng.uniform(*log10_range, size=2))
+        gamma = 10.0 ** rng.uniform(low, high, size=shape)
+        gamma[rng.random(shape) < 0.3] = 0.0
+        for j in np.flatnonzero(~(gamma > 0).any(axis=0)):
+            gamma[rng.integers(shape[0]), j] = 10.0 ** rng.uniform(low, high)
+        yield gamma
+
+
+def test_partition_keeps_every_bit_of_the_reference_loop():
+    # SNRs across the parser's -150..150 dB envelope, where every group of
+    # this corpus converges within a few tens of steps.
+    rng = np.random.default_rng(20261020)
+    iterations = []
+    for gamma in random_groups(rng, 600, (-15.0, 15.0)):
+        got = gauss_noise_partition(gamma)
+        assert partition_bits(got) == partition_bits(reference_partition(gamma))
+        iterations.append(got.iterations)
+    assert 5 <= np.median(iterations) <= 12 and max(iterations) <= 30
+
+
+def nonfinite_ratio_groups():
+    """Groups whose subnormal SNRs next to large ones make some alpha^2
+    underflow to 0, so the stationarity ratios gamma/alpha^2 become infinite
+    while every alpha stays finite."""
+    rng = np.random.default_rng(7)
+    found = []
+    while len(found) < 40:
+        shape = (int(rng.integers(2, 5)), int(rng.integers(2, 7)))
+        gamma = 10.0 ** rng.uniform(5.0, 30.0, size=shape)
+        tiny = rng.random(shape) < 0.3
+        gamma[tiny] = 10.0 ** rng.uniform(-322.0, -310.0, size=int(tiny.sum()))
+        with np.errstate(all="ignore"):
+            partition = reference_partition(gamma)
+            ratios = gamma / partition.alphas**2
+        if np.isfinite(partition.alphas).all() and not np.isfinite(ratios).all():
+            found.append(gamma)
+    return found
+
+
+def test_partition_residual_matches_the_loop_on_nonfinite_ratios():
+    # The reference loop divides inf by inf in its per-column spread here and
+    # skips the NaN it gets; the solver must give the same bits without
+    # warning (warnings are errors in this suite).
+    for gamma in nonfinite_ratio_groups():
+        with np.errstate(invalid="ignore"):
+            expected = reference_partition(gamma)
+        assert partition_bits(gauss_noise_partition(gamma)) == partition_bits(expected)
 
 
 def test_relay_noise_share_value_and_solver_agreement():

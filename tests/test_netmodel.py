@@ -377,6 +377,204 @@ def test_parse_refuses_a_node_id_that_is_not_a_string(path, field, value):
         parse_network(json.dumps(doc))
 
 
+DELETE = object()
+
+
+def L(**fields):
+    """A link object from A to B with `fields` added or overridden."""
+    return {"from": "A", "to": "B", **fields}
+
+
+def _edited(edits):
+    """`_two_receiver_doc` with each {path: value} edit applied; the empty
+    path replaces the whole document, DELETE drops the key, and an index one
+    past the end of a list appends."""
+    doc = _two_receiver_doc()
+    for path, value in edits.items():
+        if not path:
+            doc = value
+            continue
+        *outer, last = path
+        target = doc
+        for key in outer:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        elif isinstance(target, list) and last == len(target):
+            target.append(value)
+        else:
+            target[last] = value
+    return doc
+
+
+# The exact text of every refusal of the parser, one row per check.
+REFUSALS = [
+    # document shape and keys
+    ("root-not-object", {(): [1]},
+     "document root must be an object"),
+    ("document-unknown-key", {("extra",): 1},
+     "document: unknown keys ['extra']"),
+    ("document-missing-key", {("nodes",): DELETE},
+     "document: missing keys ['nodes']"),
+    ("nodes-not-list", {("nodes",): "A"},
+     "nodes: expected a list of id strings"),
+    ("node-id-not-string", {("nodes", 1): 7},
+     "nodes[1]: expected a node id string, got 7"),
+    ("duplicate-node", {("nodes", 2): "A"},
+     "duplicate node ids: ['A']"),
+    ("links-not-list", {("links",): {}},
+     "links: expected a list"),
+    ("demands-not-list", {("demands",): "A"},
+     "demands: expected a list"),
+    # link keys and kinds
+    ("link-not-object", {("links", 0): "A->B"},
+     "links[0]: expected an object"),
+    ("link-unknown-key", {("links", 0, "gain"): 2},
+     "links[0]: unknown keys ['gain']"),
+    ("link-missing-key", {("links", 0, "to"): DELETE},
+     "links[0]: missing keys ['to']"),
+    ("link-missing-keys", {("links", 0, "from"): DELETE, ("links", 0, "kind"): DELETE},
+     "links[0]: missing keys ['from', 'kind']"),
+    ("link-unknown-kind", {("links", 0, "kind"): "rayleigh"},
+     "links[0].kind: unknown kind 'rayleigh'"),
+    ("link-null-kind", {("links", 0, "kind"): None},
+     "links[0].kind: unknown kind None"),
+    ("from-not-string", {("links", 0, "from"): None},
+     "links[0].from: expected a node id string, got None"),
+    ("to-not-string", {("links", 0, "to"): 3},
+     "links[0].to: expected a node id string, got 3"),
+    ("snr-not-number", {("links", 0, "snr"): "2"},
+     "links[0].snr: expected a number, got '2'"),
+    ("q-not-integer", {("links", 0): L(kind="qsc", q=2.5, xi=0.1)},
+     "links[0].q: expected an integer, got 2.5"),
+    # missing and disallowed fields per kind
+    ("awgn-missing-snr", {("links", 0): L(kind="awgn")},
+     "links[0]: awgn link needs 'snr' or 'snr_db'"),
+    ("awgn-both-snrs", {("links", 0): L(kind="awgn", snr=2, snr_db=3)},
+     "links[0]: provide exactly one of 'snr' and 'snr_db', not both"),
+    ("awgn-q", {("links", 0): L(kind="awgn", snr=2, q=2)},
+     "links[0]: link 'A'->'B': field 'q' not allowed for kind 'awgn'"),
+    ("awgn-eps", {("links", 0): L(kind="awgn", snr_db=3, eps=0.1)},
+     "links[0]: link 'A'->'B': field 'eps' not allowed for kind 'awgn'"),
+    ("qsc-missing-q", {("links", 0): L(kind="qsc", xi=0.1)},
+     "links[0]: link 'A'->'B': missing field 'q'"),
+    ("qsc-missing-xi", {("links", 0): L(kind="qsc", q=4)},
+     "links[0]: link 'A'->'B': missing field 'xi'"),
+    ("qsc-eps", {("links", 0): L(kind="qsc", q=4, xi=0.1, eps=0.1)},
+     "links[0]: link 'A'->'B': field 'eps' not allowed for kind 'qsc'"),
+    ("qsc-snr", {("links", 0): L(kind="qsc", q=4, xi=0.1, snr=2)},
+     "links[0]: SNR fields are only valid for awgn links"),
+    ("bsc-missing-eps", {("links", 0): L(kind="bsc")},
+     "links[0]: link 'A'->'B': missing field 'eps'"),
+    ("bsc-xi", {("links", 0): L(kind="bsc", eps=0.1, xi=0.1)},
+     "links[0]: link 'A'->'B': field 'xi' not allowed for kind 'bsc'"),
+    ("bsc-snr-db", {("links", 0): L(kind="bsc", eps=0.1, snr_db=0)},
+     "links[0]: SNR fields are only valid for awgn links"),
+    # ranges
+    ("snr-zero", {("links", 0, "snr"): 0},
+     "links[0]: link 'A'->'B': snr must be positive and finite, got 0.0"),
+    ("snr-negative", {("links", 0, "snr"): -1.5},
+     "links[0]: link 'A'->'B': snr must be positive and finite, got -1.5"),
+    ("snr-above", {("links", 0, "snr"): 2e15},
+     "links[0]: link 'A'->'B': snr must lie in [1e-15, 1e+15] (-150..150 dB), "
+     "got 2000000000000000.0"),
+    ("snr-below", {("links", 0, "snr"): 1e-16},
+     "links[0]: link 'A'->'B': snr must lie in [1e-15, 1e+15] (-150..150 dB), got 1e-16"),
+    ("snr-db-above", {("links", 0): L(kind="awgn", snr_db=151)},
+     "links[0]: link 'A'->'B': snr must lie in [1e-15, 1e+15] (-150..150 dB), "
+     "got 1258925411794166.2"),
+    ("snr-db-overflow", {("links", 0): L(kind="awgn", snr_db=1e6)},
+     "links[0]: link 'A'->'B': snr must be positive and finite, got inf"),
+    ("q-below-two", {("links", 0): L(kind="qsc", q=1, xi=0.0)},
+     "links[0]: link 'A'->'B': q must be an integer >= 2, got 1"),
+    ("xi-above", {("links", 0): L(kind="qsc", q=4, xi=0.8)},
+     "links[0]: link 'A'->'B': xi must lie in [0, 0.75] for q=4, got 0.8"),
+    ("xi-negative", {("links", 0): L(kind="qsc", q=2, xi=-0.1)},
+     "links[0]: link 'A'->'B': xi must lie in [0, 0.5] for q=2, got -0.1"),
+    ("eps-above", {("links", 0): L(kind="bsc", eps=0.7)},
+     "links[0]: link 'A'->'B': eps must lie in [0, 1/2], got 0.7"),
+    ("eps-negative", {("links", 0): L(kind="bsc", eps=-0.25)},
+     "links[0]: link 'A'->'B': eps must lie in [0, 1/2], got -0.25"),
+    # endpoints and link structure
+    ("unknown-src", {("links", 1, "from"): "Z"},
+     "link 'Z'->'C': unknown node 'Z'"),
+    ("unknown-dst", {("links", 1, "to"): "Z"},
+     "link 'A'->'Z': unknown node 'Z'"),
+    ("self-loop", {("links", 1, "to"): "A"},
+     "link 'A'->'A': self-loops are not allowed"),
+    ("parallel-link", {("links", 1, "to"): "B"},
+     "links[1]: link 'A'->'B' repeats links[0]; parallel links are not modelled"),
+    ("discrete-broadcast",
+     {("links", 0): L(kind="bsc", eps=0.1), ("links", 1): L(to="C", kind="bsc", eps=0.2)},
+     "links[1]: node 'A' already transmits on discrete link links[0]; "
+     "discrete broadcast structures have no decoupling rule"),
+    # demands
+    ("demand-not-object", {("demands", 0): "A->B"},
+     "demands[0]: expected an object"),
+    ("demand-unknown-key", {("demands", 0, "weight"): 1},
+     "demands[0]: unknown keys ['weight']"),
+    ("demand-missing-key", {("demands", 0, "sinks"): DELETE},
+     "demands[0]: missing keys ['sinks']"),
+    ("demand-unknown-kind", {("demands", 0, "kind"): "broadcast"},
+     "demands[0]: demand from 'A': unknown kind 'broadcast'"),
+    ("sinks-not-list", {("demands", 0, "sinks"): "B"},
+     "demands[0].sinks: expected a list"),
+    ("sink-not-string", {("demands", 0, "sinks", 1): 3},
+     "demands[0].sinks[1]: expected a node id string, got 3"),
+    ("source-not-string", {("demands", 0, "source"): None},
+     "demands[0].source: expected a node id string, got None"),
+    ("sinks-empty", {("demands", 0, "sinks"): []},
+     "demands[0]: demand from 'A': sinks must be nonempty"),
+    ("sink-is-source", {("demands", 0, "sinks"): ["A", "B"]},
+     "demands[0]: demand from 'A': sinks must exclude the source"),
+    ("unicast-two-sinks", {("demands", 0, "kind"): "unicast"},
+     "demands[0]: demand from 'A': unicast demand must have exactly one sink"),
+    ("unknown-source", {("demands", 0, "source"): "Z"},
+     "demand from 'Z': unknown node 'Z'"),
+    ("unknown-sink", {("demands", 0, "sinks", 1): "Z"},
+     "demand from 'A': unknown sink 'Z'"),
+    ("sink-without-link", {("nodes",): ["A", "B", "C", "D"], ("demands", 0, "sinks", 1): "D"},
+     "demands[0]: node 'D' has no link"),
+    ("demand-repeated",
+     {("demands", 1): {"kind": "multicast", "source": "A", "sinks": ["C", "B"]}},
+     "demands[1]: repeats demands[0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "edits, message", [row[1:] for row in REFUSALS], ids=[row[0] for row in REFUSALS]
+)
+def test_parse_refusal_texts(edits, message):
+    with pytest.raises(NetworkFormatError) as refused:
+        parse_network(json.dumps(_edited(edits)))
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("kind", [None, 1, ["unicast"]], ids=["null", "number", "list"])
+def test_parse_refuses_a_demand_kind_that_is_not_a_string(kind):
+    # The kind used to pass through str(), so null became the kind 'None'.
+    with pytest.raises(NetworkFormatError) as refused:
+        parse_network(json.dumps(_edited({("demands", 0, "kind"): kind})))
+    assert str(refused.value) == f"demands[0].kind: unknown kind {kind!r}"
+
+
+@pytest.mark.parametrize(
+    "kind, sinks, message",
+    [
+        ("unicast", ["B", "B"], "demands[0].sinks[1]: repeats sinks[0]"),
+        ("multicast", ["B", "C", "B"], "demands[0].sinks[2]: repeats sinks[0]"),
+        ("multicast", ["C", "B", "B", "C"], "demands[0].sinks[2]: repeats sinks[1]"),
+    ],
+)
+def test_parse_refuses_a_repeated_sink(kind, sinks, message):
+    # A set used to fold a repeated sink away, so ["B", "B"] parsed as a
+    # unicast demand to B.
+    edits = {("demands", 0, "kind"): kind, ("demands", 0, "sinks"): sinks}
+    with pytest.raises(NetworkFormatError) as refused:
+        parse_network(json.dumps(_edited(edits)))
+    assert str(refused.value) == message
+
+
 _IDS = st.lists(
     st.text(alphabet="abcdefgh", min_size=1, max_size=3),
     min_size=2,
