@@ -84,7 +84,8 @@ class GaussPartition:
     elsewhere. `lambdas` and `mus` are the stationarity multipliers
     (per-receiver and per-input), `residual` is the largest relative spread of
     the stationarity ratios after the final column renormalization, and
-    `iterations` counts the accelerated solver steps.
+    `iterations` counts the accelerated solver steps. A share that is not
+    finite or lies outside [0, 1] is refused.
     """
 
     alphas: np.ndarray
@@ -94,6 +95,8 @@ class GaussPartition:
     iterations: int
 
     def __post_init__(self):
+        if not ((self.alphas >= 0.0) & (self.alphas <= 1.0)).all():  # NaN fails too
+            raise ValueError(f"noise shares must be finite and in [0, 1]: {self.alphas}")
         col_sums = self.alphas.sum(axis=0)
         used = (self.alphas > 0).any(axis=0)
         if (abs(col_sums[used] - 1.0) > 1e-9).any():
@@ -148,6 +151,10 @@ def gauss_noise_partition(
     Returns:
         GaussPartition with exactly renormalized columns and the fresh
         stationarity residual of the returned alphas.
+
+    Raises:
+        ValueError: on a gamma that breaks these rules, and on a share that
+            is not finite (where a subnormal column's lambda underflows to 0).
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2:
@@ -211,12 +218,12 @@ def gauss_noise_partition(
         change = float(abs(step).max())
     mu = np.exp(log_mu)
 
+    # A column sum of 0 or inf gives NaN shares, which GaussPartition refuses.
     with np.errstate(divide="ignore", invalid="ignore"):
         alphas = np.where(
             mask, sqrt_gamma / (np.sqrt(lam)[None, :] * np.sqrt(mu)[:, None]), 0.0
         )
-    # The renormalization stays outside: a column sum of 0 or inf warns.
-    alphas = np.where(mask, alphas / alphas.sum(axis=0)[None, :], 0.0)
+        alphas = np.where(mask, alphas / alphas.sum(axis=0)[None, :], 0.0)
 
     # Fresh optimality check on the renormalized shares: within each column
     # the ratio (gamma/alpha^2) / mu must be constant at the optimum. The

@@ -18,12 +18,14 @@ upper structure is rated at the whole sweep as one `UpperStructure.rate_batch`
 a relay sweep, share one `mac_upper` call), and `flows.least_outer`, the
 search that `pipeline.bound` runs too, rates every (alpha, structure)
 candidate by its exact min cut and certifies one flow, on the least, the
-earliest of ties, which is reported. The inner searches enumerate candidates
-from simplest to richest: the relay-off or common-layer construction under
-each decode order first, then superposition splits. A candidate replaces the
-incumbent only when it beats it by more than _IMPROVE_TOL, so the earliest of
-tied candidates wins; when the relay cannot help, the relay-off construction
-is reported and the direct-link capacity is hit exactly.
+earliest of ties, which is reported. The inner searches list candidates from
+simplest to richest: the relay-off or common-layer construction under each
+decode order first, then superposition splits. The multicast search routes
+them by `flows.best_inner`, as `pipeline.bound` does. The relay search, whose
+`demand_cut` is exact, keeps its own scan: a candidate replaces the incumbent
+only when it beats it by more than _IMPROVE_TOL, so when the relay cannot
+help, the relay-off construction is reported and the direct-link capacity is
+hit exactly.
 """
 
 from __future__ import annotations
@@ -33,15 +35,7 @@ import math
 from .assemble import LowerParams, LowerStructure, UpperStructure
 from .benchmarks import RelaySpec, cf_bound, cutset_bound, df_bound
 from .decouple import decompose
-from .flows import (
-    _CUT_MARGIN,
-    blend_inner,
-    demand_cut,
-    hyper_inner,
-    least_outer,
-    sum_rate_cut,
-    unicast_inner,
-)
+from .flows import best_inner, blend_inner, demand_cut, hyper_inner, least_outer, unicast_inner
 from .info import awgn_capacity, db_to_linear, qsc_capacity
 from .mac import MacSpec, mac_upper
 from .netmodel import Demand, Node, NoisyLink, NoisyNetwork
@@ -383,20 +377,17 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
     Candidates: a common layer only (each global decode order), and split
     constructions where S1 sends a private layer to the receivers that hear
     it strongest (the low end of the fan) while S2 covers the high end, over
-    two private-share values and three decode-order policies. Each candidate
-    is scored by the sum-objective routing LP on the lower network. Each
-    (split, decode order) structure is built once and rated at both shares;
-    candidates are scored share by share, so ties resolve as listed.
+    two private-share values and three decode-order policies. Each (split,
+    decode order) structure is built once and rated at both shares, and the
+    candidates are listed share by share, each as the arcs of
+    `LowerStructure.arcs`.
 
-    Each candidate is rated as arcs first, and its sum_rate_cut (the least
-    total rate entering a receiver, which every session must reach) is
-    compared with the incumbent: the LP is skipped when the cut plus
-    _CUT_MARGIN cannot beat the incumbent by more than _IMPROVE_TOL. A
-    solved total exceeds its cut by at most the validator's slack (about
-    1e-8), far below the margin, so a skipped candidate could never have
-    replaced the incumbent and the result is bit for bit the exhaustive
-    search's; each solved total is checked against its cut. The LP routes
-    each candidate's arcs.
+    Each candidate is scored by the sum-objective routing LP on its arcs, and
+    `flows.best_inner` finds the best total: it ranks the candidates by their
+    `flows.sum_rate_cut` (the least total rate entering a receiver, which
+    every session must reach) and routes them best first, so only those
+    whose cut could still beat or tie the best routed total are routed. The
+    result is bit for bit that of routing every candidate.
     """
     demands = net.demands
     sinks = sorted(demands[0].sinks)
@@ -405,23 +396,10 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
     s1_first = {("mac", sink): ("S1", "S2") for sink in sinks}
     s2_first = {("mac", sink): ("S2", "S1") for sink in sinks}
 
-    best = 0.0
-
-    def consider(structure: LowerStructure, betas) -> None:
-        nonlocal best
-        arcs = structure.arcs(betas)
-        cut = sum_rate_cut(arcs, demands)
-        if cut + _CUT_MARGIN <= best + _IMPROVE_TOL:
-            return
-        results = hyper_inner(structure.node_ids, arcs, demands, objective="sum")
-        total = sum(result.rate for result in results)
-        assert total <= cut + _CUT_MARGIN, f"rate total {total} exceeds cut {cut}"
-        if total > best + _IMPROVE_TOL:
-            best = total
-
-    for order in (s2_first, s1_first):
-        consider(LowerStructure(components, LowerParams(mac_order=order)), {})
-
+    common = [
+        LowerStructure(components, LowerParams(mac_order=order)) for order in (s2_first, s1_first)
+    ]
+    candidates = [structure.arcs({}) for structure in common]
     all_targets = tuple(sinks)
     two_layers = {key1: (1.0, 0.0), key2: (1.0, 0.0)}
     for split in range(1, n):
@@ -446,9 +424,9 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
         ]
         for share in (0.125, 0.25):
             betas = {key1: (1.0 - share, share), key2: (1.0 - share, share)}
-            for structure in structures:
-                consider(structure, betas)
-    return best
+            candidates += [structure.arcs(betas) for structure in structures]
+    [(total, _index)] = best_inner(common[0].node_ids, candidates, demands, "sum")
+    return total
 
 
 def multicast_experiment(

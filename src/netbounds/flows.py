@@ -5,20 +5,19 @@ demand, min over sinks for multicast). Inner bounds on networks with
 hyper-arcs come from a fractional-routing linear program in which one
 capacity draw on a hyper-arc serves all of its heads for a given session;
 blend_inner solves the same program over run-weighted average rates of
-several arc lists with one arc structure. The routing LP of
-each arc structure is compiled once, from index arrays, as HiGHS's own model.
-hyper_inner_batch routes many arc lists (each round of `pipeline.bound`'s
-beta sweep is one batch) in three phases: it compiles each distinct
-structure and holds it for the call, solves every run back to back, and only
-then reads and checks each run's witnesses; hyper_inner is its one-run
-case. Every solve hands its LP to one long-lived HiGHS instance through
-SciPy's bundled bindings, which discards the previous model and basis, so each solve is a
-cold start and the order of the solves does not change any result. SciPy loads
-at the first routing LP, so a process that solves none never imports it. HiGHS
-solves to a primal feasibility tolerance of 1e-10, below the 1e-9 to which
-every reported flow is re-validated against conservation and capacity
-constraints; bounds are certifiable, not solver folklore. Keeping each
-demand's best rate over many runs is `pipeline.bound`'s job.
+several arc lists with one arc structure. The routing LP of each arc
+structure is compiled once, from index arrays, as HiGHS's own model.
+hyper_inner_batch routes many arc lists (each round of best_inner is one
+batch) in three phases: it compiles each distinct structure and holds it for
+the call, solves every run back to back, and only then reads and checks each
+run's witnesses; hyper_inner is its one-run case. Every solve hands its LP to
+one long-lived HiGHS instance through SciPy's bundled bindings, which discards
+the previous model and basis, so each solve is a cold start and the order of
+the solves does not change any result. SciPy loads at the first routing LP,
+so a process that solves none never imports it. HiGHS solves to a primal
+feasibility tolerance of 1e-10, below the 1e-9 to which every reported flow is
+re-validated against conservation and capacity constraints; bounds are
+certifiable, not solver folklore.
 
 Every function here reads a bounding network as its node ids and its arcs,
 ``(tail, heads, rate, label)`` tuples in pipe order, the form that
@@ -32,11 +31,12 @@ sinks, so the total cannot exceed the rate of the pipes entering a sink that
 all sessions share. demand_cut bounds one session's rate by source-side cuts
 of the split-node rewrite that `unicast_inner` routes. A validated hyper_inner
 rate or total exceeds its cut by at most the slack of validate_hyper_result's
-1e-9 tolerances (about 1e-8 on the multicast search's networks). A search over
-candidate networks may therefore skip the LP of a candidate whose cut falls
-short of its incumbent by _CUT_MARGIN, far above that slack: such a candidate
-could neither beat nor tie the incumbent. The multicast search and
-`pipeline.bound`'s inner sweep both skip by it.
+1e-9 tolerances (about 1e-8 on the multicast search's networks). best_inner,
+the one inner-bound search (of `pipeline.bound` and the multicast search),
+routes candidates best first by these cuts and skips those whose cut falls
+short of the best routed rate by _CUT_MARGIN, far above that slack: they could
+neither beat nor tie it. The relay search keeps its own scan, whose cut is
+exact (see `experiments.relay_eq_lower`).
 
 A third cut is exact. min_cut takes a batch of point-to-point networks, one
 per row of rates over the same pipes, and gives each row's min cut by
@@ -83,6 +83,7 @@ __all__ = [
     "demand_cut",
     "min_cut",
     "least_outer",
+    "best_inner",
     "hyper_inner",
     "hyper_inner_batch",
     "blend_inner",
@@ -867,6 +868,68 @@ def least_outer(node_ids, batches, demand: Demand, feeds=()) -> tuple[float, tup
         assert ok, f"least cut {best} is not the max flow {certified}"
         best = certified
     return best, (batches[index], row)
+
+
+def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]:
+    """The best inner bound over ``candidates`` of each scored quantity, and
+    the winner's index: ``(rate, index)``, or ``(-inf, None)`` with no
+    candidate. A candidate is a network over ``node_ids``: a row of an
+    `assemble.LowerBatch`, whose arcs are listed only when it is routed, or
+    one arc list of a list.
+
+    A lone unicast demand is the one quantity, routed by `unicast_inner`.
+    Otherwise candidates are routed by `hyper_inner_batch` with
+    ``objective``, and the quantities are the demands, in order, for
+    "maxmin" and their rate total for "sum". Each quantity ranks the
+    candidates by descending cut (`demand_cut` of its demand, `sum_rate_cut`
+    of the total), then by index. Every round routes, as one batch, each open
+    quantity's first candidate not yet routed; a quantity closes once that
+    candidate's cut plus _CUT_MARGIN is at most its best rate, which no later
+    candidate can then beat or tie. The earliest candidate of the best rate
+    wins, so the result is that of routing every candidate.
+    """
+    demands = tuple(demands)
+    unicast = len(demands) == 1 and demands[0].kind == "unicast"
+    total = objective == "sum" and not unicast
+    batch = hasattr(candidates, "slots")
+    arcs_of = candidates.arcs if batch else candidates.__getitem__
+    count = len(candidates.rates) if batch else len(candidates)
+    if total:
+        cuts = [np.array([sum_rate_cut(arcs_of(run), demands) for run in range(count)])]
+    elif batch:
+        cuts = [demand_cut(candidates.slots, candidates.rates, d) for d in demands]
+    else:
+        rows = [  # each arc list as slots and a one-row batch of rates
+            ([arc[:2] for arc in arcs], np.array([[arc[2] for arc in arcs]])) for arcs in candidates
+        ]
+        cuts = [np.array([demand_cut(*row, d)[0] for row in rows]) for d in demands]
+    index = np.arange(count)
+    # Each ranking is stored reversed, so that its next candidate is its last entry.
+    ranks = {q: np.lexsort((index, -cut))[::-1].tolist() for q, cut in enumerate(cuts)}
+    best = [(-math.inf, None)] * len(cuts)
+    routed = set()
+    while ranks:
+        picks = []
+        for q, rank in list(ranks.items()):
+            while rank and rank[-1] in routed:
+                rank.pop()
+            if not rank or cuts[q][rank[-1]] + _CUT_MARGIN <= best[q][0]:
+                del ranks[q]
+            elif rank[-1] not in picks:
+                picks.append(rank[-1])
+        if unicast:
+            rated = ([unicast_inner(node_ids, arcs_of(run), demands[0]).rate] for run in picks)
+        else:
+            routings = hyper_inner_batch(node_ids, map(arcs_of, picks), demands, objective)
+            rated = ([result.rate for result in results] for results in routings)
+        for run, rates in zip(picks, rated):
+            routed.add(run)
+            for q, rate in enumerate([sum(rates)] if total else rates):
+                cut = cuts[q][run]
+                assert rate <= cut + _CUT_MARGIN, f"candidate {run}: {rate} exceeds its cut {cut}"
+                if rate > best[q][0] or rate == best[q][0] and run < best[q][1]:
+                    best[q] = (rate, run)
+    return best
 
 
 def hyper_inner(

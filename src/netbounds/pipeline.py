@@ -10,19 +10,19 @@ batch's rates are also checked as one array. Each demand's outer bound is
 `flows.least_outer` of the outer sweep, the search the example networks' outer
 searches run: every alpha is rated by its exact min cut (by its certified flow
 where `min_cut` refuses a sink's interior as too large), and one flow is
-certified, on the least. A network whose one demand is unicast takes an exact
-`unicast_inner` max flow per inner run, with its min-cut certificate.
-Otherwise `flows.demand_cut` bounds each demand's rate on every inner run
-without an LP, and the runs are routed best first, in rounds of one
-`hyper_inner_batch` each: a run is routed only while its cut, plus
-`flows._CUT_MARGIN`, could still beat or tie some demand's best routed rate. A
-run's arcs are listed only for a flow.
+certified, on the least. The inner bounds of all demands are one
+`flows.best_inner` of the inner sweep, the search the multicast example runs
+too: each demand's `flows.demand_cut` bounds its rate on every run without a
+flow, and the runs are routed best first, by one exact `unicast_inner` max
+flow each where the one demand is unicast and otherwise in rounds of one
+routing-LP batch, while a run's cut could still beat or tie some demand's
+best routed rate. A run's arcs are listed only for a flow, and a label is
+formatted only for each winner.
 
 Every run gives a valid bound, so per demand the sweep keeps the least outer
-and the largest inner rate, with its run's label, over the runs in sweep
-order; only a strict improvement replaces the incumbent, so the earliest run
-wins ties. A run left unrouted could neither beat nor tie, so each inner
-(rate, label) is the one that routing every run would give.
+and the largest inner rate, with its run's label; of tied runs the earliest
+in sweep order wins. A run left unrouted could neither beat nor tie, so each
+inner (rate, label) is the one that routing every run would give.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .assemble import LowerStructure, UpperStructure
 from .bc import simplex_grid
 from .decouple import DecoupledComponent, decompose
-from .flows import _CUT_MARGIN, demand_cut, hyper_inner_batch, least_outer, unicast_inner
+from .flows import best_inner, least_outer
 from .netmodel import Demand, NoisyNetwork, validate_bounding_network
 
 __all__ = ["BoundReport", "bound"]
@@ -90,48 +90,6 @@ def _failed_row(rates) -> list[int]:
     return np.flatnonzero(~(rates >= 0.0).all(axis=1))[:1].tolist()
 
 
-def _keep(best, rates, label: str) -> None:
-    for demand, rate in rates.items():
-        if demand not in best or rate > best[demand][0]:
-            best[demand] = (rate, label)
-
-
-def _route_best_first(node_ids, batch, demands) -> list[tuple[int, dict]]:
-    """(run index, rate per demand) of every run of `batch` routed, in order.
-
-    Each run's `demand_cut` bounds each demand's rate on it. Each demand
-    ranks the runs once, by descending cut and then by index. Every round
-    takes, for each open demand, its first run not yet routed, and routes
-    the round's runs as one `hyper_inner_batch`. A demand closes once that
-    run's cut plus _CUT_MARGIN is at most its best routed rate: no later
-    run of its ranking can beat or tie that rate. A run is routed when some
-    demand takes it, so the runs left out can set no demand's inner bound.
-    """
-    cuts = {demand: demand_cut(batch.slots, batch.rates, demand) for demand in demands}
-    index = np.arange(len(batch.rates))
-    # Each ranking is stored reversed, so that its next run is its last entry.
-    ranks = {demand: np.lexsort((index, -cut))[::-1].tolist() for demand, cut in cuts.items()}
-    best = dict.fromkeys(ranks, -math.inf)
-    routed: dict[int, dict] = {}
-    while ranks:
-        picks = []
-        for demand, rank in list(ranks.items()):
-            while rank and rank[-1] in routed:
-                rank.pop()
-            if not rank or cuts[demand][rank[-1]] + _CUT_MARGIN <= best[demand]:
-                del ranks[demand]
-            elif rank[-1] not in picks:
-                picks.append(rank[-1])
-        arc_lists = [batch.arcs(run) for run in picks]
-        for run, results in zip(picks, hyper_inner_batch(node_ids, arc_lists, demands, "maxmin")):
-            rates = routed[run] = {result.demand: result.rate for result in results}
-            for demand, rate in rates.items():
-                cut = cuts[demand][run]
-                assert rate <= cut + _CUT_MARGIN, f"run {run}: rate {rate} exceeds its cut {cut}"
-                best[demand] = max(best[demand], rate)
-    return sorted(routed.items())
-
-
 def bound(net: NoisyNetwork, alphas, beta_step: float) -> BoundReport:
     """Outer and inner rate bounds of every demand of ``net``.
 
@@ -181,19 +139,11 @@ def bound(net: NoisyNetwork, alphas, beta_step: float) -> BoundReport:
     for row in [*np.unique(batch.group, return_index=True)[1], *_failed_row(batch.rates)]:
         _require_valid(lower.node_ids, batch.slot_arcs(row), "lower")
 
-    if len(demands) == 1 and demands[0].kind == "unicast":
-        runs = enumerate(
-            {demands[0]: unicast_inner(lower.node_ids, batch.arcs(row), demands[0]).rate}
-            for row in range(len(combos))
-        )
-    else:
-        runs = _route_best_first(lower.node_ids, batch, demands)
     inner: dict[Demand, tuple[float, str]] = {}
-    for index, rates in runs:
-        combo = combos[index]
+    for demand, (rate, row) in zip(demands, best_inner(lower.node_ids, batch, demands)):
         label = " ".join(
             f"{comp.key[1]}=" + "/".join(f"{beta:g}" for beta in betas)
-            for comp, betas in zip(bc_comps, combo)
+            for comp, betas in zip(bc_comps, combos[row])
         )
-        _keep(inner, rates, f"lower {label or 'default'}")
+        inner[demand] = (rate, f"lower {label or 'default'}")
     return BoundReport(components, outer, inner, len(alphas), len(combos))

@@ -318,9 +318,9 @@ class TestBounds:
 
             return flow
 
-        for name in ("least_outer", "unicast_inner", "hyper_inner_batch"):
+        for name in ("least_outer", "best_inner"):
             monkeypatch.setattr(pipeline, name, refused(name))
-        for name in ("max_flow", "multicast_outer"):
+        for name in ("max_flow", "multicast_outer", "unicast_inner", "hyper_inner_batch"):
             monkeypatch.setattr(flows, name, refused(name))
         path = DATA / "lower_bounds_2x3xunicast-0.json"
         assert main(["bounds", str(path), "--beta-step", "0.01"]) == 2
@@ -1018,12 +1018,12 @@ class TestMulticastCutPruning:
             cuts.append(arcs)
             return math.inf
 
-        monkeypatch.setattr(experiments, "sum_rate_cut", no_cut)
+        monkeypatch.setattr(flows, "sum_rate_cut", no_cut)
         exhaustive = [self.run_point(*point) for point in points]
         assert cuts  # the search read its cuts through the patched name
         assert pruned == exhaustive
 
-    def test_bench_point_solves_at_most_two_lps(self, monkeypatch):
+    def test_bench_point_solves_one_lp(self, monkeypatch):
         # LP and rating counts do not depend on machine speed, so they guard
         # the pruning where a timer cannot.
         solves, rated = [], []
@@ -1040,7 +1040,7 @@ class TestMulticastCutPruning:
         monkeypatch.setattr(flows, "_solve_lp", counting_solve)
         monkeypatch.setattr(LowerStructure, "arcs", counting_arcs)
         assert self.run_point(10, 13.0, -3.0) > 0.0
-        assert 0 < len(solves) <= 2
+        assert len(solves) == 1
         assert len(rated) == 56
 
 
@@ -1060,6 +1060,28 @@ def test_cli_imports_no_model_or_flow_module():
             imported.update(f"{base}.{alias.name}" for alias in node.names)
     forbidden = {f"netbounds.{name}" for name in ("flows", "mac", "bc", "benchmarks")}
     assert imported.isdisjoint(forbidden), sorted(imported & forbidden)
+
+
+def test_only_flows_names_the_cut_margin_or_the_routing_rounds():
+    # `flows.best_inner` is the one inner search: no other module skips a
+    # candidate by _CUT_MARGIN or routes candidates by hyper_inner_batch.
+    package = Path(cli.__file__).parent
+    named = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "flows.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in ("_CUT_MARGIN", "hyper_inner_batch"):
+                named.append(f"{path.name}:{node.lineno}: {name}")
+    assert named == []
 
 
 def test_no_module_imports_scipy_at_import_time():

@@ -19,6 +19,7 @@ from netbounds.bc import simplex_grid
 from netbounds.decouple import decompose
 from netbounds.flows import (
     FlowResult,
+    best_inner,
     blend_inner,
     hyper_inner,
     hyper_inner_batch,
@@ -1087,6 +1088,53 @@ class TestHyperInnerBatch:
         flows._compiled_routing_lp.cache_clear()
         assert len(built) == len(set(built)) == count
         assert [results[0].rate for results in runs] == [1.0] * count + [2.5] * count
+
+
+def routed_counts(monkeypatch) -> dict:
+    """Counts of routing LPs solved and of `unicast_inner` max flows from now on."""
+    counts = {"lp": 0, "flow": 0}
+    for name, key in (("_solve_lp", "lp"), ("unicast_inner", "flow")):
+
+        def counting(*args, call=getattr(flows, name), key=key):
+            counts[key] += 1
+            return call(*args)
+
+        monkeypatch.setattr(flows, name, counting)
+    return counts
+
+
+class TestBestInner:
+    """`best_inner` on a list of arc lists against routing every candidate
+    and keeping strict improvements, so that the earliest of ties wins."""
+
+    @pytest.mark.parametrize("objective", ["maxmin", "sum"])
+    def test_equals_routing_every_candidate(self, objective, monkeypatch):
+        # Two sessions to every receiver, so that the rate total has a cut.
+        node_ids, arc_lists, _ = two_by_three_sweep()
+        demands = [multicast(source, ("D1", "D2", "D3")) for source in ("S1", "S2")]
+        want = [(-INF, None)] * (1 if objective == "sum" else len(demands))
+        for run, results in enumerate(hyper_inner_batch(node_ids, arc_lists, demands, objective)):
+            rates = [result.rate for result in results]
+            rates = [sum(rates)] if objective == "sum" else rates
+            want = [(rate, run) if rate > old[0] else old for rate, old in zip(rates, want)]
+        counts = routed_counts(monkeypatch)
+        assert best_inner(node_ids, arc_lists, demands, objective) == want
+        assert 0 < counts["lp"] < len(arc_lists) and counts["flow"] == 0
+
+    def test_lone_unicast_demand_is_routed_by_max_flows(self, monkeypatch):
+        node_ids, arc_lists, (demand, _) = two_by_three_sweep()
+        want = (-INF, None)
+        for run, arcs in enumerate(arc_lists):
+            rate = unicast_inner(node_ids, arcs, demand).rate
+            want = (rate, run) if rate > want[0] else want
+        counts = routed_counts(monkeypatch)
+        assert best_inner(node_ids, arc_lists, [demand], "sum") == [want]
+        assert 0 < counts["flow"] < len(arc_lists) and counts["lp"] == 0
+
+    def test_no_candidate(self):
+        node_ids, _, demands = two_by_three_sweep()
+        assert best_inner(node_ids, [], demands) == [(-INF, None)] * 2
+        assert best_inner(node_ids, [], demands, "sum") == [(-INF, None)]
 
 
 def dense_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):

@@ -90,10 +90,18 @@ def scripted_cuts(cuts):
     return cut
 
 
+def unranked_inner(monkeypatch, rates):
+    """Route every inner run, in sweep order, to the next of ``rates``: every
+    run's `demand_cut` ties at 10, so the runs rank by index and none can be
+    skipped."""
+    monkeypatch.setattr(flows, "demand_cut", lambda slots, rates, demand: np.full(len(rates), 10.0))
+    monkeypatch.setattr(flows, "unicast_inner", scripted(rates))
+
+
 def test_outer_takes_min_inner_takes_max(monkeypatch):
     monkeypatch.setattr(flows, "min_cut", scripted_cuts([2.0, 1.5, 1.7]))
     monkeypatch.setattr(flows, "max_flow", scripted([1.5]))
-    monkeypatch.setattr(pipeline, "unicast_inner", scripted([0.9, 1.2, 0.3, 1.0, 1.1]))
+    unranked_inner(monkeypatch, [0.9, 1.2, 0.3, 1.0, 1.1])
     net = broadcast()
     report = bound(net, (0.0, 0.5, 1.0), 0.25)
     [demand] = net.demands
@@ -106,7 +114,7 @@ def test_outer_takes_min_inner_takes_max(monkeypatch):
 def test_ties_keep_the_earliest_run(monkeypatch):
     monkeypatch.setattr(flows, "min_cut", scripted_cuts([1.0, 0.5, 0.5, 0.5]))
     monkeypatch.setattr(flows, "max_flow", scripted([0.5]))
-    monkeypatch.setattr(pipeline, "unicast_inner", scripted([0.2, 0.7, 0.7, 0.2, 0.7]))
+    unranked_inner(monkeypatch, [0.2, 0.7, 0.7, 0.2, 0.7])
     net = broadcast()
     report = bound(net, (0.0, 0.25, 0.5, 0.75), 0.25)
     [demand] = net.demands
@@ -240,20 +248,23 @@ SWEEP_SEED = 20261020
 
 
 @functools.cache
-def swept_networks() -> tuple:
+def swept_networks(unicast=False) -> tuple:
     """(name, network) of both lower_bounds_* files and 2 x 20 generated
     networks of 2-3 demands that `bound` accepts, SNRs drawn over spans of 30
-    and 100 dB."""
+    and 100 dB; with ``unicast``, 2 x 20 generated networks whose one demand
+    is unicast instead."""
     nets = [
         (path.stem, parse_network(path.read_text(encoding="utf-8")))
         for path in sorted(DATA.glob("lower_bounds_*.json"))
+        if not unicast
     ]
     rng = random.Random(SWEEP_SEED)
     for span_db in (30.0, 100.0):
         kept = 0
         while kept < 20:
             doc = random_document(rng, span_db)
-            if len(doc["demands"]) < 2:
+            kinds = [demand["kind"] for demand in doc["demands"]]
+            if not (kinds == ["unicast"] if unicast else len(kinds) > 1):
                 continue
             try:
                 net = parse_network(json.dumps(doc))
@@ -308,27 +319,34 @@ def counted_solves(monkeypatch) -> list:
 
 @pytest.mark.parametrize("beta_step", [0.5, 0.25])
 def test_pruned_sweep_equals_exhaustive_sweep(beta_step, monkeypatch):
-    # The reference routes every run and keeps strict improvements in sweep
-    # order, so the earliest of tied runs wins. No demand is listed twice:
-    # the parser refuses such files.
+    # The reference routes every run, in one `hyper_inner_batch` or, on the
+    # networks whose one demand is unicast, by `unicast_inner`, and keeps
+    # strict improvements in sweep order, so the earliest of tied runs wins.
+    # No demand is listed twice: the parser refuses such files.
     solves = counted_solves(monkeypatch)
-    routed = swept = 0
-    for name, net in swept_networks():
-        node_ids, runs = sweep_runs(net, beta_step)
-        batch = hyper_inner_batch(node_ids, [arcs for _, arcs in runs], net.demands)
-        want = {}
-        for (label, _), results in zip(runs, batch):
-            rates = {result.demand: result.rate for result in results}
-            for demand, rate in rates.items():
-                if demand not in want or rate > want[demand][0]:
-                    want[demand] = (rate, label)
-        before = len(solves)
-        report = bound(net, (0.5,), beta_step)
-        assert report.inner == want, name
-        assert report.inner_runs == len(runs)
-        routed += len(solves) - before
-        swept += len(runs)
-    assert routed < swept, (routed, swept)
+    flowed = counted(monkeypatch, flows, "unicast_inner")
+    for unicast, routings in ((False, solves), (True, flowed)):
+        routed = swept = 0
+        for name, net in swept_networks(unicast):
+            node_ids, runs = sweep_runs(net, beta_step)
+            if unicast:
+                [demand] = net.demands
+                batch = ([unicast_inner(node_ids, arcs, demand)] for _, arcs in runs)
+            else:
+                batch = hyper_inner_batch(node_ids, [arcs for _, arcs in runs], net.demands)
+            want = {}
+            for (label, _), results in zip(runs, batch):
+                rates = {result.demand: result.rate for result in results}
+                for demand, rate in rates.items():
+                    if demand not in want or rate > want[demand][0]:
+                        want[demand] = (rate, label)
+            before = len(routings)
+            report = bound(net, (0.5,), beta_step)
+            assert report.inner == want, name
+            assert report.inner_runs == len(runs)
+            routed += len(routings) - before
+            swept += len(runs)
+        assert routed < swept, (unicast, routed, swept)
 
 
 def test_demand_cut_bounds_every_routing():
@@ -382,6 +400,25 @@ def test_bound_routes_only_runs_that_can_set_a_bound(name, solves, monkeypatch):
     report = bound(net, parse_grid("0:1:0.1"), 0.25)
     assert len(calls) == solves
     assert report.inner_runs > len(calls)
+
+
+def test_one_unicast_demand_on_a_wide_broadcast_certifies_one_flow(monkeypatch):
+    # S is the only transmitter, so each run's `demand_cut` is its max flow,
+    # and the best cut settles the demand: one certified max flow of 969 runs,
+    # at the (rate, label) that a max flow on every run gives.
+    links = [("S", "A", 1.0), ("S", "B", 2.0), ("S", "C", 4.0), ("S", "D", 8.0)]
+    net = network(links, [("S", ["B"])])
+    [demand] = net.demands
+    node_ids, runs = sweep_runs(net, 1 / 16)
+    want = None
+    for label, arcs in runs:
+        rate = unicast_inner(node_ids, arcs, demand).rate
+        if want is None or rate > want[0]:
+            want = (rate, label)
+    flowed = counted(monkeypatch, flows, "unicast_inner")
+    report = bound(net, (0.5,), 1 / 16)
+    assert (report.inner_runs, len(flowed)) == (969, 1)
+    assert report.inner[demand] == want == (flowed[0].rate, "lower S=0/1/0/0")
 
 
 def test_bound_rates_and_validates_its_sweep_as_one_batch(monkeypatch):
