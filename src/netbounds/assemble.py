@@ -32,8 +32,9 @@ given decode orders. The core takes each broadcast side's betas in one of two
 forms: floats for one power split, or one 1-D array per layer for a batch of
 splits. What differs by form is in `_OneSplit` and `_Splits`: the capacity
 (both take the same `np.log2`), the elementwise min, max(0, x), and how betas
-are checked. Sums run from 0, left to right, in both, so a batch row is bit
-for bit the float form.
+are checked. Every sum runs from 0.0, left to right, through `info.ltr_sum`
+in both forms (from Python 3.12 on, builtin `sum` compensates a sum of floats
+but not one of arrays), so a batch row is bit for bit the float form.
 
 - `LowerStructure` fixes and validates what does not depend on the power
   split beta: each broadcast side's layer count and decode targets, explicit
@@ -85,7 +86,7 @@ import numpy as np
 
 from .bc import BcSpec, bc_upper_cumulative
 from .decouple import DecoupledComponent
-from .info import awgn_capacities, awgn_capacity, bsc_capacity, qsc_capacity
+from .info import awgn_capacities, awgn_capacity, bsc_capacity, ltr_sum, qsc_capacity
 from .mac import MacRates, MacSpec, mac_upper
 from .netmodel import NoisyLink
 
@@ -188,7 +189,7 @@ def _sic_table(rx: str, links, order) -> tuple:
         (
             i,
             tuple((k, rx) for k, _ in links if position[k] < position[i]),
-            sum(snr for k, snr in links if position[k] > position[i]),
+            ltr_sum(snr for k, snr in links if position[k] > position[i]),
         )
         for i, _ in links
     )
@@ -406,7 +407,7 @@ class _BcSide:
             raise ValueError(
                 f"bc_betas for {self.key} must be nonnegative and finite, got {betas}"
             )
-        if abs(sum(betas) - 1.0) > 1e-9:
+        if abs(ltr_sum(betas) - 1.0) > 1e-9:
             raise ValueError(f"bc_betas for {self.key} must sum to 1, got {betas}")
         if len(betas) != self.layers:
             raise ValueError(
@@ -428,7 +429,7 @@ class _BcSide:
         if table is not None and table.ndim == 2 and table.shape[1] == self.layers:
             columns = tuple(np.ascontiguousarray(table.T))
             in_range = 0.0 <= table.min() and table.max() < math.inf  # False on NaN
-            if in_range and abs(sum(columns) - 1.0).max() <= 1e-9:
+            if in_range and abs(ltr_sum(columns) - 1.0).max() <= 1e-9:
                 return columns
         for row in rows:
             self.betas(row)
@@ -671,7 +672,7 @@ class LowerStructure:
         residual = dict(self._no_residual)
         for bc, betas in zip(self._bcs, sides):
             for j, snr, k in bc.decoded:
-                residual[(bc.tx, j)] = snr * sum(betas[k:])
+                residual[(bc.tx, j)] = snr * ltr_sum(betas[k:])
         for (i, j), value in residual.items():
             if form.lowest(value) < -1e-12:
                 raise AssertionError(f"negative residual at ({i}, {j}): {value}")
@@ -688,7 +689,7 @@ class LowerStructure:
         extrinsic = dict(self._no_extrinsic)
         for mac, order in zip(self._macs, orders):
             for i, before, after in mac.sic(order):
-                extrinsic[(i, mac.rx)] = sum(residual[key] for key in before) + after
+                extrinsic[(i, mac.rx)] = ltr_sum(residual[key] for key in before) + after
         floors = _residual_totals(residual)
         slots: list[tuple] = []
         for step in self._steps:
@@ -701,7 +702,7 @@ class LowerStructure:
                     if form.off(beta):
                         slots.append((tx, chosen, 0.0, label))
                         continue
-                    later = sum(betas[layer + 1 :])
+                    later = ltr_sum(betas[layer + 1 :])
                     rate = form.least(
                         form.capacity(
                             gamma[j] * beta / (1.0 + extrinsic[(tx, j)] + gamma[j] * later)
@@ -719,11 +720,7 @@ class LowerStructure:
                 for place, tx in enumerate(order):
                     if tx in self._bc_inputs:
                         continue
-                    # The inputs decoded after tx, in a left-to-right loop:
-                    # builtin `sum` compensates float sums from Python 3.12 on.
-                    undecoded = 0.0
-                    for later in order[place + 1 :]:
-                        undecoded = undecoded + effective[later]
+                    undecoded = ltr_sum(effective[src] for src in order[place + 1 :])
                     rate = form.capacity(effective[tx] / (1.0 + undecoded))
                     slots.append((tx, (rx,), rate, ("mac", order)))
         return slots, extrinsic

@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import math
 
-from .assemble import LowerParams, LowerStructure, UpperStructure
+import numpy as np
+
+from .assemble import LowerParams, LowerStructure, UpperBatch, UpperStructure
 from .benchmarks import RelaySpec, cf_bound, cutset_bound, df_bound
 from .decouple import decompose
 from .flows import best_inner, blend_inner, demand_cut, hyper_inner, least_outer, unicast_inner
-from .info import awgn_capacity, db_to_linear, qsc_capacity
+from .info import awgn_capacity, db_to_linear, ltr_sum, qsc_capacity
 from .mac import MacSpec, mac_upper
 from .netmodel import Demand, Node, NoisyLink, NoisyNetwork
 
@@ -357,18 +359,23 @@ def multicast_eq_upper(components, sinks, alphas=ALPHA_GRID) -> float:
     share one encoder, so the min-cut from a merged source to each sink caps
     the session sum: the multicast outer bound from the merged source.
     Minimized over the noise-split sweep, on one upper structure's arcs plus
-    infinite arcs from the merged source JOINT_SRC (``_`` added while taken);
-    see `flows.least_outer` for the search.
+    infinite arcs from the merged source JOINT_SRC (``_`` added while taken),
+    labelled "joint source"; see `flows.least_outer` for the search.
     """
     structure = UpperStructure(components)
     name = "JOINT_SRC"
     while name in structure.node_ids:
         name = name + "_"
     node_ids = (*structure.node_ids, name)
-    feeds = [(name, (source,), math.inf, "joint source") for source in ("S1", "S2")]
     demand = Demand(kind="multicast", source=name, sinks=frozenset(sinks))
     batch = structure.rate_batch(alphas)
-    return least_outer(node_ids, [batch], demand, feeds)[0]
+    batch = UpperBatch(
+        (*batch.slots, (name, ("S1",)), (name, ("S2",))),
+        np.hstack([batch.rates, np.full((len(batch.alphas), 2), math.inf)]),
+        batch.alphas,
+        (*batch.labels, "joint source", "joint source"),
+    )
+    return least_outer(node_ids, [batch], demand)[0]
 
 
 def multicast_eq_lower(net: NoisyNetwork, components) -> float:
@@ -440,8 +447,9 @@ def multicast_experiment(
     """Sum-rate bounds for the two-source fan, one row per power level.
 
     The coop benchmark is the worst-receiver coherent-combining rate, the mac
-    benchmark the worst-receiver non-coherent sum rate; both close over the
-    fan since received powers pair up to 2P.
+    benchmark the worst-receiver non-coherent sum rate, each taken from the
+    SNRs of the decomposed MAC components; both close over the fan since
+    received powers pair up to 2P.
     """
     ratio = db_to_linear(delta_ratio_db)
     c12 = qsc_capacity(q, xi)
@@ -452,21 +460,9 @@ def multicast_experiment(
         net = multicast_network(num_receivers, power, delta_power, q, xi)
         components = decompose(net)
         sinks = sorted(net.demands[0].sinks)
-        n = num_receivers
-        coop = min(
-            awgn_capacity(
-                MacSpec(
-                    (power - (k / n) * delta_power, power + (k / n) * delta_power)
-                ).coherent_sum_snr
-            )
-            for k in range(1, n + 1)
-        )
-        mac = min(
-            awgn_capacity(
-                (power - (k / n) * delta_power) + (power + (k / n) * delta_power)
-            )
-            for k in range(1, n + 1)
-        )
+        specs = [MacSpec(comp.gamma_list()) for comp in components if comp.kind == "mac"]
+        coop = min(awgn_capacity(spec.coherent_sum_snr) for spec in specs)
+        mac = min(awgn_capacity(ltr_sum(spec.gammas)) for spec in specs)
         rows.append(
             {
                 "p_db": p_db,

@@ -60,6 +60,7 @@ from itertools import zip_longest
 
 import numpy as np
 
+from .info import ltr_sum
 from .netmodel import Demand
 
 
@@ -829,11 +830,10 @@ def min_cut(slots, rates, demand: Demand) -> np.ndarray:
     return least
 
 
-def least_outer(node_ids, batches, demand: Demand, feeds=()) -> tuple[float, tuple | None]:
+def least_outer(node_ids, batches, demand: Demand) -> tuple[float, tuple | None]:
     """The least outer bound of ``demand`` over every (row, batch) candidate,
     and the winner as (batch, row): ``batches`` hold point-to-point networks
-    over ``node_ids`` as `assemble.UpperBatch` does, one per row, and
-    ``feeds`` are arcs added to every candidate.
+    over ``node_ids`` as `assemble.UpperBatch` does, one per row.
 
     Each batch's rows are rated by their `min_cut`, or, where `min_cut`
     refuses a sink's interior, by their certified flows. The candidates are
@@ -844,15 +844,12 @@ def least_outer(node_ids, batches, demand: Demand, feeds=()) -> tuple[float, tup
     The certified flow's rate is reported; (inf, None) on an empty sweep.
     """
     flow = max_flow if demand.kind == "unicast" else multicast_outer
-    feed_slots = [(tail, heads) for tail, heads, _rate, _label in feeds]
-    feed_rates = [rate for _tail, _heads, rate, _label in feeds]
     rated = []  # per batch, its rate per row and whether those are certified flows
     for batch in batches:
-        rates = np.hstack([batch.rates, np.tile(feed_rates, (len(batch.rates), 1))])
         try:
-            rated.append((min_cut([*batch.slots, *feed_slots], rates, demand).tolist(), False))
+            rated.append((min_cut(batch.slots, batch.rates, demand).tolist(), False))
         except _OversizedInterior:
-            arc_lists = ([*batch.arcs(row), *feeds] for row in range(len(rates)))
+            arc_lists = (batch.arcs(row) for row in range(len(batch.rates)))
             rated.append(([flow(node_ids, arcs, demand).rate for arcs in arc_lists], True))
     best, winner = math.inf, None
     for row, row_rates in enumerate(zip(*(rows for rows, _ in rated))):
@@ -863,7 +860,7 @@ def least_outer(node_ids, batches, demand: Demand, feeds=()) -> tuple[float, tup
         return best, None
     index, row = winner
     if not rated[index][1]:
-        certified = flow(node_ids, [*batches[index].arcs(row), *feeds], demand).rate
+        certified = flow(node_ids, batches[index].arcs(row), demand).rate
         ok = abs(best - certified) <= 1e-9 * max(1.0, certified)
         assert ok, f"least cut {best} is not the max flow {certified}"
         best = certified
@@ -924,7 +921,7 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
             rated = ([result.rate for result in results] for results in routings)
         for run, rates in zip(picks, rated):
             routed.add(run)
-            for q, rate in enumerate([sum(rates)] if total else rates):
+            for q, rate in enumerate([ltr_sum(rates)] if total else rates):
                 cut = cuts[q][run]
                 assert rate <= cut + _CUT_MARGIN, f"candidate {run}: {rate} exceeds its cut {cut}"
                 if rate > best[q][0] or rate == best[q][0] and run < best[q][1]:

@@ -20,6 +20,7 @@ __all__ = [
     "linear_to_db",
     "awgn_capacity",
     "awgn_capacities",
+    "ltr_sum",
     "binary_entropy",
     "bsc_capacity",
     "qsc_capacity",
@@ -65,6 +66,17 @@ def awgn_capacities(gammas: np.ndarray) -> np.ndarray:
     in one `np.log2` pass, bit for bit as long as the host's array log2
     rounds as its scalar one does (tests/test_info.py checks this)."""
     return 0.5 * np.log2(1.0 + gammas)
+
+
+def ltr_sum(values):
+    """Sum of ``values`` from 0.0, left to right: the order `np.sum` takes
+    below 8 terms. Every sum whose bits are pinned goes through here, since
+    builtin `sum` compensates float sums from Python 3.12 on. Over arrays it
+    sums elementwise into a new array and writes through none of them."""
+    total = 0.0
+    for value in values:
+        total = total + value
+    return total
 
 
 def binary_entropy(p: float) -> float:

@@ -19,9 +19,10 @@ the pairs by input count and solves each group's multipliers in one
 bisection on arrays (`_solve_mu`, whose step is `_share_sums`), one entry
 per pair, then takes every share and rate in array form. Each entry goes
 through the same IEEE operations in the same order as a solve of its pair
-alone would: sums run left to right in explicit steps (`_sum` and, over
-arrays, `_column_sums`), which is what `np.sum` does below 8 terms, and a
-bisection entry stops at the iterate where it alone would. Squares are taken as
+alone would: sums run from 0.0 left to right (`info.ltr_sum`, over an
+array's rows for its columns), which is what `np.sum` does below 8 terms
+(no row holds -0.0, so starting from 0.0 changes no bit), and a bisection
+entry stops at the iterate where it alone would. Squares are taken as
 Python's `x ** 2`, as NumPy's scalar square does, and not as `np.square` or
 an array's `** 2`, which round as `x * x` and differ on about 1 in 1200
 inputs. So a pair's result does not depend on the other pairs in its call,
@@ -40,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .info import awgn_capacities, awgn_capacity
+from .info import awgn_capacities, awgn_capacity, ltr_sum
 
 __all__ = [
     "MacSpec",
@@ -74,7 +75,7 @@ class MacSpec:
     @functools.cached_property
     def coherent_sum_snr(self) -> float:
         """Effective SNR when all inputs cooperate coherently."""
-        return _sum(math.sqrt(g) for g in self.gammas) ** 2
+        return ltr_sum(math.sqrt(g) for g in self.gammas) ** 2
 
 
 def check_snrs(gammas) -> None:
@@ -86,25 +87,6 @@ def check_snrs(gammas) -> None:
     for g in gammas:
         if not 0.0 < g < math.inf:
             raise ValueError(f"SNRs must be positive and finite, got {g} in {gammas}")
-
-
-def _sum(values) -> float:
-    """Left-to-right float sum: `np.sum`'s order below 8 terms. The builtin
-    `sum` is compensated from Python 3.12 on, so it is not used here."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
-def _column_sums(rows: np.ndarray) -> np.ndarray:
-    """`_sum` of every column of an m x n array, as one array: the rows are
-    added left to right. The first row is taken as it is, since 0.0 + x is x
-    for every x but -0.0, which no sum here holds."""
-    total = rows[0]
-    for k in range(1, len(rows)):
-        total = total + rows[k]
-    return total
 
 
 class MacRates(NamedTuple):
@@ -129,7 +111,7 @@ def _brackets(gammas: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, np.nd
     1 - alpha of the columns."""
     m = len(gammas)
     square = np.array([b**2 for b in budget.tolist()])
-    lo = budget / m + square / (m * _column_sums(gammas))
+    lo = budget / m + square / (m * ltr_sum(gammas))
     hi = budget / m + square / (m * m * gammas.min(axis=0))
     return lo, hi
 
@@ -152,7 +134,7 @@ def mu_bracket(gammas: tuple[float, ...], alpha: float) -> tuple[float, float]:
 def _share_sums(gammas: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """0.5 * sum_i (sqrt(gamma_i*(gamma_i + 4*mu)) - gamma_i) of every column
     of an m x n array of SNRs at its own mu: the bisection's step."""
-    return 0.5 * _column_sums(np.sqrt(gammas * (gammas + 4.0 * mu)) - gammas)
+    return 0.5 * ltr_sum(np.sqrt(gammas * (gammas + 4.0 * mu)) - gammas)
 
 
 def _equal_shares(gammas: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -183,7 +165,7 @@ def _solve_mu(
         # The share sum cancels here with an error of about eps * gamma, which
         # exceeds the check from about 80 dB on; the equal form does not.
         shares = _equal_shares(gammas[:, degenerate], mu[degenerate])
-        residual = _column_sums(shares) - budget[degenerate]
+        residual = ltr_sum(shares) - budget[degenerate]
         assert (abs(residual) < 1e-8).all(), "bracket degenerated badly"
     rows = np.flatnonzero(~degenerate)
     gammas, budget = gammas[:, rows], budget[rows]
@@ -229,12 +211,12 @@ def _solve_group(specs, alphas) -> list[MacRates]:
     shares = np.where(shares > 0.0, shares, _equal_shares(gammas, mu))
     # The bisection residual can leave the total a hair off 1 - alpha; scale
     # it out so downstream consumers see an exact partition.
-    shares = shares * (budget / _column_sums(shares))
+    shares = shares * (budget / ltr_sum(shares))
     individual = awgn_capacities(gammas / shares)
     coherent = np.array([spec.coherent_sum_snr for spec in specs])
     with np.errstate(divide="ignore", over="ignore"):  # inf at alpha 0
         sum_rate = awgn_capacities((coherent + 1.0 - alpha) / alpha)
-    if not (shares > 0.0).all() or (abs(_column_sums(shares) - budget) > 1e-9).any():
+    if not (shares > 0.0).all() or (abs(ltr_sum(shares) - budget) > 1e-9).any():
         raise ValueError(f"noise shares must be positive and sum to 1 - alpha, got {shares.T}")
     return list(
         map(
@@ -294,4 +276,4 @@ def mac_sum_gap(spec: MacSpec) -> float:
     Equals 0.5*log2((1 + (sum sqrt(gamma_i))^2) / (1 + sum gamma_i)) and is
     always below 0.5*log2(m).
     """
-    return 0.5 * math.log2((1.0 + spec.coherent_sum_snr) / (1.0 + _sum(spec.gammas)))
+    return 0.5 * math.log2((1.0 + spec.coherent_sum_snr) / (1.0 + ltr_sum(spec.gammas)))

@@ -163,17 +163,23 @@ class NoisyNetwork:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "links", tuple(self.links))
         object.__setattr__(self, "demands", tuple(self.demands))
-        ids = [node.id for node in self.nodes]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
-            raise NetworkFormatError(f"duplicate node ids: {dup}")
-        known = set(ids)
-        for link in self.links:
+        known: dict[str, int] = {}
+        for index, node in enumerate(self.nodes):
+            first = known.setdefault(node.id, index)
+            if first != index:
+                raise NetworkFormatError(
+                    f"nodes[{index}]: duplicate node id {node.id!r} repeats nodes[{first}]"
+                )
+        for index, link in enumerate(self.links):
             for node in (link.src, link.dst):
                 if node not in known:
-                    raise NetworkFormatError(f"{link._where}: unknown node {node!r}")
+                    raise NetworkFormatError(
+                        f"links[{index}]: {link._where}: unknown node {node!r}"
+                    )
             if link.src == link.dst:
-                raise NetworkFormatError(f"{link._where}: self-loops are not allowed")
+                raise NetworkFormatError(
+                    f"links[{index}]: {link._where}: self-loops are not allowed"
+                )
         # Discrete broadcast and superposition structures have no decoupling
         # rule, so a node sends and receives on at most one discrete link.
         sends: dict[str, int] = {}
@@ -202,12 +208,16 @@ class NoisyNetwork:
                     f"links[{index}]: link {link.src!r}->{link.dst!r} repeats links[{first}]; "
                     "parallel links are not modelled"
                 )
-        for demand in self.demands:
+        for index, demand in enumerate(self.demands):
             if demand.source not in known:
-                raise NetworkFormatError(f"{demand._where}: unknown node {demand.source!r}")
+                raise NetworkFormatError(
+                    f"demands[{index}]: {demand._where}: unknown node {demand.source!r}"
+                )
             for sink in demand.sink_list:
                 if sink not in known:
-                    raise NetworkFormatError(f"{demand._where}: unknown sink {sink!r}")
+                    raise NetworkFormatError(
+                        f"demands[{index}]: {demand._where}: unknown sink {sink!r}"
+                    )
 
     @property
     def node_ids(self) -> tuple[str, ...]:

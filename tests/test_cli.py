@@ -1084,6 +1084,19 @@ def test_only_flows_names_the_cut_margin_or_the_routing_rounds():
     assert named == []
 
 
+def test_pinned_sums_take_no_builtin_sum():
+    # From Python 3.12 on builtin `sum` compensates float sums but not array
+    # sums, so the MAC and lower models sum through `info.ltr_sum`, and their
+    # float and batch forms stay alike bit for bit.
+    package = Path(cli.__file__).parent
+    named = []
+    for name in ("assemble.py", "mac.py"):
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id == "sum":
+                named.append(f"{name}:{node.lineno}")
+    assert named == []
+
+
 def test_no_module_imports_scipy_at_import_time():
     # SciPy's optimize package takes most of a fresh process's start-up, so it
     # loads at the first routing LP (flows._highs), not when a module loads.

@@ -6,6 +6,7 @@ split bit for bit: the same arcs left out, the `repr` of every rate and every
 label. Invalid splits must raise the same ValueError text in both forms.
 """
 
+import builtins
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netbounds import experiments
+from netbounds import assemble, experiments
 from netbounds.assemble import LowerParams, LowerStructure
 from netbounds.bc import simplex_grid
 from netbounds.decouple import decompose
@@ -178,6 +179,46 @@ def awgn_network(links):
         "links": [{"from": s, "to": d, "kind": "awgn", "snr": snr} for s, d, snr in links],
     }
     return parse_network(json.dumps(doc))
+
+
+def compensated_sum(values, start=0):
+    """Builtin `sum` as Python 3.12 runs it: Neumaier-compensated over floats,
+    plain over anything else (the batch form's arrays)."""
+    values = list(values)
+    if not all(isinstance(value, float) for value in values):
+        return builtins.sum(values, start)
+    total = compensation = 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation
+
+
+# Two broadcast sides of four receivers each and a third sender at D2.
+TWO_SIDES = [
+    *(("S1", f"D{k}", snr) for k, snr in enumerate((9.0, 19.0, 9.0, 7.0))),
+    *(("S2", f"D{k}", snr) for k, snr in enumerate((40.0, 17.0, 35.0, 39.0))),
+    ("S3", "D2", 7.0),
+]
+
+
+def test_batch_rows_are_the_float_arcs_under_a_compensated_sum(monkeypatch):
+    # The forms agree bit for bit only if neither sums through builtin `sum`:
+    # compensated in `arcs` but not over the batch's arrays, sums of three
+    # betas such as (0.2, 0.7, 0.1) differ in the last bit.
+    monkeypatch.setattr(assemble, "sum", compensated_sum, raising=False)
+    components = decompose(awgn_network(TWO_SIDES))
+    structure = LowerStructure(components)
+    grid = list(simplex_grid(4, 10))
+    for varied in (("bc", "S1"), ("bc", "S2")):
+        # The other side puts all of its power on its last layer.
+        splits = {key: [grid[0]] * len(grid) for key in (("bc", "S1"), ("bc", "S2"))}
+        splits[varied] = grid
+        assert_rows_are_arcs(structure, splits)
 
 
 # A broadcasts to D and E; B sends to D alone, at A's SNR at D. Where A leaves

@@ -421,7 +421,7 @@ REFUSALS = [
     ("node-id-not-string", {("nodes", 1): 7},
      "nodes[1]: expected a node id string, got 7"),
     ("duplicate-node", {("nodes", 2): "A"},
-     "duplicate node ids: ['A']"),
+     "nodes[2]: duplicate node id 'A' repeats nodes[0]"),
     ("links-not-list", {("links",): {}},
      "links: expected a list"),
     ("demands-not-list", {("demands",): "A"},
@@ -497,11 +497,11 @@ REFUSALS = [
      "links[0]: link 'A'->'B': eps must lie in [0, 1/2], got -0.25"),
     # endpoints and link structure
     ("unknown-src", {("links", 1, "from"): "Z"},
-     "link 'Z'->'C': unknown node 'Z'"),
+     "links[1]: link 'Z'->'C': unknown node 'Z'"),
     ("unknown-dst", {("links", 1, "to"): "Z"},
-     "link 'A'->'Z': unknown node 'Z'"),
+     "links[1]: link 'A'->'Z': unknown node 'Z'"),
     ("self-loop", {("links", 1, "to"): "A"},
-     "link 'A'->'A': self-loops are not allowed"),
+     "links[1]: link 'A'->'A': self-loops are not allowed"),
     ("parallel-link", {("links", 1, "to"): "B"},
      "links[1]: link 'A'->'B' repeats links[0]; parallel links are not modelled"),
     ("discrete-broadcast",
@@ -530,9 +530,9 @@ REFUSALS = [
     ("unicast-two-sinks", {("demands", 0, "kind"): "unicast"},
      "demands[0]: demand from 'A': unicast demand must have exactly one sink"),
     ("unknown-source", {("demands", 0, "source"): "Z"},
-     "demand from 'Z': unknown node 'Z'"),
+     "demands[0]: demand from 'Z': unknown node 'Z'"),
     ("unknown-sink", {("demands", 0, "sinks", 1): "Z"},
-     "demand from 'A': unknown sink 'Z'"),
+     "demands[0]: demand from 'A': unknown sink 'Z'"),
     ("sink-without-link", {("nodes",): ["A", "B", "C", "D"], ("demands", 0, "sinks", 1): "D"},
      "demands[0]: node 'D' has no link"),
     ("demand-repeated",
