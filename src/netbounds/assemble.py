@@ -81,6 +81,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -589,14 +590,24 @@ class LowerBatch:
     split r, 0.0 wherever `LowerStructure.arcs` leaves the layer or SIC arc
     out. Split r is in decode-order group `group[r]`; `groups` holds per
     group the slots' labels and the broadcast labels' extrinsic terms, with
-    arrays over all n splits where they vary. `arcs(r)` is split r's arcs as
-    `LowerStructure.arcs` returns them.
+    arrays over all n splits where they vary. `present[r]` marks the slots
+    that `LowerStructure.arcs` keeps at split r, and `arcs(r)` is split r's
+    arcs as it returns them.
     """
 
     slots: tuple[tuple[str, tuple[str, ...]], ...]
     rates: np.ndarray
     groups: tuple[tuple, ...]
     group: np.ndarray
+
+    @functools.cached_property
+    def present(self) -> np.ndarray:
+        """Per split and slot, whether the split's arcs hold the slot, by
+        `_kept`: a point-to-point slot always, any other if its rate is not 0."""
+        always = np.array(
+            [[_kept(0.0, label) for label in labels] for labels, _ in self.groups], dtype=bool
+        ).reshape(len(self.groups), len(self.slots))
+        return (self.rates != 0.0) | always[self.group]
 
     def slot_arcs(self, row: int) -> list[tuple]:
         """Split `row`'s ``(tail, heads, rate, label)`` per slot, the arcs
@@ -613,7 +624,7 @@ class LowerBatch:
     def arcs(self, row: int) -> list[tuple]:
         """Split `row`'s ``(tail, heads, rate, label)`` arcs, equal to what
         `LowerStructure.arcs` returns for that split, without re-rating."""
-        return [arc for arc in self.slot_arcs(row) if _kept(arc[2], arc[3])]
+        return list(compress(self.slot_arcs(row), self.present[row]))
 
 
 class LowerStructure:

@@ -5,12 +5,17 @@ demand, min over sinks for multicast). Inner bounds on networks with
 hyper-arcs come from a fractional-routing linear program in which one
 capacity draw on a hyper-arc serves all of its heads for a given session;
 blend_inner solves the same program over run-weighted average rates of
-several arc lists with one arc structure. The routing LP of each arc
-structure is compiled once, from index arrays, as HiGHS's own model.
-hyper_inner_batch routes many arc lists (each round of best_inner is one
-batch) in three phases: it compiles each distinct structure and holds it for
-the call, solves every run back to back, and only then reads and checks each
-run's witnesses; hyper_inner is its one-run case. Every solve hands its LP to
+several arc lists with one arc structure. A routing LP is compiled, from
+index arrays, as HiGHS's own model once per slot list, its template: an arc
+list's own pipes, or every slot of an `assemble.LowerBatch`. The LP of each
+batch row is derived from the batch's template by index selection alone: the
+row's absent pipes and the capacity rows of its infinite ones are left out,
+and the result is, bit for bit, the LP compiled from the row's own arcs.
+hyper_inner_batch routes many arc lists, and each round of best_inner many
+rows or arc lists, in three phases: it takes each run's LP, holding every
+template and derived LP for the call, solves every run back to back, and
+only then reads and checks each run's witnesses; hyper_inner is its one-run
+case. Every solve hands its LP to
 one long-lived HiGHS instance through SciPy's bundled bindings, which discards
 the previous model and basis, so each solve is a cold start and the order of
 the solves does not change any result. SciPy loads at the first routing LP,
@@ -56,7 +61,7 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import compress, zip_longest
 
 import numpy as np
 
@@ -346,8 +351,13 @@ def _highs():
     return _core
 
 
-_LP_CACHE_SIZE = 64  # compiled routing LPs kept, one per arc structure
+_LP_CACHE_SIZE = 64  # routing LP templates kept, one per slot list
 _WITNESS_FLOOR = 1e-12  # solution entries at or below this stay out of witnesses
+
+
+def _check_objective(objective) -> None:
+    if objective not in ("maxmin", "sum"):
+        raise ValueError(f"objective must be 'maxmin' or 'sum', got {objective!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,7 +370,13 @@ class _RoutingLP:
     Without lambda columns the arc rates enter only ``upper`` at
     ``capacity_rows``, so one compiled LP serves every rate assignment.
     ``model`` holds the constraint matrix in CSC form and the same bounds;
-    each solve overwrites its row uppers.
+    each solve overwrites its row uppers. ``witness_keys`` names, per column
+    of the x and f blocks, the witness entry its value fills.
+
+    An LP that `_build_routing_lp` compiles without lambda columns is a
+    template: ``template`` holds the index arrays by which `_restrict`
+    derives from it the LP of any subset of its arcs. A derived or blended
+    LP has none.
     """
 
     model: object  # a HighsLp
@@ -371,9 +387,72 @@ class _RoutingLP:
     finite_arcs: np.ndarray  # arc of each capacity row
     pair_arcs: tuple[int, ...]  # arc of each (arc, head) pair, in column order
     pair_heads: tuple[str, ...]  # head of each (arc, head) pair
-    n_arcs: int
     f_cols: tuple[int, ...]  # first f column of each session
     lam_col: int
+    slots: tuple[tuple[str, tuple[str, ...]], ...]  # (tail, heads) of each arc
+    witness_keys: tuple  # (store, key) per x and f column; see `_results_from_solution`
+    template: _Template | None
+
+
+@dataclass(frozen=True, eq=False)
+class _Template:
+    """Index arrays of a template LP over n arcs, by which `_restrict` selects.
+
+    Each column and row has a code, an index into a lookup that `_restrict`
+    builds from a run's arcs; the column or row stays where that entry holds.
+    The column lookup is [present arcs, True]: an x or f column's code is its
+    arc; that of t, of each R_s and of the end (one code past the last
+    column) is n. The row lookup is [present arcs, present finite arcs, True,
+    touched nodes], touched being the nodes that are the tail or a head of a
+    present arc: a draw row's code is its arc, a capacity row's n plus its
+    arc, a common-rate row's and a source's conservation row's 2n, and any
+    other conservation row's 2n + 1 plus its node.
+    """
+
+    start: np.ndarray  # the CSC matrix, as `model` holds it
+    index: np.ndarray
+    value: np.ndarray
+    entry_cols: np.ndarray  # column of each matrix entry
+    col_codes: np.ndarray
+    row_codes: np.ndarray
+    node_arcs: np.ndarray  # per node and arc, whether the arc's tail or a head is the node
+
+
+def _witness_keys(demands, n_arcs: int, pair_arcs, pair_heads) -> tuple:
+    """Per x and f column, in column order, the store (session s's usage, or
+    len(demands) + s for its flows) and the key of the witness entry it
+    fills."""
+    n_sessions = len(demands)
+    usage = [(s, a) for s in range(n_sessions) for a in range(n_arcs)]
+    pairs = list(zip(pair_arcs, pair_heads))
+    flows = [
+        (n_sessions + s, (sink, a, head))
+        for s, demand in enumerate(demands)
+        for sink in demand.sink_list
+        for a, head in pairs
+    ]
+    return (*usage, *flows)
+
+
+def _highs_model(start, index, value, cost, lower):
+    """HiGHS's model of the LP with CSC matrix (start, index, value), column
+    costs ``cost``, column bounds [0, inf) and row lowers ``lower``."""
+    highs = _highs()
+    n_vars, n_rows = cost.size, lower.size
+    # HiGHS's model takes lists far faster than arrays.
+    model = highs.HighsLp()
+    matrix = model.a_matrix_
+    model.num_col_ = matrix.num_col_ = n_vars
+    model.num_row_ = matrix.num_row_ = n_rows
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.start_ = start.tolist()
+    matrix.index_ = index.tolist()
+    matrix.value_ = value.tolist()
+    model.col_cost_ = cost.tolist()
+    model.col_lower_ = [0.0] * n_vars
+    model.col_upper_ = [np.inf] * n_vars
+    model.row_lower_ = lower.tolist()
+    return model
 
 
 def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
@@ -388,10 +467,10 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
     Each (session, sink) pair is one commodity c with its own block of f
     columns; every constraint family is emitted as whole (row, column, value)
     arrays by index arithmetic over the commodities, the (arc, head) pairs and
-    the node-pair incidence.
+    the node-pair incidence. This is the one emitter of routing LPs: every
+    other LP is `_restrict`'s selection from one it emitted.
     """
-    if objective not in ("maxmin", "sum"):
-        raise ValueError(f"objective must be 'maxmin' or 'sum', got {objective!r}")
+    _check_objective(objective)
     n_sessions = len(demands)
     n_arcs = len(arcs)
     pair_arcs = tuple(a for a, (_, heads, _) in enumerate(arcs) for _ in heads)
@@ -406,6 +485,8 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
     at_tail = nodes == np.array([arcs[a][0] for a in pair_arcs], dtype=object)
     at_head = nodes == np.array(pair_heads, dtype=object)
     incidence = at_tail.astype(float) - at_head
+    touch = at_tail | at_head
+    pair_arc = np.array(pair_arcs, dtype=np.intp)
 
     # Commodity c is one (session, sink); each has its own block of f columns.
     sink_lists = [demand.sink_list for demand in demands]
@@ -419,7 +500,7 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
     is_source = nodes.T == source_of[:, None]
     # A conservation row per commodity and node, except at the sink and at
     # nodes that touch no pair and are not the source.
-    keep = ((at_tail | at_head).any(1) | is_source) & (nodes.T != sink_of[:, None])
+    keep = (touch.any(1) | is_source) & (nodes.T != sink_of[:, None])
 
     x_col = 1 + n_sessions  # x_{s,a} sits at x_col + s * n_arcs + a
     f_col = x_col + n_sessions * n_arcs  # f_{c,p} sits at f_col + c * n_pairs + p
@@ -438,7 +519,6 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
     cap_rows = cap_row + np.arange(n_finite)
     con_c, con_k, con_p = np.nonzero(keep[:, :, None] & (incidence != 0.0))
     src_c, src_k = np.nonzero(keep & is_source)
-    pair_arc = np.array(pair_arcs, dtype=np.intp)
     triplets = [
         # Per-session draw on an arc: total over its heads bounded by the usage var.
         (
@@ -486,6 +566,34 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
     order = np.lexsort((rows, cols))
     start = np.zeros(n_vars + 1, dtype=np.intp)
     np.cumsum(np.bincount(cols, minlength=n_vars), out=start[1:])
+    index, value = rows[order], vals[order]
+    template = None
+    if not n_runs:
+        # Each row's and column's code in `_restrict`'s lookups; see `_Template`.
+        con_codes = np.where(is_source, 2 * n_arcs, 2 * n_arcs + 1 + np.arange(len(node_ids)))
+        template = _Template(
+            start=start,
+            index=index,
+            value=value,
+            entry_cols=cols[order],
+            col_codes=np.concatenate(
+                [
+                    np.full(x_col, n_arcs),
+                    np.tile(np.arange(n_arcs), n_sessions),
+                    np.tile(pair_arc, n_comm),
+                    [n_arcs],
+                ]
+            ),
+            row_codes=np.concatenate(
+                [
+                    np.tile(np.arange(n_arcs), n_comm),
+                    n_arcs + finite_arcs,
+                    np.full(n_sessions, 2 * n_arcs),
+                    con_codes[keep],
+                ]
+            ),
+            node_arcs=touch @ (pair_arc[:, None] == np.arange(n_arcs)),
+        )
     lower = np.zeros(n_rows)
     lower[:n_ub] = -np.inf
     upper = np.zeros(n_rows)
@@ -496,21 +604,8 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
         cost[0] = -1.0
     else:
         cost[1 : 1 + n_sessions] = -1.0
-    highs = _highs()
-    # HiGHS's model takes lists far faster than arrays.
-    model = highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = n_vars
-    model.num_row_ = model.a_matrix_.num_row_ = n_rows
-    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = start.tolist()
-    model.a_matrix_.index_ = rows[order].tolist()
-    model.a_matrix_.value_ = vals[order].tolist()
-    model.col_cost_ = cost.tolist()
-    model.col_lower_ = [0.0] * n_vars
-    model.col_upper_ = [np.inf] * n_vars
-    model.row_lower_ = lower.tolist()
     return _RoutingLP(
-        model=model,
+        model=_highs_model(start, index, value, cost, lower),
         cost=cost,
         lower=lower,
         upper=upper,
@@ -518,15 +613,72 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
         finite_arcs=finite_arcs,
         pair_arcs=pair_arcs,
         pair_heads=pair_heads,
-        n_arcs=n_arcs,
         f_cols=tuple(f_cols.tolist()),
         lam_col=lam_col,
+        slots=tuple((tail, heads) for tail, heads, _ in arcs),
+        witness_keys=_witness_keys(demands, n_arcs, pair_arcs, pair_heads),
+        template=template,
+    )
+
+
+def _restrict(lp: _RoutingLP, demands, present: np.ndarray, finite: np.ndarray) -> _RoutingLP:
+    """The routing LP of the arcs of template ``lp`` that ``present`` keeps,
+    with a capacity row for those that ``finite`` marks, derived by index
+    selection alone.
+
+    ``lp`` routes ``demands`` and has a capacity row for every arc that is
+    present and finite. The result is, bit for bit, the LP that
+    `_build_routing_lp` emits for the kept arcs: it keeps the columns of the
+    kept arcs and of their (arc, head) pairs, their draw rows, the capacity
+    rows of the kept finite arcs, every common-rate row, and the
+    conservation rows at each commodity's source or at a node that a kept
+    arc touches; rows and columns keep their order, and every column its
+    entries'. ``lp`` itself is returned when it keeps every arc and every
+    capacity row.
+    """
+    template = lp.template
+    bounded = present & finite
+    cap_keep = bounded[lp.finite_arcs]
+    if present.all() and cap_keep.all():
+        return lp
+    on = np.ones(1, dtype=bool)
+    col_keep = np.concatenate((present, on))[template.col_codes]  # one past the last too
+    touched = template.node_arcs @ present
+    row_keep = np.concatenate((present, bounded, on, touched))[template.row_codes]
+    hot = col_keep[template.entry_cols] & row_keep[template.index]
+    hot_before = np.zeros(hot.size + 1, dtype=np.intp)
+    np.cumsum(hot, out=hot_before[1:])
+    start = hot_before[template.start[col_keep]]
+    col_keep = col_keep[:-1]
+    row_at = np.cumsum(row_keep) - 1  # each kept row's position among the kept
+    index, value = row_at[template.index[hot]], template.value[hot]
+    cost, lower = lp.cost[col_keep], lp.lower[row_keep]
+    position = np.cumsum(present) - 1  # each kept arc's among the kept
+    pair_arc = np.array(lp.pair_arcs, dtype=np.intp)
+    kept_pairs = present[pair_arc]
+    pair_arcs = tuple(position[pair_arc[kept_pairs]].tolist())
+    pair_heads = tuple(compress(lp.pair_heads, kept_pairs))
+    cols = np.flatnonzero(col_keep)
+    return _RoutingLP(
+        model=_highs_model(start, index, value, cost, lower),
+        cost=cost,
+        lower=lower,
+        upper=lp.upper[row_keep],
+        capacity_rows=row_at[lp.capacity_rows[cap_keep]],
+        finite_arcs=position[lp.finite_arcs[cap_keep]],
+        pair_arcs=pair_arcs,
+        pair_heads=pair_heads,
+        f_cols=tuple(cols.searchsorted(lp.f_cols).tolist()),
+        lam_col=cols.size,
+        slots=tuple(compress(lp.slots, present)),
+        witness_keys=_witness_keys(demands, int(position[-1]) + 1, pair_arcs, pair_heads),
+        template=None,
     )
 
 
 @functools.lru_cache(maxsize=_LP_CACHE_SIZE)
 def _compiled_routing_lp(node_ids, arcs, demands, objective) -> _RoutingLP:
-    """The routing LP of one arc structure, compiled once and reused."""
+    """The routing LP template of one slot list, compiled once and reused."""
     return _build_routing_lp(node_ids, arcs, demands, objective)
 
 
@@ -571,28 +723,25 @@ def _results_from_solution(lp: _RoutingLP, demands, solution) -> list[FlowResult
     """One FlowResult per session, the witnesses read in one pass.
 
     The x block holds each session's draw per arc and the f block after it
-    each (session, sink) commodity's flow per (arc, head) pair; entries at or
-    below ``_WITNESS_FLOOR`` stay out of the witnesses.
+    each (session, sink) commodity's flow per (arc, head) pair; each entry
+    above ``_WITNESS_FLOOR`` fills the witness entry that its column's key in
+    ``lp.witness_keys`` names, the others stay out of the witnesses.
     """
-    commodities = [(s, sink) for s, d in enumerate(demands) for sink in d.sink_list]
-    usage = [{} for _ in demands]
-    flows = [{} for _ in demands]
-    x_col = 1 + len(demands)
-    n_drawn = lp.f_cols[0] - x_col
+    n_sessions = len(demands)
+    stores = [{} for _ in range(2 * n_sessions)]  # each session's usage, then its flows
+    x_col = 1 + n_sessions
     block = solution[x_col : lp.lam_col]
     hot = np.flatnonzero(block > _WITNESS_FLOOR)
+    keys = lp.witness_keys
     for i, value in zip(hot.tolist(), block[hot].tolist()):
-        if i < n_drawn:
-            s, a = divmod(i, lp.n_arcs)
-            usage[s][a] = value
-        else:
-            c, p = divmod(i - n_drawn, len(lp.pair_heads))
-            s, sink = commodities[c]
-            flows[s][(sink, lp.pair_arcs[p], lp.pair_heads[p])] = value
+        store, key = keys[i]
+        stores[store][key] = value
     rates = (solution[1:x_col] + 0.0).tolist()  # HiGHS may return -0.0
     return [
         FlowResult(demand=demand, rate=rate, witness={"usage": used, "flows": routes})
-        for demand, rate, used, routes in zip(demands, rates, usage, flows)
+        for demand, rate, used, routes in zip(
+            demands, rates, stores[:n_sessions], stores[n_sessions:]
+        )
     ]
 
 
@@ -612,8 +761,9 @@ def validate_hyper_result(
     pipe of ``arcs``, that usage and flows are nonnegative, that every flow
     heads for one of the session's sinks and enters one of its pipe's heads,
     per-pipe capacity sharing, per-session single-counting of hyper-arc
-    draws, and per-sink flow conservation delivering each session's rate. Each session's witness is read in one
-    pass. Raises AssertionError on any violation beyond tol.
+    draws, and per-sink flow conservation delivering each session's rate.
+    Each session's witness is read in one pass. Raises AssertionError on any
+    violation beyond tol.
     """
     total_usage = {a: 0.0 for a in range(len(arcs))}
     for s, (demand, result) in enumerate(zip(demands, results)):
@@ -871,11 +1021,11 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
     """The best inner bound over ``candidates`` of each scored quantity, and
     the winner's index: ``(rate, index)``, or ``(-inf, None)`` with no
     candidate. A candidate is a network over ``node_ids``: a row of an
-    `assemble.LowerBatch`, whose arcs are listed only when it is routed, or
-    one arc list of a list.
+    `assemble.LowerBatch`, routed by index (the batch's slots, the row's rates
+    and its `present` mask) with no arc list built, or one arc list of a list.
 
     A lone unicast demand is the one quantity, routed by `unicast_inner`.
-    Otherwise candidates are routed by `hyper_inner_batch` with
+    Otherwise candidates are routed as `hyper_inner_batch` routes them, with
     ``objective``, and the quantities are the demands, in order, for
     "maxmin" and their rate total for "sum". Each quantity ranks the
     candidates by descending cut (`demand_cut` of its demand, `sum_rate_cut`
@@ -883,18 +1033,44 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
     quantity's first candidate not yet routed; a quantity closes once that
     candidate's cut plus _CUT_MARGIN is at most its best rate, which no later
     candidate can then beat or tie. The earliest candidate of the best rate
-    wins, so the result is that of routing every candidate.
+    wins, so the result is that of routing every candidate. The rows of a
+    batch share one LP template, and the LP of each distinct set of present
+    and finite slots is derived from it once per call.
+
+    Raises:
+        ValueError: on an unknown objective.
     """
+    _check_objective(objective)
     demands = tuple(demands)
+    node_ids = tuple(node_ids)
     unicast = len(demands) == 1 and demands[0].kind == "unicast"
     total = objective == "sum" and not unicast
     batch = hasattr(candidates, "slots")
-    arcs_of = candidates.arcs if batch else candidates.__getitem__
-    count = len(candidates.rates) if batch else len(candidates)
+    if batch:
+        slots, rates, present = candidates.slots, candidates.rates, candidates.present
+        count = len(rates)
+        structure = tuple((tail, heads, True) for tail, heads in slots)  # its template's
+
+        def arcs_of(run: int) -> list[tuple]:  # the row's arcs, unlabelled
+            return [
+                (*slot, rate, None)
+                for slot, rate in compress(zip(slots, rates[run].tolist()), present[run])
+            ]
+
+        def run_of(run: int) -> tuple:
+            return structure, present[run], rates[run]
+
+    else:
+        count = len(candidates)
+        arcs_of = candidates.__getitem__
+
+        def run_of(run: int) -> tuple:
+            return _list_run(candidates[run])
+
     if total:
         cuts = [np.array([sum_rate_cut(arcs_of(run), demands) for run in range(count)])]
     elif batch:
-        cuts = [demand_cut(candidates.slots, candidates.rates, d) for d in demands]
+        cuts = [demand_cut(slots, rates, d) for d in demands]
     else:
         rows = [  # each arc list as slots and a one-row batch of rates
             ([arc[:2] for arc in arcs], np.array([[arc[2] for arc in arcs]])) for arcs in candidates
@@ -905,6 +1081,7 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
     ranks = {q: np.lexsort((index, -cut))[::-1].tolist() for q, cut in enumerate(cuts)}
     best = [(-math.inf, None)] * len(cuts)
     routed = set()
+    held = {}  # LPs of this search; see `_route`
     while ranks:
         picks = []
         for q, rank in list(ranks.items()):
@@ -917,11 +1094,11 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
         if unicast:
             rated = ([unicast_inner(node_ids, arcs_of(run), demands[0]).rate] for run in picks)
         else:
-            routings = hyper_inner_batch(node_ids, map(arcs_of, picks), demands, objective)
+            routings = _route(node_ids, map(run_of, picks), demands, objective, held)
             rated = ([result.rate for result in results] for results in routings)
-        for run, rates in zip(picks, rated):
+        for run, scores in zip(picks, rated):
             routed.add(run)
-            for q, rate in enumerate([ltr_sum(rates)] if total else rates):
+            for q, rate in enumerate([ltr_sum(scores)] if total else scores):
                 cut = cuts[q][run]
                 assert rate <= cut + _CUT_MARGIN, f"candidate {run}: {rate} exceeds its cut {cut}"
                 if rate > best[q][0] or rate == best[q][0] and run < best[q][1]:
@@ -957,6 +1134,12 @@ def _structure(arcs) -> tuple:
     return tuple((tail, heads, rate != math.inf) for tail, heads, rate, _ in arcs)
 
 
+def _list_run(arcs) -> tuple:
+    """One arc list as a run of `_route`: its structure, every pipe present,
+    and its rates."""
+    return _structure(arcs), None, np.array([rate for _, _, rate, _ in arcs])
+
+
 def hyper_inner_batch(
     node_ids,
     arc_lists,
@@ -966,52 +1149,72 @@ def hyper_inner_batch(
     """`hyper_inner` of every arc list in ``arc_lists``, solved as one batch.
 
     The runs share ``node_ids``, ``demands`` and ``objective`` and may differ
-    in arc structure and rates. The batch works in three phases: it reads
-    every arc list and compiles each distinct arc structure once, holding it
-    for the whole call (so the LRU of compiled LPs cannot evict a structure
+    in arc structure and rates. Each arc list's own pipes are its LP
+    template, which it uses as is. The batch works in three phases (see
+    `_route`): it compiles each distinct arc structure once and holds it for
+    the whole call (so the LRU of templates cannot evict a structure
     mid-batch); then it solves every run back to back; only then does it read
     each run's witnesses and validate them. Each solve is a cold start, so a
     run's result does not depend on the runs solved before it.
 
-    Yields one run's validated FlowResults (as `hyper_inner` returns them) at
-    a time, in input order; a run's results and witnesses are not kept once
-    yielded. ``arc_lists`` may be any iterable and is read once, in the
-    first phase.
+    Returns an iterator that yields one run's validated FlowResults (as
+    `hyper_inner` returns them) at a time, in input order; a run's results
+    and witnesses are not kept once yielded. ``arc_lists`` may be any
+    iterable and is read once, in the first phase.
 
     Raises:
-        ValueError: on empty demands or an unknown objective.
+        ValueError: on empty demands or an unknown objective, at the call.
         RuntimeError: when a routing LP has no optimal solution.
         AssertionError: when a witness fails `validate_hyper_result`.
     """
+    _check_objective(objective)
     demands = tuple(demands)
     if not demands:
         raise ValueError("demands must be nonempty")
-    node_ids = tuple(node_ids)
-    # Phase 1: each run as its structure (one tuple per distinct structure),
-    # that structure's compiled LP and its arc rates; the caller's arc lists,
-    # labels and all, are not kept, so a long sweep does not hold them.
-    compiled: dict[tuple, tuple[tuple, _RoutingLP]] = {}
-    runs = []
-    for arcs in arc_lists:
-        structure = _structure(arcs)
-        entry = compiled.get(structure)
-        if entry is None:
-            lp = _compiled_routing_lp(node_ids, structure, demands, objective)
-            entry = compiled[structure] = (structure, lp)
-        runs.append((*entry, np.array([rate for _, _, rate, _ in arcs])))
+    return _route(tuple(node_ids), map(_list_run, arc_lists), demands, objective, {})
+
+
+def _route(node_ids, runs, demands, objective, held: dict) -> Iterator[list[FlowResult]]:
+    """Route every run of ``runs`` in three phases, yielding each run's
+    validated FlowResults in order.
+
+    A run is ``(structure, present, rates)``: the structure, ``(tail, heads,
+    finite)`` per slot, of its LP template; the mask of the slots it holds,
+    or None when it holds them all as the template has them; and its rate
+    per slot. Phase 1 takes each run's LP: the template, compiled by the LRU
+    `_compiled_routing_lp`, or `_restrict`'s selection from it of the present
+    slots and the finite ones among them. ``held`` keeps both for the
+    caller's whole search, each template by its structure and each
+    restriction by (template, present slots, finite slots), so none is
+    compiled or derived twice within it and the LRU cannot evict one the
+    search still uses; only the present slots' rates are kept. Phase 2 solves
+    every run back to back. Phase 3 reads each run's witnesses and checks
+    them against its arcs, rebuilt from its LP's slots and its rates, which
+    are the caller's values.
+    """
+    # Phase 1: each run's LP and the rates of its present slots.
+    prepared = []
+    for structure, present, rates in runs:
+        lp = held.get(structure)
+        if lp is None:
+            lp = held[structure] = _compiled_routing_lp(node_ids, structure, demands, objective)
+        if present is not None:
+            finite = rates != math.inf
+            key = (lp, present.tobytes(), finite.tobytes())
+            template, lp = lp, held.get(key)
+            if lp is None:
+                lp = held[key] = _restrict(template, demands, present, finite)
+            rates = rates[present]
+        prepared.append((lp, rates))
     # Phase 2: every solve, back to back.
     solutions = []
-    for _, lp, rates in runs:
+    for lp, rates in prepared:
         upper = lp.upper.copy()
         upper[lp.capacity_rows] = rates[lp.finite_arcs]
         solutions.append(_solve_lp(lp, upper))
-    # Phase 3: each run's witnesses, checked against its arcs as rebuilt from
-    # the structure and the rates, which are the caller's values.
-    for (structure, lp, rates), solution in zip(runs, solutions):
-        arcs = [
-            (tail, heads, rate, None)
-            for (tail, heads, _), rate in zip(structure, rates.tolist())
-        ]
+    # Phase 3: each run's witnesses, checked against its arcs.
+    for (lp, rates), solution in zip(prepared, solutions):
+        arcs = [(*slot, rate, None) for slot, rate in zip(lp.slots, rates.tolist())]
         results = _results_from_solution(lp, demands, solution)
         validate_hyper_result(node_ids, arcs, demands, results)
         yield results

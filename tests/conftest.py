@@ -2,12 +2,14 @@
 
 import pytest
 
-from netbounds import assemble
+from netbounds import assemble, flows
 
 
 @pytest.fixture(autouse=True)
-def cold_assembly_caches():
-    """Start every test with every assembly cache empty (the frames and the
-    MAC-rate sweeps), so counts of `mac_upper` calls and of what the
-    structures build do not depend on which tests ran before."""
+def cold_module_caches():
+    """Start every test with every module cache of results empty (the
+    assembly frames and MAC-rate sweeps, and the routing LP templates), so
+    counts of `mac_upper` calls, of what the structures build and of the LPs
+    compiled do not depend on which tests ran before."""
     assemble._clear_caches()
+    flows._compiled_routing_lp.cache_clear()

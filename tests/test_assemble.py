@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netbounds import assemble, experiments
+from netbounds import assemble, experiments, flows
 from netbounds.assemble import (
     LowerParams,
     LowerStructure,
@@ -724,6 +724,23 @@ def test_clear_caches_empties_every_module_cache():
     stores = [
         name
         for name, value in vars(assemble).items()
+        if not name.startswith("__") and isinstance(value, MutableMapping)
+    ]
+    assert stores == []
+
+
+def test_conftest_clears_every_flows_cache_of_results():
+    # `tests/conftest.py` clears the routing LP templates before every test.
+    # `_highs` and `_solver` hold SciPy's HiGHS bindings and the one solver,
+    # which every solve resets; a further module cache fails here until the
+    # fixture clears it too.
+    hyper_inner(("s", "t"), [("s", ("t",), 1.0, "pipe")], (Demand("unicast", "s", {"t"}),))
+    caches = {name: value for name, value in vars(flows).items() if hasattr(value, "cache_info")}
+    assert set(caches) == {"_highs", "_solver", "_compiled_routing_lp"}
+    assert caches["_compiled_routing_lp"].cache_info().currsize == 1
+    stores = [
+        name
+        for name, value in vars(flows).items()
         if not name.startswith("__") and isinstance(value, MutableMapping)
     ]
     assert stores == []

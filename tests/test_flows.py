@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csc_array
+from test_bounds_fuzz import SEED, random_document, tied_document
 
 from netbounds import cli, experiments, flows
-from netbounds.assemble import LowerParams, LowerStructure, build_lower
+from netbounds.assemble import LowerBatch, LowerParams, LowerStructure, build_lower
 from netbounds.bc import simplex_grid
 from netbounds.decouple import decompose
 from netbounds.flows import (
@@ -935,7 +936,12 @@ class TestDirectSolveMatchesMilp:
 
 
 class TestRoutingLpCache:
+    """The LRU holds LP templates. An arc list's own pipes are its template,
+    keyed by its structure and used as is; a `LowerBatch`'s slots are one
+    template, restricted per routed run."""
+
     def test_candidates_with_one_arc_structure_share_a_compiled_lp(self):
+        # Two arc lists of one structure: one template, compiled once.
         first, second = relay_lower(0.5), relay_lower(0.3)
         assert [arc[:2] for arc in first.arcs] == [arc[:2] for arc in second.arcs]
         assert [arc[2] for arc in first.arcs] != [arc[2] for arc in second.arcs]
@@ -951,6 +957,8 @@ class TestRoutingLpCache:
 
     @pytest.mark.parametrize("change", ["finiteness", "demand order", "objective"])
     def test_structure_change_misses_the_cache(self, change):
+        # An arc list's template is keyed by its structure, demands and
+        # objective: changing any one compiles a second template.
         edges = [
             ("s1", "m", 1.0),
             ("s2", "m", 2.0),
@@ -974,6 +982,7 @@ class TestRoutingLpCache:
         assert_same_results(got, fresh_solve(net, demands, objective))
 
     def test_cache_holds_at_most_its_fixed_size(self):
+        # One template per chain, each its own slot list.
         flows._compiled_routing_lp.cache_clear()
         maxsize = flows._compiled_routing_lp.cache_info().maxsize
         assert maxsize is not None
@@ -989,20 +998,30 @@ class TestRoutingLpCache:
     ):
         path = tmp_path / "net.json"
         path.write_text(json.dumps(TWO_BY_THREE_DOC), encoding="utf-8")
-        compiled = flows._compiled_routing_lp
-        keys = []
+        compiled, restrict = flows._compiled_routing_lp, flows._restrict
+        keys, restricted = [], []
 
         def record(*key):
             keys.append(key)
             return compiled(*key)
 
+        def restricting(*args):
+            restricted.append(restrict(*args))
+            return restricted[-1]
+
         monkeypatch.setattr(flows, "_compiled_routing_lp", record)
-        compiled.cache_clear()
-        assert cli.main(["bounds", str(path), "--beta-step", "0.25"]) == 0
+        monkeypatch.setattr(flows, "_restrict", restricting)
+        solves = solved_lps(
+            monkeypatch, lambda: cli.main(["bounds", str(path), "--beta-step", "0.25"])
+        )
         # Each side's three shares have 7 support patterns, so the sweep has
         # 7 * 7 structures; the 19 runs that `bound` routes have 9 of them.
-        assert (len(keys), len(set(keys))) == (19, 9)
-        assert compiled.cache_info().misses == len(set(keys))
+        # The batch's slots are one template, and each of the 9 structures is
+        # restricted from it once, for every run of that structure.
+        structures = {(lp.slots, tuple(lp.finite_arcs.tolist())) for lp in restricted}
+        assert (len(solves), len(keys), len(restricted), len(structures)) == (19, 1, 9, 9)
+        assert {id(lp) for lp, _ in solves} == {id(lp) for lp in restricted}
+        assert compiled.cache_info().misses == 1
 
     @pytest.mark.parametrize("objective", ["sum", "maxmin"])
     def test_unbounded_lp_raises(self, objective):
@@ -1064,8 +1083,9 @@ class TestHyperInnerBatch:
 
     def test_compiles_each_structure_once_beyond_the_cache_size(self, monkeypatch):
         # More distinct structures than the LRU holds, each routed twice with
-        # the whole first round between: per-run calls would compile each
-        # structure twice, the batch holds every one for the call.
+        # the whole first round between: each arc list is its own template,
+        # used as is; per-run calls would compile each template twice, the
+        # batch holds every one for the call.
         count = flows._LP_CACHE_SIZE + 4
         chains = [[(f"n{i}", f"n{i + 1}") for i in range(k + 1)] for k in range(count)]
         arc_lists = [
@@ -1083,10 +1103,13 @@ class TestHyperInnerBatch:
             return build(*args)
 
         monkeypatch.setattr(flows, "_build_routing_lp", counting)
+        restricted = []
+        monkeypatch.setattr(flows, "_restrict", lambda *args: restricted.append(args))
         flows._compiled_routing_lp.cache_clear()
         runs = list(hyper_inner_batch(node_ids, arc_lists, demands))
         flows._compiled_routing_lp.cache_clear()
         assert len(built) == len(set(built)) == count
+        assert restricted == []
         assert [results[0].rate for results in runs] == [1.0] * count + [2.5] * count
 
 
@@ -1297,3 +1320,182 @@ class TestSharedSolver:
         assert cli.main(["bounds", str(path), "--beta-step", "0.25"]) == 0
         # The cleared cache makes the run build its solver: exactly once.
         assert len(made) == 1
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def assert_same_lp(got, want):
+    """``got`` is ``want``'s HiGHS model and metadata, bit for bit."""
+    for name in ("num_row_", "num_col_", "col_cost_", "row_lower_"):
+        assert same_bits(getattr(got.model, name), getattr(want.model, name)), name
+    for name in ("start_", "index_", "value_"):
+        assert same_bits(getattr(got.model.a_matrix_, name), getattr(want.model.a_matrix_, name))
+    for name in ("capacity_rows", "finite_arcs", "cost", "lower", "upper"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    # `slots` holds n_arcs, and `witness_keys` each column's witness entry.
+    for name in ("pair_arcs", "pair_heads", "f_cols", "lam_col", "slots", "witness_keys"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def routed_lps(monkeypatch, run) -> list[tuple]:
+    """(solved LP, the LP `_build_routing_lp` emits for its run) of every
+    routing LP that ``run()`` solves. A template's run has the structure it
+    was compiled from; a restricted LP's run has the template's slots that
+    are present, each finite where the run's rate is."""
+    built, derived = {}, {}
+    build, restrict = flows._build_routing_lp, flows._restrict
+
+    def building(*args):
+        lp = build(*args)
+        built[id(lp)] = (lp, args)
+        return lp
+
+    def restricting(lp, demands, present, finite):
+        got = restrict(lp, demands, present, finite)
+        node_ids, arcs, _, objective = built[id(lp)][1]
+        kept = tuple(
+            (tail, heads, bool(rate_is_finite))
+            for (tail, heads, _), here, rate_is_finite in zip(arcs, present, finite)
+            if here
+        )
+        derived[id(got)] = (got, (node_ids, kept, demands, objective))
+        return got
+
+    flows._compiled_routing_lp.cache_clear()  # so that every template is built here
+    with monkeypatch.context() as patch:
+        patch.setattr(flows, "_build_routing_lp", building)
+        patch.setattr(flows, "_restrict", restricting)
+        solves = solved_lps(patch, run)
+    return [(lp, build(*(derived.get(id(lp)) or built[id(lp)])[1])) for lp, _ in solves]
+
+
+def run_bounds(tmp_path, doc, step):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return cli.main(["bounds", str(path), "--beta-step", str(step)])
+
+
+class TestRestrictedLpMatchesDirectCompile:
+    """Every LP `bound` routes, restricted from its batch's template, is the
+    LP `_build_routing_lp` compiles from its run's own structure."""
+
+    def test_two_by_three_file(self, tmp_path, monkeypatch, capsys):
+        routed = routed_lps(monkeypatch, lambda: run_bounds(tmp_path, TWO_BY_THREE_DOC, 0.25))
+        assert len(routed) == 19
+        for got, want in routed:
+            assert_same_lp(got, want)
+        # Some runs leave layers out: their LPs are proper restrictions.
+        assert min(len(got.slots) for got, _ in routed) < max(len(got.slots) for got, _ in routed)
+
+    def test_both_fuzz_families(self, tmp_path, monkeypatch, capsys):
+        rng = random.Random(SEED)
+        docs = [random_document(rng, 100.0) for _ in range(30)]
+        docs += [
+            tied_document(*shape, snr_db)
+            for shape in [(2, 2, "unicast"), (2, 3, "multicast"), (3, 2, "unicast")]
+            for snr_db in (-150.0, -3.5, 0.0, 12.0, 150.0)
+        ]
+        routed = 0
+        for doc in docs:
+            pairs = routed_lps(monkeypatch, lambda: run_bounds(tmp_path, doc, 0.5))
+            for got, want in pairs:
+                assert_same_lp(got, want)
+            routed += len(pairs)
+        assert routed > 100
+
+    def test_kept_point_to_point_arc_of_rate_0(self, tmp_path, monkeypatch, capsys):
+        # The 21st draw of the fuzz generator at seed 777: its BSC N4 -> N1 at
+        # eps 0.5 has capacity 0, and its point-to-point arc stays in every run.
+        rng = random.Random(777)
+        doc = [random_document(rng, 100.0) for _ in range(21)][-1]
+        assert {"from": "N4", "to": "N1", "kind": "bsc", "eps": 0.5} in doc["links"]
+        batches = []
+        rate_batch = LowerStructure.rate_batch
+
+        def recording(structure, bc_betas):
+            batches.append(rate_batch(structure, bc_betas))
+            return batches[-1]
+
+        monkeypatch.setattr(LowerStructure, "rate_batch", recording)
+        routed = routed_lps(monkeypatch, lambda: run_bounds(tmp_path, doc, 0.25))
+        [batch] = batches
+        slot = batch.slots.index(("N4", ("N1",)))
+        assert (batch.rates[:, slot] == 0.0).all() and batch.present[:, slot].all()
+        assert routed
+        for got, want in routed:
+            assert ("N4", ("N1",)) in got.slots
+            assert_same_lp(got, want)
+
+    @pytest.mark.parametrize("objective", ["maxmin", "sum"])
+    def test_every_subset_of_pipes_with_an_infinite_one(self, objective):
+        # Pipes of infinite rate, a self-loop head and an idle node; every
+        # subset of the pipes, restricted from the template of all of them.
+        net = pipes_network(
+            [
+                ("s1", "m", 2.0),
+                ("s2", "m", INF),
+                ("m", ("t1", "t2", "m"), 1.5),
+                ("m", "t3", INF),
+                ("s2", "t3", 0.5),
+                ("t1", "t2", 0.25),
+            ],
+            extra_nodes=("idle",),
+        )
+        demands = (multicast("s1", {"t1", "t2"}), unicast("s2", "t3"))
+        finite = np.array([rate != INF for _, _, rate, _ in net.arcs])
+        template = flows._build_routing_lp(
+            net.node_ids, tuple((tail, heads, True) for tail, heads, _, _ in net.arcs), demands, objective
+        )
+        for present in itertools.product([False, True], repeat=len(net.arcs)):
+            present = np.array(present)
+            kept = tuple(
+                (tail, heads, bool(bounded))
+                for (tail, heads, _, _), here, bounded in zip(net.arcs, present, finite)
+                if here
+            )
+            want = flows._build_routing_lp(net.node_ids, kept, demands, objective)
+            assert_same_lp(flows._restrict(template, demands, present, finite), want)
+
+    def test_batch_rows_route_as_their_arc_lists(self, monkeypatch):
+        # A batch of one group whose slots include a pipe of infinite rate and
+        # a point-to-point slot of rate 0; the rows route, by index, to the
+        # results of their arc lists.
+        slots = (("s", ("a", "b")), ("s", ("b",)), ("a", ("t",)), ("b", ("t",)), ("s", ("t",)))
+        labels = (("bc", 0, 1.0), ("bc", 1, 0.5), "a-t", ("mac", ("b",)), "s-t")
+        rates = np.array(
+            [
+                [1.0, 0.5, INF, 0.75, 0.0],
+                [0.0, 1.5, INF, 0.5, 0.0],
+                [2.0, 0.0, 0.25, 0.0, 0.0],
+                [0.0, 0.0, INF, 0.0, 0.0],
+            ]
+        )
+        batch = LowerBatch(slots, rates, ((labels, {}),), np.zeros(len(rates), dtype=np.intp))
+        assert batch.present.tolist() == [
+            [True, True, True, True, True],
+            [False, True, True, True, True],
+            [True, False, True, False, True],
+            [False, False, True, False, True],
+        ]
+        node_ids = ("s", "a", "b", "t")
+        demands = (unicast("s", "t"), multicast("s", {"a", "t"}))
+        routed = routed_lps(monkeypatch, lambda: best_inner(node_ids, batch, demands))
+        for got, want in routed:
+            assert_same_lp(got, want)
+        assert best_inner(node_ids, batch, demands) == best_inner(
+            node_ids, [batch.arcs(row) for row in range(len(rates))], demands
+        )
+
+
+class TestObjectiveRefusal:
+    def test_best_inner_refuses_an_unknown_objective_on_a_lone_unicast(self):
+        candidates = [[("a", ("b",), 1.0, None)]]
+        with pytest.raises(ValueError, match="objective must be"):
+            best_inner(("a", "b"), candidates, (unicast("a", "b"),), "bogus")
+
+    def test_hyper_inner_batch_refuses_an_unknown_objective_without_runs(self):
+        with pytest.raises(ValueError, match="objective must be"):
+            list(hyper_inner_batch(("a", "b"), [], (unicast("a", "b"),), "bogus"))

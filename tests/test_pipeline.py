@@ -424,7 +424,8 @@ def test_one_unicast_demand_on_a_wide_broadcast_certifies_one_flow(monkeypatch):
 def test_bound_rates_and_validates_its_sweep_as_one_batch(monkeypatch):
     # Counts of calls, which do not depend on machine speed: each sweep is one
     # batch, the inner one validated once per decode-order group and the
-    # outer one once, and an arc list is built only for a run that is routed.
+    # outer one once, and no arc list is built: the routed runs are routed
+    # by index, as the batch's slots, their rates and their presence masks.
     net = parse_network((DATA / "lower_bounds_3x2xmulticast-1.json").read_text(encoding="utf-8"))
     arcs = counted(monkeypatch, LowerStructure, "arcs")
     batches = counted(monkeypatch, LowerStructure, "rate_batch")
@@ -440,4 +441,4 @@ def test_bound_rates_and_validates_its_sweep_as_one_batch(monkeypatch):
     [batch] = batches
     assert len(batch.groups) > 1
     assert len(validated) == len(batch.groups) + 1
-    assert len(arc_lists) == len(solves) == 25
+    assert (len(arc_lists), len(solves)) == (0, 25)
