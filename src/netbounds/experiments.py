@@ -42,8 +42,8 @@ from .info import awgn_capacity, db_to_linear, ltr_sum, qsc_capacity
 from .mac import MacSpec, mac_upper
 from .netmodel import Demand, Node, NoisyLink, NoisyNetwork
 
-# Default sweep over the noise fraction assigned to the multi-access sum
-# constraint; alpha = 1 recovers the classical sum rate.
+# The example drivers' sweep over the noise fraction assigned to the
+# multi-access sum constraint; alpha = 1 recovers the classical sum rate.
 ALPHA_GRID = tuple(k / 10 for k in range(11))
 
 # The least improvement by which a candidate replaces the incumbent.
@@ -178,7 +178,6 @@ def relay_experiment(
     gamma_sd_db: float,
     gamma_rd_db: float,
     gamma_sr_db_values,
-    alphas=ALPHA_GRID,
 ) -> list[dict]:
     """Relay bounds next to the classical benchmarks, one row per sweep point."""
     gamma_sd = db_to_linear(gamma_sd_db)
@@ -191,7 +190,7 @@ def relay_experiment(
         rows.append(
             {
                 "gamma_sr_db": gamma_sr_db,
-                "eq_upper": relay_eq_upper(components, alphas),
+                "eq_upper": relay_eq_upper(components),
                 "eq_lower": relay_eq_lower(components),
                 "cutset": cutset_bound(spec),
                 "df": df_bound(spec),
@@ -237,7 +236,7 @@ def layered_network(num_pairs: int, gamma: float) -> NoisyNetwork:
     return NoisyNetwork(nodes=nodes, links=tuple(links), demands=demands)
 
 
-def layered_experiment(num_pairs: int, gamma: float, alphas=ALPHA_GRID) -> dict:
+def layered_experiment(num_pairs: int, gamma: float) -> dict:
     """Symmetric-rate bounds on the line network against their closed forms.
 
     The outer flow equals C(gamma)/n at every alpha because the single link
@@ -261,8 +260,8 @@ def layered_experiment(num_pairs: int, gamma: float, alphas=ALPHA_GRID) -> dict:
     rows = []
     upper = UpperStructure(components)
     spec = MacSpec(gammas=(gamma, gamma))
-    mac_rates = mac_upper([(spec, alpha) for alpha in alphas])
-    for alpha, rates in zip(alphas, mac_rates):
+    mac_rates = mac_upper([(spec, alpha) for alpha in ALPHA_GRID])
+    for alpha, rates in zip(ALPHA_GRID, mac_rates):
         arcs = upper.arcs(alpha)
         results = hyper_inner(upper.node_ids, arcs, demands, objective="maxmin")
         outer_sym = min(result.rate for result in results)
@@ -442,7 +441,6 @@ def multicast_experiment(
     delta_ratio_db: float,
     q: int,
     xi: float,
-    alphas=ALPHA_GRID,
 ) -> list[dict]:
     """Sum-rate bounds for the two-source fan, one row per power level.
 
@@ -466,7 +464,7 @@ def multicast_experiment(
         rows.append(
             {
                 "p_db": p_db,
-                "eq_upper_sum": multicast_eq_upper(components, sinks, alphas),
+                "eq_upper_sum": multicast_eq_upper(components, sinks),
                 "eq_lower_sum": multicast_eq_lower(net, components),
                 "coop": coop,
                 "mac": mac,

@@ -10,19 +10,18 @@ index arrays, as HiGHS's own model once per slot list, its template: an arc
 list's own pipes, or every slot of an `assemble.LowerBatch`. The LP of each
 batch row is derived from the batch's template by index selection alone: the
 row's absent pipes and the capacity rows of its infinite ones are left out,
-and the result is, bit for bit, the LP compiled from the row's own arcs.
-hyper_inner_batch routes many arc lists, and each round of best_inner many
-rows or arc lists, in three phases: it takes each run's LP, holding every
-template and derived LP for the call, solves every run back to back, and
-only then reads and checks each run's witnesses; hyper_inner is its one-run
-case. Every solve hands its LP to
-one long-lived HiGHS instance through SciPy's bundled bindings, which discards
-the previous model and basis, so each solve is a cold start and the order of
-the solves does not change any result. SciPy loads at the first routing LP,
-so a process that solves none never imports it. HiGHS solves to a primal
-feasibility tolerance of 1e-10, below the 1e-9 to which every reported flow is
-re-validated against conservation and capacity constraints; bounds are
-certifiable, not solver folklore.
+and the result is, bit for bit, the LP compiled from the row's own arcs. The
+LRU of templates is the one routing-LP cache; each template keeps the LPs
+derived from it. hyper_inner routes one arc list, and best_inner each of its
+picks, one run at a time: take its LP, solve it, read and check its
+witnesses. Every solve hands its LP to one long-lived HiGHS instance through
+SciPy's bundled bindings, which discards the previous model and basis, so
+each solve is a cold start and the order of the solves does not change any
+result. SciPy loads at the first routing LP, so a process that solves none
+never imports it. HiGHS solves to a primal feasibility tolerance of 1e-10,
+below the 1e-9 to which every reported flow is re-validated against
+conservation and capacity constraints; bounds are certifiable, not solver
+folklore.
 
 Every function here reads a bounding network as its node ids and its arcs,
 ``(tail, heads, rate, label)`` tuples in pipe order, the form that
@@ -59,8 +58,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, zip_longest
 
 import numpy as np
@@ -91,7 +89,6 @@ __all__ = [
     "least_outer",
     "best_inner",
     "hyper_inner",
-    "hyper_inner_batch",
     "blend_inner",
     "validate_hyper_result",
 ]
@@ -407,6 +404,11 @@ class _Template:
     present arc: a draw row's code is its arc, a capacity row's n plus its
     arc, a common-rate row's and a source's conservation row's 2n, and any
     other conservation row's 2n + 1 plus its node.
+
+    ``derived`` keeps the LPs that `_route` restricts from the template,
+    keyed by the bytes of their present and finite masks, so that they live
+    and are evicted with it. It never holds the template's own LP: that
+    would be a reference cycle, which reference counting cannot free.
     """
 
     start: np.ndarray  # the CSC matrix, as `model` holds it
@@ -416,6 +418,7 @@ class _Template:
     col_codes: np.ndarray
     row_codes: np.ndarray
     node_arcs: np.ndarray  # per node and arc, whether the arc's tail or a head is the node
+    derived: dict = field(default_factory=dict)
 
 
 def _witness_keys(demands, n_arcs: int, pair_arcs, pair_heads) -> tuple:
@@ -703,8 +706,7 @@ def _solve_lp(lp: _RoutingLP, upper: np.ndarray) -> np.ndarray:
     Every call passes its model to the one long-lived HiGHS instance.
     ``passModel`` replaces the previous model and discards its basis and
     solution, so each solve is a cold start and its result does not depend
-    on the solves before it. That is what lets `hyper_inner_batch` run a
-    batch's solves back to back, in any order.
+    on the solves before it: runs may be routed in any order.
     """
     lp.model.row_upper_ = upper.tolist()
     highs = _highs()
@@ -1025,17 +1027,17 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
     and its `present` mask) with no arc list built, or one arc list of a list.
 
     A lone unicast demand is the one quantity, routed by `unicast_inner`.
-    Otherwise candidates are routed as `hyper_inner_batch` routes them, with
+    Otherwise each candidate is routed as `hyper_inner` routes it, with
     ``objective``, and the quantities are the demands, in order, for
     "maxmin" and their rate total for "sum". Each quantity ranks the
     candidates by descending cut (`demand_cut` of its demand, `sum_rate_cut`
-    of the total), then by index. Every round routes, as one batch, each open
-    quantity's first candidate not yet routed; a quantity closes once that
-    candidate's cut plus _CUT_MARGIN is at most its best rate, which no later
-    candidate can then beat or tie. The earliest candidate of the best rate
-    wins, so the result is that of routing every candidate. The rows of a
-    batch share one LP template, and the LP of each distinct set of present
-    and finite slots is derived from it once per call.
+    of the total), then by index. Every round routes each open quantity's
+    first candidate not yet routed; a quantity closes once that candidate's
+    cut plus _CUT_MARGIN is at most its best rate, which no later candidate
+    can then beat or tie. The earliest candidate of the best rate wins, so
+    the result is that of routing every candidate. The rows of a batch share
+    one LP template, and the LP of each distinct set of present and finite
+    slots is derived from it once while the template is cached.
 
     Raises:
         ValueError: on an unknown objective.
@@ -1057,15 +1059,9 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
                 for slot, rate in compress(zip(slots, rates[run].tolist()), present[run])
             ]
 
-        def run_of(run: int) -> tuple:
-            return structure, present[run], rates[run]
-
     else:
         count = len(candidates)
         arcs_of = candidates.__getitem__
-
-        def run_of(run: int) -> tuple:
-            return _list_run(candidates[run])
 
     if total:
         cuts = [np.array([sum_rate_cut(arcs_of(run), demands) for run in range(count)])]
@@ -1081,7 +1077,6 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
     ranks = {q: np.lexsort((index, -cut))[::-1].tolist() for q, cut in enumerate(cuts)}
     best = [(-math.inf, None)] * len(cuts)
     routed = set()
-    held = {}  # LPs of this search; see `_route`
     while ranks:
         picks = []
         for q, rank in list(ranks.items()):
@@ -1091,12 +1086,12 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
                 del ranks[q]
             elif rank[-1] not in picks:
                 picks.append(rank[-1])
-        if unicast:
-            rated = ([unicast_inner(node_ids, arcs_of(run), demands[0]).rate] for run in picks)
-        else:
-            routings = _route(node_ids, map(run_of, picks), demands, objective, held)
-            rated = ([result.rate for result in results] for results in routings)
-        for run, scores in zip(picks, rated):
+        for run in picks:
+            if unicast:
+                scores = [unicast_inner(node_ids, arcs_of(run), demands[0]).rate]
+            else:
+                own = (structure, present[run], rates[run]) if batch else _list_run(arcs_of(run))
+                scores = [result.rate for result in _route(node_ids, *own, demands, objective)]
             routed.add(run)
             for q, rate in enumerate([ltr_sum(scores)] if total else scores):
                 cut = cuts[q][run]
@@ -1123,10 +1118,19 @@ def hyper_inner(
     copying at hyper-arc heads.
 
     Returns one FlowResult per demand; witnesses are re-validated before
-    returning. This is `hyper_inner_batch` of the one arc list.
+    returning.
+
+    Raises:
+        ValueError: on empty demands or an unknown objective, before any LP
+            is compiled.
+        RuntimeError: when the routing LP has no optimal solution.
+        AssertionError: when a witness fails `validate_hyper_result`.
     """
-    [results] = hyper_inner_batch(node_ids, [arcs], demands, objective)
-    return results
+    _check_objective(objective)
+    demands = tuple(demands)
+    if not demands:
+        raise ValueError("demands must be nonempty")
+    return _route(tuple(node_ids), *_list_run(arcs), demands, objective)
 
 
 def _structure(arcs) -> tuple:
@@ -1140,84 +1144,35 @@ def _list_run(arcs) -> tuple:
     return _structure(arcs), None, np.array([rate for _, _, rate, _ in arcs])
 
 
-def hyper_inner_batch(
-    node_ids,
-    arc_lists,
-    demands: tuple[Demand, ...],
-    objective: str = "maxmin",
-) -> Iterator[list[FlowResult]]:
-    """`hyper_inner` of every arc list in ``arc_lists``, solved as one batch.
+def _route(node_ids, structure, present, rates, demands, objective) -> list[FlowResult]:
+    """The validated FlowResults of one run.
 
-    The runs share ``node_ids``, ``demands`` and ``objective`` and may differ
-    in arc structure and rates. Each arc list's own pipes are its LP
-    template, which it uses as is. The batch works in three phases (see
-    `_route`): it compiles each distinct arc structure once and holds it for
-    the whole call (so the LRU of templates cannot evict a structure
-    mid-batch); then it solves every run back to back; only then does it read
-    each run's witnesses and validate them. Each solve is a cold start, so a
-    run's result does not depend on the runs solved before it.
-
-    Returns an iterator that yields one run's validated FlowResults (as
-    `hyper_inner` returns them) at a time, in input order; a run's results
-    and witnesses are not kept once yielded. ``arc_lists`` may be any
-    iterable and is read once, in the first phase.
-
-    Raises:
-        ValueError: on empty demands or an unknown objective, at the call.
-        RuntimeError: when a routing LP has no optimal solution.
-        AssertionError: when a witness fails `validate_hyper_result`.
+    A run is ``structure``, ``(tail, heads, finite)`` per slot of its LP
+    template; ``present``, the mask of the slots it holds, or None when it
+    holds them all as the template has them; and ``rates``, its rate per
+    slot. Its LP is the template, from the LRU `_compiled_routing_lp`, or
+    `_restrict`'s selection from it of the present slots and the finite ones
+    among them, kept in the template's ``derived``. The witnesses are checked
+    against the run's arcs, rebuilt from its LP's slots and present rates.
     """
-    _check_objective(objective)
-    demands = tuple(demands)
-    if not demands:
-        raise ValueError("demands must be nonempty")
-    return _route(tuple(node_ids), map(_list_run, arc_lists), demands, objective, {})
-
-
-def _route(node_ids, runs, demands, objective, held: dict) -> Iterator[list[FlowResult]]:
-    """Route every run of ``runs`` in three phases, yielding each run's
-    validated FlowResults in order.
-
-    A run is ``(structure, present, rates)``: the structure, ``(tail, heads,
-    finite)`` per slot, of its LP template; the mask of the slots it holds,
-    or None when it holds them all as the template has them; and its rate
-    per slot. Phase 1 takes each run's LP: the template, compiled by the LRU
-    `_compiled_routing_lp`, or `_restrict`'s selection from it of the present
-    slots and the finite ones among them. ``held`` keeps both for the
-    caller's whole search, each template by its structure and each
-    restriction by (template, present slots, finite slots), so none is
-    compiled or derived twice within it and the LRU cannot evict one the
-    search still uses; only the present slots' rates are kept. Phase 2 solves
-    every run back to back. Phase 3 reads each run's witnesses and checks
-    them against its arcs, rebuilt from its LP's slots and its rates, which
-    are the caller's values.
-    """
-    # Phase 1: each run's LP and the rates of its present slots.
-    prepared = []
-    for structure, present, rates in runs:
-        lp = held.get(structure)
-        if lp is None:
-            lp = held[structure] = _compiled_routing_lp(node_ids, structure, demands, objective)
-        if present is not None:
-            finite = rates != math.inf
-            key = (lp, present.tobytes(), finite.tobytes())
-            template, lp = lp, held.get(key)
-            if lp is None:
-                lp = held[key] = _restrict(template, demands, present, finite)
-            rates = rates[present]
-        prepared.append((lp, rates))
-    # Phase 2: every solve, back to back.
-    solutions = []
-    for lp, rates in prepared:
-        upper = lp.upper.copy()
-        upper[lp.capacity_rows] = rates[lp.finite_arcs]
-        solutions.append(_solve_lp(lp, upper))
-    # Phase 3: each run's witnesses, checked against its arcs.
-    for (lp, rates), solution in zip(prepared, solutions):
-        arcs = [(*slot, rate, None) for slot, rate in zip(lp.slots, rates.tolist())]
-        results = _results_from_solution(lp, demands, solution)
-        validate_hyper_result(node_ids, arcs, demands, results)
-        yield results
+    lp = _compiled_routing_lp(node_ids, structure, demands, objective)
+    if present is not None:
+        finite = rates != math.inf
+        derived = lp.template.derived
+        key = (present.tobytes(), finite.tobytes())
+        restricted = derived.get(key)
+        if restricted is None:
+            restricted = _restrict(lp, demands, present, finite)
+            if restricted is not lp:  # the template's own LP would make a cycle
+                derived[key] = restricted
+        lp, rates = restricted, rates[present]
+    upper = lp.upper.copy()
+    upper[lp.capacity_rows] = rates[lp.finite_arcs]
+    solution = _solve_lp(lp, upper)
+    arcs = [(*slot, rate, None) for slot, rate in zip(lp.slots, rates.tolist())]
+    results = _results_from_solution(lp, demands, solution)
+    validate_hyper_result(node_ids, arcs, demands, results)
+    return results
 
 
 def blend_inner(
@@ -1229,7 +1184,7 @@ def blend_inner(
     """Best rates when the configurations behind the runs are time-shared.
 
     Each run is one arc list over ``node_ids``, ``(tail, heads, rate,
-    label)`` per pipe, as `hyper_inner_batch` takes them. The runs must have
+    label)`` per pipe, as `hyper_inner` takes them. The runs must have
     one arc structure and differ in rates only (decode orders, power splits).
     Splitting the coding block among the configurations with weights lambda
     lets every arc sustain its weighted-average rate over the whole block,

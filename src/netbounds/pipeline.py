@@ -14,9 +14,9 @@ certified, on the least. The inner bounds of all demands are one
 `flows.best_inner` of the inner sweep, the search the multicast example runs
 too: each demand's `flows.demand_cut` bounds its rate on every run without a
 flow, and the runs are routed best first, by one exact `unicast_inner` max
-flow each where the one demand is unicast and otherwise in rounds of one
-routing-LP batch, while a run's cut could still beat or tie some demand's
-best routed rate. A run's arcs are listed only for a flow, and a label is
+flow each where the one demand is unicast and otherwise by one routing LP
+each, while a run's cut could still beat or tie some demand's best routed
+rate. A run's arcs are listed only for a flow, and a label is
 formatted only for each winner.
 
 Every run gives a valid bound, so per demand the sweep keeps the least outer

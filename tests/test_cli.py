@@ -320,7 +320,7 @@ class TestBounds:
 
         for name in ("least_outer", "best_inner"):
             monkeypatch.setattr(pipeline, name, refused(name))
-        for name in ("max_flow", "multicast_outer", "unicast_inner", "hyper_inner_batch"):
+        for name in ("max_flow", "multicast_outer", "unicast_inner", "_route"):
             monkeypatch.setattr(flows, name, refused(name))
         path = DATA / "lower_bounds_2x3xunicast-0.json"
         assert main(["bounds", str(path), "--beta-step", "0.01"]) == 2
@@ -1064,7 +1064,7 @@ def test_cli_imports_no_model_or_flow_module():
 
 def test_only_flows_names_the_cut_margin_or_the_routing_rounds():
     # `flows.best_inner` is the one inner search: no other module skips a
-    # candidate by _CUT_MARGIN or routes candidates by hyper_inner_batch.
+    # candidate by _CUT_MARGIN or routes a run by flows' `_route`.
     package = Path(cli.__file__).parent
     named = []
     for path in sorted(package.glob("*.py")):
@@ -1079,7 +1079,7 @@ def test_only_flows_names_the_cut_margin_or_the_routing_rounds():
                 name = node.name
             else:
                 continue
-            if name in ("_CUT_MARGIN", "hyper_inner_batch"):
+            if name in ("_CUT_MARGIN", "_route"):
                 named.append(f"{path.name}:{node.lineno}: {name}")
     assert named == []
 

@@ -1,8 +1,10 @@
 """Tests for flow computations, checked against brute-force cut enumeration."""
 
+import gc
 import itertools
 import json
 import random
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -23,7 +25,6 @@ from netbounds.flows import (
     best_inner,
     blend_inner,
     hyper_inner,
-    hyper_inner_batch,
     max_flow,
     multicast_outer,
     sum_rate_cut,
@@ -936,9 +937,10 @@ class TestDirectSolveMatchesMilp:
 
 
 class TestRoutingLpCache:
-    """The LRU holds LP templates. An arc list's own pipes are its template,
-    keyed by its structure and used as is; a `LowerBatch`'s slots are one
-    template, restricted per routed run."""
+    """The LRU holds LP templates, the one routing-LP cache. An arc list's own
+    pipes are its template, keyed by its structure and used as is; a
+    `LowerBatch`'s slots are one template, restricted per routed run, and the
+    template keeps its restrictions."""
 
     def test_candidates_with_one_arc_structure_share_a_compiled_lp(self):
         # Two arc lists of one structure: one template, compiled once.
@@ -1016,12 +1018,71 @@ class TestRoutingLpCache:
         )
         # Each side's three shares have 7 support patterns, so the sweep has
         # 7 * 7 structures; the 19 runs that `bound` routes have 9 of them.
-        # The batch's slots are one template, and each of the 9 structures is
-        # restricted from it once, for every run of that structure.
+        # Every run takes the batch's one template from the LRU, and each of
+        # the 9 structures is restricted from it once, for every run of that
+        # structure.
         structures = {(lp.slots, tuple(lp.finite_arcs.tolist())) for lp in restricted}
-        assert (len(solves), len(keys), len(restricted), len(structures)) == (19, 1, 9, 9)
+        assert (len(solves), len(keys), len(restricted), len(structures)) == (19, 19, 9, 9)
         assert {id(lp) for lp, _ in solves} == {id(lp) for lp in restricted}
         assert compiled.cache_info().misses == 1
+
+    def test_arc_lists_are_never_restricted(self, monkeypatch):
+        # An arc list's own pipes are its template, used as is.
+        node_ids, arc_lists, demands = two_by_three_sweep()
+        restricted = []
+        monkeypatch.setattr(flows, "_restrict", lambda *args: restricted.append(args))
+        hyper_inner(node_ids, arc_lists[0], demands)
+        best_inner(node_ids, arc_lists, demands)
+        assert restricted == []
+
+    def test_any_order_of_runs_routes_alike_on_a_warm_cache(self):
+        # Templates and their restrictions live across calls, and every
+        # solve is a cold start: in order or shuffled, a warm cache gives each
+        # run the rates and witnesses of a cold one, bit for bit.
+        node_ids, arc_lists, demands = two_by_three_sweep()
+        assert len(arc_lists) == 225
+        want = []
+        for arcs in arc_lists:
+            flows._compiled_routing_lp.cache_clear()
+            want.append(hyper_inner(node_ids, arcs, demands))
+        order = list(range(len(arc_lists)))
+        random.Random(14).shuffle(order)
+        for run in [*range(len(arc_lists)), *order]:
+            assert_same_results(hyper_inner(node_ids, arc_lists[run], demands), want[run])
+        assert flows._compiled_routing_lp.cache_info().hits > 0
+
+    def test_an_evicted_template_is_freed_by_reference_counting(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A template keeps the LPs restricted from it, never its own LP, so
+        # no reference cycle holds it once the LRU lets it go. Besides the
+        # `bounds` run, a batch routes a row that keeps every slot, finite:
+        # its LP is the template's own.
+        refs = []
+        build = flows._build_routing_lp
+
+        def building(*args):
+            lp = build(*args)
+            refs.extend((weakref.ref(lp), weakref.ref(lp.template)))
+            return lp
+
+        monkeypatch.setattr(flows, "_build_routing_lp", building)
+        assert run_bounds(tmp_path, TWO_BY_THREE_DOC, 0.25) == 0
+        slots = (("s", ("a", "b")), ("a", ("t",)), ("b", ("t",)))
+        labels = (("bc", 0, 1.0), "a-t", "b-t")
+        rates = np.array([[1.0, 0.5, 0.75]])
+        batch = LowerBatch(slots, rates, ((labels, {}),), np.zeros(1, dtype=np.intp))
+        assert batch.present.all()
+        best_inner(("s", "a", "b", "t"), batch, (unicast("s", "t"), multicast("s", {"a", "t"})))
+        assert refs and all(ref() is not None for ref in refs)
+        assert any(ref().derived for ref in refs[1::2])
+        gc.disable()
+        try:
+            flows._compiled_routing_lp.cache_clear()
+            alive = [ref for ref in refs if ref() is not None]
+        finally:
+            gc.enable()
+        assert alive == []
 
     @pytest.mark.parametrize("objective", ["sum", "maxmin"])
     def test_unbounded_lp_raises(self, objective):
@@ -1043,74 +1104,6 @@ def two_by_three_sweep():
         for combo in itertools.product(*grids)
     ]
     return lower.node_ids, arc_lists, net.demands
-
-
-class TestHyperInnerBatch:
-    def test_matches_per_run_hyper_inner_in_any_order(self):
-        node_ids, arc_lists, demands = two_by_three_sweep()
-        assert len(arc_lists) == 225
-        want = [hyper_inner(node_ids, arcs, demands) for arcs in arc_lists]
-        got = list(hyper_inner_batch(node_ids, arc_lists, demands))
-        assert len(got) == len(want)
-        for got_run, want_run in zip(got, want):
-            assert_same_results(got_run, want_run)
-        # Every solve is a cold start: a shuffled batch gives each run the
-        # same rates and witnesses, bit for bit.
-        order = list(range(len(arc_lists)))
-        random.Random(14).shuffle(order)
-        shuffled = hyper_inner_batch(node_ids, [arc_lists[i] for i in order], demands)
-        for i, got_run in zip(order, shuffled, strict=True):
-            assert_same_results(got_run, want[i])
-
-    def test_solves_every_run_before_checking_any_witness(self, monkeypatch):
-        node_ids, arc_lists, demands = two_by_three_sweep()
-        events = []
-        solve, validate = flows._solve_lp, flows.validate_hyper_result
-
-        def logged_solve(lp, upper):
-            events.append("solve")
-            return solve(lp, upper)
-
-        def logged_validate(*args):
-            events.append("validate")
-            return validate(*args)
-
-        monkeypatch.setattr(flows, "_solve_lp", logged_solve)
-        monkeypatch.setattr(flows, "validate_hyper_result", logged_validate)
-        runs = list(hyper_inner_batch(node_ids, arc_lists[:5], demands))
-        assert len(runs) == 5
-        assert events == ["solve"] * 5 + ["validate"] * 5
-
-    def test_compiles_each_structure_once_beyond_the_cache_size(self, monkeypatch):
-        # More distinct structures than the LRU holds, each routed twice with
-        # the whole first round between: each arc list is its own template,
-        # used as is; per-run calls would compile each template twice, the
-        # batch holds every one for the call.
-        count = flows._LP_CACHE_SIZE + 4
-        chains = [[(f"n{i}", f"n{i + 1}") for i in range(k + 1)] for k in range(count)]
-        arc_lists = [
-            [(tail, (head,), rate, None) for tail, head in chain]
-            for rate in (1.0, 2.5)
-            for chain in chains
-        ]
-        node_ids = tuple(f"n{i}" for i in range(count + 1))
-        demands = (unicast("n0", "n1"),)
-        built = []
-        build = flows._build_routing_lp
-
-        def counting(*args):
-            built.append(args[1])
-            return build(*args)
-
-        monkeypatch.setattr(flows, "_build_routing_lp", counting)
-        restricted = []
-        monkeypatch.setattr(flows, "_restrict", lambda *args: restricted.append(args))
-        flows._compiled_routing_lp.cache_clear()
-        runs = list(hyper_inner_batch(node_ids, arc_lists, demands))
-        flows._compiled_routing_lp.cache_clear()
-        assert len(built) == len(set(built)) == count
-        assert restricted == []
-        assert [results[0].rate for results in runs] == [1.0] * count + [2.5] * count
 
 
 def routed_counts(monkeypatch) -> dict:
@@ -1136,8 +1129,8 @@ class TestBestInner:
         node_ids, arc_lists, _ = two_by_three_sweep()
         demands = [multicast(source, ("D1", "D2", "D3")) for source in ("S1", "S2")]
         want = [(-INF, None)] * (1 if objective == "sum" else len(demands))
-        for run, results in enumerate(hyper_inner_batch(node_ids, arc_lists, demands, objective)):
-            rates = [result.rate for result in results]
+        for run, arcs in enumerate(arc_lists):
+            rates = [result.rate for result in hyper_inner(node_ids, arcs, demands, objective)]
             rates = [sum(rates)] if objective == "sum" else rates
             want = [(rate, run) if rate > old[0] else old for rate, old in zip(rates, want)]
         counts = routed_counts(monkeypatch)
@@ -1496,6 +1489,13 @@ class TestObjectiveRefusal:
         with pytest.raises(ValueError, match="objective must be"):
             best_inner(("a", "b"), candidates, (unicast("a", "b"),), "bogus")
 
-    def test_hyper_inner_batch_refuses_an_unknown_objective_without_runs(self):
+    def test_hyper_inner_refuses_before_any_lp_is_compiled(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a routing LP was compiled")
+
+        monkeypatch.setattr(flows, "_build_routing_lp", refused)
+        arcs = [("a", ("b",), 1.0, None)]
         with pytest.raises(ValueError, match="objective must be"):
-            list(hyper_inner_batch(("a", "b"), [], (unicast("a", "b"),), "bogus"))
+            hyper_inner(("a", "b"), arcs, (unicast("a", "b"),), "bogus")
+        with pytest.raises(ValueError, match="demands must be nonempty"):
+            hyper_inner(("a", "b"), arcs, ())

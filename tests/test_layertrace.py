@@ -53,7 +53,7 @@ def test_tracer_installs_on_every_target_and_uninstalls():
 # point, which do not depend on machine speed. `mac.mac_upper` rates a whole
 # sweep's (MAC, alpha) pairs per call, so its span counts batches: one per
 # cold point. The multicast inner search routes its one LP through
-# `flows.hyper_inner_batch`, which is not traced, so that LP shows as one
+# `flows._route`, which is not traced, so that LP shows as one
 # `validate_hyper_result`.
 BENCH_POINTS = {
     "relay": (

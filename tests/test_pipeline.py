@@ -16,7 +16,7 @@ from netbounds.bc import simplex_grid
 from netbounds.cli import parse_grid
 from netbounds.decouple import decompose
 from netbounds.experiments import ALPHA_GRID
-from netbounds.flows import FlowResult, demand_cut, hyper_inner_batch, unicast_inner
+from netbounds.flows import FlowResult, demand_cut, hyper_inner, unicast_inner
 from netbounds.netmodel import Demand, parse_network
 from netbounds.pipeline import bound
 from test_bounds_fuzz import random_document
@@ -319,8 +319,8 @@ def counted_solves(monkeypatch) -> list:
 
 @pytest.mark.parametrize("beta_step", [0.5, 0.25])
 def test_pruned_sweep_equals_exhaustive_sweep(beta_step, monkeypatch):
-    # The reference routes every run, in one `hyper_inner_batch` or, on the
-    # networks whose one demand is unicast, by `unicast_inner`, and keeps
+    # The reference routes every run, by `hyper_inner` or, on the networks
+    # whose one demand is unicast, by `unicast_inner`, and keeps
     # strict improvements in sweep order, so the earliest of tied runs wins.
     # No demand is listed twice: the parser refuses such files.
     solves = counted_solves(monkeypatch)
@@ -333,7 +333,7 @@ def test_pruned_sweep_equals_exhaustive_sweep(beta_step, monkeypatch):
                 [demand] = net.demands
                 batch = ([unicast_inner(node_ids, arcs, demand)] for _, arcs in runs)
             else:
-                batch = hyper_inner_batch(node_ids, [arcs for _, arcs in runs], net.demands)
+                batch = (hyper_inner(node_ids, arcs, net.demands) for _, arcs in runs)
             want = {}
             for (label, _), results in zip(runs, batch):
                 rates = {result.demand: result.rate for result in results}
