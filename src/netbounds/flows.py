@@ -6,14 +6,17 @@ hyper-arcs come from a fractional-routing linear program in which one
 capacity draw on a hyper-arc serves all of its heads for a given session;
 blend_inner solves the same program over run-weighted average rates of
 several arc lists with one arc structure. A routing LP is compiled, from
-index arrays, as HiGHS's own model once per slot list, its template: an arc
-list's own pipes, or every slot of an `assemble.LowerBatch`. The LP of each
-batch row is derived from the batch's template by index selection alone: the
-row's absent pipes and the capacity rows of its infinite ones are left out,
-and the result is, bit for bit, the LP compiled from the row's own arcs. The
-LRU of templates is the one routing-LP cache; each template keeps the LPs
-derived from it. hyper_inner routes one arc list, and best_inner each of its
-picks, one run at a time: take its LP, solve it, read and check its
+index arrays, as HiGHS's own model once per slot list, ``(tail, heads)`` per
+pipe, its template, with a capacity row on every slot: an arc list's pipes,
+or every slot of an `assemble.LowerBatch`. A run is a slot list, the mask of
+the slots it holds and its rates; an arc list is a run that holds every
+slot. Every routed run's LP is selected from its template by index alone: the
+run's absent slots and the capacity rows of its infinite pipes are left out.
+Witnesses are read from the LP's column layout: session by arc for the
+draws, commodity by (arc, head) pair, in slot order, for the flows. The LRU
+of templates is the one routing-LP cache; each template keeps the LPs
+selected from it. hyper_inner routes one arc list, and best_inner each of
+its picks, one run at a time: take its LP, solve it, read and check its
 witnesses. Every solve hands its LP to one long-lived HiGHS instance through
 SciPy's bundled bindings, which discards the previous model and basis, so
 each solve is a cold start and the order of the solves does not change any
@@ -121,16 +124,19 @@ def _capacities(node_ids, arcs, split: bool) -> tuple[dict, dict[str, int]]:
     """The capacity per ``(tail, head)`` of a network, summed in arc order,
     and its split nodes, for a max flow.
 
-    A point-to-point arc adds its rate. A hyper-arc is refused unless
-    `split`; then it gets a split node, named ``hyperarc_<index>`` (with
-    ``_`` appended until no node has the name), and adds its rate to
-    ``(tail, split)`` and an infinite rate to ``(split, head)`` for each
-    head. The split nodes map to their arc index, in arc order.
+    An arc without a head is refused, by its index. A point-to-point arc adds
+    its rate. A hyper-arc is refused unless `split`; then it gets a split
+    node, named ``hyperarc_<index>`` (with ``_`` appended until no node has
+    the name), and adds its rate to ``(tail, split)`` and an infinite rate to
+    ``(split, head)`` for each head. The split nodes map to their arc index,
+    in arc order.
     """
     taken = set(node_ids)
     capacity: dict[tuple[str, str], float] = {}
     split_nodes: dict[str, int] = {}
     for index, (tail, heads, rate, _) in enumerate(arcs):
+        if not heads:
+            raise ValueError(f"arc {index} from {tail!r} has no head")
         if len(heads) == 1:
             key = (tail, heads[0])
             capacity[key] = capacity.get(key, 0.0) + rate
@@ -140,8 +146,6 @@ def _capacities(node_ids, arcs, split: bool) -> tuple[dict, dict[str, int]]:
                 f"network contains a hyper-arc {tail}->{list(heads)}; "
                 "max-flow applies to point-to-point networks only"
             )
-        if not heads:
-            raise ValueError(f"arc {index} from {tail!r} has no head")
         name = f"hyperarc_{index}"
         while name in taken:
             name = name + "_"
@@ -221,8 +225,8 @@ def max_flow(node_ids, arcs, demand: Demand) -> FlowResult:
         demand: unicast demand.
 
     Raises:
-        ValueError: when the network has hyper-arcs or the demand is not
-            unicast.
+        ValueError: when the network has an arc without a head or a
+            hyper-arc, or the demand is not unicast.
     """
     capacity, _ = _capacities(node_ids, arcs, split=False)
     if demand.kind != "unicast":
@@ -273,8 +277,8 @@ def multicast_outer(node_ids, arcs, demand: Demand) -> FlowResult:
     of every sink in `demand.sink_list` order.
 
     Raises:
-        ValueError: when the network has hyper-arcs or an endpoint of the
-            demand is not a network node.
+        ValueError: when the network has an arc without a head or a
+            hyper-arc, or an endpoint of the demand is not a network node.
     """
     capacity, _ = _capacities(node_ids, arcs, split=False)
     _check_endpoints(node_ids, demand)
@@ -361,19 +365,21 @@ def _check_objective(objective) -> None:
 class _RoutingLP:
     """One routing LP as HiGHS's own model, with its bounds as arrays.
 
-    Columns are [t] [R_s] [x_{s,a}] [f_{s,sink,a,h}] [lambda_r], rows the
+    Columns are [t] [R_s] [x_{s,a}] [f_{c,p}] [lambda_r], rows the
     inequalities (per-session draws, arc capacities, common rate) over the
     equalities (flow conservation, then sum_r lambda_r = 1 when blending).
-    Without lambda columns the arc rates enter only ``upper`` at
-    ``capacity_rows``, so one compiled LP serves every rate assignment.
+    The x block is session by arc of ``slots``; the f block is commodity by
+    pair of ``pairs``, a commodity being one (session, sink) in demand and
+    ``sink_list`` order. `_results_from_solution` reads the witnesses from
+    this layout. Without lambda columns the arc rates enter only ``upper``
+    at ``capacity_rows``, so one compiled LP serves every rate assignment.
     ``model`` holds the constraint matrix in CSC form and the same bounds;
-    each solve overwrites its row uppers. ``witness_keys`` names, per column
-    of the x and f blocks, the witness entry its value fills.
+    each solve overwrites its row uppers.
 
-    An LP that `_build_routing_lp` compiles without lambda columns is a
-    template: ``template`` holds the index arrays by which `_restrict`
-    derives from it the LP of any subset of its arcs. A derived or blended
-    LP has none.
+    An LP that `_build_routing_lp` compiles without lambda columns is the
+    template of its slot list, with a capacity row on every slot:
+    ``template`` holds the index arrays by which `_restrict` selects from it
+    the LP of any run on its slots. A selected or blended LP has none.
     """
 
     model: object  # a HighsLp
@@ -382,12 +388,9 @@ class _RoutingLP:
     upper: np.ndarray
     capacity_rows: np.ndarray
     finite_arcs: np.ndarray  # arc of each capacity row
-    pair_arcs: tuple[int, ...]  # arc of each (arc, head) pair, in column order
-    pair_heads: tuple[str, ...]  # head of each (arc, head) pair
-    f_cols: tuple[int, ...]  # first f column of each session
     lam_col: int
     slots: tuple[tuple[str, tuple[str, ...]], ...]  # (tail, heads) of each arc
-    witness_keys: tuple  # (store, key) per x and f column; see `_results_from_solution`
+    pairs: tuple[tuple[int, str], ...]  # (arc, head) per head of each arc, in slot order
     template: _Template | None
 
 
@@ -421,22 +424,6 @@ class _Template:
     derived: dict = field(default_factory=dict)
 
 
-def _witness_keys(demands, n_arcs: int, pair_arcs, pair_heads) -> tuple:
-    """Per x and f column, in column order, the store (session s's usage, or
-    len(demands) + s for its flows) and the key of the witness entry it
-    fills."""
-    n_sessions = len(demands)
-    usage = [(s, a) for s in range(n_sessions) for a in range(n_arcs)]
-    pairs = list(zip(pair_arcs, pair_heads))
-    flows = [
-        (n_sessions + s, (sink, a, head))
-        for s, demand in enumerate(demands)
-        for sink in demand.sink_list
-        for a, head in pairs
-    ]
-    return (*usage, *flows)
-
-
 def _highs_model(start, index, value, cost, lower):
     """HiGHS's model of the LP with CSC matrix (start, index, value), column
     costs ``cost``, column bounds [0, inf) and row lowers ``lower``."""
@@ -458,14 +445,15 @@ def _highs_model(start, index, value, cost, lower):
     return model
 
 
-def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
-    """Routing LP of one arc structure, emitted from its incidence arrays.
+def _build_routing_lp(node_ids, slots, demands, objective, blend_rates=None):
+    """Routing LP of one slot list, emitted from its incidence arrays.
 
-    ``arcs`` holds ``(tail, heads, rate is finite)`` per pipe. Without
-    ``blend_rates`` each finite arc's capacity row bounds the sessions' draws
-    by the arc rate, filled in per solve. With ``blend_rates`` (one row of arc
-    rates per run) it bounds them by sum_r lambda_r * rate_r, and the weights
-    lambda_r sum to 1.
+    ``slots`` holds ``(tail, heads)`` per pipe. Without ``blend_rates`` the
+    LP is the slot list's template: each slot's capacity row bounds the
+    sessions' draws by the pipe's rate, filled in per solve. With
+    ``blend_rates`` (one row of pipe rates per run, each pipe finite in every
+    run or in none) each finite pipe's capacity row bounds them by
+    sum_r lambda_r * rate_r, and the weights lambda_r sum to 1.
 
     Each (session, sink) pair is one commodity c with its own block of f
     columns; every constraint family is emitted as whole (row, column, value)
@@ -475,21 +463,19 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
     """
     _check_objective(objective)
     n_sessions = len(demands)
-    n_arcs = len(arcs)
-    pair_arcs = tuple(a for a, (_, heads, _) in enumerate(arcs) for _ in heads)
-    pair_heads = tuple(head for _, heads, _ in arcs for head in heads)
-    n_pairs = len(pair_heads)
-    finite_arcs = np.array(
-        [a for a, (_, _, finite) in enumerate(arcs) if finite], dtype=np.intp
-    )
+    n_arcs = len(slots)
+    pairs = tuple((a, head) for a, (_, heads) in enumerate(slots) for head in heads)
+    n_pairs = len(pairs)
+    blend = None if blend_rates is None else np.asarray(blend_rates, dtype=float)
+    finite_arcs = np.arange(n_arcs) if blend is None else np.flatnonzero(blend[0] != math.inf)
     # Incidence of node k (by position, as conservation rows go) and pair p:
     # +1 at the pair's tail, -1 at its head, 0 on a self-loop.
     nodes = np.array(node_ids, dtype=object)[:, None]
-    at_tail = nodes == np.array([arcs[a][0] for a in pair_arcs], dtype=object)
-    at_head = nodes == np.array(pair_heads, dtype=object)
+    at_tail = nodes == np.array([slots[a][0] for a, _ in pairs], dtype=object)
+    at_head = nodes == np.array([head for _, head in pairs], dtype=object)
     incidence = at_tail.astype(float) - at_head
     touch = at_tail | at_head
-    pair_arc = np.array(pair_arcs, dtype=np.intp)
+    pair_arc = np.array([a for a, _ in pairs], dtype=np.intp)
 
     # Commodity c is one (session, sink); each has its own block of f columns.
     sink_lists = [demand.sink_list for demand in demands]
@@ -507,9 +493,8 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
 
     x_col = 1 + n_sessions  # x_{s,a} sits at x_col + s * n_arcs + a
     f_col = x_col + n_sessions * n_arcs  # f_{c,p} sits at f_col + c * n_pairs + p
-    f_cols = f_col + n_pairs * np.searchsorted(session_of, np.arange(n_sessions))
     lam_col = f_col + n_comm * n_pairs
-    n_runs = 0 if blend_rates is None else len(blend_rates)
+    n_runs = 0 if blend is None else len(blend)
     n_vars = lam_col + n_runs
     n_finite = finite_arcs.size
     cap_row = n_comm * n_arcs
@@ -549,13 +534,12 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
     ]
     if n_runs:
         runs = np.arange(n_runs)
-        blend = np.asarray(blend_rates, dtype=float)[:, finite_arcs]
         triplets += [
             # Capacity rows draw on the blended rate ...
             (
                 np.repeat(cap_rows, n_runs),
                 np.tile(lam_col + runs, n_finite),
-                -blend.T.ravel(),
+                -blend[:, finite_arcs].T.ravel(),
             ),
             # ... and the run weights sum to 1.
             (np.full(n_runs, n_rows - 1), lam_col + runs, 1.0),
@@ -614,35 +598,29 @@ def _build_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
         upper=upper,
         capacity_rows=cap_rows,
         finite_arcs=finite_arcs,
-        pair_arcs=pair_arcs,
-        pair_heads=pair_heads,
-        f_cols=tuple(f_cols.tolist()),
         lam_col=lam_col,
-        slots=tuple((tail, heads) for tail, heads, _ in arcs),
-        witness_keys=_witness_keys(demands, n_arcs, pair_arcs, pair_heads),
+        slots=tuple(slots),
+        pairs=pairs,
         template=template,
     )
 
 
-def _restrict(lp: _RoutingLP, demands, present: np.ndarray, finite: np.ndarray) -> _RoutingLP:
-    """The routing LP of the arcs of template ``lp`` that ``present`` keeps,
-    with a capacity row for those that ``finite`` marks, derived by index
-    selection alone.
+def _restrict(lp: _RoutingLP, present: np.ndarray, finite: np.ndarray) -> _RoutingLP:
+    """The routing LP of the run on template ``lp``'s slots that holds those
+    that ``present`` marks, with a capacity row on each present slot that
+    ``finite`` marks, selected by index alone.
 
-    ``lp`` routes ``demands`` and has a capacity row for every arc that is
-    present and finite. The result is, bit for bit, the LP that
-    `_build_routing_lp` emits for the kept arcs: it keeps the columns of the
-    kept arcs and of their (arc, head) pairs, their draw rows, the capacity
-    rows of the kept finite arcs, every common-rate row, and the
-    conservation rows at each commodity's source or at a node that a kept
-    arc touches; rows and columns keep their order, and every column its
-    entries'. ``lp`` itself is returned when it keeps every arc and every
-    capacity row.
+    It keeps the columns of the present slots and of their (arc, head) pairs,
+    their draw rows, the capacity rows of the present finite slots, every
+    common-rate row, and the conservation rows at each commodity's source or
+    at a node that a present slot touches; rows and columns keep their
+    order, and every column its entries'. The result is the LP of the run's
+    own pipes, laid out as `_RoutingLP` says. ``lp`` itself is returned when
+    the run holds every slot, each finite.
     """
     template = lp.template
     bounded = present & finite
-    cap_keep = bounded[lp.finite_arcs]
-    if present.all() and cap_keep.all():
+    if bounded.all():
         return lp
     on = np.ones(1, dtype=bool)
     col_keep = np.concatenate((present, on))[template.col_codes]  # one past the last too
@@ -656,33 +634,26 @@ def _restrict(lp: _RoutingLP, demands, present: np.ndarray, finite: np.ndarray) 
     row_at = np.cumsum(row_keep) - 1  # each kept row's position among the kept
     index, value = row_at[template.index[hot]], template.value[hot]
     cost, lower = lp.cost[col_keep], lp.lower[row_keep]
-    position = np.cumsum(present) - 1  # each kept arc's among the kept
-    pair_arc = np.array(lp.pair_arcs, dtype=np.intp)
-    kept_pairs = present[pair_arc]
-    pair_arcs = tuple(position[pair_arc[kept_pairs]].tolist())
-    pair_heads = tuple(compress(lp.pair_heads, kept_pairs))
-    cols = np.flatnonzero(col_keep)
+    position = np.cumsum(present) - 1  # each present slot's among the present
+    at, held = position.tolist(), present.tolist()
     return _RoutingLP(
         model=_highs_model(start, index, value, cost, lower),
         cost=cost,
         lower=lower,
         upper=lp.upper[row_keep],
-        capacity_rows=row_at[lp.capacity_rows[cap_keep]],
-        finite_arcs=position[lp.finite_arcs[cap_keep]],
-        pair_arcs=pair_arcs,
-        pair_heads=pair_heads,
-        f_cols=tuple(cols.searchsorted(lp.f_cols).tolist()),
-        lam_col=cols.size,
-        slots=tuple(compress(lp.slots, present)),
-        witness_keys=_witness_keys(demands, int(position[-1]) + 1, pair_arcs, pair_heads),
+        capacity_rows=row_at[lp.capacity_rows[bounded]],
+        finite_arcs=position[bounded],
+        lam_col=int(np.count_nonzero(col_keep)),
+        slots=tuple(compress(lp.slots, held)),
+        pairs=tuple((at[a], head) for a, head in lp.pairs if held[a]),
         template=None,
     )
 
 
 @functools.lru_cache(maxsize=_LP_CACHE_SIZE)
-def _compiled_routing_lp(node_ids, arcs, demands, objective) -> _RoutingLP:
+def _compiled_routing_lp(node_ids, slots, demands, objective) -> _RoutingLP:
     """The routing LP template of one slot list, compiled once and reused."""
-    return _build_routing_lp(node_ids, arcs, demands, objective)
+    return _build_routing_lp(node_ids, slots, demands, objective)
 
 
 @functools.cache
@@ -722,28 +693,33 @@ def _solve_lp(lp: _RoutingLP, upper: np.ndarray) -> np.ndarray:
 
 
 def _results_from_solution(lp: _RoutingLP, demands, solution) -> list[FlowResult]:
-    """One FlowResult per session, the witnesses read in one pass.
+    """One FlowResult per session, the witnesses read from the LP's layout.
 
-    The x block holds each session's draw per arc and the f block after it
-    each (session, sink) commodity's flow per (arc, head) pair; each entry
-    above ``_WITNESS_FLOOR`` fills the witness entry that its column's key in
-    ``lp.witness_keys`` names, the others stay out of the witnesses.
+    Entry s * n_arcs + a of the x block is session s's draw on arc a, and
+    entry c * n_pairs + p of the f block after it commodity c's flow on pair
+    p of ``lp.pairs``. Each entry above ``_WITNESS_FLOOR`` fills its witness
+    entry, in column order; the others stay out of the witnesses.
     """
-    n_sessions = len(demands)
-    stores = [{} for _ in range(2 * n_sessions)]  # each session's usage, then its flows
-    x_col = 1 + n_sessions
+    usages, routes = [{} for _ in demands], [{} for _ in demands]
+    commodities = [(routes[s], sink) for s, d in enumerate(demands) for sink in d.sink_list]
+    x_col = 1 + len(demands)
+    n_arcs, pairs = len(lp.slots), lp.pairs
+    n_x = len(demands) * n_arcs  # the x block's width
     block = solution[x_col : lp.lam_col]
-    hot = np.flatnonzero(block > _WITNESS_FLOOR)
-    keys = lp.witness_keys
+    hot = (block > _WITNESS_FLOOR).nonzero()[0]
     for i, value in zip(hot.tolist(), block[hot].tolist()):
-        store, key = keys[i]
-        stores[store][key] = value
+        if i < n_x:
+            s, a = divmod(i, n_arcs)
+            usages[s][a] = value
+        else:
+            c, p = divmod(i - n_x, len(pairs))
+            store, sink = commodities[c]
+            a, head = pairs[p]
+            store[sink, a, head] = value
     rates = (solution[1:x_col] + 0.0).tolist()  # HiGHS may return -0.0
     return [
-        FlowResult(demand=demand, rate=rate, witness={"usage": used, "flows": routes})
-        for demand, rate, used, routes in zip(
-            demands, rates, stores[:n_sessions], stores[n_sessions:]
-        )
+        FlowResult(demand=demand, rate=rate, witness={"usage": used, "flows": flows})
+        for demand, rate, used, flows in zip(demands, rates, usages, routes)
     ]
 
 
@@ -764,9 +740,11 @@ def validate_hyper_result(
     heads for one of the session's sinks and enters one of its pipe's heads,
     per-pipe capacity sharing, per-session single-counting of hyper-arc
     draws, and per-sink flow conservation delivering each session's rate.
-    Each session's witness is read in one pass. Raises AssertionError on any
-    violation beyond tol.
+    Each session's witness is read in one pass. Raises AssertionError on a
+    count of results other than that of the demands, and on any violation
+    beyond tol.
     """
+    assert len(results) == len(demands), f"{len(results)} results for {len(demands)} demands"
     total_usage = {a: 0.0 for a in range(len(arcs))}
     for s, (demand, result) in enumerate(zip(demands, results)):
         usage = result.witness["usage"]
@@ -913,14 +891,16 @@ def min_cut(slots, rates, demand: Demand) -> np.ndarray:
     sink's least is taken from its own sets.
 
     Raises:
-        ValueError: on a hyper-arc, and on a sink with more than
-            _MAX_INTERIOR interior nodes.
+        ValueError: on an arc without a head or a hyper-arc, and on a sink
+            with more than _MAX_INTERIOR interior nodes.
     """
     source = demand.source
     successors: dict[str, list[str]] = {}
     predecessors: dict[str, list[str]] = {}
     place = {source: 0}  # per node, its row of the source-side masks
-    for tail, heads in slots:
+    for index, (tail, heads) in enumerate(slots):
+        if not heads:
+            raise ValueError(f"arc {index} from {tail!r} has no head")
         if len(heads) != 1:
             raise ValueError(
                 f"network contains a hyper-arc {tail}->{list(heads)}; "
@@ -1035,9 +1015,10 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
     first candidate not yet routed; a quantity closes once that candidate's
     cut plus _CUT_MARGIN is at most its best rate, which no later candidate
     can then beat or tie. The earliest candidate of the best rate wins, so
-    the result is that of routing every candidate. The rows of a batch share
-    one LP template, and the LP of each distinct set of present and finite
-    slots is derived from it once while the template is cached.
+    the result is that of routing every candidate. Candidates on one slot
+    list (the rows of a batch, or arc lists of one arc structure) share one
+    LP template, and the LP of each distinct set of present and finite slots
+    is selected from it once while the template is cached.
 
     Raises:
         ValueError: on an unknown objective.
@@ -1051,7 +1032,6 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
     if batch:
         slots, rates, present = candidates.slots, candidates.rates, candidates.present
         count = len(rates)
-        structure = tuple((tail, heads, True) for tail, heads in slots)  # its template's
 
         def arcs_of(run: int) -> list[tuple]:  # the row's arcs, unlabelled
             return [
@@ -1090,7 +1070,7 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
             if unicast:
                 scores = [unicast_inner(node_ids, arcs_of(run), demands[0]).rate]
             else:
-                own = (structure, present[run], rates[run]) if batch else _list_run(arcs_of(run))
+                own = (slots, present[run], rates[run]) if batch else _list_run(arcs_of(run))
                 scores = [result.rate for result in _route(node_ids, *own, demands, objective)]
             routed.add(run)
             for q, rate in enumerate([ltr_sum(scores)] if total else scores):
@@ -1133,39 +1113,34 @@ def hyper_inner(
     return _route(tuple(node_ids), *_list_run(arcs), demands, objective)
 
 
-def _structure(arcs) -> tuple:
-    """``(tail, heads, rate is finite)`` per arc, what a routing LP is compiled from."""
-    return tuple((tail, heads, rate != math.inf) for tail, heads, rate, _ in arcs)
-
-
 def _list_run(arcs) -> tuple:
-    """One arc list as a run of `_route`: its structure, every pipe present,
-    and its rates."""
-    return _structure(arcs), None, np.array([rate for _, _, rate, _ in arcs])
+    """One arc list as a run of `_route`: its slots, every one present, and
+    its rates."""
+    slots = tuple((tail, heads) for tail, heads, _, _ in arcs)
+    return slots, np.ones(len(slots), dtype=bool), np.array([arc[2] for arc in arcs])
 
 
-def _route(node_ids, structure, present, rates, demands, objective) -> list[FlowResult]:
+def _route(node_ids, slots, present, rates, demands, objective) -> list[FlowResult]:
     """The validated FlowResults of one run.
 
-    A run is ``structure``, ``(tail, heads, finite)`` per slot of its LP
-    template; ``present``, the mask of the slots it holds, or None when it
-    holds them all as the template has them; and ``rates``, its rate per
-    slot. Its LP is the template, from the LRU `_compiled_routing_lp`, or
-    `_restrict`'s selection from it of the present slots and the finite ones
-    among them, kept in the template's ``derived``. The witnesses are checked
-    against the run's arcs, rebuilt from its LP's slots and present rates.
+    A run is ``slots``, ``(tail, heads)`` per slot of its LP template;
+    ``present``, the mask of the slots it holds; and ``rates``, its rate per
+    slot. Its LP is `_restrict`'s selection of the present slots, and of the
+    finite ones among them, from the template of ``slots`` in the LRU
+    `_compiled_routing_lp`, kept in the template's ``derived``. The
+    witnesses are checked against the run's arcs, rebuilt from its LP's
+    slots and present rates.
     """
-    lp = _compiled_routing_lp(node_ids, structure, demands, objective)
-    if present is not None:
-        finite = rates != math.inf
-        derived = lp.template.derived
-        key = (present.tobytes(), finite.tobytes())
-        restricted = derived.get(key)
-        if restricted is None:
-            restricted = _restrict(lp, demands, present, finite)
-            if restricted is not lp:  # the template's own LP would make a cycle
-                derived[key] = restricted
-        lp, rates = restricted, rates[present]
+    lp = _compiled_routing_lp(node_ids, slots, demands, objective)
+    finite = rates != math.inf
+    derived = lp.template.derived
+    key = (present.tobytes(), finite.tobytes())
+    restricted = derived.get(key)
+    if restricted is None:
+        restricted = _restrict(lp, present, finite)
+        if restricted is not lp:  # the template's own LP would make a cycle
+            derived[key] = restricted
+    lp, rates = restricted, rates[present]
     upper = lp.upper.copy()
     upper[lp.capacity_rows] = rates[lp.finite_arcs]
     solution = _solve_lp(lp, upper)
@@ -1211,9 +1186,11 @@ def blend_inner(
         raise ValueError("arc_lists must be nonempty")
     node_ids = tuple(node_ids)
     base = runs[0]
-    structure = _structure(base)
-    for run, arcs in enumerate(runs[1:], start=1):
-        theirs = _structure(arcs)
+    # (tail, heads, finite) per pipe of each run; every run must have run 0's.
+    structure, *others = (
+        tuple((tail, heads, rate != math.inf) for tail, heads, rate, _ in arcs) for arcs in runs
+    )
+    for run, theirs in enumerate(others, start=1):
         if theirs != structure:
             a, ours, their = next(
                 (a, ours, their)
@@ -1225,7 +1202,7 @@ def blend_inner(
                 "each (tail, heads, finite); an arc must be finite in every run or in none"
             )
     rates = [[rate for _, _, rate, _ in arcs] for arcs in runs]
-    lp = _build_routing_lp(node_ids, structure, demands, objective, rates)
+    lp = _build_routing_lp(node_ids, [arc[:2] for arc in base], demands, objective, rates)
     solution = _solve_lp(lp, lp.upper)
     weights = tuple(float(w) for w in solution[lp.lam_col :])
     # Every arc at its weighted-average rate over the runs.

@@ -1064,7 +1064,8 @@ def test_cli_imports_no_model_or_flow_module():
 
 def test_only_flows_names_the_cut_margin_or_the_routing_rounds():
     # `flows.best_inner` is the one inner search: no other module skips a
-    # candidate by _CUT_MARGIN or routes a run by flows' `_route`.
+    # candidate by _CUT_MARGIN, routes a run by flows' `_route`, or builds or
+    # selects a routing LP.
     package = Path(cli.__file__).parent
     named = []
     for path in sorted(package.glob("*.py")):
@@ -1079,7 +1080,13 @@ def test_only_flows_names_the_cut_margin_or_the_routing_rounds():
                 name = node.name
             else:
                 continue
-            if name in ("_CUT_MARGIN", "_route"):
+            if name in (
+                "_CUT_MARGIN",
+                "_route",
+                "_build_routing_lp",
+                "_restrict",
+                "_compiled_routing_lp",
+            ):
                 named.append(f"{path.name}:{node.lineno}: {name}")
     assert named == []
 

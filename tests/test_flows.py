@@ -322,6 +322,17 @@ class TestMinCut:
         assert cuts[0] < 0.11 and cuts[1] < 0.23
 
 
+@pytest.mark.parametrize("rating", ["max_flow", "multicast_outer", "min_cut"])
+def test_an_arc_without_heads_is_refused_by_its_index(rating):
+    # Point-to-point ratings refuse an empty head set as such, not as a hyper-arc.
+    arcs = (("s", ("t",), 1.0, ""), ("m", (), 1.0, ""))
+    with pytest.raises(ValueError, match=r"^arc 1 from 'm' has no head$"):
+        if rating == "min_cut":
+            flows.min_cut([arc[:2] for arc in arcs], np.ones((1, 2)), unicast("s", "t"))
+        else:
+            getattr(flows, rating)(("s", "t", "m"), arcs, unicast("s", "t"))
+
+
 class TestMulticastOuter:
     def test_min_over_sinks(self):
         net = pipes_network([("s", "a", 2.0), ("s", "b", 0.5)])
@@ -448,6 +459,14 @@ class TestHyperInner:
         )
         with pytest.raises(AssertionError):
             validate_hyper_result(net.node_ids, net.arcs, demands, [bad])
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_a_result_count_other_than_the_demands_fails_validation(self, count):
+        net = pipes_network([("s", "a", 1.0), ("s", "t", 1.0)])
+        demands = (unicast("s", "t"), unicast("s", "a"))
+        results = hyper_inner(net.node_ids, net.arcs, demands)
+        with pytest.raises(AssertionError, match=f"^{count} results for 2 demands$"):
+            validate_hyper_result(net.node_ids, net.arcs, demands, (results * 2)[:count])
 
     def test_flow_must_enter_a_head_of_its_pipe(self):
         # The only pipe is s->a, yet the witness delivers its flow straight to t.
@@ -937,10 +956,10 @@ class TestDirectSolveMatchesMilp:
 
 
 class TestRoutingLpCache:
-    """The LRU holds LP templates, the one routing-LP cache. An arc list's own
-    pipes are its template, keyed by its structure and used as is; a
-    `LowerBatch`'s slots are one template, restricted per routed run, and the
-    template keeps its restrictions."""
+    """The LRU holds LP templates, the one routing-LP cache, keyed by slot
+    list, demands and objective. Every run's LP is its template's or a
+    restriction of it, which the template keeps: an arc list's pipes are its
+    slot list, and a `LowerBatch`'s slots are one template for all its rows."""
 
     def test_candidates_with_one_arc_structure_share_a_compiled_lp(self):
         # Two arc lists of one structure: one template, compiled once.
@@ -957,24 +976,17 @@ class TestRoutingLpCache:
         assert_same_results(got_first, fresh_solve(first, demands))
         assert_same_results(got_second, fresh_solve(second, demands))
 
-    @pytest.mark.parametrize("change", ["finiteness", "demand order", "objective"])
+    EDGES = (("s1", "m", 1.0), ("s2", "m", 2.0), ("m", ("t1", "t2"), 1.5), ("s1", "t1", 0.25))
+    DEMANDS = (unicast("s1", "t1"), unicast("s2", "t2"))
+
+    @pytest.mark.parametrize("change", ["demand order", "objective"])
     def test_structure_change_misses_the_cache(self, change):
-        # An arc list's template is keyed by its structure, demands and
-        # objective: changing any one compiles a second template.
-        edges = [
-            ("s1", "m", 1.0),
-            ("s2", "m", 2.0),
-            ("m", ("t1", "t2"), 1.5),
-            ("s1", "t1", 0.25),
-        ]
-        net = pipes_network(edges)
-        demands = (unicast("s1", "t1"), unicast("s2", "t2"))
-        objective = "maxmin"
+        # Changing an arc list's demands or objective compiles a second template.
+        net = pipes_network(self.EDGES)
+        demands, objective = self.DEMANDS, "maxmin"
         flows._compiled_routing_lp.cache_clear()
         hyper_inner(net.node_ids, net.arcs, demands, objective)
-        if change == "finiteness":
-            net = pipes_network([("s1", "m", INF), *edges[1:]])
-        elif change == "demand order":
+        if change == "demand order":
             demands = demands[::-1]
         else:
             objective = "sum"
@@ -982,6 +994,24 @@ class TestRoutingLpCache:
         info = flows._compiled_routing_lp.cache_info()
         assert (info.misses, info.hits) == (2, 0)
         assert_same_results(got, fresh_solve(net, demands, objective))
+
+    def test_finiteness_change_hits_the_cache_and_restricts(self):
+        # An infinite pipe keeps the slot list: the run takes the same
+        # template, restricted to drop that pipe's capacity row.
+        net = pipes_network(self.EDGES)
+        unbounded = pipes_network([("s1", "m", INF), *self.EDGES[1:]])
+        flows._compiled_routing_lp.cache_clear()
+        hyper_inner(net.node_ids, net.arcs, self.DEMANDS)
+        got = hyper_inner(unbounded.node_ids, unbounded.arcs, self.DEMANDS)
+        info = flows._compiled_routing_lp.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        lp = flows._compiled_routing_lp(
+            net.node_ids, flows._list_run(net.arcs)[0], self.DEMANDS, "maxmin"
+        )
+        [restricted] = lp.template.derived.values()
+        assert restricted.slots == lp.slots
+        assert restricted.finite_arcs.tolist() == [1, 2, 3]
+        assert_same_results(got, fresh_solve(unbounded, self.DEMANDS))
 
     def test_cache_holds_at_most_its_fixed_size(self):
         # One template per chain, each its own slot list.
@@ -1026,14 +1056,26 @@ class TestRoutingLpCache:
         assert {id(lp) for lp, _ in solves} == {id(lp) for lp in restricted}
         assert compiled.cache_info().misses == 1
 
-    def test_arc_lists_are_never_restricted(self, monkeypatch):
-        # An arc list's own pipes are its template, used as is.
+    def test_an_arc_list_is_restricted_only_when_a_pipe_is_infinite(self, monkeypatch):
+        # An arc list holds every slot of its template: with every pipe
+        # finite its LP is the template's own.
         node_ids, arc_lists, demands = two_by_three_sweep()
-        restricted = []
-        monkeypatch.setattr(flows, "_restrict", lambda *args: restricted.append(args))
+        assert all(arc[2] < INF for arcs in arc_lists for arc in arcs)
+        restrict, restricted = flows._restrict, []
+
+        def restricting(lp, present, finite):
+            restricted.append((lp, restrict(lp, present, finite)))
+            return restricted[-1][1]
+
+        monkeypatch.setattr(flows, "_restrict", restricting)
         hyper_inner(node_ids, arc_lists[0], demands)
         best_inner(node_ids, arc_lists, demands)
-        assert restricted == []
+        assert restricted and all(got is lp for lp, got in restricted)
+        net = pipes_network([("s", "m", INF), ("m", "t", 1.0)])
+        hyper_inner(net.node_ids, net.arcs, (unicast("s", "t"),))
+        template, got = restricted[-1]
+        assert got is not template and got.slots == template.slots
+        assert got.finite_arcs.tolist() == [1]
 
     def test_any_order_of_runs_routes_alike_on_a_warm_cache(self):
         # Templates and their restrictions live across calls, and every
@@ -1154,7 +1196,10 @@ class TestBestInner:
 
 
 def dense_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
-    """(matrix, cost, lower, upper, capacity rows) written from the LP's definition."""
+    """(matrix, cost, lower, upper, capacity rows) written from the LP's
+    definition, for ``(tail, heads, rate)`` per pipe. A finite pipe has a
+    capacity row, bounded by its rate or, with ``blend_rates``, by the
+    weighted rates of the runs."""
     pairs = [(a, head) for a, (_, heads, _) in enumerate(arcs) for head in heads]
     commodities = [(s, sink) for s, d in enumerate(demands) for sink in d.sink_list]
     runs = blend_rates or []
@@ -1175,12 +1220,12 @@ def dense_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
             coeffs = {f(c, p): 1.0 for p, (b, _) in enumerate(pairs) if b == a}
             rows.append(({**coeffs, x(s, a): -1.0}, -INF, 0.0))
     capacity_rows = []
-    for a, (_, _, finite) in enumerate(arcs):
-        if finite:
+    for a, (_, _, rate) in enumerate(arcs):
+        if rate != INF:
             capacity_rows.append(len(rows))
             coeffs = {x(s, a): 1.0 for s in range(n_s)}
             coeffs.update({lam(r): -rates[a] for r, rates in enumerate(runs)})
-            rows.append((coeffs, -INF, 0.0))
+            rows.append((coeffs, -INF, 0.0 if runs else rate))
     for s in range(n_s):
         rows.append(({0: 1.0, 1 + s: -1.0}, -INF, 0.0))
     for c, (s, sink) in enumerate(commodities):
@@ -1215,6 +1260,52 @@ def dense_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
     return matrix, cost, lower, upper, capacity_rows
 
 
+def solved_runs(monkeypatch, run) -> list[tuple]:
+    """(LP, row uppers, run) of every routing LP that ``run()`` solves. Its
+    run is the arguments of `dense_routing_lp`: a routed run's present
+    pipes with their rates, or a blend's pipes with run 0's rates and the
+    rates of every run."""
+    runs = []
+    route, build = flows._route, flows._build_routing_lp
+
+    def routing(node_ids, slots, present, rates, demands, objective):
+        held = itertools.compress(zip(slots, rates.tolist()), present)
+        runs.append((node_ids, [(*slot, rate) for slot, rate in held], demands, objective, None))
+        return route(node_ids, slots, present, rates, demands, objective)
+
+    def building(node_ids, slots, demands, objective, blend_rates=None):
+        if blend_rates is not None:
+            arcs = [(*slot, rate) for slot, rate in zip(slots, blend_rates[0])]
+            runs.append((node_ids, arcs, demands, objective, blend_rates))
+        return build(node_ids, slots, demands, objective, blend_rates)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flows, "_route", routing)
+        patch.setattr(flows, "_build_routing_lp", building)
+        solves = solved_lps(patch, run)
+    assert len(solves) == len(runs)
+    return [(lp, upper, args) for (lp, upper), args in zip(solves, runs)]
+
+
+def assert_matches_definition(lp, upper, run):
+    """``lp``, solved with row uppers ``upper``, is `dense_routing_lp` of
+    ``run``, and its slots and pairs lay out the witnesses of run's pipes."""
+    arcs = run[1]
+    matrix, cost, lower, want_upper, capacity_rows = dense_routing_lp(*run)
+    got = lp_matrix(lp)
+    # Sorted, without duplicates or stored zeros: HiGHS's model of `matrix`.
+    assert got.has_canonical_format and np.all(got.data != 0.0)
+    assert np.array_equal(got.toarray(), matrix)
+    assert np.array_equal(lp.model.col_cost_, cost) and np.array_equal(lp.cost, cost)
+    assert np.array_equal(lp.model.row_lower_, lower) and np.array_equal(lp.lower, lower)
+    assert np.array_equal(upper, want_upper)
+    assert lp.capacity_rows.tolist() == capacity_rows
+    assert lp.finite_arcs.tolist() == [a for a, arc in enumerate(arcs) if arc[2] != INF]
+    assert lp.slots == tuple(arc[:2] for arc in arcs)
+    assert lp.pairs == tuple((a, head) for a, (_, heads, _) in enumerate(arcs) for head in heads)
+    assert lp.lam_col == matrix.shape[1] - len(run[4] or ())
+
+
 def run_two_session_multisink():
     net = pipes_network(
         [
@@ -1234,7 +1325,9 @@ def run_two_session_multisink():
 
 
 class TestCompiledLpMatchesDefinition:
-    """The compiled LP equals a dense matrix written from its definition."""
+    """Every LP that is solved equals a dense matrix written from its run's
+    definition: templates, their restrictions, arc lists with infinite
+    pipes and blends."""
 
     @pytest.mark.parametrize(
         "run",
@@ -1246,29 +1339,57 @@ class TestCompiledLpMatchesDefinition:
         ],
     )
     def test_matrix_cost_and_bounds(self, monkeypatch, run):
-        built = []
-        build = flows._build_routing_lp
-
-        def capture(*args):
-            lp = build(*args)
-            built.append((args, lp))
-            return lp
-
-        flows._compiled_routing_lp.cache_clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(flows, "_build_routing_lp", capture)
-            run()
-        flows._compiled_routing_lp.cache_clear()
-        assert built
+        solved = solved_runs(monkeypatch, run)
+        assert solved
         if run in (run_layered_blend, run_two_session_multisink):
-            assert any(len(args) == 5 for args, _ in built)
-        for args, lp in built:
-            matrix, cost, lower, upper, capacity_rows = dense_routing_lp(*args)
-            assert np.array_equal(lp_matrix(lp).toarray(), matrix)
-            assert np.array_equal(lp.cost, cost)
-            assert np.array_equal(lp.lower, lower)
-            assert np.array_equal(lp.upper, upper)
-            assert lp.capacity_rows.tolist() == capacity_rows
+            assert any(args[4] for _, _, args in solved)
+        if run is run_two_session_multisink:
+            # Its arc list has an infinite pipe, so its LP is a restriction.
+            assert any(lp.template is None and not args[4] for lp, _, args in solved)
+        for lp, upper, args in solved:
+            assert_matches_definition(lp, upper, args)
+
+    def test_witnesses_are_read_from_the_layout(self):
+        # Two sessions, one multicast to two sinks; a hyper-arc with two
+        # heads, an infinite pipe and an absent slot, so that every kept
+        # arc after it moves down one place. The expected dicts, keys and
+        # value reprs alike, are those a per-column table of witness keys
+        # decoded before the layout decode replaced it.
+        slots = (
+            ("s1", ("m", "t1")),
+            ("s2", ("m",)),
+            ("m", ("t2",)),
+            ("m", ("t3",)),
+            ("s2", ("t3",)),
+            ("t1", ("t2",)),
+            ("m", ("t1",)),
+        )
+        rates = np.array([0.7, INF, 0.5, 0.6, 0.5, 0.45, 0.2])
+        present = np.array([True, True, True, True, False, True, True])
+        demands = (multicast("s1", {"t1", "t2"}), unicast("s2", "t3"))
+        node_ids = ("s1", "s2", "m", "t1", "t2", "t3")
+        results = flows._route(node_ids, slots, present, rates, demands, "maxmin")
+        got = [
+            {name: [(key, repr(value)) for key, value in witness[name].items()] for name in witness}
+            for witness in (result.witness for result in results)
+        ]
+        assert [repr(result.rate) for result in results] == ["0.7", "0.6"]
+        assert got == [
+            {
+                "usage": [(0, "0.7"), (2, "0.5"), (4, "0.45"), (5, "0.2")],
+                "flows": [
+                    (("t1", 0, "t1"), "0.7"),
+                    (("t2", 0, "m"), "0.5"),
+                    (("t2", 0, "t1"), "0.19999999999999996"),
+                    (("t2", 2, "t2"), "0.5"),
+                    (("t2", 4, "t2"), "0.19999999999999996"),
+                ],
+            },
+            {
+                "usage": [(1, "0.6"), (3, "0.6")],
+                "flows": [(("t3", 1, "m"), "0.6"), (("t3", 3, "t3"), "0.6")],
+            },
+        ]
 
 
 class TestSharedSolver:
@@ -1276,10 +1397,9 @@ class TestSharedSolver:
         [(lp_a, upper_a)] = solved_lps(monkeypatch, run_bounds_lower)
         [(lp_b, upper_b)] = solved_lps(monkeypatch, run_multicast_lower)
         net = pipes_network([("s", "m", INF), ("m", "t", INF)])
-        structure = tuple((tail, heads, rate != INF) for tail, heads, rate, _ in net.arcs)
-        unbounded = flows._compiled_routing_lp(
-            net.node_ids, structure, (unicast("s", "t"),), "sum"
-        )
+        slots, present, rates = flows._list_run(net.arcs)
+        template = flows._compiled_routing_lp(net.node_ids, slots, (unicast("s", "t"),), "sum")
+        unbounded = flows._restrict(template, present, rates != INF)
 
         def on_fresh_solver(lp, upper):
             flows._solver.cache_clear()
@@ -1315,56 +1435,6 @@ class TestSharedSolver:
         assert len(made) == 1
 
 
-def same_bits(got, want) -> bool:
-    got, want = np.asarray(got), np.asarray(want)
-    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-
-
-def assert_same_lp(got, want):
-    """``got`` is ``want``'s HiGHS model and metadata, bit for bit."""
-    for name in ("num_row_", "num_col_", "col_cost_", "row_lower_"):
-        assert same_bits(getattr(got.model, name), getattr(want.model, name)), name
-    for name in ("start_", "index_", "value_"):
-        assert same_bits(getattr(got.model.a_matrix_, name), getattr(want.model.a_matrix_, name))
-    for name in ("capacity_rows", "finite_arcs", "cost", "lower", "upper"):
-        assert same_bits(getattr(got, name), getattr(want, name)), name
-    # `slots` holds n_arcs, and `witness_keys` each column's witness entry.
-    for name in ("pair_arcs", "pair_heads", "f_cols", "lam_col", "slots", "witness_keys"):
-        assert getattr(got, name) == getattr(want, name), name
-
-
-def routed_lps(monkeypatch, run) -> list[tuple]:
-    """(solved LP, the LP `_build_routing_lp` emits for its run) of every
-    routing LP that ``run()`` solves. A template's run has the structure it
-    was compiled from; a restricted LP's run has the template's slots that
-    are present, each finite where the run's rate is."""
-    built, derived = {}, {}
-    build, restrict = flows._build_routing_lp, flows._restrict
-
-    def building(*args):
-        lp = build(*args)
-        built[id(lp)] = (lp, args)
-        return lp
-
-    def restricting(lp, demands, present, finite):
-        got = restrict(lp, demands, present, finite)
-        node_ids, arcs, _, objective = built[id(lp)][1]
-        kept = tuple(
-            (tail, heads, bool(rate_is_finite))
-            for (tail, heads, _), here, rate_is_finite in zip(arcs, present, finite)
-            if here
-        )
-        derived[id(got)] = (got, (node_ids, kept, demands, objective))
-        return got
-
-    flows._compiled_routing_lp.cache_clear()  # so that every template is built here
-    with monkeypatch.context() as patch:
-        patch.setattr(flows, "_build_routing_lp", building)
-        patch.setattr(flows, "_restrict", restricting)
-        solves = solved_lps(patch, run)
-    return [(lp, build(*(derived.get(id(lp)) or built[id(lp)])[1])) for lp, _ in solves]
-
-
 def run_bounds(tmp_path, doc, step):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -1372,16 +1442,17 @@ def run_bounds(tmp_path, doc, step):
 
 
 class TestRestrictedLpMatchesDirectCompile:
-    """Every LP `bound` routes, restricted from its batch's template, is the
-    LP `_build_routing_lp` compiles from its run's own structure."""
+    """Every LP routed from a batch, restricted from the batch's template,
+    is the LP written directly from its run's definition by
+    `dense_routing_lp`, as in TestCompiledLpMatchesDefinition."""
 
     def test_two_by_three_file(self, tmp_path, monkeypatch, capsys):
-        routed = routed_lps(monkeypatch, lambda: run_bounds(tmp_path, TWO_BY_THREE_DOC, 0.25))
+        routed = solved_runs(monkeypatch, lambda: run_bounds(tmp_path, TWO_BY_THREE_DOC, 0.25))
         assert len(routed) == 19
-        for got, want in routed:
-            assert_same_lp(got, want)
+        for routed_run in routed:
+            assert_matches_definition(*routed_run)
         # Some runs leave layers out: their LPs are proper restrictions.
-        assert min(len(got.slots) for got, _ in routed) < max(len(got.slots) for got, _ in routed)
+        assert min(len(lp.slots) for lp, _, _ in routed) < max(len(lp.slots) for lp, _, _ in routed)
 
     def test_both_fuzz_families(self, tmp_path, monkeypatch, capsys):
         rng = random.Random(SEED)
@@ -1393,10 +1464,10 @@ class TestRestrictedLpMatchesDirectCompile:
         ]
         routed = 0
         for doc in docs:
-            pairs = routed_lps(monkeypatch, lambda: run_bounds(tmp_path, doc, 0.5))
-            for got, want in pairs:
-                assert_same_lp(got, want)
-            routed += len(pairs)
+            solved = solved_runs(monkeypatch, lambda: run_bounds(tmp_path, doc, 0.5))
+            for routed_run in solved:
+                assert_matches_definition(*routed_run)
+            routed += len(solved)
         assert routed > 100
 
     def test_kept_point_to_point_arc_of_rate_0(self, tmp_path, monkeypatch, capsys):
@@ -1413,19 +1484,19 @@ class TestRestrictedLpMatchesDirectCompile:
             return batches[-1]
 
         monkeypatch.setattr(LowerStructure, "rate_batch", recording)
-        routed = routed_lps(monkeypatch, lambda: run_bounds(tmp_path, doc, 0.25))
+        routed = solved_runs(monkeypatch, lambda: run_bounds(tmp_path, doc, 0.25))
         [batch] = batches
         slot = batch.slots.index(("N4", ("N1",)))
         assert (batch.rates[:, slot] == 0.0).all() and batch.present[:, slot].all()
         assert routed
-        for got, want in routed:
-            assert ("N4", ("N1",)) in got.slots
-            assert_same_lp(got, want)
+        for routed_run in routed:
+            assert ("N4", ("N1",)) in routed_run[0].slots
+            assert_matches_definition(*routed_run)
 
     @pytest.mark.parametrize("objective", ["maxmin", "sum"])
-    def test_every_subset_of_pipes_with_an_infinite_one(self, objective):
+    def test_every_subset_of_pipes_with_an_infinite_one(self, objective, monkeypatch):
         # Pipes of infinite rate, a self-loop head and an idle node; every
-        # subset of the pipes, restricted from the template of all of them.
+        # subset of the pipes, routed as a run on the template of all of them.
         net = pipes_network(
             [
                 ("s1", "m", 2.0),
@@ -1438,19 +1509,19 @@ class TestRestrictedLpMatchesDirectCompile:
             extra_nodes=("idle",),
         )
         demands = (multicast("s1", {"t1", "t2"}), unicast("s2", "t3"))
-        finite = np.array([rate != INF for _, _, rate, _ in net.arcs])
-        template = flows._build_routing_lp(
-            net.node_ids, tuple((tail, heads, True) for tail, heads, _, _ in net.arcs), demands, objective
-        )
-        for present in itertools.product([False, True], repeat=len(net.arcs)):
-            present = np.array(present)
-            kept = tuple(
-                (tail, heads, bool(bounded))
-                for (tail, heads, _, _), here, bounded in zip(net.arcs, present, finite)
-                if here
-            )
-            want = flows._build_routing_lp(net.node_ids, kept, demands, objective)
-            assert_same_lp(flows._restrict(template, demands, present, finite), want)
+        slots, _, rates = flows._list_run(net.arcs)
+
+        def route_every_subset():
+            for present in itertools.product([False, True], repeat=len(slots)):
+                try:
+                    flows._route(net.node_ids, slots, np.array(present), rates, demands, objective)
+                except RuntimeError as error:  # a rate total over an infinite path
+                    assert objective == "sum" and "Unbounded" in str(error)
+
+        routed = solved_runs(monkeypatch, route_every_subset)
+        assert len(routed) == 2 ** len(slots)
+        for routed_run in routed:
+            assert_matches_definition(*routed_run)
 
     def test_batch_rows_route_as_their_arc_lists(self, monkeypatch):
         # A batch of one group whose slots include a pipe of infinite rate and
@@ -1475,9 +1546,9 @@ class TestRestrictedLpMatchesDirectCompile:
         ]
         node_ids = ("s", "a", "b", "t")
         demands = (unicast("s", "t"), multicast("s", {"a", "t"}))
-        routed = routed_lps(monkeypatch, lambda: best_inner(node_ids, batch, demands))
-        for got, want in routed:
-            assert_same_lp(got, want)
+        routed = solved_runs(monkeypatch, lambda: best_inner(node_ids, batch, demands))
+        for routed_run in routed:
+            assert_matches_definition(*routed_run)
         assert best_inner(node_ids, batch, demands) == best_inner(
             node_ids, [batch.arcs(row) for row in range(len(rates))], demands
         )
