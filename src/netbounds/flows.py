@@ -5,26 +5,27 @@ demand, min over sinks for multicast). Inner bounds on networks with
 hyper-arcs come from a fractional-routing linear program in which one
 capacity draw on a hyper-arc serves all of its heads for a given session;
 blend_inner solves the same program over run-weighted average rates of
-several arc lists with one arc structure. A routing LP is compiled, from
-index arrays, as HiGHS's own model once per slot list, ``(tail, heads)`` per
-pipe, its template, with a capacity row on every slot: an arc list's pipes,
-or every slot of an `assemble.LowerBatch`. A run is a slot list, the mask of
-the slots it holds and its rates; an arc list is a run that holds every
-slot. Every routed run's LP is selected from its template by index alone: the
-run's absent slots and the capacity rows of its infinite pipes are left out.
-Witnesses are read from the LP's column layout: session by arc for the
-draws, commodity by (arc, head) pair, in slot order, for the flows. The LRU
-of templates is the one routing-LP cache; each template keeps the LPs
-selected from it. hyper_inner routes one arc list, and best_inner each of
-its picks, one run at a time: take its LP, solve it, read and check its
-witnesses. Every solve hands its LP to one long-lived HiGHS instance through
-SciPy's bundled bindings, which discards the previous model and basis, so
-each solve is a cold start and the order of the solves does not change any
-result. SciPy loads at the first routing LP, so a process that solves none
-never imports it. HiGHS solves to a primal feasibility tolerance of 1e-10,
-below the 1e-9 to which every reported flow is re-validated against
-conservation and capacity constraints; bounds are certifiable, not solver
-folklore.
+several arc lists with one arc structure. The one emitter compiles, from
+index arrays, templates only: once per slot list, ``(tail, heads)`` per
+pipe, an LP as HiGHS's own model with a capacity row on every slot. The slot
+list is an arc list's pipes, or every slot of an `assemble.LowerBatch`. A
+run is a slot list, the mask of the slots it holds and its rates; an arc
+list is a run that holds every slot. Every routed run's LP is selected from
+its template by index alone: the run's absent slots and the capacity rows of
+its infinite pipes are left out. A blend's LP is the selection of its first
+arc list plus one weight column per run. Witnesses are read from the LP's
+column layout: session by arc for the draws, commodity by (arc, head) pair,
+in slot order, for the flows. The LRU of templates is the one routing-LP
+cache; each template owns its LP and keeps the LPs selected from it.
+hyper_inner routes one arc list, and best_inner each of its picks, one run
+at a time: take its LP, solve it, read and check its witnesses. Every solve
+hands its LP to one long-lived HiGHS instance through SciPy's bundled
+bindings, which discards the previous model and basis, so each solve is a
+cold start and the order of the solves does not change any result. SciPy
+loads at the first routing LP, so a process that solves none never imports
+it. HiGHS solves to a primal feasibility tolerance of 1e-10, below the 1e-9
+to which every reported flow is re-validated against conservation and
+capacity constraints; bounds are certifiable, not solver folklore.
 
 Every function here reads a bounding network as its node ids and its arcs,
 ``(tail, heads, rate, label)`` tuples in pipe order, the form that
@@ -61,7 +62,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress, zip_longest
 
 import numpy as np
@@ -235,10 +236,11 @@ def max_flow(node_ids, arcs, demand: Demand) -> FlowResult:
     return _certified_flow(node_ids, capacity, demand)
 
 
-def _check_endpoints(node_ids: tuple[str, ...], demand: Demand) -> None:
-    for endpoint in (demand.source, *demand.sinks):
-        if endpoint not in node_ids:
-            raise ValueError(f"demand endpoint {endpoint!r} is not a network node")
+def _check_endpoints(node_ids: tuple[str, ...], *demands: Demand) -> None:
+    for demand in demands:
+        for endpoint in (demand.source, *demand.sink_list):
+            if endpoint not in node_ids:
+                raise ValueError(f"demand endpoint {endpoint!r} is not a network node")
 
 
 def _certified_flow(
@@ -365,21 +367,18 @@ def _check_objective(objective) -> None:
 class _RoutingLP:
     """One routing LP as HiGHS's own model, with its bounds as arrays.
 
-    Columns are [t] [R_s] [x_{s,a}] [f_{c,p}] [lambda_r], rows the
-    inequalities (per-session draws, arc capacities, common rate) over the
-    equalities (flow conservation, then sum_r lambda_r = 1 when blending).
-    The x block is session by arc of ``slots``; the f block is commodity by
-    pair of ``pairs``, a commodity being one (session, sink) in demand and
+    Columns are [t] [R_s] [x_{s,a}] [f_{c,p}], then a blend's [lambda_r];
+    rows the inequalities (per-session draws, arc capacities, common rate)
+    over the equalities (flow conservation, then a blend's sum_r lambda_r =
+    1). The x block is session by arc of ``slots``; the f block is commodity
+    by pair of ``pairs``, a commodity being one (session, sink) in demand and
     ``sink_list`` order. `_results_from_solution` reads the witnesses from
     this layout. Without lambda columns the arc rates enter only ``upper``
-    at ``capacity_rows``, so one compiled LP serves every rate assignment.
-    ``model`` holds the constraint matrix in CSC form and the same bounds;
-    each solve overwrites its row uppers.
-
-    An LP that `_build_routing_lp` compiles without lambda columns is the
-    template of its slot list, with a capacity row on every slot:
-    ``template`` holds the index arrays by which `_restrict` selects from it
-    the LP of any run on its slots. A selected or blended LP has none.
+    at ``capacity_rows``, so one LP serves every rate assignment. ``model``
+    holds the constraint matrix in CSC form and the same bounds; each solve
+    overwrites its row uppers. An LP is a template's own, `_restrict`'s
+    selection from a template, or a blend: such a selection with
+    `_with_weights`'s lambda columns.
     """
 
     model: object  # a HighsLp
@@ -388,15 +387,15 @@ class _RoutingLP:
     upper: np.ndarray
     capacity_rows: np.ndarray
     finite_arcs: np.ndarray  # arc of each capacity row
-    lam_col: int
     slots: tuple[tuple[str, tuple[str, ...]], ...]  # (tail, heads) of each arc
     pairs: tuple[tuple[int, str], ...]  # (arc, head) per head of each arc, in slot order
-    template: _Template | None
 
 
 @dataclass(frozen=True, eq=False)
 class _Template:
-    """Index arrays of a template LP over n arcs, by which `_restrict` selects.
+    """The template of a slot list of n arcs: its own LP ``lp``, with a
+    capacity row on every slot, and the index arrays by which `_restrict`
+    selects from it the LP of any run on those slots.
 
     Each column and row has a code, an index into a lookup that `_restrict`
     builds from a run's arcs; the column or row stays where that entry holds.
@@ -408,13 +407,13 @@ class _Template:
     arc, a common-rate row's and a source's conservation row's 2n, and any
     other conservation row's 2n + 1 plus its node.
 
-    ``derived`` keeps the LPs that `_route` restricts from the template,
-    keyed by the bytes of their present and finite masks, so that they live
-    and are evicted with it. It never holds the template's own LP: that
-    would be a reference cycle, which reference counting cannot free.
+    ``derived`` keeps the LPs that `_route` selects from the template, ``lp``
+    among them, keyed by the bytes of their present and finite masks, so that
+    they live and are evicted with it.
     """
 
-    start: np.ndarray  # the CSC matrix, as `model` holds it
+    lp: _RoutingLP
+    start: np.ndarray  # the CSC matrix, as `lp.model` holds it
     index: np.ndarray
     value: np.ndarray
     entry_cols: np.ndarray  # column of each matrix entry
@@ -445,29 +444,23 @@ def _highs_model(start, index, value, cost, lower):
     return model
 
 
-def _build_routing_lp(node_ids, slots, demands, objective, blend_rates=None):
-    """Routing LP of one slot list, emitted from its incidence arrays.
+def _build_routing_lp(node_ids, slots, demands, objective) -> _Template:
+    """The template of one slot list, emitted from its incidence arrays.
 
-    ``slots`` holds ``(tail, heads)`` per pipe. Without ``blend_rates`` the
-    LP is the slot list's template: each slot's capacity row bounds the
-    sessions' draws by the pipe's rate, filled in per solve. With
-    ``blend_rates`` (one row of pipe rates per run, each pipe finite in every
-    run or in none) each finite pipe's capacity row bounds them by
-    sum_r lambda_r * rate_r, and the weights lambda_r sum to 1.
-
-    Each (session, sink) pair is one commodity c with its own block of f
-    columns; every constraint family is emitted as whole (row, column, value)
-    arrays by index arithmetic over the commodities, the (arc, head) pairs and
-    the node-pair incidence. This is the one emitter of routing LPs: every
-    other LP is `_restrict`'s selection from one it emitted.
+    ``slots`` holds ``(tail, heads)`` per pipe. Each slot's capacity row
+    bounds the sessions' draws by the pipe's rate, filled in per solve. Each
+    (session, sink) pair is one commodity c with its own block of f columns;
+    every constraint family is emitted as whole (row, column, value) arrays
+    by index arithmetic over the commodities, the (arc, head) pairs and the
+    node-pair incidence. This is the one emitter of routing LPs, and it
+    emits templates only: every other LP is `_restrict`'s selection from
+    one, with `_with_weights`'s columns for a blend.
     """
     _check_objective(objective)
     n_sessions = len(demands)
     n_arcs = len(slots)
     pairs = tuple((a, head) for a, (_, heads) in enumerate(slots) for head in heads)
     n_pairs = len(pairs)
-    blend = None if blend_rates is None else np.asarray(blend_rates, dtype=float)
-    finite_arcs = np.arange(n_arcs) if blend is None else np.flatnonzero(blend[0] != math.inf)
     # Incidence of node k (by position, as conservation rows go) and pair p:
     # +1 at the pair's tail, -1 at its head, 0 on a self-loop.
     nodes = np.array(node_ids, dtype=object)[:, None]
@@ -493,18 +486,15 @@ def _build_routing_lp(node_ids, slots, demands, objective, blend_rates=None):
 
     x_col = 1 + n_sessions  # x_{s,a} sits at x_col + s * n_arcs + a
     f_col = x_col + n_sessions * n_arcs  # f_{c,p} sits at f_col + c * n_pairs + p
-    lam_col = f_col + n_comm * n_pairs
-    n_runs = 0 if blend is None else len(blend)
-    n_vars = lam_col + n_runs
-    n_finite = finite_arcs.size
+    n_vars = f_col + n_comm * n_pairs
     cap_row = n_comm * n_arcs
-    rate_row = cap_row + n_finite
+    rate_row = cap_row + n_arcs
     n_ub = rate_row + n_sessions
     row_of = np.cumsum(keep).reshape(keep.shape) + (n_ub - 1)  # valid where kept
-    n_rows = n_ub + int(np.count_nonzero(keep)) + (1 if n_runs else 0)
+    n_rows = n_ub + int(np.count_nonzero(keep))
 
-    sessions = np.arange(n_sessions)
-    cap_rows = cap_row + np.arange(n_finite)
+    sessions, arcs = np.arange(n_sessions), np.arange(n_arcs)
+    cap_rows = cap_row + arcs
     con_c, con_k, con_p = np.nonzero(keep[:, :, None] & (incidence != 0.0))
     src_c, src_k = np.nonzero(keep & is_source)
     triplets = [
@@ -516,15 +506,11 @@ def _build_routing_lp(node_ids, slots, demands, objective, blend_rates=None):
         ),
         (
             np.arange(n_comm * n_arcs),
-            (x_col + session_of[:, None] * n_arcs + np.arange(n_arcs)).ravel(),
+            (x_col + session_of[:, None] * n_arcs + arcs).ravel(),
             -1.0,
         ),
         # Arc capacity shared across sessions.
-        (
-            np.repeat(cap_rows[None, :], n_sessions, axis=0).ravel(),
-            (x_col + sessions[:, None] * n_arcs + finite_arcs).ravel(),
-            1.0,
-        ),
+        (np.tile(cap_rows, n_sessions), x_col + np.arange(n_sessions * n_arcs), 1.0),
         # Common rate t below every session's rate.
         (rate_row + sessions, np.zeros(n_sessions, dtype=np.intp), 1.0),
         (rate_row + sessions, 1 + sessions, -1.0),
@@ -532,81 +518,51 @@ def _build_routing_lp(node_ids, slots, demands, objective, blend_rates=None):
         (row_of[con_c, con_k], f_col + con_c * n_pairs + con_p, incidence[con_k, con_p]),
         (row_of[src_c, src_k], 1 + session_of[src_c], -1.0),
     ]
-    if n_runs:
-        runs = np.arange(n_runs)
-        triplets += [
-            # Capacity rows draw on the blended rate ...
-            (
-                np.repeat(cap_rows, n_runs),
-                np.tile(lam_col + runs, n_finite),
-                -blend[:, finite_arcs].T.ravel(),
-            ),
-            # ... and the run weights sum to 1.
-            (np.full(n_runs, n_rows - 1), lam_col + runs, 1.0),
-        ]
     rows = np.concatenate([r for r, _, _ in triplets])
     cols = np.concatenate([c for _, c, _ in triplets])
     vals = np.concatenate([np.full(len(r), v) for r, _, v in triplets])
-    hot = vals != 0.0  # blended rates of 0 stay out of the matrix
-    rows, cols, vals = rows[hot], cols[hot], vals[hot]
     # No cell is emitted twice, so sorting by column, then row, gives the CSC.
     order = np.lexsort((rows, cols))
     start = np.zeros(n_vars + 1, dtype=np.intp)
     np.cumsum(np.bincount(cols, minlength=n_vars), out=start[1:])
     index, value = rows[order], vals[order]
-    template = None
-    if not n_runs:
-        # Each row's and column's code in `_restrict`'s lookups; see `_Template`.
-        con_codes = np.where(is_source, 2 * n_arcs, 2 * n_arcs + 1 + np.arange(len(node_ids)))
-        template = _Template(
-            start=start,
-            index=index,
-            value=value,
-            entry_cols=cols[order],
-            col_codes=np.concatenate(
-                [
-                    np.full(x_col, n_arcs),
-                    np.tile(np.arange(n_arcs), n_sessions),
-                    np.tile(pair_arc, n_comm),
-                    [n_arcs],
-                ]
-            ),
-            row_codes=np.concatenate(
-                [
-                    np.tile(np.arange(n_arcs), n_comm),
-                    n_arcs + finite_arcs,
-                    np.full(n_sessions, 2 * n_arcs),
-                    con_codes[keep],
-                ]
-            ),
-            node_arcs=touch @ (pair_arc[:, None] == np.arange(n_arcs)),
-        )
     lower = np.zeros(n_rows)
     lower[:n_ub] = -np.inf
-    upper = np.zeros(n_rows)
-    if n_runs:
-        lower[-1] = upper[-1] = 1.0
     cost = np.zeros(n_vars)
     if objective == "maxmin":
         cost[0] = -1.0
     else:
         cost[1 : 1 + n_sessions] = -1.0
-    return _RoutingLP(
+    lp = _RoutingLP(
         model=_highs_model(start, index, value, cost, lower),
         cost=cost,
         lower=lower,
-        upper=upper,
+        upper=np.zeros(n_rows),
         capacity_rows=cap_rows,
-        finite_arcs=finite_arcs,
-        lam_col=lam_col,
+        finite_arcs=arcs,
         slots=tuple(slots),
         pairs=pairs,
-        template=template,
+    )
+    # Each row's and column's code in `_restrict`'s lookups; see `_Template`.
+    con_codes = np.where(is_source, 2 * n_arcs, 2 * n_arcs + 1 + np.arange(len(node_ids)))
+    return _Template(
+        lp=lp,
+        start=start,
+        index=index,
+        value=value,
+        entry_cols=cols[order],
+        col_codes=np.concatenate(
+            [np.full(x_col, n_arcs), np.tile(arcs, n_sessions), np.tile(pair_arc, n_comm), [n_arcs]]
+        ),
+        row_codes=np.concatenate(
+            [np.tile(arcs, n_comm), n_arcs + arcs, np.full(n_sessions, 2 * n_arcs), con_codes[keep]]
+        ),
+        node_arcs=touch @ (pair_arc[:, None] == arcs),
     )
 
 
-def _restrict(lp: _RoutingLP, present: np.ndarray, finite: np.ndarray) -> _RoutingLP:
-    """The routing LP of the run on template ``lp``'s slots that holds those
+def _restrict(template: _Template, present: np.ndarray, finite: np.ndarray) -> _RoutingLP:
+    """The routing LP of the run on ``template``'s slots that holds those
     that ``present`` marks, with a capacity row on each present slot that
     ``finite`` marks, selected by index alone.
 
@@ -615,10 +571,10 @@ def _restrict(lp: _RoutingLP, present: np.ndarray, finite: np.ndarray) -> _Routi
     common-rate row, and the conservation rows at each commodity's source or
     at a node that a present slot touches; rows and columns keep their
     order, and every column its entries'. The result is the LP of the run's
-    own pipes, laid out as `_RoutingLP` says. ``lp`` itself is returned when
+    own pipes, laid out as `_RoutingLP` says: ``template.lp`` itself when
     the run holds every slot, each finite.
     """
-    template = lp.template
+    lp = template.lp
     bounded = present & finite
     if bounded.all():
         return lp
@@ -643,16 +599,35 @@ def _restrict(lp: _RoutingLP, present: np.ndarray, finite: np.ndarray) -> _Routi
         upper=lp.upper[row_keep],
         capacity_rows=row_at[lp.capacity_rows[bounded]],
         finite_arcs=position[bounded],
-        lam_col=int(np.count_nonzero(col_keep)),
         slots=tuple(compress(lp.slots, held)),
         pairs=tuple((at[a], head) for a, head in lp.pairs if held[a]),
-        template=None,
     )
 
 
+def _with_weights(lp: _RoutingLP, rates: np.ndarray) -> _RoutingLP:
+    """The blend LP of ``rates``, one row of rates per run on ``lp``'s slots,
+    each finite where ``lp`` has a capacity row: ``lp`` with a weight column
+    lambda_r per run and a last row, sum_r lambda_r = 1. Each capacity row
+    then bounds its arc's draws by sum_r lambda_r * rate_r; rates of 0 stay
+    out of the matrix."""
+    matrix = lp.model.a_matrix_
+    # Per run, its column's entries: -rate_r at each capacity row, then 1.
+    entries = np.concatenate((-rates[:, lp.finite_arcs], np.ones((len(rates), 1))), axis=1)
+    hot = entries != 0.0
+    rows = np.broadcast_to(np.append(lp.capacity_rows, lp.lower.size), entries.shape)
+    start = matrix.start_
+    start = np.concatenate((start, start[-1] + np.cumsum(np.count_nonzero(hot, axis=1))))
+    index = np.concatenate((matrix.index_, rows[hot]))
+    value = np.concatenate((matrix.value_, entries[hot]))
+    cost = np.append(lp.cost, np.zeros(len(rates)))
+    lower = np.append(lp.lower, 1.0)
+    model = _highs_model(start, index, value, cost, lower)
+    return replace(lp, model=model, cost=cost, lower=lower, upper=np.append(lp.upper, 1.0))
+
+
 @functools.lru_cache(maxsize=_LP_CACHE_SIZE)
-def _compiled_routing_lp(node_ids, slots, demands, objective) -> _RoutingLP:
-    """The routing LP template of one slot list, compiled once and reused."""
+def _compiled_routing_lp(node_ids, slots, demands, objective) -> _Template:
+    """The template of one slot list, compiled once and reused."""
     return _build_routing_lp(node_ids, slots, demands, objective)
 
 
@@ -705,7 +680,7 @@ def _results_from_solution(lp: _RoutingLP, demands, solution) -> list[FlowResult
     x_col = 1 + len(demands)
     n_arcs, pairs = len(lp.slots), lp.pairs
     n_x = len(demands) * n_arcs  # the x block's width
-    block = solution[x_col : lp.lam_col]
+    block = solution[x_col : x_col + n_x + len(commodities) * len(pairs)]
     hot = (block > _WITNESS_FLOOR).nonzero()[0]
     for i, value in zip(hot.tolist(), block[hot].tolist()):
         if i < n_x:
@@ -1021,11 +996,13 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
     is selected from it once while the template is cached.
 
     Raises:
-        ValueError: on an unknown objective.
+        ValueError: on an unknown objective or a demand endpoint that is not
+            in ``node_ids``.
     """
     _check_objective(objective)
     demands = tuple(demands)
     node_ids = tuple(node_ids)
+    _check_endpoints(node_ids, *demands)
     unicast = len(demands) == 1 and demands[0].kind == "unicast"
     total = objective == "sum" and not unicast
     batch = hasattr(candidates, "slots")
@@ -1101,8 +1078,8 @@ def hyper_inner(
     returning.
 
     Raises:
-        ValueError: on empty demands or an unknown objective, before any LP
-            is compiled.
+        ValueError: on empty demands, an unknown objective or a demand
+            endpoint that is not in ``node_ids``, before any LP is compiled.
         RuntimeError: when the routing LP has no optimal solution.
         AssertionError: when a witness fails `validate_hyper_result`.
     """
@@ -1110,7 +1087,9 @@ def hyper_inner(
     demands = tuple(demands)
     if not demands:
         raise ValueError("demands must be nonempty")
-    return _route(tuple(node_ids), *_list_run(arcs), demands, objective)
+    node_ids = tuple(node_ids)
+    _check_endpoints(node_ids, *demands)
+    return _route(node_ids, *_list_run(arcs), demands, objective)
 
 
 def _list_run(arcs) -> tuple:
@@ -1131,16 +1110,13 @@ def _route(node_ids, slots, present, rates, demands, objective) -> list[FlowResu
     witnesses are checked against the run's arcs, rebuilt from its LP's
     slots and present rates.
     """
-    lp = _compiled_routing_lp(node_ids, slots, demands, objective)
+    template = _compiled_routing_lp(node_ids, slots, demands, objective)
     finite = rates != math.inf
-    derived = lp.template.derived
     key = (present.tobytes(), finite.tobytes())
-    restricted = derived.get(key)
-    if restricted is None:
-        restricted = _restrict(lp, present, finite)
-        if restricted is not lp:  # the template's own LP would make a cycle
-            derived[key] = restricted
-    lp, rates = restricted, rates[present]
+    lp = template.derived.get(key)
+    if lp is None:
+        lp = template.derived[key] = _restrict(template, present, finite)
+    rates = rates[present]
     upper = lp.upper.copy()
     upper[lp.capacity_rows] = rates[lp.finite_arcs]
     solution = _solve_lp(lp, upper)
@@ -1175,8 +1151,9 @@ def blend_inner(
         averaged arcs, and the chosen run weights.
 
     Raises:
-        ValueError: on empty inputs, mismatched arc structure, or arcs that
-            are infinite in some runs but finite in others.
+        ValueError: on empty inputs, a demand endpoint that is not in
+            ``node_ids``, mismatched arc structure, or arcs that are infinite
+            in some runs but finite in others.
     """
     demands = tuple(demands)
     if not demands:
@@ -1185,6 +1162,7 @@ def blend_inner(
     if not runs:
         raise ValueError("arc_lists must be nonempty")
     node_ids = tuple(node_ids)
+    _check_endpoints(node_ids, *demands)
     base = runs[0]
     # (tail, heads, finite) per pipe of each run; every run must have run 0's.
     structure, *others = (
@@ -1202,9 +1180,12 @@ def blend_inner(
                 "each (tail, heads, finite); an arc must be finite in every run or in none"
             )
     rates = [[rate for _, _, rate, _ in arcs] for arcs in runs]
-    lp = _build_routing_lp(node_ids, [arc[:2] for arc in base], demands, objective, rates)
+    slots, present, first = _list_run(base)
+    template = _compiled_routing_lp(node_ids, slots, demands, objective)
+    selected = _restrict(template, present, first != math.inf)
+    lp = _with_weights(selected, np.array(rates, dtype=float))
     solution = _solve_lp(lp, lp.upper)
-    weights = tuple(float(w) for w in solution[lp.lam_col :])
+    weights = tuple(solution[-len(runs) :].tolist())
     # Every arc at its weighted-average rate over the runs.
     averaged = [
         (

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .info import db_to_linear
 
@@ -146,8 +147,9 @@ class Demand:
         """The demand as refusal messages name it."""
         return f"demand from {self.source!r}"
 
-    @property
+    @cached_property
     def sink_list(self) -> tuple[str, ...]:
+        """The sinks, sorted; built once per demand."""
         return tuple(sorted(self.sinks))
 
 

@@ -1064,8 +1064,8 @@ def test_cli_imports_no_model_or_flow_module():
 
 def test_only_flows_names_the_cut_margin_or_the_routing_rounds():
     # `flows.best_inner` is the one inner search: no other module skips a
-    # candidate by _CUT_MARGIN, routes a run by flows' `_route`, or builds or
-    # selects a routing LP.
+    # candidate by _CUT_MARGIN, routes a run by flows' `_route`, or builds,
+    # selects or extends a routing LP.
     package = Path(cli.__file__).parent
     named = []
     for path in sorted(package.glob("*.py")):
@@ -1086,6 +1086,8 @@ def test_only_flows_names_the_cut_margin_or_the_routing_rounds():
                 "_build_routing_lp",
                 "_restrict",
                 "_compiled_routing_lp",
+                "_with_weights",
+                "_Template",
             ):
                 named.append(f"{path.name}:{node.lineno}: {name}")
     assert named == []

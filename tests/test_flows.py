@@ -943,8 +943,8 @@ class TestDirectSolveMatchesMilp:
     def test_same_solution_as_milp(self, monkeypatch, run):
         solves = solved_lps(monkeypatch, run)
         assert solves
-        if run is run_layered_blend:
-            assert any(lp.lam_col < lp.cost.size for lp, _ in solves)
+        if run is run_layered_blend:  # a blend's last row sums its weights to 1
+            assert any(lp.lower[-1] == 1.0 for lp, _ in solves)
         for lp, upper in solves:
             reference = milp(
                 lp.cost,
@@ -1005,11 +1005,12 @@ class TestRoutingLpCache:
         got = hyper_inner(unbounded.node_ids, unbounded.arcs, self.DEMANDS)
         info = flows._compiled_routing_lp.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        lp = flows._compiled_routing_lp(
+        template = flows._compiled_routing_lp(
             net.node_ids, flows._list_run(net.arcs)[0], self.DEMANDS, "maxmin"
         )
-        [restricted] = lp.template.derived.values()
-        assert restricted.slots == lp.slots
+        own, restricted = template.derived.values()
+        assert own is template.lp
+        assert restricted.slots == own.slots
         assert restricted.finite_arcs.tolist() == [1, 2, 3]
         assert_same_results(got, fresh_solve(unbounded, self.DEMANDS))
 
@@ -1063,18 +1064,18 @@ class TestRoutingLpCache:
         assert all(arc[2] < INF for arcs in arc_lists for arc in arcs)
         restrict, restricted = flows._restrict, []
 
-        def restricting(lp, present, finite):
-            restricted.append((lp, restrict(lp, present, finite)))
+        def restricting(template, present, finite):
+            restricted.append((template.lp, restrict(template, present, finite)))
             return restricted[-1][1]
 
         monkeypatch.setattr(flows, "_restrict", restricting)
         hyper_inner(node_ids, arc_lists[0], demands)
         best_inner(node_ids, arc_lists, demands)
-        assert restricted and all(got is lp for lp, got in restricted)
+        assert restricted and all(got is own for own, got in restricted)
         net = pipes_network([("s", "m", INF), ("m", "t", 1.0)])
         hyper_inner(net.node_ids, net.arcs, (unicast("s", "t"),))
-        template, got = restricted[-1]
-        assert got is not template and got.slots == template.slots
+        own, got = restricted[-1]
+        assert got is not own and got.slots == own.slots
         assert got.finite_arcs.tolist() == [1]
 
     def test_any_order_of_runs_routes_alike_on_a_warm_cache(self):
@@ -1096,17 +1097,18 @@ class TestRoutingLpCache:
     def test_an_evicted_template_is_freed_by_reference_counting(
         self, tmp_path, monkeypatch, capsys
     ):
-        # A template keeps the LPs restricted from it, never its own LP, so
-        # no reference cycle holds it once the LRU lets it go. Besides the
-        # `bounds` run, a batch routes a row that keeps every slot, finite:
-        # its LP is the template's own.
+        # A template owns its LP and keeps the LPs selected from it, its own
+        # among them, and no LP points back to it: no reference cycle holds
+        # it once the LRU lets it go. Besides the `bounds` run, a batch
+        # routes a row that keeps every slot, finite: its LP is the
+        # template's own.
         refs = []
         build = flows._build_routing_lp
 
         def building(*args):
-            lp = build(*args)
-            refs.extend((weakref.ref(lp), weakref.ref(lp.template)))
-            return lp
+            template = build(*args)
+            refs.extend((weakref.ref(template), weakref.ref(template.lp)))
+            return template
 
         monkeypatch.setattr(flows, "_build_routing_lp", building)
         assert run_bounds(tmp_path, TWO_BY_THREE_DOC, 0.25) == 0
@@ -1117,7 +1119,9 @@ class TestRoutingLpCache:
         assert batch.present.all()
         best_inner(("s", "a", "b", "t"), batch, (unicast("s", "t"), multicast("s", {"a", "t"})))
         assert refs and all(ref() is not None for ref in refs)
-        assert any(ref().derived for ref in refs[1::2])
+        templates = [ref() for ref in refs[::2]]
+        assert any(template.lp in template.derived.values() for template in templates)
+        del templates
         gc.disable()
         try:
             flows._compiled_routing_lp.cache_clear()
@@ -1195,14 +1199,14 @@ class TestBestInner:
         assert best_inner(node_ids, [], demands, "sum") == [(-INF, None)]
 
 
-def dense_routing_lp(node_ids, arcs, demands, objective, blend_rates=None):
+def dense_routing_lp(node_ids, arcs, demands, objective, blend=None):
     """(matrix, cost, lower, upper, capacity rows) written from the LP's
     definition, for ``(tail, heads, rate)`` per pipe. A finite pipe has a
-    capacity row, bounded by its rate or, with ``blend_rates``, by the
-    weighted rates of the runs."""
+    capacity row, bounded by its rate or, with ``blend`` (one row of pipe
+    rates per run), by the weighted rates of the runs."""
     pairs = [(a, head) for a, (_, heads, _) in enumerate(arcs) for head in heads]
     commodities = [(s, sink) for s, d in enumerate(demands) for sink in d.sink_list]
-    runs = blend_rates or []
+    runs = blend or []
     n_s, n_a, n_p = len(demands), len(arcs), len(pairs)
 
     def x(s, a):
@@ -1264,24 +1268,30 @@ def solved_runs(monkeypatch, run) -> list[tuple]:
     """(LP, row uppers, run) of every routing LP that ``run()`` solves. Its
     run is the arguments of `dense_routing_lp`: a routed run's present
     pipes with their rates, or a blend's pipes with run 0's rates and the
-    rates of every run."""
-    runs = []
-    route, build = flows._route, flows._build_routing_lp
+    rates of every run. `blend_inner` takes a blend's template from the LRU
+    and then gives its selection weight columns."""
+    runs, keys = [], []
+    route, compiled, weigh = flows._route, flows._compiled_routing_lp, flows._with_weights
 
     def routing(node_ids, slots, present, rates, demands, objective):
         held = itertools.compress(zip(slots, rates.tolist()), present)
         runs.append((node_ids, [(*slot, rate) for slot, rate in held], demands, objective, None))
         return route(node_ids, slots, present, rates, demands, objective)
 
-    def building(node_ids, slots, demands, objective, blend_rates=None):
-        if blend_rates is not None:
-            arcs = [(*slot, rate) for slot, rate in zip(slots, blend_rates[0])]
-            runs.append((node_ids, arcs, demands, objective, blend_rates))
-        return build(node_ids, slots, demands, objective, blend_rates)
+    def compiling(*key):
+        keys.append(key)
+        return compiled(*key)
+
+    def weighing(lp, rates):
+        node_ids, slots, demands, objective = keys[-1]
+        arcs = [(*slot, rate) for slot, rate in zip(slots, rates[0].tolist())]
+        runs.append((node_ids, arcs, demands, objective, rates.tolist()))
+        return weigh(lp, rates)
 
     with monkeypatch.context() as patch:
         patch.setattr(flows, "_route", routing)
-        patch.setattr(flows, "_build_routing_lp", building)
+        patch.setattr(flows, "_compiled_routing_lp", compiling)
+        patch.setattr(flows, "_with_weights", weighing)
         solves = solved_lps(patch, run)
     assert len(solves) == len(runs)
     return [(lp, upper, args) for (lp, upper), args in zip(solves, runs)]
@@ -1303,7 +1313,10 @@ def assert_matches_definition(lp, upper, run):
     assert lp.finite_arcs.tolist() == [a for a, arc in enumerate(arcs) if arc[2] != INF]
     assert lp.slots == tuple(arc[:2] for arc in arcs)
     assert lp.pairs == tuple((a, head) for a, (_, heads, _) in enumerate(arcs) for head in heads)
-    assert lp.lam_col == matrix.shape[1] - len(run[4] or ())
+    # The witness columns end where a blend's weight columns begin.
+    n_comm = sum(len(d.sink_list) for d in run[2])
+    n_witness = 1 + len(run[2]) * (1 + len(arcs)) + n_comm * len(lp.pairs)
+    assert lp.cost.size == n_witness + len(run[4] or ())
 
 
 def run_two_session_multisink():
@@ -1324,6 +1337,18 @@ def run_two_session_multisink():
     blend_inner(net.node_ids, [net.arcs, net.arcs], demands)
 
 
+def run_blend_with_a_rate_of_0():
+    # Pipe m -> (t, u) has rate 0 in the first run and 2 in the second: the
+    # first run's weight column has no entry in that pipe's capacity row.
+    runs = [
+        pipes_network([("s", "m", 1.0), ("m", ("t", "u"), rate), ("s", "u", INF)])
+        for rate in (0.0, 2.0)
+    ]
+    demands = (multicast("s", {"t", "u"}),)
+    _, weights = blend_inner(runs[0].node_ids, [net.arcs for net in runs], demands)
+    assert weights[1] > 0.0
+
+
 class TestCompiledLpMatchesDefinition:
     """Every LP that is solved equals a dense matrix written from its run's
     definition: templates, their restrictions, arc lists with infinite
@@ -1336,16 +1361,23 @@ class TestCompiledLpMatchesDefinition:
             run_bounds_lower,
             run_layered_blend,
             run_two_session_multisink,
+            run_blend_with_a_rate_of_0,
         ],
     )
     def test_matrix_cost_and_bounds(self, monkeypatch, run):
         solved = solved_runs(monkeypatch, run)
         assert solved
-        if run in (run_layered_blend, run_two_session_multisink):
+        if run in (run_layered_blend, run_two_session_multisink, run_blend_with_a_rate_of_0):
             assert any(args[4] for _, _, args in solved)
         if run is run_two_session_multisink:
-            # Its arc list has an infinite pipe, so its LP is a restriction.
-            assert any(lp.template is None and not args[4] for lp, _, args in solved)
+            # Its arc list has an infinite pipe, so its LP is a restriction:
+            # a template has a capacity row on every slot.
+            assert any(
+                lp.finite_arcs.size < len(lp.slots) and not args[4] for lp, _, args in solved
+            )
+        if run is run_blend_with_a_rate_of_0:
+            [(_, _, args)] = solved
+            assert args[4] == [[1.0, 0.0, INF], [1.0, 2.0, INF]]
         for lp, upper, args in solved:
             assert_matches_definition(lp, upper, args)
 
@@ -1552,6 +1584,30 @@ class TestRestrictedLpMatchesDirectCompile:
         assert best_inner(node_ids, batch, demands) == best_inner(
             node_ids, [batch.arcs(row) for row in range(len(rates))], demands
         )
+
+
+@pytest.mark.parametrize("search", ["hyper_inner", "blend_inner", "best_inner"])
+@pytest.mark.parametrize(
+    "demand", [unicast("c", "b"), unicast("a", "z")], ids=["source", "sink"]
+)
+def test_inner_bounds_refuse_an_endpoint_outside_the_network(search, demand, monkeypatch):
+    # Unrefused, a source outside the network made the LP unbounded (or, in
+    # best_inner with a second demand, failed the witness check), and a
+    # sink outside it got rate 0.
+    def refused(*args):
+        raise AssertionError("a routing LP was compiled")
+
+    monkeypatch.setattr(flows, "_build_routing_lp", refused)
+    node_ids, arcs = ("a", "b"), [("a", ("b",), 1.0, "x")]
+    demands = (demand, unicast("a", "b"))
+    calls = {
+        "hyper_inner": lambda: hyper_inner(node_ids, arcs, demands),
+        "blend_inner": lambda: blend_inner(node_ids, [arcs], demands),
+        "best_inner": lambda: best_inner(node_ids, [arcs], demands),
+    }
+    bad = demand.source if demand.source == "c" else "z"
+    with pytest.raises(ValueError, match=f"demand endpoint '{bad}' is not a network node"):
+        calls[search]()
 
 
 class TestObjectiveRefusal:

@@ -245,6 +245,16 @@ def test_demand_invariants():
         Demand(kind="unicast", source="A", sinks=frozenset({"B", "C"}))
 
 
+def test_sink_list_is_sorted_and_built_once():
+    demand = Demand(kind="multicast", source="S", sinks=frozenset({"C", "A", "B"}))
+    twin = Demand(kind="multicast", source="S", sinks=frozenset({"B", "C", "A"}))
+    assert demand.sink_list == ("A", "B", "C")
+    assert demand.sink_list is demand.sink_list
+    # The built list is no field: equality and the hash are the fields'.
+    assert demand == twin and hash(demand) == hash(twin)
+    assert twin.sink_list == demand.sink_list
+
+
 def test_validate_upper_rejects_hyper_arc():
     node_ids = ("A", "B", "C")
     arcs = [("A", ("B", "C"), 1.0, "test")]
