@@ -391,9 +391,10 @@ def multicast_eq_lower(net: NoisyNetwork, components) -> float:
     Each candidate is scored by the sum-objective routing LP on its arcs, and
     `flows.best_inner` finds the best total: it ranks the candidates by their
     `flows.sum_rate_cut` (the least total rate entering a receiver, which
-    every session must reach) and routes them best first, so only those
-    whose cut could still beat or tie the best routed total are routed. The
-    result is bit for bit that of routing every candidate.
+    every session must reach), caps each routed total at its cut and routes
+    them best first, so only those whose cut could still beat or tie the
+    best routed total are routed. The result is bit for bit that of routing
+    every candidate with the same cap.
     """
     demands = net.demands
     sinks = sorted(demands[0].sinks)

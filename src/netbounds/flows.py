@@ -39,12 +39,13 @@ sinks, so the total cannot exceed the rate of the pipes entering a sink that
 all sessions share. demand_cut bounds one session's rate by source-side cuts
 of the split-node rewrite that `unicast_inner` routes. A validated hyper_inner
 rate or total exceeds its cut by at most the slack of validate_hyper_result's
-1e-9 tolerances (about 1e-8 on the multicast search's networks). best_inner,
-the one inner-bound search (of `pipeline.bound` and the multicast search),
-routes candidates best first by these cuts and skips those whose cut falls
-short of the best routed rate by _CUT_MARGIN, far above that slack: they could
-neither beat nor tie it. The relay search keeps its own scan, whose cut is
-exact (see `experiments.relay_eq_lower`).
+1e-9 tolerances (about 1e-8 on the multicast search's networks), so a rate
+above its cut is solver slack. best_inner, the one inner-bound search (of
+`pipeline.bound` and the multicast search), caps each routed rate at its cut
+and routes candidates best first by these cuts, until the next candidate's cut
+is below the best capped rate, or equals it at a later index: it could neither
+beat nor tie it. The relay search keeps its own scan, whose cut is exact (see
+`experiments.relay_eq_lower`).
 
 A third cut is exact. min_cut takes a batch of point-to-point networks, one
 per row of rates over the same pipes, and gives each row's min cut by
@@ -99,8 +100,8 @@ __all__ = [
 
 _EK_TOL = 1e-12
 
-# Margin of every LP skip by a cut: far above the slack (about 1e-8) that
-# validate_hyper_result's tolerances leave a solved rate over its cut.
+# How far best_inner lets a solved rate exceed its cut before it fails: far
+# above the slack (about 1e-8) that validate_hyper_result's tolerances leave.
 _CUT_MARGIN = 1e-6
 
 # Interior nodes per sink whose subsets min_cut enumerates, at most.
@@ -984,13 +985,16 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
     A lone unicast demand is the one quantity, routed by `unicast_inner`.
     Otherwise each candidate is routed as `hyper_inner` routes it, with
     ``objective``, and the quantities are the demands, in order, for
-    "maxmin" and their rate total for "sum". Each quantity ranks the
-    candidates by descending cut (`demand_cut` of its demand, `sum_rate_cut`
-    of the total), then by index. Every round routes each open quantity's
+    "maxmin" and their rate total for "sum". Each routed score is capped at
+    its cut (`demand_cut` of its demand, `sum_rate_cut` of the total), which
+    bounds every routing of that candidate; a score more than _CUT_MARGIN
+    above it fails an assertion. Each quantity ranks the candidates by
+    descending cut, then by index. Every round routes each open quantity's
     first candidate not yet routed; a quantity closes once that candidate's
-    cut plus _CUT_MARGIN is at most its best rate, which no later candidate
-    can then beat or tie. The earliest candidate of the best rate wins, so
-    the result is that of routing every candidate. Candidates on one slot
+    cut is below its best rate, or equals it at a later index than the
+    best's, since no later candidate can then beat or tie it. The earliest
+    candidate of the best rate wins, so the result is, bit for bit, that of
+    routing every candidate with the same cap. Candidates on one slot
     list (the rows of a batch, or arc lists of one arc structure) share one
     LP template, and the LP of each distinct set of present and finite slots
     is selected from it once while the template is cached.
@@ -1032,6 +1036,7 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
     index = np.arange(count)
     # Each ranking is stored reversed, so that its next candidate is its last entry.
     ranks = {q: np.lexsort((index, -cut))[::-1].tolist() for q, cut in enumerate(cuts)}
+    cuts = [cut.tolist() for cut in cuts]
     best = [(-math.inf, None)] * len(cuts)
     routed = set()
     while ranks:
@@ -1039,7 +1044,9 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
         for q, rank in list(ranks.items()):
             while rank and rank[-1] in routed:
                 rank.pop()
-            if not rank or cuts[q][rank[-1]] + _CUT_MARGIN <= best[q][0]:
+            # A candidate's capped score is at most its cut, so one that ranks
+            # after the best rate's (rate, index) can neither beat nor tie it.
+            if not rank or (-cuts[q][rank[-1]], rank[-1]) > (-best[q][0], best[q][1]):
                 del ranks[q]
             elif rank[-1] not in picks:
                 picks.append(rank[-1])
@@ -1053,6 +1060,7 @@ def best_inner(node_ids, candidates, demands, objective="maxmin") -> list[tuple]
             for q, rate in enumerate([ltr_sum(scores)] if total else scores):
                 cut = cuts[q][run]
                 assert rate <= cut + _CUT_MARGIN, f"candidate {run}: {rate} exceeds its cut {cut}"
+                rate = min(rate, cut)
                 if rate > best[q][0] or rate == best[q][0] and run < best[q][1]:
                     best[q] = (rate, run)
     return best

@@ -15,14 +15,15 @@ certified, on the least. The inner bounds of all demands are one
 too: each demand's `flows.demand_cut` bounds its rate on every run without a
 flow, and the runs are routed best first, by one exact `unicast_inner` max
 flow each where the one demand is unicast and otherwise by one routing LP
-each, while a run's cut could still beat or tie some demand's best routed
-rate. A run's arcs are listed only for a flow, and a label is
-formatted only for each winner.
+each, each routed rate capped at its run's cut, while a run's cut could
+still beat or tie some demand's best routed rate. A run's arcs are listed
+only for a flow, and a label is formatted only for each winner.
 
 Every run gives a valid bound, so per demand the sweep keeps the least outer
 and the largest inner rate, with its run's label; of tied runs the earliest
 in sweep order wins. A run left unrouted could neither beat nor tie, so each
-inner (rate, label) is the one that routing every run would give.
+inner (rate, label) is the one that routing every run, with the same cap,
+would give.
 """
 
 from __future__ import annotations

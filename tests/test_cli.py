@@ -21,7 +21,7 @@ from netbounds.assemble import LowerStructure, UpperStructure
 from netbounds.cli import main, parse_grid
 from netbounds.decouple import decompose
 from netbounds.flows import unicast_inner
-from netbounds.info import db_to_linear
+from netbounds.info import db_to_linear, ltr_sum
 from netbounds.netmodel import Demand
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -1012,15 +1012,23 @@ class TestMulticastCutPruning:
             for delta_ratio_db in (-10.0, -3.0)
         ]
         pruned = [self.run_point(*point) for point in points]
-        cuts = []
+        searched = []
 
-        def no_cut(arcs, demands):
-            cuts.append(arcs)
-            return math.inf
+        def every_candidate(node_ids, candidates, demands, objective):
+            # Route every candidate, cap its total at its `sum_rate_cut` and
+            # keep strict improvements, so the earliest of tied totals wins.
+            searched.append(candidates)
+            best = (-math.inf, None)
+            for index, arcs in enumerate(candidates):
+                results = flows.hyper_inner(node_ids, arcs, demands, objective)
+                total = min(ltr_sum([r.rate for r in results]), flows.sum_rate_cut(arcs, demands))
+                if total > best[0]:
+                    best = (total, index)
+            return [best]
 
-        monkeypatch.setattr(flows, "sum_rate_cut", no_cut)
+        monkeypatch.setattr(experiments, "best_inner", every_candidate)
         exhaustive = [self.run_point(*point) for point in points]
-        assert cuts  # the search read its cuts through the patched name
+        assert len(searched) == len(points)  # the search went through the patched name
         assert pruned == exhaustive
 
     def test_bench_point_solves_one_lp(self, monkeypatch):
@@ -1063,9 +1071,9 @@ def test_cli_imports_no_model_or_flow_module():
 
 
 def test_only_flows_names_the_cut_margin_or_the_routing_rounds():
-    # `flows.best_inner` is the one inner search: no other module skips a
-    # candidate by _CUT_MARGIN, routes a run by flows' `_route`, or builds,
-    # selects or extends a routing LP.
+    # `flows.best_inner` is the one inner search: no other module checks a
+    # routed rate against its cut by _CUT_MARGIN, routes a run by flows'
+    # `_route`, or builds, selects or extends a routing LP.
     package = Path(cli.__file__).parent
     named = []
     for path in sorted(package.glob("*.py")):

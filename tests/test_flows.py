@@ -1048,12 +1048,12 @@ class TestRoutingLpCache:
             monkeypatch, lambda: cli.main(["bounds", str(path), "--beta-step", "0.25"])
         )
         # Each side's three shares have 7 support patterns, so the sweep has
-        # 7 * 7 structures; the 19 runs that `bound` routes have 9 of them.
+        # 7 * 7 structures; the 8 runs that `bound` routes have 6 of them.
         # Every run takes the batch's one template from the LRU, and each of
-        # the 9 structures is restricted from it once, for every run of that
+        # the 6 structures is restricted from it once, for every run of that
         # structure.
         structures = {(lp.slots, tuple(lp.finite_arcs.tolist())) for lp in restricted}
-        assert (len(solves), len(keys), len(restricted), len(structures)) == (19, 19, 9, 9)
+        assert (len(solves), len(keys), len(restricted), len(structures)) == (8, 8, 6, 6)
         assert {id(lp) for lp, _ in solves} == {id(lp) for lp in restricted}
         assert compiled.cache_info().misses == 1
 
@@ -1480,7 +1480,7 @@ class TestRestrictedLpMatchesDirectCompile:
 
     def test_two_by_three_file(self, tmp_path, monkeypatch, capsys):
         routed = solved_runs(monkeypatch, lambda: run_bounds(tmp_path, TWO_BY_THREE_DOC, 0.25))
-        assert len(routed) == 19
+        assert len(routed) == 8
         for routed_run in routed:
             assert_matches_definition(*routed_run)
         # Some runs leave layers out: their LPs are proper restrictions.

@@ -140,3 +140,35 @@ def test_bounds_bench_pass_certifies_one_outer_flow_per_demand(monkeypatch, tmp_
         code, _out, _err = workloads.run_point("bounds", point.payload)
         assert code == 0
     assert sorted(flowed) == ["max_flow"] * 10 + ["multicast_outer"] * 10
+
+
+def test_bounds_bench_pass_routes_54_lps(monkeypatch, tmp_path):
+    # Of the pool's 1400 inner runs. Most routed rates equal their run's
+    # `demand_cut`, so a demand closes at the first run whose cut ties its
+    # best rate at a later index; before ties closed, a pass routed 303.
+    workloads = load_perfbench("workloads")
+    solves = []
+    solve = flows._solve_lp
+
+    def counting(lp, upper):
+        solves.append(lp)
+        return solve(lp, upper)
+
+    monkeypatch.setattr(flows, "_solve_lp", counting)
+    routed = {}
+    for point in workloads.make_points("bounds", 1, tmp_path):
+        before = len(solves)
+        code, _out, _err = workloads.run_point("bounds", point.payload)
+        assert code == 0
+        routed[point.key] = len(solves) - before
+    assert routed == {
+        "2x3xunicast-0": 4,
+        "2x3xunicast-1": 4,
+        "2x3xmulticast-0": 8,
+        "2x3xmulticast-1": 7,
+        "3x2xunicast-0": 11,
+        "3x2xunicast-1": 2,
+        "3x2xmulticast-0": 9,
+        "3x2xmulticast-1": 9,
+    }
+    assert sum(routed.values()) == 54

@@ -320,24 +320,27 @@ def counted_solves(monkeypatch) -> list:
 @pytest.mark.parametrize("beta_step", [0.5, 0.25])
 def test_pruned_sweep_equals_exhaustive_sweep(beta_step, monkeypatch):
     # The reference routes every run, by `hyper_inner` or, on the networks
-    # whose one demand is unicast, by `unicast_inner`, and keeps
-    # strict improvements in sweep order, so the earliest of tied runs wins.
-    # No demand is listed twice: the parser refuses such files.
+    # whose one demand is unicast, by `unicast_inner`, caps each rate at its
+    # run's `demand_cut`, and keeps strict improvements in sweep order, so
+    # the earliest of tied runs wins. No demand is listed twice: the parser
+    # refuses such files.
     solves = counted_solves(monkeypatch)
     flowed = counted(monkeypatch, flows, "unicast_inner")
     for unicast, routings in ((False, solves), (True, flowed)):
         routed = swept = 0
         for name, net in swept_networks(unicast):
-            node_ids, runs = sweep_runs(net, beta_step)
+            node_ids, runs, lower = sweep_runs(net, beta_step, batched=True)
+            cuts = {d: demand_cut(lower.slots, lower.rates, d).tolist() for d in net.demands}
             if unicast:
                 [demand] = net.demands
                 batch = ([unicast_inner(node_ids, arcs, demand)] for _, arcs in runs)
             else:
                 batch = (hyper_inner(node_ids, arcs, net.demands) for _, arcs in runs)
             want = {}
-            for (label, _), results in zip(runs, batch):
-                rates = {result.demand: result.rate for result in results}
-                for demand, rate in rates.items():
+            for row, ((label, _), results) in enumerate(zip(runs, batch)):
+                for result in results:
+                    demand = result.demand
+                    rate = min(result.rate, cuts[demand][row])
                     if demand not in want or rate > want[demand][0]:
                         want[demand] = (rate, label)
             before = len(routings)
@@ -391,15 +394,54 @@ def test_demand_cut_holds_where_its_sets_miss_the_min_cut():
 
 
 @pytest.mark.parametrize(
-    "name, solves", [("2x3xunicast-0", 19), ("3x2xmulticast-1", 25)]
+    "name, solves", [("2x3xunicast-0", 4), ("3x2xmulticast-1", 9)]
 )
 def test_bound_routes_only_runs_that_can_set_a_bound(name, solves, monkeypatch):
-    # The full sweeps have 225 and 125 runs.
+    # The full sweeps have 225 and 125 runs. Most routed rates equal their
+    # run's cut, so a demand closes at the first run whose cut ties its best
+    # rate at a later index.
     net = parse_network((DATA / f"lower_bounds_{name}.json").read_text(encoding="utf-8"))
     calls = counted_solves(monkeypatch)
     report = bound(net, parse_grid("0:1:0.1"), 0.25)
     assert len(calls) == solves
     assert report.inner_runs > len(calls)
+
+
+@pytest.mark.parametrize("draw, runs", [(121, 375), (277, 625)])
+def test_a_demand_of_rate_0_closes_without_routing_every_run(draw, runs, monkeypatch):
+    # Draws of the fuzz generator at seed 777 where every demand's cut is 0.0
+    # on every run: the first routed run ties each cut, and every demand
+    # closes. While ties did not close, these files routed every run.
+    rng = random.Random(777)
+    doc = [random_document(rng, 100.0) for _ in range(draw + 1)][-1]
+    net = parse_network(json.dumps(doc))
+    calls = counted_solves(monkeypatch)
+    report = bound(net, parse_grid("0:1:0.1"), 0.25)
+    assert report.inner_runs == runs
+    assert len(calls) == 1
+    assert [rate for rate, _ in report.inner.values()] == [0.0] * len(net.demands)
+
+
+def test_no_kept_inner_rate_exceeds_its_cut(monkeypatch):
+    # `best_inner` caps each routed rate at its run's `demand_cut`, which
+    # bounds every routing of that run, so no kept rate lies above it, by no
+    # tolerance: not even the solver's slack above a cut of 0.0.
+    search, kept = pipeline.best_inner, []
+
+    def checked(node_ids, batch, demands, objective="maxmin"):
+        best = search(node_ids, batch, demands, objective)
+        for demand, (rate, run) in zip(demands, best):
+            kept.append((rate, demand_cut(batch.slots, batch.rates, demand).tolist()[run]))
+        return best
+
+    monkeypatch.setattr(pipeline, "best_inner", checked)
+    for name, net in swept_networks() + swept_networks(unicast=True):
+        if name.startswith("lower_bounds_"):
+            bound(net, parse_grid("0:1:0.1"), 0.25)
+        elif name.startswith("100dB-"):
+            bound(net, parse_grid("0:1:0.1"), 0.5)
+    assert len(kept) > 50
+    assert all(rate <= cut for rate, cut in kept), [pair for pair in kept if pair[0] > pair[1]]
 
 
 def test_one_unicast_demand_on_a_wide_broadcast_certifies_one_flow(monkeypatch):
@@ -441,4 +483,4 @@ def test_bound_rates_and_validates_its_sweep_as_one_batch(monkeypatch):
     [batch] = batches
     assert len(batch.groups) > 1
     assert len(validated) == len(batch.groups) + 1
-    assert (len(arc_lists), len(solves)) == (0, 25)
+    assert (len(arc_lists), len(solves)) == (0, 9)
