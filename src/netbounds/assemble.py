@@ -103,6 +103,8 @@ __all__ = [
     "build_lower",
 ]
 
+_CODE_MAX = np.iinfo(np.int64).max  # bound of `LowerStructure._order_groups`'s codes
+
 
 @dataclass(frozen=True)
 class LowerParams:
@@ -775,22 +777,40 @@ class LowerStructure:
     def _order_groups(self, residual, n: int) -> tuple:
         """Each of n splits' decode-order group, and per group one order per
         multi-access side. A free side (no explicit order) decodes stronger
-        decodable powers first, ties by node id, by one lexsort."""
+        decodable powers first, ties by node id.
+
+        Groups are numbered in lexicographic order of the free sides' orders
+        by node id. Each input is its rank among its side's sorted ids, and a
+        split's ranks in decode order are the digits of one mixed-radix code,
+        the first free side's first input most significant; so the codes
+        order as the orders do. Where the code would outgrow int64, the codes
+        so far are renumbered densely, which keeps their order."""
         free = [mac for mac in self._macs if mac.order is None]
         if not free:
             return np.zeros(n, dtype=np.intp), [[mac.order for mac in self._macs]]
-        inputs, zero = [], np.zeros(n)  # per free side, its inputs in each split's decode order
-        for mac in free:  # decodable powers, one per input
+        zero = np.zeros(n)
+        sides = []  # per free side, its sorted ids and each split's ranks in decode order
+        code, span = np.zeros(n, dtype=np.int64), 1  # every code lies in [0, span)
+        for mac in free:
             power = {src: snr - residual[(src, mac.rx)] for src, snr in mac.links}
-            ids = np.array(list(power))
-            decodable = np.array([value + zero for value in power.values()])
-            by_id = np.broadcast_to(ids[:, None], decodable.shape)
-            inputs.append(ids[np.lexsort((by_id, -decodable), axis=0)])
-        found, group = np.unique(np.concatenate(inputs).T, axis=0, return_inverse=True)
-        orders = [
-            [mac.order or tuple(next(free_order) for _ in dict(mac.links)) for mac in self._macs]
-            for free_order in map(iter, found.tolist())
-        ]
+            ids = sorted(power)
+            decodable = np.array([power[src] + zero for src in ids])  # one row per rank
+            # A stable sort keeps tied powers in rank order, that is by node id.
+            ranks = np.argsort(-decodable, axis=0, kind="stable")
+            sides.append((ids, ranks))
+            for digit in ranks:
+                if span > _CODE_MAX // len(ids):
+                    found, code = np.unique(code, return_inverse=True)
+                    span = found.size
+                code = code * len(ids) + digit
+                span *= len(ids)
+        _, first, group = np.unique(code, return_index=True, return_inverse=True)
+        orders = []
+        for split in first.tolist():
+            free_orders = (tuple(ids[r] for r in ranks[:, split].tolist()) for ids, ranks in sides)
+            orders.append(
+                [next(free_orders) if mac.order is None else mac.order for mac in self._macs]
+            )
         return group.reshape(-1), orders
 
     def rate_batch(self, bc_betas: dict) -> LowerBatch:

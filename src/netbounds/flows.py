@@ -21,11 +21,12 @@ hyper_inner routes one arc list, and best_inner each of its picks, one run
 at a time: take its LP, solve it, read and check its witnesses. Every solve
 hands its LP to one long-lived HiGHS instance through SciPy's bundled
 bindings, which discards the previous model and basis, so each solve is a
-cold start and the order of the solves does not change any result. SciPy
-loads at the first routing LP, so a process that solves none never imports
-it. HiGHS solves to a primal feasibility tolerance of 1e-10, below the 1e-9
-to which every reported flow is re-validated against conservation and
-capacity constraints; bounds are certifiable, not solver folklore.
+cold start and the order of the solves does not change any result. HiGHS's
+extension loads at the first routing LP, without `scipy.optimize`'s package
+init, so a process that solves none never loads it. HiGHS solves to a
+primal feasibility tolerance of 1e-10, below the 1e-9 to which every
+reported flow is re-validated against conservation and capacity
+constraints; bounds are certifiable, not solver folklore.
 
 Every function here reads a bounding network as its node ids and its arcs,
 ``(tail, heads, rate, label)`` tuples in pipe order, the form that
@@ -61,7 +62,11 @@ min_cut refuses a sink's interior, it rates by certified flows.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import compress, zip_longest
@@ -73,8 +78,9 @@ from .netmodel import Demand
 
 
 def __getattr__(name):
-    # perfbench/layertrace.py wraps ``flows.linprog`` by name. It is bound on
-    # first access, so that importing flows does not load scipy.optimize.
+    # Only perfbench/layertrace.py reads ``flows.linprog``, to wrap it by name:
+    # no routing LP calls it. It is bound on first access, so that importing
+    # flows does not load scipy.optimize.
     if name == "linprog":
         from scipy.optimize import linprog
 
@@ -343,16 +349,60 @@ def unicast_inner(node_ids, arcs, demand: Demand) -> FlowResult:
     return result
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
 @functools.cache
 def _highs():
-    """SciPy's bindings of HiGHS, imported at the first routing LP.
+    """SciPy's bindings of HiGHS, loaded at the first routing LP.
 
-    Importing them runs ``scipy.optimize``'s package init, most of a fresh
-    process's start-up, which commands that solve no LP never pay.
+    Importing them by name runs ``scipy.optimize``'s package init first, most
+    of a fresh process's start-up, for nothing a routing LP calls. So
+    `_load_highs_core` loads the extension file itself; they are imported by
+    name only where that fails. A module already in ``sys.modules`` is
+    returned as it is: the extension must not be initialised twice in one
+    process.
     """
-    from scipy.optimize._highspy import _core
+    core = sys.modules.get(_HIGHS_CORE)
+    if core is None:
+        try:
+            core = _load_highs_core()
+        except (ImportError, OSError):
+            from scipy.optimize._highspy import _core as core
+    return core
 
-    return _core
+
+def _load_highs_core():
+    """The HiGHS extension from top-level ``scipy``'s folder, loaded under its
+    full dotted name without running its parent packages' init, and
+    registered in ``sys.modules``, where a later ``import scipy.optimize``
+    finds it.
+
+    Raises:
+        ImportError: unless exactly one file in that folder matches an
+            extension suffix.
+        ImportError, OSError: if loading that file fails.
+    """
+    import scipy
+
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    paths = [
+        path
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        if os.path.isfile(path := os.path.join(folder, "_core" + suffix))
+    ]
+    if len(paths) != 1:
+        raise ImportError(f"{len(paths)} HiGHS extension files in {folder}")
+    loader = importlib.machinery.ExtensionFileLoader(_HIGHS_CORE, paths[0])
+    spec = importlib.util.spec_from_file_location(_HIGHS_CORE, paths[0], loader=loader)
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_CORE] = core
+    try:
+        loader.exec_module(core)
+    except BaseException:
+        del sys.modules[_HIGHS_CORE]
+        raise
+    return core
 
 
 _LP_CACHE_SIZE = 64  # routing LP templates kept, one per slot list

@@ -1101,6 +1101,35 @@ def test_only_flows_names_the_cut_margin_or_the_routing_rounds():
     assert named == []
 
 
+def test_only_flows_names_the_highs_extension():
+    # `flows._highs` is the one place that knows where HiGHS's extension lies
+    # in SciPy and how it is loaded.
+    package = Path(cli.__file__).parent
+    named = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "flows.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                text = node.id
+            elif isinstance(node, ast.Attribute):
+                text = node.attr
+            elif isinstance(node, ast.alias):
+                text = node.name
+            elif isinstance(node, ast.ImportFrom):
+                text = node.module or ""
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                text = node.value
+            else:
+                continue
+            named += [
+                f"{path.name}:{node.lineno}: {word}"
+                for word in ("_highspy", "ExtensionFileLoader")
+                if word in text
+            ]
+    assert named == []
+
+
 def test_pinned_sums_take_no_builtin_sum():
     # From Python 3.12 on builtin `sum` compensates float sums but not array
     # sums, so the MAC and lower models sum through `info.ltr_sum`, and their
@@ -1136,18 +1165,43 @@ def test_no_module_imports_scipy_at_import_time():
     assert found == []
 
 
-def test_scipy_loads_only_when_a_routing_lp_is_solved(tmp_path):
-    # Run in a fresh interpreter: this one has SciPy loaded by other tests.
+def run_fresh(script, cwd):
+    """Stdout lines of ``script`` run in a fresh interpreter in ``cwd``, with
+    this checkout's netbounds on the path: this one has SciPy loaded by other
+    tests."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
+
+
+def copy_golden_input(tmp_path):
+    """The name of a copy of a golden `bounds` input in ``tmp_path``, and the
+    path of its golden CSV."""
     name = "lower_bounds_2x3xunicast-0.json"
     (tmp_path / name).write_bytes((DATA / name).read_bytes())
-    script = textwrap.dedent(
-        f"""
+    return name, DATA / name.replace("lower_bounds_", "bounds_").replace(".json", ".csv")
+
+
+def test_scipy_loads_only_when_a_routing_lp_is_solved(tmp_path):
+    name, golden = copy_golden_input(tmp_path)
+    script = f"""
         import contextlib
         import io
         import sys
 
         def loaded():
-            return [m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules]
+            return [m for m in ("scipy.optimize._highspy._core", "scipy.optimize", "scipy.sparse")
+                    if m in sys.modules]
 
         def any_scipy():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -1169,26 +1223,67 @@ def test_scipy_loads_only_when_a_routing_lp_is_solved(tmp_path):
             assert cli.main(argv) == 0
         print(loaded())
         """
-    )
-    src = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    run = subprocess.run(
-        [sys.executable, "-c", script],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    assert run.returncode == 0, run.stderr
     # Parsing and decomposing a coupled group (the `partition` bench path) and
-    # a relay point load no SciPy module at all.
-    assert run.stdout.splitlines() == [
+    # a relay point load no SciPy module at all; a routing LP loads HiGHS's
+    # extension alone, without scipy.optimize's package init.
+    assert run_fresh(script, tmp_path) == [
         "[]",
         "[]",
         "[]",
-        "['scipy.optimize', 'scipy.sparse']",
+        "['scipy.optimize._highspy._core']",
     ]
-    golden = DATA / name.replace("lower_bounds_", "bounds_").replace(".json", ".csv")
     assert (tmp_path / "out.csv").read_bytes() == golden.read_bytes()
+
+
+def test_highs_is_imported_by_name_where_its_file_is_not_found(tmp_path):
+    # With no extension suffix to match, `_highs` finds no file and falls back
+    # to importing scipy.optimize's bindings; the bounds stay the same bits.
+    name, golden = copy_golden_input(tmp_path)
+    script = f"""
+        import contextlib
+        import importlib.machinery
+        import io
+        import sys
+
+        from netbounds import cli
+
+        importlib.machinery.EXTENSION_SUFFIXES.clear()
+        argv = ["bounds", {name!r}, "--beta-step", "0.25", "--out", "out.csv"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        print("scipy.optimize" in sys.modules)
+        """
+    assert run_fresh(script, tmp_path) == ["True"]
+    assert (tmp_path / "out.csv").read_bytes() == golden.read_bytes()
+
+
+def test_scipy_optimize_takes_the_loaded_highs_extension(tmp_path):
+    # A later `import scipy.optimize` finds the extension `_highs` loaded and
+    # initialises it no second time; linprog still solves on it.
+    script = """
+        import sys
+
+        from netbounds import flows
+
+        core = flows._highs()
+        print("scipy.optimize" in sys.modules)
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+
+        print(_core is core, sys.modules["scipy.optimize._highspy._core"] is core)
+        result = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+        print(result.status, result.fun)
+        """
+    assert run_fresh(script, tmp_path) == ["False", "True True", "0 1.0"]
+
+
+def test_highs_returns_the_extension_scipy_optimize_loaded(tmp_path):
+    script = """
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+
+        from netbounds import flows
+
+        print(flows._highs() is _core)
+        """
+    assert run_fresh(script, tmp_path) == ["True"]

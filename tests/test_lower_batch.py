@@ -12,6 +12,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,3 +248,52 @@ def test_default_decode_orders_follow_each_split(name):
         # The last split, (1, 0), leaves A no residual at D; the others do not.
         orders = [arc[3][1] for row in (0, 4) for arc in batch.arcs(row) if arc[3][0] == "mac"]
         assert orders == [("B", "A"), ("A", "B")]
+
+
+def lexicographic_order_groups(structure, residual, n):
+    """`LowerStructure._order_groups` as a row-wise `np.unique` of each
+    split's free decode orders as node id strings: the groups numbered in
+    lexicographic order of those orders, ties in decodable power by id."""
+    free = [mac for mac in structure._macs if mac.order is None]
+    inputs = []
+    for mac in free:
+        power = {src: snr - residual[(src, mac.rx)] for src, snr in mac.links}
+        ids = np.array(list(power))
+        decodable = np.array([value + np.zeros(n) for value in power.values()])
+        by_id = np.broadcast_to(ids[:, None], decodable.shape)
+        inputs.append(ids[np.lexsort((by_id, -decodable), axis=0)])
+    found, group = np.unique(np.concatenate(inputs).T, axis=0, return_inverse=True)
+    orders = []
+    for row in found.tolist():
+        free_orders = iter(row)
+        orders.append(
+            [
+                tuple(next(free_orders) for _ in mac.links) if mac.order is None else mac.order
+                for mac in structure._macs
+            ]
+        )
+    return group.reshape(-1), orders
+
+
+# Seventeen inputs at D and three at E: a split's decode orders hold more
+# orderings (17 ** 17 codes at D alone) than an int64 code can tell apart.
+WIDE = [(f"T{k:02d}", "D", 1e3) for k in range(17)] + [(f"U{k}", "E", 1e3) for k in range(3)]
+
+
+@pytest.mark.parametrize("links", [WIDE, WIDE[-3:] + WIDE[:4]], ids=["wide", "narrow"])
+def test_decode_order_groups_follow_the_order_of_node_ids(links):
+    # `_order_groups` numbers its groups by mixed-radix codes of id ranks,
+    # renumbering them where they would outgrow int64; the groups, their
+    # numbers and their orders must be those of a row-wise unique over ids.
+    structure = LowerStructure(decompose(awgn_network(links)))
+    assert len(structure._macs) == 2
+    rng = np.random.default_rng(5)
+    n = 400
+    # Few distinct residuals, so that many inputs tie in decodable power.
+    residual = {key: rng.integers(0, 4, n) * 100.0 for key in structure._no_residual}
+    group, orders = structure._order_groups(residual, n)
+    expected_group, expected_orders = lexicographic_order_groups(structure, residual, n)
+    assert group.dtype == expected_group.dtype
+    assert group.tolist() == expected_group.tolist()
+    assert orders == expected_orders
+    assert len(orders) > 1
